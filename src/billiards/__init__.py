@@ -30,7 +30,6 @@ from .dynamics import (
     Trajectory,
     flow,
     next_collision,
-    reflect,
 )
 from .errors import (
     BilliardError,
@@ -46,7 +45,6 @@ from .errors import (
 )
 from .geometry import (
     Box,
-    CurvatureOperator,
     Cylinder,
     Domain,
     Halfspace,
@@ -59,7 +57,7 @@ from .geometry import (
     normal_at,
     project_to_boundary,
     reduce_pair_to_sinai,
-    reflect_operator,
+    reflect,
     tangent_projection,
     transverse_projection,
 )
@@ -83,8 +81,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BilliardError", "BoundaryMismatchError", "Box", "CheckResult",
-    "CollisionEvent", "ConfigError", "Covector", "CurvatureOperator",
-    "Cylinder", "DegenerateCollisionError", "DiagnosticsRecord", "Domain",
+    "CollisionEvent", "ConfigError", "Covector", "Cylinder",
+    "DegenerateCollisionError", "DiagnosticsRecord", "Domain",
     "DomainConstructionError", "EscapeError", "GrazingSingularityError",
     "Halfspace", "InfeasibleCovectorError", "InvalidStateError", "PhasePoint",
     "SeriesRangeError", "Sphere", "TangentVector", "Torus", "Trajectory",
@@ -96,7 +94,7 @@ __all__ = [
     "curvature_at", "expansion_factor", "flow", "free_flight_covector",
     "free_flight_tangent", "hardball_pairs", "lyapunov_Q", "next_collision",
     "normal_at", "pairing", "project_to_boundary", "q_decrement_breakdown",
-    "reduce_pair_to_sinai", "reflect", "reflect_operator",
+    "reduce_pair_to_sinai", "reflect",
     "sample_covector_uniform", "sample_covector_with_Q_bound",
     "series_records", "tangent_projection", "transport_covector",
     "transport_tangent", "transversal_basis", "transverse_projection",

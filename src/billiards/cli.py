@@ -53,10 +53,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_run(args) -> int:
+def _load(args):
     cfg = load_config(args.config)
     if args.grid is not None:
+        if args.grid < 0:
+            raise ConfigError(f"--grid: must be at least 0, got {args.grid}")
         cfg.grid_interior = args.grid
+    return cfg
+
+
+def cmd_run(args) -> int:
+    cfg = _load(args)
     summary, code = run_experiment(cfg, mode="run", out_dir=args.out)
     ens = summary["ensemble"]
     print(f"{summary['n_trajectories']} trajectories, "
@@ -66,9 +73,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    if args.grid is not None:
-        cfg.grid_interior = args.grid
+    cfg = _load(args)
     summary, code = run_experiment(cfg, mode="verify", out_dir=args.out,
                                    corrupt_curvature=args.corrupt_curvature)
     text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)

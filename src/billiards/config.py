@@ -61,10 +61,6 @@ class ExperimentConfig:
     out_dir: str | None = None
     c0: float | None = None           # bound used by the growth check
 
-    @property
-    def trajectory_count(self) -> int:
-        return self.sampler.count if self.sampler is not None else 1
-
 
 def _expect(cond: bool, path: str, message: str):
     if not cond:
@@ -231,6 +227,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _expect(c0 is not None, "config.checks",
                 "growth check needs c0 (from the sampler or a top-level c0)")
 
+    grid_interior = _get(raw, "grid_interior", "config", int, required=False, default=8)
+    _expect(grid_interior >= 0, "config.grid_interior", "must be at least 0")
+    max_events = _get(raw, "max_events", "config", int, required=False,
+                      default=MAX_EVENTS_DEFAULT)
+    _expect(max_events >= 1, "config.max_events", "must be at least 1")
+
     output = raw.get("output", {})
     _expect(isinstance(output, dict), "config.output", "must be an object")
     out_dir = output.get("dir")
@@ -239,7 +241,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         domain=domain, domain_spec=domain_spec, horizon=horizon,
         sampler=sampler, explicit=explicit, checks=tuple(checks),
         tol_check=tol_check, eps_graze=eps_graze,
-        grid_interior=int(raw.get("grid_interior", 8)),
-        max_events=int(raw.get("max_events", MAX_EVENTS_DEFAULT)),
+        grid_interior=grid_interior, max_events=max_events,
         out_dir=out_dir, c0=c0,
     )

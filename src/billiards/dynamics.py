@@ -23,17 +23,13 @@ from .errors import (
     GrazingSingularityError,
     InvalidStateError,
 )
-from .geometry import Box, Cylinder, Domain, Halfspace, Sphere, Vec
+from .geometry import Box, Cylinder, Domain, Halfspace, Sphere, Vec, reflect
 from .tolerances import EPS_GRAZE, EPS_TIME_FACTOR, MAX_EVENTS_DEFAULT
 
 TERMINATION_HORIZON = "reached_horizon"
 TERMINATION_GRAZING = "grazing"
 TERMINATION_EVENT_CAP = "event_cap"
 TERMINATION_ESCAPE = "escape_error"
-
-TERMINATIONS = frozenset(
-    {TERMINATION_HORIZON, TERMINATION_GRAZING, TERMINATION_EVENT_CAP, TERMINATION_ESCAPE}
-)
 
 
 @dataclass(eq=False)
@@ -104,17 +100,6 @@ class Trajectory:
 
     def min_cos_phi(self) -> float:
         return min((e.cos_phi for e in self.events), default=1.0)
-
-
-def reflect(v_in: Vec, nu: Vec, eps_graze: float = EPS_GRAZE) -> Vec:
-    """Specular reflection of an incoming unit velocity off the boundary.
-
-    Requires genuine incidence: ``<v_in, nu> <= -eps_graze``.
-    """
-    vn = float(v_in @ nu)
-    if vn > -eps_graze:
-        raise GrazingSingularityError(f"grazing reflection: cos(phi) = {-vn:.3e}")
-    return v_in - 2.0 * vn * nu
 
 
 def _validate_phase_point(domain: Domain, x: PhasePoint) -> PhasePoint:
@@ -262,10 +247,10 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
             if cos_phi < eps_graze:
                 raise GrazingSingularityError(
                     f"grazing impact: cos(phi) = {cos_phi:.3e}", time=t_best)
-            v_out = v - 2.0 * float(v @ nu) * nu
             q_hit = domain.wrap(q + t_best * v)
             return CollisionEvent(t=t_best, q=q_hit, scatterer_index=best.scatterer_index,
-                                  nu=nu, cos_phi=min(cos_phi, 1.0), v_in=v.copy(), v_out=v_out)
+                                  nu=nu, cos_phi=min(cos_phi, 1.0), v_in=v.copy(),
+                                  v_out=reflect(v, nu))
         t_lo += hi
 
     if escape_t <= t_max:

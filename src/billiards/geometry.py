@@ -4,17 +4,19 @@ A domain is a flat ambient space (torus or box) minus a list of convex
 scatterers (spheres, cylinders, halfspaces).  This module provides boundary
 normals, curvature operators (second fundamental forms), and the linear
 operators used by collision transport: the reflection across the boundary
-tangent hyperplane and the two mutually adjoint parallel projections between
-the velocity-transverse hyperplane and the boundary tangent plane.
+tangent hyperplane (:func:`reflect`, shared by the flow and both transport
+maps) and, as reference matrices, the two mutually adjoint parallel
+projections between the velocity-transverse hyperplane and the boundary
+tangent plane.
 
 Conventions
 -----------
 * Vectors are 1-d ``numpy`` float arrays of length ``d`` (``d >= 2``).
 * The boundary normal ``nu(q)`` is the unit vector pointing from the
   scatterer's solid part into the billiard region.
-* Curvature operators are symmetric positive semi-definite ``d x d``
-  matrices that annihilate ``nu(q)``; storing them as full matrices keeps
-  operator compositions plain matrix products.
+* Curvature operators are plain ``d x d`` ndarrays: symmetric positive
+  semi-definite matrices that annihilate ``nu(q)``; storing them as full
+  matrices keeps operator compositions plain matrix products.
 * Torus positions live in the fundamental domain ``[0, L)^d`` with the
   minimal-image convention for displacements.
 """
@@ -230,27 +232,6 @@ Scatterer = Sphere | Cylinder | Halfspace
 
 
 # ---------------------------------------------------------------------------
-# Curvature operator
-# ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class CurvatureOperator:
-    """Second fundamental form of a scatterer boundary at a point.
-
-    Symmetric positive semi-definite matrix acting on the tangent hyperplane
-    and annihilating the boundary normal.
-    """
-
-    matrix: np.ndarray
-
-    def apply(self, x: Vec) -> Vec:
-        return self.matrix @ x
-
-    def quadratic_form(self, x: Vec) -> float:
-        return float(x @ self.matrix @ x)
-
-
-# ---------------------------------------------------------------------------
 # Domain
 # ---------------------------------------------------------------------------
 
@@ -445,8 +426,10 @@ def normal_at(domain: Domain, scatterer_index: int, q: Vec) -> Vec:
     return xi / np.linalg.norm(xi)
 
 
-def curvature_at(domain: Domain, scatterer_index: int, q: Vec) -> CurvatureOperator:
-    """Curvature operator of the boundary at ``q``.
+def curvature_at(domain: Domain, scatterer_index: int, q: Vec) -> np.ndarray:
+    """Curvature operator of the boundary at ``q``: the second fundamental
+    form as a symmetric positive semi-definite ``d x d`` matrix that
+    annihilates the normal.
 
     Sphere: (1/r) times the projector onto the tangent hyperplane.
     Cylinder: (1/r) times the projector onto the complement of the axis
@@ -458,13 +441,13 @@ def curvature_at(domain: Domain, scatterer_index: int, q: Vec) -> CurvatureOpera
     if isinstance(s, Halfspace):
         # membership check kept for parity with the curved cases
         normal_at(domain, scatterer_index, q)
-        return CurvatureOperator(np.zeros((d, d)))
+        return np.zeros((d, d))
     nu = normal_at(domain, scatterer_index, q)
     mat = np.eye(d) - np.outer(nu, nu)
     if isinstance(s, Cylinder):
         a = s.axis_directions
         mat -= a.T @ a
-    return CurvatureOperator(mat / s.radius)
+    return mat / s.radius
 
 
 def project_to_boundary(domain: Domain, scatterer_index: int, q: Vec) -> Vec:
@@ -484,13 +467,15 @@ def project_to_boundary(domain: Domain, scatterer_index: int, q: Vec) -> Vec:
 # Collision-transport operators
 # ---------------------------------------------------------------------------
 
-def reflect_operator(nu: Vec) -> np.ndarray:
-    """Orthogonal reflection across the tangent hyperplane of ``nu``.
+def reflect(x: Vec, nu: Vec) -> Vec:
+    """Orthogonal reflection ``x - 2 <x, nu> nu`` across the tangent
+    hyperplane of the unit normal ``nu``; ``x`` is a vector or a stack of rows.
 
     Involution and isometry: fixes vectors orthogonal to ``nu`` and flips
-    ``nu`` itself.
+    ``nu`` itself.  No grazing check: a velocity is reflected only after the
+    collision search has rejected grazing impacts.
     """
-    return np.eye(nu.shape[0]) - 2.0 * np.outer(nu, nu)
+    return x - 2.0 * (x @ nu)[..., None] * nu
 
 
 def tangent_projection(v: Vec, nu: Vec, eps_graze: float = EPS_GRAZE) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Experiment execution: trajectories -> transport -> checks -> CSV/JSON.
 
 Each trajectory runs the full pipeline independently (sampling, flow,
-covector transport, verification checks) and writes its own CSV, so
-ensembles parallelize trivially; results are merged by trajectory index,
-which keeps outputs byte-identical regardless of the thread count.
+covector transport, verification checks) and writes its own CSV.
+Trajectories run one after another in index order, so outputs depend only
+on the config and its seed.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,14 +156,6 @@ def _write_csv(path: Path, records) -> None:
                              _fmt(r.lam), _fmt(r.bound_prop5), _fmt(r.bound_theorem)])
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("BILLIARD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_experiment(cfg: ExperimentConfig, mode: str = "run",
                    out_dir: str | Path | None = None,
                    corrupt_curvature: bool = False) -> tuple[dict, int]:
@@ -185,19 +175,10 @@ def run_experiment(cfg: ExperimentConfig, mode: str = "run",
         s = cfg.sampler
         initial = sample_initial_conditions(cfg.domain, s.count, s.seed, s.c0)
 
-    def job(i):
-        x0, n0 = initial[i]
-        return run_trajectory(cfg, i, x0, n0, want_records=emit_csv,
-                              want_adjoint=want_adjoint,
-                              corrupt_curvature=corrupt_curvature)
-
-    threads = _thread_count()
-    indices = range(len(initial))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(job, indices))
-    else:
-        outcomes = [job(i) for i in indices]
+    outcomes = [run_trajectory(cfg, i, x0, n0, want_records=emit_csv,
+                               want_adjoint=want_adjoint,
+                               corrupt_curvature=corrupt_curvature)
+                for i, (x0, n0) in enumerate(initial)]
 
     if emit_csv:
         out = Path(out_dir if out_dir is not None else (cfg.out_dir or "out"))

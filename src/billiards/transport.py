@@ -13,12 +13,19 @@ and a collision with inward normal ``nu``, curvature ``K`` and angle
     tangent:  dq+ = R dq-,   dv+ = R dv- + 2 cos_phi * R V* K V dq-
     covector: w+  = R w-,    z+  = R z-  - 2 cos_phi * V1* K V1 R w-
 
-where ``R`` is the reflection across the boundary tangent plane, ``V`` the
-incoming-velocity parallel projection onto the tangent plane, ``V1`` the
-same for the outgoing velocity, and ``*`` the adjoint.  The two maps are
-mutually adjoint, so the pairing with a forward-transported tangent vector
-is an exact invariant; ``adjoint_residual`` measures how well the
-implementation preserves it.
+where ``R`` is the reflection across the boundary tangent plane
+(:func:`~billiards.geometry.reflect`), ``V`` the incoming-velocity parallel
+projection onto the tangent plane, ``V1`` the same for the outgoing
+velocity, and ``*`` the adjoint.  Both maps go through one kernel,
+``_projected_curvature``, called with ``v_in`` for the tangent and ``v_out``
+for the covector; ``K`` is the plain ``d x d`` matrix from
+:func:`~billiards.geometry.curvature_at`, computed once per event in each
+transport pass.  The two maps are mutually adjoint, so the pairing with a
+forward-transported tangent vector is an exact invariant;
+``adjoint_residual`` measures how well the implementation preserves it.
+
+Tangent vectors may carry a stack of rows: ``dq`` and ``dv`` of shape
+``(m, d)`` move ``m`` variations through one transport pass.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 
 from .dynamics import CollisionEvent, Trajectory
 from .errors import GrazingSingularityError, SeriesRangeError
-from .geometry import CurvatureOperator, Vec, curvature_at
+from .geometry import Vec, curvature_at, reflect
 from .tolerances import EPS_GRAZE
 
 ORTHOGONALITY_TOL = 1e-10
@@ -38,13 +45,18 @@ ORTHOGONALITY_TOL = 1e-10
 
 @dataclass(eq=False)
 class TangentVector:
-    """Transversal phase-space variation: dq and dv, both orthogonal to v."""
+    """Transversal phase-space variation: dq and dv, both orthogonal to v.
+
+    ``dq`` and ``dv`` are vectors, or ``(m, d)`` stacks of ``m`` variations.
+    """
 
     dq: Vec
     dv: Vec
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.dq @ self.dq + self.dv @ self.dv))
+    def norm(self) -> float | np.ndarray:
+        """Euclidean norm of ``(dq, dv)``; one value per row for a stack."""
+        return np.sqrt(np.einsum("...i,...i", self.dq, self.dq)
+                       + np.einsum("...i,...i", self.dv, self.dv))
 
 
 @dataclass(eq=False)
@@ -61,17 +73,18 @@ class Covector:
         return Covector(s * self.z, s * self.w)
 
 
-def pairing(dy: TangentVector, n: Covector) -> float:
-    """Duality pairing ``<dq, z> + <dv, w>``."""
-    return float(dy.dq @ n.z + dy.dv @ n.w)
+def pairing(dy: TangentVector, n: Covector) -> float | np.ndarray:
+    """Duality pairing ``<dq, z> + <dv, w>``; one value per row for a stack."""
+    return dy.dq @ n.z + dy.dv @ n.w
 
 
 def _check_transversal(a: Vec, b: Vec, v: Vec, what: str) -> None:
-    scale = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1e-300)
-    res = max(abs(float(a @ v)), abs(float(b @ v)))
-    if res > ORTHOGONALITY_TOL * scale:
-        raise ValueError(f"{what} components must be orthogonal to the velocity "
-                         f"(residual {res / scale:.3e} relative)")
+    for x, y in zip(np.atleast_2d(a), np.atleast_2d(b)):
+        scale = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)), 1e-300)
+        res = max(abs(float(x @ v)), abs(float(y @ v)))
+        if res > ORTHOGONALITY_TOL * scale:
+            raise ValueError(f"{what} components must be orthogonal to the velocity "
+                             f"(residual {res / scale:.3e} relative)")
 
 
 # ---------------------------------------------------------------------------
@@ -92,23 +105,32 @@ def free_flight_tangent(dy: TangentVector, dt: float) -> TangentVector:
     return TangentVector(dy.dq + dt * dy.dv, dy.dv.copy())
 
 
-def _reflect(x: Vec, nu: Vec) -> Vec:
-    return x - 2.0 * float(x @ nu) * nu
+def _projected_curvature(x: Vec, v: Vec, vn: float, nu: Vec, K: np.ndarray) -> tuple[Vec, Vec]:
+    """``(P x, P* K P x)`` for the projection ``P x = x - (<x, nu>/vn) v``.
+
+    ``P`` maps ``v^perp`` along the unit velocity ``v`` onto the boundary
+    tangent plane ``nu^perp`` (``vn = <v, nu>``); its adjoint is
+    ``P* y = y - (<y, v>/vn) nu``.  ``x`` is one vector or a stack of rows.
+    """
+    u = x - (x @ nu / vn)[..., None] * v
+    ku = u @ K.T          # K u per row; for one vector bit-identical to K @ u
+    return u, ku - (ku @ v / vn)[..., None] * nu
 
 
-def _curvature_kick_out(w_minus: Vec, event: CollisionEvent, K: CurvatureOperator,
-                        scale: float) -> tuple[Vec, Vec]:
-    """(V1 R w-, V1* K V1 R w-) for the outgoing-velocity projection V1."""
+def _covector_jump(n_minus: Covector, event: CollisionEvent, K: np.ndarray,
+                   eps_graze: float) -> tuple[Covector, float]:
+    """Covector after the collision and the closed-form drop of ``Q`` there."""
+    if event.cos_phi < eps_graze:
+        raise GrazingSingularityError("covector collision map undefined at grazing incidence")
     nu, cphi = event.nu, event.cos_phi
     v_out = event.v_out / np.linalg.norm(event.v_out)
-    w1 = _reflect(w_minus, nu)
-    u = w1 - (float(w1 @ nu) / cphi) * v_out            # V1 (R w-)
-    ku = scale * K.apply(u)
-    kick = ku - (float(ku @ v_out) / cphi) * nu         # V1* K V1 R w-
-    return u, kick
+    w_plus = reflect(n_minus.w, nu)
+    u, kick = _projected_curvature(w_plus, v_out, cphi, nu, K)   # V1 R w-, V1* K V1 R w-
+    z_plus = reflect(n_minus.z, nu) - 2.0 * cphi * kick
+    return Covector(z_plus, w_plus), 2.0 * cphi * float(u @ K @ u)
 
 
-def collision_covector(n_minus: Covector, event: CollisionEvent, K: CurvatureOperator,
+def collision_covector(n_minus: Covector, event: CollisionEvent, K: np.ndarray,
                        curvature_scale: float = 1.0,
                        eps_graze: float = EPS_GRAZE) -> Covector:
     """Covector across a collision: ``(R z- - 2 cos_phi V1* K V1 R w-, R w-)``.
@@ -119,38 +141,28 @@ def collision_covector(n_minus: Covector, event: CollisionEvent, K: CurvatureOpe
     ``curvature_scale`` rescales ``K`` (fault-injection hook for the
     adjointness negative control); it must be 1 for physical transport.
     """
-    if event.cos_phi < eps_graze:
-        raise GrazingSingularityError("covector collision map undefined at grazing incidence")
-    nu = event.nu
-    _, kick = _curvature_kick_out(n_minus.w, event, K, curvature_scale)
-    z_plus = _reflect(n_minus.z, nu) - 2.0 * event.cos_phi * kick
-    w_plus = _reflect(n_minus.w, nu)
-    return Covector(z_plus, w_plus)
+    return _covector_jump(n_minus, event, curvature_scale * K, eps_graze)[0]
 
 
-def collision_q_drop(n_minus: Covector, event: CollisionEvent, K: CurvatureOperator,
+def collision_q_drop(n_minus: Covector, event: CollisionEvent, K: np.ndarray,
                      curvature_scale: float = 1.0) -> float:
     """Closed-form drop of the Lyapunov value at a collision (nonnegative)."""
-    u, _ = _curvature_kick_out(n_minus.w, event, K, 1.0)
-    return 2.0 * event.cos_phi * curvature_scale * K.quadratic_form(u)
+    return _covector_jump(n_minus, event, curvature_scale * K, 0.0)[1]
 
 
-def collision_tangent(dy_minus: TangentVector, event: CollisionEvent, K: CurvatureOperator,
+def collision_tangent(dy_minus: TangentVector, event: CollisionEvent, K: np.ndarray,
                       curvature_scale: float = 1.0,
                       eps_graze: float = EPS_GRAZE) -> TangentVector:
-    """Tangent vector across a collision:
+    """Tangent vector (or stack) across a collision:
     ``(R dq-, R dv- + 2 cos_phi R V* K V dq-)`` with the incoming projection V."""
     if event.cos_phi < eps_graze:
         raise GrazingSingularityError("tangent collision map undefined at grazing incidence")
-    nu, cphi = event.nu, event.cos_phi
+    nu = event.nu
     v_in = event.v_in / np.linalg.norm(event.v_in)
-    vn = float(v_in @ nu)                                # = -cos_phi
-    u = dy_minus.dq - (float(dy_minus.dq @ nu) / vn) * v_in      # V dq-
-    ku = curvature_scale * K.apply(u)
-    kick = ku - (float(ku @ v_in) / vn) * nu                     # V* K V dq-
-    dq_plus = _reflect(dy_minus.dq, nu)
-    dv_plus = _reflect(dy_minus.dv, nu) + 2.0 * cphi * _reflect(kick, nu)
-    return TangentVector(dq_plus, dv_plus)
+    _, kick = _projected_curvature(dy_minus.dq, v_in, float(v_in @ nu), nu,
+                                   curvature_scale * K)
+    return TangentVector(reflect(dy_minus.dq, nu),
+                         reflect(dy_minus.dv + 2.0 * event.cos_phi * kick, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +196,8 @@ class CovectorJump:
 
 @dataclass(eq=False)
 class TangentSegment:
+    """Tangent data on one free segment: dv is frozen, dq is affine in t."""
+
     t0: float
     t1: float
     dq0: Vec
@@ -193,61 +207,55 @@ class TangentSegment:
         return TangentVector(self.dq0 + (t - self.t0) * self.dv, self.dv.copy())
 
 
-@dataclass(eq=False)
-class TangentJump:
-    t: float
-    dy_pre: TangentVector
-    dy_post: TangentVector
-
-
-class TransportSeries:
-    """Covector transported along a trajectory, queryable at any time.
+class _Series:
+    """Per-segment data over ``[0, t_end]`` with one segment lookup.
 
     Segment endpoints store the pre- and post-collision values; mid-segment
     queries evaluate the free-flight formula from the left endpoint, so no
     interpolation error is introduced.
     """
 
+    def __init__(self, segments: list, t_end: float):
+        self.segments = segments
+        self.t_end = t_end
+        self._t0 = np.array([s.t0 for s in segments])
+
+    def _segment(self, t: float, side: str):
+        """Segment holding time ``t``; at event times ``side`` picks the branch."""
+        if t < -1e-12 or t > self.t_end + 1e-12:
+            raise SeriesRangeError(f"time {t} outside transported range [0, {self.t_end}]")
+        k = max(int(np.searchsorted(self._t0, t, side="right") - 1), 0)
+        if side == "pre" and k > 0 and t <= self.segments[k].t0:
+            k -= 1
+        return self.segments[k]
+
+
+class TransportSeries(_Series):
+    """Covector transported along a trajectory, queryable at any time."""
+
     def __init__(self, trajectory: Trajectory, n0: Covector,
                  segments: list[CovectorSegment], jumps: list[CovectorJump]):
+        super().__init__(segments, trajectory.t_end)
         self.trajectory = trajectory
         self.n0 = n0
-        self.segments = segments
         self.jumps = jumps
-        self.t_end = trajectory.t_end
         self.n0_norm = n0.norm()
 
     @property
     def max_reprojection(self) -> float:
         return max((j.reprojection for j in self.jumps), default=0.0)
 
-    def _segment_index(self, t: float, side: str = "post") -> int:
-        if t < -1e-12 or t > self.t_end + 1e-12:
-            raise SeriesRangeError(f"time {t} outside transported range [0, {self.t_end}]")
-        ts = [s.t0 for s in self.segments]
-        k = int(np.searchsorted(ts, t, side="right") - 1)
-        k = max(k, 0)
-        if side == "pre" and k > 0 and t <= self.segments[k].t0:
-            k -= 1
-        return k
-
     def covector_at(self, t: float, side: str = "post") -> Covector:
         """Covector at time ``t``; at event times ``side`` picks the branch."""
-        seg = self.segments[self._segment_index(t, side)]
-        return seg.covector_at(t)
+        return self._segment(t, side).covector_at(t)
 
-    def endpoint_covectors(self) -> list[tuple[float, Covector]]:
-        """(t, covector) at every segment endpoint: start, each event pre and
-        post, and the series end."""
-        out: list[tuple[float, Covector]] = []
-        for k, seg in enumerate(self.segments):
-            if k == 0:
-                out.append((seg.t0, seg.covector_at(seg.t0)))
-            out.append((seg.t1, seg.covector_at(seg.t1)))
-            if k + 1 < len(self.segments):
-                nxt = self.segments[k + 1]
-                out.append((nxt.t0, nxt.covector_at(nxt.t0)))
-        return out
+
+class TangentSeries(_Series):
+    """Tangent vector (or stack) transported forward along a trajectory."""
+
+    def tangent_at(self, t: float, side: str = "post") -> TangentVector:
+        """Tangent vector at time ``t``; at event times ``side`` picks the branch."""
+        return self._segment(t, side).tangent_at(t)
 
 
 def _reproject(x: Vec, v: Vec) -> tuple[Vec, float]:
@@ -278,9 +286,8 @@ def transport_covector(trajectory: Trajectory, n0: Covector,
             break
         event = trajectory.events[k]
         n_pre = Covector(z.copy(), w - seg.duration * z)
-        K = curvature_at(domain, event.scatterer_index, event.q)
-        drop = collision_q_drop(n_pre, event, K, curvature_scale)
-        n_post = collision_covector(n_pre, event, K, curvature_scale, eps_graze=eps_graze)
+        K = curvature_scale * curvature_at(domain, event.scatterer_index, event.q)
+        n_post, drop = _covector_jump(n_pre, event, K, eps_graze)
         v_out = event.v_out / np.linalg.norm(event.v_out)
         z, cz = _reproject(n_post.z, v_out)
         w, cw = _reproject(n_post.w, v_out)
@@ -292,47 +299,24 @@ def transport_covector(trajectory: Trajectory, n0: Covector,
     return TransportSeries(trajectory, n0, segments, jumps)
 
 
-class TangentSeries:
-    """Tangent vector transported forward along a trajectory."""
-
-    def __init__(self, trajectory: Trajectory, dy0: TangentVector,
-                 segments: list[TangentSegment], jumps: list[TangentJump]):
-        self.trajectory = trajectory
-        self.dy0 = dy0
-        self.segments = segments
-        self.jumps = jumps
-        self.t_end = trajectory.t_end
-
-    def tangent_at(self, t: float, side: str = "post") -> TangentVector:
-        ts = [s.t0 for s in self.segments]
-        k = int(np.searchsorted(ts, t, side="right") - 1)
-        k = max(k, 0)
-        if side == "pre" and k > 0 and t <= self.segments[k].t0:
-            k -= 1
-        return self.segments[k].tangent_at(t)
-
-
 def transport_tangent(trajectory: Trajectory, dy0: TangentVector,
                       curvature_scale: float = 1.0,
                       eps_graze: float = EPS_GRAZE) -> TangentSeries:
-    """Push ``dy0`` forward with the derivative of the flow."""
-    v0 = trajectory.start.v
-    _check_transversal(dy0.dq, dy0.dv, v0, "tangent vector")
+    """Push ``dy0`` (a vector or a stack) forward with the derivative of the flow."""
+    _check_transversal(dy0.dq, dy0.dv, trajectory.start.v, "tangent vector")
     domain = trajectory.domain
     segments: list[TangentSegment] = []
-    jumps: list[TangentJump] = []
     dq, dv = dy0.dq.astype(float).copy(), dy0.dv.astype(float).copy()
     for k, seg in enumerate(trajectory.segments):
         segments.append(TangentSegment(seg.t0, seg.t1, dq, dv))
         if k >= len(trajectory.events):
             break
         event = trajectory.events[k]
-        dy_pre = TangentVector(dq + seg.duration * dv, dv.copy())
+        dy_pre = TangentVector(dq + seg.duration * dv, dv)
         K = curvature_at(domain, event.scatterer_index, event.q)
         dy_post = collision_tangent(dy_pre, event, K, curvature_scale, eps_graze=eps_graze)
         dq, dv = dy_post.dq, dy_post.dv
-        jumps.append(TangentJump(event.t, dy_pre, dy_post))
-    return TangentSeries(trajectory, dy0, segments, jumps)
+    return TangentSeries(segments, trajectory.t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +340,7 @@ def adjoint_residual(trajectory: Trajectory, n0: Covector,
                      eps_graze: float = EPS_GRAZE) -> float:
     """Worst relative violation of the transport-invariance of the pairing.
 
+    The basis moves as one ``(2(d-1), d)`` stack in a single tangent pass.
     For each basis vector the pairing of the forward-transported tangent
     vector with the transported covector must equal its initial value at
     every segment endpoint.  The residual at time ``t`` is normalized by the
@@ -369,17 +354,16 @@ def adjoint_residual(trajectory: Trajectory, n0: Covector,
     """
     if basis is None:
         basis = transversal_basis(trajectory.start.v)
+    dy0 = TangentVector(np.array([b.dq for b in basis]), np.array([b.dv for b in basis]))
     cov = transport_covector(trajectory, n0, curvature_scale=curvature_scale_covector,
                              eps_graze=eps_graze)
+    tan = transport_tangent(trajectory, dy0, eps_graze=eps_graze)
+    p0 = pairing(dy0, cov.n0)
+    base = dy0.norm() * cov.n0_norm
     worst = 0.0
-    for dy0 in basis:
-        tan = transport_tangent(trajectory, dy0, eps_graze=eps_graze)
-        p0 = pairing(dy0, cov.n0)
-        base = dy0.norm() * cov.n0_norm
-        for cseg, tseg in zip(cov.segments, tan.segments):
-            for t in (cseg.t0, cseg.t1):
-                n_t = cseg.covector_at(t)
-                dy_t = tseg.tangent_at(t)
-                scale = max(base, dy_t.norm() * n_t.norm(), 1e-300)
-                worst = max(worst, abs(pairing(dy_t, n_t) - p0) / scale)
+    for cseg, tseg in zip(cov.segments, tan.segments):
+        for t in (cseg.t0, cseg.t1):
+            n_t, dy_t = cseg.covector_at(t), tseg.tangent_at(t)
+            scale = np.maximum(np.maximum(base, dy_t.norm() * n_t.norm()), 1e-300)
+            worst = max(worst, float(np.max(np.abs(pairing(dy_t, n_t) - p0) / scale)))
     return worst

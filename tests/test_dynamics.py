@@ -97,11 +97,6 @@ def test_reflect_involution_random():
         np.testing.assert_allclose(reflect(v_out, -nu), v, atol=1e-12)
 
 
-def test_reflect_grazing_rejected():
-    with pytest.raises(GrazingSingularityError):
-        reflect(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-
 # ---------------------------------------------------------------------------
 # flow
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from billiards import (
     normal_at,
     project_to_boundary,
     reduce_pair_to_sinai,
-    reflect_operator,
+    reflect,
     tangent_projection,
     transverse_projection,
 )
@@ -83,19 +83,19 @@ def test_normal_unit_norm_random_boundary_points(sinai2d, cylinder3d):
 
 def test_sphere_curvature_is_inverse_radius_projector(sinai2d):
     K = curvature_at(sinai2d, 0, np.array([0.75, 0.5]))
-    np.testing.assert_allclose(K.matrix, [[0.0, 0.0], [0.0, 4.0]], atol=1e-12)
+    np.testing.assert_allclose(K, [[0.0, 0.0], [0.0, 4.0]], atol=1e-12)
 
 
 def test_halfspace_curvature_is_zero():
     dom = Domain(2, Box((1.0, 1.0)),
                  [Halfspace(np.array([0.0, 0.0]), np.array([0.0, 1.0]))])
     K = curvature_at(dom, 0, np.array([0.4, 0.0]))
-    assert np.all(K.matrix == 0.0)
+    assert np.all(K == 0.0)
 
 
 def test_cylinder_curvature_eigenvalues(cylinder3d):
     K = curvature_at(cylinder3d, 0, np.array([0.7, 0.5, 0.3]))
-    eig = np.sort(np.linalg.eigvalsh(K.matrix))
+    eig = np.sort(np.linalg.eigvalsh(K))
     np.testing.assert_allclose(eig, [0.0, 0.0, 5.0], atol=1e-12)
 
 
@@ -105,7 +105,7 @@ def test_curvature_symmetric_psd_annihilates_normal(sinai3d, cylinder3d, hardbal
         for idx in range(len(dom.scatterers)):
             q = project_to_boundary(dom, idx, rng.uniform(0, 1, dom.d))
             nu = normal_at(dom, idx, q)
-            K = curvature_at(dom, idx, q).matrix
+            K = curvature_at(dom, idx, q)
             assert np.allclose(K, K.T, atol=1e-12)
             assert np.min(np.linalg.eigvalsh(K)) >= -1e-12
             assert np.linalg.norm(K @ nu) < 1e-12
@@ -129,7 +129,7 @@ def test_curvature_matches_normal_variation(domain_name, index, request):
     def residual(h: float) -> float:
         q2 = project_to_boundary(dom, index, q + h * tang)
         dq = dom.min_image(q2 - q)
-        return float(np.linalg.norm(normal_at(dom, index, q2) - nu - K.apply(dq)))
+        return float(np.linalg.norm(normal_at(dom, index, q2) - nu - K @ dq))
 
     r1, r2 = residual(1e-3), residual(5e-4)
     assert r1 < 1e-4                      # second order: about h^2 / (2 r^2)
@@ -142,19 +142,22 @@ def test_curvature_matches_normal_variation(domain_name, index, request):
 # ---------------------------------------------------------------------------
 
 def test_reflect_operator_examples():
-    R = reflect_operator(np.array([1.0, 0.0]))
-    np.testing.assert_allclose(R @ [1.0, 0.0], [-1.0, 0.0], atol=0)
-    np.testing.assert_allclose(R @ [0.0, 1.0], [0.0, 1.0], atol=0)
-    np.testing.assert_allclose(R @ [3.0, 4.0], [-3.0, 4.0], atol=0)
+    nu = np.array([1.0, 0.0])
+    np.testing.assert_allclose(reflect(np.array([1.0, 0.0]), nu), [-1.0, 0.0], atol=0)
+    np.testing.assert_allclose(reflect(np.array([0.0, 1.0]), nu), [0.0, 1.0], atol=0)
+    np.testing.assert_allclose(reflect(np.array([3.0, 4.0]), nu), [-3.0, 4.0], atol=0)
+    # a stack of rows reflects row by row
+    np.testing.assert_allclose(reflect(np.array([[1.0, 0.0], [3.0, 4.0]]), nu),
+                               [[-1.0, 0.0], [-3.0, 4.0]], atol=0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(nu=unit_vectors(3), x=vectors(3))
 def test_reflect_operator_involution_isometry(nu, x):
-    R = reflect_operator(nu)
-    np.testing.assert_allclose(R @ (R @ x), x, atol=1e-12 * (1 + np.linalg.norm(x)))
-    assert abs(np.linalg.norm(R @ x) - np.linalg.norm(x)) < 1e-12 * (1 + np.linalg.norm(x))
-    np.testing.assert_allclose(R @ nu, -nu, atol=1e-12)
+    rx = reflect(x, nu)
+    np.testing.assert_allclose(reflect(rx, nu), x, atol=1e-12 * (1 + np.linalg.norm(x)))
+    assert abs(np.linalg.norm(rx) - np.linalg.norm(x)) < 1e-12 * (1 + np.linalg.norm(x))
+    np.testing.assert_allclose(reflect(nu, nu), -nu, atol=1e-12)
 
 
 def test_tangent_projection_head_on_identity():

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import billiards
 from billiards import ConfigError
 from billiards.catalog import CATALOG
 from billiards.cli import main
@@ -55,6 +57,11 @@ def test_malformed_json_reports_line(tmp_path):
     (lambda c: c.update(domain={"kind": "unknown"}), "kind"),
     (lambda c: c.update(checks=["bogus"]), "checks"),
     (lambda c: c.update(initial={}), "initial"),
+    (lambda c: c.update(grid_interior=-2), "grid_interior"),
+    (lambda c: c.update(grid_interior=True), "grid_interior"),
+    (lambda c: c.update(grid_interior=2.5), "grid_interior"),
+    (lambda c: c.update(max_events=0), "max_events"),
+    (lambda c: c.update(max_events=True), "max_events"),
 ])
 def test_config_validation_messages(mutate, match):
     cfg = {
@@ -241,6 +248,13 @@ def test_grid_override_changes_sampling(tmp_path):
     assert rows8 > rows2
 
 
+def test_negative_grid_exits_3(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--grid", "-2"]) == 3
+    assert "--grid" in capsys.readouterr().err
+    assert main(["verify", str(cfg_path), "--grid", "-2"]) == 3
+
+
 def test_thread_env_does_not_change_outputs(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path)
     main(["run", str(cfg_path), "--out", str(tmp_path / "seq")])
@@ -252,8 +266,12 @@ def test_thread_env_does_not_change_outputs(tmp_path, monkeypatch):
 
 def test_module_entry_point(tmp_path):
     cfg_path = write_config(tmp_path)
+    # the child process imports the same package as this test session
+    src = str(Path(billiards.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "billiards", "verify", str(cfg_path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ensemble"]["worst_adjoint_residual"] < 1e-8
 

@@ -25,6 +25,7 @@ from billiards import (
     lyapunov_Q,
     next_collision,
     pairing,
+    SeriesRangeError,
     sample_covector_uniform,
     sample_covector_with_Q_bound,
     transport_covector,
@@ -184,6 +185,32 @@ def fd_flow_derivative(domain, x0: PhasePoint, dy: TangentVector, T: float,
 def analytic_flow_derivative(traj, dy: TangentVector) -> TangentVector:
     series = transport_tangent(traj, dy)
     return series.tangent_at(traj.t_end)
+
+
+def test_tangent_series_rejects_times_outside_range(sinai2d):
+    traj = flow(sinai2d, PhasePoint(np.array([0.1, 0.5]), np.array([1.0, 0.0])), 0.6)
+    dy = transversal_basis(traj.start.v)[0]
+    series = transport_tangent(traj, dy)
+    for t in (-0.1, traj.t_end + 0.1):
+        with pytest.raises(SeriesRangeError):
+            series.tangent_at(t)
+    np.testing.assert_allclose(series.tangent_at(traj.t_end).dq,
+                               analytic_flow_derivative(traj, dy).dq, atol=0)
+
+
+def test_stacked_tangent_transport_matches_single_vectors(sinai2d, hardball32):
+    rng = np.random.default_rng(79)
+    for dom in (sinai2d, hardball32):
+        traj, n0, series = _sample_series(dom, rng)
+        basis = transversal_basis(traj.start.v)
+        stack = transport_tangent(traj, TangentVector(np.array([b.dq for b in basis]),
+                                                      np.array([b.dv for b in basis])))
+        for t in (0.0, 0.5 * traj.t_end, traj.t_end):
+            rows = stack.tangent_at(t)
+            for k, dy in enumerate(basis):
+                one = transport_tangent(traj, dy).tangent_at(t)
+                np.testing.assert_allclose(rows.dq[k], one.dq, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(rows.dv[k], one.dv, rtol=1e-12, atol=1e-12)
 
 
 def test_collision_tangent_matches_finite_differences(sinai2d, cylinder3d):
