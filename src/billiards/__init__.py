@@ -9,7 +9,6 @@ the linear growth bounds it forces on the hypersurface volume.
 
 from .diagnostics import (
     CheckResult,
-    DiagnosticsRecord,
     VerificationReport,
     expansion_factor,
     lyapunov_Q,
@@ -21,6 +20,7 @@ from .diagnostics import (
     verify_monotonicity,
 )
 from .dynamics import (
+    TERMINATION_DEGENERATE,
     TERMINATION_ESCAPE,
     TERMINATION_EVENT_CAP,
     TERMINATION_GRAZING,
@@ -82,13 +82,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BilliardError", "BoundaryMismatchError", "Box", "CheckResult",
     "CollisionEvent", "ConfigError", "Covector", "Cylinder",
-    "DegenerateCollisionError", "DiagnosticsRecord", "Domain",
+    "DegenerateCollisionError", "Domain",
     "DomainConstructionError", "EscapeError", "GrazingSingularityError",
     "Halfspace", "InfeasibleCovectorError", "InvalidStateError", "PhasePoint",
     "SeriesRangeError", "Sphere", "TangentVector", "Torus", "Trajectory",
     "TransportSeries", "VerificationReport",
-    "TERMINATION_ESCAPE", "TERMINATION_EVENT_CAP", "TERMINATION_GRAZING",
-    "TERMINATION_HORIZON",
+    "TERMINATION_DEGENERATE", "TERMINATION_ESCAPE", "TERMINATION_EVENT_CAP",
+    "TERMINATION_GRAZING", "TERMINATION_HORIZON",
     "adjoint_residual", "build_hardball_gas", "build_sinai",
     "collision_covector", "collision_q_drop", "collision_tangent",
     "curvature_at", "expansion_factor", "flow", "free_flight_covector",

@@ -7,6 +7,13 @@ forces ``|w|`` (and with it the hypersurface expansion factor
 ``lambda_t = |n_t| / |n_0|``) to grow at least linearly.  The verifiers in
 this module check those statements on sampled series, with relative margins,
 and report per-check pass/fail results.
+
+Each free segment is sampled at its endpoints plus ``interior`` evenly
+spaced points.  A series is sampled in one pass into ``(segments, samples)``
+arrays; the checks are array expressions over consecutive samples of the
+flattened grid (or over segment rows), and ``series_records`` returns the
+samples as a record array of columns.  The array forms reproduce the
+per-sample loops they replaced bit for bit.
 """
 
 from __future__ import annotations
@@ -53,84 +60,107 @@ def expansion_factor(series: TransportSeries, t: float) -> float:
 # Sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class DiagnosticsRecord:
-    """One sampled instant of a transported covector."""
-
-    t: float
-    segment_index: int
-    event_flag: int          # 0 interior, 1 pre-collision, 2 post-collision
-    Q: float
-    norm_w: float
-    norm_z: float
-    norm_n: float
-    lam: float
-    ratio_wQ: float
-    bound_prop5: float
-    bound_theorem: float
+# Sampled diagnostics, one row per sample: the CSV fields plus |w|/|Q|.
+# event_flag is 0 for interior samples, 1 pre-collision, 2 post-collision.
+RECORD_DTYPE = np.dtype([
+    ("t", float), ("segment_index", np.int64), ("event_flag", np.int64),
+    ("Q", float), ("norm_w", float), ("norm_z", float), ("norm_n", float),
+    ("lam", float), ("ratio_wQ", float), ("bound_prop5", float), ("bound_theorem", float),
+])
 
 
 @dataclass(eq=False)
 class _SampledSeries:
-    """Per-segment sample arrays used by the verifiers."""
+    """Sample grid of a series: row ``k`` holds segment ``k``'s samples.
 
-    t: list[np.ndarray]
-    Q: list[np.ndarray]
-    nw: list[np.ndarray]
-    nz: list[float]
-    nn: list[np.ndarray]
+    ``t``, ``Q``, ``nw`` (``|w|``) and ``nn`` (``|n|``) are
+    ``(segments, interior + 2)`` arrays; ``nz`` (``|z|``) holds one value
+    per segment, ``z`` and ``w0`` one ``(d,)`` row per segment.
+    """
+
+    t: np.ndarray
+    Q: np.ndarray
+    nw: np.ndarray
+    nz: np.ndarray
+    nn: np.ndarray
+    z: np.ndarray
+    w0: np.ndarray
+
+
+def _linspace_rows(t0: np.ndarray, t1: np.ndarray, m: int) -> np.ndarray:
+    """Row ``k`` equals ``np.linspace(t0[k], t1[k], m)`` bit for bit.
+
+    ``np.linspace`` over all rows at once would switch every row to its
+    zero-step formula as soon as one segment has zero length.
+    """
+    delta = t1 - t0
+    ramp = np.arange(m, dtype=float)
+    step = delta / (m - 1)
+    t = np.where((step == 0.0)[:, None], (ramp / (m - 1)) * delta[:, None],
+                 ramp * step[:, None])
+    t += t0[:, None]
+    t[:, -1] = t1
+    return t
+
+
+def _dots(x: np.ndarray) -> np.ndarray:
+    """Row-wise ``x[k] @ x[k]``, bit for bit the per-row BLAS dot product
+    (``np.einsum`` sums in another order)."""
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
 def _sample(series: TransportSeries, interior: int) -> _SampledSeries:
-    ts, Qs, nws, nzs, nns = [], [], [], [], []
-    finite = True
+    segs = series.segments
+    t0 = np.array([seg.t0 for seg in segs])
+    t1 = np.array([seg.t1 for seg in segs])
+    Z = np.array([seg.z for seg in segs])
+    W0 = np.array([seg.w0 for seg in segs])
+    tt = _linspace_rows(t0, t1, interior + 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        for seg in series.segments:
-            tt = np.linspace(seg.t0, seg.t1, interior + 2)
-            dw = seg.w0[None, :] - (tt - seg.t0)[:, None] * seg.z[None, :]
-            z2 = float(seg.z @ seg.z)
-            q = dw @ seg.z
-            nw = np.linalg.norm(dw, axis=1)
-            ts.append(tt)
-            Qs.append(q)
-            nws.append(nw)
-            nzs.append(math.sqrt(z2))
-            nns.append(np.sqrt(nw * nw + z2))
-            finite = finite and math.isfinite(z2) and bool(np.all(np.isfinite(q)))
-    if not finite:
+        dw = W0[:, None, :] - (tt - t0[:, None])[:, :, None] * Z[:, None, :]
+        z2 = _dots(Z)
+        q = (dw @ Z[:, :, None])[:, :, 0]        # per-segment gemv, bit for bit
+        nw = np.linalg.norm(dw, axis=2)
+        nn = np.sqrt(nw * nw + z2[:, None])
+    if not (np.all(np.isfinite(z2)) and np.all(np.isfinite(q))):
         # exponential expansion exhausted the double range; a silent pass on
         # inf/nan samples could mask a genuine violation
         raise SeriesRangeError(
             "covector magnitudes exceed the double-precision range; "
             "shorten the horizon")
-    return _SampledSeries(ts, Qs, nws, nzs, nns)
+    return _SampledSeries(tt, q, nw, np.sqrt(z2), nn, Z, W0)
 
 
 def series_records(series: TransportSeries, interior: int = DEFAULT_INTERIOR_SAMPLES,
-                   c0: float | None = None) -> list[DiagnosticsRecord]:
-    """Sampled diagnostics along a series, event rows in pre/post pairs."""
+                   c0: float | None = None) -> np.recarray:
+    """Sampled diagnostics along a series, event rows in pre/post pairs.
+
+    One row per sample in time order, with the fields of
+    :data:`RECORD_DTYPE`; ``records.t`` is a column, ``records[i].t`` a value.
+    """
     s = _sample(series, interior)
     w0 = float(np.linalg.norm(series.n0.w))
     q0 = lyapunov_Q(series.n0)
-    n0 = series.n0_norm
-    last = len(series.segments) - 1
-    out: list[DiagnosticsRecord] = []
-    for k in range(len(series.segments)):
-        for i, t in enumerate(s.t[k]):
-            flag = 0
-            if i == 0 and k > 0:
-                flag = 2
-            elif i == len(s.t[k]) - 1 and k < last:
-                flag = 1
-            q = float(s.Q[k][i])
-            nw = float(s.nw[k][i])
-            nn = float(s.nn[k][i])
-            ratio = nw / abs(q) if abs(q) > RATIO_SENTINEL_FLOOR else math.inf
-            bound5 = w0 + abs(q0) * t / w0 if w0 > 0.0 else math.inf
-            boundt = 1.0 + c0 * t if c0 is not None else math.nan
-            out.append(DiagnosticsRecord(float(t), k, flag, q, nw, float(s.nz[k]),
-                                         nn, nn / n0, ratio, bound5, boundt))
-    return out
+    S, m = s.t.shape
+    rec = np.recarray(S * m, dtype=RECORD_DTYPE)
+    t = s.t.ravel()
+    rec.t = t
+    rec.segment_index = np.repeat(np.arange(S), m)
+    flag = np.zeros((S, m), dtype=np.int64)
+    flag[1:, 0] = 2
+    flag[:-1, -1] = 1
+    rec.event_flag = flag.ravel()
+    rec.Q = s.Q.ravel()
+    rec.norm_w = s.nw.ravel()
+    rec.norm_z = np.repeat(s.nz, m)
+    rec.norm_n = s.nn.ravel()
+    rec.lam = rec.norm_n / series.n0_norm
+    absq = np.abs(rec.Q)
+    big = absq > RATIO_SENTINEL_FLOOR
+    rec.ratio_wQ = np.divide(rec.norm_w, absq, out=np.full(S * m, math.inf), where=big)
+    rec.bound_prop5 = w0 + abs(q0) * t / w0 if w0 > 0.0 else math.inf
+    rec.bound_theorem = 1.0 + c0 * t if c0 is not None else math.nan
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +218,20 @@ def _meta(series: TransportSeries) -> dict:
             "t_end": traj.t_end}
 
 
+def _worst(margins: np.ndarray, times: np.ndarray) -> tuple[float, float] | None:
+    """First smallest margin and its time; ``None`` when there is no finite one."""
+    if margins.size:
+        i = int(np.argmin(margins))
+        if np.isfinite(margins[i]):
+            return float(margins[i]), float(times[i])
+    return None
+
+
+def _pairwise_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``max(a, b, RATIO_SENTINEL_FLOOR)`` elementwise."""
+    return np.maximum(np.maximum(a, b), RATIO_SENTINEL_FLOOR)
+
+
 def verify_monotonicity(series: TransportSeries, tol: float = 1e-9,
                         w_continuity_tol: float = W_CONTINUITY_TOL,
                         interior: int = DEFAULT_INTERIOR_SAMPLES) -> VerificationReport:
@@ -199,50 +243,36 @@ def verify_monotonicity(series: TransportSeries, tol: float = 1e-9,
     on segments by the exact decrement, |w| strictly increasing at the
     guaranteed rate, and |w|/|Q| globally non-increasing.  The strict checks
     are skipped (not failed) when ``Q(n_0) >= 0``.
+
+    Grid checks compare consecutive samples of the flattened grid, event
+    jumps included; the reported time is that of the later sample of the
+    first worst pair.
     """
     s = _sample(series, interior)
     q0 = lyapunov_Q(series.n0)
     segs = series.segments
+    t = s.t.ravel()
+    q = s.Q.ravel()
+    nw = s.nw.ravel()
 
     # (a) Q non-increasing across the full grid, including event jumps
-    worst_a, t_a = math.inf, 0.0
-    prev_q = prev_scale = prev_t = None
-    for k in range(len(segs)):
-        scale_k = np.maximum(s.nz[k] * s.nw[k], RATIO_SENTINEL_FLOOR)
-        for i in range(len(s.t[k])):
-            q, sc, t = float(s.Q[k][i]), float(scale_k[i]), float(s.t[k][i])
-            if prev_q is not None:
-                m = (prev_q - q) / max(prev_scale, sc, RATIO_SENTINEL_FLOOR)
-                if m < worst_a:
-                    worst_a, t_a = m, t
-            prev_q, prev_scale, prev_t = q, sc, t
-    if not np.isfinite(worst_a):
-        worst_a, t_a = 0.0, 0.0
+    scale = np.maximum(s.nz[:, None] * s.nw, RATIO_SENTINEL_FLOOR).ravel()
+    worst_a, t_a = _worst((q[:-1] - q[1:]) / _pairwise_max(scale[:-1], scale[1:]),
+                          t[1:]) or (0.0, 0.0)
 
     # (b) |w| continuity at events, read off the segment endpoints themselves
-    worst_b, t_b = math.inf, 0.0
-    for k in range(1, len(segs)):
-        t_ev = segs[k].t0
-        a = float(np.linalg.norm(segs[k - 1].covector_at(t_ev).w))
-        b = float(np.linalg.norm(segs[k].w0))
-        rel = abs(a - b) / max(a, b, RATIO_SENTINEL_FLOOR)
-        m = w_continuity_tol - rel
-        if m < worst_b:
-            worst_b, t_b = m, t_ev
-    if not np.isfinite(worst_b):
-        worst_b, t_b = w_continuity_tol, 0.0
+    t0, t1 = s.t[:, 0], s.t[:, -1]
+    a = np.sqrt(_dots(s.w0[:-1] - (t0[1:] - t0[:-1])[:, None] * s.z[:-1]))
+    b = np.sqrt(_dots(s.w0[1:]))
+    rel = np.abs(a - b) / _pairwise_max(a, b)
+    worst_b, t_b = _worst(w_continuity_tol - rel, t0[1:]) or (w_continuity_tol, 0.0)
 
-    # (c) |z| constant on segments (evaluated through the query path)
-    worst_c, t_c = math.inf, 0.0
-    for k, seg in enumerate(segs):
-        ref = s.nz[k]
-        for t in s.t[k]:
-            dev = abs(float(np.linalg.norm(seg.covector_at(float(t)).z)) - ref)
-            m = -dev / max(ref, RATIO_SENTINEL_FLOOR)
-            if m < worst_c:
-                worst_c, t_c = m, float(t)
-    if not np.isfinite(worst_c):
-        worst_c, t_c = 0.0, 0.0
+    # (c) |z| constant on segments, evaluated through the query path; z is
+    # frozen on a segment, so its first sample stands for all of them
+    nz_query = np.array([float(np.linalg.norm(seg.covector_at(float(t_k)).z))
+                         for seg, t_k in zip(segs, t0)])
+    dev = np.abs(nz_query - s.nz)
+    worst_c, t_c = _worst(-dev / np.maximum(s.nz, RATIO_SENTINEL_FLOOR), t0) or (0.0, 0.0)
 
     checks = [
         _result(CHECK_Q_NONINCREASING, tol, worst_a, t_a),
@@ -255,51 +285,25 @@ def verify_monotonicity(series: TransportSeries, tol: float = 1e-9,
                    CheckResult(CHECK_W_STRICT_INCREASE, "skipped"),
                    CheckResult(CHECK_RATIO_NONINCREASING, "skipped")]
     else:
-        # (d) strict decrease on segments: exact decrement dt * |z|^2
-        worst_d, t_d = math.inf, 0.0
-        for k, seg in enumerate(segs):
-            dt = seg.t1 - seg.t0
-            if dt <= 0.0:
-                continue
-            z2 = s.nz[k] ** 2
-            drop = float(s.Q[k][0] - s.Q[k][-1])
-            sc = max(s.nz[k] * float(np.max(s.nw[k])), RATIO_SENTINEL_FLOOR)
-            m = (drop - dt * z2) / sc
-            if m < worst_d:
-                worst_d, t_d = m, seg.t1
-        if not np.isfinite(worst_d):
-            worst_d, t_d = 0.0, 0.0
+        # (d) strict decrease on segments: exact decrement dt * |z|^2; the
+        # squares stay Python ``** 2`` (libm pow), which is not always x * x
+        dt = t1 - t0
+        z2 = np.array([x ** 2 for x in s.nz.tolist()])
+        drop = s.Q[:, 0] - s.Q[:, -1]
+        sc = np.maximum(s.nz * np.max(s.nw, axis=1), RATIO_SENTINEL_FLOOR)
+        live = dt > 0.0
+        worst_d, t_d = _worst(((drop - dt * z2) / sc)[live], t1[live]) or (0.0, 0.0)
 
         # (e) |w| strictly increasing at the guaranteed minimum rate
-        worst_e, t_e = math.inf, 0.0
-        rate = 2.0 * abs(q0)
-        prev_w2 = prev_t = None
-        for k in range(len(segs)):
-            for i in range(len(s.t[k])):
-                w2, t = float(s.nw[k][i]) ** 2, float(s.t[k][i])
-                if prev_w2 is not None:
-                    sc = max(w2, prev_w2, RATIO_SENTINEL_FLOOR)
-                    m = (w2 - prev_w2 - rate * (t - prev_t)) / sc
-                    if m < worst_e:
-                        worst_e, t_e = m, t
-                prev_w2, prev_t = w2, t
-        if not np.isfinite(worst_e):
-            worst_e, t_e = 0.0, 0.0
+        w2 = np.array([x ** 2 for x in nw.tolist()])
+        m_e = (w2[1:] - w2[:-1] - 2.0 * abs(q0) * (t[1:] - t[:-1])) \
+            / _pairwise_max(w2[1:], w2[:-1])
+        worst_e, t_e = _worst(m_e, t[1:]) or (0.0, 0.0)
 
         # (f) |w| / |Q| non-increasing across the full grid
-        worst_f, t_f = math.inf, 0.0
-        prev_r = None
-        for k in range(len(segs)):
-            for i in range(len(s.t[k])):
-                q, nw, t = float(s.Q[k][i]), float(s.nw[k][i]), float(s.t[k][i])
-                r = nw / max(abs(q), RATIO_SENTINEL_FLOOR)
-                if prev_r is not None:
-                    m = (prev_r - r) / max(prev_r, r, RATIO_SENTINEL_FLOOR)
-                    if m < worst_f:
-                        worst_f, t_f = m, t
-                prev_r = r
-        if not np.isfinite(worst_f):
-            worst_f, t_f = 0.0, 0.0
+        r = nw / np.maximum(np.abs(q), RATIO_SENTINEL_FLOOR)
+        worst_f, t_f = _worst((r[:-1] - r[1:]) / _pairwise_max(r[:-1], r[1:]),
+                              t[1:]) or (0.0, 0.0)
 
         checks += [_result(CHECK_Q_STRICT_DECREASE, tol, worst_d, t_d),
                    _result(CHECK_W_STRICT_INCREASE, tol, worst_e, t_e),
@@ -327,28 +331,18 @@ def verify_growth(series: TransportSeries, c0: float, tol: float = 1e-9,
     w0 = float(np.linalg.norm(series.n0.w))
 
     s = _sample(series, interior)
-    worst_g, t_g = math.inf, 0.0
-    worst_h, t_h = math.inf, 0.0
-    t_min = 1.0 / c0
-    for k in range(len(series.segments)):
-        tt, nw, nn = s.t[k], s.nw[k], s.nn[k]
-        bound5 = w0 + abs(q0) * tt / w0
-        m5 = (nw - bound5) / np.maximum(bound5, nw)
-        i = int(np.argmin(m5))
-        if float(m5[i]) < worst_g:
-            worst_g, t_g = float(m5[i]), float(tt[i])
-        mask = tt >= t_min - 1e-12
-        if np.any(mask):
-            lam = nn[mask] / series.n0_norm
-            boundt = 1.0 + c0 * tt[mask]
-            mh = (lam - boundt) / boundt
-            j = int(np.argmin(mh))
-            if float(mh[j]) < worst_h:
-                worst_h, t_h = float(mh[j]), float(tt[mask][j])
+    t = s.t.ravel()
+    nw = s.nw.ravel()
+    bound5 = w0 + abs(q0) * t / w0
+    m5 = (nw - bound5) / np.maximum(bound5, nw)
+    i = int(np.argmin(m5))
+    checks = [_result(CHECK_W_LINEAR_GROWTH, tol, float(m5[i]), float(t[i]))]
 
-    checks = [_result(CHECK_W_LINEAR_GROWTH, tol, worst_g, t_g)]
-    if np.isfinite(worst_h):
-        checks.append(_result(CHECK_LAMBDA_LINEAR_GROWTH, tol, worst_h, t_h))
+    late = t >= 1.0 / c0 - 1e-12
+    boundt = 1.0 + c0 * t[late]
+    worst_h = _worst((s.nn.ravel()[late] / series.n0_norm - boundt) / boundt, t[late])
+    if worst_h is not None:
+        checks.append(_result(CHECK_LAMBDA_LINEAR_GROWTH, tol, *worst_h))
     else:
         checks.append(CheckResult(CHECK_LAMBDA_LINEAR_GROWTH, "skipped"))
     return VerificationReport(checks, {"tol": tol, "c0": c0}, _meta(series))

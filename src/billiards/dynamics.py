@@ -28,6 +28,7 @@ from .tolerances import EPS_GRAZE, EPS_TIME_FACTOR, MAX_EVENTS_DEFAULT
 
 TERMINATION_HORIZON = "reached_horizon"
 TERMINATION_GRAZING = "grazing"
+TERMINATION_DEGENERATE = "degenerate_collision"
 TERMINATION_EVENT_CAP = "event_cap"
 TERMINATION_ESCAPE = "escape_error"
 
@@ -116,7 +117,6 @@ def _validate_phase_point(domain: Domain, x: PhasePoint) -> PhasePoint:
 class _Candidate:
     t: float
     scatterer_index: int
-    image_key: int
     xi0: Vec          # transverse offset at window start (relative to the image)
     xiv: Vec          # transverse velocity component
     radius: float
@@ -133,7 +133,7 @@ def _window_candidates(domain: Domain, index: int, q_win: Vec, v: Vec,
         if hv < 0.0:
             t = -h0 / hv
             if 0.0 < t <= hi:
-                out.append(_Candidate(t, index, 0, h0 * s.plane_normal, hv * s.plane_normal, 0.0))
+                out.append(_Candidate(t, index, h0 * s.plane_normal, hv * s.plane_normal, 0.0))
         return out
 
     ref = s.center if isinstance(s, Sphere) else s.axis_point
@@ -170,7 +170,7 @@ def _window_candidates(domain: Domain, index: int, q_win: Vec, v: Vec,
         roots = np.minimum(qq / a, c[ok] / qq)
     for k, t in zip(np.nonzero(ok)[0], roots):
         if 0.0 < t <= hi:
-            out.append(_Candidate(float(t), index, int(k), xi0[k], vv, s.radius))
+            out.append(_Candidate(float(t), index, xi0[k], vv, s.radius))
     return out
 
 
@@ -281,7 +281,9 @@ def flow(domain: Domain, x0: PhasePoint, T: float,
             t_end = t + (e.time if e.time is not None else 0.0)
             segments.append(FlightSegment(t, t_end, q, v))
             end = PhasePoint(domain.wrap(q + (t_end - t) * v), v)
-            return Trajectory(domain, x0, T, events, segments, TERMINATION_GRAZING,
+            status = TERMINATION_GRAZING if isinstance(e, GrazingSingularityError) \
+                else TERMINATION_DEGENERATE
+            return Trajectory(domain, x0, T, events, segments, status,
                               t_end, end, max_drift)
         except EscapeError as e:
             t_end = t + (e.time if e.time is not None else 0.0)

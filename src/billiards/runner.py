@@ -8,7 +8,6 @@ on the config and its seed.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from .diagnostics import (
     verify_growth,
     verify_monotonicity,
 )
-from .dynamics import TERMINATION_GRAZING, PhasePoint, flow
+from .dynamics import TERMINATION_DEGENERATE, TERMINATION_GRAZING, PhasePoint, flow
 from .errors import ConfigError
 from .geometry import Domain
 from .transport import Covector, adjoint_residual, transport_covector
@@ -33,6 +32,10 @@ from .tolerances import ADJOINT_RESIDUAL_FAIL
 
 CSV_COLUMNS = ("t", "segment_index", "event_flag", "Q", "norm_w", "norm_z",
                "norm_n", "lambda", "bound_prop5", "bound_theorem")
+# record fields written to the CSV columns above, in order
+_CSV_FIELDS = ("t", "segment_index", "event_flag", "Q", "norm_w", "norm_z",
+               "norm_n", "lam", "bound_prop5", "bound_theorem")
+_CSV_ROW = "%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -88,7 +91,7 @@ class TrajectoryOutcome:
     final_lambda: float
     checks: list
     adjoint: float | None = None
-    records: list | None = None
+    records: np.recarray | None = None
 
     def as_dict(self) -> dict:
         d = {"index": self.index, "termination": self.termination,
@@ -146,14 +149,17 @@ def run_trajectory(cfg: ExperimentConfig, index: int, x0: PhasePoint, n0: Covect
         checks=checks, adjoint=residual, records=records)
 
 
-def _write_csv(path: Path, records) -> None:
+def _write_csv(path: Path, records: np.recarray) -> None:
+    """RFC-4180 CSV (comma, CRLF) of the sampled records; empty non-finite fields."""
+    finite = np.ones(len(records), dtype=bool)
+    for name in _CSV_FIELDS:
+        finite &= np.isfinite(records[name])
+    rows = zip(*(records[name].tolist() for name in _CSV_FIELDS))
+    lines = [_CSV_ROW % row if ok else ",".join(map(_fmt, row)) + "\r\n"
+             for row, ok in zip(rows, finite.tolist())]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)  # csv defaults are RFC-4180 (CRLF, comma)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([_fmt(r.t), str(r.segment_index), str(r.event_flag),
-                             _fmt(r.Q), _fmt(r.norm_w), _fmt(r.norm_z), _fmt(r.norm_n),
-                             _fmt(r.lam), _fmt(r.bound_prop5), _fmt(r.bound_theorem)])
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        fh.writelines(lines)
 
 
 def run_experiment(cfg: ExperimentConfig, mode: str = "run",
@@ -203,11 +209,9 @@ def _summarize(cfg: ExperimentConfig, mode: str, outcomes) -> dict:
     failures = 0
     worst_margins: dict[str, dict] = {}
     worst_residual = None
-    singular_early = 0
+    singular_early = _singular_early(cfg, outcomes)
     for o in outcomes:
         terminations[o.termination] = terminations.get(o.termination, 0) + 1
-        if o.termination == TERMINATION_GRAZING and o.t_end < 0.5 * cfg.horizon:
-            singular_early += 1
         for c in o.checks:
             if c.status == "fail":
                 failures += 1
@@ -246,15 +250,19 @@ def _summarize(cfg: ExperimentConfig, mode: str, outcomes) -> dict:
     })
 
 
+def _singular_early(cfg: ExperimentConfig, outcomes) -> int:
+    """Trajectories that ended grazing or degenerate before half the horizon."""
+    return sum(1 for o in outcomes
+               if o.termination in (TERMINATION_GRAZING, TERMINATION_DEGENERATE)
+               and o.t_end < 0.5 * cfg.horizon)
+
+
 def _exit_code(cfg: ExperimentConfig, outcomes) -> int:
     failures = sum(1 for o in outcomes for c in o.checks if c.status == "fail")
     failures += sum(1 for o in outcomes
                     if o.adjoint is not None and o.adjoint > ADJOINT_RESIDUAL_FAIL)
     if failures:
         return EXIT_CHECK_FAILED
-    singular_early = sum(1 for o in outcomes
-                         if o.termination == TERMINATION_GRAZING
-                         and o.t_end < 0.5 * cfg.horizon)
-    if singular_early > 0.5 * len(outcomes):
+    if _singular_early(cfg, outcomes) > 0.5 * len(outcomes):
         return EXIT_SINGULAR
     return EXIT_OK

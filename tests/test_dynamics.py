@@ -13,6 +13,7 @@ from billiards import (
     Halfspace,
     InvalidStateError,
     PhasePoint,
+    TERMINATION_DEGENERATE,
     TERMINATION_ESCAPE,
     TERMINATION_GRAZING,
     TERMINATION_HORIZON,
@@ -312,7 +313,7 @@ def test_simultaneous_pair_contacts_terminate_degenerate():
     q = np.array([0.5, 0.3, 0.35, 0.7, 0.65, 0.7])
     v = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     traj = flow(dom, PhasePoint(q, v), 1.0)
-    assert traj.termination == TERMINATION_GRAZING
+    assert traj.termination == TERMINATION_DEGENERATE
     assert traj.events == []
     assert 0.0 < traj.t_end < 1.0
 
