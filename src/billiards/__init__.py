@@ -55,11 +55,8 @@ from .geometry import (
     curvature_at,
     hardball_pairs,
     normal_at,
-    project_to_boundary,
     reduce_pair_to_sinai,
     reflect,
-    tangent_projection,
-    transverse_projection,
 )
 from .transport import (
     Covector,
@@ -93,10 +90,10 @@ __all__ = [
     "collision_covector", "collision_q_drop", "collision_tangent",
     "curvature_at", "expansion_factor", "flow", "free_flight_covector",
     "free_flight_tangent", "hardball_pairs", "lyapunov_Q", "next_collision",
-    "normal_at", "pairing", "project_to_boundary", "q_decrement_breakdown",
+    "normal_at", "pairing", "q_decrement_breakdown",
     "reduce_pair_to_sinai", "reflect",
     "sample_covector_uniform", "sample_covector_with_Q_bound",
-    "series_records", "tangent_projection", "transport_covector",
-    "transport_tangent", "transversal_basis", "transverse_projection",
+    "series_records", "transport_covector",
+    "transport_tangent", "transversal_basis",
     "verify_growth", "verify_monotonicity",
 ]

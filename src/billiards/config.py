@@ -217,11 +217,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _expect(isinstance(tolerances, dict), "config.tolerances", "must be an object")
     tol_check = _get(tolerances, "tol_check", "config.tolerances", float,
                      required=False, default=1e-9)
+    _expect(tol_check >= 0.0, "config.tolerances.tol_check", "must be at least 0")
     eps_graze = _get(tolerances, "eps_graze", "config.tolerances", float,
                      required=False, default=EPS_GRAZE)
+    _expect(0.0 < eps_graze < 1.0, "config.tolerances.eps_graze", "must lie in (0, 1)")
 
     c0 = _get(raw, "c0", "config", float, required=False)
-    if c0 is None and sampler is not None:
+    if c0 is not None:
+        _expect(0.0 < c0 <= 0.5, "config.c0", "must lie in (0, 1/2]")
+    elif sampler is not None:
         c0 = sampler.c0
     if "growth" in checks:
         _expect(c0 is not None, "config.checks",

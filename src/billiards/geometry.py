@@ -2,12 +2,9 @@
 
 A domain is a flat ambient space (torus or box) minus a list of convex
 scatterers (spheres, cylinders, halfspaces).  This module provides boundary
-normals, curvature operators (second fundamental forms), and the linear
-operators used by collision transport: the reflection across the boundary
-tangent hyperplane (:func:`reflect`, shared by the flow and both transport
-maps) and, as reference matrices, the two mutually adjoint parallel
-projections between the velocity-transverse hyperplane and the boundary
-tangent plane.
+normals, curvature operators (second fundamental forms), and the
+reflection across the boundary tangent hyperplane (:func:`reflect`, shared
+by the flow and both transport maps).
 
 Conventions
 -----------
@@ -28,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundaryMismatchError, DomainConstructionError, GrazingSingularityError
-from .tolerances import EPS_GRAZE, EPS_SURFACE_FACTOR
+from .errors import BoundaryMismatchError, DomainConstructionError
+from .tolerances import EPS_SURFACE_FACTOR
 
 Vec = np.ndarray
 
@@ -450,19 +447,6 @@ def curvature_at(domain: Domain, scatterer_index: int, q: Vec) -> np.ndarray:
     return mat / s.radius
 
 
-def project_to_boundary(domain: Domain, scatterer_index: int, q: Vec) -> Vec:
-    """Nearest boundary point of scatterer ``index`` to a point near it."""
-    s = domain.scatterers[scatterer_index]
-    if isinstance(s, Halfspace):
-        h = float((q - s.plane_point) @ s.plane_normal)
-        return q - h * s.plane_normal
-    xi = domain.boundary_offset(scatterer_index, q)
-    n = float(np.linalg.norm(xi))
-    if n == 0.0:
-        raise BoundaryMismatchError("cannot project the axis/center onto the boundary")
-    return q + (s.radius / n - 1.0) * xi
-
-
 # ---------------------------------------------------------------------------
 # Collision-transport operators
 # ---------------------------------------------------------------------------
@@ -476,28 +460,6 @@ def reflect(x: Vec, nu: Vec) -> Vec:
     collision search has rejected grazing impacts.
     """
     return x - 2.0 * (x @ nu)[..., None] * nu
-
-
-def tangent_projection(v: Vec, nu: Vec, eps_graze: float = EPS_GRAZE) -> np.ndarray:
-    """Projection along ``v`` from the hyperplane ``v^perp`` onto the boundary
-    tangent plane ``nu^perp``.
-
-    Applied to ``x``: ``x - (<x, nu>/<v, nu>) v``; the output is orthogonal
-    to ``nu``.  Blows up at grazing incidence.
-    """
-    vn = float(v @ nu)
-    if abs(vn) < eps_graze:
-        raise GrazingSingularityError("tangent projection undefined at grazing incidence")
-    return np.eye(v.shape[0]) - np.outer(v, nu) / vn
-
-
-def transverse_projection(v: Vec, nu: Vec, eps_graze: float = EPS_GRAZE) -> np.ndarray:
-    """Projection along ``nu`` from the boundary tangent plane onto ``v^perp``.
-
-    Adjoint of :func:`tangent_projection`: ``<V x, y> == <x, V* y>`` for
-    ``x`` in ``v^perp`` and ``y`` tangent to the boundary.
-    """
-    return tangent_projection(v, nu, eps_graze).T
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def run_trajectory(cfg: ExperimentConfig, index: int, x0: PhasePoint, n0: Covect
                    corrupt_curvature: bool = False) -> TrajectoryOutcome:
     traj = flow(cfg.domain, x0, cfg.horizon, max_events=cfg.max_events,
                 eps_graze=cfg.eps_graze)
-    series = transport_covector(traj, n0, eps_graze=cfg.eps_graze)
+    series = transport_covector(traj, n0)
     checks = []
     if "monotonicity" in cfg.checks:
         checks.extend(verify_monotonicity(series, cfg.tol_check,
@@ -136,9 +136,9 @@ def run_trajectory(cfg: ExperimentConfig, index: int, x0: PhasePoint, n0: Covect
                                     interior=cfg.grid_interior).checks)
     residual = None
     if want_adjoint:
-        scale = 2.0 if corrupt_curvature else 1.0
-        residual = adjoint_residual(traj, n0, curvature_scale_covector=scale,
-                                    eps_graze=cfg.eps_graze)
+        # the fault hook corrupts only the covector the adjoint check sees
+        residual = adjoint_residual(transport_covector(traj, n0, curvature_scale=2.0)
+                                    if corrupt_curvature else series)
     records = series_records(series, interior=cfg.grid_interior, c0=cfg.c0) \
         if want_records else None
     n_end = series.covector_at(series.t_end)
@@ -193,12 +193,11 @@ def run_experiment(cfg: ExperimentConfig, mode: str = "run",
             _write_csv(out / f"trajectory_{o.index:04d}.csv", o.records)
 
     summary = _summarize(cfg, mode, outcomes)
-    exit_code = _exit_code(cfg, outcomes)
+    exit_code = _exit_code(summary["ensemble"], len(outcomes))
     summary["exit_code"] = exit_code
 
     if emit_csv:
-        report_path = Path(out_dir if out_dir is not None else (cfg.out_dir or "out"))
-        with open(report_path / "summary.json", "w", encoding="utf-8") as fh:
+        with open(out / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     return summary, exit_code
@@ -209,7 +208,10 @@ def _summarize(cfg: ExperimentConfig, mode: str, outcomes) -> dict:
     failures = 0
     worst_margins: dict[str, dict] = {}
     worst_residual = None
-    singular_early = _singular_early(cfg, outcomes)
+    # trajectories that ended grazing or degenerate before half the horizon
+    singular_early = sum(1 for o in outcomes
+                         if o.termination in (TERMINATION_GRAZING, TERMINATION_DEGENERATE)
+                         and o.t_end < 0.5 * cfg.horizon)
     for o in outcomes:
         terminations[o.termination] = terminations.get(o.termination, 0) + 1
         for c in o.checks:
@@ -250,19 +252,10 @@ def _summarize(cfg: ExperimentConfig, mode: str, outcomes) -> dict:
     })
 
 
-def _singular_early(cfg: ExperimentConfig, outcomes) -> int:
-    """Trajectories that ended grazing or degenerate before half the horizon."""
-    return sum(1 for o in outcomes
-               if o.termination in (TERMINATION_GRAZING, TERMINATION_DEGENERATE)
-               and o.t_end < 0.5 * cfg.horizon)
-
-
-def _exit_code(cfg: ExperimentConfig, outcomes) -> int:
-    failures = sum(1 for o in outcomes for c in o.checks if c.status == "fail")
-    failures += sum(1 for o in outcomes
-                    if o.adjoint is not None and o.adjoint > ADJOINT_RESIDUAL_FAIL)
-    if failures:
+def _exit_code(ensemble: dict, n_trajectories: int) -> int:
+    """Exit code from the ensemble summary's failure and singularity counts."""
+    if ensemble["check_failures"]:
         return EXIT_CHECK_FAILED
-    if _singular_early(cfg, outcomes) > 0.5 * len(outcomes):
+    if ensemble["singular_early"] > 0.5 * n_trajectories:
         return EXIT_SINGULAR
     return EXIT_OK

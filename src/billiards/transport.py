@@ -22,7 +22,16 @@ for the covector; ``K`` is the plain ``d x d`` matrix from
 :func:`~billiards.geometry.curvature_at`, computed once per event in each
 transport pass.  The two maps are mutually adjoint, so the pairing with a
 forward-transported tangent vector is an exact invariant;
-``adjoint_residual`` measures how well the implementation preserves it.
+``adjoint_residual`` measures how well the implementation preserves it on a
+covector series that is already transported, so each trajectory's covector
+moves once.
+
+The collision maps trust the flow's grazing cutoff: ``flow`` ends a
+trajectory at a grazing impact instead of recording it, so every event it
+records has ``cos_phi`` at or above that positive cutoff and the maps check
+no angle themselves.  The only fault hook is ``transport_covector``'s
+``curvature_scale``, which rescales ``K`` on the covector side (the
+``--corrupt-curvature`` negative control).
 
 Tangent vectors may carry a stack of rows: ``dq`` and ``dv`` of shape
 ``(m, d)`` move ``m`` variations through one transport pass.
@@ -36,9 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import CollisionEvent, Trajectory
-from .errors import GrazingSingularityError, SeriesRangeError
+from .errors import SeriesRangeError
 from .geometry import Vec, curvature_at, reflect
-from .tolerances import EPS_GRAZE
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -117,11 +125,9 @@ def _projected_curvature(x: Vec, v: Vec, vn: float, nu: Vec, K: np.ndarray) -> t
     return u, ku - (ku @ v / vn)[..., None] * nu
 
 
-def _covector_jump(n_minus: Covector, event: CollisionEvent, K: np.ndarray,
-                   eps_graze: float) -> tuple[Covector, float]:
+def _covector_jump(n_minus: Covector, event: CollisionEvent,
+                   K: np.ndarray) -> tuple[Covector, float]:
     """Covector after the collision and the closed-form drop of ``Q`` there."""
-    if event.cos_phi < eps_graze:
-        raise GrazingSingularityError("covector collision map undefined at grazing incidence")
     nu, cphi = event.nu, event.cos_phi
     v_out = event.v_out / np.linalg.norm(event.v_out)
     w_plus = reflect(n_minus.w, nu)
@@ -130,37 +136,28 @@ def _covector_jump(n_minus: Covector, event: CollisionEvent, K: np.ndarray,
     return Covector(z_plus, w_plus), 2.0 * cphi * float(u @ K @ u)
 
 
-def collision_covector(n_minus: Covector, event: CollisionEvent, K: np.ndarray,
-                       curvature_scale: float = 1.0,
-                       eps_graze: float = EPS_GRAZE) -> Covector:
+def collision_covector(n_minus: Covector, event: CollisionEvent, K: np.ndarray) -> Covector:
     """Covector across a collision: ``(R z- - 2 cos_phi V1* K V1 R w-, R w-)``.
 
     The w-component is reflected isometrically, so its norm is continuous
     across the event; the Lyapunov value drops by
     ``2 cos_phi <K V1 R w-, V1 R w->``, nonnegative for semi-dispersing walls.
-    ``curvature_scale`` rescales ``K`` (fault-injection hook for the
-    adjointness negative control); it must be 1 for physical transport.
     """
-    return _covector_jump(n_minus, event, curvature_scale * K, eps_graze)[0]
+    return _covector_jump(n_minus, event, K)[0]
 
 
-def collision_q_drop(n_minus: Covector, event: CollisionEvent, K: np.ndarray,
-                     curvature_scale: float = 1.0) -> float:
+def collision_q_drop(n_minus: Covector, event: CollisionEvent, K: np.ndarray) -> float:
     """Closed-form drop of the Lyapunov value at a collision (nonnegative)."""
-    return _covector_jump(n_minus, event, curvature_scale * K, 0.0)[1]
+    return _covector_jump(n_minus, event, K)[1]
 
 
-def collision_tangent(dy_minus: TangentVector, event: CollisionEvent, K: np.ndarray,
-                      curvature_scale: float = 1.0,
-                      eps_graze: float = EPS_GRAZE) -> TangentVector:
+def collision_tangent(dy_minus: TangentVector, event: CollisionEvent,
+                      K: np.ndarray) -> TangentVector:
     """Tangent vector (or stack) across a collision:
     ``(R dq-, R dv- + 2 cos_phi R V* K V dq-)`` with the incoming projection V."""
-    if event.cos_phi < eps_graze:
-        raise GrazingSingularityError("tangent collision map undefined at grazing incidence")
     nu = event.nu
     v_in = event.v_in / np.linalg.norm(event.v_in)
-    _, kick = _projected_curvature(dy_minus.dq, v_in, float(v_in @ nu), nu,
-                                   curvature_scale * K)
+    _, kick = _projected_curvature(dy_minus.dq, v_in, float(v_in @ nu), nu, K)
     return TangentVector(reflect(dy_minus.dq, nu),
                          reflect(dy_minus.dv + 2.0 * event.cos_phi * kick, nu))
 
@@ -264,13 +261,14 @@ def _reproject(x: Vec, v: Vec) -> tuple[Vec, float]:
 
 
 def transport_covector(trajectory: Trajectory, n0: Covector,
-                       curvature_scale: float = 1.0,
-                       eps_graze: float = EPS_GRAZE) -> TransportSeries:
+                       curvature_scale: float = 1.0) -> TransportSeries:
     """Transport ``n0`` along the whole trajectory.
 
     After each collision the components are re-projected onto the outgoing
     velocity's orthogonal complement to kill rounding drift; the relative
-    correction magnitude is recorded per event.
+    correction magnitude is recorded per event.  ``curvature_scale``
+    rescales ``K`` (fault-injection hook for the adjointness negative
+    control); it must be 1 for physical transport.
     """
     v0 = trajectory.start.v
     _check_transversal(n0.z, n0.w, v0, "covector")
@@ -287,7 +285,7 @@ def transport_covector(trajectory: Trajectory, n0: Covector,
         event = trajectory.events[k]
         n_pre = Covector(z.copy(), w - seg.duration * z)
         K = curvature_scale * curvature_at(domain, event.scatterer_index, event.q)
-        n_post, drop = _covector_jump(n_pre, event, K, eps_graze)
+        n_post, drop = _covector_jump(n_pre, event, K)
         v_out = event.v_out / np.linalg.norm(event.v_out)
         z, cz = _reproject(n_post.z, v_out)
         w, cw = _reproject(n_post.w, v_out)
@@ -299,9 +297,7 @@ def transport_covector(trajectory: Trajectory, n0: Covector,
     return TransportSeries(trajectory, n0, segments, jumps)
 
 
-def transport_tangent(trajectory: Trajectory, dy0: TangentVector,
-                      curvature_scale: float = 1.0,
-                      eps_graze: float = EPS_GRAZE) -> TangentSeries:
+def transport_tangent(trajectory: Trajectory, dy0: TangentVector) -> TangentSeries:
     """Push ``dy0`` (a vector or a stack) forward with the derivative of the flow."""
     _check_transversal(dy0.dq, dy0.dv, trajectory.start.v, "tangent vector")
     domain = trajectory.domain
@@ -314,7 +310,7 @@ def transport_tangent(trajectory: Trajectory, dy0: TangentVector,
         event = trajectory.events[k]
         dy_pre = TangentVector(dq + seg.duration * dv, dv)
         K = curvature_at(domain, event.scatterer_index, event.q)
-        dy_post = collision_tangent(dy_pre, event, K, curvature_scale, eps_graze=eps_graze)
+        dy_post = collision_tangent(dy_pre, event, K)
         dq, dv = dy_post.dq, dy_post.dv
     return TangentSeries(segments, trajectory.t_end)
 
@@ -334,34 +330,28 @@ def transversal_basis(v: Vec) -> list[TangentVector]:
            [TangentVector(zero.copy(), e.copy()) for e in vs]
 
 
-def adjoint_residual(trajectory: Trajectory, n0: Covector,
-                     basis: list[TangentVector] | None = None,
-                     curvature_scale_covector: float = 1.0,
-                     eps_graze: float = EPS_GRAZE) -> float:
+def adjoint_residual(series: TransportSeries) -> float:
     """Worst relative violation of the transport-invariance of the pairing.
 
-    The basis moves as one ``(2(d-1), d)`` stack in a single tangent pass.
-    For each basis vector the pairing of the forward-transported tangent
-    vector with the transported covector must equal its initial value at
-    every segment endpoint.  The residual at time ``t`` is normalized by the
-    larger of the initial and current magnitude products: the pairing is
-    evaluated by cancellation of terms of that size, which is the scale
-    fixed precision can certify.
-
-    ``curvature_scale_covector`` corrupts the curvature operator on the
-    covector side only; any value other than 1 breaks adjointness and must
-    produce a large residual (negative control).
+    ``series`` is a covector already transported along its trajectory; the
+    trajectory's ``transversal_basis`` moves as one ``(2(d-1), d)`` stack in
+    a single tangent pass, which evaluates the curvature itself.  For each
+    basis vector the pairing of the forward-transported tangent vector with
+    the transported covector must equal its initial value at every segment
+    endpoint.  The residual at time ``t`` is normalized by the larger of the
+    initial and current magnitude products: the pairing is evaluated by
+    cancellation of terms of that size, which is the scale fixed precision
+    can certify.  A series transported with a rescaled curvature breaks
+    adjointness and must produce a large residual (negative control).
     """
-    if basis is None:
-        basis = transversal_basis(trajectory.start.v)
+    trajectory = series.trajectory
+    basis = transversal_basis(trajectory.start.v)
     dy0 = TangentVector(np.array([b.dq for b in basis]), np.array([b.dv for b in basis]))
-    cov = transport_covector(trajectory, n0, curvature_scale=curvature_scale_covector,
-                             eps_graze=eps_graze)
-    tan = transport_tangent(trajectory, dy0, eps_graze=eps_graze)
-    p0 = pairing(dy0, cov.n0)
-    base = dy0.norm() * cov.n0_norm
+    tan = transport_tangent(trajectory, dy0)
+    p0 = pairing(dy0, series.n0)
+    base = dy0.norm() * series.n0_norm
     worst = 0.0
-    for cseg, tseg in zip(cov.segments, tan.segments):
+    for cseg, tseg in zip(series.segments, tan.segments):
         for t in (cseg.t0, cseg.t1):
             n_t, dy_t = cseg.covector_at(t), tseg.tangent_at(t)
             scale = np.maximum(np.maximum(base, dy_t.norm() * n_t.norm()), 1e-300)

@@ -22,12 +22,10 @@ from billiards import (
     curvature_at,
     hardball_pairs,
     normal_at,
-    project_to_boundary,
     reduce_pair_to_sinai,
     reflect,
-    tangent_projection,
-    transverse_projection,
 )
+from geometry_oracle import project_to_boundary, tangent_projection, transverse_projection
 
 SQ2 = math.sqrt(2.0)
 

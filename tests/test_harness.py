@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -62,6 +63,14 @@ def test_malformed_json_reports_line(tmp_path):
     (lambda c: c.update(grid_interior=2.5), "grid_interior"),
     (lambda c: c.update(max_events=0), "max_events"),
     (lambda c: c.update(max_events=True), "max_events"),
+    (lambda c: c.update(tolerances={"eps_graze": 0.0}), "eps_graze"),
+    (lambda c: c.update(tolerances={"eps_graze": -1.0}), "eps_graze"),
+    (lambda c: c.update(tolerances={"eps_graze": 1.0}), "eps_graze"),
+    (lambda c: c.update(tolerances={"eps_graze": 2.0}), "eps_graze"),
+    (lambda c: c.update(tolerances={"tol_check": -1.0}), "tol_check"),
+    (lambda c: c.update(c0=-0.5), "config.c0"),
+    (lambda c: c.update(c0=0.0), "config.c0"),
+    (lambda c: c.update(c0=0.9), "config.c0"),
 ])
 def test_config_validation_messages(mutate, match):
     cfg = {
@@ -276,6 +285,40 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["ensemble"]["worst_adjoint_residual"] < 1e-8
 
 
+def test_verify_evaluates_curvature_twice_per_collision(tmp_path, monkeypatch, capsys):
+    # once in the covector pass the checks and the adjoint check share, once
+    # in the tangent pass of the adjoint check
+    calls = []
+    curvature_at = billiards.transport.curvature_at
+
+    def counted(*args):
+        calls.append(args)
+        return curvature_at(*args)
+
+    monkeypatch.setattr(billiards.transport, "curvature_at", counted)
+    cfg_path = write_config(
+        tmp_path, domain={"kind": "hardball_gas", "N": 3, "d": 2, "r": 0.1, "L": 1.0},
+        initial={"sampler": {"count": 3, "seed": 21, "c0": 0.1}}, horizon=8.0)
+    assert main(["verify", str(cfg_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    events = sum(t["event_count"] for t in report["trajectories"])
+    assert events > 0
+    assert len(calls) == 2 * events
+
+
+def test_benchmark_trace_points_exist():
+    # the benchmark wraps these module attributes; a rename must fail here
+    # and not only in the benchmark's own self-test
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    for module, attr in spans.TRACED:
+        owner = importlib.import_module(f"billiards.{module}")
+        assert callable(getattr(owner, attr, None)), f"billiards.{module}.{attr}"
+
+
 def test_loose_grazing_cutoff_reports_singular_terminations(tmp_path):
     cfg_path = write_config(tmp_path, horizon=20.0,
                             initial={"sampler": {"count": 20, "seed": 5, "c0": 0.1}},
@@ -287,6 +330,13 @@ def test_loose_grazing_cutoff_reports_singular_terminations(tmp_path):
     assert terms.get("grazing", 0) >= 1          # cutoff this coarse must trip
     assert summary["ensemble"]["check_failures"] == 0
     assert code in (0, 2)                         # singular runs are not failures
+    # the flow's cutoff alone keeps the transport maps of the adjoint check safe
+    code = main(["verify", str(cfg_path), "--out", str(tmp_path / "verify")])
+    report = json.loads((tmp_path / "verify" / "verify_report.json").read_text(encoding="utf-8"))
+    assert report["tolerances"]["eps_graze"] == 0.3
+    assert report["ensemble"]["terminations"] == terms
+    assert report["ensemble"]["worst_adjoint_residual"] < 1e-8
+    assert code in (0, 2)
 
 
 def test_run_hundred_sampled_covectors(tmp_path):

@@ -362,7 +362,7 @@ def test_adjoint_residual_zero_without_events():
     dom = Domain(2, Torus(1.0), [])
     traj = flow(dom, PhasePoint(np.array([0.5, 0.5]), np.array([0.0, 1.0])), 6.0)
     n0 = Covector(np.array([0.4, 0.0]), np.array([-0.6, 0.0]))
-    assert adjoint_residual(traj, n0) < 1e-14
+    assert adjoint_residual(transport_covector(traj, n0)) < 1e-14
 
 
 def test_adjoint_residual_small_on_multibounce(sinai2d, hardball32):
@@ -372,13 +372,13 @@ def test_adjoint_residual_small_on_multibounce(sinai2d, hardball32):
             traj, n0, series = _sample_series(dom, rng, T=10.0)
             if traj.min_cos_phi() < 0.1:
                 continue
-            assert adjoint_residual(traj, n0) < 1e-9
+            assert adjoint_residual(transport_covector(traj, n0)) < 1e-9
 
 
 def test_adjoint_residual_detects_corrupted_curvature(sinai2d):
     rng = np.random.default_rng(67)
     traj, n0, series = _sample_series(sinai2d, rng, T=5.0)
-    assert adjoint_residual(traj, n0, curvature_scale_covector=2.0) > 1e-6
+    assert adjoint_residual(transport_covector(traj, n0, curvature_scale=2.0)) > 1e-6
 
 
 def test_kernel_tangency_preserved(sinai2d):
