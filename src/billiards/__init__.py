@@ -54,7 +54,6 @@ from .geometry import (
     build_sinai,
     curvature_at,
     hardball_pairs,
-    normal_at,
     reduce_pair_to_sinai,
     reflect,
 )
@@ -90,7 +89,7 @@ __all__ = [
     "collision_covector", "collision_q_drop", "collision_tangent",
     "curvature_at", "expansion_factor", "flow", "free_flight_covector",
     "free_flight_tangent", "hardball_pairs", "lyapunov_Q", "next_collision",
-    "normal_at", "pairing", "q_decrement_breakdown",
+    "pairing", "q_decrement_breakdown",
     "reduce_pair_to_sinai", "reflect",
     "sample_covector_uniform", "sample_covector_with_Q_bound",
     "series_records", "transport_covector",

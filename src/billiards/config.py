@@ -9,6 +9,7 @@ carry a JSON-path-style location; JSON syntax errors keep their line/column.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,14 +68,26 @@ def _expect(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number; ``true``/``false`` are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_keys(obj, path: str, allowed: tuple[str, ...]):
+    """An object whose keys all lie in ``allowed``; a misspelt field must not pass."""
+    _expect(isinstance(obj, dict), path, "must be an object")
+    for key in obj:
+        _expect(key in allowed, f"{path}.{key}",
+                f"unknown field (expected one of {', '.join(allowed)})")
+
+
 def _get(obj: dict, key: str, path: str, kind, required: bool = True, default=None):
     if key not in obj:
         _expect(not required, f"{path}.{key}", "missing required field")
         return default
     val = obj[key]
     if kind is float:
-        _expect(isinstance(val, (int, float)) and not isinstance(val, bool),
-                f"{path}.{key}", "must be a number")
+        _expect(_is_number(val), f"{path}.{key}", "must be a finite number")
         return float(val)
     if kind is int:
         _expect(isinstance(val, int) and not isinstance(val, bool),
@@ -85,8 +98,8 @@ def _get(obj: dict, key: str, path: str, kind, required: bool = True, default=No
 
 
 def _vector(obj, path: str, d: int | None = None) -> np.ndarray:
-    _expect(isinstance(obj, list) and all(isinstance(x, (int, float)) for x in obj),
-            path, "must be a list of numbers")
+    _expect(isinstance(obj, list) and all(_is_number(x) for x in obj),
+            path, "must be a list of finite numbers")
     v = np.asarray(obj, dtype=float)
     if d is not None:
         _expect(v.shape[0] == d, path, f"must have {d} components, got {v.shape[0]}")
@@ -103,17 +116,21 @@ def domain_from_spec(spec: dict, path: str = "domain") -> Domain:
     kind = _get(spec, "kind", path, str)
     try:
         if kind == "sinai":
+            _check_keys(spec, path, ("kind", "d", "r", "L", "centers"))
             d = _get(spec, "d", path, int)
             centers = _get(spec, "centers", path, list)
             return build_sinai(d, _get(spec, "r", path, float), _get(spec, "L", path, float),
                                [_vector(c, f"{path}.centers[{i}]", d) for i, c in enumerate(centers)])
         if kind == "hardball_gas":
+            _check_keys(spec, path, ("kind", "N", "d", "r", "L"))
             return build_hardball_gas(_get(spec, "N", path, int), _get(spec, "d", path, int),
                                       _get(spec, "r", path, float), _get(spec, "L", path, float))
         if kind == "pair_reduced":
+            _check_keys(spec, path, ("kind", "d", "r", "L"))
             return reduce_pair_to_sinai(_get(spec, "d", path, int), _get(spec, "r", path, float),
                                         _get(spec, "L", path, float))
         if kind == "custom":
+            _check_keys(spec, path, ("kind", "d", "ambient", "scatterers", "labels"))
             return _custom_domain(spec, path)
     except BilliardError as e:
         if isinstance(e, ConfigError):
@@ -127,10 +144,12 @@ def _custom_domain(spec: dict, path: str) -> Domain:
     amb = _get(spec, "ambient", path, dict)
     amb_type = _get(amb, "type", f"{path}.ambient", str)
     if amb_type == "torus":
+        _check_keys(amb, f"{path}.ambient", ("type", "side"))
         ambient = Torus(_get(amb, "side", f"{path}.ambient", float))
     elif amb_type == "box":
+        _check_keys(amb, f"{path}.ambient", ("type", "sides"))
         sides = _get(amb, "sides", f"{path}.ambient", list)
-        ambient = Box(tuple(float(s) for s in sides))
+        ambient = Box(tuple(float(s) for s in _vector(sides, f"{path}.ambient.sides")))
     else:
         raise ConfigError(f"{path}.ambient.type: unknown ambient {amb_type!r}")
     raw = _get(spec, "scatterers", path, list)
@@ -140,20 +159,25 @@ def _custom_domain(spec: dict, path: str) -> Domain:
         _expect(isinstance(s, dict), sp, "must be an object")
         skind = _get(s, "kind", sp, str)
         if skind == "sphere":
+            _check_keys(s, sp, ("kind", "center", "radius"))
             scatterers.append(Sphere(_vector(s.get("center"), f"{sp}.center", d),
                                      _get(s, "radius", sp, float)))
         elif skind == "cylinder":
+            _check_keys(s, sp, ("kind", "axis_point", "axis_directions", "radius"))
             dirs = _get(s, "axis_directions", sp, list)
             axis = np.array([_vector(a, f"{sp}.axis_directions[{k}]", d)
                              for k, a in enumerate(dirs)])
             scatterers.append(Cylinder(_vector(s.get("axis_point"), f"{sp}.axis_point", d),
                                        axis, _get(s, "radius", sp, float)))
         elif skind == "halfspace":
+            _check_keys(s, sp, ("kind", "plane_point", "plane_normal"))
             scatterers.append(Halfspace(_vector(s.get("plane_point"), f"{sp}.plane_point", d),
                                         _vector(s.get("plane_normal"), f"{sp}.plane_normal", d)))
         else:
             raise ConfigError(f"{sp}.kind: unknown scatterer kind {skind!r}")
     labels = spec.get("labels")
+    _expect(labels is None or isinstance(labels, list) and all(isinstance(x, str) for x in labels),
+            f"{path}.labels", "must be a list of strings")
     return Domain(d, ambient, scatterers, labels=labels)
 
 
@@ -172,7 +196,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    _expect(isinstance(raw, dict), "config", "top level must be an object")
+    _check_keys(raw, "config", ("domain", "initial", "horizon", "checks", "tolerances",
+                                "c0", "grid_interior", "max_events", "output"))
     domain_spec = _get(raw, "domain", "config", dict)
     domain = domain_from_spec(domain_spec)
 
@@ -185,9 +210,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _expect(has_explicit != has_sampler, "config.initial",
             "exactly one of an explicit phase point or a sampler is required")
 
+    _check_keys(initial, "config.initial", ("sampler",) if has_sampler else ("q", "v", "covector"))
     sampler = explicit = None
     if has_sampler:
         s = _get(initial, "sampler", "config.initial", dict)
+        _check_keys(s, "config.initial.sampler", ("count", "seed", "c0"))
         count = _get(s, "count", "config.initial.sampler", int)
         _expect(count >= 1, "config.initial.sampler.count", "must be at least 1")
         seed = _get(s, "seed", "config.initial.sampler", int)
@@ -196,13 +223,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
             _expect(0.0 < c0 <= 0.5, "config.initial.sampler.c0", "must lie in (0, 1/2]")
         sampler = SamplerSpec(count, seed, c0)
     else:
+        covector = _get(initial, "covector", "config.initial", dict)
+        _check_keys(covector, "config.initial.covector", ("z", "w"))
         d = domain.d
         explicit = ExplicitSpec(
             q=_vector(initial.get("q"), "config.initial.q", d),
             v=_vector(initial.get("v"), "config.initial.v", d),
-            z=_vector(_get(initial, "covector", "config.initial", dict).get("z"),
-                      "config.initial.covector.z", d),
-            w=_vector(initial["covector"].get("w"), "config.initial.covector.w", d),
+            z=_vector(covector.get("z"), "config.initial.covector.z", d),
+            w=_vector(covector.get("w"), "config.initial.covector.w", d),
         )
 
     checks = raw.get("checks")
@@ -214,7 +242,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "config.checks", f"must be a list drawn from {VALID_CHECKS}")
 
     tolerances = raw.get("tolerances", {})
-    _expect(isinstance(tolerances, dict), "config.tolerances", "must be an object")
+    _check_keys(tolerances, "config.tolerances", ("tol_check", "eps_graze"))
     tol_check = _get(tolerances, "tol_check", "config.tolerances", float,
                      required=False, default=1e-9)
     _expect(tol_check >= 0.0, "config.tolerances.tol_check", "must be at least 0")
@@ -238,8 +266,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _expect(max_events >= 1, "config.max_events", "must be at least 1")
 
     output = raw.get("output", {})
-    _expect(isinstance(output, dict), "config.output", "must be an object")
-    out_dir = output.get("dir")
+    _check_keys(output, "config.output", ("dir",))
+    out_dir = _get(output, "dir", "config.output", str, required=False)
 
     return ExperimentConfig(
         domain=domain, domain_spec=domain_spec, horizon=horizon,

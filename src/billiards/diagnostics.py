@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InfeasibleCovectorError, SeriesRangeError
-from .transport import Covector, TransportSeries
+from .transport import Covector, TransportSeries, _complement_basis
 
 DEFAULT_INTERIOR_SAMPLES = 8
 W_CONTINUITY_TOL = 1e-12
@@ -367,14 +367,6 @@ def q_decrement_breakdown(series: TransportSeries) -> dict:
 # ---------------------------------------------------------------------------
 # Covector sampling
 # ---------------------------------------------------------------------------
-
-def _complement_basis(v: np.ndarray) -> np.ndarray:
-    """(d-1, d) row-orthonormal basis of the hyperplane orthogonal to v."""
-    d = v.shape[0]
-    m = np.concatenate([v[:, None] / np.linalg.norm(v), np.eye(d)], axis=1)
-    q, _ = np.linalg.qr(m)
-    return q[:, 1:d].T
-
 
 def _unit_in_span(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     while True:

@@ -1,10 +1,11 @@
 """Billiard domain geometry.
 
 A domain is a flat ambient space (torus or box) minus a list of convex
-scatterers (spheres, cylinders, halfspaces).  This module provides boundary
-normals, curvature operators (second fundamental forms), and the
-reflection across the boundary tangent hyperplane (:func:`reflect`, shared
-by the flow and both transport maps).
+scatterers (spheres, cylinders, halfspaces).  This module provides
+curvature operators (second fundamental forms) and the reflection across
+the boundary tangent hyperplane (:func:`reflect`), both taking a normal the
+caller already has; it derives no normals from points, since the collision
+search stores each impact's normal on its event.
 
 Conventions
 -----------
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundaryMismatchError, DomainConstructionError
+from .errors import DomainConstructionError
 from .tolerances import EPS_SURFACE_FACTOR
 
 Vec = np.ndarray
@@ -404,47 +405,23 @@ class Domain:
 # Boundary data
 # ---------------------------------------------------------------------------
 
-def normal_at(domain: Domain, scatterer_index: int, q: Vec) -> Vec:
-    """Unit boundary normal at ``q`` pointing into the billiard region.
+def curvature_at(domain: Domain, scatterer_index: int, nu: Vec) -> np.ndarray:
+    """Second fundamental form of a scatterer's boundary, in closed form from
+    the inward unit normal ``nu``: a symmetric positive semi-definite
+    ``d x d`` matrix that annihilates ``nu``.
 
-    Raises
-    ------
-    BoundaryMismatchError
-        If ``q`` is not on the scatterer boundary within the surface tolerance.
+    Precondition, not checked: ``nu`` is the unit normal at a boundary point
+    of that scatterer (for a cylinder, transverse to the axis), as every
+    ``CollisionEvent.nu`` is.
+
+    Sphere: ``(I - nu nu^T) / r``.  Cylinder: ``(projector - nu nu^T) / r``
+    (eigenvalue 0 along the axis).  Halfspace: zero.
     """
     s = domain.scatterers[scatterer_index]
-    sd = domain.signed_distance(scatterer_index, q)
-    if abs(sd) > domain.eps_surface:
-        raise BoundaryMismatchError(
-            f"point is off the boundary of scatterer {scatterer_index} by {sd:.3e}")
     if isinstance(s, Halfspace):
-        return s.plane_normal.copy()
-    xi = domain.boundary_offset(scatterer_index, q)
-    return xi / np.linalg.norm(xi)
-
-
-def curvature_at(domain: Domain, scatterer_index: int, q: Vec) -> np.ndarray:
-    """Curvature operator of the boundary at ``q``: the second fundamental
-    form as a symmetric positive semi-definite ``d x d`` matrix that
-    annihilates the normal.
-
-    Sphere: (1/r) times the projector onto the tangent hyperplane.
-    Cylinder: (1/r) times the projector onto the complement of the axis
-    subspace and the normal (eigenvalue 0 along the axis).
-    Halfspace: zero.
-    """
-    s = domain.scatterers[scatterer_index]
-    d = domain.d
-    if isinstance(s, Halfspace):
-        # membership check kept for parity with the curved cases
-        normal_at(domain, scatterer_index, q)
-        return np.zeros((d, d))
-    nu = normal_at(domain, scatterer_index, q)
-    mat = np.eye(d) - np.outer(nu, nu)
-    if isinstance(s, Cylinder):
-        a = s.axis_directions
-        mat -= a.T @ a
-    return mat / s.radius
+        return np.zeros((domain.d, domain.d))
+    mat = s.projector if isinstance(s, Cylinder) else np.eye(domain.d)
+    return (mat - np.outer(nu, nu)) / s.radius
 
 
 # ---------------------------------------------------------------------------

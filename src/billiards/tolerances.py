@@ -21,9 +21,5 @@ EPS_TIME_FACTOR = 1e-12
 # Event cap for a single trajectory.
 MAX_EVENTS_DEFAULT = 100_000
 
-# Per-event relative magnitude allowed for the orthogonality re-projection
-# of transported covectors (rounding cleanup, not a physical correction).
-REPROJECTION_CAP = 1e-10
-
 # Adjoint-identity residual above which a `verify` run is reported failed.
 ADJOINT_RESIDUAL_FAIL = 1e-8

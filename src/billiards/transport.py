@@ -18,9 +18,10 @@ where ``R`` is the reflection across the boundary tangent plane
 projection onto the tangent plane, ``V1`` the same for the outgoing
 velocity, and ``*`` the adjoint.  Both maps go through one kernel,
 ``_projected_curvature``, called with ``v_in`` for the tangent and ``v_out``
-for the covector; ``K`` is the plain ``d x d`` matrix from
-:func:`~billiards.geometry.curvature_at`, computed once per event in each
-transport pass.  The two maps are mutually adjoint, so the pairing with a
+for the covector; ``K`` is the plain ``d x d`` matrix that
+:func:`~billiards.geometry.curvature_at` builds, once per event in each
+transport pass, from the event's normal ``nu``, the same normal that ``R``
+and ``V`` use.  The two maps are mutually adjoint, so the pairing with a
 forward-transported tangent vector is an exact invariant;
 ``adjoint_residual`` measures how well the implementation preserves it on a
 covector series that is already transported, so each trajectory's covector
@@ -284,7 +285,7 @@ def transport_covector(trajectory: Trajectory, n0: Covector,
             break
         event = trajectory.events[k]
         n_pre = Covector(z.copy(), w - seg.duration * z)
-        K = curvature_scale * curvature_at(domain, event.scatterer_index, event.q)
+        K = curvature_scale * curvature_at(domain, event.scatterer_index, event.nu)
         n_post, drop = _covector_jump(n_pre, event, K)
         v_out = event.v_out / np.linalg.norm(event.v_out)
         z, cz = _reproject(n_post.z, v_out)
@@ -309,7 +310,7 @@ def transport_tangent(trajectory: Trajectory, dy0: TangentVector) -> TangentSeri
             break
         event = trajectory.events[k]
         dy_pre = TangentVector(dq + seg.duration * dv, dv)
-        K = curvature_at(domain, event.scatterer_index, event.q)
+        K = curvature_at(domain, event.scatterer_index, event.nu)
         dy_post = collision_tangent(dy_pre, event, K)
         dq, dv = dy_post.dq, dy_post.dv
     return TangentSeries(segments, trajectory.t_end)
@@ -319,15 +320,20 @@ def transport_tangent(trajectory: Trajectory, dy0: TangentVector) -> TangentSeri
 # Adjoint-identity verification
 # ---------------------------------------------------------------------------
 
+def _complement_basis(v: Vec) -> np.ndarray:
+    """(d-1, d) row-orthonormal basis of the hyperplane orthogonal to v."""
+    d = v.shape[0]
+    m = np.concatenate([v[:, None] / np.linalg.norm(v), np.eye(d)], axis=1)
+    q, _ = np.linalg.qr(m)
+    return q[:, 1:d].T
+
+
 def transversal_basis(v: Vec) -> list[TangentVector]:
     """Basis of the transversal tangent space at velocity ``v``: 2(d-1) vectors."""
-    d = v.shape[0]
-    m = np.concatenate([v[:, None], np.eye(d)], axis=1)
-    q, _ = np.linalg.qr(m)
-    vs = [q[:, k] for k in range(1, d)]
-    zero = np.zeros(d)
-    return [TangentVector(e.copy(), zero.copy()) for e in vs] + \
-           [TangentVector(zero.copy(), e.copy()) for e in vs]
+    zero = np.zeros(v.shape[0])
+    basis = _complement_basis(v)
+    return [TangentVector(e.copy(), zero.copy()) for e in basis] + \
+           [TangentVector(zero.copy(), e.copy()) for e in basis]
 
 
 def adjoint_residual(series: TransportSeries) -> float:
@@ -345,8 +351,9 @@ def adjoint_residual(series: TransportSeries) -> float:
     adjointness and must produce a large residual (negative control).
     """
     trajectory = series.trajectory
-    basis = transversal_basis(trajectory.start.v)
-    dy0 = TangentVector(np.array([b.dq for b in basis]), np.array([b.dv for b in basis]))
+    basis = _complement_basis(trajectory.start.v)
+    zero = np.zeros_like(basis)
+    dy0 = TangentVector(np.vstack([basis, zero]), np.vstack([zero, basis]))
     tan = transport_tangent(trajectory, dy0)
     p0 = pairing(dy0, series.n0)
     base = dy0.norm() * series.n0_norm

@@ -4,7 +4,9 @@ The transport maps apply the parallel projections between the
 velocity-transverse hyperplane and the boundary tangent plane row-wise in
 ``billiards.transport._projected_curvature``; these are the same operators
 as explicit matrices, plus the nearest-point projection onto a scatterer's
-boundary used to place test points on it.
+boundary used to place test points on it, and the boundary normal derived
+from a point alone, an independent check of the normal the collision
+search stores on each event.
 """
 
 from __future__ import annotations
@@ -26,6 +28,23 @@ def project_to_boundary(domain: Domain, scatterer_index: int, q: np.ndarray) -> 
     if n == 0.0:
         raise BoundaryMismatchError("cannot project the axis/center onto the boundary")
     return q + (s.radius / n - 1.0) * xi
+
+
+def normal_at(domain: Domain, scatterer_index: int, q: np.ndarray) -> np.ndarray:
+    """Unit boundary normal at ``q`` pointing into the billiard region.
+
+    Raises ``BoundaryMismatchError`` if ``q`` is not on the scatterer
+    boundary within the surface tolerance.
+    """
+    s = domain.scatterers[scatterer_index]
+    sd = domain.signed_distance(scatterer_index, q)
+    if abs(sd) > domain.eps_surface:
+        raise BoundaryMismatchError(
+            f"point is off the boundary of scatterer {scatterer_index} by {sd:.3e}")
+    if isinstance(s, Halfspace):
+        return s.plane_normal.copy()
+    xi = domain.boundary_offset(scatterer_index, q)
+    return xi / np.linalg.norm(xi)
 
 
 def tangent_projection(v: np.ndarray, nu: np.ndarray) -> np.ndarray:

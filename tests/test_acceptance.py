@@ -289,7 +289,7 @@ def test_criterion_07_collision_decrement(ensemble_a, domains):
     sq2 = math.sqrt(2.0)
     traj = flow(wall, PhasePoint(np.array([0.2, 0.5]), np.array([sq2 / 2, -sq2 / 2])), 0.9)
     ev = traj.events[0]
-    K = curvature_at(wall, 0, ev.q)
+    K = curvature_at(wall, 0, ev.nu)
     u = np.array([sq2 / 2, sq2 / 2])
     flat_drop = collision_q_drop(Covector(0.4 * u, -0.3 * u), ev, K)
 
@@ -297,7 +297,7 @@ def test_criterion_07_collision_decrement(ensemble_a, domains):
     cyl = domains["cylinder_3d"]
     ev2 = next_collision(cyl, PhasePoint(np.array([0.1, 0.5, 0.3]),
                                          np.array([1.0, 0.0, 0.0])), 1.0)
-    K2 = curvature_at(cyl, ev2.scatterer_index, ev2.q)
+    K2 = curvature_at(cyl, ev2.scatterer_index, ev2.nu)
     n_axis = Covector(np.array([0.0, 0.7, 0.0]), np.array([0.0, 0.0, 1.0]))
     axis_drop = collision_q_drop(n_axis, ev2, K2)
 

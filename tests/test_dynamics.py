@@ -19,12 +19,14 @@ from billiards import (
     TERMINATION_HORIZON,
     Torus,
     build_hardball_gas,
+    curvature_at,
     flow,
     hardball_pairs,
     next_collision,
     reflect,
 )
 from conftest import random_phase_point
+from geometry_oracle import normal_at
 
 SQ2 = math.sqrt(2.0)
 
@@ -157,10 +159,10 @@ def test_flow_box_with_wall_reflects():
     assert traj.termination == TERMINATION_HORIZON
 
 
-def test_event_invariants_on_random_trajectories(sinai2d, sinai3d, hardball32):
+def test_event_invariants_on_random_trajectories(sinai2d, sinai3d, cylinder3d, hardball32):
     rng = np.random.default_rng(23)
     eps_time = 1e-12
-    for dom in (sinai2d, sinai3d, hardball32):
+    for dom in (sinai2d, sinai3d, cylinder3d, hardball32):
         for _ in range(5):
             traj = flow(dom, random_phase_point(dom, rng), 10.0)
             assert traj.max_speed_drift < 1e-10
@@ -175,6 +177,13 @@ def test_event_invariants_on_random_trajectories(sinai2d, sinai3d, hardball32):
                 assert 0.0 < e.cos_phi <= 1.0
                 assert abs(np.linalg.norm(e.nu) - 1.0) < 1e-12
                 assert abs(dom.signed_distance(e.scatterer_index, e.q)) < dom.eps_surface
+                # the stored normal is the point's normal, and the curvature
+                # built from it matches the one built from the oracle's
+                oracle_nu = normal_at(dom, e.scatterer_index, e.q)
+                assert np.linalg.norm(e.nu - oracle_nu) < 1e-12
+                K = curvature_at(dom, e.scatterer_index, e.nu)
+                assert np.max(np.abs(K - curvature_at(dom, e.scatterer_index, oracle_nu))) < 1e-12
+                assert np.linalg.norm(K @ e.nu) < 1e-12
 
 
 def test_no_penetration_along_segments(sinai2d, hardball32):

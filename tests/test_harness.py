@@ -3,7 +3,9 @@ from __future__ import annotations
 import csv
 import importlib.util
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,9 @@ from billiards.catalog import CATALOG
 from billiards.cli import main
 from billiards.config import domain_from_spec, load_config, parse_config
 from billiards.runner import run_experiment
+
+CYLINDER_SPEC = next(e["domain"] for e in CATALOG if e["name"] == "cylinder_3d")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path: Path, name: str = "cfg.json", **overrides) -> Path:
@@ -71,6 +76,23 @@ def test_malformed_json_reports_line(tmp_path):
     (lambda c: c.update(c0=-0.5), "config.c0"),
     (lambda c: c.update(c0=0.0), "config.c0"),
     (lambda c: c.update(c0=0.9), "config.c0"),
+    (lambda c: c.update(tolerances={"eps_grace": 0.3}), r"config\.tolerances\.eps_grace"),
+    (lambda c: c.update(horizn=9.0), r"config\.horizn"),
+    (lambda c: c.update(check=["growth"]), r"config\.check:"),
+    (lambda c: c["domain"].update(radius=0.2), r"domain\.radius"),
+    (lambda c: c["initial"]["sampler"].update(cuont=3), r"sampler\.cuont"),
+    (lambda c: c.update(output={"dri": "out"}), r"output\.dri"),
+    (lambda c: c.update(output={"dir": 5}), r"output\.dir"),
+    (lambda c: c.update(domain=dict(CYLINDER_SPEC, labels=5)), r"domain\.labels"),
+    (lambda c: c.update(domain=dict(CYLINDER_SPEC, labels=[1])), r"domain\.labels"),
+    (lambda c: c.update(domain=dict(CYLINDER_SPEC, scatterers=[
+        dict(CYLINDER_SPEC["scatterers"][0], centre=[0.5, 0.5, 0.5])])), r"scatterers\[0\]\.centre"),
+    (lambda c: c.update(horizon=math.inf), "config.horizon"),
+    (lambda c: c["domain"].update(centers=[[0.5, math.nan]]), r"centers\[0\]"),
+    (lambda c: c["domain"].update(centers=[[True, 0.5]]), r"centers\[0\]"),
+    (lambda c: c.update(domain={"kind": "custom", "d": 2, "scatterers": [],
+                                "ambient": {"type": "box", "sides": ["a", 1.0]}}),
+     r"ambient\.sides"),
 ])
 def test_config_validation_messages(mutate, match):
     cfg = {
@@ -81,6 +103,14 @@ def test_config_validation_messages(mutate, match):
     mutate(cfg)
     with pytest.raises(ConfigError, match=match):
         parse_config(cfg)
+
+
+def test_readme_config_example_parses():
+    # the documented example must pass the strict key check
+    section = README.read_text(encoding="utf-8").split("## Config format", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    cfg = parse_config(json.loads(block))
+    assert cfg.out_dir == "out" and cfg.eps_graze == 1e-10
 
 
 def test_both_initial_kinds_rejected():

@@ -44,7 +44,7 @@ def wall_domain() -> Domain:
 
 def head_on_event(sinai2d):
     ev = next_collision(sinai2d, PhasePoint(np.array([0.1, 0.5]), np.array([1.0, 0.0])), 1.0)
-    K = curvature_at(sinai2d, ev.scatterer_index, ev.q)
+    K = curvature_at(sinai2d, ev.scatterer_index, ev.nu)
     return ev, K
 
 
@@ -98,7 +98,7 @@ def test_flat_wall_collision_reflects_components():
     dom = wall_domain()
     traj = flow(dom, PhasePoint(np.array([0.2, 0.5]), np.array([SQ2 / 2, -SQ2 / 2])), 0.9)
     ev = traj.events[0]
-    K = curvature_at(dom, 0, ev.q)
+    K = curvature_at(dom, 0, ev.nu)
     u = np.array([SQ2 / 2, SQ2 / 2])      # v_in-perp direction
     n_minus = Covector(0.3 * u, -0.4 * u)
     n_plus = collision_covector(n_minus, ev, K)
@@ -147,7 +147,7 @@ def test_collision_q_drop_nonpositive_random(sinai2d, cylinder3d, hardball32):
             if not traj.events:
                 continue
             ev = traj.events[0]
-            K = curvature_at(dom, ev.scatterer_index, ev.q)
+            K = curvature_at(dom, ev.scatterer_index, ev.nu)
             n = sample_covector_uniform(ev.v_in, rng)
             n_plus = collision_covector(n, ev, K)
             drop = collision_q_drop(n, ev, K)
