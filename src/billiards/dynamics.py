@@ -6,6 +6,15 @@ off scatterer boundaries.  Collision times are found in closed form
 for halfspaces), searched window by window along the flight so that only a
 small neighbourhood of lattice images is examined at a time.
 
+Each window is one call of :func:`_window_candidates`, which evaluates every
+scatterer and image of the domain's stacks (``Domain.stacks``: scatterers of
+one kind and shape as arrays) in one array pass per stack.  The velocity
+terms (the velocity transverse to each axis and its squared norm) depend
+only on the flight, so each :func:`next_collision` computes them once.  The
+batched products issue the same BLAS calls per scatterer as an unstacked
+scan, so every root keeps its bits; ties go to the lower scatterer index,
+then the earlier image.
+
 Grazing impacts (cos phi below the cutoff) and near-simultaneous roots on
 two distinct boundary pieces are singularities of the dynamics: the
 trajectory terminates there instead of choosing a continuation.
@@ -23,7 +32,7 @@ from .errors import (
     GrazingSingularityError,
     InvalidStateError,
 )
-from .geometry import Box, Cylinder, Domain, Halfspace, Sphere, Vec, reflect
+from .geometry import Box, Domain, Vec, reflect, row_dot
 from .tolerances import EPS_GRAZE, EPS_TIME_FACTOR, MAX_EVENTS_DEFAULT
 
 TERMINATION_HORIZON = "reached_horizon"
@@ -122,56 +131,101 @@ class _Candidate:
     radius: float
 
 
-def _window_candidates(domain: Domain, index: int, q_win: Vec, v: Vec,
-                       hi: float) -> list[_Candidate]:
-    """Entering boundary roots for one scatterer within local times (0, hi]."""
-    s = domain.scatterers[index]
-    out: list[_Candidate] = []
-    if isinstance(s, Halfspace):
-        h0 = float((q_win - s.plane_point) @ s.plane_normal)
-        hv = float(v @ s.plane_normal)
-        if hv < 0.0:
-            t = -h0 / hv
-            if 0.0 < t <= hi:
-                out.append(_Candidate(t, index, h0 * s.plane_normal, hv * s.plane_normal, 0.0))
-        return out
+def _velocity_terms(domain: Domain, v: Vec) -> list[tuple]:
+    """The velocity part of the window search: one triple per stack.
 
-    ref = s.center if isinstance(s, Sphere) else s.axis_point
-    rel = q_win - ref
-    if isinstance(s, Cylinder):
-        rel = s.transverse(rel)
-        vv = s.transverse(v)
-    else:
-        vv = v
-    if domain.ambient.periodic:
-        L = domain.ambient.side
-        mid = q_win + (0.5 * hi) * v - ref
-        base = L * np.round(mid / L)
-        if isinstance(s, Cylinder):
-            base = s.transverse(base)
-        offsets = base[None, :] + domain._image_deltas[index]
-    else:
-        offsets = domain._image_deltas[index]
+    Spheres and cylinders: ``vv``, the velocity transverse to each axis
+    (``(S, d)``); ``a = <vv, vv>`` as an ``(S, 1)`` column; and an ``(S, 1)``
+    mask of the scatterers the flight can reach (``a >= 1e-30``: a velocity
+    along a cylinder's axis never reaches its boundary), ``None`` when it
+    reaches all of them.  Halfspaces: ``None``; the normal speeds
+    ``<v, normal>``; and the rows of the planes the flight approaches
+    (negative normal speed).  All depend on ``v`` alone, so one flight
+    computes them once.
+    """
+    terms = []
+    for st in domain.stacks:
+        rows = np.repeat(v[None, :], st.points.shape[0], axis=0)
+        if st.kind == "halfspace":
+            hv = row_dot(rows, st.normals)
+            terms.append((None, hv, np.flatnonzero(hv < 0.0)))
+            continue
+        vv = st.transverse(rows)
+        a = row_dot(vv, vv)[:, None]
+        live = a >= 1e-30
+        terms.append((vv, a, None if live.all() else live))
+    return terms
 
-    xi0 = rel[None, :] - offsets                      # (m, d)
-    a = float(vv @ vv)
-    if a < 1e-30:
-        return out
-    b = xi0 @ vv
-    c = np.einsum("ij,ij->i", xi0, xi0) - s.radius ** 2
-    disc = b * b - a * c
-    ok = disc >= 0.0
-    if not np.any(ok):
-        return out
-    # entering root is the smaller one; the sign-matched form avoids
-    # cancellation so that near-tangent discriminants stay meaningful
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qq = -(b[ok] + np.copysign(np.sqrt(disc[ok]), np.where(b[ok] == 0.0, 1.0, b[ok])))
-        roots = np.minimum(qq / a, c[ok] / qq)
-    for k, t in zip(np.nonzero(ok)[0], roots):
-        if 0.0 < t <= hi:
-            out.append(_Candidate(float(t), index, xi0[k], vv, s.radius))
-    return out
+
+def _window_candidates(domain: Domain, q_win: Vec, v: Vec, hi: float,
+                       terms: list) -> tuple[_Candidate, float] | None:
+    """Earliest entering boundary root of any scatterer within local times
+    (0, hi], with the second-smallest root (inf when there is none); ``None``
+    when the window holds no root.
+
+    Each stack of scatterers is evaluated in one array pass over all its
+    scatterers and images.  Ties go to the lower scatterer index, then the
+    earlier image.
+    """
+    best: _Candidate | None = None
+    t_second = np.inf
+    for st, (vv, a, live) in zip(domain.stacks, terms):
+        if st.kind == "halfspace":
+            h0 = row_dot(q_win - st.points[live], st.normals[live])
+            roots = -h0 / a[live]
+            pos = np.flatnonzero((0.0 < roots) & (roots <= hi))
+            roots = roots[pos]
+        else:
+            rel = st.transverse(q_win - st.points)
+            if domain.ambient.periodic:
+                L = domain.ambient.side
+                mid = q_win + (0.5 * hi) * v - st.points
+                offsets = st.transverse(L * np.rint(mid / L))[:, None, :] + st.deltas
+            else:
+                offsets = st.deltas
+            xi0 = rel[:, None, :] - offsets                     # (S, m, d)
+            b = (xi0 @ vv[:, :, None])[:, :, 0]
+            flat = xi0.reshape(-1, xi0.shape[2])
+            c = np.einsum("ij,ij->i", flat, flat).reshape(b.shape) - st.radii_sq
+            disc = b * b - a * c
+            # only an approaching image (b < 0) can be entered within (0, hi]
+            ok = (b < 0.0) & (disc >= 0.0)
+            if live is not None:
+                ok &= live
+            pos = np.flatnonzero(ok)
+            if not pos.size:
+                continue
+            # entering root is the smaller one; the sign-matched form
+            # -(b + sign(b) sqrt(disc)), here sqrt(disc) - b, avoids
+            # cancellation so that near-tangent discriminants stay meaningful
+            qq = np.sqrt(disc[ok]) - b[ok]
+            roots = np.minimum(qq / a[pos // b.shape[1], 0], c[ok] / qq)
+            keep = (0.0 < roots) & (roots <= hi)
+            pos, roots = pos[keep], roots[keep]
+        if not roots.size:
+            continue
+        k = int(roots.argmin())
+        t = float(roots[k])
+        roots[k] = np.inf
+        t_next = float(roots.min())
+        if st.kind == "halfspace":
+            row, image = int(live[pos[k]]), 0
+        else:
+            row, image = divmod(int(pos[k]), b.shape[1])
+        index = int(st.indices[row])
+        if best is not None and (t, index) > (best.t, best.scatterer_index):
+            t_second = min(t_second, t)
+            continue
+        t_second = min(t_second, t_next, np.inf if best is None else best.t)
+        if st.kind == "halfspace":
+            n = st.normals[row]
+            best = _Candidate(t, index, h0[pos[k]] * n, a[row] * n, 0.0)
+        else:
+            best = _Candidate(t, index, xi0[row, image], vv[row],
+                              domain.scatterers[index].radius)
+    if best is None:
+        return None
+    return best, t_second
 
 
 def _polish_root(cand: _Candidate) -> float:
@@ -215,17 +269,15 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
         escape_t = domain.ambient.exit_time(q, v, slack=domain.eps_surface)
         horizon = min(horizon, escape_t + eps_time)
 
+    terms = _velocity_terms(domain, v)
     window = 0.5 * scale
     t_lo = 0.0
     while t_lo < horizon:
         hi = min(window, horizon - t_lo)
         q_win = q + t_lo * v
-        cands: list[_Candidate] = []
-        for index in range(len(domain.scatterers)):
-            cands.extend(_window_candidates(domain, index, q_win, v, hi))
-        if cands:
-            cands.sort(key=lambda c: c.t)
-            best = cands[0]
+        found = _window_candidates(domain, q_win, v, hi, terms)
+        if found is not None:
+            best, t_second = found
             if t_lo + best.t <= eps_time:
                 # a root this close to the previous event is a corner-like
                 # multiple collision; skipping it would tunnel through the wall
@@ -233,7 +285,7 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
                     "collision within the minimum time gap of the previous event",
                     time=t_lo + best.t)
             t_best = t_lo + _polish_root(best)
-            if len(cands) > 1 and (cands[1].t - cands[0].t) < eps_time:
+            if t_second - best.t < eps_time:
                 raise DegenerateCollisionError(
                     "simultaneous collision with two boundary pieces", time=t_best)
             if t_best > escape_t + eps_time:

@@ -5,7 +5,10 @@ scatterers (spheres, cylinders, halfspaces).  This module provides
 curvature operators (second fundamental forms) and the reflection across
 the boundary tangent hyperplane (:func:`reflect`), both taking a normal the
 caller already has; it derives no normals from points, since the collision
-search stores each impact's normal on its event.
+search stores each impact's normal on its event.  At construction a
+:class:`Domain` groups its scatterers into stacks of one kind and shape
+(:class:`ScattererStack`); the collision search and :meth:`Domain.contains`
+evaluate a whole stack in one array pass.
 
 Conventions
 -----------
@@ -86,7 +89,7 @@ class Torus:
         return np.mod(q, self.side)
 
     def min_image(self, dq: Vec) -> Vec:
-        return dq - self.side * np.round(dq / self.side)
+        return dq - self.side * np.rint(dq / self.side)
 
 
 @dataclass(frozen=True)
@@ -229,6 +232,72 @@ class Halfspace:
 Scatterer = Sphere | Cylinder | Halfspace
 
 
+def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair of two ``(S, d)`` stacks.
+
+    numpy evaluates ``(S, 1, d) @ (S, d, 1)`` as one vector dot per row, so
+    each value has the bits of the 1-d ``x[i] @ y[i]``.
+    """
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+@dataclass(eq=False)
+class ScattererStack:
+    """Scatterers of one kind and shape, stored as arrays over a stack axis.
+
+    ``indices`` are the scatterer indices, ascending.  ``points`` are the
+    sphere centers, cylinder axis points or halfspace plane points,
+    ``(S, d)``.  Spheres and cylinders carry ``radii``, ``radii_sq`` (each
+    ``radius ** 2``, an ``(S, 1)`` column) and the image offsets ``deltas``,
+    ``(S, m, d)``; cylinders also the axis rows ``axes``, ``(S, k, d)``;
+    halfspaces the plane ``normals``, ``(S, d)``.
+    """
+
+    kind: str
+    indices: np.ndarray
+    points: np.ndarray
+    radii: np.ndarray | None = None
+    radii_sq: np.ndarray | None = None
+    deltas: np.ndarray | None = None
+    axes: np.ndarray | None = None
+    normals: np.ndarray | None = None
+
+    def transverse(self, x: np.ndarray) -> np.ndarray:
+        """Each row of ``x`` minus its component along that scatterer's axis
+        subspace, as ``x - A^T (A x)`` per row; rows unchanged for spheres."""
+        if self.axes is None:
+            return x
+        ax = self.axes @ x[:, :, None]
+        return x - (self.axes.transpose(0, 2, 1) @ ax)[:, :, 0]
+
+
+def _stack_scatterers(scatterers: list[Scatterer],
+                      image_deltas: list[np.ndarray | None]) -> list[ScattererStack]:
+    """Group scatterers of the same kind, axis count and image count into
+    stacks, in order of their first scatterer."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (s, deltas) in enumerate(zip(scatterers, image_deltas)):
+        k = s.axis_directions.shape[0] if isinstance(s, Cylinder) else 0
+        m = 0 if deltas is None else deltas.shape[0]
+        groups.setdefault((s.kind, k, m), []).append(i)
+    stacks = []
+    for (kind, _, _), idx in groups.items():
+        members = [scatterers[i] for i in idx]
+        if kind == "halfspace":
+            stacks.append(ScattererStack(
+                kind, np.array(idx), np.array([h.plane_point for h in members]),
+                normals=np.array([h.plane_normal for h in members])))
+            continue
+        points = [s.center if kind == "sphere" else s.axis_point for s in members]
+        stacks.append(ScattererStack(
+            kind, np.array(idx), np.array(points),
+            radii=np.array([s.radius for s in members], dtype=float),
+            radii_sq=np.array([[s.radius ** 2] for s in members], dtype=float),
+            deltas=np.array([image_deltas[i] for i in idx]),
+            axes=np.array([s.axis_directions for s in members]) if kind == "cylinder" else None))
+    return stacks
+
+
 # ---------------------------------------------------------------------------
 # Domain
 # ---------------------------------------------------------------------------
@@ -241,13 +310,16 @@ class Domain:
     disjointness where it is decidable.  Transversal cylinders (hard-ball
     pair cylinders) are exempt from the disjointness check: their overlaps
     are the measure-zero multiple-collision corners, which the dynamics
-    treats as singular.
+    treats as singular.  ``stacks`` holds the scatterers grouped by kind
+    and shape, for the array passes of the collision search and
+    :meth:`contains`.
     """
 
     d: int
     ambient: Ambient
     scatterers: list[Scatterer]
     labels: list[str] | None = None
+    stacks: list[ScattererStack] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d < 2:
@@ -260,7 +332,15 @@ class Domain:
                     f"scatterer dimension {s.dim} does not match domain dimension {self.d}")
         if self.labels is not None and len(self.labels) != len(self.scatterers):
             raise DomainConstructionError("labels must match the number of scatterers")
-        self._image_deltas = [self._build_image_deltas(s) for s in self.scatterers]
+        self.stacks = _stack_scatterers(
+            self.scatterers, [self._build_image_deltas(s) for s in self.scatterers])
+        # each scatterer's image offsets, as a view into its stack (3^d rows
+        # for a sphere, so they are not stored twice)
+        self._image_deltas: list[np.ndarray | None] = [None] * len(self.scatterers)
+        for st in self.stacks:
+            if st.deltas is not None:
+                for row, i in enumerate(st.indices):
+                    self._image_deltas[i] = st.deltas[row]
         self._check_self_wrap()
         self._check_disjoint()
 
@@ -364,41 +444,27 @@ class Domain:
     def min_image(self, dq: Vec) -> Vec:
         return self.ambient.min_image(dq)
 
-    def boundary_offset(self, index: int, q: Vec) -> Vec:
-        """Transverse vector from the nearest image of scatterer ``index`` to ``q``.
-
-        For a halfspace this is the signed height times the plane normal.
-        """
-        s = self.scatterers[index]
-        if isinstance(s, Halfspace):
-            h = float((q - s.plane_point) @ s.plane_normal)
-            return h * s.plane_normal
-        ref = s.center if isinstance(s, Sphere) else s.axis_point
-        xi = self.min_image(q - ref)
-        if isinstance(s, Cylinder):
-            # reduce modulo the projected lattice: the per-coordinate minimal
-            # image need not minimize the transverse distance
-            xi = s.transverse(xi)
-            deltas = self._image_deltas[index]
-            k = int(np.argmin(np.linalg.norm(xi[None, :] - deltas, axis=1)))
-            xi = xi - deltas[k]
-        return xi
-
-    def signed_distance(self, index: int, q: Vec) -> float:
-        """Distance from ``q`` to scatterer ``index``; positive in the billiard region."""
-        s = self.scatterers[index]
-        if isinstance(s, Halfspace):
-            return float((q - s.plane_point) @ s.plane_normal)
-        return float(np.linalg.norm(self.boundary_offset(index, q))) - s.radius
-
     def contains(self, q: Vec, slack: float | None = None) -> bool:
         """True when ``q`` lies in the billiard region (outside every solid part)."""
         slack = self.eps_surface if slack is None else slack
-        inside_ambient = True
-        if isinstance(self.ambient, Box):
-            inside_ambient = self.ambient.contains(q, slack)
-        return inside_ambient and all(
-            self.signed_distance(i, q) >= -slack for i in range(len(self.scatterers)))
+        if isinstance(self.ambient, Box) and not self.ambient.contains(q, slack):
+            return False
+        # min() is nan if any distance is, and nan >= x is False, as in all()
+        return all(self._signed_distances(st, q).min() >= -slack for st in self.stacks)
+
+    def _signed_distances(self, st: ScattererStack, q: Vec) -> np.ndarray:
+        """Distance from ``q`` to each scatterer of a stack; positive in the
+        billiard region."""
+        if st.kind == "halfspace":
+            return row_dot(q - st.points, st.normals)
+        xi = st.transverse(self.min_image(q - st.points))
+        if st.kind == "cylinder":
+            # reduce modulo the projected lattice: the per-coordinate minimal
+            # image need not minimize the transverse distance
+            off = xi[:, None, :] - st.deltas
+            k = np.argmin(np.sqrt(np.add.reduce(off * off, axis=2)), axis=1)
+            xi = xi - st.deltas[np.arange(k.shape[0]), k]
+        return np.sqrt(row_dot(xi, xi)) - st.radii
 
 
 # ---------------------------------------------------------------------------

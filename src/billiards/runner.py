@@ -35,7 +35,8 @@ CSV_COLUMNS = ("t", "segment_index", "event_flag", "Q", "norm_w", "norm_z",
 # record fields written to the CSV columns above, in order
 _CSV_FIELDS = ("t", "segment_index", "event_flag", "Q", "norm_w", "norm_z",
                "norm_n", "lam", "bound_prop5", "bound_theorem")
-_CSV_ROW = "%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n"
+_CSV_FORMATS = ("%.17g", "%d", "%d", "%.17g", "%.17g", "%.17g", "%.17g", "%.17g",
+                "%.17g", "%.17g")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -150,12 +151,26 @@ def run_trajectory(cfg: ExperimentConfig, index: int, x0: PhasePoint, n0: Covect
 
 
 def _write_csv(path: Path, records: np.recarray) -> None:
-    """RFC-4180 CSV (comma, CRLF) of the sampled records; empty non-finite fields."""
+    """RFC-4180 CSV (comma, CRLF) of the sampled records; empty non-finite fields.
+
+    A column that is non-finite in every row (``bound_theorem`` without
+    ``c0``, ``bound_prop5`` when ``w0 = 0``) is written empty by the row
+    format itself (``%.0s`` prints nothing); only rows holding another
+    non-finite field go through ``_fmt``.
+    """
+    columns = [records[name] for name in _CSV_FIELDS]
+    formats = []
     finite = np.ones(len(records), dtype=bool)
-    for name in _CSV_FIELDS:
-        finite &= np.isfinite(records[name])
-    rows = zip(*(records[name].tolist() for name in _CSV_FIELDS))
-    lines = [_CSV_ROW % row if ok else ",".join(map(_fmt, row)) + "\r\n"
+    for col, fmt in zip(columns, _CSV_FORMATS):
+        ok = np.isfinite(col)
+        if ok.any():
+            finite &= ok
+            formats.append(fmt)
+        else:
+            formats.append("%.0s")
+    row_format = ",".join(formats) + "\r\n"
+    rows = zip(*(col.tolist() for col in columns))
+    lines = [row_format % row if ok else ",".join(map(_fmt, row)) + "\r\n"
              for row, ok in zip(rows, finite.tolist())]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")

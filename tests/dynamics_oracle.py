@@ -1,0 +1,137 @@
+"""The per-scatterer collision search, kept as the test oracle of the
+stacked window kernel ``billiards.dynamics._window_candidates``.
+
+``scatterer_candidates`` scans one scatterer's images the way the flow did
+before the scatterers were stacked; ``window_scan`` collects every
+scatterer's roots and stable-sorts them, so ties go to the lower scatterer
+index and then the earlier image; ``next_collision`` is the event search
+built on that scan.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from billiards import (
+    Box,
+    CollisionEvent,
+    Cylinder,
+    DegenerateCollisionError,
+    Domain,
+    EscapeError,
+    GrazingSingularityError,
+    Halfspace,
+    PhasePoint,
+    Sphere,
+    reflect,
+)
+from billiards.dynamics import _Candidate, _polish_root, _validate_phase_point
+from billiards.tolerances import EPS_GRAZE, EPS_TIME_FACTOR
+
+
+def scatterer_candidates(domain: Domain, index: int, q_win, v, hi: float) -> list[_Candidate]:
+    """Entering boundary roots for one scatterer within local times (0, hi]."""
+    s = domain.scatterers[index]
+    out: list[_Candidate] = []
+    if isinstance(s, Halfspace):
+        h0 = float((q_win - s.plane_point) @ s.plane_normal)
+        hv = float(v @ s.plane_normal)
+        if hv < 0.0:
+            t = -h0 / hv
+            if 0.0 < t <= hi:
+                out.append(_Candidate(t, index, h0 * s.plane_normal, hv * s.plane_normal, 0.0))
+        return out
+
+    ref = s.center if isinstance(s, Sphere) else s.axis_point
+    rel = q_win - ref
+    if isinstance(s, Cylinder):
+        rel = s.transverse(rel)
+        vv = s.transverse(v)
+    else:
+        vv = v
+    if domain.ambient.periodic:
+        L = domain.ambient.side
+        mid = q_win + (0.5 * hi) * v - ref
+        base = L * np.round(mid / L)
+        if isinstance(s, Cylinder):
+            base = s.transverse(base)
+        offsets = base[None, :] + domain._image_deltas[index]
+    else:
+        offsets = domain._image_deltas[index]
+
+    xi0 = rel[None, :] - offsets                      # (m, d)
+    a = float(vv @ vv)
+    if a < 1e-30:
+        return out
+    b = xi0 @ vv
+    c = np.einsum("ij,ij->i", xi0, xi0) - s.radius ** 2
+    disc = b * b - a * c
+    ok = disc >= 0.0
+    if not np.any(ok):
+        return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qq = -(b[ok] + np.copysign(np.sqrt(disc[ok]), np.where(b[ok] == 0.0, 1.0, b[ok])))
+        roots = np.minimum(qq / a, c[ok] / qq)
+    for k, t in zip(np.nonzero(ok)[0], roots):
+        if 0.0 < t <= hi:
+            out.append(_Candidate(float(t), index, xi0[k], vv, s.radius))
+    return out
+
+
+def window_scan(domain: Domain, q_win, v, hi: float) -> tuple[_Candidate, float] | None:
+    """Best candidate and second-smallest root of one window, or ``None``."""
+    cands: list[_Candidate] = []
+    for index in range(len(domain.scatterers)):
+        cands.extend(scatterer_candidates(domain, index, q_win, v, hi))
+    if not cands:
+        return None
+    cands.sort(key=lambda c: c.t)
+    return cands[0], (cands[1].t if len(cands) > 1 else np.inf)
+
+
+def next_collision(domain: Domain, x: PhasePoint, t_max: float,
+                   eps_graze: float = EPS_GRAZE) -> CollisionEvent | None:
+    """Earliest collision along the free flight from ``x``, by window scans."""
+    x = _validate_phase_point(domain, x)
+    q, v = x.q, x.v
+    scale = domain.length_scale
+    eps_time = EPS_TIME_FACTOR * scale
+    horizon = t_max
+    escape_t = np.inf
+    if isinstance(domain.ambient, Box):
+        escape_t = domain.ambient.exit_time(q, v, slack=domain.eps_surface)
+        horizon = min(horizon, escape_t + eps_time)
+    window = 0.5 * scale
+    t_lo = 0.0
+    while t_lo < horizon:
+        hi = min(window, horizon - t_lo)
+        found = window_scan(domain, q + t_lo * v, v, hi)
+        if found is not None:
+            best, t_second = found
+            if t_lo + best.t <= eps_time:
+                raise DegenerateCollisionError(
+                    "collision within the minimum time gap of the previous event",
+                    time=t_lo + best.t)
+            t_best = t_lo + _polish_root(best)
+            if t_second - best.t < eps_time:
+                raise DegenerateCollisionError(
+                    "simultaneous collision with two boundary pieces", time=t_best)
+            if t_best > escape_t + eps_time:
+                raise EscapeError("particle left the box ambient", time=escape_t)
+            xi = best.xi0 + (t_best - t_lo) * best.xiv
+            if best.radius > 0.0:
+                nu = xi / np.linalg.norm(xi)
+            else:
+                nu = domain.scatterers[best.scatterer_index].plane_normal
+            cos_phi = -float(v @ nu)
+            if cos_phi < eps_graze:
+                raise GrazingSingularityError(
+                    f"grazing impact: cos(phi) = {cos_phi:.3e}", time=t_best)
+            return CollisionEvent(t=t_best, q=domain.wrap(q + t_best * v),
+                                  scatterer_index=best.scatterer_index, nu=nu,
+                                  cos_phi=min(cos_phi, 1.0), v_in=v.copy(),
+                                  v_out=reflect(v, nu))
+        t_lo += hi
+    if escape_t <= t_max:
+        raise EscapeError("particle left the box ambient", time=escape_t)
+    return None

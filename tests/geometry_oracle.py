@@ -6,15 +6,64 @@ velocity-transverse hyperplane and the boundary tangent plane row-wise in
 as explicit matrices, plus the nearest-point projection onto a scatterer's
 boundary used to place test points on it, and the boundary normal derived
 from a point alone, an independent check of the normal the collision
-search stores on each event.
+search stores on each event.  ``boundary_offset``, ``signed_distance`` and
+``contains`` are the per-scatterer forms of the stacked membership test
+``Domain.contains``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from billiards import BoundaryMismatchError, Domain, GrazingSingularityError, Halfspace
+from billiards import (
+    Box,
+    BoundaryMismatchError,
+    Cylinder,
+    Domain,
+    GrazingSingularityError,
+    Halfspace,
+    Sphere,
+)
 from billiards.tolerances import EPS_GRAZE
+
+
+def boundary_offset(domain: Domain, index: int, q: np.ndarray) -> np.ndarray:
+    """Transverse vector from the nearest image of scatterer ``index`` to ``q``.
+
+    For a halfspace this is the signed height times the plane normal.
+    """
+    s = domain.scatterers[index]
+    if isinstance(s, Halfspace):
+        h = float((q - s.plane_point) @ s.plane_normal)
+        return h * s.plane_normal
+    ref = s.center if isinstance(s, Sphere) else s.axis_point
+    xi = domain.min_image(q - ref)
+    if isinstance(s, Cylinder):
+        # reduce modulo the projected lattice: the per-coordinate minimal
+        # image need not minimize the transverse distance
+        xi = s.transverse(xi)
+        deltas = domain._image_deltas[index]
+        k = int(np.argmin(np.linalg.norm(xi[None, :] - deltas, axis=1)))
+        xi = xi - deltas[k]
+    return xi
+
+
+def signed_distance(domain: Domain, index: int, q: np.ndarray) -> float:
+    """Distance from ``q`` to scatterer ``index``; positive in the billiard region."""
+    s = domain.scatterers[index]
+    if isinstance(s, Halfspace):
+        return float((q - s.plane_point) @ s.plane_normal)
+    return float(np.linalg.norm(boundary_offset(domain, index, q))) - s.radius
+
+
+def contains(domain: Domain, q: np.ndarray, slack: float | None = None) -> bool:
+    """True when ``q`` lies in the billiard region, one scatterer at a time."""
+    slack = domain.eps_surface if slack is None else slack
+    inside_ambient = True
+    if isinstance(domain.ambient, Box):
+        inside_ambient = domain.ambient.contains(q, slack)
+    return inside_ambient and all(
+        signed_distance(domain, i, q) >= -slack for i in range(len(domain.scatterers)))
 
 
 def project_to_boundary(domain: Domain, scatterer_index: int, q: np.ndarray) -> np.ndarray:
@@ -23,7 +72,7 @@ def project_to_boundary(domain: Domain, scatterer_index: int, q: np.ndarray) -> 
     if isinstance(s, Halfspace):
         h = float((q - s.plane_point) @ s.plane_normal)
         return q - h * s.plane_normal
-    xi = domain.boundary_offset(scatterer_index, q)
+    xi = boundary_offset(domain, scatterer_index, q)
     n = float(np.linalg.norm(xi))
     if n == 0.0:
         raise BoundaryMismatchError("cannot project the axis/center onto the boundary")
@@ -37,13 +86,13 @@ def normal_at(domain: Domain, scatterer_index: int, q: np.ndarray) -> np.ndarray
     boundary within the surface tolerance.
     """
     s = domain.scatterers[scatterer_index]
-    sd = domain.signed_distance(scatterer_index, q)
+    sd = signed_distance(domain, scatterer_index, q)
     if abs(sd) > domain.eps_surface:
         raise BoundaryMismatchError(
             f"point is off the boundary of scatterer {scatterer_index} by {sd:.3e}")
     if isinstance(s, Halfspace):
         return s.plane_normal.copy()
-    xi = domain.boundary_offset(scatterer_index, q)
+    xi = boundary_offset(domain, scatterer_index, q)
     return xi / np.linalg.norm(xi)
 
 

@@ -28,7 +28,7 @@ from billiards import (
     verify_monotonicity,
 )
 from billiards.cli import main
-from billiards.runner import _write_csv
+from billiards.runner import CSV_COLUMNS, _write_csv
 from conftest import random_phase_point
 
 FIELDS = ("t", "segment_index", "event_flag", "Q", "norm_w", "norm_z", "norm_n",
@@ -150,6 +150,34 @@ def test_csv_empty_fields_for_undefined_bounds(tmp_path):
     for row in rows:
         assert len(row) == 10 and row[8] == row[9] == b""
         assert all(math.isfinite(float(x)) for x in row[:8])
+
+
+@pytest.mark.parametrize("blank", ["bound_theorem", "bound_prop5"])
+def test_csv_column_nonfinite_in_every_row_matches_loop_writer(blank, sinai2d, tmp_path):
+    # a run without c0 leaves bound_theorem nan in every row, a covector with
+    # w0 = 0 leaves bound_prop5 inf in every row; the row format writes such a
+    # column empty while the other columns of a colliding trajectory stay set
+    rng = np.random.default_rng(337)
+    x0 = random_phase_point(sinai2d, rng)
+    traj = flow(sinai2d, x0, 8.0)
+    assert traj.event_count >= 3
+    if blank == "bound_theorem":
+        n0, c0 = sample_covector_uniform(x0.v, rng), None
+    else:
+        n0, c0 = Covector(np.array([-x0.v[1], x0.v[0]]), np.zeros(2)), 0.1
+    series = transport_covector(traj, n0)
+    records = series_records(series, interior=4, c0=c0)
+    assert not np.isfinite(records[blank]).any()
+    _write_csv(tmp_path / "fast.csv", records)
+    oracle.write_csv(tmp_path / "slow.csv", oracle.series_records(series, 4, c0))
+    data = (tmp_path / "fast.csv").read_bytes()
+    assert data == (tmp_path / "slow.csv").read_bytes()
+    column = CSV_COLUMNS.index(blank)
+    rows = [line.split(b",") for line in data.split(b"\r\n")[1:-1]]
+    assert len(rows) == len(records)
+    for row in rows:
+        assert len(row) == 10
+        assert [i for i, field in enumerate(row) if field == b""] == [column]
 
 
 def test_corner_hit_reports_degenerate_collision(tmp_path):

@@ -26,7 +26,7 @@ from billiards import (
     reflect,
 )
 from conftest import random_phase_point
-from geometry_oracle import normal_at
+from geometry_oracle import normal_at, signed_distance
 
 SQ2 = math.sqrt(2.0)
 
@@ -176,7 +176,7 @@ def test_event_invariants_on_random_trajectories(sinai2d, sinai3d, cylinder3d, h
                 assert abs(e.cos_phi + e.v_in @ e.nu) < 1e-12
                 assert 0.0 < e.cos_phi <= 1.0
                 assert abs(np.linalg.norm(e.nu) - 1.0) < 1e-12
-                assert abs(dom.signed_distance(e.scatterer_index, e.q)) < dom.eps_surface
+                assert abs(signed_distance(dom, e.scatterer_index, e.q)) < dom.eps_surface
                 # the stored normal is the point's normal, and the curvature
                 # built from it matches the one built from the oracle's
                 oracle_nu = normal_at(dom, e.scatterer_index, e.q)

@@ -27,6 +27,7 @@ from billiards import (
 from geometry_oracle import (
     normal_at,
     project_to_boundary,
+    signed_distance,
     tangent_projection,
     transverse_projection,
 )
@@ -264,18 +265,18 @@ def test_hardball_contact_at_pair_distance():
     # the solid part is exactly {dist(q_i, q_j) <= 2r}
     dom = build_hardball_gas(2, 2, 0.1, 1.0)
     touching = np.array([0.3, 0.5, 0.5, 0.5])       # pair distance exactly 0.2
-    assert abs(dom.signed_distance(0, touching)) < 1e-12
+    assert abs(signed_distance(dom, 0, touching)) < 1e-12
     apart = np.array([0.3, 0.5, 0.55, 0.5])
-    assert dom.signed_distance(0, apart) > 0.0
+    assert signed_distance(dom, 0, apart) > 0.0
     overlapping = np.array([0.3, 0.5, 0.45, 0.5])
-    assert dom.signed_distance(0, overlapping) < 0.0
+    assert signed_distance(dom, 0, overlapping) < 0.0
 
 
 def test_hardball_pair_distance_uses_torus_metric():
     dom = build_hardball_gas(2, 2, 0.1, 1.0)
     # balls at x = 0.05 and 0.95 are 0.1 apart through the seam: inside the solid
     through_seam = np.array([0.05, 0.5, 0.95, 0.5])
-    assert dom.signed_distance(0, through_seam) < 0.0
+    assert signed_distance(dom, 0, through_seam) < 0.0
 
 
 def test_hardball_preconditions():
