@@ -9,10 +9,11 @@ this module check those statements on sampled series, with relative margins,
 and report per-check pass/fail results.
 
 Each free segment is sampled at its endpoints plus ``interior`` evenly
-spaced points.  A series is sampled in one pass into ``(segments, samples)``
-arrays; the checks are array expressions over consecutive samples of the
-flattened grid (or over segment rows), and ``series_records`` returns the
-samples as a record array of columns.  The array forms reproduce the
+spaced points.  A series is sampled once per interior count, in one pass
+into ``(segments, samples)`` arrays that its checks and records share; the
+checks are array expressions over consecutive samples of the flattened grid
+(or over segment rows), and ``series_records`` returns the samples as a
+record array of columns.  The array forms reproduce the
 per-sample loops they replaced bit for bit.
 """
 
@@ -110,6 +111,11 @@ def _dots(x: np.ndarray) -> np.ndarray:
 
 
 def _sample(series: TransportSeries, interior: int) -> _SampledSeries:
+    """The sample grid of a series, computed on first use and kept on the
+    series (``TransportSeries.sample_grids``); its arrays are read-only.  A
+    series whose magnitudes leave the double range raises on every call."""
+    if interior in series.sample_grids:
+        return series.sample_grids[interior]
     segs = series.segments
     t0 = np.array([seg.t0 for seg in segs])
     t1 = np.array([seg.t1 for seg in segs])
@@ -128,7 +134,10 @@ def _sample(series: TransportSeries, interior: int) -> _SampledSeries:
         raise SeriesRangeError(
             "covector magnitudes exceed the double-precision range; "
             "shorten the horizon")
-    return _SampledSeries(tt, q, nw, np.sqrt(z2), nn, Z, W0)
+    s = series.sample_grids[interior] = _SampledSeries(tt, q, nw, np.sqrt(z2), nn, Z, W0)
+    for a in vars(s).values():
+        a.flags.writeable = False
+    return s
 
 
 def series_records(series: TransportSeries, interior: int = DEFAULT_INTERIOR_SAMPLES,

@@ -238,6 +238,10 @@ class TransportSeries(_Series):
         self.n0 = n0
         self.jumps = jumps
         self.n0_norm = n0.norm()
+        # sample grids of the diagnostics, keyed by interior sample count: a
+        # series is not changed once transported, so its checks and records
+        # share one grid
+        self.sample_grids: dict = {}
 
     @property
     def max_reprojection(self) -> float:

@@ -5,7 +5,9 @@ stacked window kernel ``billiards.dynamics._window_candidates``.
 before the scatterers were stacked; ``window_scan`` collects every
 scatterer's roots and stable-sorts them, so ties go to the lower scatterer
 index and then the earlier image; ``next_collision`` is the event search
-built on that scan.
+built on that scan.  ``box_lattice_distance`` is the oracle of the sphere
+broad phase: the distance from a window's flight box to the nearest lattice
+image of a sphere center, coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -76,6 +78,21 @@ def scatterer_candidates(domain: Domain, index: int, q_win, v, hi: float) -> lis
         if 0.0 < t <= hi:
             out.append(_Candidate(float(t), index, xi0[k], vv, s.radius))
     return out
+
+
+def box_lattice_distance(domain: Domain, index: int, q_win, v, hi: float) -> float:
+    """Distance from the box spanned by the flight from ``q_win`` over times
+    [0, hi] to the nearest torus image of sphere ``index``'s center."""
+    L = domain.ambient.side
+    total = 0.0
+    for a, b in zip(q_win - domain.scatterers[index].center,
+                    q_win + hi * v - domain.scatterers[index].center):
+        lo, up = min(a, b), max(a, b)
+        k = np.ceil(lo / L)
+        if k * L <= up:        # a lattice coordinate lies in [lo, up]
+            continue
+        total += min(lo - (k - 1.0) * L, k * L - up) ** 2
+    return float(np.sqrt(total))
 
 
 def window_scan(domain: Domain, q_win, v, hi: float) -> tuple[_Candidate, float] | None:

@@ -307,8 +307,15 @@ def test_verifiers_reject_overflowed_series(sinai2d):
     x0 = random_phase_point(sinai2d, rng)
     n0 = sample_covector_with_Q_bound(x0.v, 0.1, rng)
     series = transport_covector(flow(sinai2d, x0, 300.0), n0)
-    with pytest.raises(SeriesRangeError, match="double-precision"):
-        verify_monotonicity(series, 1e-9)
+    # a failed sample is not kept on the series: every call raises, again
+    for _ in range(2):
+        with pytest.raises(SeriesRangeError, match="double-precision"):
+            verify_monotonicity(series, 1e-9)
+        with pytest.raises(SeriesRangeError, match="double-precision"):
+            verify_growth(series, 0.1, 1e-9)
+        with pytest.raises(SeriesRangeError, match="double-precision"):
+            series_records(series, c0=0.1)
+    assert series.sample_grids == {}
 
 
 def test_series_records_ratio_sentinel():

@@ -198,3 +198,19 @@ def test_corner_hit_reports_degenerate_collision(tmp_path):
     assert summary["ensemble"]["terminations"] == {"degenerate_collision": 1}
     assert summary["ensemble"]["singular_early"] == 1
     assert code == 2
+
+
+def test_checks_and_records_share_one_sample_per_interior(sinai2d, tmp_path):
+    # the three diagnostics of a series sample it once per interior count;
+    # the shared grid is read-only and gives the oracle's bits
+    rng = np.random.default_rng(131)
+    x0 = random_phase_point(sinai2d, rng)
+    series = transport_covector(flow(sinai2d, x0, 6.0),
+                                sample_covector_with_Q_bound(x0.v, 0.1, rng))
+    verify_monotonicity(series, 1e-9)
+    grid = series.sample_grids[8]
+    assert_matches_oracle(series, tmp_path, interior=8, c0=0.1)
+    assert_matches_oracle(series, tmp_path, interior=3, c0=0.1)
+    assert series.sample_grids[8] is grid and sorted(series.sample_grids) == [3, 8]
+    with pytest.raises(ValueError):
+        grid.Q[0, 0] = 0.0

@@ -5,11 +5,17 @@ array pass per stack; ``dynamics_oracle.window_scan`` scans one scatterer at
 a time and stable-sorts the roots.  Both must give the same best root,
 second root, scatterer index, ``xi0`` and ``xiv``.  ``Domain.contains`` is
 checked the same way against the per-scatterer ``geometry_oracle.contains``.
+
+The broad phase of the sphere stacks (``ScattererStack.reach_sq``) is
+checked against the same kernel on a copy of the domain with ``reach_sq``
+unset, which scans every window.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,7 +97,11 @@ def window_pair(domain: Domain, q_win, v, hi: float):
 
 def assert_same_window(domain: Domain, q_win, v, hi: float) -> bool:
     """Same result from both searches; True when the window holds a root."""
-    fast, slow = window_pair(domain, q_win, v, hi)
+    return assert_same_result(*window_pair(domain, q_win, v, hi))
+
+
+def assert_same_result(fast, slow) -> bool:
+    """Two window results bit for bit; True when they hold a root."""
     assert (fast is None) == (slow is None)
     if fast is None:
         return False
@@ -283,3 +293,187 @@ def test_contains_matches_oracle(name):
                     assert got == geometry_oracle.contains(domain, x, slack)
                     seen[bool(got)] += 1
     assert seen[True] and seen[False]
+
+
+# ---------------------------------------------------------------------------
+# Broad phase of the sphere stacks
+# ---------------------------------------------------------------------------
+
+BROAD_DOMAINS = {
+    **{f"sinai{d}d": build_sinai(d, r, 1.0, [[0.5] * d])
+       for d, r in ((3, 0.3), (4, 0.35), (5, 0.4), (6, 0.4), (7, 0.45), (8, 0.45))},
+    "sinai4d_side2.5": build_sinai(4, 0.9, 2.5, [[1.0] * 4]),
+    # two spheres in one stack: a window skips only when both are out of reach
+    **{f"pair{d}d": build_sinai(d, 0.2, 1.0, [[0.25] * d, [0.75] * d]) for d in (3, 5, 8)},
+}
+
+
+def _restacked(domain: Domain, **fields) -> Domain:
+    """A copy of the domain with ``fields`` replaced in every stack."""
+    dom = copy.copy(domain)
+    dom.stacks = [replace(s, **fields) for s in domain.stacks]
+    return dom
+
+
+def _unfiltered(domain: Domain) -> Domain:
+    """The domain with every stack scanned in every window."""
+    return _restacked(domain, reach_sq=None)
+
+
+def _skips(domain: Domain, q_win, v, hi: float, terms) -> bool:
+    """Whether the broad phase skips the (only) sphere stack in this window:
+    on a copy without image offsets, a scan that is not skipped fails."""
+    probe = _restacked(domain, deltas=None)
+    try:
+        return dynamics._window_candidates(probe, q_win, v, hi, terms) is None
+    except TypeError:
+        return False
+
+
+def assert_broad_phase_exact(domain: Domain, q_win, v, hi: float) -> bool:
+    """The broad-phase kernel against the unfiltered scan, bit for bit, and
+    its decision against the box distance oracle; True when skipped."""
+    terms = dynamics._velocity_terms(domain, v)
+    fast = dynamics._window_candidates(domain, q_win, v, hi, terms)
+    slow = dynamics._window_candidates(_unfiltered(domain), q_win, v, hi, terms)
+    assert_same_result(fast, slow)
+    skipped = _skips(domain, q_win, v, hi, terms)
+    (stack,) = domain.stacks
+    reach = np.sqrt(stack.reach_sq)
+    dist = np.array([oracle.box_lattice_distance(domain, i, q_win, v, hi)
+                     for i in stack.indices])
+    if skipped:
+        assert slow is None
+        assert (dist > stack.radii).all()
+    # the box gap is the exact distance, so the decision follows the oracle
+    # wherever rounding cannot tip it
+    if (dist > reach * (1.0 + 1e-9)).all():
+        assert skipped
+    if (dist < reach * (1.0 - 1e-9)).any():
+        assert not skipped
+    return skipped
+
+
+def _unit_normal_to(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    e = rng.standard_normal(v.shape[0])
+    e -= (e @ v) * v
+    return e / np.linalg.norm(e)
+
+
+def _broad_state(domain: Domain, rng: np.random.Generator, kind: str, sign: float):
+    """A window state: random, or aimed at a lattice image of a center so
+    that the entering root sits at hi -+ 1e-12 (``root_at_hi``), the closest
+    approach is r (1 +- 1e-12) (``grazing``) or reach (1 +- 1e-9)
+    (``at_reach``); ``face`` puts mid on a cell face (or one ulp off it),
+    where rint flips."""
+    d, L = domain.d, domain.ambient.side
+    window = 0.5 * L
+    if kind == "random":
+        return _window_state(domain, rng, rng.uniform(0.0, 3.0) * L, rng.uniform(1e-3, 1.0))
+    v = rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    if kind == "face":
+        q = rng.uniform(0.0, L, d)
+        hi = rng.uniform(1e-3, 1.0) * window
+        c = int(rng.integers(d))
+        k = int(rng.integers(-2, 2))
+        target = (k + 0.5) * L
+        if sign < 0.0:
+            target = np.nextafter(target, rng.choice([-np.inf, np.inf]))
+        center = domain.scatterers[int(rng.integers(len(domain.scatterers)))].center
+        q[c] = target + center[c] - (0.5 * hi) * v[c]
+        for _ in range(8):      # nudge q[c] until mid[c] is the target exactly
+            mid = q[c] + (0.5 * hi) * v[c] - center[c]
+            if mid == target:
+                break
+            q[c] = np.nextafter(q[c], np.inf if mid < target else -np.inf)
+        return q, v, hi
+    sphere = domain.scatterers[int(rng.integers(len(domain.scatterers)))]
+    r = sphere.radius
+    image = sphere.center + L * rng.integers(-1, 2, d)
+    e = _unit_normal_to(v, rng)
+    if kind == "root_at_hi":
+        D = rng.uniform(0.0, 0.999) * r
+        t_hit = rng.uniform(1e-3, 1.0) * window
+        t_c = t_hit + np.sqrt(r * r - D * D)
+        hi = t_hit - sign * 1e-12
+    else:
+        reach = r + 1e-6 * L
+        D = r * (1.0 + sign * 1e-12) if kind == "grazing" else reach * (1.0 + sign * 1e-9)
+        hi = rng.uniform(1e-3, 1.0) * window
+        t_c = rng.uniform(0.0, 1.0) * hi
+    return image + D * e - t_c * v, v, hi
+
+
+@pytest.mark.parametrize("name", sorted(BROAD_DOMAINS))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "root_at_hi", "grazing", "at_reach", "face"]),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_broad_phase_matches_unfiltered_scan(name, seed, kind, sign):
+    domain = BROAD_DOMAINS[name]
+    q_win, v, hi = _broad_state(domain, np.random.default_rng(seed), kind, sign)
+    assert_broad_phase_exact(domain, q_win, v, hi)
+    assert_same_window(domain, q_win, v, hi)
+
+
+@pytest.mark.parametrize("name", sorted(BROAD_DOMAINS))
+def test_broad_phase_along_flights(name):
+    # every window of a few long flights, half of them aimed at a center:
+    # both decisions occur, most 8-d windows skip, and no result moves
+    domain = BROAD_DOMAINS[name]
+    rng = np.random.default_rng(421)
+    window = 0.5 * domain.length_scale
+    skipped = scanned = 0
+    for j in range(4):
+        x = random_phase_point(domain, rng)
+        if j % 2:
+            aim = domain.min_image(domain.scatterers[0].center - x.q)
+            x = PhasePoint(x.q, aim / np.linalg.norm(aim))
+        for k in range(30):
+            if assert_broad_phase_exact(domain, x.q + (k * window) * x.v, x.v, window):
+                skipped += 1
+            else:
+                scanned += 1
+    assert skipped and scanned
+    if domain.d == 8 and name.startswith("sinai"):
+        assert skipped > 0.8 * (skipped + scanned)
+
+
+@pytest.mark.parametrize("d, T", [(3, 20.0), (4, 20.0), (8, 40.0)])
+def test_flow_with_broad_phase_matches_unfiltered_flow(d, T):
+    domain = BROAD_DOMAINS[f"sinai{d}d"]
+    plain = _unfiltered(domain)
+    rng = np.random.default_rng(431 + d)
+    events = 0
+    for _ in range(4):
+        x0 = random_phase_point(domain, rng)
+        fast, slow = flow(domain, x0, T), flow(plain, x0, T)
+        assert (fast.termination, _hex(fast.t_end)) == (slow.termination, _hex(slow.t_end))
+        assert len(fast.events) == len(slow.events)
+        for a, b in zip(fast.events, slow.events):
+            assert (_hex(a.t), a.scatterer_index) == (_hex(b.t), b.scatterer_index)
+            for name in ("q", "nu", "v_in", "v_out"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert fast.end.q.tobytes() == slow.end.q.tobytes()
+        events += len(fast.events)
+    assert events >= 4
+
+
+def test_broad_phase_only_on_sphere_lattices_of_three_or_more_dimensions():
+    for name, domain in {**DOMAINS, **BROAD_DOMAINS}.items():
+        for s in domain.stacks:
+            if s.kind == "sphere" and s.deltas.shape[1] >= 27:
+                reach = s.radii + 1e-6 * domain.length_scale
+                assert s.reach_sq.tobytes() == (reach ** 2).tobytes(), name
+            else:
+                assert s.reach_sq is None, name
+    # no 2-d lattice, no sphere in a box, no cylinder stack gets it
+    box3d = Domain(3, Box((1.0, 1.0, 1.0)), [Sphere(np.array([0.5, 0.5, 0.5]), 0.2)])
+    for domain in (DOMAINS["sinai2d"], DOMAINS["box_walls_sphere"], box3d,
+                   DOMAINS["cylinder3d"], DOMAINS["hardball32"], DOMAINS["hardball62"],
+                   DOMAINS["crossed_cylinders"]):
+        assert all(s.reach_sq is None for s in domain.stacks)
+    sphere, cylinder = DOMAINS["torus_sphere_cylinder"].stacks
+    assert sphere.reach_sq is not None and cylinder.reach_sq is None
+    assert all(s.reach_sq is not None for s in DOMAINS["sinai8d"].stacks)
