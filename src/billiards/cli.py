@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .catalog import CATALOG
 from .config import load_config
@@ -23,7 +24,7 @@ from .errors import (
     InfeasibleCovectorError,
     InvalidStateError,
 )
-from .runner import EXIT_CONFIG, run_experiment
+from .runner import EXIT_CONFIG, run_experiment, summary_text
 
 _CONFIG_ERRORS = (ConfigError, DomainConstructionError, InfeasibleCovectorError,
                   InvalidStateError, ValueError)
@@ -76,13 +77,12 @@ def cmd_verify(args) -> int:
     cfg = _load(args)
     summary, code = run_experiment(cfg, mode="verify", out_dir=args.out,
                                    corrupt_curvature=args.corrupt_curvature)
-    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-    print(text)
+    text = summary_text(summary)
+    sys.stdout.write(text)
     if args.out:
-        from pathlib import Path
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "verify_report.json").write_text(text + "\n", encoding="utf-8")
+        (out / "verify_report.json").write_text(text, encoding="utf-8")
     return code
 
 

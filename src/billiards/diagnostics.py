@@ -10,11 +10,12 @@ and report per-check pass/fail results.
 
 Each free segment is sampled at its endpoints plus ``interior`` evenly
 spaced points.  A series is sampled once per interior count, in one pass
-into ``(segments, samples)`` arrays that its checks and records share; the
-checks are array expressions over consecutive samples of the flattened grid
-(or over segment rows), and ``series_records`` returns the samples as a
-record array of columns.  The array forms reproduce the
-per-sample loops they replaced bit for bit.
+over its columns (``t0``, ``t1``, ``z``, ``w0``) into
+``(segments, samples)`` arrays that its checks and records share.  The
+checks are array expressions over consecutive samples of the flattened grid,
+over segment rows, or over the per-collision columns (``q_drop``), and
+``series_records`` returns the samples as a record array of columns.  The
+array forms reproduce the per-sample loops they replaced bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InfeasibleCovectorError, SeriesRangeError
+from .geometry import row_dot
 from .transport import Covector, TransportSeries, _complement_basis
 
 DEFAULT_INTERIOR_SAMPLES = 8
@@ -33,7 +35,7 @@ RATIO_SENTINEL_FLOOR = 1e-300
 
 CHECK_Q_NONINCREASING = "Q_nonincreasing"
 CHECK_W_CONTINUITY = "w_continuity"
-CHECK_Z_SEGMENT_CONSTANT = "z_segment_constant"
+CHECK_Q_COLLISION_DROP = "Q_collision_drop"
 CHECK_Q_STRICT_DECREASE = "Q_strict_decrease"
 CHECK_W_STRICT_INCREASE = "w_strict_increase"
 CHECK_RATIO_NONINCREASING = "w_over_Q_nonincreasing"
@@ -76,7 +78,7 @@ class _SampledSeries:
 
     ``t``, ``Q``, ``nw`` (``|w|``) and ``nn`` (``|n|``) are
     ``(segments, interior + 2)`` arrays; ``nz`` (``|z|``) holds one value
-    per segment, ``z`` and ``w0`` one ``(d,)`` row per segment.
+    per segment.
     """
 
     t: np.ndarray
@@ -84,8 +86,6 @@ class _SampledSeries:
     nw: np.ndarray
     nz: np.ndarray
     nn: np.ndarray
-    z: np.ndarray
-    w0: np.ndarray
 
 
 def _linspace_rows(t0: np.ndarray, t1: np.ndarray, m: int) -> np.ndarray:
@@ -104,27 +104,17 @@ def _linspace_rows(t0: np.ndarray, t1: np.ndarray, m: int) -> np.ndarray:
     return t
 
 
-def _dots(x: np.ndarray) -> np.ndarray:
-    """Row-wise ``x[k] @ x[k]``, bit for bit the per-row BLAS dot product
-    (``np.einsum`` sums in another order)."""
-    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
-
-
 def _sample(series: TransportSeries, interior: int) -> _SampledSeries:
     """The sample grid of a series, computed on first use and kept on the
     series (``TransportSeries.sample_grids``); its arrays are read-only.  A
     series whose magnitudes leave the double range raises on every call."""
     if interior in series.sample_grids:
         return series.sample_grids[interior]
-    segs = series.segments
-    t0 = np.array([seg.t0 for seg in segs])
-    t1 = np.array([seg.t1 for seg in segs])
-    Z = np.array([seg.z for seg in segs])
-    W0 = np.array([seg.w0 for seg in segs])
-    tt = _linspace_rows(t0, t1, interior + 2)
+    t0, Z = series.t0, series.z
+    tt = _linspace_rows(t0, series.t1, interior + 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        dw = W0[:, None, :] - (tt - t0[:, None])[:, :, None] * Z[:, None, :]
-        z2 = _dots(Z)
+        dw = series.w0[:, None, :] - (tt - t0[:, None])[:, :, None] * Z[:, None, :]
+        z2 = row_dot(Z, Z)     # per-row BLAS dot (np.einsum sums in another order)
         q = (dw @ Z[:, :, None])[:, :, 0]        # per-segment gemv, bit for bit
         nw = np.linalg.norm(dw, axis=2)
         nn = np.sqrt(nw * nw + z2[:, None])
@@ -134,7 +124,7 @@ def _sample(series: TransportSeries, interior: int) -> _SampledSeries:
         raise SeriesRangeError(
             "covector magnitudes exceed the double-precision range; "
             "shorten the horizon")
-    s = series.sample_grids[interior] = _SampledSeries(tt, q, nw, np.sqrt(z2), nn, Z, W0)
+    s = series.sample_grids[interior] = _SampledSeries(tt, q, nw, np.sqrt(z2), nn)
     for a in vars(s).values():
         a.flags.writeable = False
     return s
@@ -247,11 +237,12 @@ def verify_monotonicity(series: TransportSeries, tol: float = 1e-9,
     """Check the monotonicity laws of the transported covector.
 
     Always: Q non-increasing over the whole sample grid, |w| continuous at
-    collisions (relative jump below ``w_continuity_tol``), |z| constant on
-    free segments.  When ``Q(n_0) < 0`` additionally: Q strictly decreasing
-    on segments by the exact decrement, |w| strictly increasing at the
-    guaranteed rate, and |w|/|Q| globally non-increasing.  The strict checks
-    are skipped (not failed) when ``Q(n_0) >= 0``.
+    collisions (relative jump below ``w_continuity_tol``), and the drop of Q
+    across each collision equal to its closed form (``series.q_drop``).
+    When ``Q(n_0) < 0`` additionally: Q strictly decreasing on segments by
+    the exact decrement, |w| strictly increasing at the guaranteed rate, and
+    |w|/|Q| globally non-increasing.  The strict checks are skipped (not
+    failed) when ``Q(n_0) >= 0``.
 
     Grid checks compare consecutive samples of the flattened grid, event
     jumps included; the reported time is that of the later sample of the
@@ -259,7 +250,6 @@ def verify_monotonicity(series: TransportSeries, tol: float = 1e-9,
     """
     s = _sample(series, interior)
     q0 = lyapunov_Q(series.n0)
-    segs = series.segments
     t = s.t.ravel()
     q = s.Q.ravel()
     nw = s.nw.ravel()
@@ -271,22 +261,23 @@ def verify_monotonicity(series: TransportSeries, tol: float = 1e-9,
 
     # (b) |w| continuity at events, read off the segment endpoints themselves
     t0, t1 = s.t[:, 0], s.t[:, -1]
-    a = np.sqrt(_dots(s.w0[:-1] - (t0[1:] - t0[:-1])[:, None] * s.z[:-1]))
-    b = np.sqrt(_dots(s.w0[1:]))
+    w_pre = series.w0[:-1] - (t0[1:] - t0[:-1])[:, None] * series.z[:-1]
+    a = np.sqrt(row_dot(w_pre, w_pre))
+    b = np.sqrt(row_dot(series.w0[1:], series.w0[1:]))
     rel = np.abs(a - b) / _pairwise_max(a, b)
     worst_b, t_b = _worst(w_continuity_tol - rel, t0[1:]) or (w_continuity_tol, 0.0)
 
-    # (c) |z| constant on segments, evaluated through the query path; z is
-    # frozen on a segment, so its first sample stands for all of them
-    nz_query = np.array([float(np.linalg.norm(seg.covector_at(float(t_k)).z))
-                         for seg, t_k in zip(segs, t0)])
-    dev = np.abs(nz_query - s.nz)
-    worst_c, t_c = _worst(-dev / np.maximum(s.nz, RATIO_SENTINEL_FLOOR), t0) or (0.0, 0.0)
+    # (c) the drop of Q across each collision, read off the grid, equals the
+    # closed form the transport recorded; relative to |z| |w| before it
+    actual = s.Q[:-1, -1] - s.Q[1:, 0]
+    sc = np.maximum(_pairwise_max(np.abs(actual), np.abs(series.q_drop)),
+                    s.nz[:-1] * s.nw[:-1, -1])
+    worst_c, t_c = _worst(-np.abs(actual - series.q_drop) / sc, t1[:-1]) or (0.0, 0.0)
 
     checks = [
         _result(CHECK_Q_NONINCREASING, tol, worst_a, t_a),
         _result(CHECK_W_CONTINUITY, 0.0, worst_b, t_b),
-        _result(CHECK_Z_SEGMENT_CONSTANT, tol, worst_c, t_c),
+        _result(CHECK_Q_COLLISION_DROP, tol, worst_c, t_c),
     ]
 
     if q0 >= 0.0:
@@ -363,11 +354,11 @@ def q_decrement_breakdown(series: TransportSeries) -> dict:
     The drop of Q from start to end must equal the sum of the per-segment
     decrements ``dt |z|^2`` and the per-collision closed-form decrements.
     """
-    q_start = lyapunov_Q(series.segments[0].covector_at(series.segments[0].t0))
-    last = series.segments[-1]
-    q_end = lyapunov_Q(last.covector_at(last.t1))
-    free = [float((seg.t1 - seg.t0) * (seg.z @ seg.z)) for seg in series.segments]
-    collisions = [j.q_drop_closed_form for j in series.jumps]
+    z, w0, dt = series.z, series.w0, series.t1 - series.t0
+    q_start = float(z[0] @ w0[0])
+    q_end = float(z[-1] @ (w0[-1] - dt[-1] * z[-1]))
+    free = (dt * row_dot(z, z)).tolist()
+    collisions = series.q_drop.tolist()
     total = q_start - q_end
     return {"total_drop": total, "free_drops": free, "collision_drops": collisions,
             "residual": total - (sum(free) + sum(collisions))}

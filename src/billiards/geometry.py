@@ -239,12 +239,12 @@ Scatterer = Sphere | Cylinder | Halfspace
 
 
 def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot product of each row pair of two ``(S, d)`` stacks.
+    """Dot product of each row pair of two ``(..., d)`` stacks (broadcast).
 
-    numpy evaluates ``(S, 1, d) @ (S, d, 1)`` as one vector dot per row, so
-    each value has the bits of the 1-d ``x[i] @ y[i]``.
+    numpy evaluates ``(..., 1, d) @ (..., d, 1)`` as one vector dot per row,
+    so each value has the bits of the 1-d ``x[i] @ y[i]``.
     """
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 @dataclass(eq=False)

@@ -38,6 +38,9 @@ _CSV_FIELDS = ("t", "segment_index", "event_flag", "Q", "norm_w", "norm_z",
 _CSV_FORMATS = ("%.17g", "%d", "%d", "%.17g", "%.17g", "%.17g", "%.17g", "%.17g",
                 "%.17g", "%.17g")
 
+# sampled starting points keep this many eps_surface from every scatterer
+START_MARGIN_FACTOR = 10.0
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_SINGULAR = 2
@@ -51,13 +54,12 @@ def _fmt(x: float) -> str:
 
 
 def sample_initial_conditions(domain: Domain, count: int, seed: int,
-                              c0: float | None = None,
-                              rng_margin: float = 10.0) -> list[tuple[PhasePoint, Covector]]:
+                              c0: float | None = None) -> list[tuple[PhasePoint, Covector]]:
     """Deterministic seeded initial conditions: uniform positions outside the
     scatterers, uniform unit velocities, and unit covectors (Q-bounded when
     ``c0`` is given)."""
     out = []
-    margin = rng_margin * domain.eps_surface
+    margin = START_MARGIN_FACTOR * domain.eps_surface
     for i in range(count):
         rng = np.random.default_rng([seed, i])
         scale = domain.length_scale
@@ -96,30 +98,30 @@ class TrajectoryOutcome:
 
     def as_dict(self) -> dict:
         d = {"index": self.index, "termination": self.termination,
-             "event_count": self.event_count, "t_end": _json_float(self.t_end),
-             "min_cos_phi": _json_float(self.min_cos_phi),
-             "final_Q": _json_float(self.final_Q),
-             "final_lambda": _json_float(self.final_lambda),
+             "event_count": self.event_count, "t_end": self.t_end,
+             "min_cos_phi": self.min_cos_phi, "final_Q": self.final_Q,
+             "final_lambda": self.final_lambda,
              "checks": [c.as_dict() for c in self.checks]}
         if self.adjoint is not None:
-            d["adjoint_residual"] = _json_float(self.adjoint)
+            d["adjoint_residual"] = self.adjoint
         return d
 
 
-def _json_float(x):
-    if x is None or (isinstance(x, float) and not math.isfinite(x)):
-        return None
-    return x
-
-
 def _sanitize(obj):
+    """JSON-ready copy of a summary: a non-finite float becomes ``None``."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, float):
-        return _json_float(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
+
+
+def summary_text(summary: dict) -> str:
+    """A summary as written to ``summary.json`` and the verify report:
+    indented JSON with sorted keys and one trailing newline."""
+    return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def run_trajectory(cfg: ExperimentConfig, index: int, x0: PhasePoint, n0: Covector,
@@ -212,9 +214,7 @@ def run_experiment(cfg: ExperimentConfig, mode: str = "run",
     summary["exit_code"] = exit_code
 
     if emit_csv:
-        with open(out / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        (out / "summary.json").write_text(summary_text(summary), encoding="utf-8")
     return summary, exit_code
 
 
@@ -235,9 +235,8 @@ def _summarize(cfg: ExperimentConfig, mode: str, outcomes) -> dict:
             if c.margin is not None:
                 prev = worst_margins.get(c.name)
                 if prev is None or c.margin < prev["margin"]:
-                    worst_margins[c.name] = {"margin": _json_float(c.margin),
-                                             "trajectory": o.index,
-                                             "t": _json_float(c.t_worst)}
+                    worst_margins[c.name] = {"margin": c.margin, "trajectory": o.index,
+                                             "t": c.t_worst}
         if o.adjoint is not None:
             if worst_residual is None or o.adjoint > worst_residual:
                 worst_residual = o.adjoint
@@ -251,7 +250,7 @@ def _summarize(cfg: ExperimentConfig, mode: str, outcomes) -> dict:
         "worst_margins": worst_margins,
     }
     if worst_residual is not None:
-        ensemble["worst_adjoint_residual"] = _json_float(worst_residual)
+        ensemble["worst_adjoint_residual"] = worst_residual
         ensemble["adjoint_threshold"] = ADJOINT_RESIDUAL_FAIL
     return _sanitize({
         "schema": "billiard-summary-v1",

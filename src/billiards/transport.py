@@ -25,7 +25,16 @@ and ``V`` use.  The two maps are mutually adjoint, so the pairing with a
 forward-transported tangent vector is an exact invariant;
 ``adjoint_residual`` measures how well the implementation preserves it on a
 covector series that is already transported, so each trajectory's covector
-moves once.
+moves once, and evaluates it at both endpoints of every segment in one
+array expression.
+
+A transported series is a set of read-only columns over the trajectory's
+free segments (``series.segments`` is the trajectory's own list): ``t0`` and
+``t1`` ``(S,)``; for a covector ``z`` and ``w0`` ``(S, d)``, its value at
+each segment's start, and per collision ``q_drop`` and ``reprojection``
+``(E,)``; for tangent vectors ``dq0`` and ``dv`` ``(S, [m,] d)``.
+``covector_at`` and ``tangent_at`` evaluate the free-flight formula from
+one row.
 
 The collision maps trust the flow's grazing cutoff: ``flow`` ends a
 trajectory at a grazing impact instead of recording it, so every event it
@@ -47,7 +56,7 @@ import numpy as np
 
 from .dynamics import CollisionEvent, Trajectory
 from .errors import SeriesRangeError
-from .geometry import Vec, curvature_at, reflect
+from .geometry import Vec, curvature_at, reflect, row_dot
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -126,15 +135,15 @@ def _projected_curvature(x: Vec, v: Vec, vn: float, nu: Vec, K: np.ndarray) -> t
     return u, ku - (ku @ v / vn)[..., None] * nu
 
 
-def _covector_jump(n_minus: Covector, event: CollisionEvent,
-                   K: np.ndarray) -> tuple[Covector, float]:
-    """Covector after the collision and the closed-form drop of ``Q`` there."""
+def _covector_jump(z: Vec, w: Vec, event: CollisionEvent, K: np.ndarray,
+                   v_out: Vec) -> tuple[Vec, Vec, float]:
+    """``(z+, w+)`` across the collision and the closed-form drop of ``Q``
+    there; ``v_out`` is the unit outgoing velocity."""
     nu, cphi = event.nu, event.cos_phi
-    v_out = event.v_out / np.linalg.norm(event.v_out)
-    w_plus = reflect(n_minus.w, nu)
+    w_plus = reflect(w, nu)
     u, kick = _projected_curvature(w_plus, v_out, cphi, nu, K)   # V1 R w-, V1* K V1 R w-
-    z_plus = reflect(n_minus.z, nu) - 2.0 * cphi * kick
-    return Covector(z_plus, w_plus), 2.0 * cphi * float(u @ K @ u)
+    z_plus = reflect(z, nu) - 2.0 * cphi * kick
+    return z_plus, w_plus, 2.0 * cphi * float(u @ K @ u)
 
 
 def collision_covector(n_minus: Covector, event: CollisionEvent, K: np.ndarray) -> Covector:
@@ -144,12 +153,15 @@ def collision_covector(n_minus: Covector, event: CollisionEvent, K: np.ndarray) 
     across the event; the Lyapunov value drops by
     ``2 cos_phi <K V1 R w-, V1 R w->``, nonnegative for semi-dispersing walls.
     """
-    return _covector_jump(n_minus, event, K)[0]
+    v_out = event.v_out / np.linalg.norm(event.v_out)
+    z, w, _ = _covector_jump(n_minus.z, n_minus.w, event, K, v_out)
+    return Covector(z, w)
 
 
 def collision_q_drop(n_minus: Covector, event: CollisionEvent, K: np.ndarray) -> float:
     """Closed-form drop of the Lyapunov value at a collision (nonnegative)."""
-    return _covector_jump(n_minus, event, K)[1]
+    v_out = event.v_out / np.linalg.norm(event.v_out)
+    return _covector_jump(n_minus.z, n_minus.w, event, K, v_out)[2]
 
 
 def collision_tangent(dy_minus: TangentVector, event: CollisionEvent,
@@ -167,77 +179,52 @@ def collision_tangent(dy_minus: TangentVector, event: CollisionEvent,
 # Whole-trajectory transport
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class CovectorSegment:
-    """Covector data on one free segment: z is frozen, w is affine in t."""
-
-    t0: float
-    t1: float
-    v: Vec
-    z: Vec
-    w0: Vec
-
-    def covector_at(self, t: float) -> Covector:
-        return Covector(self.z.copy(), self.w0 - (t - self.t0) * self.z)
-
-
-@dataclass(eq=False)
-class CovectorJump:
-    """Pre/post covector values at one collision."""
-
-    t: float
-    n_pre: Covector
-    n_post: Covector
-    q_drop_closed_form: float
-    reprojection: float
-
-
-@dataclass(eq=False)
-class TangentSegment:
-    """Tangent data on one free segment: dv is frozen, dq is affine in t."""
-
-    t0: float
-    t1: float
-    dq0: Vec
-    dv: Vec
-
-    def tangent_at(self, t: float) -> TangentVector:
-        return TangentVector(self.dq0 + (t - self.t0) * self.dv, self.dv.copy())
-
-
 class _Series:
-    """Per-segment data over ``[0, t_end]`` with one segment lookup.
+    """Columns over the free segments of a trajectory, with one segment lookup.
 
-    Segment endpoints store the pre- and post-collision values; mid-segment
-    queries evaluate the free-flight formula from the left endpoint, so no
-    interpolation error is introduced.
+    Row ``k`` of every column belongs to ``segments[k]``, the trajectory's own
+    free segment from ``t0[k]`` to ``t1[k]``, and holds the value at its start,
+    i.e. right after the collision that opens it.  Queries evaluate the
+    free-flight formula from that start, so no interpolation error enters.
+    The columns are read-only: a transported series does not change.
     """
 
-    def __init__(self, segments: list, t_end: float):
-        self.segments = segments
-        self.t_end = t_end
-        self._t0 = np.array([s.t0 for s in segments])
+    def __init__(self, trajectory: Trajectory, *columns: np.ndarray):
+        self.trajectory = trajectory
+        self.segments = trajectory.segments
+        self.t_end = trajectory.t_end
+        self.t0 = np.array([s.t0 for s in self.segments])
+        self.t1 = np.array([s.t1 for s in self.segments])
+        for a in (self.t0, self.t1, *columns):
+            a.flags.writeable = False
 
-    def _segment(self, t: float, side: str):
-        """Segment holding time ``t``; at event times ``side`` picks the branch."""
+    def _row(self, t: float, side: str) -> int:
+        """Row of the segment holding time ``t``; at event times ``side`` picks the branch."""
         if t < -1e-12 or t > self.t_end + 1e-12:
             raise SeriesRangeError(f"time {t} outside transported range [0, {self.t_end}]")
-        k = max(int(np.searchsorted(self._t0, t, side="right") - 1), 0)
-        if side == "pre" and k > 0 and t <= self.segments[k].t0:
+        k = max(int(np.searchsorted(self.t0, t, side="right") - 1), 0)
+        if side == "pre" and k > 0 and t <= self.t0[k]:
             k -= 1
-        return self.segments[k]
+        return k
 
 
 class TransportSeries(_Series):
-    """Covector transported along a trajectory, queryable at any time."""
+    """Covector transported along a trajectory, queryable at any time.
 
-    def __init__(self, trajectory: Trajectory, n0: Covector,
-                 segments: list[CovectorSegment], jumps: list[CovectorJump]):
-        super().__init__(segments, trajectory.t_end)
-        self.trajectory = trajectory
+    ``z`` and ``w0`` ``(S, d)`` hold the covector at the start of each
+    segment: ``z`` is frozen on a segment and ``w = w0 - (t - t0) z``.
+    ``q_drop`` and ``reprojection`` ``(E,)`` hold, per collision, the
+    closed-form drop of ``Q`` and the relative size of the re-projection
+    onto the outgoing velocity's orthogonal complement.
+    """
+
+    def __init__(self, trajectory: Trajectory, n0: Covector, z: np.ndarray, w0: np.ndarray,
+                 q_drop: np.ndarray, reprojection: np.ndarray):
+        super().__init__(trajectory, z, w0, q_drop, reprojection)
         self.n0 = n0
-        self.jumps = jumps
         self.n0_norm = n0.norm()
+        self.z, self.w0 = z, w0
+        self.q_drop, self.reprojection = q_drop, reprojection
         # sample grids of the diagnostics, keyed by interior sample count: a
         # series is not changed once transported, so its checks and records
         # share one grid
@@ -245,19 +232,29 @@ class TransportSeries(_Series):
 
     @property
     def max_reprojection(self) -> float:
-        return max((j.reprojection for j in self.jumps), default=0.0)
+        return float(np.max(self.reprojection, initial=0.0))
 
     def covector_at(self, t: float, side: str = "post") -> Covector:
         """Covector at time ``t``; at event times ``side`` picks the branch."""
-        return self._segment(t, side).covector_at(t)
+        k = self._row(t, side)
+        return Covector(self.z[k].copy(), self.w0[k] - (t - self.t0[k]) * self.z[k])
 
 
 class TangentSeries(_Series):
-    """Tangent vector (or stack) transported forward along a trajectory."""
+    """Tangent vector (or stack) transported forward along a trajectory.
+
+    ``dq0`` and ``dv`` ``(S, [m,] d)`` hold it at the start of each segment:
+    ``dv`` is frozen on a segment and ``dq = dq0 + (t - t0) dv``.
+    """
+
+    def __init__(self, trajectory: Trajectory, dq0: np.ndarray, dv: np.ndarray):
+        super().__init__(trajectory, dq0, dv)
+        self.dq0, self.dv = dq0, dv
 
     def tangent_at(self, t: float, side: str = "post") -> TangentVector:
         """Tangent vector at time ``t``; at event times ``side`` picks the branch."""
-        return self._segment(t, side).tangent_at(t)
+        k = self._row(t, side)
+        return TangentVector(self.dq0[k] + (t - self.t0[k]) * self.dv[k], self.dv[k].copy())
 
 
 def _reproject(x: Vec, v: Vec) -> tuple[Vec, float]:
@@ -275,49 +272,45 @@ def transport_covector(trajectory: Trajectory, n0: Covector,
     rescales ``K`` (fault-injection hook for the adjointness negative
     control); it must be 1 for physical transport.
     """
-    v0 = trajectory.start.v
-    _check_transversal(n0.z, n0.w, v0, "covector")
+    _check_transversal(n0.z, n0.w, trajectory.start.v, "covector")
     if n0.norm() == 0.0:
         raise ValueError("covector must be nonzero")
     domain = trajectory.domain
-    segments: list[CovectorSegment] = []
-    jumps: list[CovectorJump] = []
-    z, w = n0.z.astype(float).copy(), n0.w.astype(float).copy()
-    for k, seg in enumerate(trajectory.segments):
-        segments.append(CovectorSegment(seg.t0, seg.t1, seg.v, z, w))
-        if k >= len(trajectory.events):
-            break
-        event = trajectory.events[k]
-        n_pre = Covector(z.copy(), w - seg.duration * z)
-        K = curvature_scale * curvature_at(domain, event.scatterer_index, event.nu)
-        n_post, drop = _covector_jump(n_pre, event, K)
+    z, w = np.ascontiguousarray(n0.z, dtype=float), np.ascontiguousarray(n0.w, dtype=float)
+    zs, ws, drops, corrs = [z], [w], [], []
+    for seg, event in zip(trajectory.segments, trajectory.events):
         v_out = event.v_out / np.linalg.norm(event.v_out)
-        z, cz = _reproject(n_post.z, v_out)
-        w, cw = _reproject(n_post.w, v_out)
+        K = curvature_scale * curvature_at(domain, event.scatterer_index, event.nu)
+        z_post, w_post, drop = _covector_jump(z, w - seg.duration * z, event, K, v_out)
+        z, cz = _reproject(z_post, v_out)
+        w, cw = _reproject(w_post, v_out)
         scale = max(np.linalg.norm(z), np.linalg.norm(w), 1e-300)
         with np.errstate(invalid="ignore"):
             corr = (cz + cw) / scale
-        jumps.append(CovectorJump(event.t, n_pre, Covector(z.copy(), w.copy()),
-                                  drop, corr if math.isfinite(corr) else math.inf))
-    return TransportSeries(trajectory, n0, segments, jumps)
+        zs.append(z)
+        ws.append(w)
+        drops.append(drop)
+        corrs.append(corr if math.isfinite(corr) else math.inf)
+    return TransportSeries(trajectory, n0, np.array(zs), np.array(ws),
+                           np.array(drops, dtype=float), np.array(corrs, dtype=float))
 
 
 def transport_tangent(trajectory: Trajectory, dy0: TangentVector) -> TangentSeries:
     """Push ``dy0`` (a vector or a stack) forward with the derivative of the flow."""
     _check_transversal(dy0.dq, dy0.dv, trajectory.start.v, "tangent vector")
     domain = trajectory.domain
-    segments: list[TangentSegment] = []
-    dq, dv = dy0.dq.astype(float).copy(), dy0.dv.astype(float).copy()
-    for k, seg in enumerate(trajectory.segments):
-        segments.append(TangentSegment(seg.t0, seg.t1, dq, dv))
-        if k >= len(trajectory.events):
-            break
-        event = trajectory.events[k]
-        dy_pre = TangentVector(dq + seg.duration * dv, dv)
+    # C order: the collision maps' BLAS products round differently on a
+    # Fortran-ordered stack, such as np.vstack of the transposed complement basis
+    dq = np.ascontiguousarray(dy0.dq, dtype=float)
+    dv = np.ascontiguousarray(dy0.dv, dtype=float)
+    dqs, dvs = [dq], [dv]
+    for seg, event in zip(trajectory.segments, trajectory.events):
         K = curvature_at(domain, event.scatterer_index, event.nu)
-        dy_post = collision_tangent(dy_pre, event, K)
-        dq, dv = dy_post.dq, dy_post.dv
-    return TangentSeries(segments, trajectory.t_end)
+        dy = collision_tangent(TangentVector(dq + seg.duration * dv, dv), event, K)
+        dq, dv = dy.dq, dy.dv
+        dqs.append(dq)
+        dvs.append(dv)
+    return TangentSeries(trajectory, np.array(dqs), np.array(dvs))
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +341,13 @@ def adjoint_residual(series: TransportSeries) -> float:
     a single tangent pass, which evaluates the curvature itself.  For each
     basis vector the pairing of the forward-transported tangent vector with
     the transported covector must equal its initial value at every segment
-    endpoint.  The residual at time ``t`` is normalized by the larger of the
+    endpoint; all endpoints are evaluated at once, as ``(S, 2, ...)``
+    arrays.  The residual at time ``t`` is normalized by the larger of the
     initial and current magnitude products: the pairing is evaluated by
     cancellation of terms of that size, which is the scale fixed precision
-    can certify.  A series transported with a rescaled curvature breaks
-    adjointness and must produce a large residual (negative control).
+    can certify.  A pairing that is not finite makes the residual infinite.
+    A series transported with a rescaled curvature breaks adjointness and
+    must produce a large residual (negative control).
     """
     trajectory = series.trajectory
     basis = _complement_basis(trajectory.start.v)
@@ -361,10 +356,16 @@ def adjoint_residual(series: TransportSeries) -> float:
     tan = transport_tangent(trajectory, dy0)
     p0 = pairing(dy0, series.n0)
     base = dy0.norm() * series.n0_norm
-    worst = 0.0
-    for cseg, tseg in zip(series.segments, tan.segments):
-        for t in (cseg.t0, cseg.t1):
-            n_t, dy_t = cseg.covector_at(t), tseg.tangent_at(t)
-            scale = np.maximum(np.maximum(base, dy_t.norm() * n_t.norm()), 1e-300)
-            worst = max(worst, float(np.max(np.abs(pairing(dy_t, n_t) - p0) / scale)))
-    return worst
+    # time since the segment start at its two endpoints, (S, 2)
+    dt = np.stack([series.t0 - series.t0, series.t1 - series.t0], axis=1)
+    z = series.z[:, None, :]                                         # (S, 1, d)
+    w = series.w0[:, None, :] - dt[..., None] * z                    # (S, 2, d)
+    dq = tan.dq0[:, None] + dt[..., None, None] * tan.dv[:, None]    # (S, 2, m, d)
+    dv = tan.dv[:, None]                                             # (S, 1, m, d)
+    # the per-vector products of TangentVector.norm, Covector.norm and pairing
+    n_norm = np.sqrt(row_dot(z, z) + row_dot(w, w))
+    dy_norm = np.sqrt(np.einsum("...i,...i", dq, dq) + np.einsum("...i,...i", dv, dv))
+    scale = np.maximum(np.maximum(base, dy_norm * n_norm[..., None]), 1e-300)
+    paired = (dq @ z[..., None])[..., 0] + (dv @ w[..., None])[..., 0]
+    worst = float(np.max(np.abs(paired - p0) / scale))
+    return math.inf if math.isnan(worst) else worst

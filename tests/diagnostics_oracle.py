@@ -1,7 +1,8 @@
 """Per-sample loop implementations of the diagnostics, kept as test oracles.
 
 These are the original Python-loop forms of sampling, checks (a)-(h), the
-sampled records and the CSV writer.  The array forms in
+sampled records and the CSV writer, reading a series one segment row at a
+time.  The array forms in
 ``billiards.diagnostics`` and ``billiards.runner`` must reproduce them bit
 for bit: every margin, every ``t_worst``, every record field and every CSV
 byte.  Checks come back as ``(name, status, margin, t_worst)`` tuples.
@@ -17,13 +18,13 @@ import numpy as np
 
 from billiards.diagnostics import (
     CHECK_LAMBDA_LINEAR_GROWTH,
+    CHECK_Q_COLLISION_DROP,
     CHECK_Q_NONINCREASING,
     CHECK_Q_STRICT_DECREASE,
     CHECK_RATIO_NONINCREASING,
     CHECK_W_CONTINUITY,
     CHECK_W_LINEAR_GROWTH,
     CHECK_W_STRICT_INCREASE,
-    CHECK_Z_SEGMENT_CONSTANT,
     RATIO_SENTINEL_FLOOR,
     W_CONTINUITY_TOL,
     lyapunov_Q,
@@ -60,11 +61,11 @@ def sample(series, interior):
     ts, Qs, nws, nzs, nns = [], [], [], [], []
     finite = True
     with np.errstate(over="ignore", invalid="ignore"):
-        for seg in series.segments:
-            tt = np.linspace(seg.t0, seg.t1, interior + 2)
-            dw = seg.w0[None, :] - (tt - seg.t0)[:, None] * seg.z[None, :]
-            z2 = float(seg.z @ seg.z)
-            q = dw @ seg.z
+        for t0, t1, z, w0 in zip(series.t0, series.t1, series.z, series.w0):
+            tt = np.linspace(t0, t1, interior + 2)
+            dw = w0[None, :] - (tt - t0)[:, None] * z[None, :]
+            z2 = float(z @ z)
+            q = dw @ z
             nw = np.linalg.norm(dw, axis=1)
             ts.append(tt)
             Qs.append(q)
@@ -110,6 +111,7 @@ def verify_monotonicity(series, tol=1e-9, w_continuity_tol=W_CONTINUITY_TOL, int
     s = sample(series, interior)
     q0 = lyapunov_Q(series.n0)
     segs = series.segments
+    t0, z, w0 = series.t0, series.z, series.w0
 
     worst_a, t_a = math.inf, 0.0
     prev_q = prev_scale = None
@@ -127,9 +129,9 @@ def verify_monotonicity(series, tol=1e-9, w_continuity_tol=W_CONTINUITY_TOL, int
 
     worst_b, t_b = math.inf, 0.0
     for k in range(1, len(segs)):
-        t_ev = segs[k].t0
-        a = float(np.linalg.norm(segs[k - 1].covector_at(t_ev).w))
-        b = float(np.linalg.norm(segs[k].w0))
+        t_ev = t0[k]
+        a = float(np.linalg.norm(w0[k - 1] - (t_ev - t0[k - 1]) * z[k - 1]))
+        b = float(np.linalg.norm(w0[k]))
         rel = abs(a - b) / max(a, b, RATIO_SENTINEL_FLOOR)
         m = w_continuity_tol - rel
         if m < worst_b:
@@ -138,20 +140,20 @@ def verify_monotonicity(series, tol=1e-9, w_continuity_tol=W_CONTINUITY_TOL, int
         worst_b, t_b = w_continuity_tol, 0.0
 
     worst_c, t_c = math.inf, 0.0
-    for k, seg in enumerate(segs):
-        ref = s.nz[k]
-        for t in s.t[k]:
-            dev = abs(float(np.linalg.norm(seg.covector_at(float(t)).z)) - ref)
-            m = -dev / max(ref, RATIO_SENTINEL_FLOOR)
-            if m < worst_c:
-                worst_c, t_c = m, float(t)
+    for k, closed in enumerate(series.q_drop):
+        actual = float(s.Q[k][-1] - s.Q[k + 1][0])
+        scale = max(abs(actual), abs(float(closed)), s.nz[k] * float(s.nw[k][-1]),
+                    RATIO_SENTINEL_FLOOR)
+        m = -abs(actual - closed) / scale
+        if m < worst_c:
+            worst_c, t_c = m, float(s.t[k][-1])
     if not np.isfinite(worst_c):
         worst_c, t_c = 0.0, 0.0
 
     checks = [
         _result(CHECK_Q_NONINCREASING, tol, worst_a, t_a),
         _result(CHECK_W_CONTINUITY, 0.0, worst_b, t_b),
-        _result(CHECK_Z_SEGMENT_CONSTANT, tol, worst_c, t_c),
+        _result(CHECK_Q_COLLISION_DROP, tol, worst_c, t_c),
     ]
     if q0 >= 0.0:
         return checks + [(CHECK_Q_STRICT_DECREASE, "skipped", None, None),
@@ -159,8 +161,8 @@ def verify_monotonicity(series, tol=1e-9, w_continuity_tol=W_CONTINUITY_TOL, int
                          (CHECK_RATIO_NONINCREASING, "skipped", None, None)]
 
     worst_d, t_d = math.inf, 0.0
-    for k, seg in enumerate(segs):
-        dt = seg.t1 - seg.t0
+    for k in range(len(segs)):
+        dt = series.t1[k] - t0[k]
         if dt <= 0.0:
             continue
         z2 = s.nz[k] ** 2
@@ -168,7 +170,7 @@ def verify_monotonicity(series, tol=1e-9, w_continuity_tol=W_CONTINUITY_TOL, int
         sc = max(s.nz[k] * float(np.max(s.nw[k])), RATIO_SENTINEL_FLOOR)
         m = (drop - dt * z2) / sc
         if m < worst_d:
-            worst_d, t_d = m, seg.t1
+            worst_d, t_d = m, float(series.t1[k])
     if not np.isfinite(worst_d):
         worst_d, t_d = 0.0, 0.0
 

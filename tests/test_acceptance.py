@@ -42,13 +42,13 @@ from billiards import (
 from billiards.cli import main
 from billiards.diagnostics import (
     CHECK_LAMBDA_LINEAR_GROWTH,
+    CHECK_Q_COLLISION_DROP,
     CHECK_Q_NONINCREASING,
     CHECK_Q_STRICT_DECREASE,
     CHECK_RATIO_NONINCREASING,
     CHECK_W_CONTINUITY,
     CHECK_W_LINEAR_GROWTH,
     CHECK_W_STRICT_INCREASE,
-    CHECK_Z_SEGMENT_CONSTANT,
 )
 from billiards.runner import sample_initial_conditions
 
@@ -154,11 +154,11 @@ def test_criterion_02_monotonicity_ensemble(ensemble_a):
     for name, traj, n0, series in ensemble_a:
         rep = verify_monotonicity(series, TOL_CHECKS, w_continuity_tol=TOL_W_JUMP)
         for check_name in (CHECK_Q_NONINCREASING, CHECK_W_CONTINUITY,
-                           CHECK_Z_SEGMENT_CONSTANT):
+                           CHECK_Q_COLLISION_DROP):
             if rep.check(check_name).status == "fail":
                 violations += 1
     ok = violations == 0
-    report(2, "Q/|w|/|z| monotonicity laws", ok,
+    report(2, "Q/|w| monotonicity laws and collision Q drops", ok,
            f"{violations} violations over {len(ensemble_a)} trajectories")
     assert violations == 0
 
@@ -210,10 +210,10 @@ def test_criterion_04_w_linear_bound(ensemble_b):
 
 def _lambda_samples(series, t_lo: float, interior: int = 8):
     ts, lams = [], []
-    for seg in series.segments:
-        tt = np.linspace(seg.t0, seg.t1, interior + 2)
-        ws = seg.w0[None, :] - (tt - seg.t0)[:, None] * seg.z[None, :]
-        nn = np.sqrt(np.einsum("ij,ij->i", ws, ws) + float(seg.z @ seg.z))
+    for t0, t1, z, w0 in zip(series.t0, series.t1, series.z, series.w0):
+        tt = np.linspace(t0, t1, interior + 2)
+        ws = w0[None, :] - (tt - t0)[:, None] * z[None, :]
+        nn = np.sqrt(np.einsum("ij,ij->i", ws, ws) + float(z @ z))
         sel = tt >= t_lo
         ts.append(tt[sel])
         lams.append(nn[sel] / series.n0_norm)
@@ -251,12 +251,12 @@ def test_criterion_05_lambda_growth(ensemble_b):
 def test_criterion_06_segment_identities(ensemble_a):
     worst = 0.0
     for name, traj, n0, series in ensemble_a:
-        for seg in series.segments:
-            dt = seg.t1 - seg.t0
-            n_a = seg.covector_at(seg.t0)
-            n_b = seg.covector_at(seg.t1)
+        for t0, t1, z, w0 in zip(series.t0, series.t1, series.z, series.w0):
+            dt = t1 - t0
+            n_a = Covector(z, w0)
+            n_b = Covector(z, w0 - dt * z)
             qa, qb = lyapunov_Q(n_a), lyapunov_Q(n_b)
-            z2 = float(seg.z @ seg.z)
+            z2 = float(z @ z)
             wa2, wb2 = float(n_a.w @ n_a.w), float(n_b.w @ n_b.w)
             scale_q = max(abs(qa), abs(qb), dt * z2, 1e-300)
             worst = max(worst, abs(qb - (qa - dt * z2)) / scale_q)
@@ -275,12 +275,13 @@ def test_criterion_07_collision_decrement(ensemble_a, domains):
     worst = 0.0
     n_events = 0
     for name, traj, n0, series in ensemble_a:
-        for jump in series.jumps:
-            actual = lyapunov_Q(jump.n_pre) - lyapunov_Q(jump.n_post)
-            scale = max(abs(actual), abs(jump.q_drop_closed_form),
-                        np.linalg.norm(jump.n_pre.z) * np.linalg.norm(jump.n_pre.w),
-                        1e-300)
-            worst = max(worst, abs(actual - jump.q_drop_closed_form) / scale)
+        for event, closed in zip(traj.events, series.q_drop):
+            n_pre = series.covector_at(event.t, "pre")
+            n_post = series.covector_at(event.t, "post")
+            actual = lyapunov_Q(n_pre) - lyapunov_Q(n_post)
+            scale = max(abs(actual), abs(closed),
+                        np.linalg.norm(n_pre.z) * np.linalg.norm(n_pre.w), 1e-300)
+            worst = max(worst, abs(actual - closed) / scale)
             n_events += 1
 
     # flat wall: the decrement vanishes identically

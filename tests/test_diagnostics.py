@@ -14,6 +14,7 @@ from billiards import (
     SeriesRangeError,
     TERMINATION_HORIZON,
     Torus,
+    TransportSeries,
     expansion_factor,
     flow,
     lyapunov_Q,
@@ -27,13 +28,13 @@ from billiards import (
 )
 from billiards.diagnostics import (
     CHECK_LAMBDA_LINEAR_GROWTH,
+    CHECK_Q_COLLISION_DROP,
     CHECK_Q_NONINCREASING,
     CHECK_Q_STRICT_DECREASE,
     CHECK_RATIO_NONINCREASING,
     CHECK_W_CONTINUITY,
     CHECK_W_LINEAR_GROWTH,
     CHECK_W_STRICT_INCREASE,
-    CHECK_Z_SEGMENT_CONSTANT,
 )
 from conftest import random_phase_point
 
@@ -119,14 +120,20 @@ def test_monotonicity_skips_strict_checks_when_q_nonnegative():
     assert report.check(CHECK_RATIO_NONINCREASING).status == "skipped"
 
 
+def corrupted(series, k, column, factor):
+    """A copy of ``series`` with row ``k`` of its ``z`` or ``w0`` column scaled."""
+    cols = {"z": series.z.copy(), "w0": series.w0.copy()}
+    cols[column][k] *= factor
+    return TransportSeries(series.trajectory, series.n0, cols["z"], cols["w0"],
+                           series.q_drop, series.reprojection)
+
+
 def test_monotonicity_detects_corrupted_w(sinai2d):
     rng = np.random.default_rng(83)
     series = bounced_series(sinai2d, rng, c0=0.1)
     k = len(series.segments) // 2
     assert k >= 1
-    seg = series.segments[k]
-    series.segments[k] = type(seg)(seg.t0, seg.t1, seg.v, seg.z, 1.5 * seg.w0)
-    report = verify_monotonicity(series, 1e-9)
+    report = verify_monotonicity(corrupted(series, k, "w0", 1.5), 1e-9)
     assert report.check(CHECK_W_CONTINUITY).status == "fail"
     assert report.check(CHECK_W_CONTINUITY).margin < 0.0
 
@@ -135,10 +142,26 @@ def test_monotonicity_detects_corrupted_z(sinai2d):
     rng = np.random.default_rng(87)
     series = bounced_series(sinai2d, rng, c0=0.1)
     k = len(series.segments) // 2
-    seg = series.segments[k]
-    series.segments[k] = type(seg)(seg.t0, seg.t1, seg.v, -0.5 * seg.z, seg.w0)
-    report = verify_monotonicity(series, 1e-9)
+    report = verify_monotonicity(corrupted(series, k, "z", -0.5), 1e-9)
     assert not report.passed()
+
+
+@pytest.mark.parametrize("column,factor", [("z", -0.5), ("z", 1.01), ("w0", 1.5),
+                                           ("w0", 0.99)])
+def test_collision_drop_check_fails_on_corrupted_row(sinai2d, column, factor):
+    # a corrupted row moves Q right after the collision that opens the
+    # segment, so the drop there no longer matches its closed form
+    rng = np.random.default_rng(91)
+    series = bounced_series(sinai2d, rng, c0=0.1)
+    clean = verify_monotonicity(series, 1e-9).check(CHECK_Q_COLLISION_DROP)
+    assert clean.status == "pass" and clean.margin > -1e-12
+    k = len(series.segments) // 2
+    assert k >= 1
+    check = verify_monotonicity(corrupted(series, k, column, factor),
+                                1e-9).check(CHECK_Q_COLLISION_DROP)
+    assert check.status == "fail"
+    # the row opens at event k - 1 and closes at event k
+    assert check.t_worst in {ev.t for ev in series.trajectory.events[k - 1:k + 1]}
 
 
 def test_monotonicity_report_structure(sinai2d):
@@ -146,7 +169,7 @@ def test_monotonicity_report_structure(sinai2d):
     series = bounced_series(sinai2d, rng)
     report = verify_monotonicity(series, 1e-9)
     names = [c.name for c in report.checks]
-    assert names == [CHECK_Q_NONINCREASING, CHECK_W_CONTINUITY, CHECK_Z_SEGMENT_CONSTANT,
+    assert names == [CHECK_Q_NONINCREASING, CHECK_W_CONTINUITY, CHECK_Q_COLLISION_DROP,
                      CHECK_Q_STRICT_DECREASE, CHECK_W_STRICT_INCREASE,
                      CHECK_RATIO_NONINCREASING]
     assert len(names) == len(set(names))
@@ -288,7 +311,7 @@ def test_series_records_event_pairs(sinai2d):
     records = series_records(series, interior=8, c0=0.1)
     pre = [r for r in records if r.event_flag == 1]
     post = [r for r in records if r.event_flag == 2]
-    assert len(pre) == len(post) == len(series.jumps)
+    assert len(pre) == len(post) == len(series.q_drop) == series.trajectory.event_count
     for a, b in zip(pre, post):
         assert a.t == b.t
     ts = [r.t for r in records]

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import billiards
@@ -336,17 +337,36 @@ def test_verify_evaluates_curvature_twice_per_collision(tmp_path, monkeypatch, c
     assert len(calls) == 2 * events
 
 
-def test_benchmark_trace_points_exist():
-    # the benchmark wraps these module attributes; a rename must fail here
-    # and not only in the benchmark's own self-test
+def _benchmark_spans():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_trace_points_exist():
+    # the benchmark wraps these module attributes; a rename must fail here
+    # and not only in the benchmark's own self-test
+    spans = _benchmark_spans()
     assert spans.TRACED
     for module, attr in spans.TRACED:
         owner = importlib.import_module(f"billiards.{module}")
         assert callable(getattr(owner, attr, None)), f"billiards.{module}.{attr}"
+
+
+def test_benchmark_sample_counter_reads_series_segments():
+    # the benchmark counts diagnostics samples as (interior + 2) per entry
+    # of series.segments, the trajectory's own free segments
+    spans = _benchmark_spans()
+    dom = billiards.build_sinai(2, 0.25, 1.0, [[0.5, 0.5]])
+    traj = billiards.flow(dom, billiards.PhasePoint([0.1, 0.5], [0.8, 0.6]), 4.0)
+    assert traj.event_count >= 2
+    z = np.array([-0.6, 0.8])
+    series = billiards.transport_covector(traj, billiards.Covector(z, -0.5 * z))
+    assert series.segments is traj.segments
+    assert spans._samples((series,), {"interior": 3}, None) == 5 * len(series.segments)
+    assert len(series.segments) == len(series.z) == traj.event_count + 1
 
 
 def test_loose_grazing_cutoff_reports_singular_terminations(tmp_path):

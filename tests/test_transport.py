@@ -282,11 +282,11 @@ def test_flat_wall_series_preserves_z_norm():
     traj = flow(dom, PhasePoint(np.array([0.2, 0.5]), np.array([SQ2 / 2, -SQ2 / 2])), 0.9)
     u = np.array([SQ2 / 2, SQ2 / 2])
     series = transport_covector(traj, Covector(0.5 * u, -0.1 * u))
-    assert len(series.jumps) == 1
-    jump = series.jumps[0]
-    assert np.linalg.norm(jump.n_post.z) == pytest.approx(np.linalg.norm(jump.n_pre.z),
-                                                          rel=1e-14)
-    assert jump.q_drop_closed_form == 0.0
+    assert series.q_drop.shape == (1,)
+    t = traj.events[0].t
+    n_pre, n_post = series.covector_at(t, "pre"), series.covector_at(t, "post")
+    assert np.linalg.norm(n_post.z) == pytest.approx(np.linalg.norm(n_pre.z), rel=1e-14)
+    assert series.q_drop[0] == 0.0
 
 
 def _sample_series(dom, rng, T=8.0, c0=None):
@@ -307,22 +307,22 @@ def test_w_norm_continuous_and_z_piecewise_constant(sinai2d, hardball32):
     for dom in (sinai2d, hardball32):
         for _ in range(5):
             traj, n0, series = _sample_series(dom, rng)
-            for jump in series.jumps:
-                a = np.linalg.norm(jump.n_pre.w)
-                b = np.linalg.norm(jump.n_post.w)
+            for event in traj.events:
+                a = np.linalg.norm(series.covector_at(event.t, "pre").w)
+                b = np.linalg.norm(series.covector_at(event.t, "post").w)
                 assert abs(a - b) <= 1e-12 * max(a, b)
-            for seg in series.segments:
-                mid = seg.covector_at(0.5 * (seg.t0 + seg.t1))
-                assert np.linalg.norm(mid.z - seg.z) == 0.0
+            for t0, t1, z in zip(series.t0, series.t1, series.z):
+                mid = series.covector_at(0.5 * (t0 + t1))
+                assert np.linalg.norm(mid.z - z) == 0.0
 
 
 def test_orthogonality_preserved_along_series(sinai2d, cylinder3d):
     rng = np.random.default_rng(47)
     for dom in (sinai2d, cylinder3d):
         traj, n0, series = _sample_series(dom, rng)
-        for seg in series.segments:
-            for t in np.linspace(seg.t0, seg.t1, 5):
-                n = seg.covector_at(t)
+        for seg, t0, t1 in zip(series.segments, series.t0, series.t1):
+            for t in np.linspace(t0, t1, 5):
+                n = series.covector_at(t, "pre" if t == t1 else "post")
                 scale = max(np.linalg.norm(n.z), np.linalg.norm(n.w), 1e-300)
                 assert abs(n.z @ seg.v) <= 1e-10 * scale
                 assert abs(n.w @ seg.v) <= 1e-10 * scale
@@ -334,11 +334,11 @@ def test_segment_identities_exact(sinai2d, hardball32):
     for dom in (sinai2d, hardball32):
         for _ in range(5):
             traj, n0, series = _sample_series(dom, rng)
-            for seg in series.segments:
-                dt = seg.t1 - seg.t0
-                n_a, n_b = seg.covector_at(seg.t0), seg.covector_at(seg.t1)
+            for t0, t1, z in zip(series.t0, series.t1, series.z):
+                dt = t1 - t0
+                n_a, n_b = series.covector_at(t0), series.covector_at(t1, "pre")
                 qa, qb = lyapunov_Q(n_a), lyapunov_Q(n_b)
-                z2 = float(seg.z @ seg.z)
+                z2 = float(z @ z)
                 wa2 = float(n_a.w @ n_a.w)
                 wb2 = float(n_b.w @ n_b.w)
                 scale_q = max(abs(qa), abs(qb), dt * z2, 1e-300)
@@ -351,11 +351,12 @@ def test_per_event_q_jump_matches_closed_form(sinai2d, cylinder3d, hardball32):
     rng = np.random.default_rng(59)
     for dom in (sinai2d, cylinder3d, hardball32):
         traj, n0, series = _sample_series(dom, rng)
-        for jump in series.jumps:
-            actual = lyapunov_Q(jump.n_pre) - lyapunov_Q(jump.n_post)
-            scale = max(abs(actual), abs(jump.q_drop_closed_form),
-                        np.linalg.norm(jump.n_pre.z) * np.linalg.norm(jump.n_pre.w), 1e-300)
-            assert abs(actual - jump.q_drop_closed_form) <= 1e-10 * scale
+        for event, closed in zip(traj.events, series.q_drop):
+            n_pre = series.covector_at(event.t, "pre")
+            actual = lyapunov_Q(n_pre) - lyapunov_Q(series.covector_at(event.t, "post"))
+            scale = max(abs(actual), abs(closed),
+                        np.linalg.norm(n_pre.z) * np.linalg.norm(n_pre.w), 1e-300)
+            assert abs(actual - closed) <= 1e-10 * scale
 
 
 def test_adjoint_residual_zero_without_events():
@@ -394,10 +395,10 @@ def test_kernel_tangency_preserved(sinai2d):
             continue
         assert abs(pairing(ker, n0)) < 1e-12
         tan = transport_tangent(traj, ker)
-        for cseg, tseg in zip(series.segments, tan.segments):
-            for t in (cseg.t0, cseg.t1):
-                n_t = cseg.covector_at(t)
-                dy_t = tseg.tangent_at(t)
+        for t0, t1 in zip(series.t0, series.t1):
+            for t, side in ((t0, "post"), (t1, "pre")):
+                n_t = series.covector_at(t, side)
+                dy_t = tan.tangent_at(t, side)
                 scale = max(dy_t.norm() * n_t.norm(), ker.norm() * n0.norm())
                 assert abs(pairing(dy_t, n_t)) <= 1e-9 * scale
 
