@@ -44,6 +44,14 @@ _MAX_ENUM_DIM = 12
 # already exits early, and with the test 2-d Sinai runs were 3-7% slower.
 _BROAD_PHASE_MIN_IMAGES = 27
 
+# The collision search passes up to WINDOW_CHUNK_MAX consecutive flight
+# windows to one kernel call, as many as keep a call near CHUNK_ROWS image
+# rows (``Domain.window_chunk``); a broad-phase stack scans at most
+# max(CHUNK_ROWS, one window's images) rows per call.  Small scans are
+# dominated by the fixed cost of a call, not by array work.
+CHUNK_ROWS = 64
+WINDOW_CHUNK_MAX = 16
+
 
 def as_vec(x, d: int | None = None, name: str = "vector") -> Vec:
     v = np.asarray(x, dtype=float)
@@ -274,12 +282,14 @@ class ScattererStack:
     reach_sq: np.ndarray | None = None
 
     def transverse(self, x: np.ndarray) -> np.ndarray:
-        """Each row of ``x`` minus its component along that scatterer's axis
-        subspace, as ``x - A^T (A x)`` per row; rows unchanged for spheres."""
+        """Each row of ``x``, ``(..., S, d)``, minus its component along that
+        scatterer's axis subspace, as ``x - A^T (A x)`` per row (one ``gemv``
+        per row, whatever the leading dimensions); rows unchanged for
+        spheres."""
         if self.axes is None:
             return x
-        ax = self.axes @ x[:, :, None]
-        return x - (self.axes.transpose(0, 2, 1) @ ax)[:, :, 0]
+        ax = self.axes @ x[..., None]
+        return x - (self.axes.transpose(0, 2, 1) @ ax)[..., 0]
 
 
 def _stack_scatterers(scatterers: list[Scatterer], image_deltas: list[np.ndarray | None],
@@ -329,7 +339,10 @@ class Domain:
     are the measure-zero multiple-collision corners, which the dynamics
     treats as singular.  ``stacks`` holds the scatterers grouped by kind
     and shape, for the array passes of the collision search and
-    :meth:`contains`.
+    :meth:`contains`.  ``window_chunk`` is how many flight windows one call
+    of the collision search covers: ``CHUNK_ROWS`` over the images a window
+    scans (S m per stack, S per broad-phase stack, whose windows are mostly
+    skipped), between 1 and ``WINDOW_CHUNK_MAX``.
     """
 
     d: int
@@ -337,6 +350,7 @@ class Domain:
     scatterers: list[Scatterer]
     labels: list[str] | None = None
     stacks: list[ScattererStack] = field(init=False, repr=False)
+    window_chunk: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d < 2:
@@ -352,6 +366,9 @@ class Domain:
         self.stacks = _stack_scatterers(
             self.scatterers, [self._build_image_deltas(s) for s in self.scatterers],
             self.length_scale)
+        images = sum(st.indices.size if st.deltas is None or st.reach_sq is not None
+                     else st.indices.size * st.deltas.shape[1] for st in self.stacks)
+        self.window_chunk = min(WINDOW_CHUNK_MAX, max(1, CHUNK_ROWS // max(images, 1)))
         # each scatterer's image offsets, as a view into its stack (3^d rows
         # for a sphere, so they are not stored twice)
         self._image_deltas: list[np.ndarray | None] = [None] * len(self.scatterers)

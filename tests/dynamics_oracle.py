@@ -4,8 +4,9 @@ stacked window kernel ``billiards.dynamics._window_candidates``.
 ``scatterer_candidates`` scans one scatterer's images the way the flow did
 before the scatterers were stacked; ``window_scan`` collects every
 scatterer's roots and stable-sorts them, so ties go to the lower scatterer
-index and then the earlier image; ``next_collision`` is the event search
-built on that scan.  ``box_lattice_distance`` is the oracle of the sphere
+index and then the earlier image; ``chunk_scan`` runs it window by window
+over a chunk, as one call of the kernel searches; ``next_collision`` is the
+event search built on that scan.  ``box_lattice_distance`` is the oracle of the sphere
 broad phase: the distance from a window's flight box to the nearest lattice
 image of a sphere center, coordinate by coordinate.
 """
@@ -104,6 +105,17 @@ def window_scan(domain: Domain, q_win, v, hi: float) -> tuple[_Candidate, float]
         return None
     cands.sort(key=lambda c: c.t)
     return cands[0], (cands[1].t if len(cands) > 1 else np.inf)
+
+
+def chunk_scan(domain: Domain, q, v, starts, widths) -> tuple[int, tuple[_Candidate, float] | None]:
+    """``window_scan`` over the windows ``(starts[w], starts[w] + widths[w]]``
+    of the flight ``q + t v``, one at a time: the first window that holds a
+    root and its result, or the window count and ``None``."""
+    for w, (t_lo, hi) in enumerate(zip(starts, widths)):
+        found = window_scan(domain, q + t_lo * v, v, hi)
+        if found is not None:
+            return w, found
+    return len(starts), None
 
 
 def next_collision(domain: Domain, x: PhasePoint, t_max: float,

@@ -1,10 +1,11 @@
 """The stacked collision search against the per-scatterer oracle, bit for bit.
 
-``dynamics._window_candidates`` evaluates every scatterer of a window in one
-array pass per stack; ``dynamics_oracle.window_scan`` scans one scatterer at
-a time and stable-sorts the roots.  Both must give the same best root,
-second root, scatterer index, ``xi0`` and ``xiv``.  ``Domain.contains`` is
-checked the same way against the per-scatterer ``geometry_oracle.contains``.
+``dynamics._window_candidates`` evaluates every scatterer of a chunk of
+consecutive windows in one array pass per stack; ``dynamics_oracle`` scans
+one window and one scatterer at a time and stable-sorts the roots.  Both
+must give the same first window with a root, best root, second root,
+scatterer index, ``xi0`` and ``xiv``.  ``Domain.contains`` is checked the
+same way against the per-scatterer ``geometry_oracle.contains``.
 
 The broad phase of the sphere stacks (``ScattererStack.reach_sq``) is
 checked against the same kernel on a copy of the domain with ``reach_sq``
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +32,8 @@ from billiards import (
     Cylinder,
     DegenerateCollisionError,
     Domain,
+    EscapeError,
+    GrazingSingularityError,
     Halfspace,
     PhasePoint,
     Sphere,
@@ -89,10 +93,30 @@ def _hex(x: float) -> str:
     return float(x).hex()
 
 
-def window_pair(domain: Domain, q_win, v, hi: float):
-    fast = dynamics._window_candidates(domain, q_win, v, hi,
+def kernel(domain: Domain, q, v, starts, widths):
+    """One kernel call on the windows ``(starts[w], starts[w] + widths[w]]``
+    of the flight ``q + t v``."""
+    return dynamics._window_candidates(domain, q, v, list(starts), list(widths),
                                        dynamics._velocity_terms(domain, v))
-    return fast, oracle.window_scan(domain, q_win, v, hi)
+
+
+def tiles(t_lo: float, horizon: float, window: float, count: int):
+    """Up to ``count`` windows from ``t_lo``, by next_collision's running sum."""
+    starts, widths = [], []
+    while t_lo < horizon and len(starts) < count:
+        hi = min(window, horizon - t_lo)
+        starts.append(t_lo)
+        widths.append(hi)
+        t_lo += hi
+    return starts, widths
+
+
+def window_pair(domain: Domain, q_win, v, hi: float):
+    """The kernel and the oracle on the one window (0, hi] from ``q_win``."""
+    (w, fast), (w_o, slow) = (kernel(domain, q_win, v, [0.0], [hi]),
+                              oracle.chunk_scan(domain, q_win, v, [0.0], [hi]))
+    assert w == w_o
+    return fast, slow
 
 
 def assert_same_window(domain: Domain, q_win, v, hi: float) -> bool:
@@ -114,6 +138,35 @@ def assert_same_result(fast, slow) -> bool:
     assert best.xiv.tobytes() == best_o.xiv.tobytes()
     assert best.radius == best_o.radius
     return True
+
+
+def _broad_rows(domain: Domain) -> int | None:
+    """Image rows per window of the domain's broad-phase stack, if any."""
+    rows = [s.deltas.shape[0] * s.deltas.shape[1] for s in domain.stacks
+            if s.reach_sq is not None]
+    assert len(rows) <= 1      # every sphere of a torus has the same 3^d images
+    return rows[0] if rows else None
+
+
+def assert_same_chunk(domain: Domain, q, v, starts, widths) -> tuple[int, bool]:
+    """One kernel call against the oracle window by window, bit for bit.
+
+    Returns the first window with a root, or the number of windows searched,
+    and whether a root was found.  A chunk may stop early only at a window
+    its broad-phase stack would scan beyond the row cap.
+    """
+    w, fast = kernel(domain, q, v, starts, widths)
+    hit = fast is not None
+    assert w < len(starts) if hit else 1 <= w <= len(starts)
+    w_o, slow = oracle.chunk_scan(domain, q, v, starts[:w + hit], widths[:w + hit])
+    assert w == w_o
+    assert_same_result(fast, slow)
+    if not hit and w < len(starts):
+        rows = _broad_rows(domain)
+        scanned = [not _skips(domain, q, v, t, hi)
+                   for t, hi in zip(starts[:w + 1], widths[:w + 1])]
+        assert scanned[-1] and sum(scanned) == max(64, rows) // rows + 1
+    return w, hit
 
 
 def _window_state(domain: Domain, rng: np.random.Generator, shift: float, hi_frac: float):
@@ -233,12 +286,43 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_next_collision_calls_the_kernel_once_per_window(monkeypatch):
+def _count_chunks(monkeypatch):
+    """Record each kernel call as (chunk length, widths of the windows it
+    searched: up to and including a hit)."""
+    chunks = []
+    original = dynamics._window_candidates
+
+    def counted(domain, q, v, t_lo, hi, terms):
+        w, found = original(domain, q, v, t_lo, hi, terms)
+        chunks.append((len(t_lo), hi[:w + (found is not None)]))
+        return w, found
+
+    monkeypatch.setattr(dynamics, "_window_candidates", counted)
+    return chunks
+
+
+def _outcome(fn, domain: Domain, x: PhasePoint, t_max: float):
+    """A next_collision result, or its singularity, as comparable bits."""
+    try:
+        ev = fn(domain, x, t_max)
+    except (DegenerateCollisionError, GrazingSingularityError, EscapeError) as e:
+        return type(e).__name__, _hex(e.time)
+    if ev is None:
+        return None
+    return (_hex(ev.t), ev.scatterer_index, _hex(ev.cos_phi),
+            *(getattr(ev, k).tobytes() for k in ("q", "nu", "v_in", "v_out")))
+
+
+@pytest.mark.parametrize("name", ["hardball32", "sinai2d", "sinai3d", "box_walls_sphere",
+                                  "torus_sphere_cylinder"])
+def test_next_collision_calls_the_kernel_once_per_chunk(monkeypatch, name):
     # the benchmark's window count and time wrap dynamics._window_candidates
     # at module level; the flow must call it through that global, once per
-    # window, as the per-scatterer search scans windows
-    dom = DOMAINS["hardball32"]
-    fast = _count_calls(monkeypatch, dynamics, "_window_candidates")
+    # chunk of at most window_chunk windows, and search exactly the windows
+    # of the per-scatterer search
+    dom = DOMAINS[name]
+    chunk = dom.window_chunk
+    fast = _count_chunks(monkeypatch)
     slow = _count_calls(monkeypatch, oracle, "window_scan")
     rng = np.random.default_rng(409)
     windows = 0
@@ -246,18 +330,16 @@ def test_next_collision_calls_the_kernel_once_per_window(monkeypatch):
         x = random_phase_point(dom, rng)
         fast.clear()
         slow.clear()
-        try:
-            ev = next_collision(dom, x, t_max)
-        except DegenerateCollisionError:
-            ev = None
-        try:
-            oracle.next_collision(dom, x, t_max)
-        except DegenerateCollisionError:
-            pass
-        assert fast == slow and len(fast) >= 1
-        if ev is None:        # no hit: the windows tile (0, t_max]
-            assert len(fast) == math.ceil(t_max / (0.5 * dom.length_scale))
-        windows += len(fast)
+        got = _outcome(next_collision, dom, x, t_max)
+        assert got == _outcome(oracle.next_collision, dom, x, t_max)
+        searched = [hi for _, his in fast for hi in his]
+        assert searched == slow and len(fast) >= 1
+        assert all(1 <= k <= chunk for k, _ in fast)
+        if _broad_rows(dom) is None:     # only a row cap ends a chunk early
+            assert len(fast) == math.ceil(len(slow) / chunk)
+        if got is None:        # no hit: the windows tile (0, t_max]
+            assert len(slow) == math.ceil(t_max / (0.5 * dom.length_scale))
+        windows += len(slow)
     assert windows > 24
 
 
@@ -320,24 +402,28 @@ def _unfiltered(domain: Domain) -> Domain:
     return _restacked(domain, reach_sq=None)
 
 
-def _skips(domain: Domain, q_win, v, hi: float, terms) -> bool:
-    """Whether the broad phase skips the (only) sphere stack in this window:
-    on a copy without image offsets, a scan that is not skipped fails."""
-    probe = _restacked(domain, deltas=None)
+def _skips(domain: Domain, q, v, t_lo: float, hi: float) -> bool:
+    """Whether the broad phase skips the sphere stack in the window (0, hi]
+    from ``q + t_lo v``: on a copy where that stack has no image offsets, a
+    scan that is not skipped fails."""
+    probe = copy.copy(domain)
+    probe.stacks = [s if s.reach_sq is None else replace(s, deltas=None)
+                    for s in domain.stacks]
     try:
-        return dynamics._window_candidates(probe, q_win, v, hi, terms) is None
+        kernel(probe, q, v, [t_lo], [hi])
     except TypeError:
         return False
+    return True
 
 
 def assert_broad_phase_exact(domain: Domain, q_win, v, hi: float) -> bool:
     """The broad-phase kernel against the unfiltered scan, bit for bit, and
     its decision against the box distance oracle; True when skipped."""
-    terms = dynamics._velocity_terms(domain, v)
-    fast = dynamics._window_candidates(domain, q_win, v, hi, terms)
-    slow = dynamics._window_candidates(_unfiltered(domain), q_win, v, hi, terms)
+    (w, fast), (w_u, slow) = (kernel(domain, q_win, v, [0.0], [hi]),
+                              kernel(_unfiltered(domain), q_win, v, [0.0], [hi]))
+    assert w == w_u
     assert_same_result(fast, slow)
-    skipped = _skips(domain, q_win, v, hi, terms)
+    skipped = _skips(domain, q_win, v, 0.0, hi)
     (stack,) = domain.stacks
     reach = np.sqrt(stack.reach_sq)
     dist = np.array([oracle.box_lattice_distance(domain, i, q_win, v, hi)
@@ -477,3 +563,194 @@ def test_broad_phase_only_on_sphere_lattices_of_three_or_more_dimensions():
     sphere, cylinder = DOMAINS["torus_sphere_cylinder"].stacks
     assert sphere.reach_sq is not None and cylinder.reach_sq is None
     assert all(s.reach_sq is not None for s in DOMAINS["sinai8d"].stacks)
+
+
+# ---------------------------------------------------------------------------
+# Chunks of windows
+# ---------------------------------------------------------------------------
+
+CHUNK_DOMAINS = {**DOMAINS, **{k: d for k, d in BROAD_DOMAINS.items() if k.startswith("sinai")}}
+
+
+def test_window_chunk_per_domain():
+    # 64 image rows per call: S m per stack, S per broad-phase stack, at
+    # most 16 windows and at least one
+    expected = {"sinai2d": 7, "cylinder3d": 7, "crossed_cylinders": 3,
+                "torus_sphere_cylinder": 6, "box_walls_sphere": 16,
+                "hardball32": 1, "hardball62": 1,
+                **{f"sinai{d}d": 16 for d in range(3, 9)}, "sinai4d_side2.5": 16}
+    assert {k: CHUNK_DOMAINS[k].window_chunk for k in expected} == expected
+    assert Domain(2, Torus(1.0), []).window_chunk == 16
+
+
+def _aimed(domain: Domain, x: PhasePoint) -> PhasePoint:
+    """The phase point with its velocity aimed at the first scatterer."""
+    s = domain.scatterers[0]
+    ref = s.plane_point if isinstance(s, Halfspace) else \
+        s.center if isinstance(s, Sphere) else s.axis_point
+    aim = domain.min_image(ref - x.q)
+    return PhasePoint(x.q, aim / np.linalg.norm(aim))
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_DOMAINS))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), aim=st.booleans(), skip=st.integers(0, 30),
+       length=st.floats(1e-3, 1.5))
+def test_chunk_matches_oracle(name, seed, aim, skip, length):
+    # a chunk anywhere along a flight, ending in a partial window or not
+    domain = CHUNK_DOMAINS[name]
+    x = random_phase_point(domain, np.random.default_rng(seed))
+    if aim:
+        x = _aimed(domain, x)
+    window = 0.5 * domain.length_scale
+    chunk = domain.window_chunk
+    t0 = skip * window
+    starts, widths = tiles(t0, t0 + length * chunk * window, window, chunk)
+    assert_same_chunk(domain, x.q, x.v, starts, widths)
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_DOMAINS))
+def test_chunks_match_oracle_along_flights(name):
+    # every chunk of a flight up to its first root, as next_collision
+    # searches them: chunks with and without a root, chunks that end in a
+    # partial window, and for broad-phase stacks chunks that skip some of
+    # their windows
+    domain = CHUNK_DOMAINS[name]
+    rng = np.random.default_rng(433)
+    window = 0.5 * domain.length_scale
+    chunk = domain.window_chunk
+    flights = 8 if domain.d >= 7 else 16
+    seen = Counter()
+    for j in range(flights):
+        x = random_phase_point(domain, rng)
+        if j % 2:
+            x = _aimed(domain, x)
+        # every third flight ends within its first window
+        horizon = rng.uniform(0.02, 1.0 if j % 3 == 2 else 3.0 * chunk) * window
+        t_lo = 0.0
+        while t_lo < horizon:
+            starts, widths = tiles(t_lo, horizon, window, chunk)
+            w, hit = assert_same_chunk(domain, x.q, x.v, starts, widths)
+            searched = w + hit
+            seen["hit" if hit else "miss"] += 1
+            seen["partial"] += not hit and w == len(starts) and widths[-1] < window
+            if _broad_rows(domain) is not None and searched > 1:
+                skips = {_skips(domain, x.q, x.v, t, hi)
+                         for t, hi in zip(starts[:searched], widths[:searched])}
+                seen["mixed"] += skips == {True, False}
+            if hit:
+                break
+            t_lo = starts[w] if w < len(starts) else starts[-1] + widths[-1]
+    assert seen["hit"] >= flights // 3 and seen["miss"] and seen["partial"]
+    if _broad_rows(domain) is not None:
+        assert seen["mixed"]
+
+
+@pytest.mark.parametrize("name", ["sinai3d", "sinai4d", "sinai8d", "torus_sphere_cylinder"])
+def test_row_cap_stops_a_chunk_early(name):
+    # a flight along a lattice axis passing the sphere between its radius and
+    # its reach: every window is scanned and none holds a root, so a call
+    # scans max(64, m) // m windows of m images and stops there
+    domain = CHUNK_DOMAINS[name]
+    s = domain.scatterers[0]
+    d, window = domain.d, 0.5 * domain.length_scale
+    q = s.center.copy()
+    q[1] += s.radius + 0.5e-6 * domain.length_scale
+    v = np.eye(d)[0]
+    rows = _broad_rows(domain)
+    starts, widths = tiles(0.0, np.inf, window, domain.window_chunk)
+    assert not any(_skips(domain, q, v, t, hi) for t, hi in zip(starts, widths))
+    assert assert_same_chunk(domain, q, v, starts, widths) == (max(64, rows) // rows, False)
+    # next_collision resumes at the first window the call left out
+    assert next_collision(domain, PhasePoint(q, v), 5.0) is None
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_chunk_root_exactly_at_window_end(name):
+    # the window holding the first root ends exactly at that root, or one
+    # ulp before or after it; windows before and after it fill the chunk
+    domain = DOMAINS[name]
+    rng = np.random.default_rng(439)
+    window = 0.5 * domain.length_scale
+    chunk = domain.window_chunk
+    at_end = 0
+    for j in range(16):
+        x = random_phase_point(domain, rng)
+        if j % 2:
+            x = _aimed(domain, x)
+        starts, widths = tiles(0.0, 30.0 * window, window, 60)
+        w, found = oracle.chunk_scan(domain, x.q, x.v, starts, widths)
+        if found is None:
+            continue
+        t = found[0].t
+        first = max(0, w - chunk // 2)
+        for hi in (t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)):
+            after = tiles(starts[w] + hi, np.inf, window, chunk - (w - first) - 1)
+            cs = starts[first:w + 1] + after[0]
+            cw = widths[first:w] + [hi] + after[1]
+            hit_w, hit = assert_same_chunk(domain, x.q, x.v, cs, cw)
+            best = kernel(domain, x.q, x.v, cs, cw)[1]
+            at_end += hit and first + hit_w == w and best[0].t == hi
+    assert at_end >= 4
+
+
+def test_empty_torus_searches_full_chunks(monkeypatch):
+    # no scatterer, 0 images: 16 windows per call, and nothing to hit
+    dom = Domain(2, Torus(1.0), [])
+    chunks = _count_chunks(monkeypatch)
+    x = PhasePoint(np.array([0.3, 0.4]), np.array([0.6, 0.8]))
+    assert next_collision(dom, x, 10.0) is None
+    assert [(k, len(his)) for k, his in chunks] == [(16, 16), (4, 4)]
+    traj = flow(dom, x, 10.0)
+    assert traj.events == [] and traj.t_end == 10.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_box_escape_caps_the_horizon(monkeypatch, d):
+    # a box without walls: the windows tile (0, escape_t + eps_time], not
+    # (0, t_max], and the flight escapes or first hits the sphere
+    dom = Domain(d, Box((1.0,) * d), [Sphere(np.full(d, 0.5), 0.2)])
+    assert dom.window_chunk == 16
+    fast = _count_chunks(monkeypatch)
+    slow = _count_calls(monkeypatch, oracle, "window_scan")
+    rng = np.random.default_rng(443 + d)
+    outcomes = Counter()
+    for _ in range(30):
+        x = random_phase_point(dom, rng)
+        fast.clear()
+        slow.clear()
+        got = _outcome(next_collision, dom, x, 50.0)
+        assert got == _outcome(oracle.next_collision, dom, x, 50.0)
+        assert [hi for _, his in fast for hi in his] == slow
+        outcomes["escape" if got[0] == "EscapeError" else "hit"] += 1
+        if got[0] == "EscapeError":
+            y = dynamics._validate_phase_point(dom, x)
+            escape_t = dom.ambient.exit_time(y.q, y.v, slack=dom.eps_surface)
+            assert got[1] == _hex(escape_t) and len(slow) < 100
+            # flow validates its start once more, as next_collision does
+            traj = flow(dom, x, 50.0)
+            if not traj.events:
+                assert traj.termination == "escape_error"
+                assert _hex(traj.t_end) == _outcome(next_collision, dom, y, 50.0)[1]
+    assert outcomes["escape"] and outcomes["hit"]
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_horizon_shorter_than_one_window(monkeypatch, name):
+    # one call of one partial window, with the oracle's outcome
+    domain = DOMAINS[name]
+    rng = np.random.default_rng(449)
+    window = 0.5 * domain.length_scale
+    fast = _count_chunks(monkeypatch)
+    for j in range(12):
+        x = random_phase_point(domain, rng)
+        if j % 2:
+            x = _aimed(domain, x)
+        T = rng.uniform(0.01, 0.99) * window
+        fast.clear()
+        assert _outcome(next_collision, domain, x, T) == _outcome(oracle.next_collision,
+                                                                  domain, x, T)
+        ((k, his),) = fast           # one call of one window
+        assert k == 1 and len(his) == 1
+        # a box flight that escapes first searches only up to the escape
+        assert his[0] == T if domain.ambient.periodic else his[0] <= T
