@@ -6,19 +6,33 @@ off scatterer boundaries.  Collision times are found in closed form
 for halfspaces), searched window by window along the flight so that only a
 small neighbourhood of lattice images is examined at a time.
 
-One call of :func:`_window_candidates` searches a chunk of up to
-``Domain.window_chunk`` consecutive windows (7 on 2-d Sinai, 16 on Sinai
-with d >= 3, 1 on hard balls: about 64 image rows per call), and evaluates
-every scatterer, image and window of the domain's stacks (``Domain.stacks``:
-scatterers of one kind and shape as arrays) in one array pass per stack.
-It returns the first window that holds a root, or how many windows it
-searched, and :func:`next_collision` starts its next chunk there.  The
+Trajectories fly in lockstep (:func:`flow_ensemble`).  In each round, every
+flight of a group that is still searching for its next collision hands its
+next chunk of up to ``Domain.window_chunk`` consecutive windows (7 on 2-d
+Sinai, 16 on Sinai with d >= 3, 1 on hard balls: about 64 image rows) to
+one call of :func:`_window_candidates`.  That call evaluates every flight,
+window, scatterer and image of the domain's stacks (``Domain.stacks``:
+scatterers of one kind and shape as arrays) in one array pass per stack, and
+returns, for each flight whose chunk holds a root, the first window that
+holds one; a flight without one searches on after its chunk.  A flight's
 windows are tiled by the same running sum ``t_lo += hi`` as one window at a
-time.  The velocity terms (the velocity transverse to each axis and its
-squared norm) depend only on the flight, so each :func:`next_collision`
-computes them once.  The batched products issue the same BLAS call per
-(window, scatterer) block as an unstacked scan of one window, so every root
-keeps its bits; ties go to the lower scatterer index, then the earlier image.
+time, and a chunk shorter than the others is padded with windows of length
+0, which hold no root.  A round holds at most ``ROUND_ROWS`` image rows, so
+trajectories fly in balanced groups of ``ROUND_ROWS // Domain.chunk_rows``
+flights, and a group's events are alive only until it lands.
+
+Each flight that found a root goes through one per-flight tail
+(:func:`_land`): root polish, the degenerate, escape and grazing checks, the
+:class:`CollisionEvent`, and the flow's bookkeeping.  The state check of a
+new search (unit speed, position outside every scatterer) and its velocity
+terms (the velocity transverse to each axis and its squared norm) run once
+per round, as one array pass over the flights that start a search.  The
+batched products issue the same BLAS call per (window, scatterer) block as
+an unstacked scan of one window of one flight, and picking the first
+window, the best root and the second root is pure selection, so every root
+keeps its bits; ties go to the lower scatterer index, then the earlier
+image.  :func:`flow` and :func:`next_collision` are the one-start forms of
+the same loop.
 
 Sphere stacks on a torus with d >= 3 (``ScattererStack.reach_sq`` set, at
 least 27 images) get a broad phase in front of that scan: a window skips the
@@ -27,11 +41,12 @@ farther than ``reach`` (the radius plus a margin of ``1e-6 L``, argued in
 ``tolerances.py``) from every lattice image of every center of the stack.
 The skipped scan would find no root, and a window that is not skipped runs
 the scan unchanged on the same lattice shift, so outputs keep their bits.
-The broad phase tests all windows of a chunk at once and scans only those
-in reach, at most ``max(64, one window's images)`` rows per call: on 8-d
-Sinai one window of 6561 images, where about 93% of the windows are skipped.
-A chunk ends before the first window in reach beyond that cap.  2-d stacks
-(9 images) and cylinders keep the plain scan.
+The broad phase tests all windows of a round at once and scans those in
+reach, in flight order, in batches of at most ``max(ROUND_ROWS, one
+window's images)`` rows: on 8-d Sinai one window of 6561 images per batch,
+where about 93% of the windows are skipped.  A flight's windows after one
+that holds a root leave the later batches.  2-d stacks (9 images) and
+cylinders keep the plain scan.
 
 Grazing impacts (cos phi below the cutoff) and near-simultaneous roots on
 two distinct boundary pieces are singularities of the dynamics: the
@@ -41,17 +56,19 @@ trajectory terminates there instead of choosing a continuation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    BilliardError,
     DegenerateCollisionError,
     EscapeError,
     GrazingSingularityError,
     InvalidStateError,
 )
-from .geometry import CHUNK_ROWS, Box, Domain, Vec, reflect, row_dot
+from .geometry import ROUND_ROWS, Box, Domain, Vec, reflect, row_dot
 from .tolerances import EPS_GRAZE, EPS_TIME_FACTOR, MAX_EVENTS_DEFAULT
 
 TERMINATION_HORIZON = "reached_horizon"
@@ -131,14 +148,31 @@ class Trajectory:
         return min((e.cos_phi for e in self.events), default=1.0)
 
 
-def _validate_phase_point(domain: Domain, x: PhasePoint) -> PhasePoint:
-    speed = math.sqrt(x.v @ x.v)
-    if not math.isfinite(speed) or abs(speed - 1.0) > 1e-6:
-        raise InvalidStateError(f"velocity must be a unit vector (speed {speed})")
-    q = domain.wrap(x.q)
-    if not domain.contains(q):
-        raise InvalidStateError("phase point lies inside a scatterer")
-    return PhasePoint(q, x.v / speed)
+def _check_states(domain: Domain, q: np.ndarray, v: np.ndarray):
+    """The state check of each row of ``(q, v)``, ``(P, d)``: unit speed
+    within 1e-6, and a position outside every scatterer.
+
+    Returns ``(ok, q_ok, v_ok, errors)``: the rows that pass, their wrapped
+    positions and their velocities divided by their speed, and the
+    :class:`InvalidStateError` of each failing row by row number.  Each row
+    has the bits of a check of that state alone.
+    """
+    speed = np.sqrt(row_dot(v, v))
+    unit = np.abs(speed - 1.0) <= 1e-6          # False for a non-finite speed
+    if unit.all():
+        q = domain.wrap(q)
+        inside = domain.contains(q)
+        if inside.all():
+            return np.arange(q.shape[0]), q, v / speed[:, None], {}
+    errors = {int(j): InvalidStateError(
+        f"velocity must be a unit vector (speed {float(speed[j])})")
+        for j in np.flatnonzero(~unit)}
+    ok = np.flatnonzero(unit)
+    q = domain.wrap(q[ok])
+    inside = domain.contains(q)
+    for j in np.flatnonzero(~inside):
+        errors[int(ok[j])] = InvalidStateError("phase point lies inside a scatterer")
+    return ok[inside], q[inside], v[ok[inside]] / speed[ok[inside], None], errors
 
 
 @dataclass(eq=False)
@@ -150,179 +184,171 @@ class _Candidate:
     radius: float
 
 
-def _velocity_terms(domain: Domain, v: Vec) -> list[tuple]:
-    """The velocity part of the window search: one triple per stack.
+def _velocity_terms(domain: Domain, v: np.ndarray) -> list[tuple]:
+    """The velocity part of the window search: one triple per stack, for
+    each velocity of ``v``, ``(..., d)``.
 
     Spheres and cylinders: ``vv``, the velocity transverse to each axis
-    (``(S, d)``); ``a = <vv, vv>`` as an ``(S, 1)`` column; and an ``(S, 1)``
-    mask of the scatterers the flight can reach (``a >= 1e-30``: a velocity
-    along a cylinder's axis never reaches its boundary), ``None`` when it
-    reaches all of them.  Halfspaces: ``None``; the normal speeds
-    ``<v, normal>``; and the rows of the planes the flight approaches
-    (negative normal speed).  All depend on ``v`` alone, so one flight
-    computes them once.
+    (``(..., S, d)``); ``a = <vv, vv>`` as an ``(..., S, 1)`` column; and an
+    ``(..., S, 1)`` mask of the scatterers the flight can reach
+    (``a >= 1e-30``: a velocity along a cylinder's axis never reaches its
+    boundary).  Halfspaces: ``None``; the normal speeds ``<v, normal>``,
+    ``(..., S)``; and the mask of the planes the flight approaches (negative
+    normal speed).  All depend on the velocity alone, so one search computes
+    them once.
     """
     terms = []
     for st in domain.stacks:
-        rows = np.repeat(v[None, :], st.points.shape[0], axis=0)
+        rows = np.repeat(v[..., None, :], st.points.shape[0], axis=-2)
         if st.kind == "halfspace":
             hv = row_dot(rows, st.normals)
-            terms.append((None, hv, np.flatnonzero(hv < 0.0)))
+            terms.append((None, hv, hv < 0.0))
             continue
         vv = st.transverse(rows)
-        a = row_dot(vv, vv)[:, None]
-        live = a >= 1e-30
-        terms.append((vv, a, None if live.all() else live))
+        a = row_dot(vv, vv)[..., None]
+        terms.append((vv, a, a >= 1e-30))
     return terms
 
 
-def _window_candidates(domain: Domain, q: Vec, v: Vec, t_lo: list[float], hi: list[float],
-                       terms: list) -> tuple[int, tuple[_Candidate, float] | None]:
-    """Search a chunk of consecutive windows of the flight ``q + t v``: window
-    ``w`` spans the local times (0, hi[w]] after ``t_lo[w]``.
+def _image_roots(st, qw: np.ndarray, shift: np.ndarray | None, vv: np.ndarray,
+                 a: np.ndarray, live: np.ndarray, hi: np.ndarray):
+    """Entering boundary roots of a sphere or cylinder stack in ``R`` windows:
+    from ``qw``, ``(R, d)``, over the local times (0, hi], with the lattice
+    shift of each window and scatterer, ``(R, S, d)`` (``None`` off a torus),
+    and each window's flight velocity terms (:func:`_velocity_terms`).
 
-    Returns ``(w, found)``.  ``found`` holds the earliest entering boundary
-    root of window ``w``, the first window that holds one, with that
-    window's second-smallest root (inf when there is none), in times local
-    to the window start.  When no window holds a root, ``found`` is ``None``
-    and ``w`` is the number of windows searched: all of them, or fewer when
-    the row cap of a broad-phase stack stopped the chunk early.
-
-    Each stack is evaluated in one array pass over all its scatterers,
-    images and windows; a one-window chunk drops the window axis.  Ties go
-    to the lower scatterer index, then the earlier image.
+    Returns ``(r, row, roots, xi0)``: each root's window and scatterer row,
+    the root, and its image's offset ``xi0`` at window start.
     """
-    chunk = len(t_lo)
-    if chunk == 1:
-        (lo,), (hi,) = t_lo, hi
-        half = 0.5 * hi
+    rel = st.transverse(qw[:, None, :] - st.points)
+    if shift is None:
+        xi0 = rel[..., None, :] - st.deltas                     # (R, S, m, d)
     else:
-        hi = np.array(hi)
-        lo, half = np.array(t_lo)[:, None], (0.5 * hi)[:, None]
-    q_win = q + lo * v                                      # (W, d)
+        # rel - (shift + deltas), in the one array of offsets: the largest
+        # arrays of a pass are allocated once
+        xi0 = st.transverse(shift)[..., None, :] + st.deltas
+        np.subtract(rel[..., None, :], xi0, out=xi0)
+    b = (xi0 @ vv[..., None])[..., 0]
+    flat = xi0.reshape(-1, xi0.shape[-1])
+    c = np.einsum("ij,ij->i", flat, flat).reshape(b.shape) - st.radii_sq
+    disc = b * b - a * c
+    # only an approaching image (b < 0) can be entered within (0, hi]
+    ok = (b < 0.0) & (disc >= 0.0) & live
+    pos = np.flatnonzero(ok)
+    S, m = b.shape[-2:]
+    r, row = np.divmod(pos // m, S)
+    # entering root is the smaller one; the sign-matched form
+    # -(b + sign(b) sqrt(disc)), here sqrt(disc) - b, avoids cancellation so
+    # that near-tangent discriminants stay meaningful
+    qq = np.sqrt(disc[ok]) - b[ok]
+    roots = np.minimum(qq / a[r, row, 0], c[ok] / qq)
+    keep = (0.0 < roots) & (roots <= hi[r])
+    return r[keep], row[keep], roots[keep], flat[pos[keep]]
+
+
+def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.ndarray,
+                       hi: np.ndarray, terms: list) -> dict:
+    """Search a chunk of consecutive windows of each flight ``q[f] + t v[f]``,
+    ``q`` and ``v`` ``(F, d)``: window ``w`` of flight ``f`` spans the local
+    times (0, hi[f, w]] after ``t_lo[f, w]``, both ``(F, W)``; a window of
+    length 0 pads a chunk shorter than the others.  ``terms`` are the
+    flights' :func:`_velocity_terms`.
+
+    Returns ``hits``: for each flight whose chunk holds an entering boundary
+    root, ``(w, best, t_second)``, its first window ``w`` that holds one,
+    that window's earliest root and its second-smallest root (inf when there
+    is none), in times local to the window start.  A flight without a hit
+    searched its whole chunk.
+
+    Each stack is evaluated in one array pass over all its flights, windows,
+    scatterers and images; a broad-phase stack scans its windows in reach
+    in batches of at most ``max(ROUND_ROWS, one window's images)`` image
+    rows.  Ties go to the lower scatterer index, then the earlier image.
+    """
+    F, W = hi.shape
+    d = domain.d
+    # one row per window, flight by flight
+    flight = np.repeat(np.arange(F), W)
+    q_win = (q[:, None, :] + t_lo[..., None] * v[:, None, :]).reshape(F * W, d)
+    half = 0.5 * hi.reshape(F * W, 1)
+    hi = hi.reshape(F * W)
     periodic = domain.ambient.periodic
     if periodic:
         L = domain.ambient.side
-        center = q_win + half * v
-    # broad phase first: it decides how many windows the chunk can search.
-    # A domain has at most one broad-phase stack, since every sphere of a
-    # torus has the same 3^d images.
-    n = chunk
-    near = {}
-    for i, st in enumerate(domain.stacks):
-        if st.reach_sq is None:
-            continue
-        # the window's flight box is mid +- (hi/2)|v| per coordinate, and
-        # |mid - shift| <= L/2, so the nearest lattice coordinate to each
-        # interval is the one of shift and gap is the exact distance from
-        # the box to the nearest image of the center
-        mid = center[..., None, :] - st.points
-        shift = L * np.rint(mid / L)
-        gap = np.maximum(np.abs(mid - shift) - (half * np.abs(v))[..., None, :], 0.0)
-        reach = ~(row_dot(gap, gap) > st.reach_sq).all(axis=-1)
-        if chunk == 1:
-            near[i] = (None, mid, shift) if reach else None
-            continue
-        # scan at most max(CHUNK_ROWS, one window's images) rows; the chunk
-        # ends before the first window in reach beyond that
-        wins = np.flatnonzero(reach)
-        rows = st.deltas.shape[0] * st.deltas.shape[1]
-        cap = max(CHUNK_ROWS, rows) // rows
-        if wins.size > cap:
-            n = int(wins[cap])
-            wins = wins[:cap]
-        near[i] = (wins, mid[wins], shift[wins]) if wins.size else None
-    if n < chunk:
-        q_win, hi = q_win[:n], hi[:n]
-        if periodic:
-            center = center[:n]
+        center = q_win + half * v[flight]
 
-    hits = []
+    # the roots of every stack, each with its window, its scatterer index
+    # and its candidate's data: row ``pos`` of ``data[src]``, the stack and
+    # the offsets at window start of the roots of one pass over it
+    found, data = [], []
+
+    def add(i, r, row, roots, offsets):
+        if roots.size:
+            found.append((r, roots, domain.stacks[i].indices[row], np.arange(roots.size),
+                          np.full(roots.size, len(data)), row))
+            data.append((i, offsets))
+
     for i, (st, (vv, a, live)) in enumerate(zip(domain.stacks, terms)):
-        wins = None                     # the windows scanned, when not all
         if st.kind == "halfspace":
-            h0 = row_dot(q_win[..., None, :] - st.points[live], st.normals[live])
-            roots = -h0 / a[live]
-            pos = np.flatnonzero((0.0 < roots) & (roots <= np.reshape(hi, (-1, 1))))
-            roots = roots.reshape(-1)[pos]
-            per = live.size
+            h0 = row_dot(q_win[:, None, :] - st.points, st.normals)      # (F W, S)
+            pos = np.flatnonzero(live[flight])
+            r, row = np.divmod(pos, h0.shape[1])
+            roots = -h0.reshape(-1)[pos] / a[flight[r], row]
+            keep = (0.0 < roots) & (roots <= hi[r])
+            add(i, r[keep], row[keep], roots[keep], h0.reshape(-1)[pos[keep]])
+            continue
+        shift = None
+        if periodic:
+            mid = center[:, None, :] - st.points
+            shift = L * np.rint(mid / L)
+        if st.reach_sq is None:
+            add(i, *_image_roots(st, q_win, shift, vv[flight], a[flight], live[flight], hi))
+            continue
+        # broad phase: the window's flight box is mid +- (hi/2)|v| per
+        # coordinate, and |mid - shift| <= L/2, so the nearest lattice
+        # coordinate to each interval is the one of shift and gap is the
+        # exact distance from the box to the nearest image of the center
+        gap = np.maximum(np.abs(mid - shift) - (half * np.abs(v)[flight])[:, None, :], 0.0)
+        wins = np.flatnonzero(~(row_dot(gap, gap) > st.reach_sq).all(axis=-1) & (hi > 0.0))
+        rows = st.deltas.shape[0] * st.deltas.shape[1]
+        size = max(ROUND_ROWS, rows) // rows
+        hit = np.zeros(F, dtype=bool)
+        while wins.size:
+            batch, wins = wins[:size], wins[size:]
+            f = flight[batch]
+            r, row, roots, offsets = _image_roots(st, q_win[batch], shift[batch], vv[f], a[f],
+                                                  live[f], hi[batch])
+            add(i, batch[r], row, roots, offsets)
+            if roots.size and wins.size:
+                # a flight's windows after one with a root come too late
+                hit[f[r]] = True
+                wins = wins[~hit[flight[wins]]]
+    if not found:
+        return {}
+    fw, roots, index, pos, src, row = found[0] if len(found) == 1 else \
+        (np.concatenate([f[k] for f in found]) for k in range(6))
+    # by flight and window, then root, then scatterer index; the sort is
+    # stable, so a tie within one scatterer keeps the image order
+    order = np.lexsort((index, roots, fw))
+    fw, roots = fw[order], roots[order]
+    owner = flight[fw]
+    heads = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+    hits = {}
+    for j in heads.tolist():
+        k = order[j]
+        f, w = divmod(int(fw[j]), W)
+        # the second root of the window: the next one in order, if in it
+        t_second = float(roots[j + 1]) if j + 1 < fw.size and fw[j + 1] == fw[j] else np.inf
+        (i, rows), r, p, s = data[src[k]], int(row[k]), int(pos[k]), int(index[k])
+        vv, a, _ = terms[i]
+        if vv is None:
+            n_row = domain.stacks[i].normals[r]
+            cand = _Candidate(float(roots[j]), s, rows[p] * n_row, a[f, r] * n_row, 0.0)
         else:
-            qw = q_win
-            if i in near:
-                if near[i] is None:
-                    continue
-                wins, mid, shift = near[i]
-                if wins is not None:
-                    qw = q_win[wins]
-            elif periodic:
-                mid = center[..., None, :] - st.points
-                shift = L * np.rint(mid / L)
-            if periodic:
-                offsets = st.transverse(shift)[..., None, :] + st.deltas
-            else:
-                offsets = st.deltas
-            rel = st.transverse(qw[..., None, :] - st.points)
-            xi0 = rel[..., None, :] - offsets                   # (W, S, m, d)
-            b = (xi0 @ vv[:, :, None])[..., 0]
-            flat = xi0.reshape(-1, xi0.shape[-1])
-            c = np.einsum("ij,ij->i", flat, flat).reshape(b.shape) - st.radii_sq
-            disc = b * b - a * c
-            # only an approaching image (b < 0) can be entered within (0, hi]
-            ok = (b < 0.0) & (disc >= 0.0)
-            if live is not None:
-                ok &= live
-            pos = np.flatnonzero(ok)
-            if not pos.size:
-                continue
-            # entering root is the smaller one; the sign-matched form
-            # -(b + sign(b) sqrt(disc)), here sqrt(disc) - b, avoids
-            # cancellation so that near-tangent discriminants stay meaningful
-            S, m = b.shape[-2:]
-            per = S * m
-            if chunk == 1:
-                rows, hw = pos // m, hi
-            else:
-                rows, hw = pos // m % S, (hi if wins is None else hi[wins])[pos // per]
-            qq = np.sqrt(disc[ok]) - b[ok]
-            roots = np.minimum(qq / a[rows, 0], c[ok] / qq)
-            keep = (0.0 < roots) & (roots <= hw)
-            pos, roots = pos[keep], roots[keep]
-        if not roots.size:
-            continue
-        # the roots of this stack's first window with a root: a prefix
-        first = int(pos[0]) // per
-        if chunk > 1:
-            roots = roots[:np.searchsorted(pos, (first + 1) * per)]
-        k = int(roots.argmin())
-        t = float(roots[k])
-        roots[k] = np.inf
-        t_next = float(roots.min())
-        p = int(pos[k]) % per
-        if st.kind == "halfspace":
-            row = int(live[p])
-            n_row = st.normals[row]
-            cand = _Candidate(t, int(st.indices[row]), h0.reshape(-1)[pos[k]] * n_row,
-                              a[row] * n_row, 0.0)
-        else:
-            row = p // m
-            index = int(st.indices[row])
-            cand = _Candidate(t, index, flat[pos[k]], vv[row],
-                              domain.scatterers[index].radius)
-        hits.append((first if wins is None else int(wins[first]), t_next, cand))
-    if not hits:
-        return n, None
-    w = min(h[0] for h in hits)
-    best: _Candidate | None = None
-    t_second = np.inf
-    for win, t_next, cand in hits:
-        if win != w:
-            continue
-        if best is not None and (cand.t, cand.scatterer_index) > (best.t, best.scatterer_index):
-            t_second = min(t_second, cand.t)
-            continue
-        t_second = min(t_second, t_next, np.inf if best is None else best.t)
-        best = cand
-    return w, (best, t_second)
+            cand = _Candidate(float(roots[j]), s, rows[p], vv[f, r],
+                              domain.scatterers[s].radius)
+        hits[f] = (w, cand, t_second)
+    return hits
 
 
 def _polish_root(cand: _Candidate) -> float:
@@ -343,47 +369,62 @@ def _polish_root(cand: _Candidate) -> float:
     return t
 
 
-def next_collision(domain: Domain, x: PhasePoint, t_max: float,
-                   eps_graze: float = EPS_GRAZE) -> CollisionEvent | None:
-    """Earliest collision along the free flight from ``x``, or ``None``.
+class _Flight:
+    """One trajectory of the lockstep loop, in the flow's bookkeeping.
 
-    Searches times in ``(eps_time, t_max]``.  Raises
-    :class:`GrazingSingularityError` when the earliest impact is grazing,
-    :class:`DegenerateCollisionError` when two boundary pieces are hit within
-    the minimum time gap, and :class:`EscapeError` when a box ambient is left
-    first.  Event times in the returned record are relative to ``x``.
+    ``q``, ``v`` and ``t`` are the state after the last event (the start,
+    before any); a search starts from their checked form.  Once the flight
+    has ended, ``termination``, ``t_end`` and ``end`` are set; ``error`` is
+    the exception that ended it early (a singularity, an escape, or an
+    invalid state, which ends it without a termination).  A plain class: a
+    dataclass would cost about 1 ms of import time.
     """
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
-    x = _validate_phase_point(domain, x)
-    q, v = x.q, x.v
-    scale = domain.length_scale
-    eps_time = EPS_TIME_FACTOR * scale
 
-    horizon = t_max
-    escape_t = np.inf
-    if isinstance(domain.ambient, Box):
-        escape_t = domain.ambient.exit_time(q, v, slack=domain.eps_surface)
-        horizon = min(horizon, escape_t + eps_time)
+    __slots__ = ("q", "v", "t", "events", "segments", "max_drift", "termination", "t_end",
+                 "end", "error")
 
-    terms = _velocity_terms(domain, v)
-    window = 0.5 * scale
-    t_lo = 0.0
-    while t_lo < horizon:
-        # the next chunk of windows, tiled by the same running sum as one
-        # window at a time
-        starts, widths = [], []
-        t_end = t_lo
-        while t_end < horizon and len(starts) < domain.window_chunk:
-            hi = min(window, horizon - t_end)
-            starts.append(t_end)
-            widths.append(hi)
-            t_end += hi
-        w, found = _window_candidates(domain, q, v, starts, widths, terms)
-        t_lo = starts[w] if w < len(starts) else t_end
-        if found is None:
-            continue
-        best, t_second = found
+    def __init__(self, q: Vec, v: Vec):
+        self.q, self.v, self.t = q, v, 0.0
+        self.events: list[CollisionEvent] = []
+        self.segments: list[FlightSegment] = []
+        self.max_drift = 0.0
+        self.termination: str | None = None
+        self.t_end: float | None = None
+        self.end: PhasePoint | None = None
+        self.error: BilliardError | None = None
+
+    def finish(self, termination: str, t_end: float, end: PhasePoint) -> None:
+        self.segments.append(FlightSegment(self.t, t_end, self.q, self.v))
+        self.termination, self.t_end, self.end = termination, t_end, end
+
+    def stop(self, domain: Domain, e: BilliardError) -> None:
+        """End the flight at the singularity or escape ``e``, at ``e.time``
+        after its last event."""
+        self.error = e
+        t_end = self.t + (e.time if e.time is not None else 0.0)
+        q = self.q + (t_end - self.t) * self.v
+        if isinstance(e, EscapeError):
+            self.finish(TERMINATION_ESCAPE, t_end, PhasePoint(q, self.v))
+            return
+        status = TERMINATION_GRAZING if isinstance(e, GrazingSingularityError) \
+            else TERMINATION_DEGENERATE
+        self.finish(status, t_end, PhasePoint(domain.wrap(q), self.v))
+
+    def trajectory(self, domain: Domain, start: PhasePoint, T: float) -> Trajectory:
+        return Trajectory(domain, start, T, self.events, self.segments, self.termination,
+                          self.t_end, self.end, self.max_drift)
+
+
+def _land(domain: Domain, fl: _Flight, q: Vec, v: Vec, t_lo: float, best: _Candidate,
+          t_second: float, escape_t: float, T: float, max_events: int,
+          eps_graze: float) -> bool:
+    """The collision of a flight whose search from the checked state
+    ``(q, v)`` found the root ``best``, and the second root ``t_second``, in
+    the window from ``t_lo``: polish the root, end the flight at a
+    degenerate, escaping or grazing impact, or book the
+    :class:`CollisionEvent`.  Returns whether the flight searches on."""
+    eps_time = EPS_TIME_FACTOR * domain.length_scale
+    try:
         if t_lo + best.t <= eps_time:
             # a root this close to the previous event is a corner-like
             # multiple collision; skipping it would tunnel through the wall
@@ -405,67 +446,188 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
         if cos_phi < eps_graze:
             raise GrazingSingularityError(
                 f"grazing impact: cos(phi) = {cos_phi:.3e}", time=t_best)
-        q_hit = domain.wrap(q + t_best * v)
-        return CollisionEvent(t=t_best, q=q_hit, scatterer_index=best.scatterer_index,
-                              nu=nu, cos_phi=min(cos_phi, 1.0), v_in=v.copy(),
-                              v_out=reflect(v, nu))
+    except (DegenerateCollisionError, EscapeError, GrazingSingularityError) as e:
+        fl.stop(domain, e)
+        return False
+    ev = CollisionEvent(t=fl.t + t_best, q=domain.wrap(q + t_best * v),
+                        scatterer_index=best.scatterer_index, nu=nu,
+                        cos_phi=min(cos_phi, 1.0), v_in=v.copy(), v_out=reflect(v, nu))
+    fl.segments.append(FlightSegment(fl.t, ev.t, fl.q, fl.v))
+    fl.events.append(ev)
+    speed = math.sqrt(ev.v_out @ ev.v_out)
+    fl.max_drift = max(fl.max_drift, abs(speed - 1.0))
+    fl.q, fl.v, fl.t = ev.q, ev.v_out / speed, ev.t
+    if len(fl.events) >= max_events:
+        fl.finish(TERMINATION_EVENT_CAP, fl.t, PhasePoint(fl.q, fl.v))
+        return False
+    if fl.t >= T:  # the collision landed exactly on the horizon
+        fl.finish(TERMINATION_HORIZON, T, PhasePoint(fl.q, fl.v))
+        return False
+    return True
 
-    if escape_t <= t_max:
-        raise EscapeError("particle left the box ambient", time=escape_t)
-    return None
+
+def _tile(t_lo: np.ndarray, horizon: np.ndarray, window: float,
+          chunk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The next chunk of each flight: up to ``chunk`` windows from ``t_lo``
+    up to ``horizon``, tiled by the same running sum ``t_lo += hi`` as one
+    window at a time.  Returns the window starts and lengths, ``(F, W)``,
+    with length 0 past a flight's horizon, and where each chunk ends."""
+    # full windows by one running sum (accumulate adds left to right), up
+    # to each flight's first window that the horizon shortens
+    steps = np.full((t_lo.size, chunk + 1), window)
+    steps[:, 0] = t_lo
+    starts = np.add.accumulate(steps, axis=1)
+    full = window <= horizon[:, None] - starts[:, :chunk]
+    if full.all():
+        return starts[:, :chunk], steps[:, 1:], starts[:, chunk]
+    widths = np.where(np.logical_and.accumulate(full, axis=1), window, 0.0)
+    ends = starts[np.arange(t_lo.size), (widths > 0.0).sum(axis=1)]
+    # the rest of a chunk that reaches its horizon, one window at a time
+    for f in np.flatnonzero(~full.all(axis=1)).tolist():
+        k, t = int((widths[f] > 0.0).sum()), ends[f]
+        while k < chunk and t < horizon[f]:
+            starts[f, k] = t
+            widths[f, k] = min(window, horizon[f] - t)
+            t += widths[f, k]
+            k += 1
+        starts[f, k:] = t
+        ends[f] = t
+    W = int((widths > 0.0).sum(axis=1).max())
+    return starts[:, :W], widths[:, :W], ends
+
+
+def _fly(domain: Domain, q: np.ndarray, v: np.ndarray, T: float, max_events: int,
+         eps_graze: float) -> list[_Flight]:
+    """Fly the starts ``(q[f], v[f])`` in lockstep for time ``T``: one kernel
+    call per round for every flight still searching."""
+    F = q.shape[0]
+    flights = [_Flight(q[f], v[f]) for f in range(F)]
+    eps_time = EPS_TIME_FACTOR * domain.length_scale
+    window = 0.5 * domain.length_scale
+    box = isinstance(domain.ambient, Box)
+    # the search of each flight: its checked state, velocity terms, next
+    # window start, horizon and box escape time
+    qs, vs = np.empty_like(q), np.empty_like(v)
+    terms = [[np.zeros((F,) + x.shape[1:], dtype=x.dtype) if x is not None else None
+              for x in tm] for tm in _velocity_terms(domain, v[:0])]
+    t_lo, horizon, escape = np.zeros(F), np.zeros(F), np.full(F, np.inf)
+    searching = np.zeros(F, dtype=bool)
+    new = list(range(F))
+    while True:
+        if new:
+            # the state check and velocity terms of the new searches, one
+            # array pass for all of them
+            ok, q_ok, v_ok, errors = _check_states(
+                domain, np.array([flights[g].q for g in new]),
+                np.array([flights[g].v for g in new]))
+            for j, e in errors.items():
+                flights[new[j]].error = e
+            g = np.asarray(new)[ok]
+            qs[g], vs[g] = q_ok, v_ok
+            for tm, fresh in zip(terms, _velocity_terms(domain, v_ok)):
+                for x, y in zip(tm, fresh):
+                    if x is not None:
+                        x[g] = y
+            t_lo[g] = 0.0
+            horizon[g] = [T - flights[f].t for f in g.tolist()]
+            if box:
+                escape[g] = [domain.ambient.exit_time(qs[f], vs[f], slack=domain.eps_surface)
+                             for f in g.tolist()]
+                horizon[g] = np.minimum(horizon[g], escape[g] + eps_time)
+            searching[g] = True
+        act = np.flatnonzero(searching)
+        if not act.size:
+            return flights
+        lo, hi, t_lo[act] = _tile(t_lo[act], horizon[act], window, domain.window_chunk)
+        hits = _window_candidates(domain, qs[act], vs[act], lo, hi,
+                                  [[None if x is None else x[act] for x in tm] for tm in terms])
+        new = []
+        for a, (w, best, t_second) in hits.items():
+            f = int(act[a])
+            searching[f] = False
+            if _land(domain, flights[f], qs[f], vs[f], float(lo[a, w]), best, t_second,
+                     float(escape[f]), T, max_events, eps_graze):
+                new.append(f)
+        for f in act[t_lo[act] >= horizon[act]].tolist():
+            if not searching[f]:
+                continue
+            # no collision before the horizon
+            searching[f] = False
+            fl = flights[f]
+            if escape[f] <= T - fl.t:
+                fl.stop(domain, EscapeError("particle left the box ambient",
+                                            time=float(escape[f])))
+            else:
+                fl.finish(TERMINATION_HORIZON, T,
+                          PhasePoint(domain.wrap(fl.q + (T - fl.t) * fl.v), fl.v))
+
+
+def flow_ensemble(domain: Domain, starts: Sequence[PhasePoint], T: float,
+                  max_events: int = MAX_EVENTS_DEFAULT,
+                  eps_graze: float = EPS_GRAZE) -> Iterator[Trajectory]:
+    """Run the billiard flow from each start for time ``T``; yields the
+    trajectories in the order of the starts.
+
+    The starts fly in lockstep, in balanced groups of at most
+    ``ROUND_ROWS // domain.chunk_rows`` flights; a group's trajectories are
+    yielded once it has landed.  Each trajectory is the one the flow of its
+    start alone gives.  Singularities never raise: they terminate the
+    trajectory with the corresponding status.  An invalid state raises
+    :class:`InvalidStateError` in place of that trajectory (a precondition).
+    """
+    if T <= 0.0:
+        raise ValueError("horizon must be positive")
+    starts = list(starts)
+    size = max(1, ROUND_ROWS // domain.chunk_rows)
+    groups = -(-len(starts) // size)
+    return _fly_groups(domain, starts, groups, T, max_events, eps_graze)
+
+
+def _fly_groups(domain: Domain, starts: list[PhasePoint], groups: int, T: float,
+                max_events: int, eps_graze: float) -> Iterator[Trajectory]:
+    lo = 0
+    for k in range(groups):
+        hi = lo + len(starts) // groups + (k < len(starts) % groups)
+        # each start is checked once here and again by its first search
+        _, q, v, errors = _check_states(domain, np.array([x.q for x in starts[lo:hi]]),
+                                        np.array([x.v for x in starts[lo:hi]]))
+        first_bad = min(errors, default=hi - lo)
+        flights = _fly(domain, q[:first_bad], v[:first_bad], T, max_events, eps_graze)
+        for j in range(first_bad):
+            fl, flights[j] = flights[j], None
+            if isinstance(fl.error, InvalidStateError):
+                raise fl.error
+            yield fl.trajectory(domain, PhasePoint(q[j], v[j]), T)
+        if errors:
+            raise errors[first_bad]
+        lo = hi
 
 
 def flow(domain: Domain, x0: PhasePoint, T: float,
          max_events: int = MAX_EVENTS_DEFAULT, eps_graze: float = EPS_GRAZE) -> Trajectory:
-    """Run the billiard flow from ``x0`` for time ``T``.
+    """Run the billiard flow from ``x0`` for time ``T``: the lockstep loop
+    of :func:`flow_ensemble` with one start.
 
     Singularities never raise: they terminate the trajectory with the
     corresponding status.  An invalid initial state does raise (precondition).
     """
-    if T <= 0.0:
-        raise ValueError("horizon must be positive")
-    x0 = _validate_phase_point(domain, x0)
-    q, v = x0.q.copy(), x0.v.copy()
-    t = 0.0
-    events: list[CollisionEvent] = []
-    segments: list[FlightSegment] = []
-    max_drift = 0.0
+    return next(flow_ensemble(domain, [x0], T, max_events=max_events, eps_graze=eps_graze))
 
-    while True:
-        try:
-            ev = next_collision(domain, PhasePoint(q, v), T - t, eps_graze=eps_graze)
-        except (GrazingSingularityError, DegenerateCollisionError) as e:
-            t_end = t + (e.time if e.time is not None else 0.0)
-            segments.append(FlightSegment(t, t_end, q, v))
-            end = PhasePoint(domain.wrap(q + (t_end - t) * v), v)
-            status = TERMINATION_GRAZING if isinstance(e, GrazingSingularityError) \
-                else TERMINATION_DEGENERATE
-            return Trajectory(domain, x0, T, events, segments, status,
-                              t_end, end, max_drift)
-        except EscapeError as e:
-            t_end = t + (e.time if e.time is not None else 0.0)
-            segments.append(FlightSegment(t, t_end, q, v))
-            end = PhasePoint(q + (t_end - t) * v, v)
-            return Trajectory(domain, x0, T, events, segments, TERMINATION_ESCAPE,
-                              t_end, end, max_drift)
 
-        if ev is None:
-            segments.append(FlightSegment(t, T, q, v))
-            end = PhasePoint(domain.wrap(q + (T - t) * v), v)
-            return Trajectory(domain, x0, T, events, segments, TERMINATION_HORIZON,
-                              T, end, max_drift)
+def next_collision(domain: Domain, x: PhasePoint, t_max: float,
+                   eps_graze: float = EPS_GRAZE) -> CollisionEvent | None:
+    """Earliest collision along the free flight from ``x``, or ``None``: the
+    lockstep loop with one start and one event.
 
-        ev.t = t + ev.t
-        segments.append(FlightSegment(t, ev.t, q, v))
-        events.append(ev)
-        speed = math.sqrt(ev.v_out @ ev.v_out)
-        max_drift = max(max_drift, abs(speed - 1.0))
-        q, v, t = ev.q, ev.v_out / speed, ev.t
-        if len(events) >= max_events:
-            segments.append(FlightSegment(t, t, q, v))
-            return Trajectory(domain, x0, T, events, segments, TERMINATION_EVENT_CAP,
-                              t, PhasePoint(q, v), max_drift)
-        if t >= T:  # the collision landed exactly on the horizon
-            segments.append(FlightSegment(t, T, q, v))
-            return Trajectory(domain, x0, T, events, segments, TERMINATION_HORIZON,
-                              T, PhasePoint(q, v), max_drift)
+    Searches times in ``(eps_time, t_max]``.  Raises
+    :class:`GrazingSingularityError` when the earliest impact is grazing,
+    :class:`DegenerateCollisionError` when two boundary pieces are hit within
+    the minimum time gap, and :class:`EscapeError` when a box ambient is left
+    first.  Event times in the returned record are relative to ``x``.
+    """
+    if t_max <= 0.0:
+        raise ValueError("t_max must be positive")
+    (fl,) = _fly(domain, x.q[None], x.v[None], t_max, 1, eps_graze)
+    if fl.error is not None:
+        raise fl.error
+    return fl.events[0] if fl.events else None

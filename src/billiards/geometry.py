@@ -44,13 +44,18 @@ _MAX_ENUM_DIM = 12
 # already exits early, and with the test 2-d Sinai runs were 3-7% slower.
 _BROAD_PHASE_MIN_IMAGES = 27
 
-# The collision search passes up to WINDOW_CHUNK_MAX consecutive flight
-# windows to one kernel call, as many as keep a call near CHUNK_ROWS image
-# rows (``Domain.window_chunk``); a broad-phase stack scans at most
-# max(CHUNK_ROWS, one window's images) rows per call.  Small scans are
-# dominated by the fixed cost of a call, not by array work.
+# The collision search hands each flight's next chunk of up to
+# WINDOW_CHUNK_MAX consecutive windows, as many as keep a chunk near
+# CHUNK_ROWS image rows (``Domain.window_chunk``), to the kernel.  Flights
+# search in lockstep: one kernel call per round takes the chunks of every
+# flight of a group still searching, and a round holds at most ROUND_ROWS
+# image rows: a group has ROUND_ROWS // ``Domain.chunk_rows`` flights, and a
+# broad-phase stack scans its windows in reach in batches of at most
+# max(ROUND_ROWS, one window's images) rows.  Small scans are dominated by
+# the fixed cost of a call, not by array work.
 CHUNK_ROWS = 64
 WINDOW_CHUNK_MAX = 16
+ROUND_ROWS = 2560
 
 
 def as_vec(x, d: int | None = None, name: str = "vector") -> Vec:
@@ -133,9 +138,11 @@ class Box:
     def min_image(self, dq: Vec) -> Vec:
         return dq
 
-    def contains(self, q: Vec, slack: float = 0.0) -> bool:
+    def contains(self, q: np.ndarray, slack: float = 0.0) -> np.ndarray:
+        """Whether each point of ``q``, ``(..., d)``, lies in the box inflated
+        by ``slack``."""
         s = np.asarray(self.sides)
-        return bool(np.all(q >= -slack) and np.all(q <= s + slack))
+        return (q >= -slack).all(axis=-1) & (q <= s + slack).all(axis=-1)
 
     def exit_time(self, q: Vec, v: Vec, slack: float = 0.0) -> float:
         """First time ``q + t v`` leaves the box inflated by ``slack``."""
@@ -339,10 +346,11 @@ class Domain:
     are the measure-zero multiple-collision corners, which the dynamics
     treats as singular.  ``stacks`` holds the scatterers grouped by kind
     and shape, for the array passes of the collision search and
-    :meth:`contains`.  ``window_chunk`` is how many flight windows one call
+    :meth:`contains`.  ``window_chunk`` is how many flight windows one chunk
     of the collision search covers: ``CHUNK_ROWS`` over the images a window
     scans (S m per stack, S per broad-phase stack, whose windows are mostly
-    skipped), between 1 and ``WINDOW_CHUNK_MAX``.
+    skipped), between 1 and ``WINDOW_CHUNK_MAX``; ``chunk_rows`` is the
+    image rows of one chunk, by the same count.
     """
 
     d: int
@@ -351,6 +359,7 @@ class Domain:
     labels: list[str] | None = None
     stacks: list[ScattererStack] = field(init=False, repr=False)
     window_chunk: int = field(init=False, repr=False)
+    chunk_rows: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d < 2:
@@ -369,6 +378,7 @@ class Domain:
         images = sum(st.indices.size if st.deltas is None or st.reach_sq is not None
                      else st.indices.size * st.deltas.shape[1] for st in self.stacks)
         self.window_chunk = min(WINDOW_CHUNK_MAX, max(1, CHUNK_ROWS // max(images, 1)))
+        self.chunk_rows = self.window_chunk * max(images, 1)
         # each scatterer's image offsets, as a view into its stack (3^d rows
         # for a sphere, so they are not stored twice)
         self._image_deltas: list[np.ndarray | None] = [None] * len(self.scatterers)
@@ -479,26 +489,37 @@ class Domain:
     def min_image(self, dq: Vec) -> Vec:
         return self.ambient.min_image(dq)
 
-    def contains(self, q: Vec, slack: float | None = None) -> bool:
-        """True when ``q`` lies in the billiard region (outside every solid part)."""
-        slack = self.eps_surface if slack is None else slack
-        if isinstance(self.ambient, Box) and not self.ambient.contains(q, slack):
-            return False
-        # min() is nan if any distance is, and nan >= x is False, as in all()
-        return all(self._signed_distances(st, q).min() >= -slack for st in self.stacks)
+    def contains(self, q: np.ndarray, slack: float | None = None) -> bool | np.ndarray:
+        """True when ``q`` lies in the billiard region (outside every solid part).
 
-    def _signed_distances(self, st: ScattererStack, q: Vec) -> np.ndarray:
-        """Distance from ``q`` to each scatterer of a stack; positive in the
-        billiard region."""
+        ``q`` is one point ``(d,)``, answered with a bool, or a stack of
+        points ``(..., d)``, answered with a boolean array: one array pass
+        per stack of scatterers for all points, with the bits of one point
+        at a time.
+        """
+        slack = self.eps_surface if slack is None else slack
+        q = np.asarray(q, dtype=float)
+        inside = np.ones(q.shape[:-1], dtype=bool)
+        if isinstance(self.ambient, Box):
+            inside &= self.ambient.contains(q, slack)
+        for st in self.stacks:
+            # min() is nan if any distance is, and nan >= x is False
+            inside &= self._signed_distances(st, q).min(axis=-1) >= -slack
+        return bool(inside) if q.ndim == 1 else inside
+
+    def _signed_distances(self, st: ScattererStack, q: np.ndarray) -> np.ndarray:
+        """Distance from each point of ``q``, ``(..., d)``, to each scatterer
+        of a stack, ``(..., S)``; positive in the billiard region."""
+        rel = q[..., None, :] - st.points
         if st.kind == "halfspace":
-            return row_dot(q - st.points, st.normals)
-        xi = st.transverse(self.min_image(q - st.points))
+            return row_dot(rel, st.normals)
+        xi = st.transverse(self.min_image(rel))
         if st.kind == "cylinder":
             # reduce modulo the projected lattice: the per-coordinate minimal
             # image need not minimize the transverse distance
-            off = xi[:, None, :] - st.deltas
-            k = np.argmin(np.sqrt(np.add.reduce(off * off, axis=2)), axis=1)
-            xi = xi - st.deltas[np.arange(k.shape[0]), k]
+            off = xi[..., None, :] - st.deltas
+            k = np.argmin(np.sqrt(np.add.reduce(off * off, axis=-1)), axis=-1)
+            xi = xi - st.deltas[np.arange(k.shape[-1]), k]
         return np.sqrt(row_dot(xi, xi)) - st.radii
 
 

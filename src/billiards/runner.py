@@ -1,9 +1,10 @@
 """Experiment execution: trajectories -> transport -> checks -> CSV/JSON.
 
-Each trajectory runs the full pipeline independently (sampling, flow,
-covector transport, verification checks) and writes its own CSV.
-Trajectories run one after another in index order, so outputs depend only
-on the config and its seed.
+The flow runs the ensemble in lockstep groups (``dynamics.flow_ensemble``),
+and each trajectory then runs the rest of the pipeline on its own (covector
+transport, verification checks) and writes its CSV as soon as its records
+exist.  Trajectories are processed in index order, and each is the one its
+start alone gives, so outputs depend only on the config and its seed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,15 @@ from .diagnostics import (
     verify_growth,
     verify_monotonicity,
 )
-from .dynamics import TERMINATION_DEGENERATE, TERMINATION_GRAZING, PhasePoint, flow
+# flow stays importable here: perfbench/spans.py wraps runner.flow
+from .dynamics import (  # noqa: F401
+    TERMINATION_DEGENERATE,
+    TERMINATION_GRAZING,
+    PhasePoint,
+    Trajectory,
+    flow,
+    flow_ensemble,
+)
 from .errors import ConfigError
 from .geometry import Domain
 from .transport import Covector, adjoint_residual, transport_covector
@@ -94,7 +103,6 @@ class TrajectoryOutcome:
     final_lambda: float
     checks: list
     adjoint: float | None = None
-    records: np.recarray | None = None
 
     def as_dict(self) -> dict:
         d = {"index": self.index, "termination": self.termination,
@@ -124,11 +132,11 @@ def summary_text(summary: dict) -> str:
     return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def run_trajectory(cfg: ExperimentConfig, index: int, x0: PhasePoint, n0: Covector,
-                   want_records: bool, want_adjoint: bool,
+def run_trajectory(cfg: ExperimentConfig, index: int, traj: Trajectory, n0: Covector,
+                   csv_path: Path | None, want_adjoint: bool,
                    corrupt_curvature: bool = False) -> TrajectoryOutcome:
-    traj = flow(cfg.domain, x0, cfg.horizon, max_events=cfg.max_events,
-                eps_graze=cfg.eps_graze)
+    """Transport, checks and (with ``csv_path``) the CSV of one flown
+    trajectory; the records are written and dropped here."""
     series = transport_covector(traj, n0)
     checks = []
     if "monotonicity" in cfg.checks:
@@ -142,14 +150,14 @@ def run_trajectory(cfg: ExperimentConfig, index: int, x0: PhasePoint, n0: Covect
         # the fault hook corrupts only the covector the adjoint check sees
         residual = adjoint_residual(transport_covector(traj, n0, curvature_scale=2.0)
                                     if corrupt_curvature else series)
-    records = series_records(series, interior=cfg.grid_interior, c0=cfg.c0) \
-        if want_records else None
+    if csv_path is not None:
+        _write_csv(csv_path, series_records(series, interior=cfg.grid_interior, c0=cfg.c0))
     n_end = series.covector_at(series.t_end)
     return TrajectoryOutcome(
         index=index, termination=traj.termination, event_count=traj.event_count,
         t_end=traj.t_end, min_cos_phi=traj.min_cos_phi(),
         final_Q=lyapunov_Q(n_end), final_lambda=n_end.norm() / series.n0_norm,
-        checks=checks, adjoint=residual, records=records)
+        checks=checks, adjoint=residual)
 
 
 def _write_csv(path: Path, records: np.recarray) -> None:
@@ -184,10 +192,11 @@ def run_experiment(cfg: ExperimentConfig, mode: str = "run",
                    corrupt_curvature: bool = False) -> tuple[dict, int]:
     """Run every configured trajectory; returns (summary, exit_code).
 
-    ``mode="run"`` writes one CSV per trajectory plus a JSON summary into
-    ``out_dir``; ``mode="verify"`` skips the CSVs and always computes the
-    adjoint residual, counting residuals above the failure threshold as
-    check failures.
+    ``mode="run"`` writes one CSV per trajectory, as soon as that
+    trajectory is done, plus a JSON summary into ``out_dir``, last: a run
+    that raises leaves no summary.  ``mode="verify"`` skips the CSVs and
+    always computes the adjoint residual, counting residuals above the
+    failure threshold as check failures.
     """
     want_adjoint = mode == "verify" or "adjoint" in cfg.checks
     emit_csv = mode == "run"
@@ -198,16 +207,16 @@ def run_experiment(cfg: ExperimentConfig, mode: str = "run",
         s = cfg.sampler
         initial = sample_initial_conditions(cfg.domain, s.count, s.seed, s.c0)
 
-    outcomes = [run_trajectory(cfg, i, x0, n0, want_records=emit_csv,
-                               want_adjoint=want_adjoint,
-                               corrupt_curvature=corrupt_curvature)
-                for i, (x0, n0) in enumerate(initial)]
-
     if emit_csv:
         out = Path(out_dir if out_dir is not None else (cfg.out_dir or "out"))
         out.mkdir(parents=True, exist_ok=True)
-        for o in outcomes:
-            _write_csv(out / f"trajectory_{o.index:04d}.csv", o.records)
+    trajectories = flow_ensemble(cfg.domain, [x0 for x0, _ in initial], cfg.horizon,
+                                 max_events=cfg.max_events, eps_graze=cfg.eps_graze)
+    outcomes = [run_trajectory(cfg, i, traj, n0,
+                               out / f"trajectory_{i:04d}.csv" if emit_csv else None,
+                               want_adjoint=want_adjoint,
+                               corrupt_curvature=corrupt_curvature)
+                for i, (traj, (_, n0)) in enumerate(zip(trajectories, initial))]
 
     summary = _summarize(cfg, mode, outcomes)
     exit_code = _exit_code(summary["ensemble"], len(outcomes))

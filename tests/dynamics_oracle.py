@@ -6,12 +6,17 @@ before the scatterers were stacked; ``window_scan`` collects every
 scatterer's roots and stable-sorts them, so ties go to the lower scatterer
 index and then the earlier image; ``chunk_scan`` runs it window by window
 over a chunk, as one call of the kernel searches; ``next_collision`` is the
-event search built on that scan.  ``box_lattice_distance`` is the oracle of the sphere
-broad phase: the distance from a window's flight box to the nearest lattice
-image of a sphere center, coordinate by coordinate.
+event search built on that scan, and ``flow`` the per-trajectory event loop
+built on that search, one start at a time: the oracles of the lockstep
+loop, ``billiards.dynamics.flow_ensemble``.  ``validate_phase_point`` is the
+state check of one start.  ``box_lattice_distance`` is the oracle of the
+sphere broad phase: the distance from a window's flight box to the nearest
+lattice image of a sphere center, coordinate by coordinate.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,12 +29,19 @@ from billiards import (
     EscapeError,
     GrazingSingularityError,
     Halfspace,
+    InvalidStateError,
     PhasePoint,
     Sphere,
+    TERMINATION_DEGENERATE,
+    TERMINATION_ESCAPE,
+    TERMINATION_EVENT_CAP,
+    TERMINATION_GRAZING,
+    TERMINATION_HORIZON,
+    Trajectory,
     reflect,
 )
-from billiards.dynamics import _Candidate, _polish_root, _validate_phase_point
-from billiards.tolerances import EPS_GRAZE, EPS_TIME_FACTOR
+from billiards.dynamics import FlightSegment, _Candidate, _polish_root
+from billiards.tolerances import EPS_GRAZE, EPS_TIME_FACTOR, MAX_EVENTS_DEFAULT
 
 
 def scatterer_candidates(domain: Domain, index: int, q_win, v, hi: float) -> list[_Candidate]:
@@ -118,10 +130,21 @@ def chunk_scan(domain: Domain, q, v, starts, widths) -> tuple[int, tuple[_Candid
     return len(starts), None
 
 
+def validate_phase_point(domain: Domain, x: PhasePoint) -> PhasePoint:
+    """The state check of one start: unit speed, outside every scatterer."""
+    speed = math.sqrt(x.v @ x.v)
+    if not math.isfinite(speed) or abs(speed - 1.0) > 1e-6:
+        raise InvalidStateError(f"velocity must be a unit vector (speed {speed})")
+    q = domain.wrap(x.q)
+    if not domain.contains(q):
+        raise InvalidStateError("phase point lies inside a scatterer")
+    return PhasePoint(q, x.v / speed)
+
+
 def next_collision(domain: Domain, x: PhasePoint, t_max: float,
                    eps_graze: float = EPS_GRAZE) -> CollisionEvent | None:
     """Earliest collision along the free flight from ``x``, by window scans."""
-    x = _validate_phase_point(domain, x)
+    x = validate_phase_point(domain, x)
     q, v = x.q, x.v
     scale = domain.length_scale
     eps_time = EPS_TIME_FACTOR * scale
@@ -164,3 +187,47 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
     if escape_t <= t_max:
         raise EscapeError("particle left the box ambient", time=escape_t)
     return None
+
+
+def flow(domain: Domain, x0: PhasePoint, T: float, max_events: int = MAX_EVENTS_DEFAULT,
+         eps_graze: float = EPS_GRAZE) -> Trajectory:
+    """The billiard flow from ``x0`` for time ``T``, one event search after
+    another: the event loop of one trajectory at a time."""
+    x0 = validate_phase_point(domain, x0)
+    q, v = x0.q.copy(), x0.v.copy()
+    t = 0.0
+    events: list[CollisionEvent] = []
+    segments: list[FlightSegment] = []
+    max_drift = 0.0
+
+    def end(status: str, t_end: float, last: PhasePoint) -> Trajectory:
+        return Trajectory(domain, x0, T, events, segments, status, t_end, last, max_drift)
+
+    while True:
+        try:
+            ev = next_collision(domain, PhasePoint(q, v), T - t, eps_graze=eps_graze)
+        except (GrazingSingularityError, DegenerateCollisionError) as e:
+            t_end = t + e.time
+            segments.append(FlightSegment(t, t_end, q, v))
+            status = TERMINATION_GRAZING if isinstance(e, GrazingSingularityError) \
+                else TERMINATION_DEGENERATE
+            return end(status, t_end, PhasePoint(domain.wrap(q + (t_end - t) * v), v))
+        except EscapeError as e:
+            t_end = t + e.time
+            segments.append(FlightSegment(t, t_end, q, v))
+            return end(TERMINATION_ESCAPE, t_end, PhasePoint(q + (t_end - t) * v, v))
+        if ev is None:
+            segments.append(FlightSegment(t, T, q, v))
+            return end(TERMINATION_HORIZON, T, PhasePoint(domain.wrap(q + (T - t) * v), v))
+        ev.t = t + ev.t
+        segments.append(FlightSegment(t, ev.t, q, v))
+        events.append(ev)
+        speed = math.sqrt(ev.v_out @ ev.v_out)
+        max_drift = max(max_drift, abs(speed - 1.0))
+        q, v, t = ev.q, ev.v_out / speed, ev.t
+        if len(events) >= max_events:
+            segments.append(FlightSegment(t, t, q, v))
+            return end(TERMINATION_EVENT_CAP, t, PhasePoint(q, v))
+        if t >= T:  # the collision landed exactly on the horizon
+            segments.append(FlightSegment(t, T, q, v))
+            return end(TERMINATION_HORIZON, T, PhasePoint(q, v))

@@ -46,6 +46,7 @@ from billiards import (
     hardball_pairs,
     next_collision,
 )
+from billiards.geometry import ROUND_ROWS
 from conftest import random_phase_point
 
 
@@ -95,9 +96,15 @@ def _hex(x: float) -> str:
 
 def kernel(domain: Domain, q, v, starts, widths):
     """One kernel call on the windows ``(starts[w], starts[w] + widths[w]]``
-    of the flight ``q + t v``."""
-    return dynamics._window_candidates(domain, q, v, list(starts), list(widths),
-                                       dynamics._velocity_terms(domain, v))
+    of the flight ``q + t v``, as a group of that one flight: the first
+    window with a root and its result, or the window count and ``None``."""
+    hits = dynamics._window_candidates(
+        domain, np.asarray(q)[None], np.asarray(v)[None], np.array([starts], dtype=float),
+        np.array([widths], dtype=float), dynamics._velocity_terms(domain, np.asarray(v)[None]))
+    if 0 not in hits:
+        return len(starts), None
+    w, best, second = hits[0]
+    return w, (best, second)
 
 
 def tiles(t_lo: float, horizon: float, window: float, count: int):
@@ -152,20 +159,15 @@ def assert_same_chunk(domain: Domain, q, v, starts, widths) -> tuple[int, bool]:
     """One kernel call against the oracle window by window, bit for bit.
 
     Returns the first window with a root, or the number of windows searched,
-    and whether a root was found.  A chunk may stop early only at a window
-    its broad-phase stack would scan beyond the row cap.
+    and whether a root was found.  A chunk without a root is searched to its
+    end.
     """
     w, fast = kernel(domain, q, v, starts, widths)
     hit = fast is not None
-    assert w < len(starts) if hit else 1 <= w <= len(starts)
+    assert w < len(starts) if hit else w == len(starts)
     w_o, slow = oracle.chunk_scan(domain, q, v, starts[:w + hit], widths[:w + hit])
     assert w == w_o
     assert_same_result(fast, slow)
-    if not hit and w < len(starts):
-        rows = _broad_rows(domain)
-        scanned = [not _skips(domain, q, v, t, hi)
-                   for t, hi in zip(starts[:w + 1], widths[:w + 1])]
-        assert scanned[-1] and sum(scanned) == max(64, rows) // rows + 1
     return w, hit
 
 
@@ -287,15 +289,16 @@ def _count_calls(monkeypatch, module, name):
 
 
 def _count_chunks(monkeypatch):
-    """Record each kernel call as (chunk length, widths of the windows it
-    searched: up to and including a hit)."""
+    """Record each kernel call of a one-flight search as (chunk length,
+    widths of the windows it searched: up to and including a hit)."""
     chunks = []
     original = dynamics._window_candidates
 
     def counted(domain, q, v, t_lo, hi, terms):
-        w, found = original(domain, q, v, t_lo, hi, terms)
-        chunks.append((len(t_lo), hi[:w + (found is not None)]))
-        return w, found
+        hits = original(domain, q, v, t_lo, hi, terms)
+        assert hi.shape[0] == 1
+        chunks.append((hi.shape[1], hi[0, :hits[0][0] + 1 if 0 in hits else None].tolist()))
+        return hits
 
     monkeypatch.setattr(dynamics, "_window_candidates", counted)
     return chunks
@@ -335,8 +338,7 @@ def test_next_collision_calls_the_kernel_once_per_chunk(monkeypatch, name):
         searched = [hi for _, his in fast for hi in his]
         assert searched == slow and len(fast) >= 1
         assert all(1 <= k <= chunk for k, _ in fast)
-        if _broad_rows(dom) is None:     # only a row cap ends a chunk early
-            assert len(fast) == math.ceil(len(slow) / chunk)
+        assert len(fast) == math.ceil(len(slow) / chunk)
         if got is None:        # no hit: the windows tile (0, t_max]
             assert len(slow) == math.ceil(t_max / (0.5 * dom.length_scale))
         windows += len(slow)
@@ -404,14 +406,15 @@ def _unfiltered(domain: Domain) -> Domain:
 
 def _skips(domain: Domain, q, v, t_lo: float, hi: float) -> bool:
     """Whether the broad phase skips the sphere stack in the window (0, hi]
-    from ``q + t_lo v``: on a copy where that stack has no image offsets, a
-    scan that is not skipped fails."""
+    from ``q + t_lo v``: on a copy where that stack's image offsets have one
+    coordinate too many, a scan that is not skipped fails."""
     probe = copy.copy(domain)
-    probe.stacks = [s if s.reach_sq is None else replace(s, deltas=None)
+    probe.stacks = [s if s.reach_sq is None else
+                    replace(s, deltas=np.zeros(s.deltas.shape[:2] + (domain.d + 1,)))
                     for s in domain.stacks]
     try:
         kernel(probe, q, v, [t_lo], [hi])
-    except TypeError:
+    except ValueError:
         return False
     return True
 
@@ -647,22 +650,41 @@ def test_chunks_match_oracle_along_flights(name):
 
 
 @pytest.mark.parametrize("name", ["sinai3d", "sinai4d", "sinai8d", "torus_sphere_cylinder"])
-def test_row_cap_stops_a_chunk_early(name):
-    # a flight along a lattice axis passing the sphere between its radius and
-    # its reach: every window is scanned and none holds a root, so a call
-    # scans max(64, m) // m windows of m images and stops there
+def test_row_cap_batches_the_scan_of_a_round(monkeypatch, name):
+    # flights along a lattice axis passing the sphere between its radius and
+    # its reach: every window is in reach and none holds a root.  A round of
+    # more such windows than max(ROUND_ROWS, m) // m windows of m images
+    # scans them in batches of at most that many, and searches every chunk
+    # to its end
     domain = CHUNK_DOMAINS[name]
     s = domain.scatterers[0]
-    d, window = domain.d, 0.5 * domain.length_scale
-    q = s.center.copy()
-    q[1] += s.radius + 0.5e-6 * domain.length_scale
-    v = np.eye(d)[0]
+    d, window, chunk = domain.d, 0.5 * domain.length_scale, domain.window_chunk
     rows = _broad_rows(domain)
-    starts, widths = tiles(0.0, np.inf, window, domain.window_chunk)
-    assert not any(_skips(domain, q, v, t, hi) for t, hi in zip(starts, widths))
-    assert assert_same_chunk(domain, q, v, starts, widths) == (max(64, rows) // rows, False)
-    # next_collision resumes at the first window the call left out
-    assert next_collision(domain, PhasePoint(q, v), 5.0) is None
+    cap = max(ROUND_ROWS, rows) // rows
+    flights = cap // chunk + 2
+    q = np.repeat(s.center[None], flights, axis=0)
+    q[:, 1] += s.radius + np.linspace(0.2e-6, 0.8e-6, flights) * domain.length_scale
+    v = np.repeat(np.eye(d)[:1], flights, axis=0)
+    starts, widths = tiles(0.0, np.inf, window, chunk)
+    assert not any(_skips(domain, q[0], v[0], t, hi) for t, hi in zip(starts, widths))
+    batches = []
+    original = dynamics._image_roots
+
+    def counted(st, qw, *rest):
+        if st.reach_sq is not None:
+            batches.append(qw.shape[0])
+        return original(st, qw, *rest)
+
+    monkeypatch.setattr(dynamics, "_image_roots", counted)
+    hits = dynamics._window_candidates(
+        domain, q, v, np.repeat([starts], flights, axis=0),
+        np.repeat([widths], flights, axis=0), dynamics._velocity_terms(domain, v))
+    assert hits == {}
+    assert sum(batches) == flights * chunk and len(batches) >= 2
+    assert all(b <= cap for b in batches) and batches[0] == cap
+    for x, y in zip(q, v):
+        assert assert_same_chunk(domain, x, y, starts, widths) == (chunk, False)
+        assert next_collision(domain, PhasePoint(x, y), 5.0) is None
 
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))
@@ -724,7 +746,7 @@ def test_box_escape_caps_the_horizon(monkeypatch, d):
         assert [hi for _, his in fast for hi in his] == slow
         outcomes["escape" if got[0] == "EscapeError" else "hit"] += 1
         if got[0] == "EscapeError":
-            y = dynamics._validate_phase_point(dom, x)
+            y = oracle.validate_phase_point(dom, x)
             escape_t = dom.ambient.exit_time(y.q, y.v, slack=dom.eps_surface)
             assert got[1] == _hex(escape_t) and len(slow) < 100
             # flow validates its start once more, as next_collision does
