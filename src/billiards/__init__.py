@@ -28,8 +28,8 @@ from .dynamics import (
     CollisionEvent,
     PhasePoint,
     Trajectory,
+    flight_groups,
     flow,
-    flow_ensemble,
     next_collision,
 )
 from .errors import (
@@ -88,7 +88,7 @@ __all__ = [
     "TERMINATION_GRAZING", "TERMINATION_HORIZON",
     "adjoint_residual", "build_hardball_gas", "build_sinai",
     "collision_covector", "collision_q_drop", "collision_tangent",
-    "curvature_at", "expansion_factor", "flow", "flow_ensemble", "free_flight_covector",
+    "curvature_at", "expansion_factor", "flight_groups", "flow", "free_flight_covector",
     "free_flight_tangent", "hardball_pairs", "lyapunov_Q", "next_collision",
     "pairing", "q_decrement_breakdown",
     "reduce_pair_to_sinai", "reflect",

@@ -6,32 +6,35 @@ off scatterer boundaries.  Collision times are found in closed form
 for halfspaces), searched window by window along the flight so that only a
 small neighbourhood of lattice images is examined at a time.
 
-Trajectories fly in lockstep (:func:`flow_ensemble`).  In each round, every
-flight of a group that is still searching for its next collision hands its
-next chunk of up to ``Domain.window_chunk`` consecutive windows (7 on 2-d
-Sinai, 16 on Sinai with d >= 3, 1 on hard balls: about 64 image rows) to
-one call of :func:`_window_candidates`.  That call evaluates every flight,
-window, scatterer and image of the domain's stacks (``Domain.stacks``:
-scatterers of one kind and shape as arrays) in one array pass per stack, and
-returns, for each flight whose chunk holds a root, the first window that
-holds one; a flight without one searches on after its chunk.  A flight's
-windows are tiled by the same running sum ``t_lo += hi`` as one window at a
-time, and a chunk shorter than the others is padded with windows of length
-0, which hold no root.  A round holds at most ``ROUND_ROWS`` image rows, so
-trajectories fly in balanced groups of ``ROUND_ROWS // Domain.chunk_rows``
-flights, and a group's events are alive only until it lands.
+Trajectories fly in lockstep (:func:`flow` of a group of starts).  In each
+round, every flight of a group that is still searching for its next
+collision hands its next chunk of up to ``Domain.window_chunk`` consecutive
+windows (7 on 2-d Sinai, 16 on Sinai with d >= 3, 1 on hard balls: about 64
+image rows) to one call of :func:`_window_candidates`.  That call evaluates
+every flight, window, scatterer and image of the domain's stacks
+(``Domain.stacks``: scatterers of one kind and shape as arrays) in one array
+pass per stack, and returns, for each flight whose chunk holds a root, the
+first window that holds one; a flight without one searches on after its
+chunk.  A flight's windows are tiled by the same running sum
+``t_lo += hi`` as one window at a time, and a chunk shorter than the others
+is padded with windows of length 0, which hold no root.  A round holds at
+most ``ROUND_ROWS`` image rows, so an ensemble flies in balanced groups of
+``ROUND_ROWS // Domain.chunk_rows`` flights (:func:`flight_groups`), one
+:func:`flow` call each.
 
-Each flight that found a root goes through one per-flight tail
-(:func:`_land`): root polish, the degenerate, escape and grazing checks, the
-:class:`CollisionEvent`, and the flow's bookkeeping.  The state check of a
-new search (unit speed, position outside every scatterer) and its velocity
-terms (the velocity transverse to each axis and its squared norm) run once
-per round, as one array pass over the flights that start a search.  The
-batched products issue the same BLAS call per (window, scatterer) block as
-an unstacked scan of one window of one flight, and picking the first
-window, the best root and the second root is pure selection, so every root
-keeps its bits; ties go to the lower scatterer index, then the earlier
-image.  :func:`flow` and :func:`next_collision` are the one-start forms of
+Each flight that found a root goes through one per-flight tail: the event
+itself comes from :func:`next_collision` given the finished search (root
+polish, the degenerate, escape and grazing checks, the
+:class:`CollisionEvent`), and :func:`_land` does the flow's bookkeeping.
+The state check of a new search (unit speed, position outside every
+scatterer) and its velocity terms (the velocity transverse to each axis and
+its squared norm) run once per round, as one array pass over the flights
+that start a search.  The batched products issue the same BLAS call per
+(window, scatterer) block as an unstacked scan of one window of one flight,
+and picking the first window, the best root and the second root is pure
+selection, so every root keeps its bits; ties go to the lower scatterer
+index, then the earlier image.  :func:`flow` of one start and
+:func:`next_collision` without a finished search are the one-start forms of
 the same loop.
 
 Sphere stacks on a torus with d >= 3 (``ScattererStack.reach_sq`` set, at
@@ -55,8 +58,9 @@ trajectory terminates there instead of choosing a continuation.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,20 +163,15 @@ def _check_states(domain: Domain, q: np.ndarray, v: np.ndarray):
     """
     speed = np.sqrt(row_dot(v, v))
     unit = np.abs(speed - 1.0) <= 1e-6          # False for a non-finite speed
-    if unit.all():
-        q = domain.wrap(q)
-        inside = domain.contains(q)
-        if inside.all():
-            return np.arange(q.shape[0]), q, v / speed[:, None], {}
+    q = domain.wrap(q)
+    inside = domain.contains(q)
     errors = {int(j): InvalidStateError(
         f"velocity must be a unit vector (speed {float(speed[j])})")
         for j in np.flatnonzero(~unit)}
-    ok = np.flatnonzero(unit)
-    q = domain.wrap(q[ok])
-    inside = domain.contains(q)
-    for j in np.flatnonzero(~inside):
-        errors[int(ok[j])] = InvalidStateError("phase point lies inside a scatterer")
-    return ok[inside], q[inside], v[ok[inside]] / speed[ok[inside], None], errors
+    for j in np.flatnonzero(unit & ~inside):
+        errors[int(j)] = InvalidStateError("phase point lies inside a scatterer")
+    ok = np.flatnonzero(unit & inside)
+    return ok, q[ok], v[ok] / speed[ok, None], errors
 
 
 @dataclass(eq=False)
@@ -415,43 +414,17 @@ class _Flight:
                           self.t_end, self.end, self.max_drift)
 
 
-def _land(domain: Domain, fl: _Flight, q: Vec, v: Vec, t_lo: float, best: _Candidate,
-          t_second: float, escape_t: float, T: float, max_events: int,
-          eps_graze: float) -> bool:
-    """The collision of a flight whose search from the checked state
-    ``(q, v)`` found the root ``best``, and the second root ``t_second``, in
-    the window from ``t_lo``: polish the root, end the flight at a
-    degenerate, escaping or grazing impact, or book the
-    :class:`CollisionEvent`.  Returns whether the flight searches on."""
-    eps_time = EPS_TIME_FACTOR * domain.length_scale
+def _land(domain: Domain, fl: _Flight, x: PhasePoint, found: tuple, T: float,
+          max_events: int, eps_graze: float) -> bool:
+    """Book the collision of a flight whose search from the checked state
+    ``x`` ended with ``found`` (see :func:`next_collision`), or end the
+    flight at its singularity or escape.  Returns whether it searches on."""
     try:
-        if t_lo + best.t <= eps_time:
-            # a root this close to the previous event is a corner-like
-            # multiple collision; skipping it would tunnel through the wall
-            raise DegenerateCollisionError(
-                "collision within the minimum time gap of the previous event",
-                time=t_lo + best.t)
-        t_best = t_lo + _polish_root(best)
-        if t_second - best.t < eps_time:
-            raise DegenerateCollisionError(
-                "simultaneous collision with two boundary pieces", time=t_best)
-        if t_best > escape_t + eps_time:
-            raise EscapeError("particle left the box ambient", time=escape_t)
-        xi = best.xi0 + (t_best - t_lo) * best.xiv
-        if best.radius > 0.0:
-            nu = xi / math.sqrt(xi @ xi)
-        else:
-            nu = domain.scatterers[best.scatterer_index].plane_normal
-        cos_phi = -float(v @ nu)
-        if cos_phi < eps_graze:
-            raise GrazingSingularityError(
-                f"grazing impact: cos(phi) = {cos_phi:.3e}", time=t_best)
+        ev = next_collision(domain, x, T - fl.t, eps_graze, found=found)
     except (DegenerateCollisionError, EscapeError, GrazingSingularityError) as e:
         fl.stop(domain, e)
         return False
-    ev = CollisionEvent(t=fl.t + t_best, q=domain.wrap(q + t_best * v),
-                        scatterer_index=best.scatterer_index, nu=nu,
-                        cos_phi=min(cos_phi, 1.0), v_in=v.copy(), v_out=reflect(v, nu))
+    ev.t = fl.t + ev.t
     fl.segments.append(FlightSegment(fl.t, ev.t, fl.q, fl.v))
     fl.events.append(ev)
     speed = math.sqrt(ev.v_out @ ev.v_out)
@@ -545,8 +518,9 @@ def _fly(domain: Domain, q: np.ndarray, v: np.ndarray, T: float, max_events: int
         for a, (w, best, t_second) in hits.items():
             f = int(act[a])
             searching[f] = False
-            if _land(domain, flights[f], qs[f], vs[f], float(lo[a, w]), best, t_second,
-                     float(escape[f]), T, max_events, eps_graze):
+            if _land(domain, flights[f], PhasePoint(qs[f], vs[f]),
+                     (float(lo[a, w]), best, t_second, float(escape[f])), T, max_events,
+                     eps_graze):
                 new.append(f)
         for f in act[t_lo[act] >= horizon[act]].tolist():
             if not searching[f]:
@@ -562,72 +536,98 @@ def _fly(domain: Domain, q: np.ndarray, v: np.ndarray, T: float, max_events: int
                           PhasePoint(domain.wrap(fl.q + (T - fl.t) * fl.v), fl.v))
 
 
-def flow_ensemble(domain: Domain, starts: Sequence[PhasePoint], T: float,
-                  max_events: int = MAX_EVENTS_DEFAULT,
-                  eps_graze: float = EPS_GRAZE) -> Iterator[Trajectory]:
-    """Run the billiard flow from each start for time ``T``; yields the
-    trajectories in the order of the starts.
+def flight_groups(domain: Domain, count: int) -> list[range]:
+    """How ``count`` starts fly in lockstep: balanced groups of consecutive
+    starts, in order, of at most ``ROUND_ROWS // domain.chunk_rows`` flights,
+    so that a round holds at most ``ROUND_ROWS`` image rows.  Each group is
+    one :func:`flow` call, and its events are alive only until its caller
+    has used them."""
+    size = max(1, ROUND_ROWS // domain.chunk_rows)
+    n = -(-count // size)
+    sizes = [count // n + (k < count % n) for k in range(n)]
+    return [range(end - k, end) for k, end in zip(sizes, itertools.accumulate(sizes))]
 
-    The starts fly in lockstep, in balanced groups of at most
-    ``ROUND_ROWS // domain.chunk_rows`` flights; a group's trajectories are
-    yielded once it has landed.  Each trajectory is the one the flow of its
+
+def flow(domain: Domain, x0: PhasePoint | Sequence[PhasePoint], T: float,
+         max_events: int = MAX_EVENTS_DEFAULT,
+         eps_graze: float = EPS_GRAZE) -> Trajectory | list[Trajectory]:
+    """Run the billiard flow from ``x0`` for time ``T``.
+
+    ``x0`` is one start, or a sequence of starts that fly in lockstep as one
+    group (see :func:`flight_groups`) and give the list of their
+    trajectories, in order.  Each trajectory is the one the flow of its
     start alone gives.  Singularities never raise: they terminate the
-    trajectory with the corresponding status.  An invalid state raises
-    :class:`InvalidStateError` in place of that trajectory (a precondition).
+    trajectory with the corresponding status.  An invalid state does raise
+    :class:`InvalidStateError` (precondition): an invalid start before any
+    flight, else the first trajectory, in order, that reaches one.
     """
     if T <= 0.0:
         raise ValueError("horizon must be positive")
-    starts = list(starts)
-    size = max(1, ROUND_ROWS // domain.chunk_rows)
-    groups = -(-len(starts) // size)
-    return _fly_groups(domain, starts, groups, T, max_events, eps_graze)
-
-
-def _fly_groups(domain: Domain, starts: list[PhasePoint], groups: int, T: float,
-                max_events: int, eps_graze: float) -> Iterator[Trajectory]:
-    lo = 0
-    for k in range(groups):
-        hi = lo + len(starts) // groups + (k < len(starts) % groups)
-        # each start is checked once here and again by its first search
-        _, q, v, errors = _check_states(domain, np.array([x.q for x in starts[lo:hi]]),
-                                        np.array([x.v for x in starts[lo:hi]]))
-        first_bad = min(errors, default=hi - lo)
-        flights = _fly(domain, q[:first_bad], v[:first_bad], T, max_events, eps_graze)
-        for j in range(first_bad):
-            fl, flights[j] = flights[j], None
-            if isinstance(fl.error, InvalidStateError):
-                raise fl.error
-            yield fl.trajectory(domain, PhasePoint(q[j], v[j]), T)
-        if errors:
-            raise errors[first_bad]
-        lo = hi
-
-
-def flow(domain: Domain, x0: PhasePoint, T: float,
-         max_events: int = MAX_EVENTS_DEFAULT, eps_graze: float = EPS_GRAZE) -> Trajectory:
-    """Run the billiard flow from ``x0`` for time ``T``: the lockstep loop
-    of :func:`flow_ensemble` with one start.
-
-    Singularities never raise: they terminate the trajectory with the
-    corresponding status.  An invalid initial state does raise (precondition).
-    """
-    return next(flow_ensemble(domain, [x0], T, max_events=max_events, eps_graze=eps_graze))
+    one = isinstance(x0, PhasePoint)
+    starts = [x0] if one else list(x0)
+    _, q, v, errors = _check_states(domain, np.array([x.q for x in starts]),
+                                    np.array([x.v for x in starts]))
+    if errors:
+        raise errors[min(errors)]
+    flights = _fly(domain, q, v, T, max_events, eps_graze)
+    for fl in flights:
+        if isinstance(fl.error, InvalidStateError):
+            raise fl.error
+    trajectories = [fl.trajectory(domain, PhasePoint(q[j], v[j]), T)
+                    for j, fl in enumerate(flights)]
+    return trajectories[0] if one else trajectories
 
 
 def next_collision(domain: Domain, x: PhasePoint, t_max: float,
-                   eps_graze: float = EPS_GRAZE) -> CollisionEvent | None:
-    """Earliest collision along the free flight from ``x``, or ``None``: the
-    lockstep loop with one start and one event.
+                   eps_graze: float = EPS_GRAZE,
+                   found: tuple | None = None) -> CollisionEvent | None:
+    """Earliest collision along the free flight from ``x``, or ``None``.
 
     Searches times in ``(eps_time, t_max]``.  Raises
     :class:`GrazingSingularityError` when the earliest impact is grazing,
     :class:`DegenerateCollisionError` when two boundary pieces are hit within
     the minimum time gap, and :class:`EscapeError` when a box ambient is left
     first.  Event times in the returned record are relative to ``x``.
+
+    Without ``found``, ``x`` flies alone in the lockstep loop for one event.
+    The loop itself passes each finished search as ``found``: ``(t_lo, best,
+    t_second, escape_t)``, the start of the first window from the checked
+    state ``x`` that holds a root, that window's earliest root candidate and
+    its second root (local to the window), and the box escape time (inf off
+    a box).  Then only the root is polished and checked: every event of the
+    flow comes from here.
     """
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
-    (fl,) = _fly(domain, x.q[None], x.v[None], t_max, 1, eps_graze)
-    if fl.error is not None:
-        raise fl.error
-    return fl.events[0] if fl.events else None
+    if found is None:
+        if t_max <= 0.0:
+            raise ValueError("t_max must be positive")
+        (fl,) = _fly(domain, x.q[None], x.v[None], t_max, 1, eps_graze)
+        if fl.error is not None:
+            raise fl.error
+        return fl.events[0] if fl.events else None
+    t_lo, best, t_second, escape_t = found
+    q, v = x.q, x.v
+    eps_time = EPS_TIME_FACTOR * domain.length_scale
+    if t_lo + best.t <= eps_time:
+        # a root this close to the previous event is a corner-like
+        # multiple collision; skipping it would tunnel through the wall
+        raise DegenerateCollisionError(
+            "collision within the minimum time gap of the previous event",
+            time=t_lo + best.t)
+    t_best = t_lo + _polish_root(best)
+    if t_second - best.t < eps_time:
+        raise DegenerateCollisionError(
+            "simultaneous collision with two boundary pieces", time=t_best)
+    if t_best > escape_t + eps_time:
+        raise EscapeError("particle left the box ambient", time=escape_t)
+    xi = best.xi0 + (t_best - t_lo) * best.xiv
+    if best.radius > 0.0:
+        nu = xi / math.sqrt(xi @ xi)
+    else:
+        nu = domain.scatterers[best.scatterer_index].plane_normal
+    cos_phi = -float(v @ nu)
+    if cos_phi < eps_graze:
+        raise GrazingSingularityError(
+            f"grazing impact: cos(phi) = {cos_phi:.3e}", time=t_best)
+    return CollisionEvent(t=t_best, q=domain.wrap(q + t_best * v),
+                          scatterer_index=best.scatterer_index, nu=nu,
+                          cos_phi=min(cos_phi, 1.0), v_in=v.copy(), v_out=reflect(v, nu))

@@ -1,10 +1,11 @@
 """Experiment execution: trajectories -> transport -> checks -> CSV/JSON.
 
-The flow runs the ensemble in lockstep groups (``dynamics.flow_ensemble``),
-and each trajectory then runs the rest of the pipeline on its own (covector
-transport, verification checks) and writes its CSV as soon as its records
-exist.  Trajectories are processed in index order, and each is the one its
-start alone gives, so outputs depend only on the config and its seed.
+The flow runs the ensemble in lockstep groups (``dynamics.flight_groups``,
+one ``dynamics.flow`` call each), and each trajectory then runs the rest of
+the pipeline on its own (covector transport, verification checks) and writes
+its CSV as soon as its records exist.  Trajectories are processed in index
+order, and each is the one its start alone gives, so outputs depend only on
+the config and its seed.
 """
 
 from __future__ import annotations
@@ -25,14 +26,13 @@ from .diagnostics import (
     verify_growth,
     verify_monotonicity,
 )
-# flow stays importable here: perfbench/spans.py wraps runner.flow
-from .dynamics import (  # noqa: F401
+from .dynamics import (
     TERMINATION_DEGENERATE,
     TERMINATION_GRAZING,
     PhasePoint,
     Trajectory,
+    flight_groups,
     flow,
-    flow_ensemble,
 )
 from .errors import ConfigError
 from .geometry import Domain
@@ -210,13 +210,17 @@ def run_experiment(cfg: ExperimentConfig, mode: str = "run",
     if emit_csv:
         out = Path(out_dir if out_dir is not None else (cfg.out_dir or "out"))
         out.mkdir(parents=True, exist_ok=True)
-    trajectories = flow_ensemble(cfg.domain, [x0 for x0, _ in initial], cfg.horizon,
-                                 max_events=cfg.max_events, eps_graze=cfg.eps_graze)
-    outcomes = [run_trajectory(cfg, i, traj, n0,
-                               out / f"trajectory_{i:04d}.csv" if emit_csv else None,
-                               want_adjoint=want_adjoint,
-                               corrupt_curvature=corrupt_curvature)
-                for i, (traj, (_, n0)) in enumerate(zip(trajectories, initial))]
+    starts = [x0 for x0, _ in initial]
+    outcomes = []
+    for group in flight_groups(cfg.domain, len(starts)):
+        # reversed and popped: each trajectory is dropped once its outcome exists
+        trajectories = flow(cfg.domain, starts[group.start:group.stop], cfg.horizon,
+                            max_events=cfg.max_events, eps_graze=cfg.eps_graze)[::-1]
+        outcomes += [run_trajectory(cfg, i, trajectories.pop(), initial[i][1],
+                                    out / f"trajectory_{i:04d}.csv" if emit_csv else None,
+                                    want_adjoint=want_adjoint,
+                                    corrupt_curvature=corrupt_curvature)
+                     for i in group]
 
     summary = _summarize(cfg, mode, outcomes)
     exit_code = _exit_code(summary["ensemble"], len(outcomes))

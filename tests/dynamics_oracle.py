@@ -8,7 +8,7 @@ index and then the earlier image; ``chunk_scan`` runs it window by window
 over a chunk, as one call of the kernel searches; ``next_collision`` is the
 event search built on that scan, and ``flow`` the per-trajectory event loop
 built on that search, one start at a time: the oracles of the lockstep
-loop, ``billiards.dynamics.flow_ensemble``.  ``validate_phase_point`` is the
+loop, ``billiards.dynamics.flow``.  ``validate_phase_point`` is the
 state check of one start.  ``box_lattice_distance`` is the oracle of the
 sphere broad phase: the distance from a window's flight box to the nearest
 lattice image of a sphere center, coordinate by coordinate.

@@ -1,13 +1,14 @@
 """The lockstep flow against the per-trajectory oracle, bit for bit.
 
-``dynamics.flow_ensemble`` flies a group of starts with one kernel call per
-round; ``dynamics_oracle.flow`` runs the old event loop on one start at a
-time, with the per-scatterer window scan.  Every trajectory must agree in
+``dynamics.flow`` flies a group of starts with one kernel call per round;
+``dynamics_oracle.flow`` runs the old event loop on one start at a time,
+with the per-scatterer window scan.  Every trajectory must agree in
 every field: events, segments, termination, ``t_end``, the end state and
 ``max_speed_drift``, also when ``ROUND_ROWS`` splits the starts into several
 groups or the broad-phase scan into several batches.  The batched state
 check (``Domain.contains`` on a stack of points), the streamed CSVs and the
-names the benchmark's tracer wraps are checked here too.
+names the benchmark's tracer wraps, and that the flow still goes through
+them, are checked here too.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from billiards import (
     Box,
     build_sinai,
     dynamics,
+    flight_groups,
     flow,
-    flow_ensemble,
     runner,
 )
 from billiards.cli import main
@@ -77,8 +78,9 @@ def assert_lockstep_matches_oracle(domain, starts, T, max_events=MAX_EVENTS_DEFA
     time; ``round_rows`` replaces ``ROUND_ROWS``.  Returns the trajectories."""
     rows = dynamics.ROUND_ROWS if round_rows is None else round_rows
     with mock.patch.object(dynamics, "ROUND_ROWS", rows):
-        fast = list(flow_ensemble(domain, starts, T, max_events=max_events,
-                                  eps_graze=eps_graze))
+        fast = [traj for g in flight_groups(domain, len(starts))
+                for traj in flow(domain, starts[g.start:g.stop], T, max_events=max_events,
+                                 eps_graze=eps_graze)]
     assert len(fast) == len(starts)
     for traj, x in zip(fast, starts):
         slow = oracle.flow(domain, x, T, max_events=max_events, eps_graze=eps_graze)
@@ -173,6 +175,9 @@ def test_groups_are_balanced_and_flown_in_order(monkeypatch):
     rng = np.random.default_rng(457)
     starts = [random_phase_point(domain, rng) for _ in range(7)]
     monkeypatch.setattr(dynamics, "ROUND_ROWS", 3 * domain.chunk_rows)
+    groups = flight_groups(domain, len(starts))
+    assert groups == [range(0, 3), range(3, 5), range(5, 7)]
+    assert flight_groups(domain, 0) == []
     sizes = []
     original = dynamics._fly
 
@@ -181,31 +186,24 @@ def test_groups_are_balanced_and_flown_in_order(monkeypatch):
         return original(domain, q, v, *rest)
 
     monkeypatch.setattr(dynamics, "_fly", counted)
-    trajs = flow_ensemble(domain, starts, 3.0)
-    assert sizes == []                   # nothing flies before it is asked for
-    first = next(trajs)
-    assert sizes == [3]
-    assert [_bits(first)] + [_bits(t) for t in trajs] == \
-        [_bits(oracle.flow(domain, x, 3.0)) for x in starts]
+    trajs = [t for g in groups for t in flow(domain, starts[g.start:g.stop], 3.0)]
     assert sizes == [3, 2, 2]
+    assert [_bits(t) for t in trajs] == [_bits(oracle.flow(domain, x, 3.0)) for x in starts]
 
 
-def test_invalid_start_raises_in_its_place():
-    # the trajectories before an invalid start are yielded, then its error
+def test_invalid_start_raises_before_its_group_flies(monkeypatch):
     domain = DOMAINS["sinai2d"]
     rng = np.random.default_rng(461)
     good = [random_phase_point(domain, rng) for _ in range(3)]
     bad = PhasePoint(np.array([0.5, 0.5]), np.array([1.0, 0.0]))       # inside the disk
-    trajs = flow_ensemble(domain, good[:2] + [bad] + good[2:], 2.0)
-    assert [_bits(next(trajs)) for _ in range(2)] == \
-        [_bits(oracle.flow(domain, x, 2.0)) for x in good[:2]]
-    with pytest.raises(InvalidStateError, match="inside a scatterer"):
-        next(trajs)
     slow = PhasePoint(np.array([0.1, 0.1]), np.array([0.5, 0.0]))
+    monkeypatch.setattr(dynamics, "_fly", None)                         # nothing flies
+    with pytest.raises(InvalidStateError, match="inside a scatterer"):
+        flow(domain, good[:2] + [bad, slow] + good[2:], 2.0)
     with pytest.raises(InvalidStateError, match="unit vector"):
         flow(domain, slow, 1.0)
     with pytest.raises(ValueError, match="horizon"):
-        flow_ensemble(domain, good, 0.0)
+        flow(domain, good, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,3 +325,42 @@ def test_benchmark_traced_names_resolve():
     for module, attr in spans.TRACED:
         assert callable(getattr(importlib.import_module(f"billiards.{module}"), attr)), \
             (module, attr)
+
+
+@pytest.mark.parametrize("domain", [
+    {"kind": "sinai", "d": 2, "r": 0.25, "L": 1.0, "centers": [[0.5, 0.5]]},
+    {"kind": "hardball_gas", "N": 3, "d": 2, "r": 0.1, "L": 1.0},
+])
+def test_the_flow_goes_through_the_traced_names(monkeypatch, tmp_path, domain):
+    # the tracer counts the events as the non-None returns of
+    # dynamics.next_collision and books the flow to the runner.flow span:
+    # every event of a run comes through next_collision, and every kernel
+    # call runs inside runner.flow
+    cfg = load_config(_write(tmp_path, domain, 5, 4.0))
+    seen = {"flow": 0, "events": 0, "kernel": 0}
+    depth = []
+
+    def wrap(module, name, key, count):
+        fn = getattr(module, name)
+
+        def traced(*args, **kwargs):
+            depth.append(name)
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                depth.pop()
+            seen[key] += int(count(result))
+            return result
+        monkeypatch.setattr(module, name, traced)
+
+    def kernel_in_flow(result):
+        assert "flow" in depth
+        return True
+
+    wrap(runner, "flow", "flow", lambda result: True)
+    wrap(dynamics, "next_collision", "events", lambda result: result is not None)
+    wrap(dynamics, "_window_candidates", "kernel", kernel_in_flow)
+    summary, _ = run_experiment(cfg, "verify")
+    assert seen["flow"] == len(flight_groups(cfg.domain, 5))
+    assert seen["events"] == sum(t["event_count"] for t in summary["trajectories"]) > 0
+    assert seen["kernel"] > 0
