@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import DEFAULT_INTERIOR_SAMPLES, DEFAULT_TOL_CHECK
 from .errors import BilliardError, ConfigError
 from .geometry import (
     Box,
@@ -55,9 +56,9 @@ class ExperimentConfig:
     sampler: SamplerSpec | None = None
     explicit: ExplicitSpec | None = None
     checks: tuple[str, ...] = ("monotonicity",)
-    tol_check: float = 1e-9
+    tol_check: float = DEFAULT_TOL_CHECK
     eps_graze: float = EPS_GRAZE
-    grid_interior: int = 8
+    grid_interior: int = DEFAULT_INTERIOR_SAMPLES
     max_events: int = MAX_EVENTS_DEFAULT
     out_dir: str | None = None
     c0: float | None = None           # bound used by the growth check
@@ -244,7 +245,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     tolerances = raw.get("tolerances", {})
     _check_keys(tolerances, "config.tolerances", ("tol_check", "eps_graze"))
     tol_check = _get(tolerances, "tol_check", "config.tolerances", float,
-                     required=False, default=1e-9)
+                     required=False, default=DEFAULT_TOL_CHECK)
     _expect(tol_check >= 0.0, "config.tolerances.tol_check", "must be at least 0")
     eps_graze = _get(tolerances, "eps_graze", "config.tolerances", float,
                      required=False, default=EPS_GRAZE)
@@ -259,7 +260,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _expect(c0 is not None, "config.checks",
                 "growth check needs c0 (from the sampler or a top-level c0)")
 
-    grid_interior = _get(raw, "grid_interior", "config", int, required=False, default=8)
+    grid_interior = _get(raw, "grid_interior", "config", int, required=False,
+                         default=DEFAULT_INTERIOR_SAMPLES)
     _expect(grid_interior >= 0, "config.grid_interior", "must be at least 0")
     max_events = _get(raw, "max_events", "config", int, required=False,
                       default=MAX_EVENTS_DEFAULT)

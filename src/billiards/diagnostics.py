@@ -30,6 +30,7 @@ from .geometry import row_dot
 from .transport import Covector, TransportSeries, _complement_basis
 
 DEFAULT_INTERIOR_SAMPLES = 8
+DEFAULT_TOL_CHECK = 1e-9          # relative margin of the checks
 W_CONTINUITY_TOL = 1e-12
 RATIO_SENTINEL_FLOOR = 1e-300
 
@@ -231,7 +232,7 @@ def _pairwise_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(a, b), RATIO_SENTINEL_FLOOR)
 
 
-def verify_monotonicity(series: TransportSeries, tol: float = 1e-9,
+def verify_monotonicity(series: TransportSeries, tol: float = DEFAULT_TOL_CHECK,
                         w_continuity_tol: float = W_CONTINUITY_TOL,
                         interior: int = DEFAULT_INTERIOR_SAMPLES) -> VerificationReport:
     """Check the monotonicity laws of the transported covector.
@@ -313,7 +314,7 @@ def verify_monotonicity(series: TransportSeries, tol: float = 1e-9,
                               _meta(series))
 
 
-def verify_growth(series: TransportSeries, c0: float, tol: float = 1e-9,
+def verify_growth(series: TransportSeries, c0: float, tol: float = DEFAULT_TOL_CHECK,
                   interior: int = DEFAULT_INTERIOR_SAMPLES) -> VerificationReport:
     """Check the linear growth bounds for a unit covector with ``Q(n_0) <= -c0``.
 

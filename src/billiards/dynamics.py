@@ -8,30 +8,30 @@ small neighbourhood of lattice images is examined at a time.
 
 Trajectories fly in lockstep (:func:`flow` of a group of starts).  In each
 round, every flight of a group that is still searching for its next
-collision hands its next chunk of up to ``Domain.window_chunk`` consecutive
-windows (7 on 2-d Sinai, 16 on Sinai with d >= 3, 1 on hard balls: about 64
-image rows) to one call of :func:`_window_candidates`.  That call evaluates
-every flight, window, scatterer and image of the domain's stacks
-(``Domain.stacks``: scatterers of one kind and shape as arrays) in one array
-pass per stack, and returns, for each flight whose chunk holds a root, the
-first window that holds one; a flight without one searches on after its
-chunk.  A flight's windows are tiled by the same running sum
-``t_lo += hi`` as one window at a time, and a chunk shorter than the others
-is padded with windows of length 0, which hold no root.  A round holds at
-most ``ROUND_ROWS`` image rows, so an ensemble flies in balanced groups of
-``ROUND_ROWS // Domain.chunk_rows`` flights (:func:`flight_groups`), one
-:func:`flow` call each.
+collision hands its next chunk of up to ``WINDOW_CHUNK_MAX`` consecutive
+windows (:func:`_chunk`: 7 on 2-d Sinai, 16 on Sinai with d >= 3, 1 on hard
+balls, about ``CHUNK_ROWS`` image rows) to one call of
+:func:`_window_candidates`.  That call evaluates every flight, window,
+scatterer and image of the domain's stacks (``Domain.stacks``: scatterers of
+one kind and shape as arrays) in one array pass per stack, velocity terms
+included, and returns, for each flight whose chunk holds a root, the first
+window that holds one.  :func:`_tile` tiles each chunk by the running sum
+``t_lo += min(window, horizon - t_lo)`` of one window at a time, and pads a
+chunk shorter than the others with windows of length 0, which hold no root.
+A round holds at most ``ROUND_ROWS`` image rows, so an ensemble flies in
+balanced groups of ``ROUND_ROWS`` over the rows of one chunk
+(:func:`flight_groups`), one :func:`flow` call each.
 
-Each flight that found a root goes through one per-flight tail: the event
-itself comes from :func:`next_collision` given the finished search (root
-polish, the degenerate, escape and grazing checks, the
-:class:`CollisionEvent`), and :func:`_land` does the flow's bookkeeping.
-The state check of a new search (unit speed, position outside every
-scatterer) and its velocity terms (the velocity transverse to each axis and
-its squared norm) run once per round, as one array pass over the flights
-that start a search.  The batched products issue the same BLAS call per
-(window, scatterer) block as an unstacked scan of one window of one flight,
-and picking the first window, the best root and the second root is pure
+Each search ends in one per-flight tail, when its chunk holds a root or
+when it reaches its horizon without one: :func:`next_collision`, given the
+finished search, polishes the root and makes the degenerate, escape and
+grazing checks and the :class:`CollisionEvent`, or returns ``None`` (raises
+the escape) for a search without a root; :func:`_land` does the flow's
+bookkeeping.  The state check of new searches (unit speed, position outside
+every scatterer) runs once per round, as one array pass over the flights
+that start one.  The batched products issue the same BLAS call per (window,
+scatterer) block as an unstacked scan of one window of one flight, and
+picking the first window, the best root and the second root is pure
 selection, so every root keeps its bits; ties go to the lower scatterer
 index, then the earlier image.  :func:`flow` of one start and
 :func:`next_collision` without a finished search are the one-start forms of
@@ -72,7 +72,7 @@ from .errors import (
     GrazingSingularityError,
     InvalidStateError,
 )
-from .geometry import ROUND_ROWS, Box, Domain, Vec, reflect, row_dot
+from .geometry import Box, Domain, Vec, reflect, row_dot
 from .tolerances import EPS_GRAZE, EPS_TIME_FACTOR, MAX_EVENTS_DEFAULT
 
 TERMINATION_HORIZON = "reached_horizon"
@@ -80,6 +80,15 @@ TERMINATION_GRAZING = "grazing"
 TERMINATION_DEGENERATE = "degenerate_collision"
 TERMINATION_EVENT_CAP = "event_cap"
 TERMINATION_ESCAPE = "escape_error"
+
+# The collision search hands each flight's next chunk of up to
+# WINDOW_CHUNK_MAX consecutive windows, as many as keep a chunk near
+# CHUNK_ROWS image rows (:func:`_chunk`), to the kernel, and a round holds at
+# most ROUND_ROWS image rows.  Small scans are dominated by the fixed cost of
+# a call, not by array work.
+CHUNK_ROWS = 64
+WINDOW_CHUNK_MAX = 16
+ROUND_ROWS = 2560
 
 
 @dataclass(eq=False)
@@ -152,6 +161,17 @@ class Trajectory:
         return min((e.cos_phi for e in self.events), default=1.0)
 
 
+def _chunk(domain: Domain) -> tuple[int, int]:
+    """How many flight windows one chunk of the search covers, and its image
+    rows: ``CHUNK_ROWS`` over the images a window scans (S m per stack, S per
+    broad-phase stack, whose windows are mostly skipped), between 1 and
+    ``WINDOW_CHUNK_MAX`` windows."""
+    images = max(1, sum(st.indices.size if st.deltas is None or st.reach_sq is not None
+                        else st.indices.size * st.deltas.shape[1] for st in domain.stacks))
+    windows = min(WINDOW_CHUNK_MAX, max(1, CHUNK_ROWS // images))
+    return windows, windows * images
+
+
 def _check_states(domain: Domain, q: np.ndarray, v: np.ndarray):
     """The state check of each row of ``(q, v)``, ``(P, d)``: unit speed
     within 1e-6, and a position outside every scatterer.
@@ -183,41 +203,18 @@ class _Candidate:
     radius: float
 
 
-def _velocity_terms(domain: Domain, v: np.ndarray) -> list[tuple]:
-    """The velocity part of the window search: one triple per stack, for
-    each velocity of ``v``, ``(..., d)``.
-
-    Spheres and cylinders: ``vv``, the velocity transverse to each axis
-    (``(..., S, d)``); ``a = <vv, vv>`` as an ``(..., S, 1)`` column; and an
-    ``(..., S, 1)`` mask of the scatterers the flight can reach
-    (``a >= 1e-30``: a velocity along a cylinder's axis never reaches its
-    boundary).  Halfspaces: ``None``; the normal speeds ``<v, normal>``,
-    ``(..., S)``; and the mask of the planes the flight approaches (negative
-    normal speed).  All depend on the velocity alone, so one search computes
-    them once.
-    """
-    terms = []
-    for st in domain.stacks:
-        rows = np.repeat(v[..., None, :], st.points.shape[0], axis=-2)
-        if st.kind == "halfspace":
-            hv = row_dot(rows, st.normals)
-            terms.append((None, hv, hv < 0.0))
-            continue
-        vv = st.transverse(rows)
-        a = row_dot(vv, vv)[..., None]
-        terms.append((vv, a, a >= 1e-30))
-    return terms
-
-
 def _image_roots(st, qw: np.ndarray, shift: np.ndarray | None, vv: np.ndarray,
                  a: np.ndarray, live: np.ndarray, hi: np.ndarray):
     """Entering boundary roots of a sphere or cylinder stack in ``R`` windows:
     from ``qw``, ``(R, d)``, over the local times (0, hi], with the lattice
     shift of each window and scatterer, ``(R, S, d)`` (``None`` off a torus),
-    and each window's flight velocity terms (:func:`_velocity_terms`).
+    and each window's flight velocity transverse to each axis ``vv``,
+    ``(R, S, d)``, its squared norm ``a`` and the mask ``live`` of the
+    scatterers it can reach, both ``(R, S, 1)``.
 
-    Returns ``(r, row, roots, xi0)``: each root's window and scatterer row,
-    the root, and its image's offset ``xi0`` at window start.
+    Returns ``(r, row, roots, xi0, xiv)``: each root's window and scatterer
+    row, the root, its image's offset ``xi0`` at window start and the
+    transverse velocity ``xiv``.
     """
     rel = st.transverse(qw[:, None, :] - st.points)
     if shift is None:
@@ -242,16 +239,16 @@ def _image_roots(st, qw: np.ndarray, shift: np.ndarray | None, vv: np.ndarray,
     qq = np.sqrt(disc[ok]) - b[ok]
     roots = np.minimum(qq / a[r, row, 0], c[ok] / qq)
     keep = (0.0 < roots) & (roots <= hi[r])
-    return r[keep], row[keep], roots[keep], flat[pos[keep]]
+    r, row = r[keep], row[keep]
+    return r, row, roots[keep], flat[pos[keep]], vv[r, row]
 
 
 def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.ndarray,
-                       hi: np.ndarray, terms: list) -> dict:
+                       hi: np.ndarray) -> dict:
     """Search a chunk of consecutive windows of each flight ``q[f] + t v[f]``,
     ``q`` and ``v`` ``(F, d)``: window ``w`` of flight ``f`` spans the local
     times (0, hi[f, w]] after ``t_lo[f, w]``, both ``(F, W)``; a window of
-    length 0 pads a chunk shorter than the others.  ``terms`` are the
-    flights' :func:`_velocity_terms`.
+    length 0 pads a chunk shorter than the others.
 
     Returns ``hits``: for each flight whose chunk holds an entering boundary
     root, ``(w, best, t_second)``, its first window ``w`` that holds one,
@@ -262,7 +259,12 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
     Each stack is evaluated in one array pass over all its flights, windows,
     scatterers and images; a broad-phase stack scans its windows in reach
     in batches of at most ``max(ROUND_ROWS, one window's images)`` image
-    rows.  Ties go to the lower scatterer index, then the earlier image.
+    rows.  The velocity terms of a stack (the velocity transverse to each
+    axis and its squared norm, or the normal speeds of the planes) depend
+    on the flight alone, and a flight reaches only the scatterers with
+    ``a >= 1e-30`` (a velocity along a cylinder's axis never reaches its
+    boundary) or the planes it approaches.  Ties go to the lower scatterer
+    index, then the earlier image.
     """
     F, W = hi.shape
     d = domain.d
@@ -276,32 +278,38 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
         L = domain.ambient.side
         center = q_win + half * v[flight]
 
-    # the roots of every stack, each with its window, its scatterer index
-    # and its candidate's data: row ``pos`` of ``data[src]``, the stack and
-    # the offsets at window start of the roots of one pass over it
-    found, data = [], []
+    # the roots of every pass: window, root, scatterer index, and the
+    # candidate's xi0, xiv and radius
+    found = []
 
-    def add(i, r, row, roots, offsets):
+    def add(st, w, row, roots, xi0, xiv):
         if roots.size:
-            found.append((r, roots, domain.stacks[i].indices[row], np.arange(roots.size),
-                          np.full(roots.size, len(data)), row))
-            data.append((i, offsets))
+            radius = np.zeros(roots.size) if st.radii is None else st.radii[row]
+            found.append((w, roots, st.indices[row], xi0, xiv, radius))
 
-    for i, (st, (vv, a, live)) in enumerate(zip(domain.stacks, terms)):
+    for st in domain.stacks:
+        rows = np.repeat(v[:, None, :], st.points.shape[0], axis=1)
         if st.kind == "halfspace":
+            hv = row_dot(rows, st.normals)                               # (F, S)
             h0 = row_dot(q_win[:, None, :] - st.points, st.normals)      # (F W, S)
-            pos = np.flatnonzero(live[flight])
+            pos = np.flatnonzero((hv < 0.0)[flight])
             r, row = np.divmod(pos, h0.shape[1])
-            roots = -h0.reshape(-1)[pos] / a[flight[r], row]
+            roots = -h0.reshape(-1)[pos] / hv[flight[r], row]
             keep = (0.0 < roots) & (roots <= hi[r])
-            add(i, r[keep], row[keep], roots[keep], h0.reshape(-1)[pos[keep]])
+            r, row, pos = r[keep], row[keep], pos[keep]
+            n = st.normals[row]
+            add(st, r, row, roots[keep], h0.reshape(-1)[pos, None] * n,
+                hv[flight[r], row, None] * n)
             continue
+        vv = st.transverse(rows)
+        a = row_dot(vv, vv)[..., None]
+        live = a >= 1e-30
         shift = None
         if periodic:
             mid = center[:, None, :] - st.points
             shift = L * np.rint(mid / L)
         if st.reach_sq is None:
-            add(i, *_image_roots(st, q_win, shift, vv[flight], a[flight], live[flight], hi))
+            add(st, *_image_roots(st, q_win, shift, vv[flight], a[flight], live[flight], hi))
             continue
         # broad phase: the window's flight box is mid +- (hi/2)|v| per
         # coordinate, and |mid - shift| <= L/2, so the nearest lattice
@@ -309,23 +317,22 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
         # exact distance from the box to the nearest image of the center
         gap = np.maximum(np.abs(mid - shift) - (half * np.abs(v)[flight])[:, None, :], 0.0)
         wins = np.flatnonzero(~(row_dot(gap, gap) > st.reach_sq).all(axis=-1) & (hi > 0.0))
-        rows = st.deltas.shape[0] * st.deltas.shape[1]
-        size = max(ROUND_ROWS, rows) // rows
+        images = st.deltas.shape[0] * st.deltas.shape[1]
+        size = max(ROUND_ROWS, images) // images
         hit = np.zeros(F, dtype=bool)
         while wins.size:
             batch, wins = wins[:size], wins[size:]
             f = flight[batch]
-            r, row, roots, offsets = _image_roots(st, q_win[batch], shift[batch], vv[f], a[f],
-                                                  live[f], hi[batch])
-            add(i, batch[r], row, roots, offsets)
-            if roots.size and wins.size:
+            r, *rest = _image_roots(st, q_win[batch], shift[batch], vv[f], a[f], live[f],
+                                    hi[batch])
+            add(st, batch[r], *rest)
+            if r.size and wins.size:
                 # a flight's windows after one with a root come too late
                 hit[f[r]] = True
                 wins = wins[~hit[flight[wins]]]
     if not found:
         return {}
-    fw, roots, index, pos, src, row = found[0] if len(found) == 1 else \
-        (np.concatenate([f[k] for f in found]) for k in range(6))
+    fw, roots, index, xi0, xiv, radius = (np.concatenate(x) for x in zip(*found))
     # by flight and window, then root, then scatterer index; the sort is
     # stable, so a tie within one scatterer keeps the image order
     order = np.lexsort((index, roots, fw))
@@ -338,15 +345,8 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
         f, w = divmod(int(fw[j]), W)
         # the second root of the window: the next one in order, if in it
         t_second = float(roots[j + 1]) if j + 1 < fw.size and fw[j + 1] == fw[j] else np.inf
-        (i, rows), r, p, s = data[src[k]], int(row[k]), int(pos[k]), int(index[k])
-        vv, a, _ = terms[i]
-        if vv is None:
-            n_row = domain.stacks[i].normals[r]
-            cand = _Candidate(float(roots[j]), s, rows[p] * n_row, a[f, r] * n_row, 0.0)
-        else:
-            cand = _Candidate(float(roots[j]), s, rows[p], vv[f, r],
-                              domain.scatterers[s].radius)
-        hits[f] = (w, cand, t_second)
+        hits[f] = (w, _Candidate(float(roots[j]), int(index[k]), xi0[k], xiv[k],
+                                 float(radius[k])), t_second)
     return hits
 
 
@@ -418,11 +418,16 @@ def _land(domain: Domain, fl: _Flight, x: PhasePoint, found: tuple, T: float,
           max_events: int, eps_graze: float) -> bool:
     """Book the collision of a flight whose search from the checked state
     ``x`` ended with ``found`` (see :func:`next_collision`), or end the
-    flight at its singularity or escape.  Returns whether it searches on."""
+    flight at its singularity, escape or horizon.  Returns whether it
+    searches on."""
     try:
         ev = next_collision(domain, x, T - fl.t, eps_graze, found=found)
     except (DegenerateCollisionError, EscapeError, GrazingSingularityError) as e:
         fl.stop(domain, e)
+        return False
+    if ev is None:  # no collision before the horizon
+        fl.finish(TERMINATION_HORIZON, T,
+                  PhasePoint(domain.wrap(fl.q + (T - fl.t) * fl.v), fl.v))
         return False
     ev.t = fl.t + ev.t
     fl.segments.append(FlightSegment(fl.t, ev.t, fl.q, fl.v))
@@ -442,31 +447,18 @@ def _land(domain: Domain, fl: _Flight, x: PhasePoint, found: tuple, T: float,
 def _tile(t_lo: np.ndarray, horizon: np.ndarray, window: float,
           chunk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The next chunk of each flight: up to ``chunk`` windows from ``t_lo``
-    up to ``horizon``, tiled by the same running sum ``t_lo += hi`` as one
-    window at a time.  Returns the window starts and lengths, ``(F, W)``,
-    with length 0 past a flight's horizon, and where each chunk ends."""
-    # full windows by one running sum (accumulate adds left to right), up
-    # to each flight's first window that the horizon shortens
-    steps = np.full((t_lo.size, chunk + 1), window)
-    steps[:, 0] = t_lo
-    starts = np.add.accumulate(steps, axis=1)
-    full = window <= horizon[:, None] - starts[:, :chunk]
-    if full.all():
-        return starts[:, :chunk], steps[:, 1:], starts[:, chunk]
-    widths = np.where(np.logical_and.accumulate(full, axis=1), window, 0.0)
-    ends = starts[np.arange(t_lo.size), (widths > 0.0).sum(axis=1)]
-    # the rest of a chunk that reaches its horizon, one window at a time
-    for f in np.flatnonzero(~full.all(axis=1)).tolist():
-        k, t = int((widths[f] > 0.0).sum()), ends[f]
-        while k < chunk and t < horizon[f]:
-            starts[f, k] = t
-            widths[f, k] = min(window, horizon[f] - t)
-            t += widths[f, k]
-            k += 1
-        starts[f, k:] = t
-        ends[f] = t
+    up to ``horizon``, tiled by the same running sum
+    ``t_lo += min(window, horizon - t_lo)`` as one window at a time.
+    Returns the window starts and lengths, ``(F, W)``, with length 0 past a
+    flight's horizon, and where each chunk ends."""
+    starts, widths = np.empty((2, t_lo.size, chunk))
+    t = t_lo
+    for k in range(chunk):
+        starts[:, k] = t
+        widths[:, k] = hi = np.where(t < horizon, np.minimum(window, horizon - t), 0.0)
+        t = t + hi
     W = int((widths > 0.0).sum(axis=1).max())
-    return starts[:, :W], widths[:, :W], ends
+    return starts[:, :W], widths[:, :W], t
 
 
 def _fly(domain: Domain, q: np.ndarray, v: np.ndarray, T: float, max_events: int,
@@ -477,19 +469,17 @@ def _fly(domain: Domain, q: np.ndarray, v: np.ndarray, T: float, max_events: int
     flights = [_Flight(q[f], v[f]) for f in range(F)]
     eps_time = EPS_TIME_FACTOR * domain.length_scale
     window = 0.5 * domain.length_scale
+    chunk, _ = _chunk(domain)
     box = isinstance(domain.ambient, Box)
-    # the search of each flight: its checked state, velocity terms, next
-    # window start, horizon and box escape time
+    # the search of each flight: its checked state, next window start,
+    # horizon and box escape time
     qs, vs = np.empty_like(q), np.empty_like(v)
-    terms = [[np.zeros((F,) + x.shape[1:], dtype=x.dtype) if x is not None else None
-              for x in tm] for tm in _velocity_terms(domain, v[:0])]
     t_lo, horizon, escape = np.zeros(F), np.zeros(F), np.full(F, np.inf)
     searching = np.zeros(F, dtype=bool)
     new = list(range(F))
     while True:
         if new:
-            # the state check and velocity terms of the new searches, one
-            # array pass for all of them
+            # the state check of the new searches, one array pass for all
             ok, q_ok, v_ok, errors = _check_states(
                 domain, np.array([flights[g].q for g in new]),
                 np.array([flights[g].v for g in new]))
@@ -497,10 +487,6 @@ def _fly(domain: Domain, q: np.ndarray, v: np.ndarray, T: float, max_events: int
                 flights[new[j]].error = e
             g = np.asarray(new)[ok]
             qs[g], vs[g] = q_ok, v_ok
-            for tm, fresh in zip(terms, _velocity_terms(domain, v_ok)):
-                for x, y in zip(tm, fresh):
-                    if x is not None:
-                        x[g] = y
             t_lo[g] = 0.0
             horizon[g] = [T - flights[f].t for f in g.tolist()]
             if box:
@@ -511,38 +497,27 @@ def _fly(domain: Domain, q: np.ndarray, v: np.ndarray, T: float, max_events: int
         act = np.flatnonzero(searching)
         if not act.size:
             return flights
-        lo, hi, t_lo[act] = _tile(t_lo[act], horizon[act], window, domain.window_chunk)
-        hits = _window_candidates(domain, qs[act], vs[act], lo, hi,
-                                  [[None if x is None else x[act] for x in tm] for tm in terms])
+        lo, hi, t_lo[act] = _tile(t_lo[act], horizon[act], window, chunk)
+        hits = _window_candidates(domain, qs[act], vs[act], lo, hi)
+        # each search that found a root or reached its horizon ends here
         new = []
-        for a, (w, best, t_second) in hits.items():
+        for a in sorted(hits.keys() | set(np.flatnonzero(t_lo[act] >= horizon[act]).tolist())):
             f = int(act[a])
             searching[f] = False
+            w, best, t_second = hits.get(a, (None, None, np.inf))
+            start = float(t_lo[f]) if best is None else float(lo[a, w])
             if _land(domain, flights[f], PhasePoint(qs[f], vs[f]),
-                     (float(lo[a, w]), best, t_second, float(escape[f])), T, max_events,
-                     eps_graze):
+                     (start, best, t_second, float(escape[f])), T, max_events, eps_graze):
                 new.append(f)
-        for f in act[t_lo[act] >= horizon[act]].tolist():
-            if not searching[f]:
-                continue
-            # no collision before the horizon
-            searching[f] = False
-            fl = flights[f]
-            if escape[f] <= T - fl.t:
-                fl.stop(domain, EscapeError("particle left the box ambient",
-                                            time=float(escape[f])))
-            else:
-                fl.finish(TERMINATION_HORIZON, T,
-                          PhasePoint(domain.wrap(fl.q + (T - fl.t) * fl.v), fl.v))
 
 
 def flight_groups(domain: Domain, count: int) -> list[range]:
     """How ``count`` starts fly in lockstep: balanced groups of consecutive
-    starts, in order, of at most ``ROUND_ROWS // domain.chunk_rows`` flights,
-    so that a round holds at most ``ROUND_ROWS`` image rows.  Each group is
-    one :func:`flow` call, and its events are alive only until its caller
-    has used them."""
-    size = max(1, ROUND_ROWS // domain.chunk_rows)
+    starts, in order, of at most ``ROUND_ROWS`` over the image rows of one
+    chunk (:func:`_chunk`) flights, so that a round holds at most
+    ``ROUND_ROWS`` image rows.  Each group is one :func:`flow` call, and its
+    events are alive only until its caller has used them."""
+    size = max(1, ROUND_ROWS // _chunk(domain)[1])
     n = -(-count // size)
     sizes = [count // n + (k < count % n) for k in range(n)]
     return [range(end - k, end) for k, end in zip(sizes, itertools.accumulate(sizes))]
@@ -595,7 +570,8 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
     state ``x`` that holds a root, that window's earliest root candidate and
     its second root (local to the window), and the box escape time (inf off
     a box).  Then only the root is polished and checked: every event of the
-    flow comes from here.
+    flow comes from here.  A search that reached ``t_max`` without a root
+    passes ``best = None``, ``t_second = inf``: no event, or the escape.
     """
     if found is None:
         if t_max <= 0.0:
@@ -605,6 +581,10 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
             raise fl.error
         return fl.events[0] if fl.events else None
     t_lo, best, t_second, escape_t = found
+    if best is None:
+        if escape_t <= t_max:
+            raise EscapeError("particle left the box ambient", time=escape_t)
+        return None
     q, v = x.q, x.v
     eps_time = EPS_TIME_FACTOR * domain.length_scale
     if t_lo + best.t <= eps_time:

@@ -22,8 +22,9 @@ class InvalidStateError(BilliardError, ValueError):
 class SingularEventError(BilliardError):
     """Base for singular collision conditions; carries the singular time.
 
-    ``time`` is relative to the query that raised it (``next_collision``) or
-    absolute when re-raised by ``flow``.
+    ``time`` is relative to the state that ``next_collision`` searched from.
+    ``flow`` raises none of them: it ends the trajectory at that time with
+    the matching termination status.
     """
 
     def __init__(self, message: str, time: float | None = None):

@@ -44,19 +44,6 @@ _MAX_ENUM_DIM = 12
 # already exits early, and with the test 2-d Sinai runs were 3-7% slower.
 _BROAD_PHASE_MIN_IMAGES = 27
 
-# The collision search hands each flight's next chunk of up to
-# WINDOW_CHUNK_MAX consecutive windows, as many as keep a chunk near
-# CHUNK_ROWS image rows (``Domain.window_chunk``), to the kernel.  Flights
-# search in lockstep: one kernel call per round takes the chunks of every
-# flight of a group still searching, and a round holds at most ROUND_ROWS
-# image rows: a group has ROUND_ROWS // ``Domain.chunk_rows`` flights, and a
-# broad-phase stack scans its windows in reach in batches of at most
-# max(ROUND_ROWS, one window's images) rows.  Small scans are dominated by
-# the fixed cost of a call, not by array work.
-CHUNK_ROWS = 64
-WINDOW_CHUNK_MAX = 16
-ROUND_ROWS = 2560
-
 
 def as_vec(x, d: int | None = None, name: str = "vector") -> Vec:
     v = np.asarray(x, dtype=float)
@@ -346,11 +333,7 @@ class Domain:
     are the measure-zero multiple-collision corners, which the dynamics
     treats as singular.  ``stacks`` holds the scatterers grouped by kind
     and shape, for the array passes of the collision search and
-    :meth:`contains`.  ``window_chunk`` is how many flight windows one chunk
-    of the collision search covers: ``CHUNK_ROWS`` over the images a window
-    scans (S m per stack, S per broad-phase stack, whose windows are mostly
-    skipped), between 1 and ``WINDOW_CHUNK_MAX``; ``chunk_rows`` is the
-    image rows of one chunk, by the same count.
+    :meth:`contains`.
     """
 
     d: int
@@ -358,8 +341,6 @@ class Domain:
     scatterers: list[Scatterer]
     labels: list[str] | None = None
     stacks: list[ScattererStack] = field(init=False, repr=False)
-    window_chunk: int = field(init=False, repr=False)
-    chunk_rows: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d < 2:
@@ -375,10 +356,6 @@ class Domain:
         self.stacks = _stack_scatterers(
             self.scatterers, [self._build_image_deltas(s) for s in self.scatterers],
             self.length_scale)
-        images = sum(st.indices.size if st.deltas is None or st.reach_sq is not None
-                     else st.indices.size * st.deltas.shape[1] for st in self.stacks)
-        self.window_chunk = min(WINDOW_CHUNK_MAX, max(1, CHUNK_ROWS // max(images, 1)))
-        self.chunk_rows = self.window_chunk * max(images, 1)
         # each scatterer's image offsets, as a view into its stack (3^d rows
         # for a sphere, so they are not stored twice)
         self._image_deltas: list[np.ndarray | None] = [None] * len(self.scatterers)

@@ -35,7 +35,7 @@ from .dynamics import (
     flow,
 )
 from .errors import ConfigError
-from .geometry import Domain
+from .geometry import Box, Domain
 from .transport import Covector, adjoint_residual, transport_covector
 from .tolerances import ADJOINT_RESIDUAL_FAIL
 
@@ -69,13 +69,12 @@ def sample_initial_conditions(domain: Domain, count: int, seed: int,
     ``c0`` is given)."""
     out = []
     margin = START_MARGIN_FACTOR * domain.eps_surface
+    if isinstance(domain.ambient, Box):
+        highs = np.asarray(domain.ambient.sides)
+    else:
+        highs = np.full(domain.d, domain.length_scale)
     for i in range(count):
         rng = np.random.default_rng([seed, i])
-        scale = domain.length_scale
-        if hasattr(domain.ambient, "sides"):
-            highs = np.asarray(domain.ambient.sides)
-        else:
-            highs = np.full(domain.d, scale)
         for _ in range(100_000):
             q = rng.uniform(0.0, 1.0, domain.d) * highs
             if domain.contains(q, slack=-margin):

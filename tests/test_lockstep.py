@@ -5,10 +5,11 @@
 with the per-scatterer window scan.  Every trajectory must agree in
 every field: events, segments, termination, ``t_end``, the end state and
 ``max_speed_drift``, also when ``ROUND_ROWS`` splits the starts into several
-groups or the broad-phase scan into several batches.  The batched state
-check (``Domain.contains`` on a stack of points), the streamed CSVs and the
-names the benchmark's tracer wraps, and that the flow still goes through
-them, are checked here too.
+groups or the broad-phase scan into several batches.  The chunk tiling
+(``_tile`` against the running sum of one window at a time), the tail of a
+search without a root, the batched state check (``Domain.contains`` on a
+stack of points), the streamed CSVs and the names the benchmark's tracer
+wraps, and that the flow still goes through them, are checked here too.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import dynamics_oracle as oracle
 import geometry_oracle
 from billiards import (
     ConfigError,
+    EscapeError,
     InvalidStateError,
     PhasePoint,
     TERMINATION_DEGENERATE,
@@ -112,7 +114,7 @@ def test_one_call_searches_each_flight_as_alone(name, seed, count):
     # window, as if it were searched alone
     domain = CHUNK_DOMAINS[name]
     rng = np.random.default_rng(seed)
-    window, chunk = 0.5 * domain.length_scale, domain.window_chunk
+    window, chunk = 0.5 * domain.length_scale, dynamics._chunk(domain)[0]
     q, v, chunks = [], [], []
     for j in range(count):
         x = random_phase_point(domain, rng)
@@ -126,8 +128,7 @@ def test_one_call_searches_each_flight_as_alone(name, seed, count):
     starts = np.array([c[0] + [c[0][-1]] * (W - len(c[0])) for c in chunks])
     widths = np.array([c[1] + [0.0] * (W - len(c[1])) for c in chunks])
     q, v = np.array(q), np.array(v)
-    hits = dynamics._window_candidates(domain, q, v, starts, widths,
-                                       dynamics._velocity_terms(domain, v))
+    hits = dynamics._window_candidates(domain, q, v, starts, widths)
     for f, (s, w) in enumerate(chunks):
         w_o, slow = oracle.chunk_scan(domain, q[f], v[f], s, w)
         if f in hits:
@@ -174,7 +175,7 @@ def test_groups_are_balanced_and_flown_in_order(monkeypatch):
     domain = DOMAINS["sinai2d"]
     rng = np.random.default_rng(457)
     starts = [random_phase_point(domain, rng) for _ in range(7)]
-    monkeypatch.setattr(dynamics, "ROUND_ROWS", 3 * domain.chunk_rows)
+    monkeypatch.setattr(dynamics, "ROUND_ROWS", 3 * dynamics._chunk(domain)[1])
     groups = flight_groups(domain, len(starts))
     assert groups == [range(0, 3), range(3, 5), range(5, 7)]
     assert flight_groups(domain, 0) == []
@@ -204,6 +205,90 @@ def test_invalid_start_raises_before_its_group_flies(monkeypatch):
         flow(domain, slow, 1.0)
     with pytest.raises(ValueError, match="horizon"):
         flow(domain, good, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The chunk tiling and the miss tail
+# ---------------------------------------------------------------------------
+
+def assert_tiles_match_running_sum(t_lo, horizon, window, chunk):
+    """``dynamics._tile`` of a group of flights against the running sum
+    ``t_lo += min(window, horizon - t_lo)`` of one flight at a time, bit for
+    bit; returns the number of windows of each flight."""
+    starts, widths, ends = dynamics._tile(np.array(t_lo), np.array(horizon), window, chunk)
+    counts = []
+    for f, (t0, h) in enumerate(zip(t_lo, horizon)):
+        s, w = tiles(t0, h, window, chunk)
+        end = s[-1] + w[-1] if s else t0
+        k = len(s)
+        assert starts[f, :k].tobytes() == np.array(s).tobytes()
+        assert widths[f, :k].tobytes() == np.array(w).tobytes()
+        # padding: windows of length 0 at the chunk's end
+        assert (widths[f, k:] == 0.0).all() and (starts[f, k:] == end).all()
+        assert _hex(ends[f]) == _hex(end)
+        counts.append(k)
+    assert starts.shape == widths.shape == (len(t_lo), max(counts))
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(flights=st.lists(st.tuples(st.floats(0.0, 50.0), st.floats(1e-9, 20.0)),
+                        min_size=1, max_size=6),
+       window=st.sampled_from([0.5, 0.15, 1.25, 0.1]), chunk=st.integers(1, 16))
+def test_tile_matches_the_running_sum(flights, window, chunk):
+    t_lo = [t for t, _ in flights]
+    assert_tiles_match_running_sum(t_lo, [t + h for t, h in flights], window, chunk)
+
+
+def test_tile_keeps_ulp_sized_trailing_windows():
+    # horizons where t + (h - t) != h: h - t rounds by half an ulp of h
+    # (t < h / 2, both in one binade, h odd), and the tie rounds the sum to
+    # the even neighbour of h.  With t half an ulp, the running sum leaves a
+    # window of one ulp before h; with three halves, it ends one ulp past h
+    rng = np.random.default_rng(487)
+    window = 0.5
+    for _ in range(20):
+        h = float(rng.uniform(0.25, 0.5))
+        if not np.float64(h).view(np.int64) & 1:
+            h = float(np.nextafter(h, 1.0))
+        ulp = float(np.spacing(h))
+        for k in (1, 3):
+            t = k * ulp / 2
+            assert t + (h - t) != h
+            counts = assert_tiles_match_running_sum([t, t, 0.0], [h, h, 8.0], window, 4)
+            starts, widths = tiles(t, h, window, 4)
+            assert counts == [len(starts)] * 2 + [4]
+            if k == 1:
+                assert widths[1:] == [ulp] and starts[1] + widths[1] == h
+            else:
+                assert len(widths) == 1 and starts[0] + widths[0] == h + ulp
+
+
+def test_tile_ends_mid_chunk():
+    # one flight reaches its horizon within the chunk, one before its first
+    # window ends, one has none left; the others fill the chunk
+    window, chunk = 0.5, 7
+    counts = assert_tiles_match_running_sum([0.0, 1.0, 2.0, 3.0, 3.0],
+                                            [10.0, 2.3, 2.2, 3.0, 3.0 + 7 * window],
+                                            window, chunk)
+    assert counts == [7, 3, 1, 0, 7]
+    assert assert_tiles_match_running_sum([0.0], [1.2], window, chunk) == [3]
+    assert assert_tiles_match_running_sum([4.0], [4.0], window, chunk) == [0]
+
+
+@pytest.mark.parametrize("escape_t", [np.inf, 0.5, 2.0, 2.5])
+def test_a_search_without_a_root_ends_in_the_miss_tail(escape_t):
+    # no root before t_max = 2: no event, or the escape when the box is
+    # left by then (also exactly at t_max), as the oracle's loop ends
+    domain = DOMAINS["box_walls_sphere"]
+    x = PhasePoint(np.array([0.1, 0.5]), np.array([0.0, 1.0]))
+    found = (2.0, None, np.inf, escape_t)
+    if escape_t <= 2.0:
+        with pytest.raises(EscapeError) as e:
+            dynamics.next_collision(domain, x, 2.0, found=found)
+        assert e.value.time == escape_t
+    else:
+        assert dynamics.next_collision(domain, x, 2.0, found=found) is None
 
 
 # ---------------------------------------------------------------------------

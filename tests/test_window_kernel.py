@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -38,6 +39,7 @@ from billiards import (
     PhasePoint,
     Sphere,
     TERMINATION_DEGENERATE,
+    TERMINATION_HORIZON,
     Torus,
     build_hardball_gas,
     build_sinai,
@@ -46,7 +48,7 @@ from billiards import (
     hardball_pairs,
     next_collision,
 )
-from billiards.geometry import ROUND_ROWS
+from billiards.dynamics import ROUND_ROWS
 from conftest import random_phase_point
 
 
@@ -100,7 +102,7 @@ def kernel(domain: Domain, q, v, starts, widths):
     window with a root and its result, or the window count and ``None``."""
     hits = dynamics._window_candidates(
         domain, np.asarray(q)[None], np.asarray(v)[None], np.array([starts], dtype=float),
-        np.array([widths], dtype=float), dynamics._velocity_terms(domain, np.asarray(v)[None]))
+        np.array([widths], dtype=float))
     if 0 not in hits:
         return len(starts), None
     w, best, second = hits[0]
@@ -215,12 +217,10 @@ def test_window_kernel_matches_oracle(name, seed, shift, hi_frac):
 def test_axis_parallel_velocity_never_reaches_the_cylinder():
     v = np.array([0.0, 0.0, 1.0])
     cyl = DOMAINS["cylinder3d"]
-    assert dynamics._velocity_terms(cyl, v)[0][1][0, 0] < 1e-30
     assert window_pair(cyl, np.array([0.1, 0.5, 0.0]), v, 0.5) == (None, None)
     # nearly along the axis, a = 9e-32: the quadratic from a point two ulps
     # outside the boundary has a root at t = 0.17, but the scatterer is skipped
     v = np.array([3e-16, 0.0, 1.0]) / np.linalg.norm([3e-16, 0.0, 1.0])
-    assert dynamics._velocity_terms(cyl, v)[0][1][0, 0] < 1e-30
     q = np.array([float.fromhex("0x1.3333333333332p-2"), 0.5, 0.0])
     assert window_pair(cyl, q, v, 0.5) == (None, None)
     # in one stack with a reachable cylinder, only that one is hit
@@ -231,6 +231,26 @@ def test_axis_parallel_velocity_never_reaches_the_cylinder():
     best, _ = window_pair(crossed, q, v, 0.5)[0]
     assert best.scatterer_index == 1
     assert best.t == pytest.approx(0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize("q, v", [
+    ([0.1, 0.5, 0.0], [0.0, 0.0, 1.0]),
+    ([float.fromhex("0x1.3333333333332p-2"), 0.5, 0.0],
+     np.array([3e-16, 0.0, 1.0]) / np.linalg.norm([3e-16, 0.0, 1.0])),
+])
+def test_flight_along_a_cylinder_axis_ends_at_its_horizon(q, v):
+    # the search masks a cylinder the flight cannot reach (a < 1e-30): no
+    # window holds a root, nothing divides by a, and the flight ends at its
+    # horizon through the miss tail, as the oracle's
+    cyl = DOMAINS["cylinder3d"]
+    x = PhasePoint(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = flow(cyl, x, 5.0)
+        assert next_collision(cyl, x, 5.0) is None
+    slow = oracle.flow(cyl, x, 5.0)
+    assert traj.events == [] and traj.termination == TERMINATION_HORIZON == slow.termination
+    assert traj.t_end == 5.0 and traj.end.q.tobytes() == slow.end.q.tobytes()
 
 
 @pytest.mark.parametrize("own_stack", [None, 1, 2])
@@ -294,8 +314,8 @@ def _count_chunks(monkeypatch):
     chunks = []
     original = dynamics._window_candidates
 
-    def counted(domain, q, v, t_lo, hi, terms):
-        hits = original(domain, q, v, t_lo, hi, terms)
+    def counted(domain, q, v, t_lo, hi):
+        hits = original(domain, q, v, t_lo, hi)
         assert hi.shape[0] == 1
         chunks.append((hi.shape[1], hi[0, :hits[0][0] + 1 if 0 in hits else None].tolist()))
         return hits
@@ -321,10 +341,10 @@ def _outcome(fn, domain: Domain, x: PhasePoint, t_max: float):
 def test_next_collision_calls_the_kernel_once_per_chunk(monkeypatch, name):
     # the benchmark's window count and time wrap dynamics._window_candidates
     # at module level; the flow must call it through that global, once per
-    # chunk of at most window_chunk windows, and search exactly the windows
+    # chunk of at most dynamics._chunk windows, and search exactly the windows
     # of the per-scatterer search
     dom = DOMAINS[name]
-    chunk = dom.window_chunk
+    chunk = dynamics._chunk(dom)[0]
     fast = _count_chunks(monkeypatch)
     slow = _count_calls(monkeypatch, oracle, "window_scan")
     rng = np.random.default_rng(409)
@@ -582,8 +602,12 @@ def test_window_chunk_per_domain():
                 "torus_sphere_cylinder": 6, "box_walls_sphere": 16,
                 "hardball32": 1, "hardball62": 1,
                 **{f"sinai{d}d": 16 for d in range(3, 9)}, "sinai4d_side2.5": 16}
-    assert {k: CHUNK_DOMAINS[k].window_chunk for k in expected} == expected
-    assert Domain(2, Torus(1.0), []).window_chunk == 16
+    assert {k: dynamics._chunk(CHUNK_DOMAINS[k])[0] for k in expected} == expected
+    assert dynamics._chunk(Domain(2, Torus(1.0), [])) == (16, 16)
+    # the image rows of one chunk size the lockstep groups
+    assert dynamics._chunk(CHUNK_DOMAINS["sinai2d"]) == (7, 63)
+    assert dynamics._chunk(CHUNK_DOMAINS["hardball62"]) == (1, 375)
+    assert dynamics._chunk(CHUNK_DOMAINS["sinai8d"]) == (16, 16)
 
 
 def _aimed(domain: Domain, x: PhasePoint) -> PhasePoint:
@@ -606,7 +630,7 @@ def test_chunk_matches_oracle(name, seed, aim, skip, length):
     if aim:
         x = _aimed(domain, x)
     window = 0.5 * domain.length_scale
-    chunk = domain.window_chunk
+    chunk = dynamics._chunk(domain)[0]
     t0 = skip * window
     starts, widths = tiles(t0, t0 + length * chunk * window, window, chunk)
     assert_same_chunk(domain, x.q, x.v, starts, widths)
@@ -621,7 +645,7 @@ def test_chunks_match_oracle_along_flights(name):
     domain = CHUNK_DOMAINS[name]
     rng = np.random.default_rng(433)
     window = 0.5 * domain.length_scale
-    chunk = domain.window_chunk
+    chunk = dynamics._chunk(domain)[0]
     flights = 8 if domain.d >= 7 else 16
     seen = Counter()
     for j in range(flights):
@@ -658,7 +682,7 @@ def test_row_cap_batches_the_scan_of_a_round(monkeypatch, name):
     # to its end
     domain = CHUNK_DOMAINS[name]
     s = domain.scatterers[0]
-    d, window, chunk = domain.d, 0.5 * domain.length_scale, domain.window_chunk
+    d, window, chunk = domain.d, 0.5 * domain.length_scale, dynamics._chunk(domain)[0]
     rows = _broad_rows(domain)
     cap = max(ROUND_ROWS, rows) // rows
     flights = cap // chunk + 2
@@ -678,7 +702,7 @@ def test_row_cap_batches_the_scan_of_a_round(monkeypatch, name):
     monkeypatch.setattr(dynamics, "_image_roots", counted)
     hits = dynamics._window_candidates(
         domain, q, v, np.repeat([starts], flights, axis=0),
-        np.repeat([widths], flights, axis=0), dynamics._velocity_terms(domain, v))
+        np.repeat([widths], flights, axis=0))
     assert hits == {}
     assert sum(batches) == flights * chunk and len(batches) >= 2
     assert all(b <= cap for b in batches) and batches[0] == cap
@@ -694,7 +718,7 @@ def test_chunk_root_exactly_at_window_end(name):
     domain = DOMAINS[name]
     rng = np.random.default_rng(439)
     window = 0.5 * domain.length_scale
-    chunk = domain.window_chunk
+    chunk = dynamics._chunk(domain)[0]
     at_end = 0
     for j in range(16):
         x = random_phase_point(domain, rng)
@@ -732,7 +756,7 @@ def test_box_escape_caps_the_horizon(monkeypatch, d):
     # a box without walls: the windows tile (0, escape_t + eps_time], not
     # (0, t_max], and the flight escapes or first hits the sphere
     dom = Domain(d, Box((1.0,) * d), [Sphere(np.full(d, 0.5), 0.2)])
-    assert dom.window_chunk == 16
+    assert dynamics._chunk(dom)[0] == 16
     fast = _count_chunks(monkeypatch)
     slow = _count_calls(monkeypatch, oracle, "window_scan")
     rng = np.random.default_rng(443 + d)
