@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import DEFAULT_INTERIOR_SAMPLES, DEFAULT_TOL_CHECK
 from .errors import BilliardError, ConfigError
 from .geometry import (
     Box,
@@ -28,7 +27,12 @@ from .geometry import (
     build_sinai,
     reduce_pair_to_sinai,
 )
-from .tolerances import EPS_GRAZE, MAX_EVENTS_DEFAULT
+from .tolerances import (
+    DEFAULT_INTERIOR_SAMPLES,
+    DEFAULT_TOL_CHECK,
+    EPS_GRAZE,
+    MAX_EVENTS_DEFAULT,
+)
 
 VALID_CHECKS = ("monotonicity", "growth", "adjoint")
 

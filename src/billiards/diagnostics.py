@@ -27,10 +27,9 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleCovectorError, SeriesRangeError
 from .geometry import row_dot
+from .tolerances import DEFAULT_INTERIOR_SAMPLES, DEFAULT_TOL_CHECK
 from .transport import Covector, TransportSeries, _complement_basis
 
-DEFAULT_INTERIOR_SAMPLES = 8
-DEFAULT_TOL_CHECK = 1e-9          # relative margin of the checks
 W_CONTINUITY_TOL = 1e-12
 RATIO_SENTINEL_FLOOR = 1e-300
 

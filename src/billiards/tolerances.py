@@ -36,5 +36,12 @@ BROAD_PHASE_MARGIN_FACTOR = 1e-6
 # Event cap for a single trajectory.
 MAX_EVENTS_DEFAULT = 100_000
 
+# Relative margin of the diagnostic checks (config key `tol_check`).
+DEFAULT_TOL_CHECK = 1e-9
+
+# Interior samples per free segment in the diagnostics (config key
+# `grid_interior`).
+DEFAULT_INTERIOR_SAMPLES = 8
+
 # Adjoint-identity residual above which a `verify` run is reported failed.
 ADJOINT_RESIDUAL_FAIL = 1e-8

@@ -1,10 +1,10 @@
 """Check that two source trees write byte-identical outputs.
 
-    python3 tools/same_outputs.py OTHER_TREE [THIS_TREE]
+    python3 tools/same_outputs.py OTHER_TREE
 
-Both arguments are checkouts of this repository (``THIS_TREE`` defaults to
-the one holding this script).  The configs are the four benchmark workloads
-at full size (``perfbench/workloads.py`` of ``THIS_TREE``, imported and not
+``OTHER_TREE`` is a checkout of this repository; it is compared with the
+checkout holding this script.  The configs are the four benchmark workloads
+at full size (``perfbench/workloads.py`` of this checkout, imported and not
 changed), for seeds 1 and 2.  Each config runs in a fresh
 ``python -m billiards`` process per tree, with that tree's ``src`` on the
 path and one thread: ``run`` or ``verify`` as its workload says, and
@@ -72,10 +72,10 @@ def first_difference(a: Path, b: Path) -> str | None:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 2):
-        print("usage: python3 tools/same_outputs.py OTHER_TREE [THIS_TREE]", file=sys.stderr)
+    if len(argv) != 1:
+        print("usage: python3 tools/same_outputs.py OTHER_TREE", file=sys.stderr)
         return 2
-    trees = [Path(argv[0]).resolve(), Path(argv[1]).resolve() if len(argv) > 1 else HERE]
+    trees = [Path(argv[0]).resolve(), HERE]
     for tree in trees:
         if not (tree / "src" / "billiards" / "__init__.py").is_file():
             print(f"error: no billiards package under {tree / 'src'}", file=sys.stderr)
