@@ -223,6 +223,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         count = _get(s, "count", "config.initial.sampler", int)
         _expect(count >= 1, "config.initial.sampler.count", "must be at least 1")
         seed = _get(s, "seed", "config.initial.sampler", int)
+        _expect(seed >= 0, "config.initial.sampler.seed", "must be at least 0")
         c0 = _get(s, "c0", "config.initial.sampler", float, required=False)
         if c0 is not None:
             _expect(0.0 < c0 <= 0.5, "config.initial.sampler.c0", "must lie in (0, 1/2]")

@@ -21,7 +21,7 @@ array forms reproduce the per-sample loops they replaced bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,8 +188,6 @@ class CheckResult:
 @dataclass(eq=False)
 class VerificationReport:
     checks: list[CheckResult]
-    tolerances: dict
-    trajectory_meta: dict = field(default_factory=dict)
 
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
@@ -200,21 +198,10 @@ class VerificationReport:
                 return c
         raise KeyError(name)
 
-    def as_dict(self) -> dict:
-        return {"checks": [c.as_dict() for c in self.checks],
-                "tolerances": dict(self.tolerances),
-                "trajectory": dict(self.trajectory_meta)}
-
 
 def _result(name: str, tol: float, margin: float, t_worst: float) -> CheckResult:
     status = "pass" if margin >= -tol else "fail"
     return CheckResult(name, status, margin, t_worst)
-
-
-def _meta(series: TransportSeries) -> dict:
-    traj = series.trajectory
-    return {"event_count": traj.event_count, "termination": traj.termination,
-            "t_end": traj.t_end}
 
 
 def _worst(margins: np.ndarray, times: np.ndarray) -> tuple[float, float] | None:
@@ -309,8 +296,7 @@ def verify_monotonicity(series: TransportSeries, tol: float = DEFAULT_TOL_CHECK,
                    _result(CHECK_W_STRICT_INCREASE, tol, worst_e, t_e),
                    _result(CHECK_RATIO_NONINCREASING, tol, worst_f, t_f)]
 
-    return VerificationReport(checks, {"tol": tol, "w_continuity_tol": w_continuity_tol},
-                              _meta(series))
+    return VerificationReport(checks)
 
 
 def verify_growth(series: TransportSeries, c0: float, tol: float = DEFAULT_TOL_CHECK,
@@ -345,7 +331,7 @@ def verify_growth(series: TransportSeries, c0: float, tol: float = DEFAULT_TOL_C
         checks.append(_result(CHECK_LAMBDA_LINEAR_GROWTH, tol, *worst_h))
     else:
         checks.append(CheckResult(CHECK_LAMBDA_LINEAR_GROWTH, "skipped"))
-    return VerificationReport(checks, {"tol": tol, "c0": c0}, _meta(series))
+    return VerificationReport(checks)
 
 
 def q_decrement_breakdown(series: TransportSeries) -> dict:

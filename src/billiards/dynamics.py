@@ -530,16 +530,19 @@ def flow(domain: Domain, x0: PhasePoint | Sequence[PhasePoint], T: float,
 
     ``x0`` is one start, or a sequence of starts that fly in lockstep as one
     group (see :func:`flight_groups`) and give the list of their
-    trajectories, in order.  Each trajectory is the one the flow of its
-    start alone gives.  Singularities never raise: they terminate the
-    trajectory with the corresponding status.  An invalid state does raise
+    trajectories, in order (``[]`` for no starts).  ``T`` must be positive
+    and finite.  Each trajectory is the one the flow of its start alone
+    gives.  Singularities never raise: they terminate the trajectory with
+    the corresponding status.  An invalid state does raise
     :class:`InvalidStateError` (precondition): an invalid start before any
     flight, else the first trajectory, in order, that reaches one.
     """
-    if T <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError("horizon must be positive and finite")
     one = isinstance(x0, PhasePoint)
     starts = [x0] if one else list(x0)
+    if not starts:
+        return []
     _, q, v, errors = _check_states(domain, np.array([x.q for x in starts]),
                                     np.array([x.v for x in starts]))
     if errors:
@@ -558,7 +561,8 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
                    found: tuple | None = None) -> CollisionEvent | None:
     """Earliest collision along the free flight from ``x``, or ``None``.
 
-    Searches times in ``(eps_time, t_max]``.  Raises
+    Searches times in ``(eps_time, t_max]``, for a positive and finite
+    ``t_max``.  Raises
     :class:`GrazingSingularityError` when the earliest impact is grazing,
     :class:`DegenerateCollisionError` when two boundary pieces are hit within
     the minimum time gap, and :class:`EscapeError` when a box ambient is left
@@ -574,8 +578,8 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
     passes ``best = None``, ``t_second = inf``: no event, or the escape.
     """
     if found is None:
-        if t_max <= 0.0:
-            raise ValueError("t_max must be positive")
+        if not 0.0 < t_max < math.inf:
+            raise ValueError("t_max must be positive and finite")
         (fl,) = _fly(domain, x.q[None], x.v[None], t_max, 1, eps_graze)
         if fl.error is not None:
             raise fl.error

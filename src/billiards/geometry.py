@@ -44,6 +44,9 @@ _MAX_ENUM_DIM = 12
 # already exits early, and with the test 2-d Sinai runs were 3-7% slower.
 _BROAD_PHASE_MIN_IMAGES = 27
 
+# which scatterer of a pair the disjointness check measures from the other
+_GUEST_RANK = {"sphere": 0, "cylinder": 1, "halfspace": 2}
+
 
 def as_vec(x, d: int | None = None, name: str = "vector") -> Vec:
     v = np.asarray(x, dtype=float)
@@ -104,7 +107,10 @@ class Box:
 
     A box does not confine the particle by itself: walls must be supplied as
     halfspace scatterers, and a trajectory that leaves the box terminates
-    with an escape status.
+    with an escape status.  Crossing walls meet only in edges and corners,
+    so walls may close the box; parallel walls must face each other across
+    a gap.  :class:`Domain` checks this, and every other overlap, through
+    the distance of its scatterer stacks.
     """
 
     sides: tuple[float, ...]
@@ -286,10 +292,33 @@ class ScattererStack:
         return x - (self.axes.transpose(0, 2, 1) @ ax)[..., 0]
 
 
-def _stack_scatterers(scatterers: list[Scatterer], image_deltas: list[np.ndarray | None],
-                      length_scale: float) -> list[ScattererStack]:
+def _image_offsets(ambient: Ambient, s: Scatterer) -> np.ndarray | None:
+    """Transverse offsets of the nearby periodic images of ``s``.
+
+    One row per distinct image; the zero row is always present.  ``None``
+    for halfspaces (never periodic).
+    """
+    if isinstance(s, Halfspace):
+        return None
+    if not ambient.periodic:
+        return np.zeros((1, s.dim))
+    L = ambient.side
+    if isinstance(s, Cylinder):
+        if s.image_deltas is not None:
+            deltas = np.asarray(s.image_deltas, dtype=float)
+        else:
+            deltas = _lattice_steps(s.dim) * L @ s.projector.T
+        # collapse offsets that differ only along the axis subspace
+        key = np.round(deltas / (1e-9 * L)).astype(np.int64)
+        _, idx = np.unique(key, axis=0, return_index=True)
+        return deltas[np.sort(idx)]
+    return _lattice_steps(s.dim) * L
+
+
+def _stack_scatterers(scatterers: list[Scatterer], ambient: Ambient) -> list[ScattererStack]:
     """Group scatterers of the same kind, axis count and image count into
     stacks, in order of their first scatterer."""
+    image_deltas = [_image_offsets(ambient, s) for s in scatterers]
     groups: dict[tuple, list[int]] = {}
     for i, (s, deltas) in enumerate(zip(scatterers, image_deltas)):
         k = s.axis_directions.shape[0] if isinstance(s, Cylinder) else 0
@@ -308,7 +337,7 @@ def _stack_scatterers(scatterers: list[Scatterer], image_deltas: list[np.ndarray
         deltas = np.array([image_deltas[i] for i in idx])
         reach_sq = None
         if kind == "sphere" and deltas.shape[1] >= _BROAD_PHASE_MIN_IMAGES:
-            reach_sq = (radii + BROAD_PHASE_MARGIN_FACTOR * length_scale) ** 2
+            reach_sq = (radii + BROAD_PHASE_MARGIN_FACTOR * ambient.length_scale) ** 2
         stacks.append(ScattererStack(
             kind, np.array(idx), np.array(points),
             radii=radii,
@@ -325,15 +354,21 @@ def _stack_scatterers(scatterers: list[Scatterer], image_deltas: list[np.ndarray
 
 @dataclass(eq=False)
 class Domain:
-    """Ambient space minus a list of pairwise disjoint convex scatterers.
+    """Ambient space minus a list of convex scatterers whose solid parts
+    meet at most in corner sets.
 
     Construction validates dimensions, torus self-wrap, and pairwise
-    disjointness where it is decidable.  Transversal cylinders (hard-ball
-    pair cylinders) are exempt from the disjointness check: their overlaps
-    are the measure-zero multiple-collision corners, which the dynamics
-    treats as singular.  ``stacks`` holds the scatterers grouped by kind
-    and shape, for the array passes of the collision search and
-    :meth:`contains`.
+    disjointness where it is decidable.  The solid parts of two scatterers
+    may meet only in a corner set, which the dynamics treats as singular:
+    transversal cylinders (hard-ball pair cylinders) and crossing walls are
+    exempt from the disjointness check.  Walls that face the same way nest,
+    and antiparallel walls need a gap between them.  Every other pair must
+    be disjoint: the pair's sphere, else its cylinder, is the guest, and its
+    center or axis point must lie farther than its radius from the other
+    scatterer, by the same stacked distance as :meth:`contains` (a cylinder
+    whose axis runs into a wall is rejected).  ``stacks`` holds the
+    scatterers grouped by kind and shape, for the array passes of the
+    collision search and :meth:`contains`.
     """
 
     d: int
@@ -353,42 +388,12 @@ class Domain:
                     f"scatterer dimension {s.dim} does not match domain dimension {self.d}")
         if self.labels is not None and len(self.labels) != len(self.scatterers):
             raise DomainConstructionError("labels must match the number of scatterers")
-        self.stacks = _stack_scatterers(
-            self.scatterers, [self._build_image_deltas(s) for s in self.scatterers],
-            self.length_scale)
-        # each scatterer's image offsets, as a view into its stack (3^d rows
-        # for a sphere, so they are not stored twice)
-        self._image_deltas: list[np.ndarray | None] = [None] * len(self.scatterers)
-        for st in self.stacks:
-            if st.deltas is not None:
-                for row, i in enumerate(st.indices):
-                    self._image_deltas[i] = st.deltas[row]
+        self.stacks = _stack_scatterers(self.scatterers, self.ambient)
+        # scatterer index -> (index into ``stacks``, row in that stack)
+        self._stack_rows = {i: (k, row) for k, st in enumerate(self.stacks)
+                            for row, i in enumerate(st.indices.tolist())}
         self._check_self_wrap()
         self._check_disjoint()
-
-    # -- periodic image bookkeeping -------------------------------------
-
-    def _build_image_deltas(self, s: Scatterer) -> np.ndarray | None:
-        """Transverse offsets of the nearby periodic images of ``s``.
-
-        One row per distinct image; the zero row is always present.  ``None``
-        for halfspaces (never periodic).
-        """
-        if isinstance(s, Halfspace):
-            return None
-        if not self.ambient.periodic:
-            return np.zeros((1, self.d))
-        L = self.ambient.side
-        if isinstance(s, Cylinder):
-            if s.image_deltas is not None:
-                deltas = np.asarray(s.image_deltas, dtype=float)
-            else:
-                deltas = _lattice_steps(self.d) * L @ s.projector.T
-            # collapse offsets that differ only along the axis subspace
-            key = np.round(deltas / (1e-9 * L)).astype(np.int64)
-            _, idx = np.unique(key, axis=0, return_index=True)
-            return deltas[np.sort(idx)]
-        return _lattice_steps(self.d) * L
 
     # -- construction-time invariants ------------------------------------
 
@@ -400,12 +405,13 @@ class Domain:
             if isinstance(s, Halfspace):
                 raise DomainConstructionError("halfspace scatterers require a box ambient")
             if isinstance(s, Sphere):
+                # norms over the 3^d lattice would take about 51 MB at d = 12
                 if not 2.0 * s.radius < L:
                     raise DomainConstructionError(
                         f"scatterer {i}: sphere of diameter {2 * s.radius} wraps on torus of side {L}")
             else:
-                deltas = self._image_deltas[i]
-                norms = np.linalg.norm(deltas, axis=1)
+                k, row = self._stack_rows[i]
+                norms = np.linalg.norm(self.stacks[k].deltas[row], axis=1)
                 nonzero = norms[norms > 1e-9 * L]
                 if nonzero.size and not nonzero.min() > 2.0 * s.radius:
                     raise DomainConstructionError(
@@ -413,42 +419,30 @@ class Domain:
 
     def _check_disjoint(self):
         for i, j in itertools.combinations(range(len(self.scatterers)), 2):
-            a, b = self.scatterers[i], self.scatterers[j]
-            if not self._pair_disjoint(i, a, j, b):
+            if not self._pair_disjoint(i, j):
                 raise DomainConstructionError(f"scatterers {i} and {j} have intersecting solid parts")
 
-    def _pair_disjoint(self, i: int, a: Scatterer, j: int, b: Scatterer) -> bool:
-        if isinstance(a, Halfspace) and isinstance(b, Halfspace):
-            # two halfspaces are disjoint only when antiparallel with a gap
-            if not np.allclose(a.plane_normal, -b.plane_normal, atol=1e-9):
-                return False
-            return float((b.plane_point - a.plane_point) @ a.plane_normal) > 0.0
-        if isinstance(a, Halfspace) or isinstance(b, Halfspace):
-            h, s, si = (a, b, j) if isinstance(a, Halfspace) else (b, a, i)
-            if isinstance(s, Sphere):
-                return float((s.center - h.plane_point) @ h.plane_normal) > s.radius
-            if np.max(np.abs(s.axis_directions @ h.plane_normal)) > 1e-12:
-                return False  # axis runs into the plane
-            gap = float((s.axis_point - h.plane_point) @ h.plane_normal)
-            return gap > s.radius
-        if isinstance(a, Sphere) and isinstance(b, Sphere):
-            dist = np.linalg.norm(self.min_image(a.center - b.center))
-            return float(dist) > a.radius + b.radius
-        if isinstance(a, Sphere) or isinstance(b, Sphere):
-            sph, cyl, ci = (a, b, j) if isinstance(a, Sphere) else (b, a, i)
-            xi = cyl.transverse(self.min_image(sph.center - cyl.axis_point))
-            dist = self._reduced_transverse_norm(xi, self._image_deltas[ci])
-            return dist > sph.radius + cyl.radius
-        # both cylinders: decidable only when the axis subspaces coincide
-        if np.allclose(a.projector, b.projector, atol=1e-10):
-            xi = a.transverse(self.min_image(b.axis_point - a.axis_point))
-            dist = self._reduced_transverse_norm(xi, self._image_deltas[i])
-            return dist > a.radius + b.radius
-        return True  # transversal cylinders: overlaps are corner sets, allowed
-
-    @staticmethod
-    def _reduced_transverse_norm(xi: Vec, deltas: np.ndarray) -> float:
-        return float(np.min(np.linalg.norm(xi[None, :] - deltas, axis=1)))
+    def _pair_disjoint(self, i: int, j: int) -> bool:
+        """Whether scatterers ``i`` and ``j`` may share the domain (see the
+        class docstring)."""
+        guest, host = sorted((i, j), key=lambda k: _GUEST_RANK[self.scatterers[k].kind])
+        g, h = self.scatterers[guest], self.scatterers[host]
+        if isinstance(g, Halfspace):  # two walls
+            if not np.allclose(g.plane_normal, -h.plane_normal, atol=1e-9):
+                # crossing walls meet in a corner set; walls facing the same way nest
+                return not np.allclose(g.plane_normal, h.plane_normal, atol=1e-9)
+            point, radius = g.plane_point, 0.0
+        elif isinstance(g, Sphere):
+            point, radius = g.center, g.radius
+        else:
+            if isinstance(h, Halfspace):
+                if np.max(np.abs(g.axis_directions @ h.plane_normal)) > 1e-12:
+                    return False  # axis runs into the plane
+            elif not np.allclose(g.projector, h.projector, atol=1e-10):
+                return True  # transversal cylinders: overlaps are corner sets, allowed
+            point, radius = g.axis_point, g.radius
+        k, row = self._stack_rows[host]
+        return float(self._signed_distances(self.stacks[k], point)[row]) > radius
 
     # -- basic queries ----------------------------------------------------
 

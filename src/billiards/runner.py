@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -91,29 +90,6 @@ def sample_initial_conditions(domain: Domain, count: int, seed: int,
     return out
 
 
-@dataclass(eq=False)
-class TrajectoryOutcome:
-    index: int
-    termination: str
-    event_count: int
-    t_end: float
-    min_cos_phi: float
-    final_Q: float
-    final_lambda: float
-    checks: list
-    adjoint: float | None = None
-
-    def as_dict(self) -> dict:
-        d = {"index": self.index, "termination": self.termination,
-             "event_count": self.event_count, "t_end": self.t_end,
-             "min_cos_phi": self.min_cos_phi, "final_Q": self.final_Q,
-             "final_lambda": self.final_lambda,
-             "checks": [c.as_dict() for c in self.checks]}
-        if self.adjoint is not None:
-            d["adjoint_residual"] = self.adjoint
-        return d
-
-
 def _sanitize(obj):
     """JSON-ready copy of a summary: a non-finite float becomes ``None``."""
     if isinstance(obj, dict):
@@ -133,9 +109,11 @@ def summary_text(summary: dict) -> str:
 
 def run_trajectory(cfg: ExperimentConfig, index: int, traj: Trajectory, n0: Covector,
                    csv_path: Path | None, want_adjoint: bool,
-                   corrupt_curvature: bool = False) -> TrajectoryOutcome:
+                   corrupt_curvature: bool = False) -> dict:
     """Transport, checks and (with ``csv_path``) the CSV of one flown
-    trajectory; the records are written and dropped here."""
+    trajectory; the records are written and dropped here.  Returns the
+    trajectory's entry of the summary's ``trajectories`` list, with
+    ``adjoint_residual`` only when ``want_adjoint``."""
     series = transport_covector(traj, n0)
     checks = []
     if "monotonicity" in cfg.checks:
@@ -144,19 +122,19 @@ def run_trajectory(cfg: ExperimentConfig, index: int, traj: Trajectory, n0: Cove
     if "growth" in cfg.checks:
         checks.extend(verify_growth(series, cfg.c0, cfg.tol_check,
                                     interior=cfg.grid_interior).checks)
-    residual = None
+    n_end = series.covector_at(series.t_end)
+    entry = {"index": index, "termination": traj.termination,
+             "event_count": traj.event_count, "t_end": traj.t_end,
+             "min_cos_phi": traj.min_cos_phi(), "final_Q": lyapunov_Q(n_end),
+             "final_lambda": n_end.norm() / series.n0_norm,
+             "checks": [c.as_dict() for c in checks]}
     if want_adjoint:
         # the fault hook corrupts only the covector the adjoint check sees
-        residual = adjoint_residual(transport_covector(traj, n0, curvature_scale=2.0)
-                                    if corrupt_curvature else series)
+        entry["adjoint_residual"] = adjoint_residual(
+            transport_covector(traj, n0, curvature_scale=2.0) if corrupt_curvature else series)
     if csv_path is not None:
         _write_csv(csv_path, series_records(series, interior=cfg.grid_interior, c0=cfg.c0))
-    n_end = series.covector_at(series.t_end)
-    return TrajectoryOutcome(
-        index=index, termination=traj.termination, event_count=traj.event_count,
-        t_end=traj.t_end, min_cos_phi=traj.min_cos_phi(),
-        final_Q=lyapunov_Q(n_end), final_lambda=n_end.norm() / series.n0_norm,
-        checks=checks, adjoint=residual)
+    return entry
 
 
 def _write_csv(path: Path, records: np.recarray) -> None:
@@ -210,19 +188,19 @@ def run_experiment(cfg: ExperimentConfig, mode: str = "run",
         out = Path(out_dir if out_dir is not None else (cfg.out_dir or "out"))
         out.mkdir(parents=True, exist_ok=True)
     starts = [x0 for x0, _ in initial]
-    outcomes = []
+    entries = []
     for group in flight_groups(cfg.domain, len(starts)):
-        # reversed and popped: each trajectory is dropped once its outcome exists
+        # reversed and popped: each trajectory is dropped once its entry exists
         trajectories = flow(cfg.domain, starts[group.start:group.stop], cfg.horizon,
                             max_events=cfg.max_events, eps_graze=cfg.eps_graze)[::-1]
-        outcomes += [run_trajectory(cfg, i, trajectories.pop(), initial[i][1],
-                                    out / f"trajectory_{i:04d}.csv" if emit_csv else None,
-                                    want_adjoint=want_adjoint,
-                                    corrupt_curvature=corrupt_curvature)
-                     for i in group]
+        entries += [run_trajectory(cfg, i, trajectories.pop(), initial[i][1],
+                                   out / f"trajectory_{i:04d}.csv" if emit_csv else None,
+                                   want_adjoint=want_adjoint,
+                                   corrupt_curvature=corrupt_curvature)
+                    for i in group]
 
-    summary = _summarize(cfg, mode, outcomes)
-    exit_code = _exit_code(summary["ensemble"], len(outcomes))
+    summary = _summarize(cfg, mode, entries)
+    exit_code = _exit_code(summary["ensemble"], len(entries))
     summary["exit_code"] = exit_code
 
     if emit_csv:
@@ -230,34 +208,35 @@ def run_experiment(cfg: ExperimentConfig, mode: str = "run",
     return summary, exit_code
 
 
-def _summarize(cfg: ExperimentConfig, mode: str, outcomes) -> dict:
+def _summarize(cfg: ExperimentConfig, mode: str, entries: list[dict]) -> dict:
     terminations: dict[str, int] = {}
     failures = 0
     worst_margins: dict[str, dict] = {}
     worst_residual = None
     # trajectories that ended grazing or degenerate before half the horizon
-    singular_early = sum(1 for o in outcomes
-                         if o.termination in (TERMINATION_GRAZING, TERMINATION_DEGENERATE)
-                         and o.t_end < 0.5 * cfg.horizon)
-    for o in outcomes:
-        terminations[o.termination] = terminations.get(o.termination, 0) + 1
-        for c in o.checks:
-            if c.status == "fail":
+    singular_early = sum(1 for e in entries
+                         if e["termination"] in (TERMINATION_GRAZING, TERMINATION_DEGENERATE)
+                         and e["t_end"] < 0.5 * cfg.horizon)
+    for e in entries:
+        terminations[e["termination"]] = terminations.get(e["termination"], 0) + 1
+        for c in e["checks"]:
+            if c["status"] == "fail":
                 failures += 1
-            if c.margin is not None:
-                prev = worst_margins.get(c.name)
-                if prev is None or c.margin < prev["margin"]:
-                    worst_margins[c.name] = {"margin": c.margin, "trajectory": o.index,
-                                             "t": c.t_worst}
-        if o.adjoint is not None:
-            if worst_residual is None or o.adjoint > worst_residual:
-                worst_residual = o.adjoint
-            if o.adjoint > ADJOINT_RESIDUAL_FAIL:
+            if c["margin"] is not None:
+                prev = worst_margins.get(c["name"])
+                if prev is None or c["margin"] < prev["margin"]:
+                    worst_margins[c["name"]] = {"margin": c["margin"], "trajectory": e["index"],
+                                                "t": c["t_worst"]}
+        residual = e.get("adjoint_residual")
+        if residual is not None:
+            if worst_residual is None or residual > worst_residual:
+                worst_residual = residual
+            if residual > ADJOINT_RESIDUAL_FAIL:
                 failures += 1
     ensemble = {
         "terminations": terminations,
         "singular_early": singular_early,
-        "singular_early_fraction": singular_early / max(1, len(outcomes)),
+        "singular_early_fraction": singular_early / max(1, len(entries)),
         "check_failures": failures,
         "worst_margins": worst_margins,
     }
@@ -272,8 +251,8 @@ def _summarize(cfg: ExperimentConfig, mode: str, outcomes) -> dict:
         "checks": list(cfg.checks) + (["adjoint"] if mode == "verify" and
                                       "adjoint" not in cfg.checks else []),
         "tolerances": {"tol_check": cfg.tol_check, "eps_graze": cfg.eps_graze},
-        "n_trajectories": len(outcomes),
-        "trajectories": [o.as_dict() for o in outcomes],
+        "n_trajectories": len(entries),
+        "trajectories": entries,
         "ensemble": ensemble,
     })
 

@@ -284,9 +284,8 @@ def transport_covector(trajectory: Trajectory, n0: Covector,
         z_post, w_post, drop = _covector_jump(z, w - seg.duration * z, event, K, v_out)
         z, cz = _reproject(z_post, v_out)
         w, cw = _reproject(w_post, v_out)
-        scale = max(np.linalg.norm(z), np.linalg.norm(w), 1e-300)
-        with np.errstate(invalid="ignore"):
-            corr = (cz + cw) / scale
+        scale = max(float(np.linalg.norm(z)), float(np.linalg.norm(w)), 1e-300)
+        corr = (cz + cw) / scale
         zs.append(z)
         ws.append(w)
         drops.append(drop)

@@ -42,6 +42,7 @@ from billiards import (
 )
 from billiards.dynamics import FlightSegment, _Candidate, _polish_root
 from billiards.tolerances import EPS_GRAZE, EPS_TIME_FACTOR, MAX_EVENTS_DEFAULT
+from geometry_oracle import image_deltas
 
 
 def scatterer_candidates(domain: Domain, index: int, q_win, v, hi: float) -> list[_Candidate]:
@@ -70,9 +71,9 @@ def scatterer_candidates(domain: Domain, index: int, q_win, v, hi: float) -> lis
         base = L * np.round(mid / L)
         if isinstance(s, Cylinder):
             base = s.transverse(base)
-        offsets = base[None, :] + domain._image_deltas[index]
+        offsets = base[None, :] + image_deltas(domain, index)
     else:
-        offsets = domain._image_deltas[index]
+        offsets = image_deltas(domain, index)
 
     xi0 = rel[None, :] - offsets                      # (m, d)
     a = float(vv @ vv)

@@ -27,6 +27,12 @@ from billiards import (
 from billiards.tolerances import EPS_GRAZE
 
 
+def image_deltas(domain: Domain, index: int) -> np.ndarray:
+    """The image offsets of scatterer ``index``: its row of its stack."""
+    k, row = domain._stack_rows[index]
+    return domain.stacks[k].deltas[row]
+
+
 def boundary_offset(domain: Domain, index: int, q: np.ndarray) -> np.ndarray:
     """Transverse vector from the nearest image of scatterer ``index`` to ``q``.
 
@@ -42,7 +48,7 @@ def boundary_offset(domain: Domain, index: int, q: np.ndarray) -> np.ndarray:
         # reduce modulo the projected lattice: the per-coordinate minimal
         # image need not minimize the transverse distance
         xi = s.transverse(xi)
-        deltas = domain._image_deltas[index]
+        deltas = image_deltas(domain, index)
         k = int(np.argmin(np.linalg.norm(xi[None, :] - deltas, axis=1)))
         xi = xi - deltas[k]
     return xi

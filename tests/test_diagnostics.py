@@ -173,9 +173,6 @@ def test_monotonicity_report_structure(sinai2d):
                      CHECK_Q_STRICT_DECREASE, CHECK_W_STRICT_INCREASE,
                      CHECK_RATIO_NONINCREASING]
     assert len(names) == len(set(names))
-    meta = report.trajectory_meta
-    assert meta["termination"] == TERMINATION_HORIZON
-    assert meta["event_count"] >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -314,3 +314,94 @@ def test_parallel_cylinder_overlap_rejected():
     b = Cylinder(np.array([0.45, 0.5, 0.0]), np.array([[0.0, 0.0, 1.0]]), 0.2)
     with pytest.raises(DomainConstructionError):
         Domain(3, Torus(1.0), [a, b])
+
+
+# ---------------------------------------------------------------------------
+# construction rules: which solid parts may meet
+# ---------------------------------------------------------------------------
+
+Z_AXIS = np.array([[0.0, 0.0, 1.0]])
+X_AXIS = np.array([[1.0, 0.0, 0.0]])
+BOX2, BOX3 = Box((1.0, 1.0)), Box((1.0, 1.0, 1.0))
+
+
+def _wall(point, normal) -> Halfspace:
+    return Halfspace(np.array(point, dtype=float), np.array(normal, dtype=float))
+
+
+# name -> (d, ambient, the two scatterers, whether the domain builds)
+PAIR_CASES = {
+    "sphere_cylinder_overlapping": (3, Torus(1.0), [
+        Sphere(np.array([0.35, 0.5, 0.5]), 0.1),
+        Cylinder(np.array([0.25, 0.5, 0.0]), Z_AXIS, 0.1)], False),
+    "sphere_cylinder_apart": (3, Torus(1.0), [
+        Sphere(np.array([0.6, 0.5, 0.5]), 0.1),
+        Cylinder(np.array([0.05, 0.5, 0.0]), Z_AXIS, 0.1)], True),
+    # 0.85 apart in the fundamental domain, 0.15 through the seam
+    "sphere_cylinder_overlapping_through_an_image": (3, Torus(1.0), [
+        Sphere(np.array([0.9, 0.5, 0.5]), 0.1),
+        Cylinder(np.array([0.05, 0.5, 0.0]), Z_AXIS, 0.1)], False),
+    "sphere_wall_overlapping": (2, BOX2, [
+        Sphere(np.array([0.5, 0.05]), 0.1), _wall([0.0, 0.0], [0.0, 1.0])], False),
+    "sphere_wall_apart": (2, BOX2, [
+        Sphere(np.array([0.5, 0.5]), 0.1), _wall([0.0, 0.0], [0.0, 1.0])], True),
+    "cylinder_axis_into_wall": (3, BOX3, [
+        Cylinder(np.array([0.5, 0.5, 0.5]), Z_AXIS, 0.1),
+        _wall([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])], False),
+    "cylinder_parallel_to_wall_with_gap": (3, BOX3, [
+        Cylinder(np.array([0.0, 0.5, 0.5]), X_AXIS, 0.1),
+        _wall([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])], True),
+    "cylinder_parallel_to_wall_within_radius": (3, BOX3, [
+        Cylinder(np.array([0.0, 0.5, 0.05]), X_AXIS, 0.1),
+        _wall([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])], False),
+    "walls_of_a_slab": (2, BOX2, [
+        _wall([0.0, 0.0], [1.0, 0.0]), _wall([1.0, 0.0], [-1.0, 0.0])], True),
+    "nested_walls": (2, BOX2, [
+        _wall([0.0, 0.0], [1.0, 0.0]), _wall([0.5, 0.0], [1.0, 0.0])], False),
+    "antiparallel_walls_overlapping": (2, BOX2, [
+        _wall([0.6, 0.0], [1.0, 0.0]), _wall([0.4, 0.0], [-1.0, 0.0])], False),
+    # transversal cylinders meet only in a corner set
+    "crossed_cylinders": (3, Torus(1.0), [
+        Cylinder(np.array([0.5, 0.5, 0.0]), Z_AXIS, 0.2),
+        Cylinder(np.array([0.0, 0.5, 0.5]), X_AXIS, 0.2)], True),
+    "parallel_cylinders_apart": (3, Torus(1.0), [
+        Cylinder(np.array([0.25, 0.5, 0.0]), Z_AXIS, 0.1),
+        Cylinder(np.array([0.75, 0.5, 0.0]), Z_AXIS, 0.1)], True),
+}
+
+
+@pytest.mark.parametrize("order", ["given", "reversed"])
+@pytest.mark.parametrize("name", sorted(PAIR_CASES))
+def test_pair_construction_rule(name, order):
+    d, ambient, scatterers, builds = PAIR_CASES[name]
+    if order == "reversed":
+        scatterers = scatterers[::-1]
+    if builds:
+        assert len(Domain(d, ambient, scatterers).scatterers) == 2
+    else:
+        with pytest.raises(DomainConstructionError, match="intersecting solid parts"):
+            Domain(d, ambient, scatterers)
+
+
+@pytest.mark.parametrize("scatterer", [
+    Sphere(np.array([0.5, 0.5, 0.5]), 0.55),
+    Cylinder(np.array([0.5, 0.5, 0.0]), Z_AXIS, 0.55),
+], ids=["sphere", "cylinder"])
+def test_self_wrap_on_a_torus_rejected(scatterer):
+    with pytest.raises(DomainConstructionError, match="scatterer 1: .*wraps"):
+        Domain(3, Torus(1.0), [Sphere(np.array([0.1, 0.1, 0.1]), 0.05), scatterer])
+
+
+def _box_walls(d: int) -> list[Halfspace]:
+    """The 2d walls that close ``Box((1.0,) * d)``."""
+    eye = np.eye(d)
+    return [_wall(np.zeros(d), e) for e in eye] + [_wall(e, -e) for e in eye]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_walls_close_a_box(d):
+    # crossing walls meet only in the box's edges and corners
+    dom = Domain(d, Box((1.0,) * d), _box_walls(d))
+    assert len(dom.scatterers) == 2 * d
+    assert dom.contains(np.full(d, 0.5))
+    assert not dom.contains(np.full(d, 1.5))

@@ -61,6 +61,8 @@ def test_malformed_json_reports_line(tmp_path):
     (lambda c: c.update(horizon=-1.0), "horizon"),
     (lambda c: c["initial"]["sampler"].update(c0=0.7), "c0"),
     (lambda c: c["initial"]["sampler"].update(count=0), "count"),
+    (lambda c: c["initial"]["sampler"].update(seed=-1),
+     r"config\.initial\.sampler\.seed: must be at least 0"),
     (lambda c: c.update(domain={"kind": "unknown"}), "kind"),
     (lambda c: c.update(checks=["bogus"]), "checks"),
     (lambda c: c.update(initial={}), "initial"),
@@ -207,6 +209,24 @@ def test_verify_hardball_gas_config(tmp_path, capsys):
     assert code == 0
     assert report["ensemble"]["worst_adjoint_residual"] < 1e-9
     assert report["ensemble"]["check_failures"] == 0
+
+
+def test_verify_square_closed_by_four_walls(tmp_path, capsys):
+    # the square Sinai billiard: crossing walls meet only in the corners
+    walls = [{"kind": "halfspace", "plane_point": p, "plane_normal": n}
+             for p, n in (([0.0, 0.0], [1.0, 0.0]), ([0.0, 0.0], [0.0, 1.0]),
+                          ([1.0, 1.0], [-1.0, 0.0]), ([1.0, 1.0], [0.0, -1.0]))]
+    disk = {"kind": "sphere", "center": [0.5, 0.5], "radius": 0.2}
+    cfg_path = write_config(
+        tmp_path, domain={"kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
+                          "scatterers": walls + [disk]},
+        initial={"sampler": {"count": 5, "seed": 1, "c0": 0.1}}, horizon=10.0)
+    code = main(["verify", str(cfg_path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["ensemble"]["terminations"] == {"reached_horizon": 5}
+    assert report["ensemble"]["check_failures"] == 0
+    assert all(c["status"] != "fail" for t in report["trajectories"] for c in t["checks"])
 
 
 def test_verify_detects_corrupted_curvature(tmp_path, capsys):

@@ -207,6 +207,22 @@ def test_invalid_start_raises_before_its_group_flies(monkeypatch):
         flow(domain, good, 0.0)
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+def test_horizon_must_be_positive_and_finite(monkeypatch, T):
+    domain = DOMAINS["sinai2d"]
+    # along a corridor that meets no disk: an infinite horizon would never end
+    x = PhasePoint(np.array([0.5, 0.05]), np.array([1.0, 0.0]))
+    monkeypatch.setattr(dynamics, "_fly", None)                         # nothing flies
+    with pytest.raises(ValueError, match="horizon"):
+        flow(domain, x, T)
+    with pytest.raises(ValueError, match="t_max"):
+        dynamics.next_collision(domain, x, T)
+
+
+def test_no_starts_fly_to_no_trajectories():
+    assert flow(DOMAINS["sinai2d"], [], 1.0) == []
+
+
 # ---------------------------------------------------------------------------
 # The chunk tiling and the miss tail
 # ---------------------------------------------------------------------------

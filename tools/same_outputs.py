@@ -5,7 +5,8 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2.  Each config runs in a fresh
+changed), for seeds 1 and 2, and three domains that no workload covers, at
+the same seeds (:data:`EXTRA`).  Each config runs in a fresh
 ``python -m billiards`` process per tree, with that tree's ``src`` on the
 path and one thread: ``run`` or ``verify`` as its workload says, and
 ``verify --corrupt-curvature`` on the four acceptance configs.  Every output
@@ -15,6 +16,7 @@ prints ``identical`` or the first file that differs, and exits 0 or 1.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -27,13 +29,30 @@ THREAD_ENV = {"BILLIARD_THREADS": "1", "OMP_NUM_THREADS": "1",
               "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
               "PYTHONDONTWRITEBYTECODE": "1"}
 
+# name -> (mode, domain or catalog entry name) of the domains no workload
+# covers; each runs 20 trajectories at T = 20 with c0 = 0.1.  The box has
+# walls on two sides only, so every trajectory escapes.
+EXTRA = {
+    "box_two_walls_disk": ("run", {
+        "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
+        "scatterers": [
+            {"kind": "halfspace", "plane_point": [0.0, 0.0], "plane_normal": [1.0, 0.0]},
+            {"kind": "halfspace", "plane_point": [1.0, 0.0], "plane_normal": [-1.0, 0.0]},
+            {"kind": "sphere", "center": [0.5, 0.5], "radius": 0.2}]}),
+    "hardball_n2_d2": ("verify", "hardball_n2_d2"),
+    "pair_reduced_2d": ("verify", "pair_reduced_2d"),
+}
+
 
 def commands(configs: Path) -> list[tuple[str, list[str]]]:
     """Each command as (output name, CLI arguments), with the configs of
     every workload and seed written under ``configs``."""
     sys.dont_write_bytecode = True
-    sys.path.insert(0, str(HERE / "perfbench"))
+    sys.path[:0] = [str(HERE / "perfbench"), str(HERE / "src")]
     import workloads as wl
+    from billiards.catalog import CATALOG
+
+    catalog = {entry["name"]: entry["domain"] for entry in CATALOG}
 
     out = []
     for seed in SEEDS:
@@ -45,6 +64,13 @@ def commands(configs: Path) -> list[tuple[str, list[str]]]:
                 if name == "verify_acceptance":
                     out.append((f"seed{seed}/{cfg.stem}_corrupt",
                                 ["verify", str(cfg), "--corrupt-curvature"]))
+        for name, (mode, domain) in EXTRA.items():
+            cfg = configs / f"seed{seed}" / f"{name}.json"
+            cfg.write_text(json.dumps({
+                "domain": catalog[domain] if isinstance(domain, str) else domain,
+                "initial": {"sampler": {"count": 20, "seed": seed, "c0": 0.1}},
+                "horizon": 20.0}, indent=2) + "\n", encoding="utf-8")
+            out.append((f"seed{seed}/{name}", [mode, str(cfg)]))
     return out
 
 
