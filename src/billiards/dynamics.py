@@ -523,6 +523,13 @@ def flight_groups(domain: Domain, count: int) -> list[range]:
     return [range(end - k, end) for k, end in zip(sizes, itertools.accumulate(sizes))]
 
 
+def _check_eps_graze(eps_graze: float) -> None:
+    # nan would switch the grazing test off, and a cutoff of 1 or more would
+    # end every flight at its first impact
+    if not 0.0 < eps_graze < 1.0:
+        raise ValueError(f"eps_graze must lie in (0, 1), got {eps_graze}")
+
+
 def flow(domain: Domain, x0: PhasePoint | Sequence[PhasePoint], T: float,
          max_events: int = MAX_EVENTS_DEFAULT,
          eps_graze: float = EPS_GRAZE) -> Trajectory | list[Trajectory]:
@@ -531,14 +538,18 @@ def flow(domain: Domain, x0: PhasePoint | Sequence[PhasePoint], T: float,
     ``x0`` is one start, or a sequence of starts that fly in lockstep as one
     group (see :func:`flight_groups`) and give the list of their
     trajectories, in order (``[]`` for no starts).  ``T`` must be positive
-    and finite.  Each trajectory is the one the flow of its start alone
-    gives.  Singularities never raise: they terminate the trajectory with
-    the corresponding status.  An invalid state does raise
+    and finite, ``max_events`` at least 1 and ``eps_graze`` in ``(0, 1)``.
+    Each trajectory is the one the flow of its start alone gives.
+    Singularities never raise: they terminate the trajectory with the
+    corresponding status.  An invalid state does raise
     :class:`InvalidStateError` (precondition): an invalid start before any
     flight, else the first trajectory, in order, that reaches one.
     """
     if not 0.0 < T < math.inf:
         raise ValueError("horizon must be positive and finite")
+    if max_events < 1:
+        raise ValueError("max_events must be at least 1")
+    _check_eps_graze(eps_graze)
     one = isinstance(x0, PhasePoint)
     starts = [x0] if one else list(x0)
     if not starts:
@@ -562,7 +573,7 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
     """Earliest collision along the free flight from ``x``, or ``None``.
 
     Searches times in ``(eps_time, t_max]``, for a positive and finite
-    ``t_max``.  Raises
+    ``t_max`` and ``eps_graze`` in ``(0, 1)``.  Raises
     :class:`GrazingSingularityError` when the earliest impact is grazing,
     :class:`DegenerateCollisionError` when two boundary pieces are hit within
     the minimum time gap, and :class:`EscapeError` when a box ambient is left
@@ -580,6 +591,7 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
     if found is None:
         if not 0.0 < t_max < math.inf:
             raise ValueError("t_max must be positive and finite")
+        _check_eps_graze(eps_graze)
         (fl,) = _fly(domain, x.q[None], x.v[None], t_max, 1, eps_graze)
         if fl.error is not None:
             raise fl.error

@@ -306,6 +306,9 @@ def _image_offsets(ambient: Ambient, s: Scatterer) -> np.ndarray | None:
     if isinstance(s, Cylinder):
         if s.image_deltas is not None:
             deltas = np.asarray(s.image_deltas, dtype=float)
+            if deltas.ndim != 2 or deltas.shape[1] != s.dim:
+                raise DomainConstructionError(
+                    f"cylinder image offsets must have shape (m, {s.dim}), got {deltas.shape}")
         else:
             deltas = _lattice_steps(s.dim) * L @ s.projector.T
         # collapse offsets that differ only along the axis subspace
@@ -389,6 +392,14 @@ class Domain:
         if self.labels is not None and len(self.labels) != len(self.scatterers):
             raise DomainConstructionError("labels must match the number of scatterers")
         self.stacks = _stack_scatterers(self.scatterers, self.ambient)
+        # curvature_at's data, one row per scatterer: the projector onto the
+        # directions that bend (I for a sphere), the radius, and the flat
+        # walls, whose curvature is zero (their projector I and radius 1
+        # only keep the formula finite)
+        self._bend = np.array([s.projector if isinstance(s, Cylinder) else np.eye(self.d)
+                               for s in self.scatterers]).reshape(-1, self.d, self.d)
+        self._radii = np.array([getattr(s, "radius", 1.0) for s in self.scatterers])
+        self._flat = np.array([isinstance(s, Halfspace) for s in self.scatterers], dtype=bool)
         # scatterer index -> (index into ``stacks``, row in that stack)
         self._stack_rows = {i: (k, row) for k, st in enumerate(self.stacks)
                             for row, i in enumerate(st.indices.tolist())}
@@ -498,10 +509,15 @@ class Domain:
 # Boundary data
 # ---------------------------------------------------------------------------
 
-def curvature_at(domain: Domain, scatterer_index: int, nu: Vec) -> np.ndarray:
+def curvature_at(domain: Domain, scatterer_index: int | np.ndarray,
+                 nu: np.ndarray) -> np.ndarray:
     """Second fundamental form of a scatterer's boundary, in closed form from
     the inward unit normal ``nu``: a symmetric positive semi-definite
     ``d x d`` matrix that annihilates ``nu``.
+
+    ``scatterer_index`` is one index, with ``nu`` ``(d,)``, or an index array
+    ``(F,)``, with one normal per index ``(F, d)``; the result is ``(d, d)``
+    or ``(F, d, d)``, each matrix with the bits of its own one-index call.
 
     Precondition, not checked: ``nu`` is the unit normal at a boundary point
     of that scatterer (for a cylinder, transverse to the axis), as every
@@ -510,26 +526,31 @@ def curvature_at(domain: Domain, scatterer_index: int, nu: Vec) -> np.ndarray:
     Sphere: ``(I - nu nu^T) / r``.  Cylinder: ``(projector - nu nu^T) / r``
     (eigenvalue 0 along the axis).  Halfspace: zero.
     """
-    s = domain.scatterers[scatterer_index]
-    if isinstance(s, Halfspace):
-        return np.zeros((domain.d, domain.d))
-    mat = s.projector if isinstance(s, Cylinder) else np.eye(domain.d)
-    return (mat - np.outer(nu, nu)) / s.radius
+    idx = np.asarray(scatterer_index)
+    K = (domain._bend[idx] - nu[..., :, None] * nu[..., None, :]) / domain._radii[idx][..., None, None]
+    return np.where(domain._flat[idx][..., None, None], 0.0, K)
 
 
 # ---------------------------------------------------------------------------
 # Collision-transport operators
 # ---------------------------------------------------------------------------
 
-def reflect(x: Vec, nu: Vec) -> Vec:
+def reflect(x: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """Orthogonal reflection ``x - 2 <x, nu> nu`` across the tangent
-    hyperplane of the unit normal ``nu``; ``x`` is a vector or a stack of rows.
+    hyperplane of the unit normal ``nu``.
+
+    ``x`` is a vector or a stack of rows ``(m, d)`` with one normal ``(d,)``,
+    or stacks ``(F, m, d)`` with one normal per stack, ``(F, d)``.  Each
+    ``<x, nu>`` is one BLAS call of the form a single vector or stack issues
+    (a dot per vector, a ``gemv`` per stack), so every row keeps its bits.
 
     Involution and isometry: fixes vectors orthogonal to ``nu`` and flips
     ``nu`` itself.  No grazing check: a velocity is reflected only after the
     collision search has rejected grazing impacts.
     """
-    return x - 2.0 * (x @ nu)[..., None] * nu
+    if nu.ndim == 1:
+        return x - 2.0 * (x @ nu)[..., None] * nu
+    return x - 2.0 * (x @ nu[:, :, None]) * nu[:, None]
 
 
 # ---------------------------------------------------------------------------

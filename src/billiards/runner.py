@@ -1,11 +1,11 @@
 """Experiment execution: trajectories -> transport -> checks -> CSV/JSON.
 
-The flow runs the ensemble in lockstep groups (``dynamics.flight_groups``,
-one ``dynamics.flow`` call each), and each trajectory then runs the rest of
-the pipeline on its own (covector transport, verification checks) and writes
-its CSV as soon as its records exist.  Trajectories are processed in index
-order, and each is the one its start alone gives, so outputs depend only on
-the config and its seed.
+The ensemble runs in lockstep groups (``dynamics.flight_groups``): per
+group one ``dynamics.flow`` call, one covector transport and, when the run
+wants it, one adjoint check.  Each trajectory then runs its checks on its own
+and writes its CSV as soon as its records exist, in index order.  Each
+trajectory and series is the one its start alone gives, so outputs depend
+only on the config and its seed.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ from .dynamics import (
     TERMINATION_DEGENERATE,
     TERMINATION_GRAZING,
     PhasePoint,
-    Trajectory,
     flight_groups,
     flow,
 )
 from .errors import ConfigError
 from .geometry import Box, Domain
-from .transport import Covector, adjoint_residual, transport_covector
+from .transport import Covector, TransportSeries, adjoint_residual, transport_covector
 from .tolerances import ADJOINT_RESIDUAL_FAIL
 
 CSV_COLUMNS = ("t", "segment_index", "event_flag", "Q", "norm_w", "norm_z",
@@ -107,14 +106,13 @@ def summary_text(summary: dict) -> str:
     return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def run_trajectory(cfg: ExperimentConfig, index: int, traj: Trajectory, n0: Covector,
-                   csv_path: Path | None, want_adjoint: bool,
-                   corrupt_curvature: bool = False) -> dict:
-    """Transport, checks and (with ``csv_path``) the CSV of one flown
-    trajectory; the records are written and dropped here.  Returns the
-    trajectory's entry of the summary's ``trajectories`` list, with
-    ``adjoint_residual`` only when ``want_adjoint``."""
-    series = transport_covector(traj, n0)
+def run_trajectory(cfg: ExperimentConfig, index: int, series: TransportSeries,
+                   csv_path: Path | None, residual: float | None = None) -> dict:
+    """Checks and (with ``csv_path``) the CSV of one transported trajectory;
+    the records are written and dropped here.  Returns the trajectory's
+    entry of the summary's ``trajectories`` list, with ``adjoint_residual``
+    only when ``residual`` is given."""
+    traj = series.trajectory
     checks = []
     if "monotonicity" in cfg.checks:
         checks.extend(verify_monotonicity(series, cfg.tol_check,
@@ -128,10 +126,8 @@ def run_trajectory(cfg: ExperimentConfig, index: int, traj: Trajectory, n0: Cove
              "min_cos_phi": traj.min_cos_phi(), "final_Q": lyapunov_Q(n_end),
              "final_lambda": n_end.norm() / series.n0_norm,
              "checks": [c.as_dict() for c in checks]}
-    if want_adjoint:
-        # the fault hook corrupts only the covector the adjoint check sees
-        entry["adjoint_residual"] = adjoint_residual(
-            transport_covector(traj, n0, curvature_scale=2.0) if corrupt_curvature else series)
+    if residual is not None:
+        entry["adjoint_residual"] = residual
     if csv_path is not None:
         _write_csv(csv_path, series_records(series, interior=cfg.grid_interior, c0=cfg.c0))
     return entry
@@ -190,14 +186,24 @@ def run_experiment(cfg: ExperimentConfig, mode: str = "run",
     starts = [x0 for x0, _ in initial]
     entries = []
     for group in flight_groups(cfg.domain, len(starts)):
-        # reversed and popped: each trajectory is dropped once its entry exists
         trajectories = flow(cfg.domain, starts[group.start:group.stop], cfg.horizon,
-                            max_events=cfg.max_events, eps_graze=cfg.eps_graze)[::-1]
-        entries += [run_trajectory(cfg, i, trajectories.pop(), initial[i][1],
+                            max_events=cfg.max_events, eps_graze=cfg.eps_graze)
+        n0 = [n for _, n in initial[group.start:group.stop]]
+        series = transport_covector(trajectories, n0)
+        residuals = [None] * len(group)
+        if want_adjoint:
+            # the fault hook corrupts only the covector the adjoint check sees
+            residuals = adjoint_residual(
+                transport_covector(trajectories, n0, curvature_scale=2.0)
+                if corrupt_curvature else series)
+        # reversed and popped: each series, with its trajectory, is dropped
+        # once its entry exists
+        del trajectories
+        series.reverse()
+        entries += [run_trajectory(cfg, i, series.pop(),
                                    out / f"trajectory_{i:04d}.csv" if emit_csv else None,
-                                   want_adjoint=want_adjoint,
-                                   corrupt_curvature=corrupt_curvature)
-                    for i in group]
+                                   residual)
+                    for i, residual in zip(group, residuals)]
 
     summary = _summarize(cfg, mode, entries)
     exit_code = _exit_code(summary["ensemble"], len(entries))

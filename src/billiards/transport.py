@@ -19,14 +19,25 @@ projection onto the tangent plane, ``V1`` the same for the outgoing
 velocity, and ``*`` the adjoint.  Both maps go through one kernel,
 ``_projected_curvature``, called with ``v_in`` for the tangent and ``v_out``
 for the covector; ``K`` is the plain ``d x d`` matrix that
-:func:`~billiards.geometry.curvature_at` builds, once per event in each
-transport pass, from the event's normal ``nu``, the same normal that ``R``
-and ``V`` use.  The two maps are mutually adjoint, so the pairing with a
-forward-transported tangent vector is an exact invariant;
-``adjoint_residual`` measures how well the implementation preserves it on a
-covector series that is already transported, so each trajectory's covector
-moves once, and evaluates it at both endpoints of every segment in one
-array expression.
+:func:`~billiards.geometry.curvature_at` builds from the event's normal
+``nu``, the same normal that ``R`` and ``V`` use.  The two maps are mutually
+adjoint, so the pairing with a forward-transported tangent vector is an
+exact invariant; ``adjoint_residual`` measures how well the implementation
+preserves it on a covector series that is already transported, so each
+trajectory's covector moves once, and evaluates it at both endpoints of
+every segment in one array expression.
+
+Each pass moves a group of trajectories in lockstep: step ``k`` maps event
+``k`` of every trajectory that has more than ``k`` events, as one kernel
+call over a leading row axis with one ``curvature_at`` call, and one
+trajectory is a group of one.  The state is a C-ordered stack ``(F, m, d)``
+per row (``m = 1`` for a covector component) and every product issues, per
+row, the BLAS call of the 1-d form of one event: a dot for ``<x, nu>`` of a
+vector (``(F, 1, d) @ (F, d, 1)``, as :func:`~billiards.geometry.row_dot`),
+a ``gemv`` for ``<x, nu>`` of a stack and for ``K u`` of a vector
+(``u @ K.transpose(0, 2, 1)``), a ``gemm`` for ``K u`` of a stack.  The
+other operations act elementwise, so each series keeps the bits of the
+trajectory transported alone, one event at a time.
 
 A transported series is a set of read-only columns over the trajectory's
 free segments (``series.segments`` is the trajectory's own list): ``t0`` and
@@ -50,6 +61,7 @@ Tangent vectors may carry a stack of rows: ``dq`` and ``dv`` of shape
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,13 +108,27 @@ def pairing(dy: TangentVector, n: Covector) -> float | np.ndarray:
     return dy.dq @ n.z + dy.dv @ n.w
 
 
-def _check_transversal(a: Vec, b: Vec, v: Vec, what: str) -> None:
-    for x, y in zip(np.atleast_2d(a), np.atleast_2d(b)):
-        scale = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)), 1e-300)
-        res = max(abs(float(x @ v)), abs(float(y @ v)))
-        if res > ORTHOGONALITY_TOL * scale:
-            raise ValueError(f"{what} components must be orthogonal to the velocity "
-                             f"(residual {res / scale:.3e} relative)")
+def _check_starts(a: np.ndarray, b: np.ndarray, v: np.ndarray, what: str,
+                  nonzero: bool = False) -> None:
+    """Start checks of a group: every row of ``a`` and ``b`` ``(F, m, d)``
+    must be orthogonal to its trajectory's start velocity ``v`` ``(F, d)``
+    and, with ``nonzero``, no pair ``(a[f], b[f])`` may be zero.  One array
+    pass, with the products of one row at a time; raises the error that the
+    first failing trajectory raises alone."""
+    aa, bb = row_dot(a, a), row_dot(b, b)
+    scale = np.maximum(np.maximum(np.sqrt(aa), np.sqrt(bb)), 1e-300)
+    res = np.maximum(np.abs(row_dot(a, v[:, None])), np.abs(row_dot(b, v[:, None])))
+    skew = res > ORTHOGONALITY_TOL * scale
+    fails = skew.any(axis=1)
+    if nonzero:
+        fails |= (aa + bb == 0.0).all(axis=1)
+    if fails.any():
+        f = int(np.argmax(fails))
+        if not skew[f].any():
+            raise ValueError(f"{what} must be nonzero")
+        j = int(np.argmax(skew[f]))
+        raise ValueError(f"{what} components must be orthogonal to the velocity "
+                         f"(residual {res[f, j] / scale[f, j]:.3e} relative)")
 
 
 # ---------------------------------------------------------------------------
@@ -123,27 +149,53 @@ def free_flight_tangent(dy: TangentVector, dt: float) -> TangentVector:
     return TangentVector(dy.dq + dt * dy.dv, dy.dv.copy())
 
 
-def _projected_curvature(x: Vec, v: Vec, vn: float, nu: Vec, K: np.ndarray) -> tuple[Vec, Vec]:
+# The collision kernel maps one event per row: stacks ``x`` ``(F, m, d)``
+# with that row's unit velocity ``v`` and normal ``nu`` ``(F, d)``, scalars
+# ``(F,)`` and curvature ``K`` ``(F, d, d)``.
+
+def _projected_curvature(x: np.ndarray, v: np.ndarray, vn: np.ndarray, nu: np.ndarray,
+                         K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(P x, P* K P x)`` for the projection ``P x = x - (<x, nu>/vn) v``.
 
     ``P`` maps ``v^perp`` along the unit velocity ``v`` onto the boundary
     tangent plane ``nu^perp`` (``vn = <v, nu>``); its adjoint is
-    ``P* y = y - (<y, v>/vn) nu``.  ``x`` is one vector or a stack of rows.
+    ``P* y = y - (<y, v>/vn) nu``.
     """
-    u = x - (x @ nu / vn)[..., None] * v
-    ku = u @ K.T          # K u per row; for one vector bit-identical to K @ u
-    return u, ku - (ku @ v / vn)[..., None] * nu
+    u = x - ((x @ nu[:, :, None]) / vn[:, None, None]) * v[:, None]
+    ku = u @ K.transpose(0, 2, 1)     # K u per row
+    return u, ku - ((ku @ v[:, :, None]) / vn[:, None, None]) * nu[:, None]
 
 
-def _covector_jump(z: Vec, w: Vec, event: CollisionEvent, K: np.ndarray,
-                   v_out: Vec) -> tuple[Vec, Vec, float]:
-    """``(z+, w+)`` across the collision and the closed-form drop of ``Q``
-    there; ``v_out`` is the unit outgoing velocity."""
-    nu, cphi = event.nu, event.cos_phi
+def _covector_jump(z: np.ndarray, w: np.ndarray, nu: np.ndarray, cos_phi: np.ndarray,
+                   K: np.ndarray, v_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(z+, w+)`` ``(F, 1, d)`` across the collisions and the closed-form
+    drops of ``Q`` there ``(F,)``; ``v_out`` is the unit outgoing velocity."""
     w_plus = reflect(w, nu)
-    u, kick = _projected_curvature(w_plus, v_out, cphi, nu, K)   # V1 R w-, V1* K V1 R w-
-    z_plus = reflect(z, nu) - 2.0 * cphi * kick
-    return z_plus, w_plus, 2.0 * cphi * float(u @ K @ u)
+    u, kick = _projected_curvature(w_plus, v_out, cos_phi, nu, K)   # V1 R w-, V1* K V1 R w-
+    z_plus = reflect(z, nu) - (2.0 * cos_phi)[:, None, None] * kick
+    return z_plus, w_plus, 2.0 * cos_phi * row_dot(u @ K, u)[:, 0]
+
+
+def _tangent_jump(dq: np.ndarray, dv: np.ndarray, nu: np.ndarray, cos_phi: np.ndarray,
+                  K: np.ndarray, v_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(R dq-, R dv- + 2 cos_phi R V* K V dq-)`` per row; ``v_in`` is the
+    unit incoming velocity."""
+    _, kick = _projected_curvature(dq, v_in, row_dot(v_in, nu), nu, K)
+    return reflect(dq, nu), reflect(dv + (2.0 * cos_phi)[:, None, None] * kick, nu)
+
+
+def _event_row(event: CollisionEvent, velocity: str) -> tuple[np.ndarray, ...]:
+    """One event as a kernel row: ``nu``, ``cos_phi`` and the unit velocity."""
+    v = getattr(event, velocity)
+    return event.nu[None], np.array([event.cos_phi]), (v / np.linalg.norm(v))[None]
+
+
+def _event_covector_jump(n_minus: Covector, event: CollisionEvent,
+                         K: np.ndarray) -> tuple[Vec, Vec, float]:
+    nu, cos_phi, v_out = _event_row(event, "v_out")
+    z, w, drop = _covector_jump(n_minus.z[None, None], n_minus.w[None, None], nu, cos_phi,
+                                K[None], v_out)
+    return z[0, 0], w[0, 0], float(drop[0])
 
 
 def collision_covector(n_minus: Covector, event: CollisionEvent, K: np.ndarray) -> Covector:
@@ -153,26 +205,24 @@ def collision_covector(n_minus: Covector, event: CollisionEvent, K: np.ndarray) 
     across the event; the Lyapunov value drops by
     ``2 cos_phi <K V1 R w-, V1 R w->``, nonnegative for semi-dispersing walls.
     """
-    v_out = event.v_out / np.linalg.norm(event.v_out)
-    z, w, _ = _covector_jump(n_minus.z, n_minus.w, event, K, v_out)
+    z, w, _ = _event_covector_jump(n_minus, event, K)
     return Covector(z, w)
 
 
 def collision_q_drop(n_minus: Covector, event: CollisionEvent, K: np.ndarray) -> float:
     """Closed-form drop of the Lyapunov value at a collision (nonnegative)."""
-    v_out = event.v_out / np.linalg.norm(event.v_out)
-    return _covector_jump(n_minus.z, n_minus.w, event, K, v_out)[2]
+    return _event_covector_jump(n_minus, event, K)[2]
 
 
 def collision_tangent(dy_minus: TangentVector, event: CollisionEvent,
                       K: np.ndarray) -> TangentVector:
     """Tangent vector (or stack) across a collision:
     ``(R dq-, R dv- + 2 cos_phi R V* K V dq-)`` with the incoming projection V."""
-    nu = event.nu
-    v_in = event.v_in / np.linalg.norm(event.v_in)
-    _, kick = _projected_curvature(dy_minus.dq, v_in, float(v_in @ nu), nu, K)
-    return TangentVector(reflect(dy_minus.dq, nu),
-                         reflect(dy_minus.dv + 2.0 * event.cos_phi * kick, nu))
+    nu, cos_phi, v_in = _event_row(event, "v_in")
+    shape = np.shape(dy_minus.dq)
+    dq, dv = _tangent_jump(np.atleast_2d(dy_minus.dq)[None], np.atleast_2d(dy_minus.dv)[None],
+                           nu, cos_phi, K[None], v_in)
+    return TangentVector(dq[0].reshape(shape), dv[0].reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +307,70 @@ class TangentSeries(_Series):
         return TangentVector(self.dq0[k] + (t - self.t0[k]) * self.dv[k], self.dv[k].copy())
 
 
-def _reproject(x: Vec, v: Vec) -> tuple[Vec, float]:
-    corr = float(x @ v) * v
-    return x - corr, float(np.linalg.norm(corr))
+def _group(first, second) -> tuple[bool, list, list]:
+    """``(one, trajectories, starts)`` of a pass called with one trajectory
+    and its start or with two sequences of them."""
+    if isinstance(first, Trajectory):
+        return True, [first], [second]
+    first, second = list(first), list(second)
+    if len(first) != len(second):
+        raise ValueError(f"{len(first)} trajectories with {len(second)} starts")
+    return False, first, second
 
 
-def transport_covector(trajectory: Trajectory, n0: Covector,
-                       curvature_scale: float = 1.0) -> TransportSeries:
+def _event_columns(trajectories: list[Trajectory], velocity: str) -> tuple[np.ndarray, ...]:
+    """The events of a group as padded ``(F, E, ...)`` columns, for the
+    lockstep steps of a transport pass.
+
+    Returns ``order`` ``(F,)``, the trajectory of each row, by falling event
+    count (stable), so that the trajectories with more than ``k`` events are
+    the first ``rows[k]`` rows; ``rows`` ``(E,)``; ``nu`` and the unit
+    ``velocity`` (``"v_in"`` or ``"v_out"``) ``(F, E, d)``; and ``cos_phi``,
+    the scatterer ``index`` and the duration ``dt`` of the segment that ends
+    at the event, ``(F, E)``.  Padding rows hold zeros and are never read.
+    """
+    domain = trajectories[0].domain
+    if any(t.domain is not domain for t in trajectories):
+        raise ValueError("the trajectories of a group must share one domain")
+    counts = np.array([t.event_count for t in trajectories])
+    order = np.argsort(-counts, kind="stable")
+    F, E, d = len(trajectories), int(counts.max()), domain.d
+    nu, v = np.zeros((2, F, E, d))
+    cos_phi, dt = np.zeros((2, F, E))
+    index = np.zeros((F, E), dtype=np.intp)
+    for row, f in enumerate(order.tolist()):
+        events = trajectories[f].events
+        if not events:
+            break
+        c = len(events)
+        vel = np.array([getattr(e, velocity) for e in events])
+        # the bits of event.v / np.linalg.norm(event.v), one event at a time
+        v[row, :c] = vel / np.sqrt(row_dot(vel, vel))[:, None]
+        nu[row, :c] = [e.nu for e in events]
+        cos_phi[row, :c] = [e.cos_phi for e in events]
+        index[row, :c] = [e.scatterer_index for e in events]
+        dt[row, :c] = [s.duration for s in trajectories[f].segments[:c]]
+    rows = (counts[order][:, None] > np.arange(E)).sum(axis=0)
+    return order, rows, nu, v, cos_phi, index, dt
+
+
+def _reproject(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` ``(F, 1, d)`` minus its component along ``v`` ``(F, d)``, and the
+    norm of that component ``(F,)``."""
+    corr = (x @ v[:, :, None]) * v[:, None]
+    return x - corr, np.sqrt(row_dot(corr, corr))[:, 0]
+
+
+def transport_covector(trajectory: Trajectory | Sequence[Trajectory],
+                       n0: Covector | Sequence[Covector],
+                       curvature_scale: float = 1.0) -> TransportSeries | list[TransportSeries]:
     """Transport ``n0`` along the whole trajectory.
+
+    ``trajectory`` and ``n0`` are one trajectory and its start covector, or
+    two sequences of them, which move as one group: the list of their
+    series, in order (``[]`` for none).  Each series is the one its
+    trajectory alone gives.  Step ``k`` maps event ``k`` of every
+    trajectory that has one, in one kernel call.
 
     After each collision the components are re-projected onto the outgoing
     velocity's orthogonal complement to kill rounding drift; the relative
@@ -272,44 +378,76 @@ def transport_covector(trajectory: Trajectory, n0: Covector,
     rescales ``K`` (fault-injection hook for the adjointness negative
     control); it must be 1 for physical transport.
     """
-    _check_transversal(n0.z, n0.w, trajectory.start.v, "covector")
-    if n0.norm() == 0.0:
-        raise ValueError("covector must be nonzero")
-    domain = trajectory.domain
-    z, w = np.ascontiguousarray(n0.z, dtype=float), np.ascontiguousarray(n0.w, dtype=float)
-    zs, ws, drops, corrs = [z], [w], [], []
-    for seg, event in zip(trajectory.segments, trajectory.events):
-        v_out = event.v_out / np.linalg.norm(event.v_out)
-        K = curvature_scale * curvature_at(domain, event.scatterer_index, event.nu)
-        z_post, w_post, drop = _covector_jump(z, w - seg.duration * z, event, K, v_out)
-        z, cz = _reproject(z_post, v_out)
-        w, cw = _reproject(w_post, v_out)
-        scale = max(float(np.linalg.norm(z)), float(np.linalg.norm(w)), 1e-300)
-        corr = (cz + cw) / scale
-        zs.append(z)
-        ws.append(w)
-        drops.append(drop)
-        corrs.append(corr if math.isfinite(corr) else math.inf)
-    return TransportSeries(trajectory, n0, np.array(zs), np.array(ws),
-                           np.array(drops, dtype=float), np.array(corrs, dtype=float))
+    one, trajectories, n0s = _group(trajectory, n0)
+    if not trajectories:
+        return []
+    z = np.array([n.z for n in n0s], dtype=float)[:, None]
+    w = np.array([n.w for n in n0s], dtype=float)[:, None]
+    _check_starts(z, w, np.array([t.start.v for t in trajectories]), "covector", nonzero=True)
+    domain = trajectories[0].domain
+    order, rows, nu, v, cos_phi, index, dt = _event_columns(trajectories, "v_out")
+    F, E, d = nu.shape
+    z, w = z[order], w[order]
+    zs, ws = np.empty((2, F, E + 1, d))
+    zs[:, 0], ws[:, 0] = z[:, 0], w[:, 0]
+    drops, corrs = np.zeros((2, F, E))
+    for k, n in enumerate(rows.tolist()):
+        z, w = z[:n], w[:n]
+        v_out = v[:n, k]
+        K = curvature_scale * curvature_at(domain, index[:n, k], nu[:n, k])
+        z, w, drops[:n, k] = _covector_jump(z, w - dt[:n, k, None, None] * z, nu[:n, k],
+                                            cos_phi[:n, k], K, v_out)
+        z, cz = _reproject(z, v_out)
+        w, cw = _reproject(w, v_out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.maximum(np.maximum(np.sqrt(row_dot(z, z)), np.sqrt(row_dot(w, w))),
+                               1e-300)[:, 0]
+            corr = (cz + cw) / scale
+        corrs[:n, k] = np.where(np.isfinite(corr), corr, np.inf)
+        zs[:n, k + 1], ws[:n, k + 1] = z[:, 0], w[:, 0]
+    series: list = [None] * F
+    for row, f in enumerate(order.tolist()):
+        c = trajectories[f].event_count
+        series[f] = TransportSeries(trajectories[f], n0s[f], zs[row, :c + 1], ws[row, :c + 1],
+                                    drops[row, :c], corrs[row, :c])
+    return series[0] if one else series
 
 
-def transport_tangent(trajectory: Trajectory, dy0: TangentVector) -> TangentSeries:
-    """Push ``dy0`` (a vector or a stack) forward with the derivative of the flow."""
-    _check_transversal(dy0.dq, dy0.dv, trajectory.start.v, "tangent vector")
-    domain = trajectory.domain
+def transport_tangent(trajectory: Trajectory | Sequence[Trajectory],
+                      dy0: TangentVector | Sequence[TangentVector]
+                      ) -> TangentSeries | list[TangentSeries]:
+    """Push ``dy0`` (a vector or a stack) forward with the derivative of the flow.
+
+    ``trajectory`` and ``dy0`` are one trajectory and its start, or two
+    sequences of them (starts of one shape), which move as one group like
+    :func:`transport_covector`'s.
+    """
+    one, trajectories, dy0s = _group(trajectory, dy0)
+    if not trajectories:
+        return []
     # C order: the collision maps' BLAS products round differently on a
     # Fortran-ordered stack, such as np.vstack of the transposed complement basis
-    dq = np.ascontiguousarray(dy0.dq, dtype=float)
-    dv = np.ascontiguousarray(dy0.dv, dtype=float)
-    dqs, dvs = [dq], [dv]
-    for seg, event in zip(trajectory.segments, trajectory.events):
-        K = curvature_at(domain, event.scatterer_index, event.nu)
-        dy = collision_tangent(TangentVector(dq + seg.duration * dv, dv), event, K)
-        dq, dv = dy.dq, dy.dv
-        dqs.append(dq)
-        dvs.append(dv)
-    return TangentSeries(trajectory, np.array(dqs), np.array(dvs))
+    dq = np.array([np.atleast_2d(dy.dq) for dy in dy0s], dtype=float)
+    dv = np.array([np.atleast_2d(dy.dv) for dy in dy0s], dtype=float)
+    _check_starts(dq, dv, np.array([t.start.v for t in trajectories]), "tangent vector")
+    domain = trajectories[0].domain
+    order, rows, nu, v, cos_phi, index, dt = _event_columns(trajectories, "v_in")
+    F, E, _ = nu.shape
+    dq, dv = dq[order], dv[order]
+    dqs, dvs = np.empty((2, F, E + 1, *dq.shape[1:]))
+    dqs[:, 0], dvs[:, 0] = dq, dv
+    for k, n in enumerate(rows.tolist()):
+        dq, dv = dq[:n], dv[:n]
+        K = curvature_at(domain, index[:n, k], nu[:n, k])
+        dq, dv = _tangent_jump(dq + dt[:n, k, None, None] * dv, dv, nu[:n, k],
+                               cos_phi[:n, k], K, v[:n, k])
+        dqs[:n, k + 1], dvs[:n, k + 1] = dq, dv
+    series: list = [None] * F
+    for row, f in enumerate(order.tolist()):
+        shape = (trajectories[f].event_count + 1, *np.shape(dy0s[f].dq))
+        series[f] = TangentSeries(trajectories[f], dqs[row, :shape[0]].reshape(shape),
+                                  dvs[row, :shape[0]].reshape(shape))
+    return series[0] if one else series
 
 
 # ---------------------------------------------------------------------------
@@ -332,27 +470,40 @@ def transversal_basis(v: Vec) -> list[TangentVector]:
            [TangentVector(zero.copy(), e.copy()) for e in basis]
 
 
-def adjoint_residual(series: TransportSeries) -> float:
+def adjoint_residual(series: TransportSeries | Sequence[TransportSeries]) -> float | list[float]:
     """Worst relative violation of the transport-invariance of the pairing.
 
-    ``series`` is a covector already transported along its trajectory; the
-    trajectory's ``transversal_basis`` moves as one ``(2(d-1), d)`` stack in
-    a single tangent pass, which evaluates the curvature itself.  For each
-    basis vector the pairing of the forward-transported tangent vector with
-    the transported covector must equal its initial value at every segment
-    endpoint; all endpoints are evaluated at once, as ``(S, 2, ...)``
-    arrays.  The residual at time ``t`` is normalized by the larger of the
-    initial and current magnitude products: the pairing is evaluated by
-    cancellation of terms of that size, which is the scale fixed precision
-    can certify.  A pairing that is not finite makes the residual infinite.
-    A series transported with a rescaled curvature breaks adjointness and
-    must produce a large residual (negative control).
+    ``series`` is a covector already transported along its trajectory, or a
+    sequence of them, answered with the list of their residuals.  The
+    trajectories' ``transversal_basis`` stacks, ``(2(d-1), d)`` each, move in
+    a single tangent pass for the whole group, which evaluates the curvature
+    itself.  For each basis vector the pairing of the forward-transported
+    tangent vector with the transported covector must equal its initial
+    value at every segment endpoint; all endpoints of a trajectory are
+    evaluated at once, as ``(S, 2, ...)`` arrays.  The residual at time
+    ``t`` is normalized by the larger of the initial and current magnitude
+    products: the pairing is evaluated by cancellation of terms of that
+    size, which is the scale fixed precision can certify.  A pairing that is
+    not finite makes the residual infinite.  A series transported with a
+    rescaled curvature breaks adjointness and must produce a large residual
+    (negative control).
     """
-    trajectory = series.trajectory
-    basis = _complement_basis(trajectory.start.v)
-    zero = np.zeros_like(basis)
-    dy0 = TangentVector(np.vstack([basis, zero]), np.vstack([zero, basis]))
-    tan = transport_tangent(trajectory, dy0)
+    one = isinstance(series, TransportSeries)
+    group = [series] if one else list(series)
+    dy0s = []
+    for s in group:
+        basis = _complement_basis(s.trajectory.start.v)
+        zero = np.zeros_like(basis)
+        dy0s.append(TangentVector(np.vstack([basis, zero]), np.vstack([zero, basis])))
+    tangents = transport_tangent([s.trajectory for s in group], dy0s)
+    worst = [_worst_pairing_error(s, dy0, tan) for s, dy0, tan in zip(group, dy0s, tangents)]
+    return worst[0] if one else worst
+
+
+def _worst_pairing_error(series: TransportSeries, dy0: TangentVector,
+                         tan: TangentSeries) -> float:
+    """:func:`adjoint_residual` of one covector series, given its basis
+    stack ``dy0`` and that stack's transported series ``tan``."""
     p0 = pairing(dy0, series.n0)
     base = dy0.norm() * series.n0_norm
     # time since the segment start at its two endpoints, (S, 2)

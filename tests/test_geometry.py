@@ -241,6 +241,15 @@ def test_build_sinai_valid():
     assert dom3.d == 3
 
 
+def test_cylinder_image_offsets_must_match_dimension():
+    # (3, 2) offsets in d = 3 used to build a domain whose first flow failed
+    # in numpy's broadcasting
+    cyl = Cylinder(np.array([0.5, 0.5, 0.0]), np.array([[0.0, 0.0, 1.0]]), 0.2,
+                   image_deltas=np.zeros((3, 2)))
+    with pytest.raises(DomainConstructionError, match="image offsets"):
+        Domain(3, Torus(1.0), [cyl])
+
+
 def test_build_sinai_wraparound_rejected():
     with pytest.raises(DomainConstructionError):
         build_sinai(2, 0.6, 1.0, [[0.5, 0.5]])

@@ -219,6 +219,31 @@ def test_horizon_must_be_positive_and_finite(monkeypatch, T):
         dynamics.next_collision(domain, x, T)
 
 
+@pytest.mark.parametrize("eps_graze", [np.nan, 0.0, 1.0, 2.0])
+def test_grazing_cutoff_must_lie_in_unit_interval(monkeypatch, eps_graze):
+    # nan would switch the grazing test off, 2.0 end every flight at its
+    # first impact with 0 events
+    domain = DOMAINS["sinai2d"]
+    x = PhasePoint(np.array([0.1, 0.5]), np.array([1.0, 0.0]))
+    monkeypatch.setattr(dynamics, "_fly", None)                         # nothing flies
+    with pytest.raises(ValueError, match="eps_graze"):
+        flow(domain, x, 1.0, eps_graze=eps_graze)
+    with pytest.raises(ValueError, match="eps_graze"):
+        flow(domain, [x, x], 1.0, eps_graze=eps_graze)
+    with pytest.raises(ValueError, match="eps_graze"):
+        dynamics.next_collision(domain, x, 1.0, eps_graze=eps_graze)
+
+
+@pytest.mark.parametrize("max_events", [0, -1])
+def test_event_cap_must_be_positive(monkeypatch, max_events):
+    # the cap is compared after an event is booked: a cap of 0 held 1 event
+    domain = DOMAINS["sinai2d"]
+    x = PhasePoint(np.array([0.1, 0.5]), np.array([1.0, 0.0]))
+    monkeypatch.setattr(dynamics, "_fly", None)                         # nothing flies
+    with pytest.raises(ValueError, match="max_events"):
+        flow(domain, x, 1.0, max_events=max_events)
+
+
 def test_no_starts_fly_to_no_trajectories():
     assert flow(DOMAINS["sinai2d"], [], 1.0) == []
 

@@ -3,8 +3,9 @@
 These are the forms ``billiards.transport`` had before its series became
 columns: one ``CovectorSegment`` or ``TangentSegment`` per free segment, one
 ``CovectorJump`` per collision, and an ``adjoint_residual`` that loops over
-segments and endpoints.  The column series and the array adjoint check must
-reproduce them bit for bit.
+segments and endpoints, each trajectory on its own, one event at a time.  The
+column series, the group passes and the array adjoint check must reproduce
+them bit for bit.
 """
 
 from __future__ import annotations
@@ -15,17 +16,58 @@ from dataclasses import dataclass
 import numpy as np
 
 from billiards.errors import SeriesRangeError
-from billiards.geometry import curvature_at, reflect
+from billiards.geometry import Cylinder, Halfspace
 from billiards.transport import (
+    ORTHOGONALITY_TOL,
     Covector,
     TangentVector,
-    _check_transversal,
     _complement_basis,
-    _projected_curvature,
-    _reproject,
-    collision_tangent,
     pairing,
 )
+
+# The one-event maps below are the 1-d forms the package had before its
+# transport moved a group of trajectories per array step; they are copies,
+# so the oracle runs none of the kernel it checks.
+
+
+def reflect(x, nu):
+    return x - 2.0 * (x @ nu)[..., None] * nu
+
+
+def curvature_at(domain, scatterer_index, nu):
+    s = domain.scatterers[scatterer_index]
+    if isinstance(s, Halfspace):
+        return np.zeros((domain.d, domain.d))
+    mat = s.projector if isinstance(s, Cylinder) else np.eye(domain.d)
+    return (mat - np.outer(nu, nu)) / s.radius
+
+
+def _check_transversal(a, b, v, what):
+    for x, y in zip(np.atleast_2d(a), np.atleast_2d(b)):
+        scale = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)), 1e-300)
+        res = max(abs(float(x @ v)), abs(float(y @ v)))
+        if res > ORTHOGONALITY_TOL * scale:
+            raise ValueError(f"{what} components must be orthogonal to the velocity "
+                             f"(residual {res / scale:.3e} relative)")
+
+
+def _projected_curvature(x, v, vn, nu, K):
+    u = x - (x @ nu / vn)[..., None] * v
+    ku = u @ K.T
+    return u, ku - (ku @ v / vn)[..., None] * nu
+
+
+def _reproject(x, v):
+    corr = float(x @ v) * v
+    return x - corr, float(np.linalg.norm(corr))
+
+
+def collision_tangent(dy_minus, event, K):
+    nu = event.nu
+    v_in = event.v_in / np.linalg.norm(event.v_in)
+    _, kick = _projected_curvature(dy_minus.dq, v_in, float(v_in @ nu), nu, K)
+    return TangentVector(reflect(dy_minus.dq, nu),
+                         reflect(dy_minus.dv + 2.0 * event.cos_phi * kick, nu))
 
 
 @dataclass(eq=False)

@@ -5,11 +5,12 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2, and three domains that no workload covers, at
+changed), for seeds 1 and 2, and four domains that no workload covers, at
 the same seeds (:data:`EXTRA`).  Each config runs in a fresh
 ``python -m billiards`` process per tree, with that tree's ``src`` on the
 path and one thread: ``run`` or ``verify`` as its workload says, and
-``verify --corrupt-curvature`` on the four acceptance configs.  Every output
+``verify --corrupt-curvature`` on the four acceptance configs and the
+closed box (:data:`EXTRA_CORRUPT`).  Every output
 file, the stdout and the exit code of each command are compared; the script
 prints ``identical`` or the first file that differs, and exits 0 or 1.
 """
@@ -29,19 +30,31 @@ THREAD_ENV = {"BILLIARD_THREADS": "1", "OMP_NUM_THREADS": "1",
               "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
               "PYTHONDONTWRITEBYTECODE": "1"}
 
+_WALLS = [
+    {"kind": "halfspace", "plane_point": [0.0, 0.0], "plane_normal": [1.0, 0.0]},
+    {"kind": "halfspace", "plane_point": [1.0, 0.0], "plane_normal": [-1.0, 0.0]},
+    {"kind": "halfspace", "plane_point": [0.0, 0.0], "plane_normal": [0.0, 1.0]},
+    {"kind": "halfspace", "plane_point": [0.0, 1.0], "plane_normal": [0.0, -1.0]},
+]
+_DISK = {"kind": "sphere", "center": [0.5, 0.5], "radius": 0.2}
+
 # name -> (mode, domain or catalog entry name) of the domains no workload
-# covers; each runs 20 trajectories at T = 20 with c0 = 0.1.  The box has
-# walls on two sides only, so every trajectory escapes.
+# covers; each runs 20 trajectories at T = 20 with c0 = 0.1.  The first box
+# has walls on two sides only, so every trajectory escapes; the closed box
+# is the only config whose flat walls (K = 0) reach the tangent pass and the
+# corrupted covector pass.
 EXTRA = {
     "box_two_walls_disk": ("run", {
         "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
-        "scatterers": [
-            {"kind": "halfspace", "plane_point": [0.0, 0.0], "plane_normal": [1.0, 0.0]},
-            {"kind": "halfspace", "plane_point": [1.0, 0.0], "plane_normal": [-1.0, 0.0]},
-            {"kind": "sphere", "center": [0.5, 0.5], "radius": 0.2}]}),
+        "scatterers": [*_WALLS[:2], _DISK]}),
+    "box_closed_disk": ("verify", {
+        "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
+        "scatterers": [*_WALLS, _DISK]}),
     "hardball_n2_d2": ("verify", "hardball_n2_d2"),
     "pair_reduced_2d": ("verify", "pair_reduced_2d"),
 }
+# the extra configs that also run with ``verify --corrupt-curvature``
+EXTRA_CORRUPT = ("box_closed_disk",)
 
 
 def commands(configs: Path) -> list[tuple[str, list[str]]]:
@@ -71,6 +84,9 @@ def commands(configs: Path) -> list[tuple[str, list[str]]]:
                 "initial": {"sampler": {"count": 20, "seed": seed, "c0": 0.1}},
                 "horizon": 20.0}, indent=2) + "\n", encoding="utf-8")
             out.append((f"seed{seed}/{name}", [mode, str(cfg)]))
+            if name in EXTRA_CORRUPT:
+                out.append((f"seed{seed}/{name}_corrupt",
+                            ["verify", str(cfg), "--corrupt-curvature"]))
     return out
 
 
