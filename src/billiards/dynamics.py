@@ -22,20 +22,25 @@ A round holds at most ``ROUND_ROWS`` image rows, so an ensemble flies in
 balanced groups of ``ROUND_ROWS`` over the rows of one chunk
 (:func:`flight_groups`), one :func:`flow` call each.
 
-Each search ends in one per-flight tail, when its chunk holds a root or
-when it reaches its horizon without one: :func:`next_collision`, given the
-finished search, polishes the root and makes the degenerate, escape and
-grazing checks and the :class:`CollisionEvent`, or returns ``None`` (raises
-the escape) for a search without a root; :func:`_land` does the flow's
-bookkeeping.  The state check of new searches (unit speed, position outside
-every scatterer) runs once per round, as one array pass over the flights
-that start one.  The batched products issue the same BLAS call per (window,
-scatterer) block as an unstacked scan of one window of one flight, and
-picking the first window, the best root and the second root is pure
-selection, so every root keeps its bits; ties go to the lower scatterer
-index, then the earlier image.  :func:`flow` of one start and
-:func:`next_collision` without a finished search are the one-start forms of
-the same loop.
+The kernel returns the rows of those first hits as arrays, and the searches
+of a round that found a root land in one array pass (:func:`_landings`):
+the Newton polish of each root, with each row's own exits, the impact point,
+the normal, ``cos phi``, the reflection and the speed of the reflected
+velocity.  Each search then ends in one per-flight tail, when its chunk
+holds a root or when it reaches its horizon without one:
+:func:`next_collision`, given the finished search's row, makes the corner
+gap, simultaneous root, escape and grazing checks and the
+:class:`CollisionEvent`, or returns ``None`` (raises the escape) for a search
+without a root; :func:`_land` books the event.  The state check of new
+searches (unit speed, position outside every scatterer) runs once per
+round, as one array pass over the flights that start one.  The batched
+products issue the same BLAS call per (window, scatterer) block as an
+unstacked scan of one window of one flight, every dot product of the landing
+pass is a ``row_dot`` with the bits of the 1-d one, and picking the first
+window, the best root and the second root is pure selection, so every root
+and event keeps its bits; ties go to the lower scatterer index, then the
+earlier image.  :func:`flow` of one start and :func:`next_collision`
+without a finished search are the one-start forms of the same loop.
 
 Sphere stacks on a torus with d >= 3 (``ScattererStack.reach_sq`` set, at
 least 27 images) get a broad phase in front of that scan: a window skips the
@@ -194,15 +199,6 @@ def _check_states(domain: Domain, q: np.ndarray, v: np.ndarray):
     return ok, q[ok], v[ok] / speed[ok, None], errors
 
 
-@dataclass(eq=False)
-class _Candidate:
-    t: float
-    scatterer_index: int
-    xi0: Vec          # transverse offset at window start (relative to the image)
-    xiv: Vec          # transverse velocity component
-    radius: float
-
-
 def _image_roots(st, qw: np.ndarray, shift: np.ndarray | None, vv: np.ndarray,
                  a: np.ndarray, live: np.ndarray, hi: np.ndarray):
     """Entering boundary roots of a sphere or cylinder stack in ``R`` windows:
@@ -244,17 +240,21 @@ def _image_roots(st, qw: np.ndarray, shift: np.ndarray | None, vv: np.ndarray,
 
 
 def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.ndarray,
-                       hi: np.ndarray) -> dict:
+                       hi: np.ndarray) -> tuple[np.ndarray, ...]:
     """Search a chunk of consecutive windows of each flight ``q[f] + t v[f]``,
     ``q`` and ``v`` ``(F, d)``: window ``w`` of flight ``f`` spans the local
     times (0, hi[f, w]] after ``t_lo[f, w]``, both ``(F, W)``; a window of
     length 0 pads a chunk shorter than the others.
 
-    Returns ``hits``: for each flight whose chunk holds an entering boundary
-    root, ``(w, best, t_second)``, its first window ``w`` that holds one,
-    that window's earliest root and its second-smallest root (inf when there
-    is none), in times local to the window start.  A flight without a hit
-    searched its whole chunk.
+    Returns the first hits as arrays, one row per flight whose chunk holds
+    an entering boundary root, in flight order: ``(f, w, t, t_second,
+    index, xi0, xiv, radius_sq)``, the flight, its first window ``w`` that
+    holds a root, that window's earliest root and its second-smallest root
+    (inf when there is none), in times local to the window start, and the
+    earliest root's scatterer index, its image's offset ``xi0`` at window
+    start, the transverse velocity ``xiv`` (``(H, d)`` each) and the squared
+    radius from the stack's ``radii_sq`` (0 for a wall).  A flight without
+    a hit searched its whole chunk.
 
     Each stack is evaluated in one array pass over all its flights, windows,
     scatterers and images; a broad-phase stack scans its windows in reach
@@ -279,13 +279,13 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
         center = q_win + half * v[flight]
 
     # the roots of every pass: window, root, scatterer index, and the
-    # candidate's xi0, xiv and radius
+    # root's xi0, xiv and squared radius (0 for a wall)
     found = []
 
     def add(st, w, row, roots, xi0, xiv):
         if roots.size:
-            radius = np.zeros(roots.size) if st.radii is None else st.radii[row]
-            found.append((w, roots, st.indices[row], xi0, xiv, radius))
+            radius_sq = np.zeros(roots.size) if st.radii_sq is None else st.radii_sq[row, 0]
+            found.append((w, roots, st.indices[row], xi0, xiv, radius_sq))
 
     for st in domain.stacks:
         rows = np.repeat(v[:, None, :], st.points.shape[0], axis=1)
@@ -331,41 +331,68 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
                 hit[f[r]] = True
                 wins = wins[~hit[flight[wins]]]
     if not found:
-        return {}
-    fw, roots, index, xi0, xiv, radius = (np.concatenate(x) for x in zip(*found))
+        none = np.zeros(0, dtype=np.intp)
+        return (none, none, np.zeros(0), np.zeros(0), none, np.zeros((0, d)), np.zeros((0, d)),
+                np.zeros(0))
+    fw, roots, index, xi0, xiv, radius_sq = (np.concatenate(x) for x in zip(*found))
     # by flight and window, then root, then scatterer index; the sort is
     # stable, so a tie within one scatterer keeps the image order
     order = np.lexsort((index, roots, fw))
-    fw, roots = fw[order], roots[order]
+    fw, roots = fw[order], np.append(roots[order], np.inf)
     owner = flight[fw]
     heads = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
-    hits = {}
-    for j in heads.tolist():
-        k = order[j]
-        f, w = divmod(int(fw[j]), W)
-        # the second root of the window: the next one in order, if in it
-        t_second = float(roots[j + 1]) if j + 1 < fw.size and fw[j + 1] == fw[j] else np.inf
-        hits[f] = (w, _Candidate(float(roots[j]), int(index[k]), xi0[k], xiv[k],
-                                 float(radius[k])), t_second)
-    return hits
+    k = order[heads]
+    # the second root of the window: the next one in order, if in it
+    same = np.append(fw[1:] == fw[:-1], False)[heads]
+    f, w = np.divmod(fw[heads], W)
+    return (f, w, roots[heads], np.where(same, roots[heads + 1], np.inf), index[k], xi0[k],
+            xiv[k], radius_sq[k])
 
 
-def _polish_root(cand: _Candidate) -> float:
-    """Newton-polish the boundary crossing time of a candidate root."""
-    t = cand.t
-    if cand.radius == 0.0:  # halfspace root is already exact (linear)
-        return t
-    for _ in range(4):
-        xi = cand.xi0 + t * cand.xiv
-        f = float(xi @ xi) - cand.radius ** 2
-        df = 2.0 * float(xi @ cand.xiv)
-        if df == 0.0:
-            break
-        step = f / df
-        t -= step
-        if abs(step) < 1e-16 * max(1.0, abs(t)):
-            break
-    return t
+def _landings(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.ndarray,
+              root: np.ndarray, t_second: np.ndarray, index: np.ndarray, xi0: np.ndarray,
+              xiv: np.ndarray, radius_sq: np.ndarray) -> list[tuple]:
+    """The impacts of the searches of a round that found a root, in one
+    array pass: from the checked states ``(q, v)``, ``(H, d)``, the start
+    ``t_lo`` of each one's first window with a root and that window's hit
+    (:func:`_window_candidates`).
+
+    Returns each search's row, ``(t_lo, root, t_second, t_best, index, q,
+    nu, cos_phi, v_out, v_next, drift)``: the polished impact time
+    ``t_best``, the wrapped impact point, the inward normal, ``-<v, nu>``,
+    the reflected velocity, its unit form and its speed drift, each with the
+    bits of the same steps on that row alone.  Rows that will end their
+    flight (a corner gap, a grazing impact) are computed too, without
+    warnings; :func:`next_collision` decides.
+    """
+    flat = domain._flat[index]
+    t = root
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Newton polish of each sphere or cylinder root, at most 4 steps,
+        # each row with its own exits; a wall's root is exact (linear)
+        live = ~flat
+        for _ in range(4):
+            xi = xi0 + t[:, None] * xiv
+            df = 2.0 * row_dot(xi, xiv)
+            step = (row_dot(xi, xi) - radius_sq) / df
+            moved = t - step
+            go = live & (df != 0.0)
+            t = np.where(go, moved, t)
+            live = go & ~(np.abs(step) < 1e-16 * np.maximum(1.0, np.abs(moved)))
+            if not live.any():
+                break
+        t_best = t_lo + t
+        xi = xi0 + (t_best - t_lo)[:, None] * xiv
+        nu = xi / np.sqrt(row_dot(xi, xi))[:, None]
+        if flat.any():
+            nu[flat] = [domain.scatterers[i].plane_normal for i in index[flat].tolist()]
+        cos_phi = -row_dot(v, nu)
+        v_out = reflect(v[:, None], nu)[:, 0]
+        speed = np.sqrt(row_dot(v_out, v_out))
+    return list(zip(t_lo.tolist(), root.tolist(), t_second.tolist(), t_best.tolist(),
+                    index.tolist(), domain.wrap(q + t_best[:, None] * v), nu,
+                    cos_phi.tolist(), v_out, v_out / speed[:, None],
+                    np.abs(speed - 1.0).tolist()))
 
 
 class _Flight:
@@ -429,12 +456,12 @@ def _land(domain: Domain, fl: _Flight, x: PhasePoint, found: tuple, T: float,
         fl.finish(TERMINATION_HORIZON, T,
                   PhasePoint(domain.wrap(fl.q + (T - fl.t) * fl.v), fl.v))
         return False
+    *_, v_next, drift = found[1]
     ev.t = fl.t + ev.t
     fl.segments.append(FlightSegment(fl.t, ev.t, fl.q, fl.v))
     fl.events.append(ev)
-    speed = math.sqrt(ev.v_out @ ev.v_out)
-    fl.max_drift = max(fl.max_drift, abs(speed - 1.0))
-    fl.q, fl.v, fl.t = ev.q, ev.v_out / speed, ev.t
+    fl.max_drift = max(fl.max_drift, drift)
+    fl.q, fl.v, fl.t = ev.q, v_next, ev.t
     if len(fl.events) >= max_events:
         fl.finish(TERMINATION_EVENT_CAP, fl.t, PhasePoint(fl.q, fl.v))
         return False
@@ -498,16 +525,18 @@ def _fly(domain: Domain, q: np.ndarray, v: np.ndarray, T: float, max_events: int
         if not act.size:
             return flights
         lo, hi, t_lo[act] = _tile(t_lo[act], horizon[act], window, chunk)
-        hits = _window_candidates(domain, qs[act], vs[act], lo, hi)
+        hit, w, *hits = _window_candidates(domain, qs[act], vs[act], lo, hi)
+        rows = {}
+        if hit.size:
+            g = act[hit]
+            rows = dict(zip(hit.tolist(), _landings(domain, qs[g], vs[g], lo[hit, w], *hits)))
         # each search that found a root or reached its horizon ends here
         new = []
-        for a in sorted(hits.keys() | set(np.flatnonzero(t_lo[act] >= horizon[act]).tolist())):
+        for a in sorted(rows.keys() | set(np.flatnonzero(t_lo[act] >= horizon[act]).tolist())):
             f = int(act[a])
             searching[f] = False
-            w, best, t_second = hits.get(a, (None, None, np.inf))
-            start = float(t_lo[f]) if best is None else float(lo[a, w])
             if _land(domain, flights[f], PhasePoint(qs[f], vs[f]),
-                     (start, best, t_second, float(escape[f])), T, max_events, eps_graze):
+                     (float(escape[f]), rows.get(a)), T, max_events, eps_graze):
                 new.append(f)
 
 
@@ -580,13 +609,15 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
     first.  Event times in the returned record are relative to ``x``.
 
     Without ``found``, ``x`` flies alone in the lockstep loop for one event.
-    The loop itself passes each finished search as ``found``: ``(t_lo, best,
-    t_second, escape_t)``, the start of the first window from the checked
-    state ``x`` that holds a root, that window's earliest root candidate and
-    its second root (local to the window), and the box escape time (inf off
-    a box).  Then only the root is polished and checked: every event of the
-    flow comes from here.  A search that reached ``t_max`` without a root
-    passes ``best = None``, ``t_second = inf``: no event, or the escape.
+    The loop itself passes each finished search from the checked state
+    ``x`` as ``found``: ``(escape_t, row)``, the box escape time (inf off a
+    box) and that search's row of the round's landing pass (see
+    :func:`_landings`), with the polished time, impact point, normal,
+    ``cos_phi`` and reflected velocity already computed.  Then only the
+    checks are made, in order: the corner gap, the simultaneous root, the
+    escape and the grazing impact; every event of the flow comes from here.
+    A search that reached ``t_max`` without a root passes ``row = None``: no
+    event, or the escape.
     """
     if found is None:
         if not 0.0 < t_max < math.inf:
@@ -596,34 +627,26 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
         if fl.error is not None:
             raise fl.error
         return fl.events[0] if fl.events else None
-    t_lo, best, t_second, escape_t = found
-    if best is None:
+    escape_t, row = found
+    if row is None:
         if escape_t <= t_max:
             raise EscapeError("particle left the box ambient", time=escape_t)
         return None
-    q, v = x.q, x.v
+    t_lo, root, t_second, t_best, index, q, nu, cos_phi, v_out = row[:9]
     eps_time = EPS_TIME_FACTOR * domain.length_scale
-    if t_lo + best.t <= eps_time:
+    if t_lo + root <= eps_time:
         # a root this close to the previous event is a corner-like
         # multiple collision; skipping it would tunnel through the wall
         raise DegenerateCollisionError(
             "collision within the minimum time gap of the previous event",
-            time=t_lo + best.t)
-    t_best = t_lo + _polish_root(best)
-    if t_second - best.t < eps_time:
+            time=t_lo + root)
+    if t_second - root < eps_time:
         raise DegenerateCollisionError(
             "simultaneous collision with two boundary pieces", time=t_best)
     if t_best > escape_t + eps_time:
         raise EscapeError("particle left the box ambient", time=escape_t)
-    xi = best.xi0 + (t_best - t_lo) * best.xiv
-    if best.radius > 0.0:
-        nu = xi / math.sqrt(xi @ xi)
-    else:
-        nu = domain.scatterers[best.scatterer_index].plane_normal
-    cos_phi = -float(v @ nu)
     if cos_phi < eps_graze:
         raise GrazingSingularityError(
             f"grazing impact: cos(phi) = {cos_phi:.3e}", time=t_best)
-    return CollisionEvent(t=t_best, q=domain.wrap(q + t_best * v),
-                          scatterer_index=best.scatterer_index, nu=nu,
-                          cos_phi=min(cos_phi, 1.0), v_in=v.copy(), v_out=reflect(v, nu))
+    return CollisionEvent(t=t_best, q=q, scatterer_index=index, nu=nu,
+                          cos_phi=min(cos_phi, 1.0), v_in=x.v.copy(), v_out=v_out)

@@ -263,8 +263,12 @@ class ScattererStack:
     sphere centers, cylinder axis points or halfspace plane points,
     ``(S, d)``.  Spheres and cylinders carry ``radii``, ``radii_sq`` (each
     ``radius ** 2``, an ``(S, 1)`` column) and the image offsets ``deltas``,
-    ``(S, m, d)``; cylinders also the axis rows ``axes``, ``(S, k, d)``;
-    halfspaces the plane ``normals``, ``(S, d)``.  Sphere stacks of a torus
+    ``(S, m, d)``; cylinders also the axis rows ``axes``, ``(S, k, d)``, an
+    orthonormal basis of the directions transverse to them, ``basis``,
+    ``(S, d - k, d)``, and the coordinates of the image offsets in that
+    basis, ``basis_deltas``, ``(S, d - k, m)`` (images last, so that the
+    distance to every image is one pass along rows of ``m``); halfspaces
+    the plane ``normals``, ``(S, d)``.  Sphere stacks of a torus
     with d >= 3 carry ``reach_sq``, ``(S,)``: the squared distance within
     which a flight can hit a lattice image of the center (the radius plus
     ``BROAD_PHASE_MARGIN_FACTOR`` times the side); ``None`` on every other
@@ -278,6 +282,8 @@ class ScattererStack:
     radii_sq: np.ndarray | None = None
     deltas: np.ndarray | None = None
     axes: np.ndarray | None = None
+    basis: np.ndarray | None = None
+    basis_deltas: np.ndarray | None = None
     normals: np.ndarray | None = None
     reach_sq: np.ndarray | None = None
 
@@ -338,15 +344,22 @@ def _stack_scatterers(scatterers: list[Scatterer], ambient: Ambient) -> list[Sca
         points = [s.center if kind == "sphere" else s.axis_point for s in members]
         radii = np.array([s.radius for s in members], dtype=float)
         deltas = np.array([image_deltas[i] for i in idx])
-        reach_sq = None
+        reach_sq = axes = basis = basis_deltas = None
         if kind == "sphere" and deltas.shape[1] >= _BROAD_PHASE_MIN_IMAGES:
             reach_sq = (radii + BROAD_PHASE_MARGIN_FACTOR * ambient.length_scale) ** 2
+        if kind == "cylinder":
+            axes = np.array([s.axis_directions for s in members])
+            # the columns of a complete QR of the axes past the first k span
+            # the transverse directions (a first SVD call would add about
+            # 0.5 MiB to the resident set; the covector sampler calls QR)
+            q = np.linalg.qr(axes.transpose(0, 2, 1), mode="complete").Q
+            basis = q[:, :, axes.shape[1]:].transpose(0, 2, 1)
+            basis_deltas = basis @ deltas.transpose(0, 2, 1)
         stacks.append(ScattererStack(
             kind, np.array(idx), np.array(points),
             radii=radii,
             radii_sq=np.array([[s.radius ** 2] for s in members], dtype=float),
-            deltas=deltas,
-            axes=np.array([s.axis_directions for s in members]) if kind == "cylinder" else None,
+            deltas=deltas, axes=axes, basis=basis, basis_deltas=basis_deltas,
             reach_sq=reach_sq))
     return stacks
 
@@ -395,7 +408,8 @@ class Domain:
         # curvature_at's data, one row per scatterer: the projector onto the
         # directions that bend (I for a sphere), the radius, and the flat
         # walls, whose curvature is zero (their projector I and radius 1
-        # only keep the formula finite)
+        # only keep the formula finite; the flow's landing pass takes a
+        # wall's normal from the wall, not from its root)
         self._bend = np.array([s.projector if isinstance(s, Cylinder) else np.eye(self.d)
                                for s in self.scatterers]).reshape(-1, self.d, self.d)
         self._radii = np.array([getattr(s, "radius", 1.0) for s in self.scatterers])
@@ -495,13 +509,15 @@ class Domain:
         rel = q[..., None, :] - st.points
         if st.kind == "halfspace":
             return row_dot(rel, st.normals)
-        xi = st.transverse(self.min_image(rel))
+        xi = self.min_image(rel)
         if st.kind == "cylinder":
-            # reduce modulo the projected lattice: the per-coordinate minimal
-            # image need not minimize the transverse distance
-            off = xi[..., None, :] - st.deltas
-            k = np.argmin(np.sqrt(np.add.reduce(off * off, axis=-1)), axis=-1)
-            xi = xi - st.deltas[np.arange(k.shape[-1]), k]
+            # the nearest image in transverse coordinates: the per-coordinate
+            # minimal image need not minimize the transverse distance
+            # (each coordinate reduces its own row, and the squares add in
+            # coordinate order: the bits of one point at a time)
+            y = np.add.reduce(st.basis * xi[..., None, :], axis=-1)
+            off = y[..., None] - st.basis_deltas
+            return np.sqrt(np.add.reduce(off * off, axis=-2).min(axis=-1)) - st.radii
         return np.sqrt(row_dot(xi, xi)) - st.radii
 
 

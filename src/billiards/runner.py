@@ -45,8 +45,11 @@ _CSV_FIELDS = ("t", "segment_index", "event_flag", "Q", "norm_w", "norm_z",
 _CSV_FORMATS = ("%.17g", "%d", "%d", "%.17g", "%.17g", "%.17g", "%.17g", "%.17g",
                 "%.17g", "%.17g")
 
-# sampled starting points keep this many eps_surface from every scatterer
+# sampled starting points keep this many eps_surface from every scatterer;
+# positions are drawn in blocks of START_BLOCK, at most START_DRAWS per start
 START_MARGIN_FACTOR = 10.0
+START_BLOCK = 16
+START_DRAWS = 100_000
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -73,12 +76,20 @@ def sample_initial_conditions(domain: Domain, count: int, seed: int,
         highs = np.full(domain.d, domain.length_scale)
     for i in range(count):
         rng = np.random.default_rng([seed, i])
-        for _ in range(100_000):
-            q = rng.uniform(0.0, 1.0, domain.d) * highs
-            if domain.contains(q, slack=-margin):
+        state = rng.bit_generator.state
+        # one membership test per block of draws; the position is the first
+        # accepted draw, as one draw at a time gives it
+        for drawn in range(0, START_DRAWS, START_BLOCK):
+            block = rng.uniform(0.0, 1.0, (min(START_BLOCK, START_DRAWS - drawn), domain.d))
+            ok = np.flatnonzero(domain.contains(block * highs, slack=-margin))
+            if ok.size:
                 break
         else:
             raise ConfigError("could not sample a starting point outside the scatterers")
+        # draw exactly the accepted prefix again, so that the velocity and
+        # covector draws continue the stream of one draw at a time
+        rng.bit_generator.state = state
+        q = rng.uniform(0.0, 1.0, (drawn + ok[0] + 1, domain.d))[-1] * highs
         v = rng.standard_normal(domain.d)
         v /= np.linalg.norm(v)
         if c0 is None:

@@ -12,11 +12,17 @@ loop, ``billiards.dynamics.flow``.  ``validate_phase_point`` is the
 state check of one start.  ``box_lattice_distance`` is the oracle of the
 sphere broad phase: the distance from a window's flight box to the nearest
 lattice image of a sphere center, coordinate by coordinate.
+
+The oracle runs none of the code it checks: its candidate record, the
+Newton polish of a root, the reflection and the state check (through
+``geometry_oracle.contains``) are its own copies of the one-trajectory
+forms.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,24 +44,56 @@ from billiards import (
     TERMINATION_GRAZING,
     TERMINATION_HORIZON,
     Trajectory,
-    reflect,
 )
-from billiards.dynamics import FlightSegment, _Candidate, _polish_root
+from billiards.dynamics import FlightSegment
 from billiards.tolerances import EPS_GRAZE, EPS_TIME_FACTOR, MAX_EVENTS_DEFAULT
-from geometry_oracle import image_deltas
+from geometry_oracle import contains as oracle_contains, image_deltas
 
 
-def scatterer_candidates(domain: Domain, index: int, q_win, v, hi: float) -> list[_Candidate]:
+@dataclass(eq=False)
+class Candidate:
+    """One entering boundary root of a window, local to its start."""
+
+    t: float
+    scatterer_index: int
+    xi0: np.ndarray   # transverse offset at window start (relative to the image)
+    xiv: np.ndarray   # transverse velocity component
+    radius: float
+
+    @property
+    def radius_sq(self) -> float:
+        return self.radius ** 2
+
+
+def polish_root(cand: Candidate) -> float:
+    """Newton-polish the boundary crossing time of a candidate root."""
+    t = cand.t
+    if cand.radius == 0.0:  # halfspace root is already exact (linear)
+        return t
+    for _ in range(4):
+        xi = cand.xi0 + t * cand.xiv
+        f = float(xi @ xi) - cand.radius ** 2
+        df = 2.0 * float(xi @ cand.xiv)
+        if df == 0.0:
+            break
+        step = f / df
+        t -= step
+        if abs(step) < 1e-16 * max(1.0, abs(t)):
+            break
+    return t
+
+
+def scatterer_candidates(domain: Domain, index: int, q_win, v, hi: float) -> list[Candidate]:
     """Entering boundary roots for one scatterer within local times (0, hi]."""
     s = domain.scatterers[index]
-    out: list[_Candidate] = []
+    out: list[Candidate] = []
     if isinstance(s, Halfspace):
         h0 = float((q_win - s.plane_point) @ s.plane_normal)
         hv = float(v @ s.plane_normal)
         if hv < 0.0:
             t = -h0 / hv
             if 0.0 < t <= hi:
-                out.append(_Candidate(t, index, h0 * s.plane_normal, hv * s.plane_normal, 0.0))
+                out.append(Candidate(t, index, h0 * s.plane_normal, hv * s.plane_normal, 0.0))
         return out
 
     ref = s.center if isinstance(s, Sphere) else s.axis_point
@@ -90,7 +128,7 @@ def scatterer_candidates(domain: Domain, index: int, q_win, v, hi: float) -> lis
         roots = np.minimum(qq / a, c[ok] / qq)
     for k, t in zip(np.nonzero(ok)[0], roots):
         if 0.0 < t <= hi:
-            out.append(_Candidate(float(t), index, xi0[k], vv, s.radius))
+            out.append(Candidate(float(t), index, xi0[k], vv, s.radius))
     return out
 
 
@@ -109,9 +147,9 @@ def box_lattice_distance(domain: Domain, index: int, q_win, v, hi: float) -> flo
     return float(np.sqrt(total))
 
 
-def window_scan(domain: Domain, q_win, v, hi: float) -> tuple[_Candidate, float] | None:
+def window_scan(domain: Domain, q_win, v, hi: float) -> tuple[Candidate, float] | None:
     """Best candidate and second-smallest root of one window, or ``None``."""
-    cands: list[_Candidate] = []
+    cands: list[Candidate] = []
     for index in range(len(domain.scatterers)):
         cands.extend(scatterer_candidates(domain, index, q_win, v, hi))
     if not cands:
@@ -120,7 +158,7 @@ def window_scan(domain: Domain, q_win, v, hi: float) -> tuple[_Candidate, float]
     return cands[0], (cands[1].t if len(cands) > 1 else np.inf)
 
 
-def chunk_scan(domain: Domain, q, v, starts, widths) -> tuple[int, tuple[_Candidate, float] | None]:
+def chunk_scan(domain: Domain, q, v, starts, widths) -> tuple[int, tuple[Candidate, float] | None]:
     """``window_scan`` over the windows ``(starts[w], starts[w] + widths[w]]``
     of the flight ``q + t v``, one at a time: the first window that holds a
     root and its result, or the window count and ``None``."""
@@ -137,7 +175,7 @@ def validate_phase_point(domain: Domain, x: PhasePoint) -> PhasePoint:
     if not math.isfinite(speed) or abs(speed - 1.0) > 1e-6:
         raise InvalidStateError(f"velocity must be a unit vector (speed {speed})")
     q = domain.wrap(x.q)
-    if not domain.contains(q):
+    if not oracle_contains(domain, q):
         raise InvalidStateError("phase point lies inside a scatterer")
     return PhasePoint(q, x.v / speed)
 
@@ -165,7 +203,7 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
                 raise DegenerateCollisionError(
                     "collision within the minimum time gap of the previous event",
                     time=t_lo + best.t)
-            t_best = t_lo + _polish_root(best)
+            t_best = t_lo + polish_root(best)
             if t_second - best.t < eps_time:
                 raise DegenerateCollisionError(
                     "simultaneous collision with two boundary pieces", time=t_best)
@@ -183,7 +221,7 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
             return CollisionEvent(t=t_best, q=domain.wrap(q + t_best * v),
                                   scatterer_index=best.scatterer_index, nu=nu,
                                   cos_phi=min(cos_phi, 1.0), v_in=v.copy(),
-                                  v_out=reflect(v, nu))
+                                  v_out=v - 2.0 * float(v @ nu) * nu)
         t_lo += hi
     if escape_t <= t_max:
         raise EscapeError("particle left the box ambient", time=escape_t)

@@ -25,6 +25,7 @@ from billiards import (
     reflect,
 )
 from geometry_oracle import (
+    contains as oracle_contains,
     normal_at,
     project_to_boundary,
     signed_distance,
@@ -414,3 +415,66 @@ def test_walls_close_a_box(d):
     assert len(dom.scatterers) == 2 * d
     assert dom.contains(np.full(d, 0.5))
     assert not dom.contains(np.full(d, 1.5))
+
+
+# ---------------------------------------------------------------------------
+# Cylinder distances in transverse coordinates
+# ---------------------------------------------------------------------------
+
+TRANSVERSE_DOMAINS = {
+    **{f"hardball{N}_2d": build_hardball_gas(N, 2, 0.1, 1.0) for N in range(2, 7)},
+    **{f"hardball{N}_3d": build_hardball_gas(N, 3, 0.1, 1.0) for N in (2, 3)},
+    "cylinder_3d": Domain(3, Torus(1.0), [
+        Cylinder(np.array([0.5, 0.5, 0.0]), np.array([[0.0, 0.0, 1.0]]), 0.2)]),
+    "crossed_cylinders": Domain(3, Torus(1.0), [
+        Cylinder(np.array([0.5, 0.5, 0.0]), np.array([[0.0, 0.0, 1.0]]), 0.2),
+        Cylinder(np.array([0.0, 0.0, 0.5]), np.array([[1.0, 0.0, 0.0]]), 0.15)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSVERSE_DOMAINS))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["uniform", "radius", "slack"]),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_contains_in_transverse_coordinates_matches_full_reduction(name, seed, kind, sign):
+    # Domain.contains measures a cylinder in its transverse basis; the
+    # oracle reduces the full-coordinate offset over every image.  Their
+    # decisions agree on uniform points and on points at distance
+    # r (1 +- 1e-12) from an axis, or at the slack +- 1e-12
+    domain = TRANSVERSE_DOMAINS[name]
+    rng = np.random.default_rng(seed)
+    L, eps = domain.length_scale, domain.eps_surface
+    q = rng.uniform(0.0, L, domain.d)
+    if kind == "uniform":
+        for slack in (None, 0.0, 1e-9, -10.0 * eps):
+            assert domain.contains(q, slack) == oracle_contains(domain, q, slack)
+        return
+    i = int(rng.integers(len(domain.scatterers)))
+    try:
+        p = project_to_boundary(domain, i, q)
+    except BoundaryMismatchError:     # the axis has no projection
+        return
+    nu = normal_at(domain, i, p)
+    if kind == "radius":
+        slack, x = 0.0, p + sign * 1e-12 * domain.scatterers[i].radius * nu
+    else:
+        slack = eps
+        x = p + (sign * 1e-12 * L - slack) * nu
+    got = domain.contains(x, slack)
+    assert got == oracle_contains(domain, x, slack)
+    assert domain.contains(x[None], slack).tolist() == [got]
+
+
+@pytest.mark.parametrize("name", sorted(TRANSVERSE_DOMAINS))
+def test_transverse_basis_is_orthonormal_and_orthogonal_to_axes(name):
+    domain = TRANSVERSE_DOMAINS[name]
+    for st_ in domain.stacks:
+        k = st_.axes.shape[1]
+        assert st_.basis.shape == (st_.indices.size, domain.d - k, domain.d)
+        eye = np.eye(domain.d - k)
+        for B, A, deltas, coords in zip(st_.basis, st_.axes, st_.deltas, st_.basis_deltas):
+            assert np.abs(B @ B.T - eye).max() < 1e-14
+            assert np.abs(B @ A.T).max() < 1e-14
+            # the image offsets are transverse: their coordinates keep their length
+            assert np.allclose(np.linalg.norm(coords, axis=0), np.linalg.norm(deltas, axis=1),
+                               rtol=0.0, atol=1e-14)

@@ -18,6 +18,7 @@ from billiards import ConfigError
 from billiards.catalog import CATALOG
 from billiards.cli import main
 from billiards.config import domain_from_spec, load_config, parse_config
+from billiards import runner
 from billiards.runner import run_experiment
 
 CYLINDER_SPEC = next(e["domain"] for e in CATALOG if e["name"] == "cylinder_3d")
@@ -436,3 +437,82 @@ def test_explicit_initial_runs(tmp_path):
     summary, code = run_experiment(cfg, mode="run", out_dir=tmp_path / "out")
     assert code == 0
     assert summary["n_trajectories"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Rejection-sampled starts, drawn in blocks
+# ---------------------------------------------------------------------------
+
+def _one_draw_at_a_time(domain, count, seed, c0):
+    """The sampler's starts with one position draw and one membership test
+    at a time."""
+    from billiards.diagnostics import sample_covector_uniform, sample_covector_with_Q_bound
+
+    highs = np.asarray(domain.ambient.sides) if isinstance(domain.ambient, billiards.Box) \
+        else np.full(domain.d, domain.length_scale)
+    margin = runner.START_MARGIN_FACTOR * domain.eps_surface
+    out = []
+    for i in range(count):
+        rng = np.random.default_rng([seed, i])
+        while True:
+            q = rng.uniform(0.0, 1.0, domain.d) * highs
+            if domain.contains(q, slack=-margin):
+                break
+        v = rng.standard_normal(domain.d)
+        v /= np.linalg.norm(v)
+        n0 = sample_covector_uniform(v, rng) if c0 is None else \
+            sample_covector_with_Q_bound(v, c0, rng)
+        out.append((q, v, n0.z, n0.w))
+    return out
+
+
+@pytest.mark.parametrize("name", ["sinai_2d", "hardball_n3_d2", "pair_reduced_2d"])
+def test_block_sampling_matches_one_draw_at_a_time(name):
+    domain = domain_from_spec(next(e["domain"] for e in CATALOG if e["name"] == name))
+    for seed in range(8):
+        c0 = 0.1 if seed % 2 else None
+        got = runner.sample_initial_conditions(domain, 4, seed, c0)
+        want = _one_draw_at_a_time(domain, 4, seed, c0)
+        assert [tuple(a.tobytes() for a in (x.q, x.v, n.z, n.w)) for x, n in got] == \
+            [tuple(a.tobytes() for a in w) for w in want]
+
+
+def test_block_sampling_across_blocks(monkeypatch):
+    # the first 150 draws are rejected: the start is the 151st draw, in the
+    # third block, and the velocity continues the stream after it
+    domain = domain_from_spec(next(e["domain"] for e in CATALOG if e["name"] == "sinai_2d"))
+    original = type(domain).contains
+    seen = []
+
+    def late(self, q, slack=None):
+        ok = original(self, q, slack)
+        start = sum(seen)
+        seen.append(len(ok))
+        return ok & (np.arange(start, start + len(ok)) >= 150)
+
+    monkeypatch.setattr(type(domain), "contains", late)
+    (x, _), = runner.sample_initial_conditions(domain, 1, 3)
+    rng = np.random.default_rng([3, 0])
+    draws = rng.uniform(0.0, 1.0, (400, 2))
+    first = 150 + int(np.flatnonzero([original(domain, p, -10.0 * domain.eps_surface)
+                                      for p in draws[150:]])[0])
+    rng = np.random.default_rng([3, 0])
+    q = rng.uniform(0.0, 1.0, (first + 1, 2))[-1]
+    v = rng.standard_normal(2)
+    assert x.q.tobytes() == q.tobytes() and x.v.tobytes() == (v / np.linalg.norm(v)).tobytes()
+    assert seen[:3] == [runner.START_BLOCK] * 3
+
+
+def test_sampler_gives_up_after_exactly_its_draw_cap(monkeypatch):
+    domain = domain_from_spec(next(e["domain"] for e in CATALOG if e["name"] == "sinai_2d"))
+    drawn = []
+
+    def reject(self, q, slack=None):
+        drawn.append(q.shape[0])
+        return np.zeros(q.shape[:-1], dtype=bool)
+
+    monkeypatch.setattr(type(domain), "contains", reject)
+    with pytest.raises(ConfigError, match="could not sample a starting point"):
+        runner.sample_initial_conditions(domain, 1, 0)
+    assert sum(drawn) == runner.START_DRAWS == 100_000
+    assert max(drawn) == runner.START_BLOCK

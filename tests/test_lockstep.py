@@ -49,7 +49,8 @@ from billiards.config import load_config
 from billiards.runner import run_experiment
 from billiards.tolerances import MAX_EVENTS_DEFAULT
 from conftest import random_phase_point
-from test_window_kernel import CHUNK_DOMAINS, DOMAINS, _aimed, assert_same_result, tiles
+from test_window_kernel import (CHUNK_DOMAINS, DOMAINS, _aimed, assert_same_result, hit_rows,
+                                tiles)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -128,12 +129,12 @@ def test_one_call_searches_each_flight_as_alone(name, seed, count):
     starts = np.array([c[0] + [c[0][-1]] * (W - len(c[0])) for c in chunks])
     widths = np.array([c[1] + [0.0] * (W - len(c[1])) for c in chunks])
     q, v = np.array(q), np.array(v)
-    hits = dynamics._window_candidates(domain, q, v, starts, widths)
+    hits = hit_rows(dynamics._window_candidates(domain, q, v, starts, widths))
     for f, (s, w) in enumerate(chunks):
         w_o, slow = oracle.chunk_scan(domain, q[f], v[f], s, w)
         if f in hits:
             assert hits[f][0] == w_o
-            assert_same_result(hits[f][1:], slow)
+            assert_same_result(hits[f][1], slow)
         else:
             assert slow is None and w_o == len(s)
 
@@ -323,7 +324,7 @@ def test_a_search_without_a_root_ends_in_the_miss_tail(escape_t):
     # left by then (also exactly at t_max), as the oracle's loop ends
     domain = DOMAINS["box_walls_sphere"]
     x = PhasePoint(np.array([0.1, 0.5]), np.array([0.0, 1.0]))
-    found = (2.0, None, np.inf, escape_t)
+    found = (escape_t, None)
     if escape_t <= 2.0:
         with pytest.raises(EscapeError) as e:
             dynamics.next_collision(domain, x, 2.0, found=found)
@@ -351,11 +352,20 @@ def test_contains_on_a_stack_matches_one_point_at_a_time(name):
         if ev:
             points[k] = ev[0].q
     eps = domain.eps_surface
+    nearest = [min(geometry_oracle.signed_distance(domain, i, p)
+                   for i in range(len(domain.scatterers))) for p in points]
     seen = set()
     for slack in (None, 0.0, 1e-9, -10.0 * eps):
         one = [domain.contains(p, slack) for p in points]
         assert all(isinstance(b, bool) for b in one)
-        assert one == [geometry_oracle.contains(domain, p, slack) for p in points]
+        # the oracle measures cylinders in full coordinates, the domain in
+        # transverse ones: their decisions agree wherever rounding cannot
+        # tip them, so not for a point on a boundary at slack 0
+        band = 1e-12 * domain.length_scale
+        clear = [abs(x + (eps if slack is None else slack)) > band for x in nearest]
+        assert sum(clear) >= 40          # the uniform points
+        assert [b for b, c in zip(one, clear) if c] == [
+            geometry_oracle.contains(domain, p, slack) for p, c in zip(points, clear) if c]
         stacked = domain.contains(points, slack)
         assert stacked.dtype == bool and stacked.tolist() == one
         assert domain.contains(points.reshape(3, 20, domain.d), slack).reshape(-1).tolist() == one

@@ -4,8 +4,9 @@
 consecutive windows in one array pass per stack; ``dynamics_oracle`` scans
 one window and one scatterer at a time and stable-sorts the roots.  Both
 must give the same first window with a root, best root, second root,
-scatterer index, ``xi0`` and ``xiv``.  ``Domain.contains`` is checked the
-same way against the per-scatterer ``geometry_oracle.contains``.
+scatterer index, ``xi0``, ``xiv`` and squared radius.  ``Domain.contains``
+is checked the same way against the per-scatterer
+``geometry_oracle.contains``.
 
 The broad phase of the sphere stacks (``ScattererStack.reach_sq``) is
 checked against the same kernel on a copy of the domain with ``reach_sq``
@@ -19,6 +20,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,17 +98,25 @@ def _hex(x: float) -> str:
     return float(x).hex()
 
 
+def hit_rows(hits) -> dict:
+    """The rows of a kernel call by flight: ``(w, (best, t_second))``, with
+    the best root's ``t``, ``scatterer_index``, ``xi0``, ``xiv`` and
+    ``radius_sq`` as attributes."""
+    f, w, t, second, index, xi0, xiv, radius_sq = hits
+    assert (np.diff(f) > 0).all()        # one row per flight, in flight order
+    return {int(f[j]): (int(w[j]), (SimpleNamespace(
+        t=float(t[j]), scatterer_index=int(index[j]), xi0=xi0[j], xiv=xiv[j],
+        radius_sq=float(radius_sq[j])), float(second[j]))) for j in range(f.size)}
+
+
 def kernel(domain: Domain, q, v, starts, widths):
     """One kernel call on the windows ``(starts[w], starts[w] + widths[w]]``
     of the flight ``q + t v``, as a group of that one flight: the first
     window with a root and its result, or the window count and ``None``."""
-    hits = dynamics._window_candidates(
+    hits = hit_rows(dynamics._window_candidates(
         domain, np.asarray(q)[None], np.asarray(v)[None], np.array([starts], dtype=float),
-        np.array([widths], dtype=float))
-    if 0 not in hits:
-        return len(starts), None
-    w, best, second = hits[0]
-    return w, (best, second)
+        np.array([widths], dtype=float)))
+    return hits.get(0, (len(starts), None))
 
 
 def tiles(t_lo: float, horizon: float, window: float, count: int):
@@ -145,7 +155,7 @@ def assert_same_result(fast, slow) -> bool:
     # tobytes tells -0.0 from 0.0
     assert best.xi0.tobytes() == best_o.xi0.tobytes()
     assert best.xiv.tobytes() == best_o.xiv.tobytes()
-    assert best.radius == best_o.radius
+    assert _hex(best.radius_sq) == _hex(best_o.radius_sq)
     return True
 
 
@@ -317,7 +327,8 @@ def _count_chunks(monkeypatch):
     def counted(domain, q, v, t_lo, hi):
         hits = original(domain, q, v, t_lo, hi)
         assert hi.shape[0] == 1
-        chunks.append((hi.shape[1], hi[0, :hits[0][0] + 1 if 0 in hits else None].tolist()))
+        w = hits[1][0] + 1 if hits[0].size else None
+        chunks.append((hi.shape[1], hi[0, :w].tolist()))
         return hits
 
     monkeypatch.setattr(dynamics, "_window_candidates", counted)
@@ -703,7 +714,7 @@ def test_row_cap_batches_the_scan_of_a_round(monkeypatch, name):
     hits = dynamics._window_candidates(
         domain, q, v, np.repeat([starts], flights, axis=0),
         np.repeat([widths], flights, axis=0))
-    assert hits == {}
+    assert hit_rows(hits) == {}
     assert sum(batches) == flights * chunk and len(batches) >= 2
     assert all(b <= cap for b in batches) and batches[0] == cap
     for x, y in zip(q, v):

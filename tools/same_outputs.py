@@ -5,12 +5,12 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2, and four domains that no workload covers, at
-the same seeds (:data:`EXTRA`).  Each config runs in a fresh
-``python -m billiards`` process per tree, with that tree's ``src`` on the
-path and one thread: ``run`` or ``verify`` as its workload says, and
-``verify --corrupt-curvature`` on the four acceptance configs and the
-closed box (:data:`EXTRA_CORRUPT`).  Every output
+changed), for seeds 1 and 2, and six configs that no workload covers, at
+the same seeds (:data:`EXTRA`), among them the grazing and event-cap
+endings.  Each config runs in a fresh ``python -m billiards`` process per
+tree, with that tree's ``src`` on the path and one thread: ``run`` or
+``verify`` as its workload says, and ``verify --corrupt-curvature`` on the
+four acceptance configs and the closed box (:data:`EXTRA_CORRUPT`).  Every output
 file, the stdout and the exit code of each command are compared; the script
 prints ``identical`` or the first file that differs, and exits 0 or 1.
 """
@@ -38,20 +38,27 @@ _WALLS = [
 ]
 _DISK = {"kind": "sphere", "center": [0.5, 0.5], "radius": 0.2}
 
-# name -> (mode, domain or catalog entry name) of the domains no workload
-# covers; each runs 20 trajectories at T = 20 with c0 = 0.1.  The first box
-# has walls on two sides only, so every trajectory escapes; the closed box
-# is the only config whose flat walls (K = 0) reach the tangent pass and the
-# corrupted covector pass.
+# a grazing cutoff of 0.3 and a cap of 12 events: on 2-d Sinai, seed 1,
+# 9 trajectories end at the cap, 6 grazing and 5 at the horizon
+_GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
+
+# name -> (mode, domain or catalog entry name, further config fields) of the
+# configs no workload covers; each runs 20 trajectories at T = 20 with
+# c0 = 0.1.  The first box has walls on two sides only, so every trajectory
+# escapes; the closed box is the only config whose flat walls (K = 0) reach
+# the tangent pass and the corrupted covector pass; the 2-d Sinai pair ends
+# trajectories grazing and at the event cap.
 EXTRA = {
     "box_two_walls_disk": ("run", {
         "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
-        "scatterers": [*_WALLS[:2], _DISK]}),
+        "scatterers": [*_WALLS[:2], _DISK]}, {}),
     "box_closed_disk": ("verify", {
         "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
-        "scatterers": [*_WALLS, _DISK]}),
-    "hardball_n2_d2": ("verify", "hardball_n2_d2"),
-    "pair_reduced_2d": ("verify", "pair_reduced_2d"),
+        "scatterers": [*_WALLS, _DISK]}, {}),
+    "hardball_n2_d2": ("verify", "hardball_n2_d2", {}),
+    "pair_reduced_2d": ("verify", "pair_reduced_2d", {}),
+    "sinai_2d_graze_cap": ("run", "sinai_2d", _GRAZE_CAP),
+    "sinai_2d_graze_cap_verify": ("verify", "sinai_2d", _GRAZE_CAP),
 }
 # the extra configs that also run with ``verify --corrupt-curvature``
 EXTRA_CORRUPT = ("box_closed_disk",)
@@ -77,12 +84,12 @@ def commands(configs: Path) -> list[tuple[str, list[str]]]:
                 if name == "verify_acceptance":
                     out.append((f"seed{seed}/{cfg.stem}_corrupt",
                                 ["verify", str(cfg), "--corrupt-curvature"]))
-        for name, (mode, domain) in EXTRA.items():
+        for name, (mode, domain, fields) in EXTRA.items():
             cfg = configs / f"seed{seed}" / f"{name}.json"
             cfg.write_text(json.dumps({
                 "domain": catalog[domain] if isinstance(domain, str) else domain,
                 "initial": {"sampler": {"count": 20, "seed": seed, "c0": 0.1}},
-                "horizon": 20.0}, indent=2) + "\n", encoding="utf-8")
+                "horizon": 20.0, **fields}, indent=2) + "\n", encoding="utf-8")
             out.append((f"seed{seed}/{name}", [mode, str(cfg)]))
             if name in EXTRA_CORRUPT:
                 out.append((f"seed{seed}/{name}_corrupt",
