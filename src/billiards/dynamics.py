@@ -67,6 +67,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -349,21 +350,37 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
             xiv[k], radius_sq[k])
 
 
+class _Landing(NamedTuple):
+    """One search's row of a round's landing pass (:func:`_landings`);
+    times are from the search's checked state."""
+
+    t_root: float   # the kernel's root
+    gap: float      # from it to the window's second root (inf if none)
+    t_best: float   # the polished impact time
+    index: int
+    q: Vec          # the wrapped impact point
+    nu: Vec         # the inward normal
+    cos_phi: float  # -<v, nu>
+    v_out: Vec      # the reflected velocity
+    v_next: Vec     # its unit form
+    drift: float    # its speed drift
+
+
 def _landings(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.ndarray,
               root: np.ndarray, t_second: np.ndarray, index: np.ndarray, xi0: np.ndarray,
-              xiv: np.ndarray, radius_sq: np.ndarray) -> list[tuple]:
+              xiv: np.ndarray, radius_sq: np.ndarray) -> list[_Landing]:
     """The impacts of the searches of a round that found a root, in one
     array pass: from the checked states ``(q, v)``, ``(H, d)``, the start
     ``t_lo`` of each one's first window with a root and that window's hit
     (:func:`_window_candidates`).
 
-    Returns each search's row, ``(t_lo, root, t_second, t_best, index, q,
-    nu, cos_phi, v_out, v_next, drift)``: the polished impact time
-    ``t_best``, the wrapped impact point, the inward normal, ``-<v, nu>``,
-    the reflected velocity, its unit form and its speed drift, each with the
-    bits of the same steps on that row alone.  Rows that will end their
-    flight (a corner gap, a grazing impact) are computed too, without
-    warnings; :func:`next_collision` decides.
+    Returns each search's :class:`_Landing`: the root and its gap to the
+    window's second root, the polished impact time, the wrapped impact
+    point, the inward normal, ``-<v, nu>``, the reflected velocity, its unit
+    form and its speed drift, each with the bits of the same steps on that
+    row alone.  Rows that will end their flight (a corner gap, a grazing
+    impact) are computed too, without warnings; :func:`next_collision`
+    decides.
     """
     flat = domain._flat[index]
     t = root
@@ -389,10 +406,11 @@ def _landings(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.ndarray,
         cos_phi = -row_dot(v, nu)
         v_out = reflect(v[:, None], nu)[:, 0]
         speed = np.sqrt(row_dot(v_out, v_out))
-    return list(zip(t_lo.tolist(), root.tolist(), t_second.tolist(), t_best.tolist(),
-                    index.tolist(), domain.wrap(q + t_best[:, None] * v), nu,
-                    cos_phi.tolist(), v_out, v_out / speed[:, None],
-                    np.abs(speed - 1.0).tolist()))
+        gap = t_second - root
+    return list(map(_Landing._make, zip(
+        (t_lo + root).tolist(), gap.tolist(), t_best.tolist(), index.tolist(),
+        domain.wrap(q + t_best[:, None] * v), nu, cos_phi.tolist(), v_out,
+        v_out / speed[:, None], np.abs(speed - 1.0).tolist())))
 
 
 class _Flight:
@@ -456,12 +474,12 @@ def _land(domain: Domain, fl: _Flight, x: PhasePoint, found: tuple, T: float,
         fl.finish(TERMINATION_HORIZON, T,
                   PhasePoint(domain.wrap(fl.q + (T - fl.t) * fl.v), fl.v))
         return False
-    *_, v_next, drift = found[1]
+    landing = found[1]
     ev.t = fl.t + ev.t
     fl.segments.append(FlightSegment(fl.t, ev.t, fl.q, fl.v))
     fl.events.append(ev)
-    fl.max_drift = max(fl.max_drift, drift)
-    fl.q, fl.v, fl.t = ev.q, v_next, ev.t
+    fl.max_drift = max(fl.max_drift, landing.drift)
+    fl.q, fl.v, fl.t = ev.q, landing.v_next, ev.t
     if len(fl.events) >= max_events:
         fl.finish(TERMINATION_EVENT_CAP, fl.t, PhasePoint(fl.q, fl.v))
         return False
@@ -611,8 +629,8 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
     Without ``found``, ``x`` flies alone in the lockstep loop for one event.
     The loop itself passes each finished search from the checked state
     ``x`` as ``found``: ``(escape_t, row)``, the box escape time (inf off a
-    box) and that search's row of the round's landing pass (see
-    :func:`_landings`), with the polished time, impact point, normal,
+    box) and that search's :class:`_Landing` from the round's landing pass
+    (:func:`_landings`), with the polished time, impact point, normal,
     ``cos_phi`` and reflected velocity already computed.  Then only the
     checks are made, in order: the corner gap, the simultaneous root, the
     escape and the grazing impact; every event of the flow comes from here.
@@ -632,21 +650,20 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
         if escape_t <= t_max:
             raise EscapeError("particle left the box ambient", time=escape_t)
         return None
-    t_lo, root, t_second, t_best, index, q, nu, cos_phi, v_out = row[:9]
     eps_time = EPS_TIME_FACTOR * domain.length_scale
-    if t_lo + root <= eps_time:
+    if row.t_root <= eps_time:
         # a root this close to the previous event is a corner-like
         # multiple collision; skipping it would tunnel through the wall
         raise DegenerateCollisionError(
             "collision within the minimum time gap of the previous event",
-            time=t_lo + root)
-    if t_second - root < eps_time:
+            time=row.t_root)
+    if row.gap < eps_time:
         raise DegenerateCollisionError(
-            "simultaneous collision with two boundary pieces", time=t_best)
-    if t_best > escape_t + eps_time:
+            "simultaneous collision with two boundary pieces", time=row.t_best)
+    if row.t_best > escape_t + eps_time:
         raise EscapeError("particle left the box ambient", time=escape_t)
-    if cos_phi < eps_graze:
+    if row.cos_phi < eps_graze:
         raise GrazingSingularityError(
-            f"grazing impact: cos(phi) = {cos_phi:.3e}", time=t_best)
-    return CollisionEvent(t=t_best, q=q, scatterer_index=index, nu=nu,
-                          cos_phi=min(cos_phi, 1.0), v_in=x.v.copy(), v_out=v_out)
+            f"grazing impact: cos(phi) = {row.cos_phi:.3e}", time=row.t_best)
+    return CollisionEvent(t=row.t_best, q=row.q, scatterer_index=row.index, nu=row.nu,
+                          cos_phi=min(row.cos_phi, 1.0), v_in=x.v.copy(), v_out=row.v_out)

@@ -30,6 +30,7 @@ from billiards import (
     build_sinai,
     collision_q_drop,
     curvature_at,
+    flight_groups,
     flow,
     lyapunov_Q,
     next_collision,
@@ -84,6 +85,16 @@ def domains():
     return make_domains()
 
 
+def _flown(name: str, dom: Domain, samples: list, T: float) -> list:
+    """``(name, traj, n0, series)`` of each sampled start, flown in the
+    lockstep groups the runner uses (the bits of one start at a time)."""
+    starts = [x0 for x0, _ in samples]
+    trajs = [traj for g in flight_groups(dom, len(starts))
+             for traj in flow(dom, starts[g.start:g.stop], T)]
+    return [(name, traj, n0, transport_covector(traj, n0))
+            for traj, (_, n0) in zip(trajs, samples)]
+
+
 @pytest.fixture(scope="module")
 def ensemble_a(domains):
     """250 trajectories per domain at T=20: half with sign-free covectors,
@@ -97,10 +108,7 @@ def ensemble_a(domains):
         for k, c0 in enumerate(C0_CYCLE):
             groups.append((base + 100 * (k + 1), counts[k], c0))
         for seed, count, c0 in groups:
-            for x0, n0 in sample_initial_conditions(dom, count, seed, c0):
-                traj = flow(dom, x0, 20.0)
-                series = transport_covector(traj, n0)
-                items.append((name, traj, n0, series))
+            items += _flown(name, dom, sample_initial_conditions(dom, count, seed, c0), 20.0)
     assert len(items) == 1000
     return items
 
@@ -111,10 +119,7 @@ def ensemble_b(domains):
     seeds = {"sinai_2d": 211, "sinai_3d": 223, "cylinder_3d": 227, "hardball_3_2": 229}
     items = []
     for name, dom in domains.items():
-        for x0, n0 in sample_initial_conditions(dom, 25, seeds[name], C0):
-            traj = flow(dom, x0, 100.0)
-            series = transport_covector(traj, n0)
-            items.append((name, traj, n0, series))
+        items += _flown(name, dom, sample_initial_conditions(dom, 25, seeds[name], C0), 100.0)
     assert len(items) == 100
     return items
 

@@ -180,22 +180,22 @@ def test_next_collision_checks_a_row_in_order():
     q, nu = np.array([0.3, 0.3]), np.array([0.0, -1.0])
     v_out = np.array([0.0, -1.0])
 
-    def outcome(t_lo, root, t_second, t_best, escape_t, cos_phi):
-        row = (t_lo, root, t_second, t_best, 1, q, nu, cos_phi, v_out, v_out, 0.0)
+    def outcome(t_root, gap, t_best, escape_t, cos_phi):
+        row = dynamics._Landing(t_root, gap, t_best, 1, q, nu, cos_phi, v_out, v_out, 0.0)
         try:
             ev = dynamics.next_collision(domain, x, 2.0, found=(escape_t, row))
         except (DegenerateCollisionError, EscapeError, GrazingSingularityError) as e:
             return type(e).__name__, str(e).split(" ")[-1], e.time
         return ev
 
-    assert outcome(0.0, 5e-13, 5e-13, 7e-13, -1.0, 1e-12) == (
+    assert outcome(5e-13, 0.0, 7e-13, -1.0, 1e-12) == (
         "DegenerateCollisionError", "event", 5e-13)
-    assert outcome(0.5, 0.1, 0.1, 0.6000001, 0.2, 1e-12) == (
+    assert outcome(0.6, 0.0, 0.6000001, 0.2, 1e-12) == (
         "DegenerateCollisionError", "pieces", 0.6000001)
-    assert outcome(0.5, 0.1, np.inf, 0.6000001, 0.2, 1e-12) == ("EscapeError", "ambient", 0.2)
-    assert outcome(0.5, 0.1, np.inf, 0.6000001, np.inf, 1e-12)[::2] == (
+    assert outcome(0.6, np.inf, 0.6000001, 0.2, 1e-12) == ("EscapeError", "ambient", 0.2)
+    assert outcome(0.6, np.inf, 0.6000001, np.inf, 1e-12)[::2] == (
         "GrazingSingularityError", 0.6000001)
-    ev = outcome(0.5, 0.1, np.inf, 0.6000001, np.inf, 1.0 + 1e-15)
+    ev = outcome(0.6, np.inf, 0.6000001, np.inf, 1.0 + 1e-15)
     assert (ev.t, ev.scatterer_index, ev.cos_phi) == (0.6000001, 1, 1.0)
     assert ev.q is q and ev.nu is nu and ev.v_out is v_out
     assert ev.v_in.tobytes() == x.v.tobytes() and ev.v_in is not x.v
