@@ -34,7 +34,6 @@ from .dynamics import (
 )
 from .errors import (
     BilliardError,
-    BoundaryMismatchError,
     ConfigError,
     DegenerateCollisionError,
     DomainConstructionError,
@@ -77,7 +76,7 @@ from .transport import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BilliardError", "BoundaryMismatchError", "Box", "CheckResult",
+    "BilliardError", "Box", "CheckResult",
     "CollisionEvent", "ConfigError", "Covector", "Cylinder",
     "DegenerateCollisionError", "Domain",
     "DomainConstructionError", "EscapeError", "GrazingSingularityError",

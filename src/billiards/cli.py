@@ -6,7 +6,7 @@
 
 Exit codes: 0 all checks passed, 1 a check (or adjoint residual) failed,
 2 more than half of the trajectories terminated singular before half the
-horizon, 3 configuration error.
+horizon, 3 configuration error (or an output directory that cannot be written).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     InfeasibleCovectorError,
     InvalidStateError,
 )
-from .runner import EXIT_CONFIG, run_experiment, summary_text
+from .runner import EXIT_CONFIG, run_experiment, summary_text, writing_output
 
 _CONFIG_ERRORS = (ConfigError, DomainConstructionError, InfeasibleCovectorError,
                   InvalidStateError, ValueError)
@@ -81,8 +81,9 @@ def cmd_verify(args) -> int:
     sys.stdout.write(text)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "verify_report.json").write_text(text, encoding="utf-8")
+        with writing_output(out):
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "verify_report.json").write_text(text, encoding="utf-8")
     return code
 
 

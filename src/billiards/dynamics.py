@@ -26,21 +26,23 @@ The kernel returns the rows of those first hits as arrays, and the searches
 of a round that found a root land in one array pass (:func:`_landings`):
 the Newton polish of each root, with each row's own exits, the impact point,
 the normal, ``cos phi``, the reflection and the speed of the reflected
-velocity.  Each search then ends in one per-flight tail, when its chunk
-holds a root or when it reaches its horizon without one:
-:func:`next_collision`, given the finished search's row, makes the corner
-gap, simultaneous root, escape and grazing checks and the
-:class:`CollisionEvent`, or returns ``None`` (raises the escape) for a search
-without a root; :func:`_land` books the event.  The state check of new
-searches (unit speed, position outside every scatterer) runs once per
-round, as one array pass over the flights that start one.  The batched
-products issue the same BLAS call per (window, scatterer) block as an
-unstacked scan of one window of one flight, every dot product of the landing
-pass is a ``row_dot`` with the bits of the 1-d one, and picking the first
-window, the best root and the second root is pure selection, so every root
-and event keeps its bits; ties go to the lower scatterer index, then the
-earlier image.  :func:`flow` of one start and :func:`next_collision`
-without a finished search are the one-start forms of the same loop.
+velocity, from which the pass builds each search's :class:`CollisionEvent`.
+Each search then ends in one per-flight tail, when its chunk holds a root
+or when it reaches its horizon without one: :func:`next_collision`, given
+the finished search's row, makes the corner gap, simultaneous root, escape
+and grazing checks and returns the row's event, or returns ``None`` (raises
+the escape) for a search without a root; :func:`_land` books the outcome
+into the flight's own :class:`Trajectory`, which the flight fills from its
+start to its end.  The state check of new searches (unit speed, position
+outside every scatterer) runs once per round, as one array pass over the
+flights that start one.  The batched products issue the same BLAS call per
+(window, scatterer) block as an unstacked scan of one window of one flight,
+every dot product of the landing pass is a ``row_dot`` with the bits of the
+1-d one, and picking the first window, the best root and the second root
+is pure selection, so every root and event keeps its bits; ties go to the
+lower scatterer index, then the earlier image.  :func:`flow` of one start
+and :func:`next_collision` without a finished search fly one start through
+the same loop, but :func:`flow` checks (normalises) each start once more.
 
 Sphere stacks on a torus with d >= 3 (``ScattererStack.reach_sq`` set, at
 least 27 images) get a broad phase in front of that scan: a window skips the
@@ -354,16 +356,11 @@ class _Landing(NamedTuple):
     """One search's row of a round's landing pass (:func:`_landings`);
     times are from the search's checked state."""
 
-    t_root: float   # the kernel's root
-    gap: float      # from it to the window's second root (inf if none)
-    t_best: float   # the polished impact time
-    index: int
-    q: Vec          # the wrapped impact point
-    nu: Vec         # the inward normal
-    cos_phi: float  # -<v, nu>
-    v_out: Vec      # the reflected velocity
-    v_next: Vec     # its unit form
-    drift: float    # its speed drift
+    t_root: float          # the kernel's root
+    gap: float             # from it to the window's second root (inf if none)
+    event: CollisionEvent  # at the polished time, cos_phi not yet capped
+    v_next: Vec            # the unit form of the reflected velocity
+    drift: float           # its speed drift
 
 
 def _landings(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.ndarray,
@@ -375,12 +372,14 @@ def _landings(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.ndarray,
     (:func:`_window_candidates`).
 
     Returns each search's :class:`_Landing`: the root and its gap to the
-    window's second root, the polished impact time, the wrapped impact
-    point, the inward normal, ``-<v, nu>``, the reflected velocity, its unit
-    form and its speed drift, each with the bits of the same steps on that
-    row alone.  Rows that will end their flight (a corner gap, a grazing
-    impact) are computed too, without warnings; :func:`next_collision`
-    decides.
+    window's second root, the :class:`CollisionEvent` (the polished impact
+    time, the wrapped impact point, the scatterer index, the inward normal,
+    ``-<v, nu>``, the row of ``v`` as ``v_in`` and the reflected velocity),
+    the unit form of the reflected velocity and its speed drift, each with
+    the bits of the same steps on that row alone.  ``v`` must be an array
+    that nothing writes to later (the events hold its rows).  Rows that will
+    end their flight (a corner gap, a grazing impact) are computed too,
+    without warnings; :func:`next_collision` decides.
     """
     flat = domain._flat[index]
     t = root
@@ -407,39 +406,34 @@ def _landings(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.ndarray,
         v_out = reflect(v[:, None], nu)[:, 0]
         speed = np.sqrt(row_dot(v_out, v_out))
         gap = t_second - root
+    events = map(CollisionEvent, t_best.tolist(), domain.wrap(q + t_best[:, None] * v),
+                 index.tolist(), nu, cos_phi.tolist(), v, v_out)
     return list(map(_Landing._make, zip(
-        (t_lo + root).tolist(), gap.tolist(), t_best.tolist(), index.tolist(),
-        domain.wrap(q + t_best[:, None] * v), nu, cos_phi.tolist(), v_out,
-        v_out / speed[:, None], np.abs(speed - 1.0).tolist())))
+        (t_lo + root).tolist(), gap.tolist(), events, v_out / speed[:, None],
+        np.abs(speed - 1.0).tolist())))
 
 
 class _Flight:
-    """One trajectory of the lockstep loop, in the flow's bookkeeping.
+    """One trajectory of the lockstep loop: its search state and its output.
 
     ``q``, ``v`` and ``t`` are the state after the last event (the start,
-    before any); a search starts from their checked form.  Once the flight
-    has ended, ``termination``, ``t_end`` and ``end`` are set; ``error`` is
-    the exception that ended it early (a singularity, an escape, or an
-    invalid state, which ends it without a termination).  A plain class: a
+    before any); a search starts from their checked form.  ``traj`` is the
+    flight's :class:`Trajectory`, filled in as it flies; ``error`` is the
+    exception that ended it early (a singularity, an escape, or an invalid
+    state, which ends it without a termination).  A plain class: a
     dataclass would cost about 1 ms of import time.
     """
 
-    __slots__ = ("q", "v", "t", "events", "segments", "max_drift", "termination", "t_end",
-                 "end", "error")
+    __slots__ = ("q", "v", "t", "error", "traj")
 
-    def __init__(self, q: Vec, v: Vec):
-        self.q, self.v, self.t = q, v, 0.0
-        self.events: list[CollisionEvent] = []
-        self.segments: list[FlightSegment] = []
-        self.max_drift = 0.0
-        self.termination: str | None = None
-        self.t_end: float | None = None
-        self.end: PhasePoint | None = None
+    def __init__(self, traj: Trajectory):
+        self.q, self.v, self.t = traj.start.q, traj.start.v, 0.0
         self.error: BilliardError | None = None
+        self.traj = traj
 
     def finish(self, termination: str, t_end: float, end: PhasePoint) -> None:
-        self.segments.append(FlightSegment(self.t, t_end, self.q, self.v))
-        self.termination, self.t_end, self.end = termination, t_end, end
+        self.traj.segments.append(FlightSegment(self.t, t_end, self.q, self.v))
+        self.traj.termination, self.traj.t_end, self.traj.end = termination, t_end, end
 
     def stop(self, domain: Domain, e: BilliardError) -> None:
         """End the flight at the singularity or escape ``e``, at ``e.time``
@@ -454,19 +448,14 @@ class _Flight:
             else TERMINATION_DEGENERATE
         self.finish(status, t_end, PhasePoint(domain.wrap(q), self.v))
 
-    def trajectory(self, domain: Domain, start: PhasePoint, T: float) -> Trajectory:
-        return Trajectory(domain, start, T, self.events, self.segments, self.termination,
-                          self.t_end, self.end, self.max_drift)
 
-
-def _land(domain: Domain, fl: _Flight, x: PhasePoint, found: tuple, T: float,
-          max_events: int, eps_graze: float) -> bool:
-    """Book the collision of a flight whose search from the checked state
-    ``x`` ended with ``found`` (see :func:`next_collision`), or end the
-    flight at its singularity, escape or horizon.  Returns whether it
-    searches on."""
+def _land(domain: Domain, fl: _Flight, found: tuple, T: float, max_events: int,
+          eps_graze: float) -> bool:
+    """Book the collision of a flight whose search ended with ``found``
+    (see :func:`next_collision`), or end the flight at its singularity,
+    escape or horizon.  Returns whether it searches on."""
     try:
-        ev = next_collision(domain, x, T - fl.t, eps_graze, found=found)
+        ev = next_collision(domain, None, T - fl.t, eps_graze, found=found)
     except (DegenerateCollisionError, EscapeError, GrazingSingularityError) as e:
         fl.stop(domain, e)
         return False
@@ -474,13 +463,14 @@ def _land(domain: Domain, fl: _Flight, x: PhasePoint, found: tuple, T: float,
         fl.finish(TERMINATION_HORIZON, T,
                   PhasePoint(domain.wrap(fl.q + (T - fl.t) * fl.v), fl.v))
         return False
-    landing = found[1]
+    traj = fl.traj
     ev.t = fl.t + ev.t
-    fl.segments.append(FlightSegment(fl.t, ev.t, fl.q, fl.v))
-    fl.events.append(ev)
-    fl.max_drift = max(fl.max_drift, landing.drift)
+    traj.segments.append(FlightSegment(fl.t, ev.t, fl.q, fl.v))
+    traj.events.append(ev)
+    landing = found[1]
+    traj.max_speed_drift = max(traj.max_speed_drift, landing.drift)
     fl.q, fl.v, fl.t = ev.q, landing.v_next, ev.t
-    if len(fl.events) >= max_events:
+    if len(traj.events) >= max_events:
         fl.finish(TERMINATION_EVENT_CAP, fl.t, PhasePoint(fl.q, fl.v))
         return False
     if fl.t >= T:  # the collision landed exactly on the horizon
@@ -511,7 +501,8 @@ def _fly(domain: Domain, q: np.ndarray, v: np.ndarray, T: float, max_events: int
     """Fly the starts ``(q[f], v[f])`` in lockstep for time ``T``: one kernel
     call per round for every flight still searching."""
     F = q.shape[0]
-    flights = [_Flight(q[f], v[f]) for f in range(F)]
+    flights = [_Flight(Trajectory(domain, PhasePoint(q[f], v[f]), T, [], [], None, None, None))
+               for f in range(F)]
     eps_time = EPS_TIME_FACTOR * domain.length_scale
     window = 0.5 * domain.length_scale
     chunk, _ = _chunk(domain)
@@ -553,8 +544,8 @@ def _fly(domain: Domain, q: np.ndarray, v: np.ndarray, T: float, max_events: int
         for a in sorted(rows.keys() | set(np.flatnonzero(t_lo[act] >= horizon[act]).tolist())):
             f = int(act[a])
             searching[f] = False
-            if _land(domain, flights[f], PhasePoint(qs[f], vs[f]),
-                     (float(escape[f]), rows.get(a)), T, max_events, eps_graze):
+            if _land(domain, flights[f], (float(escape[f]), rows.get(a)), T, max_events,
+                     eps_graze):
                 new.append(f)
 
 
@@ -609,12 +600,11 @@ def flow(domain: Domain, x0: PhasePoint | Sequence[PhasePoint], T: float,
     for fl in flights:
         if isinstance(fl.error, InvalidStateError):
             raise fl.error
-    trajectories = [fl.trajectory(domain, PhasePoint(q[j], v[j]), T)
-                    for j, fl in enumerate(flights)]
+    trajectories = [fl.traj for fl in flights]
     return trajectories[0] if one else trajectories
 
 
-def next_collision(domain: Domain, x: PhasePoint, t_max: float,
+def next_collision(domain: Domain, x: PhasePoint | None, t_max: float,
                    eps_graze: float = EPS_GRAZE,
                    found: tuple | None = None) -> CollisionEvent | None:
     """Earliest collision along the free flight from ``x``, or ``None``.
@@ -627,15 +617,15 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
     first.  Event times in the returned record are relative to ``x``.
 
     Without ``found``, ``x`` flies alone in the lockstep loop for one event.
-    The loop itself passes each finished search from the checked state
-    ``x`` as ``found``: ``(escape_t, row)``, the box escape time (inf off a
-    box) and that search's :class:`_Landing` from the round's landing pass
-    (:func:`_landings`), with the polished time, impact point, normal,
-    ``cos_phi`` and reflected velocity already computed.  Then only the
-    checks are made, in order: the corner gap, the simultaneous root, the
-    escape and the grazing impact; every event of the flow comes from here.
-    A search that reached ``t_max`` without a root passes ``row = None``: no
-    event, or the escape.
+    The loop itself passes each finished search as ``found``, and then ``x``
+    is ignored: ``(escape_t, row)``, the box escape time (inf off a box) and
+    that search's :class:`_Landing` from the round's landing pass
+    (:func:`_landings`), whose event is already built.  Then only the checks
+    are made, in order: the corner gap, the simultaneous root, the escape
+    and the grazing impact, and the row's event is returned with ``cos_phi``
+    capped at 1; every event of the flow comes from here.  A search that
+    reached ``t_max`` without a root passes ``row = None``: no event, or the
+    escape.
     """
     if found is None:
         if not 0.0 < t_max < math.inf:
@@ -644,7 +634,7 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
         (fl,) = _fly(domain, x.q[None], x.v[None], t_max, 1, eps_graze)
         if fl.error is not None:
             raise fl.error
-        return fl.events[0] if fl.events else None
+        return fl.traj.events[0] if fl.traj.events else None
     escape_t, row = found
     if row is None:
         if escape_t <= t_max:
@@ -657,13 +647,14 @@ def next_collision(domain: Domain, x: PhasePoint, t_max: float,
         raise DegenerateCollisionError(
             "collision within the minimum time gap of the previous event",
             time=row.t_root)
+    ev = row.event
     if row.gap < eps_time:
         raise DegenerateCollisionError(
-            "simultaneous collision with two boundary pieces", time=row.t_best)
-    if row.t_best > escape_t + eps_time:
+            "simultaneous collision with two boundary pieces", time=ev.t)
+    if ev.t > escape_t + eps_time:
         raise EscapeError("particle left the box ambient", time=escape_t)
-    if row.cos_phi < eps_graze:
+    if ev.cos_phi < eps_graze:
         raise GrazingSingularityError(
-            f"grazing impact: cos(phi) = {row.cos_phi:.3e}", time=row.t_best)
-    return CollisionEvent(t=row.t_best, q=row.q, scatterer_index=row.index, nu=row.nu,
-                          cos_phi=min(row.cos_phi, 1.0), v_in=x.v.copy(), v_out=row.v_out)
+            f"grazing impact: cos(phi) = {ev.cos_phi:.3e}", time=ev.t)
+    ev.cos_phi = min(ev.cos_phi, 1.0)
+    return ev

@@ -11,10 +11,6 @@ class DomainConstructionError(BilliardError, ValueError):
     """A domain or scatterer violates a construction invariant."""
 
 
-class BoundaryMismatchError(BilliardError, ValueError):
-    """A point claimed to lie on a scatterer boundary does not."""
-
-
 class InvalidStateError(BilliardError, ValueError):
     """A phase point sits inside a scatterer or has a degenerate velocity."""
 

@@ -215,10 +215,6 @@ class Cylinder:
     def dim(self) -> int:
         return self.axis_point.shape[0]
 
-    def transverse(self, x: Vec) -> Vec:
-        """Component of ``x`` orthogonal to the axis subspace."""
-        return x - self.axis_directions.T @ (self.axis_directions @ x)
-
 
 @dataclass(eq=False)
 class Halfspace:

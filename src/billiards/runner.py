@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,16 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_SINGULAR = 2
 EXIT_CONFIG = 3
+
+
+@contextmanager
+def writing_output(out: Path):
+    """Raise an ``OSError`` from making or writing the output directory
+    ``out`` as a :class:`ConfigError`, as ``load_config`` does for a config."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"{out}: cannot write output: {e}") from e
 
 
 def _fmt(x: float) -> str:
@@ -166,7 +177,7 @@ def _write_csv(path: Path, records: np.recarray) -> None:
     rows = zip(*(col.tolist() for col in columns))
     lines = [row_format % row if ok else ",".join(map(_fmt, row)) + "\r\n"
              for row, ok in zip(rows, finite.tolist())]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with writing_output(path.parent), open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
         fh.writelines(lines)
 
@@ -193,7 +204,8 @@ def run_experiment(cfg: ExperimentConfig, mode: str = "run",
 
     if emit_csv:
         out = Path(out_dir if out_dir is not None else (cfg.out_dir or "out"))
-        out.mkdir(parents=True, exist_ok=True)
+        with writing_output(out):
+            out.mkdir(parents=True, exist_ok=True)
     starts = [x0 for x0, _ in initial]
     entries = []
     for group in flight_groups(cfg.domain, len(starts)):
@@ -221,7 +233,8 @@ def run_experiment(cfg: ExperimentConfig, mode: str = "run",
     summary["exit_code"] = exit_code
 
     if emit_csv:
-        (out / "summary.json").write_text(summary_text(summary), encoding="utf-8")
+        with writing_output(out):
+            (out / "summary.json").write_text(summary_text(summary), encoding="utf-8")
     return summary, exit_code
 
 

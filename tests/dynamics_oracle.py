@@ -83,6 +83,11 @@ def polish_root(cand: Candidate) -> float:
     return t
 
 
+def _transverse(s: Cylinder, x: np.ndarray) -> np.ndarray:
+    """Component of ``x`` orthogonal to the cylinder's axis subspace."""
+    return x - s.axis_directions.T @ (s.axis_directions @ x)
+
+
 def scatterer_candidates(domain: Domain, index: int, q_win, v, hi: float) -> list[Candidate]:
     """Entering boundary roots for one scatterer within local times (0, hi]."""
     s = domain.scatterers[index]
@@ -99,8 +104,8 @@ def scatterer_candidates(domain: Domain, index: int, q_win, v, hi: float) -> lis
     ref = s.center if isinstance(s, Sphere) else s.axis_point
     rel = q_win - ref
     if isinstance(s, Cylinder):
-        rel = s.transverse(rel)
-        vv = s.transverse(v)
+        rel = _transverse(s, rel)
+        vv = _transverse(s, v)
     else:
         vv = v
     if domain.ambient.periodic:
@@ -108,7 +113,7 @@ def scatterer_candidates(domain: Domain, index: int, q_win, v, hi: float) -> lis
         mid = q_win + (0.5 * hi) * v - ref
         base = L * np.round(mid / L)
         if isinstance(s, Cylinder):
-            base = s.transverse(base)
+            base = _transverse(s, base)
         offsets = base[None, :] + image_deltas(domain, index)
     else:
         offsets = image_deltas(domain, index)

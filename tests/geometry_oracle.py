@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from billiards import (
+    BilliardError,
     Box,
-    BoundaryMismatchError,
     Cylinder,
     Domain,
     GrazingSingularityError,
@@ -25,6 +25,15 @@ from billiards import (
     Sphere,
 )
 from billiards.tolerances import EPS_GRAZE
+
+
+class BoundaryMismatchError(BilliardError, ValueError):
+    """A point claimed to lie on a scatterer boundary does not."""
+
+
+def _transverse(s: Cylinder, x: np.ndarray) -> np.ndarray:
+    """Component of ``x`` orthogonal to the cylinder's axis subspace."""
+    return x - s.axis_directions.T @ (s.axis_directions @ x)
 
 
 def image_deltas(domain: Domain, index: int) -> np.ndarray:
@@ -47,7 +56,7 @@ def boundary_offset(domain: Domain, index: int, q: np.ndarray) -> np.ndarray:
     if isinstance(s, Cylinder):
         # reduce modulo the projected lattice: the per-coordinate minimal
         # image need not minimize the transverse distance
-        xi = s.transverse(xi)
+        xi = _transverse(s, xi)
         deltas = image_deltas(domain, index)
         k = int(np.argmin(np.linalg.norm(xi[None, :] - deltas, axis=1)))
         xi = xi - deltas[k]

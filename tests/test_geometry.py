@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from billiards import (
-    BoundaryMismatchError,
     Box,
     Cylinder,
     Domain,
@@ -25,6 +24,7 @@ from billiards import (
     reflect,
 )
 from geometry_oracle import (
+    BoundaryMismatchError,
     contains as oracle_contains,
     normal_at,
     project_to_boundary,

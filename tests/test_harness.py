@@ -316,6 +316,20 @@ def test_negative_grid_exits_3(tmp_path, capsys):
     assert main(["verify", str(cfg_path), "--grid", "-2"]) == 3
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_output_path_naming_a_file_exits_3(tmp_path, capsys, command):
+    # an output directory that cannot be made is a configuration error, not
+    # a crash with the exit code of a failed check
+    cfg_path = write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    assert main([command, str(cfg_path), "--out", str(taken)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {taken}: cannot write output: ")
+    assert "Traceback" not in captured.err
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_thread_env_does_not_change_outputs(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path)
     main(["run", str(cfg_path), "--out", str(tmp_path / "seq")])

@@ -23,6 +23,7 @@ import pytest
 import dynamics_oracle as oracle
 from billiards import (
     Box,
+    CollisionEvent,
     DegenerateCollisionError,
     Domain,
     EscapeError,
@@ -176,14 +177,15 @@ def test_next_collision_checks_a_row_in_order():
     # once: the corner gap comes first, then the simultaneous root, the
     # escape and the grazing impact, as in the one-trajectory tail
     domain = DOMAINS["box_walls_sphere"]
-    x = PhasePoint(np.array([0.3, 0.1]), np.array([0.0, 1.0]))
     q, nu = np.array([0.3, 0.3]), np.array([0.0, -1.0])
-    v_out = np.array([0.0, -1.0])
+    v_in, v_out = np.array([0.0, 1.0]), np.array([0.0, -1.0])
+    rows = []
 
     def outcome(t_root, gap, t_best, escape_t, cos_phi):
-        row = dynamics._Landing(t_root, gap, t_best, 1, q, nu, cos_phi, v_out, v_out, 0.0)
+        ev = CollisionEvent(t_best, q, 1, nu, cos_phi, v_in, v_out)
+        rows.append(dynamics._Landing(t_root, gap, ev, v_out, 0.0))
         try:
-            ev = dynamics.next_collision(domain, x, 2.0, found=(escape_t, row))
+            ev = dynamics.next_collision(domain, None, 2.0, found=(escape_t, rows[-1]))
         except (DegenerateCollisionError, EscapeError, GrazingSingularityError) as e:
             return type(e).__name__, str(e).split(" ")[-1], e.time
         return ev
@@ -197,5 +199,5 @@ def test_next_collision_checks_a_row_in_order():
         "GrazingSingularityError", 0.6000001)
     ev = outcome(0.6, np.inf, 0.6000001, np.inf, 1.0 + 1e-15)
     assert (ev.t, ev.scatterer_index, ev.cos_phi) == (0.6000001, 1, 1.0)
-    assert ev.q is q and ev.nu is nu and ev.v_out is v_out
-    assert ev.v_in.tobytes() == x.v.tobytes() and ev.v_in is not x.v
+    assert ev is rows[-1].event
+    assert ev.q is q and ev.nu is nu and ev.v_in is v_in and ev.v_out is v_out

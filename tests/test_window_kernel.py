@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 import dynamics_oracle as oracle
 import geometry_oracle
 from billiards import (
-    BoundaryMismatchError,
     Box,
     Cylinder,
     DegenerateCollisionError,
@@ -52,6 +51,7 @@ from billiards import (
 )
 from billiards.dynamics import ROUND_ROWS
 from conftest import random_phase_point
+from geometry_oracle import BoundaryMismatchError
 
 
 def _torus_sphere_and_cylinder() -> Domain:
@@ -72,6 +72,17 @@ def _box_with_walls_and_sphere() -> Domain:
     ])
 
 
+def _box_with_walls_and_cylinder() -> Domain:
+    # a cylinder stack flown off a torus: four walls parallel to its axis
+    # (walls across it would cut it), so flights escape through the open
+    # faces z = 0 and z = 3
+    walls = [Halfspace(np.array(p, dtype=float), np.array(n, dtype=float))
+             for p, n in (([0, 0, 0], [1, 0, 0]), ([1, 0, 0], [-1, 0, 0]),
+                          ([0, 0, 0], [0, 1, 0]), ([0, 1, 0], [0, -1, 0]))]
+    return Domain(3, Box((1.0, 1.0, 3.0)), [
+        *walls, Cylinder(np.array([0.5, 0.5, 0.0]), np.array([[0.0, 0.0, 1.0]]), 0.2)])
+
+
 def _crossed_cylinders() -> Domain:
     # one stack of two cylinders, axes along z and along x
     return Domain(3, Torus(1.0), [
@@ -89,6 +100,7 @@ DOMAINS = {
     "hardball62": build_hardball_gas(6, 2, 0.1, 1.0),
     "sinai8d": build_sinai(8, 0.45, 1.0, [[0.5] * 8]),
     "box_walls_sphere": _box_with_walls_and_sphere(),
+    "box_walls_cylinder": _box_with_walls_and_cylinder(),
     "torus_sphere_cylinder": _torus_sphere_and_cylinder(),
     "crossed_cylinders": _crossed_cylinders(),
 }

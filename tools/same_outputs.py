@@ -5,12 +5,13 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2, and six configs that no workload covers, at
+changed), for seeds 1 and 2, and seven configs that no workload covers, at
 the same seeds (:data:`EXTRA`), among them the grazing and event-cap
 endings.  Each config runs in a fresh ``python -m billiards`` process per
 tree, with that tree's ``src`` on the path and one thread: ``run`` or
 ``verify`` as its workload says, and ``verify --corrupt-curvature`` on the
-four acceptance configs and the closed box (:data:`EXTRA_CORRUPT`).  Every output
+four acceptance configs, the closed box and the cylinder in a box
+(:data:`EXTRA_CORRUPT`).  Every output
 file, the stdout and the exit code of each command are compared; the script
 prints ``identical`` or the first file that differs, and exits 0 or 1.
 """
@@ -37,6 +38,9 @@ _WALLS = [
     {"kind": "halfspace", "plane_point": [0.0, 1.0], "plane_normal": [0.0, -1.0]},
 ]
 _DISK = {"kind": "sphere", "center": [0.5, 0.5], "radius": 0.2}
+# the same four walls in 3-d, parallel to the z axis
+_WALLS_3D = [{**w, "plane_point": [*w["plane_point"], 0.0],
+              "plane_normal": [*w["plane_normal"], 0.0]} for w in _WALLS]
 
 # a grazing cutoff of 0.3 and a cap of 12 events: on 2-d Sinai, seed 1,
 # 9 trajectories end at the cap, 6 grazing and 5 at the horizon
@@ -47,7 +51,9 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # c0 = 0.1.  The first box has walls on two sides only, so every trajectory
 # escapes; the closed box is the only config whose flat walls (K = 0) reach
 # the tangent pass and the corrupted covector pass; the 2-d Sinai pair ends
-# trajectories grazing and at the event cap.
+# trajectories grazing and at the event cap.  The cylinder in a 3-d box is
+# the only config that flies a cylinder off a torus: its walls run along the
+# axis, so trajectories escape through the open faces z = 0 and z = 3.
 EXTRA = {
     "box_two_walls_disk": ("run", {
         "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
@@ -59,9 +65,14 @@ EXTRA = {
     "pair_reduced_2d": ("verify", "pair_reduced_2d", {}),
     "sinai_2d_graze_cap": ("run", "sinai_2d", _GRAZE_CAP),
     "sinai_2d_graze_cap_verify": ("verify", "sinai_2d", _GRAZE_CAP),
+    "box_walls_cylinder_3d": ("verify", {
+        "kind": "custom", "d": 3, "ambient": {"type": "box", "sides": [1.0, 1.0, 3.0]},
+        "scatterers": [*_WALLS_3D, {"kind": "cylinder", "axis_point": [0.5, 0.5, 0.0],
+                                    "axis_directions": [[0.0, 0.0, 1.0]], "radius": 0.2}]},
+        {}),
 }
 # the extra configs that also run with ``verify --corrupt-curvature``
-EXTRA_CORRUPT = ("box_closed_disk",)
+EXTRA_CORRUPT = ("box_closed_disk", "box_walls_cylinder_3d")
 
 
 def commands(configs: Path) -> list[tuple[str, list[str]]]:
