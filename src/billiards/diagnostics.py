@@ -219,12 +219,11 @@ def _pairwise_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def verify_monotonicity(series: TransportSeries, tol: float = DEFAULT_TOL_CHECK,
-                        w_continuity_tol: float = W_CONTINUITY_TOL,
                         interior: int = DEFAULT_INTERIOR_SAMPLES) -> VerificationReport:
     """Check the monotonicity laws of the transported covector.
 
     Always: Q non-increasing over the whole sample grid, |w| continuous at
-    collisions (relative jump below ``w_continuity_tol``), and the drop of Q
+    collisions (relative jump below ``W_CONTINUITY_TOL``), and the drop of Q
     across each collision equal to its closed form (``series.q_drop``).
     When ``Q(n_0) < 0`` additionally: Q strictly decreasing on segments by
     the exact decrement, |w| strictly increasing at the guaranteed rate, and
@@ -252,7 +251,7 @@ def verify_monotonicity(series: TransportSeries, tol: float = DEFAULT_TOL_CHECK,
     a = np.sqrt(row_dot(w_pre, w_pre))
     b = np.sqrt(row_dot(series.w0[1:], series.w0[1:]))
     rel = np.abs(a - b) / _pairwise_max(a, b)
-    worst_b, t_b = _worst(w_continuity_tol - rel, t0[1:]) or (w_continuity_tol, 0.0)
+    worst_b, t_b = _worst(W_CONTINUITY_TOL - rel, t0[1:]) or (W_CONTINUITY_TOL, 0.0)
 
     # (c) the drop of Q across each collision, read off the grid, equals the
     # closed form the transport recorded; relative to |z| |w| before it

@@ -18,9 +18,13 @@ included, and returns, for each flight whose chunk holds a root, the first
 window that holds one.  :func:`_tile` tiles each chunk by the running sum
 ``t_lo += min(window, horizon - t_lo)`` of one window at a time, and pads a
 chunk shorter than the others with windows of length 0, which hold no root.
-A round holds at most ``ROUND_ROWS`` image rows, so an ensemble flies in
-balanced groups of ``ROUND_ROWS`` over the rows of one chunk
-(:func:`flight_groups`), one :func:`flow` call each.
+An ensemble flies in balanced groups (:func:`flight_groups`), one
+:func:`flow` call each, sized by two budgets: ``ROUND_ROWS`` image rows
+bound the kernel arrays of a round, and ``GROUP_FLIGHTS`` flights bound the
+trajectories and series a group holds until its caller has used them.  The
+flight cap of 40 binds on 2-d Sinai, the 3-d cylinder, 3 hard disks and
+Sinai with d >= 3; the row budget allows 21 flights of 6 hard disks (375
+rows each) and one of 20 hard disks (4750 rows).
 
 The kernel returns the rows of those first hits as arrays, and the searches
 of a round that found a root land in one array pass (:func:`_landings`):
@@ -91,12 +95,15 @@ TERMINATION_ESCAPE = "escape_error"
 
 # The collision search hands each flight's next chunk of up to
 # WINDOW_CHUNK_MAX consecutive windows, as many as keep a chunk near
-# CHUNK_ROWS image rows (:func:`_chunk`), to the kernel, and a round holds at
-# most ROUND_ROWS image rows.  Small scans are dominated by the fixed cost of
-# a call, not by array work.
+# CHUNK_ROWS image rows (:func:`_chunk`), to the kernel.  Small scans are
+# dominated by the fixed cost of a call, not by array work.  A flight group
+# (:func:`flight_groups`) has two budgets: ROUND_ROWS image rows bound the
+# kernel arrays of a round, and GROUP_FLIGHTS flights bound the trajectories
+# and series the group holds until its caller has used them.
 CHUNK_ROWS = 64
 WINDOW_CHUNK_MAX = 16
-ROUND_ROWS = 2560
+ROUND_ROWS = 8192
+GROUP_FLIGHTS = 40
 
 
 @dataclass(eq=False)
@@ -551,11 +558,12 @@ def _fly(domain: Domain, q: np.ndarray, v: np.ndarray, T: float, max_events: int
 
 def flight_groups(domain: Domain, count: int) -> list[range]:
     """How ``count`` starts fly in lockstep: balanced groups of consecutive
-    starts, in order, of at most ``ROUND_ROWS`` over the image rows of one
-    chunk (:func:`_chunk`) flights, so that a round holds at most
-    ``ROUND_ROWS`` image rows.  Each group is one :func:`flow` call, and its
-    events are alive only until its caller has used them."""
-    size = max(1, ROUND_ROWS // _chunk(domain)[1])
+    starts, in order, of at most ``GROUP_FLIGHTS`` flights and at most
+    ``ROUND_ROWS`` over the image rows of one chunk (:func:`_chunk`), so that
+    a round holds at most ``ROUND_ROWS`` image rows (one flight at least).
+    Each group is one :func:`flow` call, and its trajectories are alive only
+    until its caller has used them."""
+    size = max(1, min(GROUP_FLIGHTS, ROUND_ROWS // _chunk(domain)[1]))
     n = -(-count // size)
     sizes = [count // n + (k < count % n) for k in range(n)]
     return [range(end - k, end) for k, end in zip(sizes, itertools.accumulate(sizes))]

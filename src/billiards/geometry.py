@@ -47,6 +47,11 @@ _BROAD_PHASE_MIN_IMAGES = 27
 # which scatterer of a pair the disjointness check measures from the other
 _GUEST_RANK = {"sphere": 0, "cylinder": 1, "halfspace": 2}
 
+# two cylinders are parallel when np.allclose(P_g, P_h, atol=_PARALLEL_ATOL)
+# holds for their projectors (numpy's default rtol)
+_PARALLEL_ATOL = 1e-10
+_PARALLEL_RTOL = 1e-5
+
 
 def as_vec(x, d: int | None = None, name: str = "vector") -> Vec:
     v = np.asarray(x, dtype=float)
@@ -360,6 +365,41 @@ def _stack_scatterers(scatterers: list[Scatterer], ambient: Ambient) -> list[Sca
     return stacks
 
 
+def _maybe_parallel(projectors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``a < b`` of the orthogonal projectors, each ``(n, n)``,
+    that ``np.allclose`` may call equal (see ``_PARALLEL_ATOL``), in either
+    order: a superset, from one array pass over ``P x`` for a fixed generic
+    ``x``.
+
+    ``allclose`` bounds each entry of ``P_a - P_b`` by ``atol + rtol |P_b|``,
+    so its Frobenius norm by ``atol n + rtol |P_b|_F``, and ``|P_b|_F =
+    sqrt(rank) <= sqrt(n)``; then ``|P_a x - P_b x| <= (atol n + rtol
+    sqrt(n)) |x|``, taken twice to cover rounding.  The norms ``|P x|`` lie
+    within that bound of each other too, so only neighbours in their sort
+    are compared.  (The ones vector is not generic: a hard-ball pair
+    projector maps it to 0.)
+    """
+    if len(projectors) < 2:
+        none = np.zeros(0, dtype=np.intp)
+        return none, none
+    n = projectors[0].shape[0]
+    x = np.modf(np.arange(1, n + 1) * 0.6180339887498949)[0]
+    px = np.array([p @ x for p in projectors])
+    tol = 2.0 * (_PARALLEL_ATOL * n + _PARALLEL_RTOL * np.sqrt(n)) * np.sqrt(x @ x)
+    norm = np.sqrt(row_dot(px, px))
+    order = np.argsort(norm, kind="stable")
+    norm = norm[order]
+    # each place in the sort pairs with the later ones within tol
+    count = np.searchsorted(norm, norm + tol, side="right") - np.arange(norm.size) - 1
+    first = np.repeat(np.arange(norm.size), count)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(count) - count, count)
+    a, b = order[first], order[second]
+    diff = px[a] - px[b]
+    near = row_dot(diff, diff) <= tol * tol
+    a, b = a[near], b[near]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
 # ---------------------------------------------------------------------------
 # Domain
 # ---------------------------------------------------------------------------
@@ -439,9 +479,23 @@ class Domain:
                         f"scatterer {i}: cylinder wraps onto its own periodic image")
 
     def _check_disjoint(self):
-        for i, j in itertools.combinations(range(len(self.scatterers)), 2):
+        for i, j in self._checked_pairs():
             if not self._pair_disjoint(i, j):
                 raise DomainConstructionError(f"scatterers {i} and {j} have intersecting solid parts")
+
+    def _checked_pairs(self) -> list[tuple[int, int]]:
+        """The pairs ``i < j``, in order, that the disjointness check hands
+        to :meth:`_pair_disjoint`: every pair but two cylinders that cannot
+        be parallel (:func:`_maybe_parallel`), whose verdict is transversal,
+        allowed."""
+        n = len(self.scatterers)
+        cyl = np.flatnonzero([isinstance(s, Cylinder) for s in self.scatterers])
+        a, b = _maybe_parallel([self.scatterers[i].projector for i in cyl.tolist()])
+        pairs = set(zip(cyl[a].tolist(), cyl[b].tolist()))
+        for k, s in enumerate(self.scatterers):
+            if not isinstance(s, Cylinder):
+                pairs.update((min(k, j), max(k, j)) for j in range(n) if j != k)
+        return sorted(pairs)
 
     def _pair_disjoint(self, i: int, j: int) -> bool:
         """Whether scatterers ``i`` and ``j`` may share the domain (see the
@@ -459,7 +513,8 @@ class Domain:
             if isinstance(h, Halfspace):
                 if np.max(np.abs(g.axis_directions @ h.plane_normal)) > 1e-12:
                     return False  # axis runs into the plane
-            elif not np.allclose(g.projector, h.projector, atol=1e-10):
+            elif not np.allclose(g.projector, h.projector, atol=_PARALLEL_ATOL,
+                                 rtol=_PARALLEL_RTOL):
                 return True  # transversal cylinders: overlaps are corner sets, allowed
             point, radius = g.axis_point, g.radius
         k, row = self._stack_rows[host]

@@ -391,20 +391,23 @@ def transport_covector(trajectory: Trajectory | Sequence[Trajectory],
     zs, ws = np.empty((2, F, E + 1, d))
     zs[:, 0], ws[:, 0] = z[:, 0], w[:, 0]
     drops, corrs = np.zeros((2, F, E))
-    for k, n in enumerate(rows.tolist()):
-        z, w = z[:n], w[:n]
-        v_out = v[:n, k]
-        K = curvature_scale * curvature_at(domain, index[:n, k], nu[:n, k])
-        z, w, drops[:n, k] = _covector_jump(z, w - dt[:n, k, None, None] * z, nu[:n, k],
-                                            cos_phi[:n, k], K, v_out)
-        z, cz = _reproject(z, v_out)
-        w, cw = _reproject(w, v_out)
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a covector (or its quadratic Q drop, first) may leave the double range
+    # on a long horizon: the series then holds inf or nan, which the
+    # diagnostics report as a range error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, n in enumerate(rows.tolist()):
+            z, w = z[:n], w[:n]
+            v_out = v[:n, k]
+            K = curvature_scale * curvature_at(domain, index[:n, k], nu[:n, k])
+            z, w, drops[:n, k] = _covector_jump(z, w - dt[:n, k, None, None] * z, nu[:n, k],
+                                                cos_phi[:n, k], K, v_out)
+            z, cz = _reproject(z, v_out)
+            w, cw = _reproject(w, v_out)
             scale = np.maximum(np.maximum(np.sqrt(row_dot(z, z)), np.sqrt(row_dot(w, w))),
                                1e-300)[:, 0]
             corr = (cz + cw) / scale
-        corrs[:n, k] = np.where(np.isfinite(corr), corr, np.inf)
-        zs[:n, k + 1], ws[:n, k + 1] = z[:, 0], w[:, 0]
+            corrs[:n, k] = np.where(np.isfinite(corr), corr, np.inf)
+            zs[:n, k + 1], ws[:n, k + 1] = z[:, 0], w[:, 0]
     series: list = [None] * F
     for row, f in enumerate(order.tolist()):
         c = trajectories[f].event_count
@@ -436,12 +439,15 @@ def transport_tangent(trajectory: Trajectory | Sequence[Trajectory],
     dq, dv = dq[order], dv[order]
     dqs, dvs = np.empty((2, F, E + 1, *dq.shape[1:]))
     dqs[:, 0], dvs[:, 0] = dq, dv
-    for k, n in enumerate(rows.tolist()):
-        dq, dv = dq[:n], dv[:n]
-        K = curvature_at(domain, index[:n, k], nu[:n, k])
-        dq, dv = _tangent_jump(dq + dt[:n, k, None, None] * dv, dv, nu[:n, k],
-                               cos_phi[:n, k], K, v[:n, k])
-        dqs[:n, k + 1], dvs[:n, k + 1] = dq, dv
+    # like the covector, a tangent vector may leave the double range; its
+    # pairings are then not finite (see adjoint_residual)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, n in enumerate(rows.tolist()):
+            dq, dv = dq[:n], dv[:n]
+            K = curvature_at(domain, index[:n, k], nu[:n, k])
+            dq, dv = _tangent_jump(dq + dt[:n, k, None, None] * dv, dv, nu[:n, k],
+                                   cos_phi[:n, k], K, v[:n, k])
+            dqs[:n, k + 1], dvs[:n, k + 1] = dq, dv
     series: list = [None] * F
     for row, f in enumerate(order.tolist()):
         shape = (trajectories[f].event_count + 1, *np.shape(dy0s[f].dq))
@@ -509,13 +515,16 @@ def _worst_pairing_error(series: TransportSeries, dy0: TangentVector,
     # time since the segment start at its two endpoints, (S, 2)
     dt = np.stack([series.t0 - series.t0, series.t1 - series.t0], axis=1)
     z = series.z[:, None, :]                                         # (S, 1, d)
-    w = series.w0[:, None, :] - dt[..., None] * z                    # (S, 2, d)
-    dq = tan.dq0[:, None] + dt[..., None, None] * tan.dv[:, None]    # (S, 2, m, d)
     dv = tan.dv[:, None]                                             # (S, 1, m, d)
-    # the per-vector products of TangentVector.norm, Covector.norm and pairing
-    n_norm = np.sqrt(row_dot(z, z) + row_dot(w, w))
-    dy_norm = np.sqrt(np.einsum("...i,...i", dq, dq) + np.einsum("...i,...i", dv, dv))
-    scale = np.maximum(np.maximum(base, dy_norm * n_norm[..., None]), 1e-300)
-    paired = (dq @ z[..., None])[..., 0] + (dv @ w[..., None])[..., 0]
-    worst = float(np.max(np.abs(paired - p0) / scale))
+    # the endpoint values and the per-vector products of TangentVector.norm,
+    # Covector.norm and pairing; a value past the double range makes the
+    # residual infinite
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = series.w0[:, None, :] - dt[..., None] * z                # (S, 2, d)
+        dq = tan.dq0[:, None] + dt[..., None, None] * tan.dv[:, None]  # (S, 2, m, d)
+        n_norm = np.sqrt(row_dot(z, z) + row_dot(w, w))
+        dy_norm = np.sqrt(np.einsum("...i,...i", dq, dq) + np.einsum("...i,...i", dv, dv))
+        scale = np.maximum(np.maximum(base, dy_norm * n_norm[..., None]), 1e-300)
+        paired = (dq @ z[..., None])[..., 0] + (dv @ w[..., None])[..., 0]
+        worst = float(np.max(np.abs(paired - p0) / scale))
     return math.inf if math.isnan(worst) else worst

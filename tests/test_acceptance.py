@@ -50,6 +50,7 @@ from billiards.diagnostics import (
     CHECK_W_CONTINUITY,
     CHECK_W_LINEAR_GROWTH,
     CHECK_W_STRICT_INCREASE,
+    W_CONTINUITY_TOL,
 )
 from billiards.runner import sample_initial_conditions
 
@@ -155,9 +156,11 @@ def test_criterion_01_adjoint_exactness():
 # ---------------------------------------------------------------------------
 
 def test_criterion_02_monotonicity_ensemble(ensemble_a):
+    # the |w| continuity check measures jumps against W_CONTINUITY_TOL
+    assert W_CONTINUITY_TOL == TOL_W_JUMP
     violations = 0
     for name, traj, n0, series in ensemble_a:
-        rep = verify_monotonicity(series, TOL_CHECKS, w_continuity_tol=TOL_W_JUMP)
+        rep = verify_monotonicity(series, TOL_CHECKS)
         for check_name in (CHECK_Q_NONINCREASING, CHECK_W_CONTINUITY,
                            CHECK_Q_COLLISION_DROP):
             if rep.check(check_name).status == "fail":
@@ -178,7 +181,7 @@ def test_criterion_03_strict_monotonicity(ensemble_a):
     assert len(subset) >= 300
     violations = 0
     for name, traj, n0, series in subset:
-        rep = verify_monotonicity(series, TOL_CHECKS, w_continuity_tol=TOL_W_JUMP)
+        rep = verify_monotonicity(series, TOL_CHECKS)
         for check_name in (CHECK_Q_STRICT_DECREASE, CHECK_W_STRICT_INCREASE,
                            CHECK_RATIO_NONINCREASING):
             c = rep.check(check_name)

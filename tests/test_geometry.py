@@ -19,10 +19,13 @@ from billiards import (
     build_hardball_gas,
     build_sinai,
     curvature_at,
+    geometry,
     hardball_pairs,
     reduce_pair_to_sinai,
     reflect,
 )
+from billiards.catalog import CATALOG
+from billiards.config import domain_from_spec
 from geometry_oracle import (
     BoundaryMismatchError,
     contains as oracle_contains,
@@ -391,6 +394,72 @@ def test_pair_construction_rule(name, order):
     else:
         with pytest.raises(DomainConstructionError, match="intersecting solid parts"):
             Domain(d, ambient, scatterers)
+
+
+def _parallel_cylinders() -> Domain:
+    # two parallel z cylinders, one tilted by 1e-12 (allclose calls its
+    # projector equal) and one crossing x cylinder
+    tilted = np.array([[1e-12, 0.0, 1.0]]) / math.hypot(1e-12, 1.0)
+    return Domain(3, Torus(1.0), [
+        Cylinder(np.array([0.25, 0.25, 0.0]), Z_AXIS, 0.1),
+        Cylinder(np.array([0.0, 0.5, 0.5]), X_AXIS, 0.1),
+        Cylinder(np.array([0.75, 0.75, 0.0]), Z_AXIS, 0.1),
+        Cylinder(np.array([0.25, 0.75, 0.0]), tilted, 0.1)])
+
+
+def _verdict_domains() -> dict[str, Domain]:
+    domains = {e["name"]: domain_from_spec(e["domain"]) for e in CATALOG}
+    for name, (d, ambient, scatterers, builds) in PAIR_CASES.items():
+        if builds:
+            domains[name] = Domain(d, ambient, scatterers)
+            domains[f"{name}_reversed"] = Domain(d, ambient, scatterers[::-1])
+    domains.update({f"hardball{N}_{d}d": build_hardball_gas(N, d, 0.1, 1.0)
+                    for d, top in ((2, 9), (3, 5)) for N in range(2, top)})
+    domains["parallel_cylinders"] = _parallel_cylinders()
+    return domains
+
+
+VERDICT_DOMAINS = _verdict_domains()
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_DOMAINS))
+def test_prefiltered_pair_verdicts_equal_the_full_rule(name):
+    # the construction check skips only cylinder pairs that cannot be
+    # parallel and books them as transversal: every pair's verdict is the
+    # one the full rule gives
+    domain = VERDICT_DOMAINS[name]
+    checked = set(domain._checked_pairs())
+    n = len(domain.scatterers)
+    for i in range(n):
+        for j in range(i + 1, n):
+            verdict = domain._pair_disjoint(i, j) if (i, j) in checked else True
+            assert verdict == domain._pair_disjoint(i, j)
+    if name == "parallel_cylinders":
+        assert checked == {(0, 2), (0, 3), (2, 3)}
+
+
+def test_parallel_prefilter_keeps_every_pair_allclose_keeps():
+    # random projectors, exact copies and copies perturbed near allclose's
+    # bound (atol 1e-10 plus rtol 1e-5 of each entry): every pair that
+    # allclose calls equal, in either order, is kept
+    rng = np.random.default_rng(7)
+    projectors = []
+    for n, k in ((4, 1), (4, 2), (6, 3)):
+        for _ in range(6):
+            a = np.linalg.qr(rng.normal(size=(n, k)))[0].T
+            p = np.eye(n) - a.T @ a
+            projectors += [p, p.copy(), p + 1e-11, p * (1.0 + 0.9e-5), p + 3e-6, p + 1e-3]
+    keep = set()
+    for group in {p.shape[0] for p in projectors}:
+        idx = [i for i, p in enumerate(projectors) if p.shape[0] == group]
+        a, b = geometry._maybe_parallel([projectors[i] for i in idx])
+        keep |= {(idx[x], idx[y]) for x, y in zip(a.tolist(), b.tolist())}
+    equal = {(i, j) for i in range(len(projectors)) for j in range(i + 1, len(projectors))
+             if projectors[i].shape == projectors[j].shape
+             and (np.allclose(projectors[i], projectors[j], atol=1e-10)
+                  or np.allclose(projectors[j], projectors[i], atol=1e-10))}
+    assert equal and equal <= keep
+    assert len(keep) < len(projectors) ** 2 // 8
 
 
 @pytest.mark.parametrize("scatterer", [

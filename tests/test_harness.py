@@ -273,6 +273,23 @@ def test_covector_not_transversal_exits_3(tmp_path, capsys):
     assert "orthogonal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domain,horizon", [
+    ({"kind": "sinai", "d": 2, "r": 0.25, "L": 1.0, "centers": [[0.5, 0.5]]}, 200.0),
+    ({"kind": "hardball_gas", "N": 3, "d": 2, "r": 0.1, "L": 1.0}, 300.0),
+], ids=["sinai_2d", "hardball_3_2"])
+def test_covector_past_the_double_range_exits_3_with_one_line(tmp_path, capsys, domain,
+                                                              horizon):
+    # the covector, its Q drops, the tangent pass and the adjoint pairing
+    # overflow on the way; none of that warns (pytest turns a
+    # RuntimeWarning into an error), and stderr holds only the range error
+    cfg_path = write_config(tmp_path, domain=domain,
+                            initial={"sampler": {"count": 5, "seed": 1, "c0": 0.1}},
+                            horizon=horizon)
+    assert main(["verify", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: covector magnitudes exceed the double-precision range; shorten the horizon\n")
+
+
 def test_majority_singular_exits_2(tmp_path):
     # a single trajectory aimed exactly tangent to the disk grazes at t=0.4
     path = tmp_path / "cfg.json"

@@ -39,6 +39,7 @@ from billiards import (
     TERMINATION_HORIZON,
     Box,
     Cylinder,
+    build_hardball_gas,
     build_sinai,
     dynamics,
     flight_groups,
@@ -192,6 +193,38 @@ def test_groups_are_balanced_and_flown_in_order(monkeypatch):
     trajs = [t for g in groups for t in flow(domain, starts[g.start:g.stop], 3.0)]
     assert sizes == [3, 2, 2]
     assert [_bits(t) for t in trajs] == [_bits(oracle.flow(domain, x, 3.0)) for x in starts]
+
+
+@pytest.mark.parametrize("name,count", [("sinai2d", 80), ("hardball62", 80), ("sinai3d", 45),
+                                        ("hardball20", 3)])
+def test_groups_respect_the_flight_and_round_budgets(name, count):
+    # at most GROUP_FLIGHTS flights and ROUND_ROWS image rows per round (one
+    # flight at least), in as few balanced groups of consecutive starts as
+    # that allows: with ROUND_ROWS = 8192 and GROUP_FLIGHTS = 40, 2-d Sinai
+    # flies 40 + 40, 6 hard disks 4 x 20, Sinai 3-d 23 + 22 and 20 hard
+    # disks (4750 rows a flight) one flight per group
+    domain = build_hardball_gas(20, 2, 0.1, 1.0) if name == "hardball20" else DOMAINS[name]
+    rows = dynamics._chunk(domain)[1]
+    size = max(1, min(dynamics.GROUP_FLIGHTS, dynamics.ROUND_ROWS // rows))
+    groups = flight_groups(domain, count)
+    sizes = [len(g) for g in groups]
+    assert [f for g in groups for f in g] == list(range(count))
+    assert len(groups) == -(-count // size)
+    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= size
+    assert max(sizes) <= dynamics.GROUP_FLIGHTS
+    assert max(sizes) * rows <= max(dynamics.ROUND_ROWS, rows)
+
+
+def test_one_hardball_group_of_20_flies_each_start_as_alone():
+    # 20 starts on 6 hard disks in one lockstep group: every event field,
+    # segment and end state has the bits of the oracle's flight of each
+    # start alone
+    domain = DOMAINS["hardball62"]
+    rng = np.random.default_rng(463)
+    starts = [random_phase_point(domain, rng) for _ in range(20)]
+    trajs = flow(domain, starts, 1.5)
+    assert sum(t.event_count for t in trajs) >= 20
+    assert [_bits(t) for t in trajs] == [_bits(oracle.flow(domain, x, 1.5)) for x in starts]
 
 
 def test_invalid_start_raises_before_its_group_flies(monkeypatch):

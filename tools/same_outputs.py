@@ -54,6 +54,8 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # trajectories grazing and at the event cap.  The cylinder in a 3-d box is
 # the only config that flies a cylinder off a torus: its walls run along the
 # axis, so trajectories escape through the open faces z = 0 and z = 3.
+# Four hard balls in 3-d are the only config with 125-image pair cylinders
+# (and 10-flight groups).
 EXTRA = {
     "box_two_walls_disk": ("run", {
         "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
@@ -70,6 +72,7 @@ EXTRA = {
         "scatterers": [*_WALLS_3D, {"kind": "cylinder", "axis_point": [0.5, 0.5, 0.0],
                                     "axis_directions": [[0.0, 0.0, 1.0]], "radius": 0.2}]},
         {}),
+    "hardball_n4_d3": ("run", {"kind": "hardball_gas", "N": 4, "d": 3, "r": 0.1, "L": 1.0}, {}),
 }
 # the extra configs that also run with ``verify --corrupt-curvature``
 EXTRA_CORRUPT = ("box_closed_disk", "box_walls_cylinder_3d")
