@@ -318,10 +318,13 @@ def _image_offsets(ambient: Ambient, s: Scatterer) -> np.ndarray | None:
                     f"cylinder image offsets must have shape (m, {s.dim}), got {deltas.shape}")
         else:
             deltas = _lattice_steps(s.dim) * L @ s.projector.T
-        # collapse offsets that differ only along the axis subspace
+        # collapse offsets that differ only along the axis subspace: the first
+        # row of each rounded key, in input order
         key = np.round(deltas / (1e-9 * L)).astype(np.int64)
-        _, idx = np.unique(key, axis=0, return_index=True)
-        return deltas[np.sort(idx)]
+        first: dict[tuple, int] = {}
+        for i, row in enumerate(map(tuple, key.tolist())):
+            first.setdefault(row, i)
+        return deltas[list(first.values())]
     return _lattice_steps(s.dim) * L
 
 

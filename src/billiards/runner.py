@@ -43,8 +43,7 @@ CSV_COLUMNS = ("t", "segment_index", "event_flag", "Q", "norm_w", "norm_z",
 # record fields written to the CSV columns above, in order
 _CSV_FIELDS = ("t", "segment_index", "event_flag", "Q", "norm_w", "norm_z",
                "norm_n", "lam", "bound_prop5", "bound_theorem")
-_CSV_FORMATS = ("%.17g", "%d", "%d", "%.17g", "%.17g", "%.17g", "%.17g", "%.17g",
-                "%.17g", "%.17g")
+_CSV_HEADER = (",".join(CSV_COLUMNS) + "\r\n").encode()
 
 # sampled starting points keep this many eps_surface from every scatterer;
 # positions are drawn in blocks of START_BLOCK, at most START_DRAWS per start
@@ -66,12 +65,6 @@ def writing_output(out: Path):
         yield
     except OSError as e:
         raise ConfigError(f"{out}: cannot write output: {e}") from e
-
-
-def _fmt(x: float) -> str:
-    if not math.isfinite(x):
-        return ""
-    return f"{x:.17g}"
 
 
 def sample_initial_conditions(domain: Domain, count: int, seed: int,
@@ -156,30 +149,14 @@ def run_trajectory(cfg: ExperimentConfig, index: int, series: TransportSeries,
 
 
 def _write_csv(path: Path, records: np.recarray) -> None:
-    """RFC-4180 CSV (comma, CRLF) of the sampled records; empty non-finite fields.
+    """RFC-4180 CSV (comma, CRLF) of the sampled records; empty non-finite fields."""
+    # imported here: a run that writes no CSV (verify) neither compiles nor
+    # loads the formatter
+    from .csvformat import csv_rows
 
-    A column that is non-finite in every row (``bound_theorem`` without
-    ``c0``, ``bound_prop5`` when ``w0 = 0``) is written empty by the row
-    format itself (``%.0s`` prints nothing); only rows holding another
-    non-finite field go through ``_fmt``.
-    """
-    columns = [records[name] for name in _CSV_FIELDS]
-    formats = []
-    finite = np.ones(len(records), dtype=bool)
-    for col, fmt in zip(columns, _CSV_FORMATS):
-        ok = np.isfinite(col)
-        if ok.any():
-            finite &= ok
-            formats.append(fmt)
-        else:
-            formats.append("%.0s")
-    row_format = ",".join(formats) + "\r\n"
-    rows = zip(*(col.tolist() for col in columns))
-    lines = [row_format % row if ok else ",".join(map(_fmt, row)) + "\r\n"
-             for row, ok in zip(rows, finite.tolist())]
-    with writing_output(path.parent), open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        fh.writelines(lines)
+    body = csv_rows([records[name] for name in _CSV_FIELDS])
+    with writing_output(path.parent), open(path, "wb") as fh:
+        fh.write(_CSV_HEADER + body)
 
 
 def run_experiment(cfg: ExperimentConfig, mode: str = "run",

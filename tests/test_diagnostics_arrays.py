@@ -28,6 +28,7 @@ from billiards import (
     verify_monotonicity,
 )
 from billiards.cli import main
+from billiards.diagnostics import RECORD_DTYPE
 from billiards.runner import CSV_COLUMNS, _write_csv
 from conftest import random_phase_point
 
@@ -178,6 +179,38 @@ def test_csv_column_nonfinite_in_every_row_matches_loop_writer(blank, sinai2d, t
     for row in rows:
         assert len(row) == 10
         assert [i for i, field in enumerate(row) if field == b""] == [column]
+
+
+nan, inf = math.nan, math.inf
+# crafted record columns: a float column not named keeps its base value
+CRAFTED = {
+    "signed_zero_and_holes": {
+        "t": [0.0, -0.0, 0.25, 1.0], "Q": [-0.0, -0.5, nan, -1e-150],
+        "norm_w": [1.0, inf, 0.5, 2.0], "lam": [1.0, 1.5, 2.0, nan],
+        "bound_theorem": [nan] * 4},
+    "three_digit_exponents": {
+        "Q": [-1e-150, -2.5e-123, -1e-100, -9.999999999999999e-101],
+        "lam": [1e174, 7.0000000000000004e+105, 1e100, 1.2345678901234567e+99],
+        "norm_z": [1e-150, 1e-5, 1e-4, 1e17]},
+    "outside_fast_range": {
+        "norm_n": [1e300, 5e-324, 1.7976931348623157e308, 2.2250738585072014e-308],
+        "Q": [-1e300, -1e-300, -0.0, -1e-221], "bound_prop5": [-inf] * 4},
+    "first_row_empty": {
+        "t": [nan, 1.0, 2.0, 3.0], "Q": [nan, -1.0, -2.0, -3.0], "norm_w": [inf, 1.0, 1.0, 1.0],
+        "segment_index": [0, 7, 10**12, 2**62], "event_flag": [2, 0, 1, 2]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED))
+def test_csv_of_crafted_records_matches_loop_writer(case, tmp_path):
+    records = np.recarray(4, dtype=RECORD_DTYPE)
+    for name in RECORD_DTYPE.names:
+        records[name] = np.arange(4) if records[name].dtype.kind == "i" else 0.1 * np.arange(1, 5)
+    for name, column in CRAFTED[case].items():
+        records[name] = column
+    _write_csv(tmp_path / "fast.csv", records)
+    oracle.write_csv(tmp_path / "slow.csv", records)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
 def test_corner_hit_reports_degenerate_collision(tmp_path):

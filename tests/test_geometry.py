@@ -547,3 +547,50 @@ def test_transverse_basis_is_orthonormal_and_orthogonal_to_axes(name):
             # the image offsets are transverse: their coordinates keep their length
             assert np.allclose(np.linalg.norm(coords, axis=0), np.linalg.norm(deltas, axis=1),
                                rtol=0.0, atol=1e-14)
+
+
+def _unique_offsets(ambient, s):
+    # geometry._image_offsets with the np.unique dedup it had, as its oracle
+    if isinstance(s, Halfspace):
+        return None
+    if not ambient.periodic:
+        return np.zeros((1, s.dim))
+    L = ambient.side
+    if not isinstance(s, Cylinder):
+        return geometry._lattice_steps(s.dim) * L
+    deltas = (np.asarray(s.image_deltas, dtype=float) if s.image_deltas is not None
+              else geometry._lattice_steps(s.dim) * L @ s.projector.T)
+    key = np.round(deltas / (1e-9 * L)).astype(np.int64)
+    _, idx = np.unique(key, axis=0, return_index=True)
+    return deltas[np.sort(idx)]
+
+
+def _offset_cases():
+    for entry in CATALOG:
+        dom = domain_from_spec(entry["domain"])
+        yield from ((entry["name"], dom.ambient, s) for s in dom.scatterers)
+    for N in range(2, 9):
+        for d in (2, 3):
+            for i, j in hardball_pairs(N):
+                yield (f"hardball_{N}_{d}", Torus(1.0),
+                       geometry._hardball_cylinder(N, d, i, j, 0.05, 1.0))
+    # user offsets with exact duplicates and rows within the rounding of another
+    deltas = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                       [1.0, 1e-12, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    yield ("user_deltas", Torus(1.0),
+           Cylinder(np.array([0.5, 0.5, 0.0]), np.array([[0.0, 0.0, 1.0]]), 0.2,
+                    image_deltas=deltas))
+
+
+def test_image_offsets_keep_first_of_each_key_in_order():
+    cases = list(_offset_cases())
+    assert {name for name, _, _ in cases} >= {e["name"] for e in CATALOG} | {"user_deltas"}
+    for name, ambient, s in cases:
+        got, want = geometry._image_offsets(ambient, s), _unique_offsets(ambient, s)
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape, name
+    user = geometry._image_offsets(*cases[-1][1:])
+    assert user.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                             [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]

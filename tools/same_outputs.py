@@ -5,14 +5,14 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2, and seven configs that no workload covers, at
+changed), for seeds 1 and 2, and nine configs that no workload covers, at
 the same seeds (:data:`EXTRA`), among them the grazing and event-cap
-endings.  Each config runs in a fresh ``python -m billiards`` process per
-tree, with that tree's ``src`` on the path and one thread: ``run`` or
-``verify`` as its workload says, and ``verify --corrupt-curvature`` on the
-four acceptance configs, the closed box and the cylinder in a box
-(:data:`EXTRA_CORRUPT`).  Every output
-file, the stdout and the exit code of each command are compared; the script
+endings and a run without ``c0``.  Each config runs in a fresh
+``python -m billiards`` process per tree, with that tree's ``src`` on the
+path and one thread: ``run`` or ``verify`` as its workload says, and
+``verify --corrupt-curvature`` on the four acceptance configs, the closed
+box and the cylinder in a box (:data:`EXTRA_CORRUPT`).  Every output file,
+the stdout and the exit code of each command are compared; the script
 prints ``identical`` or the first file that differs, and exits 0 or 1.
 """
 
@@ -48,14 +48,16 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 
 # name -> (mode, domain or catalog entry name, further config fields) of the
 # configs no workload covers; each runs 20 trajectories at T = 20 with
-# c0 = 0.1.  The first box has walls on two sides only, so every trajectory
+# c0 = 0.1, unless its fields give their own "initial" (the seed is added to
+# its sampler).  The first box has walls on two sides only, so every trajectory
 # escapes; the closed box is the only config whose flat walls (K = 0) reach
 # the tangent pass and the corrupted covector pass; the 2-d Sinai pair ends
 # trajectories grazing and at the event cap.  The cylinder in a 3-d box is
 # the only config that flies a cylinder off a torus: its walls run along the
 # axis, so trajectories escape through the open faces z = 0 and z = 3.
 # Four hard balls in 3-d are the only config with 125-image pair cylinders
-# (and 10-flight groups).
+# (and 10-flight groups).  The uniform covectors on 2-d Sinai come without
+# c0: their CSVs have an empty bound_theorem column and rows with Q > 0.
 EXTRA = {
     "box_two_walls_disk": ("run", {
         "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
@@ -73,6 +75,8 @@ EXTRA = {
                                     "axis_directions": [[0.0, 0.0, 1.0]], "radius": 0.2}]},
         {}),
     "hardball_n4_d3": ("run", {"kind": "hardball_gas", "N": 4, "d": 3, "r": 0.1, "L": 1.0}, {}),
+    "sinai_2d_uniform": ("run", "sinai_2d", {"initial": {"sampler": {"count": 20}},
+                                             "checks": ["monotonicity"]}),
 }
 # the extra configs that also run with ``verify --corrupt-curvature``
 EXTRA_CORRUPT = ("box_closed_disk", "box_walls_cylinder_3d")
@@ -100,10 +104,11 @@ def commands(configs: Path) -> list[tuple[str, list[str]]]:
                                 ["verify", str(cfg), "--corrupt-curvature"]))
         for name, (mode, domain, fields) in EXTRA.items():
             cfg = configs / f"seed{seed}" / f"{name}.json"
-            cfg.write_text(json.dumps({
-                "domain": catalog[domain] if isinstance(domain, str) else domain,
-                "initial": {"sampler": {"count": 20, "seed": seed, "c0": 0.1}},
-                "horizon": 20.0, **fields}, indent=2) + "\n", encoding="utf-8")
+            config = {"domain": catalog[domain] if isinstance(domain, str) else domain,
+                      "initial": {"sampler": {"count": 20, "c0": 0.1}}, "horizon": 20.0,
+                      **fields}
+            config["initial"] = {"sampler": {**config["initial"]["sampler"], "seed": seed}}
+            cfg.write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
             out.append((f"seed{seed}/{name}", [mode, str(cfg)]))
             if name in EXTRA_CORRUPT:
                 out.append((f"seed{seed}/{name}_corrupt",
