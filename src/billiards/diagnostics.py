@@ -9,18 +9,21 @@ this module check those statements on sampled series, with relative margins,
 and report per-check pass/fail results.
 
 Each free segment is sampled at its endpoints plus ``interior`` evenly
-spaced points.  A series is sampled once per interior count, in one pass
-over its columns (``t0``, ``t1``, ``z``, ``w0``) into
-``(segments, samples)`` arrays that its checks and records share.  The
-checks are array expressions over consecutive samples of the flattened grid,
-over segment rows, or over the per-collision columns (``q_drop``), and
-``series_records`` returns the samples as a record array of columns.  The
-array forms reproduce the per-sample loops they replaced bit for bit.
+spaced points.  A series, or a :class:`SeriesGroup` of them, is sampled
+once per interior count, in one pass over its columns (``t0``, ``t1``,
+``z``, ``w0``) into ``(segments, samples)`` arrays that its checks and
+records share.  The checks are array expressions over consecutive samples
+of the flattened grid, over segment rows, or over the per-collision columns
+(``q_drop``), with the pairs across two series of a group masked, and one
+first-worst reduction per series; ``series_records`` returns the samples of
+one series as a record array of columns.  One series is a group of one.
+The array forms reproduce the per-sample loops they replaced bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +75,32 @@ RECORD_DTYPE = np.dtype([
 ])
 
 
+class SeriesGroup:
+    """Covector series sampled and checked together, in one array pass.
+
+    The series' columns follow one another: ``t0``, ``t1`` ``(S,)``, ``z``,
+    ``w0`` ``(S, d)`` and ``q_drop`` ``(E,)``, series ``f`` holding rows
+    ``offsets[f]`` to ``offsets[f + 1]``; ``segments`` lists the rows'
+    segments, as ``TransportSeries.segments`` does for one series.  Sample
+    grids are kept in ``sample_grids``, keyed by interior sample count; a
+    group of one shares that dict with its series.
+    """
+
+    def __init__(self, series: Sequence[TransportSeries]):
+        self.series = list(series)
+        self.offsets = np.cumsum([0] + [len(s.t0) for s in self.series])
+        for name in ("t0", "t1", "z", "w0", "q_drop"):
+            setattr(self, name, np.concatenate([getattr(s, name) for s in self.series]))
+        self.sample_grids = self.series[0].sample_grids if len(self.series) == 1 else {}
+
+    @property
+    def segments(self) -> list:
+        return [seg for s in self.series for seg in s.segments]
+
+
 @dataclass(eq=False)
 class _SampledSeries:
-    """Sample grid of a series: row ``k`` holds segment ``k``'s samples.
+    """Sample grid of a series or a group: row ``k`` holds segment ``k``'s samples.
 
     ``t``, ``Q``, ``nw`` (``|w|``) and ``nn`` (``|n|``) are
     ``(segments, interior + 2)`` arrays; ``nz`` (``|z|``) holds one value
@@ -86,6 +112,9 @@ class _SampledSeries:
     nw: np.ndarray
     nz: np.ndarray
     nn: np.ndarray
+
+    def rows(self, a: int, b: int) -> "_SampledSeries":
+        return _SampledSeries(*(x[a:b] for x in vars(self).values()))
 
 
 def _linspace_rows(t0: np.ndarray, t1: np.ndarray, m: int) -> np.ndarray:
@@ -104,30 +133,48 @@ def _linspace_rows(t0: np.ndarray, t1: np.ndarray, m: int) -> np.ndarray:
     return t
 
 
-def _sample(series: TransportSeries, interior: int) -> _SampledSeries:
-    """The sample grid of a series, computed on first use and kept on the
-    series (``TransportSeries.sample_grids``); its arrays are read-only.  A
-    series whose magnitudes leave the double range raises on every call."""
-    if interior in series.sample_grids:
-        return series.sample_grids[interior]
-    t0, Z = series.t0, series.z
-    tt = _linspace_rows(t0, series.t1, interior + 2)
+def _event_rows(offsets: np.ndarray) -> np.ndarray:
+    """Mask of the rows that end at a collision: all but each series' last."""
+    rows = np.ones(offsets[-1], dtype=bool)
+    rows[offsets[1:] - 1] = False
+    return rows
+
+
+def _range_error() -> SeriesRangeError:
+    # exponential expansion exhausted the double range; a silent pass on
+    # inf/nan samples could mask a genuine violation
+    return SeriesRangeError("covector magnitudes exceed the double-precision range; "
+                            "shorten the horizon")
+
+
+def _sample(group: SeriesGroup, interior: int) -> tuple[_SampledSeries, np.ndarray]:
+    """The sample grid of a group and, per series, whether its magnitudes
+    (``Q``, ``|n|`` and so ``|w|`` and ``|z|``, and ``q_drop``) stay in the
+    double range.  A grid whose series all do is computed once: it is kept
+    on the group and, as its rows, on each series (``sample_grids``), with
+    read-only arrays.  Every operation acts per row or elementwise, so each
+    series has the bits of its grid alone."""
+    if interior in group.sample_grids:
+        return group.sample_grids[interior], np.ones(len(group.series), dtype=bool)
+    t0, Z, o = group.t0, group.z, group.offsets
+    tt = _linspace_rows(t0, group.t1, interior + 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        dw = series.w0[:, None, :] - (tt - t0[:, None])[:, :, None] * Z[:, None, :]
+        dw = group.w0[:, None, :] - (tt - t0[:, None])[:, :, None] * Z[:, None, :]
         z2 = row_dot(Z, Z)     # per-row BLAS dot (np.einsum sums in another order)
         q = (dw @ Z[:, :, None])[:, :, 0]        # per-segment gemv, bit for bit
         nw = np.linalg.norm(dw, axis=2)
         nn = np.sqrt(nw * nw + z2[:, None])
-    if not (np.all(np.isfinite(z2)) and np.all(np.isfinite(q))):
-        # exponential expansion exhausted the double range; a silent pass on
-        # inf/nan samples could mask a genuine violation
-        raise SeriesRangeError(
-            "covector magnitudes exceed the double-precision range; "
-            "shorten the horizon")
-    s = series.sample_grids[interior] = _SampledSeries(tt, q, nw, np.sqrt(z2), nn)
-    for a in vars(s).values():
-        a.flags.writeable = False
-    return s
+    finite = np.isfinite(q).all(axis=1) & np.isfinite(nn).all(axis=1)
+    finite[_event_rows(o)] &= np.isfinite(group.q_drop)
+    ok = np.logical_and.reduceat(finite, o[:-1])
+    s = _SampledSeries(tt, q, nw, np.sqrt(z2), nn)
+    if ok.all():
+        for a in vars(s).values():
+            a.flags.writeable = False
+        for series, a, b in zip(group.series, o[:-1].tolist(), o[1:].tolist()):
+            series.sample_grids[interior] = s.rows(a, b)
+        group.sample_grids[interior] = s
+    return s, ok
 
 
 def series_records(series: TransportSeries, interior: int = DEFAULT_INTERIOR_SAMPLES,
@@ -137,7 +184,10 @@ def series_records(series: TransportSeries, interior: int = DEFAULT_INTERIOR_SAM
     One row per sample in time order, with the fields of
     :data:`RECORD_DTYPE`; ``records.t`` is a column, ``records[i].t`` a value.
     """
-    s = _sample(series, interior)
+    if interior not in series.sample_grids:
+        if not _sample(SeriesGroup([series]), interior)[1][0]:
+            raise _range_error()
+    s = series.sample_grids[interior]
     w0 = float(np.linalg.norm(series.n0.w))
     q0 = lyapunov_Q(series.n0)
     S, m = s.t.shape
@@ -187,7 +237,12 @@ class CheckResult:
 
 @dataclass(eq=False)
 class VerificationReport:
+    """The checks of one series.  In a group pass, a series that cannot be
+    verified gets no checks and, as ``error``, the exception that verifying
+    it alone raises."""
+
     checks: list[CheckResult]
+    error: Exception | None = None
 
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
@@ -199,18 +254,50 @@ class VerificationReport:
         raise KeyError(name)
 
 
+def _as_group(series) -> SeriesGroup:
+    if isinstance(series, SeriesGroup):
+        return series
+    return SeriesGroup([series] if isinstance(series, TransportSeries) else series)
+
+
+def _answer(series, reports: list[VerificationReport]):
+    """The report of one series (raising its error), or the group's list."""
+    if not isinstance(series, TransportSeries):
+        return reports
+    if reports[0].error is not None:
+        raise reports[0].error
+    return reports[0]
+
+
 def _result(name: str, tol: float, margin: float, t_worst: float) -> CheckResult:
     status = "pass" if margin >= -tol else "fail"
     return CheckResult(name, status, margin, t_worst)
 
 
-def _worst(margins: np.ndarray, times: np.ndarray) -> tuple[float, float] | None:
-    """First smallest margin and its time; ``None`` when there is no finite one."""
-    if margins.size:
-        i = int(np.argmin(margins))
-        if np.isfinite(margins[i]):
-            return float(margins[i]), float(times[i])
-    return None
+def _first_min(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per run ``x[starts[k]:starts[k + 1]]`` (the last run ends with ``x``),
+    the index that ``np.argmin`` of the run gives: its first smallest value,
+    or its first nan.  No run may be empty."""
+    low = np.repeat(np.minimum.reduceat(x, starts), np.diff(starts, append=x.size))
+    hits = np.flatnonzero((x == low) | np.isnan(x))
+    return hits[np.searchsorted(hits, starts)]
+
+
+def _worsts(margins: np.ndarray, times: np.ndarray, starts: np.ndarray,
+            default=(0.0, 0.0)) -> list:
+    """Per run, the first smallest margin and its time, or ``default`` when
+    that margin is not finite."""
+    i = _first_min(margins, starts)
+    return [(m, t) if math.isfinite(m) else default
+            for m, t in zip(margins[i].tolist(), times[i].tolist())]
+
+
+def _across(margins: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Margins of consecutive entries, ``(n - 1,)``, padded to ``(n,)``: the
+    entry at each series' last entry, a pair across two series, is +inf."""
+    out = np.append(margins, np.inf)
+    out[ends] = np.inf
+    return out
 
 
 def _pairwise_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,8 +305,8 @@ def _pairwise_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(a, b), RATIO_SENTINEL_FLOOR)
 
 
-def verify_monotonicity(series: TransportSeries, tol: float = DEFAULT_TOL_CHECK,
-                        interior: int = DEFAULT_INTERIOR_SAMPLES) -> VerificationReport:
+def verify_monotonicity(series, tol: float = DEFAULT_TOL_CHECK,
+                        interior: int = DEFAULT_INTERIOR_SAMPLES):
     """Check the monotonicity laws of the transported covector.
 
     Always: Q non-increasing over the whole sample grid, |w| continuous at
@@ -233,104 +320,133 @@ def verify_monotonicity(series: TransportSeries, tol: float = DEFAULT_TOL_CHECK,
     Grid checks compare consecutive samples of the flattened grid, event
     jumps included; the reported time is that of the later sample of the
     first worst pair.
+
+    ``series`` is one series, answered with its report, or a sequence or
+    :class:`SeriesGroup` of them, answered with the list of their reports,
+    computed in one pass over the group's grid.
     """
-    s = _sample(series, interior)
-    q0 = lyapunov_Q(series.n0)
-    t = s.t.ravel()
-    q = s.Q.ravel()
-    nw = s.nw.ravel()
-
-    # (a) Q non-increasing across the full grid, including event jumps
-    scale = np.maximum(s.nz[:, None] * s.nw, RATIO_SENTINEL_FLOOR).ravel()
-    worst_a, t_a = _worst((q[:-1] - q[1:]) / _pairwise_max(scale[:-1], scale[1:]),
-                          t[1:]) or (0.0, 0.0)
-
-    # (b) |w| continuity at events, read off the segment endpoints themselves
+    group = _as_group(series)
+    s, ok = _sample(group, interior)
+    o = group.offsets
+    m = s.t.shape[1]
+    runs, ends, rows, last = o[:-1] * m, o[1:] * m - 1, o[:-1], o[1:] - 1
+    q0 = [lyapunov_Q(x.n0) for x in group.series]
+    t, q, nw = s.t.ravel(), s.Q.ravel(), s.nw.ravel()
+    t_next = np.append(t[1:], 0.0)
     t0, t1 = s.t[:, 0], s.t[:, -1]
-    w_pre = series.w0[:-1] - (t0[1:] - t0[:-1])[:, None] * series.z[:-1]
-    a = np.sqrt(row_dot(w_pre, w_pre))
-    b = np.sqrt(row_dot(series.w0[1:], series.w0[1:]))
-    rel = np.abs(a - b) / _pairwise_max(a, b)
-    worst_b, t_b = _worst(W_CONTINUITY_TOL - rel, t0[1:]) or (W_CONTINUITY_TOL, 0.0)
+    with np.errstate(all="ignore"):
+        # (a) Q non-increasing across the full grid, including event jumps
+        scale = np.maximum(s.nz[:, None] * s.nw, RATIO_SENTINEL_FLOOR).ravel()
+        worst_a = _worsts(_across((q[:-1] - q[1:]) / _pairwise_max(scale[:-1], scale[1:]),
+                                  ends), t_next, runs)
 
-    # (c) the drop of Q across each collision, read off the grid, equals the
-    # closed form the transport recorded; relative to |z| |w| before it
-    actual = s.Q[:-1, -1] - s.Q[1:, 0]
-    sc = np.maximum(_pairwise_max(np.abs(actual), np.abs(series.q_drop)),
-                    s.nz[:-1] * s.nw[:-1, -1])
-    worst_c, t_c = _worst(-np.abs(actual - series.q_drop) / sc, t1[:-1]) or (0.0, 0.0)
+        # (b) |w| continuity at events, read off the segment endpoints themselves
+        w_pre = group.w0[:-1] - (t0[1:] - t0[:-1])[:, None] * group.z[:-1]
+        a = np.sqrt(row_dot(w_pre, w_pre))
+        b = np.sqrt(row_dot(group.w0[1:], group.w0[1:]))
+        rel = np.abs(a - b) / _pairwise_max(a, b)
+        worst_b = _worsts(_across(W_CONTINUITY_TOL - rel, last), np.append(t0[1:], 0.0), rows,
+                          (W_CONTINUITY_TOL, 0.0))
 
-    checks = [
-        _result(CHECK_Q_NONINCREASING, tol, worst_a, t_a),
-        _result(CHECK_W_CONTINUITY, 0.0, worst_b, t_b),
-        _result(CHECK_Q_COLLISION_DROP, tol, worst_c, t_c),
-    ]
+        # (c) the drop of Q across each collision, read off the grid, equals the
+        # closed form the transport recorded; relative to |z| |w| before it
+        closed = np.zeros(len(t0))
+        closed[_event_rows(o)] = group.q_drop
+        closed = closed[:-1]
+        actual = s.Q[:-1, -1] - s.Q[1:, 0]
+        sc = np.maximum(_pairwise_max(np.abs(actual), np.abs(closed)),
+                        s.nz[:-1] * s.nw[:-1, -1])
+        worst_c = _worsts(_across(-np.abs(actual - closed) / sc, last), t1, rows)
 
-    if q0 >= 0.0:
-        checks += [CheckResult(CHECK_Q_STRICT_DECREASE, "skipped"),
-                   CheckResult(CHECK_W_STRICT_INCREASE, "skipped"),
-                   CheckResult(CHECK_RATIO_NONINCREASING, "skipped")]
-    else:
-        # (d) strict decrease on segments: exact decrement dt * |z|^2; the
-        # squares stay Python ``** 2`` (libm pow), which is not always x * x
-        dt = t1 - t0
-        z2 = np.array([x ** 2 for x in s.nz.tolist()])
-        drop = s.Q[:, 0] - s.Q[:, -1]
-        sc = np.maximum(s.nz * np.max(s.nw, axis=1), RATIO_SENTINEL_FLOOR)
-        live = dt > 0.0
-        worst_d, t_d = _worst(((drop - dt * z2) / sc)[live], t1[live]) or (0.0, 0.0)
+        if min(q0) < 0.0:
+            # (d) strict decrease on segments: exact decrement dt * |z|^2; the
+            # squares stay Python ``** 2`` (libm pow), which is not always x * x
+            dt = t1 - t0
+            z2 = np.array([x ** 2 for x in s.nz.tolist()])
+            drop = s.Q[:, 0] - s.Q[:, -1]
+            sc = np.maximum(s.nz * np.max(s.nw, axis=1), RATIO_SENTINEL_FLOOR)
+            worst_d = _worsts(np.where(dt > 0.0, (drop - dt * z2) / sc, np.inf), t1, rows)
 
-        # (e) |w| strictly increasing at the guaranteed minimum rate
-        w2 = np.array([x ** 2 for x in nw.tolist()])
-        m_e = (w2[1:] - w2[:-1] - 2.0 * abs(q0) * (t[1:] - t[:-1])) \
-            / _pairwise_max(w2[1:], w2[:-1])
-        worst_e, t_e = _worst(m_e, t[1:]) or (0.0, 0.0)
+            # (e) |w| strictly increasing at the guaranteed minimum rate
+            w2 = np.array([x ** 2 for x in nw.tolist()])
+            rate = np.repeat([2.0 * abs(x) for x in q0], np.diff(runs, append=t.size))
+            m_e = (w2[1:] - w2[:-1] - rate[1:] * (t[1:] - t[:-1])) \
+                / _pairwise_max(w2[1:], w2[:-1])
+            worst_e = _worsts(_across(m_e, ends), t_next, runs)
 
-        # (f) |w| / |Q| non-increasing across the full grid
-        r = nw / np.maximum(np.abs(q), RATIO_SENTINEL_FLOOR)
-        worst_f, t_f = _worst((r[:-1] - r[1:]) / _pairwise_max(r[:-1], r[1:]),
-                              t[1:]) or (0.0, 0.0)
+            # (f) |w| / |Q| non-increasing across the full grid
+            r = nw / np.maximum(np.abs(q), RATIO_SENTINEL_FLOOR)
+            worst_f = _worsts(_across((r[:-1] - r[1:]) / _pairwise_max(r[:-1], r[1:]), ends),
+                              t_next, runs)
 
-        checks += [_result(CHECK_Q_STRICT_DECREASE, tol, worst_d, t_d),
-                   _result(CHECK_W_STRICT_INCREASE, tol, worst_e, t_e),
-                   _result(CHECK_RATIO_NONINCREASING, tol, worst_f, t_f)]
+    reports = []
+    for k in range(len(q0)):
+        if not ok[k]:
+            reports.append(VerificationReport([], _range_error()))
+            continue
+        checks = [_result(CHECK_Q_NONINCREASING, tol, *worst_a[k]),
+                  _result(CHECK_W_CONTINUITY, 0.0, *worst_b[k]),
+                  _result(CHECK_Q_COLLISION_DROP, tol, *worst_c[k])]
+        if q0[k] >= 0.0:
+            checks += [CheckResult(CHECK_Q_STRICT_DECREASE, "skipped"),
+                       CheckResult(CHECK_W_STRICT_INCREASE, "skipped"),
+                       CheckResult(CHECK_RATIO_NONINCREASING, "skipped")]
+        else:
+            checks += [_result(CHECK_Q_STRICT_DECREASE, tol, *worst_d[k]),
+                       _result(CHECK_W_STRICT_INCREASE, tol, *worst_e[k]),
+                       _result(CHECK_RATIO_NONINCREASING, tol, *worst_f[k])]
+        reports.append(VerificationReport(checks))
+    return _answer(series, reports)
 
-    return VerificationReport(checks)
 
-
-def verify_growth(series: TransportSeries, c0: float, tol: float = DEFAULT_TOL_CHECK,
-                  interior: int = DEFAULT_INTERIOR_SAMPLES) -> VerificationReport:
+def verify_growth(series, c0: float, tol: float = DEFAULT_TOL_CHECK,
+                  interior: int = DEFAULT_INTERIOR_SAMPLES):
     """Check the linear growth bounds for a unit covector with ``Q(n_0) <= -c0``.
 
     ``|w_t| >= |w_0| + |Q(n_0)| t / |w_0|`` at every sample, and
     ``lambda_t >= 1 + c0 t`` at samples with ``t >= 1/c0``.  Precondition
     violations raise :class:`ConfigError` rather than failing a check.
+    ``series`` is one series or a group, as for :func:`verify_monotonicity`.
     """
     if not c0 > 0.0:
         raise ConfigError("growth verification needs c0 > 0")
-    q0 = lyapunov_Q(series.n0)
-    if q0 > -c0 + 1e-12:
-        raise ConfigError(f"growth verification needs Q(n0) <= -c0, got Q(n0) = {q0}")
-    if abs(series.n0_norm - 1.0) > 1e-9:
-        raise ConfigError("growth verification needs a unit initial covector")
-    w0 = float(np.linalg.norm(series.n0.w))
+    group = _as_group(series)
+    q0 = [lyapunov_Q(x.n0) for x in group.series]
+    n0 = [x.n0_norm for x in group.series]
+    w0 = [float(np.linalg.norm(x.n0.w)) for x in group.series]
 
-    s = _sample(series, interior)
-    t = s.t.ravel()
-    nw = s.nw.ravel()
-    bound5 = w0 + abs(q0) * t / w0
-    m5 = (nw - bound5) / np.maximum(bound5, nw)
-    i = int(np.argmin(m5))
-    checks = [_result(CHECK_W_LINEAR_GROWTH, tol, float(m5[i]), float(t[i]))]
+    s, ok = _sample(group, interior)
+    m = s.t.shape[1]
+    runs = group.offsets[:-1] * m
+    counts = np.diff(runs, append=s.t.size)
+    t, nw = s.t.ravel(), s.nw.ravel()
+    with np.errstate(all="ignore"):
+        w0s = np.repeat(w0, counts)
+        bound5 = w0s + np.repeat(np.abs(q0), counts) * t / w0s
+        m5 = (nw - bound5) / np.maximum(bound5, nw)
+        i = _first_min(m5, runs)
+        worst_g = list(zip(m5[i].tolist(), t[i].tolist()))
 
-    late = t >= 1.0 / c0 - 1e-12
-    boundt = 1.0 + c0 * t[late]
-    worst_h = _worst((s.nn.ravel()[late] / series.n0_norm - boundt) / boundt, t[late])
-    if worst_h is not None:
-        checks.append(_result(CHECK_LAMBDA_LINEAR_GROWTH, tol, *worst_h))
-    else:
-        checks.append(CheckResult(CHECK_LAMBDA_LINEAR_GROWTH, "skipped"))
-    return VerificationReport(checks)
+        boundt = 1.0 + c0 * t
+        m_h = (s.nn.ravel() / np.repeat(n0, counts) - boundt) / boundt
+        worst_h = _worsts(np.where(t >= 1.0 / c0 - 1e-12, m_h, np.inf), t, runs, None)
+
+    reports = []
+    for k in range(len(q0)):
+        if q0[k] > -c0 + 1e-12:
+            error = ConfigError(f"growth verification needs Q(n0) <= -c0, got Q(n0) = {q0[k]}")
+        elif abs(n0[k] - 1.0) > 1e-9:
+            error = ConfigError("growth verification needs a unit initial covector")
+        elif not ok[k]:
+            error = _range_error()
+        else:
+            reports.append(VerificationReport([
+                _result(CHECK_W_LINEAR_GROWTH, tol, *worst_g[k]),
+                _result(CHECK_LAMBDA_LINEAR_GROWTH, tol, *worst_h[k]) if worst_h[k]
+                else CheckResult(CHECK_LAMBDA_LINEAR_GROWTH, "skipped")]))
+            continue
+        reports.append(VerificationReport([], error))
+    return _answer(series, reports)
 
 
 def q_decrement_breakdown(series: TransportSeries) -> dict:
@@ -369,11 +485,7 @@ def sample_covector_uniform(v: np.ndarray, rng: np.random.Generator) -> Covector
     value lies in ``[-1/2, 1/2]`` with the extremes at (anti)parallel
     components.
     """
-    basis = _complement_basis(np.asarray(v, dtype=float))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    z = inv_sqrt2 * _unit_in_span(basis, rng)
-    w = inv_sqrt2 * _unit_in_span(basis, rng)
-    return Covector(z, w)
+    return _covector_in_span(_complement_basis(np.asarray(v, dtype=float)), rng)
 
 
 def sample_covector_with_Q_bound(v: np.ndarray, c0: float, rng_seed) -> Covector:
@@ -384,14 +496,23 @@ def sample_covector_with_Q_bound(v: np.ndarray, c0: float, rng_seed) -> Covector
     ``|Q| <= |z| |w| <= 1/2``).  At ``c0 = 1/2`` the equality case
     ``w = -z`` is forced up to rotation.
     """
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
+        else np.random.default_rng(rng_seed)
+    return _covector_in_span(_complement_basis(np.asarray(v, dtype=float)), rng, c0)
+
+
+def _covector_in_span(basis: np.ndarray, rng: np.random.Generator,
+                     c0: float | None = None) -> Covector:
+    """The covector of :func:`sample_covector_uniform` (``c0`` None) or of
+    :func:`sample_covector_with_Q_bound`, drawn from ``rng`` in the span of
+    the row-orthonormal ``basis`` of ``v^perp``."""
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    if c0 is None:
+        return Covector(inv_sqrt2 * _unit_in_span(basis, rng),
+                        inv_sqrt2 * _unit_in_span(basis, rng))
     if not 0.0 < c0 <= 0.5 + 1e-12:
         raise InfeasibleCovectorError(
             f"c0 = {c0} unattainable: a unit covector has |Q| <= 1/2")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
-        else np.random.default_rng(rng_seed)
-    v = np.asarray(v, dtype=float)
-    basis = _complement_basis(v)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     if c0 >= 0.5 - 1e-12:
         e = _unit_in_span(basis, rng)
         return Covector(inv_sqrt2 * e, -inv_sqrt2 * e)

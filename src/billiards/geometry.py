@@ -75,8 +75,9 @@ def _lattice_steps(d: int, reach: int = 1) -> np.ndarray:
         raise DomainConstructionError(
             f"lattice enumeration infeasible in dimension {d} (max {_MAX_ENUM_DIM})"
         )
-    rng = range(-reach, reach + 1)
-    return np.array(list(itertools.product(rng, repeat=d)), dtype=float)
+    # rows in itertools.product order: the last coordinate varies fastest
+    steps = np.indices((2 * reach + 1,) * d).reshape(d, -1).T - reach
+    return np.ascontiguousarray(steps, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The ensemble runs in lockstep groups (``dynamics.flight_groups``): per
 group one ``dynamics.flow`` call, one covector transport and, when the run
-wants it, one adjoint check.  Each trajectory then runs its checks on its own
-and writes its CSV as soon as its records exist, in index order.  Each
-trajectory and series is the one its start alone gives, so outputs depend
-only on the config and its seed.
+wants it, one adjoint check.  The checks then run once per check group, the
+flight group's series up to ``CHECK_SAMPLES`` grid samples, and each
+trajectory writes its CSV, from the grid its checks read, as soon as its
+entry exists, in index order.  Each trajectory and series is the one its
+start alone gives, so outputs depend only on the config and its seed.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .diagnostics import (
+    SeriesGroup,
+    VerificationReport,
+    _covector_in_span,
     lyapunov_Q,
-    sample_covector_uniform,
-    sample_covector_with_Q_bound,
     series_records,
     verify_growth,
     verify_monotonicity,
@@ -35,7 +37,14 @@ from .dynamics import (
 )
 from .errors import ConfigError
 from .geometry import Box, Domain
-from .transport import Covector, TransportSeries, adjoint_residual, transport_covector
+from .transport import (
+    Covector,
+    TransportSeries,
+    _complement_basis,
+    _leading,
+    adjoint_residual,
+    transport_covector,
+)
 from .tolerances import ADJOINT_RESIDUAL_FAIL
 
 CSV_COLUMNS = ("t", "segment_index", "event_flag", "Q", "norm_w", "norm_z",
@@ -50,6 +59,11 @@ _CSV_HEADER = (",".join(CSV_COLUMNS) + "\r\n").encode()
 START_MARGIN_FACTOR = 10.0
 START_BLOCK = 16
 START_DRAWS = 100_000
+# the covectors of START_BASES starts draw from one QR call's complement bases
+START_BASES = 1024
+# a check pass covers the grids of at most CHECK_SAMPLES samples (or one
+# series), so that a flight group's grids are not all held at once
+CHECK_SAMPLES = 4096
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -71,36 +85,38 @@ def sample_initial_conditions(domain: Domain, count: int, seed: int,
                               c0: float | None = None) -> list[tuple[PhasePoint, Covector]]:
     """Deterministic seeded initial conditions: uniform positions outside the
     scatterers, uniform unit velocities, and unit covectors (Q-bounded when
-    ``c0`` is given)."""
+    ``c0`` is given).  Start ``i`` draws from its own generator, seeded
+    ``[seed, i]``: its position and velocity, then, after one QR call for
+    the complement bases of a block of velocities, its covector."""
     out = []
     margin = START_MARGIN_FACTOR * domain.eps_surface
     if isinstance(domain.ambient, Box):
         highs = np.asarray(domain.ambient.sides)
     else:
         highs = np.full(domain.d, domain.length_scale)
-    for i in range(count):
-        rng = np.random.default_rng([seed, i])
-        state = rng.bit_generator.state
-        # one membership test per block of draws; the position is the first
-        # accepted draw, as one draw at a time gives it
-        for drawn in range(0, START_DRAWS, START_BLOCK):
-            block = rng.uniform(0.0, 1.0, (min(START_BLOCK, START_DRAWS - drawn), domain.d))
-            ok = np.flatnonzero(domain.contains(block * highs, slack=-margin))
-            if ok.size:
-                break
-        else:
-            raise ConfigError("could not sample a starting point outside the scatterers")
-        # draw exactly the accepted prefix again, so that the velocity and
-        # covector draws continue the stream of one draw at a time
-        rng.bit_generator.state = state
-        q = rng.uniform(0.0, 1.0, (drawn + ok[0] + 1, domain.d))[-1] * highs
-        v = rng.standard_normal(domain.d)
-        v /= np.linalg.norm(v)
-        if c0 is None:
-            n0 = sample_covector_uniform(v, rng)
-        else:
-            n0 = sample_covector_with_Q_bound(v, c0, rng)
-        out.append((PhasePoint(q, v), n0))
+    for first in range(0, count, START_BASES):
+        block = []
+        for i in range(first, min(first + START_BASES, count)):
+            rng = np.random.default_rng([seed, i])
+            state = rng.bit_generator.state
+            # one membership test per block of draws; the position is the
+            # first accepted draw, as one draw at a time gives it
+            for drawn in range(0, START_DRAWS, START_BLOCK):
+                draws = rng.uniform(0.0, 1.0, (min(START_BLOCK, START_DRAWS - drawn), domain.d))
+                ok = np.flatnonzero(domain.contains(draws * highs, slack=-margin))
+                if ok.size:
+                    break
+            else:
+                raise ConfigError("could not sample a starting point outside the scatterers")
+            # draw exactly the accepted prefix again, so that the velocity and
+            # covector draws continue the stream of one draw at a time
+            rng.bit_generator.state = state
+            q = rng.uniform(0.0, 1.0, (drawn + ok[0] + 1, domain.d))[-1] * highs
+            v = rng.standard_normal(domain.d)
+            v /= np.linalg.norm(v)
+            block.append((PhasePoint(q, v), rng))
+        bases = _complement_basis(np.array([x.v for x, _ in block]))
+        out += [(x, _covector_in_span(basis, rng, c0)) for (x, rng), basis in zip(block, bases)]
     return out
 
 
@@ -122,19 +138,20 @@ def summary_text(summary: dict) -> str:
 
 
 def run_trajectory(cfg: ExperimentConfig, index: int, series: TransportSeries,
-                   csv_path: Path | None, residual: float | None = None) -> dict:
-    """Checks and (with ``csv_path``) the CSV of one transported trajectory;
-    the records are written and dropped here.  Returns the trajectory's
-    entry of the summary's ``trajectories`` list, with ``adjoint_residual``
-    only when ``residual`` is given."""
+                   reports: list[VerificationReport], csv_path: Path | None,
+                   residual: float | None = None) -> dict:
+    """The summary entry and (with ``csv_path``) the CSV of one transported
+    trajectory, given its check ``reports`` from its group's pass; the
+    records are written and dropped here.  Raises the first report's error,
+    as checking the trajectory alone does.  The entry of the summary's
+    ``trajectories`` list has ``adjoint_residual`` only when ``residual`` is
+    given."""
     traj = series.trajectory
     checks = []
-    if "monotonicity" in cfg.checks:
-        checks.extend(verify_monotonicity(series, cfg.tol_check,
-                                          interior=cfg.grid_interior).checks)
-    if "growth" in cfg.checks:
-        checks.extend(verify_growth(series, cfg.c0, cfg.tol_check,
-                                    interior=cfg.grid_interior).checks)
+    for report in reports:
+        if report.error is not None:
+            raise report.error
+        checks += report.checks
     n_end = series.covector_at(series.t_end)
     entry = {"index": index, "termination": traj.termination,
              "event_count": traj.event_count, "t_end": traj.t_end,
@@ -146,6 +163,34 @@ def run_trajectory(cfg: ExperimentConfig, index: int, series: TransportSeries,
     if csv_path is not None:
         _write_csv(csv_path, series_records(series, interior=cfg.grid_interior, c0=cfg.c0))
     return entry
+
+
+def _check_and_write(cfg: ExperimentConfig, indices: range, series: list[TransportSeries],
+                     residuals: list, out: Path | None) -> list[dict]:
+    """The summary entries of a flight group's series, in order, and (with
+    ``out``) their CSVs.  The checks run once per check group: the leading
+    series that fit ``CHECK_SAMPLES`` grid samples (at least one), taken
+    off the list, so that each group, with its series and grids, is dropped
+    once its entries exist."""
+    entries = []
+    index = iter(zip(indices, residuals))
+    while series:
+        n = _leading([len(s.t0) * (cfg.grid_interior + 2) for s in series], CHECK_SAMPLES)
+        checked = SeriesGroup(series[:n])
+        del series[:n]
+        reports = []
+        if "monotonicity" in cfg.checks:
+            reports.append(verify_monotonicity(checked, cfg.tol_check,
+                                               interior=cfg.grid_interior))
+        if "growth" in cfg.checks:
+            reports.append(verify_growth(checked, cfg.c0, cfg.tol_check,
+                                         interior=cfg.grid_interior))
+        for k, s in enumerate(checked.series):
+            i, residual = next(index)
+            entries.append(run_trajectory(
+                cfg, i, s, [r[k] for r in reports],
+                None if out is None else out / f"trajectory_{i:04d}.csv", residual))
+    return entries
 
 
 def _write_csv(path: Path, records: np.recarray) -> None:
@@ -196,14 +241,8 @@ def run_experiment(cfg: ExperimentConfig, mode: str = "run",
             residuals = adjoint_residual(
                 transport_covector(trajectories, n0, curvature_scale=2.0)
                 if corrupt_curvature else series)
-        # reversed and popped: each series, with its trajectory, is dropped
-        # once its entry exists
         del trajectories
-        series.reverse()
-        entries += [run_trajectory(cfg, i, series.pop(),
-                                   out / f"trajectory_{i:04d}.csv" if emit_csv else None,
-                                   residual)
-                    for i, residual in zip(group, residuals)]
+        entries += _check_and_write(cfg, group, series, residuals, out if emit_csv else None)
 
     summary = _summarize(cfg, mode, entries)
     exit_code = _exit_code(summary["ensemble"], len(entries))

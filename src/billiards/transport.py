@@ -71,6 +71,9 @@ from .errors import SeriesRangeError
 from .geometry import Vec, curvature_at, reflect, row_dot
 
 ORTHOGONALITY_TOL = 1e-10
+# an adjoint pairing pass covers the tangent values (segments x basis vectors
+# x d) of at most PAIRING_VALUES, or of one series
+PAIRING_VALUES = 8192
 
 
 @dataclass(eq=False)
@@ -460,12 +463,17 @@ def transport_tangent(trajectory: Trajectory | Sequence[Trajectory],
 # Adjoint-identity verification
 # ---------------------------------------------------------------------------
 
-def _complement_basis(v: Vec) -> np.ndarray:
-    """(d-1, d) row-orthonormal basis of the hyperplane orthogonal to v."""
-    d = v.shape[0]
-    m = np.concatenate([v[:, None] / np.linalg.norm(v), np.eye(d)], axis=1)
+def _complement_basis(v: np.ndarray) -> np.ndarray:
+    """Row-orthonormal basis ``(d-1, d)`` of the hyperplane orthogonal to a
+    vector ``v``, or one per row of a stack ``(F, d)``, in one QR call.  Each
+    basis has the bits of its vector's own call: the unit vector divides by
+    the norm of one row (``np.linalg.norm(axis=1)`` sums in another order)."""
+    d = v.shape[-1]
+    u = v / np.sqrt(row_dot(v, v))[..., None]
+    m = np.concatenate([u[..., None], np.broadcast_to(np.eye(d), (*v.shape[:-1], d, d))],
+                       axis=-1)
     q, _ = np.linalg.qr(m)
-    return q[:, 1:d].T
+    return q[..., 1:d].swapaxes(-1, -2)
 
 
 def transversal_basis(v: Vec) -> list[TangentVector]:
@@ -481,50 +489,73 @@ def adjoint_residual(series: TransportSeries | Sequence[TransportSeries]) -> flo
 
     ``series`` is a covector already transported along its trajectory, or a
     sequence of them, answered with the list of their residuals.  The
-    trajectories' ``transversal_basis`` stacks, ``(2(d-1), d)`` each, move in
-    a single tangent pass for the whole group, which evaluates the curvature
-    itself.  For each basis vector the pairing of the forward-transported
-    tangent vector with the transported covector must equal its initial
-    value at every segment endpoint; all endpoints of a trajectory are
-    evaluated at once, as ``(S, 2, ...)`` arrays.  The residual at time
-    ``t`` is normalized by the larger of the initial and current magnitude
-    products: the pairing is evaluated by cancellation of terms of that
-    size, which is the scale fixed precision can certify.  A pairing that is
-    not finite makes the residual infinite.  A series transported with a
-    rescaled curvature breaks adjointness and must produce a large residual
-    (negative control).
+    trajectories' ``transversal_basis`` stacks, ``(2(d-1), d)`` each, come
+    from one QR call and move in a single tangent pass for the whole group,
+    which evaluates the curvature itself.  For each basis vector the pairing
+    of the forward-transported tangent vector with the transported covector
+    must equal its initial value at every segment endpoint; the endpoints of
+    the whole group are evaluated at once, as ``(S, 2, ...)`` arrays over
+    the group's segments.  The residual at time ``t`` is normalized by the
+    larger of the initial and current magnitude products: the pairing is
+    evaluated by cancellation of terms of that size, which is the scale
+    fixed precision can certify.  A pairing that is not finite makes the
+    residual infinite.  A series transported with a rescaled curvature
+    breaks adjointness and must produce a large residual (negative control).
     """
     one = isinstance(series, TransportSeries)
     group = [series] if one else list(series)
-    dy0s = []
-    for s in group:
-        basis = _complement_basis(s.trajectory.start.v)
-        zero = np.zeros_like(basis)
-        dy0s.append(TangentVector(np.vstack([basis, zero]), np.vstack([zero, basis])))
-    tangents = transport_tangent([s.trajectory for s in group], dy0s)
-    worst = [_worst_pairing_error(s, dy0, tan) for s, dy0, tan in zip(group, dy0s, tangents)]
+    if not group:
+        return []
+    basis = _complement_basis(np.array([s.trajectory.start.v for s in group]))
+    zero = np.zeros_like(basis)
+    dy0 = TangentVector(np.concatenate([basis, zero], axis=1),
+                        np.concatenate([zero, basis], axis=1))
+    tangents = transport_tangent([s.trajectory for s in group],
+                                 [TangentVector(dq, dv) for dq, dv in zip(dy0.dq, dy0.dv)])
+    sizes = [tan.dq0.size for tan in tangents]
+    worst: list = []
+    while len(worst) < len(group):
+        part = slice(len(worst), len(worst) + _leading(sizes[len(worst):], PAIRING_VALUES))
+        worst += _worst_pairing_error(group[part], TangentVector(dy0.dq[part], dy0.dv[part]),
+                                      tangents[part])
     return worst[0] if one else worst
 
 
-def _worst_pairing_error(series: TransportSeries, dy0: TangentVector,
-                         tan: TangentSeries) -> float:
-    """:func:`adjoint_residual` of one covector series, given its basis
-    stack ``dy0`` and that stack's transported series ``tan``."""
-    p0 = pairing(dy0, series.n0)
-    base = dy0.norm() * series.n0_norm
+def _leading(sizes: list[int], budget: int) -> int:
+    """How many leading items fit ``budget`` together; at least one."""
+    return max(1, int(np.searchsorted(np.cumsum(sizes), budget, side="right")))
+
+
+def _worst_pairing_error(group: list[TransportSeries], dy0: TangentVector,
+                         tangents: list[TangentSeries]) -> list[float]:
+    """:func:`adjoint_residual` of each covector series of a group, given
+    their basis stacks ``dy0`` ``(F, m, d)`` and those stacks' transported
+    series ``tangents``; one array pass over the group's segment rows, with
+    the per-vector products of one series alone."""
+    counts = [len(s.t0) for s in group]
+    n0 = [s.n0 for s in group]
+    p0 = (dy0.dq @ np.array([n.z for n in n0])[:, :, None])[..., 0] \
+        + (dy0.dv @ np.array([n.w for n in n0])[:, :, None])[..., 0]      # (F, m)
+    base = dy0.norm() * np.array([s.n0_norm for s in group])[:, None]
+    t0, t1 = (np.concatenate([getattr(s, name) for s in group]) for name in ("t0", "t1"))
     # time since the segment start at its two endpoints, (S, 2)
-    dt = np.stack([series.t0 - series.t0, series.t1 - series.t0], axis=1)
-    z = series.z[:, None, :]                                         # (S, 1, d)
-    dv = tan.dv[:, None]                                             # (S, 1, m, d)
+    dt = np.stack([t0 - t0, t1 - t0], axis=1)
+    z = np.concatenate([s.z for s in group])[:, None, :]                    # (S, 1, d)
+    w0 = np.concatenate([s.w0 for s in group])
+    dv = np.concatenate([tan.dv for tan in tangents])[:, None]              # (S, 1, m, d)
+    dq0 = np.concatenate([tan.dq0 for tan in tangents])
     # the endpoint values and the per-vector products of TangentVector.norm,
     # Covector.norm and pairing; a value past the double range makes the
     # residual infinite
     with np.errstate(over="ignore", invalid="ignore"):
-        w = series.w0[:, None, :] - dt[..., None] * z                # (S, 2, d)
-        dq = tan.dq0[:, None] + dt[..., None, None] * tan.dv[:, None]  # (S, 2, m, d)
+        w = w0[:, None, :] - dt[..., None] * z                              # (S, 2, d)
+        dq = dq0[:, None] + dt[..., None, None] * dv                        # (S, 2, m, d)
         n_norm = np.sqrt(row_dot(z, z) + row_dot(w, w))
         dy_norm = np.sqrt(np.einsum("...i,...i", dq, dq) + np.einsum("...i,...i", dv, dv))
-        scale = np.maximum(np.maximum(base, dy_norm * n_norm[..., None]), 1e-300)
+        scale = np.maximum(np.maximum(np.repeat(base, counts, axis=0)[:, None],
+                                      dy_norm * n_norm[..., None]), 1e-300)
         paired = (dq @ z[..., None])[..., 0] + (dv @ w[..., None])[..., 0]
-        worst = float(np.max(np.abs(paired - p0) / scale))
-    return math.inf if math.isnan(worst) else worst
+        err = np.abs(paired - np.repeat(p0, counts, axis=0)[:, None]) / scale
+        worst = np.maximum.reduceat(err.reshape(len(err), -1).max(axis=1),
+                                    np.cumsum([0] + counts[:-1]))
+    return [math.inf if math.isnan(x) else x for x in worst.tolist()]

@@ -1,0 +1,276 @@
+"""The group passes of the checks, the complement bases and the adjoint check.
+
+``verify_monotonicity`` and ``verify_growth`` check a group of series in one
+array pass over their concatenated grids, and ``adjoint_residual`` pairs a
+group's tangent and covector stacks in one pass.  Each series must get the
+report, residual and bases it gets alone, bit for bit, and the loop oracles'
+values: in groups that mix event counts (one series without events),
+``Q(n0) >= 0`` (strict checks skipped), zero-length segments, nan margins,
+and series that cannot be verified.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+
+import numpy as np
+import pytest
+
+import diagnostics_oracle as oracle
+import transport_oracle
+from billiards import (
+    TERMINATION_EVENT_CAP,
+    Box,
+    ConfigError,
+    Covector,
+    Domain,
+    Halfspace,
+    PhasePoint,
+    SeriesRangeError,
+    Torus,
+    TransportSeries,
+    adjoint_residual,
+    flow,
+    lyapunov_Q,
+    sample_covector_uniform,
+    sample_covector_with_Q_bound,
+    series_records,
+    transport_covector,
+    verify_growth,
+    verify_monotonicity,
+)
+from billiards import geometry, runner
+from billiards.catalog import CATALOG
+from billiards.cli import main
+from billiards.diagnostics import CHECK_RATIO_NONINCREASING, SeriesGroup, _first_min
+from billiards.transport import _complement_basis
+from conftest import random_phase_point
+from test_diagnostics_arrays import assert_same_checks
+
+SINAI_2D = next(e["domain"] for e in CATALOG if e["name"] == "sinai_2d")
+
+
+def _checks(report):
+    return [(c.name, c.status, None if c.margin is None else c.margin.hex(),
+             None if c.t_worst is None else c.t_worst.hex()) for c in report.checks]
+
+
+def _with(series, **columns):
+    """``series`` with some of its columns replaced."""
+    cols = {name: getattr(series, name) for name in ("z", "w0", "q_drop", "reprojection")}
+    cols.update(columns)
+    return TransportSeries(series.trajectory, series.n0, *cols.values())
+
+
+def _mixed_2d(sinai2d):
+    """2-d series with Q(n0) < 0 and >= 0, no events, and zero-length segments."""
+    rng = np.random.default_rng(601)
+    out = []
+    for c0 in (0.05, 0.1, 0.2):
+        x0 = random_phase_point(sinai2d, rng)
+        out.append(transport_covector(flow(sinai2d, x0, 12.0),
+                                      sample_covector_with_Q_bound(x0.v, c0, rng)))
+    while True:
+        x0 = random_phase_point(sinai2d, rng)
+        n0 = sample_covector_uniform(x0.v, rng)
+        if lyapunov_Q(n0) >= 0.0:
+            break
+    out.append(transport_covector(flow(sinai2d, x0, 10.0), n0))
+    n0 = Covector(np.array([0.6, 0.0]), np.array([-0.8, 0.0]))
+    free = flow(Domain(2, Torus(1.0), []),
+                PhasePoint(np.array([0.5, 0.5]), np.array([0.0, 1.0])), 4.0)
+    out.append(transport_covector(free, n0))
+    wall = Domain(2, Box((1.0, 1.0)), [Halfspace(np.array([0.0, 0.0]), np.array([0.0, 1.0]))])
+    on_horizon = flow(wall, PhasePoint(np.array([0.2, 0.5]), np.array([0.0, -1.0])), 0.5)
+    assert on_horizon.segments[-1].t0 == on_horizon.segments[-1].t1
+    out.append(transport_covector(on_horizon, n0))
+    while True:
+        x0 = random_phase_point(sinai2d, rng)
+        capped = flow(sinai2d, x0, 50.0, max_events=4)
+        if capped.termination == TERMINATION_EVENT_CAP:
+            break
+    out.append(transport_covector(capped, sample_covector_with_Q_bound(x0.v, 0.1, rng)))
+    counts = [s.trajectory.event_count for s in out]
+    assert 0 in counts and max(counts) >= 2
+    return out
+
+
+@pytest.mark.parametrize("interior", [8, 0, 3])
+def test_mixed_group_matches_loop_oracle(sinai2d, interior):
+    group = _mixed_2d(sinai2d)
+    reports = verify_monotonicity(group, 1e-9, interior=interior)
+    assert len(reports) == len(group)
+    for series, report in zip(group, reports):
+        assert report.error is None
+        assert_same_checks(report, oracle.verify_monotonicity(series, 1e-9, interior=interior))
+    # growth: the series with Q(n0) > -c0 get the error checking them alone raises
+    c0 = 0.05
+    reports = verify_growth(SeriesGroup(group), c0, 1e-9, interior=interior)
+    for series, report in zip(group, reports):
+        if lyapunov_Q(series.n0) > -c0:
+            assert isinstance(report.error, ConfigError) and report.checks == []
+            with pytest.raises(ConfigError) as alone:
+                verify_growth(series, c0, 1e-9, interior=interior)
+            assert str(alone.value) == str(report.error)
+        else:
+            assert_same_checks(report, oracle.verify_growth(series, c0, 1e-9, interior=interior))
+
+
+@pytest.mark.parametrize("family", ["sinai3d", "cylinder3d", "hardball32"])
+def test_groups_of_every_family_match_loop_oracle(family, request):
+    dom = request.getfixturevalue(family)
+    rng = np.random.default_rng(607)
+    group = []
+    for T, c0 in ((1e-3, 0.1), (12.0, 0.05), (3.0, 0.2), (12.0, 0.1)):
+        x0 = random_phase_point(dom, rng)
+        group.append(transport_covector(flow(dom, x0, T),
+                                        sample_covector_with_Q_bound(x0.v, c0, rng)))
+    assert group[0].trajectory.event_count == 0
+    for series, mono, growth in zip(group, verify_monotonicity(group, 1e-9),
+                                    verify_growth(group, 0.05, 1e-9)):
+        assert_same_checks(mono, oracle.verify_monotonicity(series, 1e-9))
+        assert_same_checks(growth, oracle.verify_growth(series, 0.05, 1e-9))
+
+
+def test_group_reports_and_records_equal_each_series_alone(sinai2d):
+    group = _mixed_2d(sinai2d)
+    rng = np.random.default_rng(613)
+    x0 = random_phase_point(sinai2d, rng)
+    nan = transport_covector(flow(sinai2d, x0, 12.0),
+                             sample_covector_with_Q_bound(x0.v, 0.1, rng))
+    k = len(nan.segments) // 2
+    # a segment with z = 0 has Q = 0, so |w| / |Q| is inf on all of its samples
+    # and check (f) meets nan margins: np.argmin picks the first nan, and the
+    # check reports its default
+    z, w0 = nan.z.copy(), nan.w0.copy()
+    z[k] = 0.0
+    w0[k] *= 1e9 / np.linalg.norm(w0[k])
+    group.insert(2, _with(nan, z=z, w0=w0))
+    alone = [verify_monotonicity(_with(s), 1e-9) for s in group]
+    shared = SeriesGroup(group)
+    for report, single in zip(verify_monotonicity(shared, 1e-9), alone):
+        assert _checks(report) == _checks(single)
+    f = alone[2].check(CHECK_RATIO_NONINCREASING)
+    assert (f.status, f.margin, f.t_worst) == ("pass", 0.0, 0.0)
+    # the records read the group's grid, as rows of it
+    for series in group:
+        fast = series_records(series, c0=0.1)
+        slow = series_records(_with(series), c0=0.1)
+        assert fast.tobytes() == slow.tobytes()
+        assert series.sample_grids[8].t.base is shared.sample_grids[8].t
+
+
+def test_first_min_is_argmin_of_each_run():
+    rng = np.random.default_rng(617)
+    pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.0])
+    for _ in range(300):
+        lengths = rng.integers(1, 6, rng.integers(1, 6))
+        x = pool[rng.integers(0, len(pool), lengths.sum())]
+        starts = np.cumsum(lengths) - lengths
+        want = [a + int(np.argmin(x[a:a + n])) for a, n in zip(starts, lengths)]
+        assert _first_min(x, starts).tolist() == want
+
+
+@pytest.mark.parametrize("column", ["w0", "q_drop"])
+def test_series_out_of_range_gets_its_error_in_the_group(sinai2d, column):
+    # a finite Q with an overflowing |w| (or an infinite closed-form drop)
+    # used to pass; now its series is refused, alone and in a group
+    group = _mixed_2d(sinai2d)[:3]
+    bad = group[1]
+    k = len(bad.segments) // 2
+    col = getattr(bad, column).copy()
+    if column == "w0":
+        col[k] *= 1e160
+    else:
+        col[k - 1] = np.inf
+    group[1] = _with(bad, **{column: col})
+    for verify in (lambda s: verify_monotonicity(s, 1e-9),
+                   lambda s: verify_growth(s, 0.05, 1e-9)):
+        reports = verify(group)
+        assert isinstance(reports[1].error, SeriesRangeError) and reports[1].checks == []
+        for i in (0, 2):
+            assert _checks(reports[i]) == _checks(verify(_with(group[i])))
+        with pytest.raises(SeriesRangeError, match="double-precision"):
+            verify(group[1])
+    with pytest.raises(SeriesRangeError, match="double-precision"):
+        series_records(group[1])
+    assert group[1].sample_grids == {}
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_stacked_bases_equal_one_vector_at_a_time(d):
+    rng = np.random.default_rng(619 + d)
+    v = rng.standard_normal((25, d))
+    v[0] = np.eye(d)[d - 1]
+    stacked = _complement_basis(v)
+    assert stacked.shape == (25, d - 1, d)
+    for row, basis in zip(v, stacked):
+        want = transport_oracle.complement_basis(row)
+        assert basis.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert basis.strides == want.strides
+        assert _complement_basis(row).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", ["sinai2d", "hardball32"])
+def test_group_residual_equals_each_residual_alone(family, request):
+    dom = request.getfixturevalue(family)
+    rng = np.random.default_rng(631)
+    group = []
+    for T in (1e-3, 10.0, 4.0, 10.0):
+        x0 = random_phase_point(dom, rng)
+        group.append(transport_covector(flow(dom, x0, T),
+                                        sample_covector_with_Q_bound(x0.v, 0.1, rng)))
+    residuals = adjoint_residual(group)
+    assert [r.hex() for r in residuals] == [adjoint_residual(s).hex() for s in group]
+    assert adjoint_residual([]) == []
+
+
+@pytest.mark.parametrize("d,reach", [(d, 1) for d in range(1, 9)] + [(d, 2) for d in range(1, 6)])
+def test_lattice_steps_in_product_order(d, reach):
+    steps = geometry._lattice_steps(d, reach)
+    want = np.array(list(itertools.product(range(-reach, reach + 1), repeat=d)), dtype=float)
+    assert steps.tobytes() == want.tobytes() and steps.flags.c_contiguous
+
+
+def _config(tmp_path, count, horizon, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps({"domain": SINAI_2D, "horizon": horizon,
+                                "initial": {"sampler": {"count": count, "seed": 1, "c0": 0.1}}}),
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_verify_past_the_double_range_exits_with_the_range_error_only(tmp_path, capsys):
+    # at T = 188 the one trajectory's |w| overflows while Q stays finite
+    assert main(["verify", _config(tmp_path, 1, 188.0)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: covector magnitudes exceed the double-precision range; "
+                            "shorten the horizon\n")
+
+
+def test_range_error_raises_at_its_trajectory_after_earlier_csvs(tmp_path, capsys):
+    # at T = 187 trajectory 7 leaves the double range, in the second check
+    # group; the seven CSVs before it are written, and the same as a run
+    # that stops before it
+    assert main(["run", _config(tmp_path, 8, 187.0), "--out", str(tmp_path / "a")]) == 3
+    assert "double-precision" in capsys.readouterr().err
+    main(["run", _config(tmp_path, 7, 187.0, "seven.json"), "--out", str(tmp_path / "b")])
+    written = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert written == [f"trajectory_{i:04d}.csv" for i in range(7)]
+    for name in written:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["run", "verify"])
+def test_outputs_do_not_depend_on_the_check_group_size(mode, tmp_path, monkeypatch):
+    cfg = _config(tmp_path, 12, 30.0)
+    outputs = []
+    for budget in (1, 2000, runner.CHECK_SAMPLES):
+        monkeypatch.setattr(runner, "CHECK_SAMPLES", budget)
+        out = tmp_path / f"out{budget}"
+        main([mode, cfg, "--out", str(out)])
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0]) == (13 if mode == "run" else 1)

@@ -21,13 +21,21 @@ from billiards.transport import (
     ORTHOGONALITY_TOL,
     Covector,
     TangentVector,
-    _complement_basis,
     pairing,
 )
 
 # The one-event maps below are the 1-d forms the package had before its
 # transport moved a group of trajectories per array step; they are copies,
 # so the oracle runs none of the kernel it checks.
+
+
+def complement_basis(v):
+    """(d-1, d) row-orthonormal basis of the hyperplane orthogonal to v, one
+    vector and one QR call at a time."""
+    d = v.shape[0]
+    m = np.concatenate([v[:, None] / np.linalg.norm(v), np.eye(d)], axis=1)
+    q, _ = np.linalg.qr(m)
+    return q[:, 1:d].T
 
 
 def reflect(x, nu):
@@ -180,7 +188,7 @@ def transport_tangent(trajectory, dy0):
 def adjoint_residual(series):
     """``series`` is an oracle covector series (``transport_covector`` above)."""
     trajectory = series.trajectory
-    basis = _complement_basis(trajectory.start.v)
+    basis = complement_basis(trajectory.start.v)
     zero = np.zeros_like(basis)
     dy0 = TangentVector(np.vstack([basis, zero]), np.vstack([zero, basis]))
     tan = transport_tangent(trajectory, dy0)

@@ -5,9 +5,9 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2, and nine configs that no workload covers, at
+changed), for seeds 1 and 2, and eleven configs that no workload covers, at
 the same seeds (:data:`EXTRA`), among them the grazing and event-cap
-endings and a run without ``c0``.  Each config runs in a fresh
+endings, a run without ``c0`` and a range error.  Each config runs in a fresh
 ``python -m billiards`` process per tree, with that tree's ``src`` on the
 path and one thread: ``run`` or ``verify`` as its workload says, and
 ``verify --corrupt-curvature`` on the four acceptance configs, the closed
@@ -58,6 +58,10 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # Four hard balls in 3-d are the only config with 125-image pair cylinders
 # (and 10-flight groups).  The uniform covectors on 2-d Sinai come without
 # c0: their CSVs have an empty bound_theorem column and rows with Q > 0.
+# At T = 187 on 2-d Sinai a later trajectory leaves the double range (index 7
+# on seed 1, 18 on seed 2): run and verify exit 3, and run leaves the CSVs of
+# the trajectories before it.
+_OVERFLOW = {"horizon": 187.0}
 EXTRA = {
     "box_two_walls_disk": ("run", {
         "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
@@ -77,6 +81,8 @@ EXTRA = {
     "hardball_n4_d3": ("run", {"kind": "hardball_gas", "N": 4, "d": 3, "r": 0.1, "L": 1.0}, {}),
     "sinai_2d_uniform": ("run", "sinai_2d", {"initial": {"sampler": {"count": 20}},
                                              "checks": ["monotonicity"]}),
+    "sinai_2d_overflow": ("run", "sinai_2d", _OVERFLOW),
+    "sinai_2d_overflow_verify": ("verify", "sinai_2d", _OVERFLOW),
 }
 # the extra configs that also run with ``verify --corrupt-curvature``
 EXTRA_CORRUPT = ("box_closed_disk", "box_walls_cylinder_3d")
