@@ -358,7 +358,7 @@ def verify_monotonicity(series, tol: float = DEFAULT_TOL_CHECK,
                         s.nz[:-1] * s.nw[:-1, -1])
         worst_c = _worsts(_across(-np.abs(actual - closed) / sc, last), t1, rows)
 
-        if min(q0) < 0.0:
+        if any(x < 0.0 for x in q0):
             # (d) strict decrease on segments: exact decrement dt * |z|^2; the
             # squares stay Python ``** 2`` (libm pow), which is not always x * x
             dt = t1 - t0

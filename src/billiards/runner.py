@@ -59,8 +59,6 @@ _CSV_HEADER = (",".join(CSV_COLUMNS) + "\r\n").encode()
 START_MARGIN_FACTOR = 10.0
 START_BLOCK = 16
 START_DRAWS = 100_000
-# the covectors of START_BASES starts draw from one QR call's complement bases
-START_BASES = 1024
 # a check pass covers the grids of at most CHECK_SAMPLES samples (or one
 # series), so that a flight group's grids are not all held at once
 CHECK_SAMPLES = 4096
@@ -87,37 +85,34 @@ def sample_initial_conditions(domain: Domain, count: int, seed: int,
     scatterers, uniform unit velocities, and unit covectors (Q-bounded when
     ``c0`` is given).  Start ``i`` draws from its own generator, seeded
     ``[seed, i]``: its position and velocity, then, after one QR call for
-    the complement bases of a block of velocities, its covector."""
-    out = []
+    the complement bases of all velocities, its covector."""
     margin = START_MARGIN_FACTOR * domain.eps_surface
     if isinstance(domain.ambient, Box):
         highs = np.asarray(domain.ambient.sides)
     else:
         highs = np.full(domain.d, domain.length_scale)
-    for first in range(0, count, START_BASES):
-        block = []
-        for i in range(first, min(first + START_BASES, count)):
-            rng = np.random.default_rng([seed, i])
-            state = rng.bit_generator.state
-            # one membership test per block of draws; the position is the
-            # first accepted draw, as one draw at a time gives it
-            for drawn in range(0, START_DRAWS, START_BLOCK):
-                draws = rng.uniform(0.0, 1.0, (min(START_BLOCK, START_DRAWS - drawn), domain.d))
-                ok = np.flatnonzero(domain.contains(draws * highs, slack=-margin))
-                if ok.size:
-                    break
-            else:
-                raise ConfigError("could not sample a starting point outside the scatterers")
-            # draw exactly the accepted prefix again, so that the velocity and
-            # covector draws continue the stream of one draw at a time
-            rng.bit_generator.state = state
-            q = rng.uniform(0.0, 1.0, (drawn + ok[0] + 1, domain.d))[-1] * highs
-            v = rng.standard_normal(domain.d)
-            v /= np.linalg.norm(v)
-            block.append((PhasePoint(q, v), rng))
-        bases = _complement_basis(np.array([x.v for x, _ in block]))
-        out += [(x, _covector_in_span(basis, rng, c0)) for (x, rng), basis in zip(block, bases)]
-    return out
+    starts = []
+    for i in range(count):
+        rng = np.random.default_rng([seed, i])
+        state = rng.bit_generator.state
+        # one membership test per block of draws; the position is the first
+        # accepted draw, as one draw at a time gives it
+        for drawn in range(0, START_DRAWS, START_BLOCK):
+            block = rng.uniform(0.0, 1.0, (min(START_BLOCK, START_DRAWS - drawn), domain.d))
+            ok = np.flatnonzero(domain.contains(block * highs, slack=-margin))
+            if ok.size:
+                break
+        else:
+            raise ConfigError("could not sample a starting point outside the scatterers")
+        # draw exactly the accepted prefix again, so that the velocity and
+        # covector draws continue the stream of one draw at a time
+        rng.bit_generator.state = state
+        q = rng.uniform(0.0, 1.0, (drawn + ok[0] + 1, domain.d))[-1] * highs
+        v = rng.standard_normal(domain.d)
+        v /= np.linalg.norm(v)
+        starts.append((PhasePoint(q, v), rng))
+    bases = _complement_basis(np.array([x.v for x, _ in starts]))
+    return [(x, _covector_in_span(basis, rng, c0)) for (x, rng), basis in zip(starts, bases)]
 
 
 def _sanitize(obj):

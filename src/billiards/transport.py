@@ -494,8 +494,9 @@ def adjoint_residual(series: TransportSeries | Sequence[TransportSeries]) -> flo
     which evaluates the curvature itself.  For each basis vector the pairing
     of the forward-transported tangent vector with the transported covector
     must equal its initial value at every segment endpoint; the endpoints of
-    the whole group are evaluated at once, as ``(S, 2, ...)`` arrays over
-    the group's segments.  The residual at time ``t`` is normalized by the
+    consecutive series holding up to ``PAIRING_VALUES`` tangent values (or
+    of one series) are evaluated at once, as ``(S, 2, ...)`` arrays over
+    their segments.  The residual at time ``t`` is normalized by the
     larger of the initial and current magnitude products: the pairing is
     evaluated by cancellation of terms of that size, which is the scale
     fixed precision can certify.  A pairing that is not finite makes the
@@ -515,7 +516,8 @@ def adjoint_residual(series: TransportSeries | Sequence[TransportSeries]) -> flo
     sizes = [tan.dq0.size for tan in tangents]
     worst: list = []
     while len(worst) < len(group):
-        part = slice(len(worst), len(worst) + _leading(sizes[len(worst):], PAIRING_VALUES))
+        a = len(worst)
+        part = slice(a, a + _leading(sizes[a:], PAIRING_VALUES))
         worst += _worst_pairing_error(group[part], TangentVector(dy0.dq[part], dy0.dv[part]),
                                       tangents[part])
     return worst[0] if one else worst
