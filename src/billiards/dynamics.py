@@ -22,9 +22,11 @@ An ensemble flies in balanced groups (:func:`flight_groups`), one
 :func:`flow` call each, sized by two budgets: ``ROUND_ROWS`` image rows
 bound the kernel arrays of a round, and ``GROUP_FLIGHTS`` flights bound the
 trajectories and series a group holds until its caller has used them.  The
-flight cap of 40 binds on 2-d Sinai, the 3-d cylinder, 3 hard disks and
-Sinai with d >= 3; the row budget allows 21 flights of 6 hard disks (375
-rows each) and one of 20 hard disks (4750 rows).
+flight cap of 64 binds on 2-d Sinai, the 3-d cylinder, 3 hard disks and
+Sinai with d >= 3 (45 starts fly as one group, 80 as 40 + 40); the row
+budget allows 21 flights of 6 hard disks (375 rows each) and one of 20 hard
+disks (4750 rows).  The adjoint check's tangent stacks, which grow with the
+event count, have a budget of their own (``transport.TANGENT_VALUES``).
 
 The kernel returns the rows of those first hits as arrays, and the searches
 of a round that found a root land in one array pass (:func:`_landings`):
@@ -99,11 +101,13 @@ TERMINATION_ESCAPE = "escape_error"
 # dominated by the fixed cost of a call, not by array work.  A flight group
 # (:func:`flight_groups`) has two budgets: ROUND_ROWS image rows bound the
 # kernel arrays of a round, and GROUP_FLIGHTS flights bound the trajectories
-# and series the group holds until its caller has used them.
+# and series the group holds until its caller has used them.  What grows
+# with a series' event count beyond that, the adjoint check's tangent
+# stacks, is bounded where it is held (transport.TANGENT_VALUES).
 CHUNK_ROWS = 64
 WINDOW_CHUNK_MAX = 16
 ROUND_ROWS = 8192
-GROUP_FLIGHTS = 40
+GROUP_FLIGHTS = 64
 
 
 @dataclass(eq=False)

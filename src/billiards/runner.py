@@ -11,9 +11,9 @@ start alone gives, so outputs depend only on the config and its seed.
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -128,8 +128,59 @@ def _sanitize(obj):
 
 def summary_text(summary: dict) -> str:
     """A summary as written to ``summary.json`` and the verify report:
-    indented JSON with sorted keys and one trailing newline."""
-    return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    indented JSON with sorted keys and one trailing newline.
+
+    The bytes of ``json.dumps(summary, indent=2, sort_keys=True,
+    allow_nan=False)``, which with an indent runs the pure-Python encoder:
+    strings go through the C ``encode_basestring_ascii``, numbers through
+    ``float.__repr__`` and ``int.__repr__``.  A non-finite float raises
+    ``ValueError``, and any other type, or a key that is not a string,
+    ``TypeError``."""
+    chunks: list[str] = []
+    _json(summary, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _json(o, newline: str, put) -> None:
+    """Write ``o`` through ``put``, its nested lines opening with ``newline``
+    and two more spaces, in the order of ``json``'s type tests."""
+    if isinstance(o, str):
+        put(encode_basestring_ascii(o))
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        put(float.__repr__(o))
+    elif isinstance(o, (list, tuple, dict)):
+        if not o:
+            put("{}" if isinstance(o, dict) else "[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        if isinstance(o, dict):
+            put("{")
+            for k, (key, value) in enumerate(sorted(o.items())):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                put((sep if k else inner) + encode_basestring_ascii(key) + ": ")
+                _json(value, inner, put)
+            put(newline + "}")
+        else:
+            put("[")
+            for k, value in enumerate(o):
+                put(sep if k else inner)
+                _json(value, inner, put)
+            put(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def run_trajectory(cfg: ExperimentConfig, index: int, series: TransportSeries,

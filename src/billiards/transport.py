@@ -71,9 +71,11 @@ from .errors import SeriesRangeError
 from .geometry import Vec, curvature_at, reflect, row_dot
 
 ORTHOGONALITY_TOL = 1e-10
-# an adjoint pairing pass covers the tangent values (segments x basis vectors
-# x d) of at most PAIRING_VALUES, or of one series
-PAIRING_VALUES = 8192
+# an adjoint check pass transports and pairs the tangent values (segments x
+# basis vectors x d, (E + 1) x 2(d - 1) x d per series) of at most
+# TANGENT_VALUES, or of one series, so that a group's tangent history is not
+# all held at once
+TANGENT_VALUES = 8192
 
 
 @dataclass(eq=False)
@@ -490,18 +492,20 @@ def adjoint_residual(series: TransportSeries | Sequence[TransportSeries]) -> flo
     ``series`` is a covector already transported along its trajectory, or a
     sequence of them, answered with the list of their residuals.  The
     trajectories' ``transversal_basis`` stacks, ``(2(d-1), d)`` each, come
-    from one QR call and move in a single tangent pass for the whole group,
-    which evaluates the curvature itself.  For each basis vector the pairing
-    of the forward-transported tangent vector with the transported covector
-    must equal its initial value at every segment endpoint; the endpoints of
-    consecutive series holding up to ``PAIRING_VALUES`` tangent values (or
-    of one series) are evaluated at once, as ``(S, 2, ...)`` arrays over
-    their segments.  The residual at time ``t`` is normalized by the
-    larger of the initial and current magnitude products: the pairing is
-    evaluated by cancellation of terms of that size, which is the scale
-    fixed precision can certify.  A pairing that is not finite makes the
-    residual infinite.  A series transported with a rescaled curvature
-    breaks adjointness and must produce a large residual (negative control).
+    from one QR call for the whole group.  They move and pair in passes over
+    consecutive series holding up to ``TANGENT_VALUES`` tangent values (or
+    one series): one tangent pass, which evaluates the curvature itself, then
+    the pass's endpoints at once, as ``(S, 2, ...)`` arrays over its
+    segments.  A series' tangents and pairings do not depend on the other
+    series of its pass.  For each basis vector the pairing of the
+    forward-transported tangent vector with the transported covector must
+    equal its initial value at every segment endpoint.  The residual at time
+    ``t`` is normalized by the larger of the initial and current magnitude
+    products: the pairing is evaluated by cancellation of terms of that size,
+    which is the scale fixed precision can certify.  A pairing that is not
+    finite makes the residual infinite.  A series transported with a rescaled
+    curvature breaks adjointness and must produce a large residual (negative
+    control).
     """
     one = isinstance(series, TransportSeries)
     group = [series] if one else list(series)
@@ -511,15 +515,15 @@ def adjoint_residual(series: TransportSeries | Sequence[TransportSeries]) -> flo
     zero = np.zeros_like(basis)
     dy0 = TangentVector(np.concatenate([basis, zero], axis=1),
                         np.concatenate([zero, basis], axis=1))
-    tangents = transport_tangent([s.trajectory for s in group],
-                                 [TangentVector(dq, dv) for dq, dv in zip(dy0.dq, dy0.dv)])
-    sizes = [tan.dq0.size for tan in tangents]
+    starts = [TangentVector(dq, dv) for dq, dv in zip(dy0.dq, dy0.dv)]
+    sizes = [len(s.t0) * dy0.dq[0].size for s in group]
     worst: list = []
     while len(worst) < len(group):
         a = len(worst)
-        part = slice(a, a + _leading(sizes[a:], PAIRING_VALUES))
+        part = slice(a, a + _leading(sizes[a:], TANGENT_VALUES))
+        tangents = transport_tangent([s.trajectory for s in group[part]], starts[part])
         worst += _worst_pairing_error(group[part], TangentVector(dy0.dq[part], dy0.dv[part]),
-                                      tangents[part])
+                                      tangents)
     return worst[0] if one else worst
 
 

@@ -1,8 +1,8 @@
 """The group passes of the checks, the complement bases and the adjoint check.
 
 ``verify_monotonicity`` and ``verify_growth`` check a group of series in one
-array pass over their concatenated grids, and ``adjoint_residual`` pairs a
-group's tangent and covector stacks in one pass.  Each series must get the
+array pass over their concatenated grids, and ``adjoint_residual`` moves and
+pairs a group's tangent stacks in passes of at most ``TANGENT_VALUES``.  Each series must get the
 report, residual and bases it gets alone, bit for bit, and the loop oracles'
 values: in groups that mix event counts (one series without events),
 ``Q(n0) >= 0`` (strict checks skipped), zero-length segments, nan margins,
@@ -40,7 +40,7 @@ from billiards import (
     verify_growth,
     verify_monotonicity,
 )
-from billiards import geometry, runner
+from billiards import geometry, runner, transport
 from billiards.catalog import CATALOG
 from billiards.cli import main
 from billiards.diagnostics import CHECK_RATIO_NONINCREASING, SeriesGroup, _first_min
@@ -224,6 +224,70 @@ def test_group_residual_equals_each_residual_alone(family, request):
     residuals = adjoint_residual(group)
     assert [r.hex() for r in residuals] == [adjoint_residual(s).hex() for s in group]
     assert adjoint_residual([]) == []
+
+
+def _adjoint_group(domain, seed, horizons, curvature_scale=1.0):
+    """One series per horizon, transported with ``curvature_scale``."""
+    rng = np.random.default_rng(seed)
+    group = []
+    for T in horizons:
+        x0 = random_phase_point(domain, rng)
+        group.append(transport_covector(flow(domain, x0, T),
+                                        sample_covector_with_Q_bound(x0.v, 0.1, rng),
+                                        curvature_scale=curvature_scale))
+    return group
+
+
+def _tangent_passes(monkeypatch) -> list[list[int]]:
+    """The tangent values each series holds, per ``transport_tangent`` call
+    from now on."""
+    calls = []
+    original = transport.transport_tangent
+
+    def spy(trajectories, dy0):
+        calls.append([(t.event_count + 1) * np.size(dy.dq) for t, dy in zip(trajectories, dy0)])
+        return original(trajectories, dy0)
+
+    monkeypatch.setattr(transport, "transport_tangent", spy)
+    return calls
+
+
+@pytest.mark.parametrize("curvature_scale", [1.0, 2.0])
+@pytest.mark.parametrize("family", ["sinai2d", "sinai3d", "cylinder3d", "hardball32"])
+def test_residuals_of_tangent_passes_equal_each_residual_alone(family, curvature_scale,
+                                                               request, monkeypatch):
+    # a group split into at least three tangent passes, one holding several
+    # series: each residual has the bits of its series checked alone
+    domain = request.getfixturevalue(family)
+    group = _adjoint_group(domain, 641, (1e-3, 6.0, 2.0, 6.0, 4.0, 6.0, 3.0, 5.0),
+                           curvature_scale)
+    alone = [adjoint_residual(s).hex() for s in group]
+    held = sum(len(s.t0) for s in group) * 2 * (domain.d - 1) * domain.d
+    monkeypatch.setattr(transport, "TANGENT_VALUES", held // 4)
+    calls = _tangent_passes(monkeypatch)
+    assert [r.hex() for r in adjoint_residual(group)] == alone
+    assert len(calls) >= 3 and max(len(c) for c in calls) >= 2
+
+
+@pytest.mark.parametrize("budget", [None, 700])
+def test_no_tangent_pass_holds_more_than_the_budget(hardball32, budget, monkeypatch):
+    # consecutive series, as many as fit the budget; a series above it alone
+    if budget is not None:
+        monkeypatch.setattr(transport, "TANGENT_VALUES", budget)
+    budget = transport.TANGENT_VALUES
+    rng = np.random.default_rng(653)
+    starts = [random_phase_point(hardball32, rng) for _ in range(40)]
+    group = transport_covector(flow(hardball32, starts, 6.0),
+                               [sample_covector_with_Q_bound(x.v, 0.1, rng) for x in starts])
+    calls = _tangent_passes(monkeypatch)
+    adjoint_residual(group)
+    held = [c for call in calls for c in call]
+    assert held == [len(s.t0) * 10 * 6 for s in group]
+    assert len(calls) >= 2
+    assert all(sum(call) <= budget or len(call) == 1 for call in calls)
+    assert all(sum(call) + after[0] > budget for call, after in zip(calls, calls[1:]))
+    if budget == 700:
+        assert any(sum(call) > budget for call in calls)
 
 
 @pytest.mark.parametrize("d,reach", [(d, 1) for d in range(1, 9)] + [(d, 2) for d in range(1, 6)])

@@ -200,9 +200,9 @@ def test_groups_are_balanced_and_flown_in_order(monkeypatch):
 def test_groups_respect_the_flight_and_round_budgets(name, count):
     # at most GROUP_FLIGHTS flights and ROUND_ROWS image rows per round (one
     # flight at least), in as few balanced groups of consecutive starts as
-    # that allows: with ROUND_ROWS = 8192 and GROUP_FLIGHTS = 40, 2-d Sinai
-    # flies 40 + 40, 6 hard disks 4 x 20, Sinai 3-d 23 + 22 and 20 hard
-    # disks (4750 rows a flight) one flight per group
+    # that allows: with ROUND_ROWS = 8192 and GROUP_FLIGHTS = 64, 2-d Sinai
+    # flies 40 + 40, 6 hard disks 4 x 20, Sinai 3-d 45 in one group and 20
+    # hard disks (4750 rows a flight) one flight per group
     domain = build_hardball_gas(20, 2, 0.1, 1.0) if name == "hardball20" else DOMAINS[name]
     rows = dynamics._chunk(domain)[1]
     size = max(1, min(dynamics.GROUP_FLIGHTS, dynamics.ROUND_ROWS // rows))

@@ -5,15 +5,16 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2, and eleven configs that no workload covers, at
+changed), for seeds 1 and 2, and twelve configs that no workload covers, at
 the same seeds (:data:`EXTRA`), among them the grazing and event-cap
 endings, a run without ``c0`` and a range error.  Each config runs in a fresh
 ``python -m billiards`` process per tree, with that tree's ``src`` on the
 path and one thread: ``run`` or ``verify`` as its workload says, and
 ``verify --corrupt-curvature`` on the four acceptance configs, the closed
-box and the cylinder in a box (:data:`EXTRA_CORRUPT`).  Every output file,
-the stdout and the exit code of each command are compared; the script
-prints ``identical`` or the first file that differs, and exits 0 or 1.
+box, the cylinder in a box and the 100 hard-disk starts
+(:data:`EXTRA_CORRUPT`).  Every output file, the stdout and the exit code of
+each command are compared; the script prints ``identical`` or the first
+file that differs, and exits 0 or 1.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # c0: their CSVs have an empty bound_theorem column and rows with Q > 0.
 # At T = 187 on 2-d Sinai a later trajectory leaves the double range (index 7
 # on seed 1, 18 on seed 2): run and verify exit 3, and run leaves the CSVs of
-# the trajectories before it.
+# the trajectories before it.  100 starts on 3 hard disks fly as 50 + 50, and
+# their adjoint check makes several tangent passes per group.
 _OVERFLOW = {"horizon": 187.0}
 EXTRA = {
     "box_two_walls_disk": ("run", {
@@ -83,9 +85,11 @@ EXTRA = {
                                              "checks": ["monotonicity"]}),
     "sinai_2d_overflow": ("run", "sinai_2d", _OVERFLOW),
     "sinai_2d_overflow_verify": ("verify", "sinai_2d", _OVERFLOW),
+    "hardball_n3_d2_100": ("verify", "hardball_n3_d2",
+                           {"initial": {"sampler": {"count": 100, "c0": 0.1}}}),
 }
 # the extra configs that also run with ``verify --corrupt-curvature``
-EXTRA_CORRUPT = ("box_closed_disk", "box_walls_cylinder_3d")
+EXTRA_CORRUPT = ("box_closed_disk", "box_walls_cylinder_3d", "hardball_n3_d2_100")
 
 
 def commands(configs: Path) -> list[tuple[str, list[str]]]:
