@@ -566,7 +566,7 @@ def flight_groups(domain: Domain, count: int) -> list[range]:
     ``ROUND_ROWS`` over the image rows of one chunk (:func:`_chunk`), so that
     a round holds at most ``ROUND_ROWS`` image rows (one flight at least).
     Each group is one :func:`flow` call, and its trajectories are alive only
-    until its caller has used them."""
+    until its caller has used them; the sampler's rounds use the groups too."""
     size = max(1, min(GROUP_FLIGHTS, ROUND_ROWS // _chunk(domain)[1]))
     n = -(-count // size)
     sizes = [count // n + (k < count % n) for k in range(n)]

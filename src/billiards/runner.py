@@ -55,9 +55,9 @@ _CSV_FIELDS = ("t", "segment_index", "event_flag", "Q", "norm_w", "norm_z",
 _CSV_HEADER = (",".join(CSV_COLUMNS) + "\r\n").encode()
 
 # sampled starting points keep this many eps_surface from every scatterer;
-# positions are drawn in blocks of START_BLOCK, at most START_DRAWS per start
+# a flight group gives up after START_DRAWS rejected draws in a row (a round
+# that accepts a start ends the row)
 START_MARGIN_FACTOR = 10.0
-START_BLOCK = 16
 START_DRAWS = 100_000
 # a check pass covers the grids of at most CHECK_SAMPLES samples (or one
 # series), so that a flight group's grids are not all held at once
@@ -84,35 +84,34 @@ def sample_initial_conditions(domain: Domain, count: int, seed: int,
     """Deterministic seeded initial conditions: uniform positions outside the
     scatterers, uniform unit velocities, and unit covectors (Q-bounded when
     ``c0`` is given).  Start ``i`` draws from its own generator, seeded
-    ``[seed, i]``: its position and velocity, then, after one QR call for
-    the complement bases of all velocities, its covector."""
+    ``[seed, i]``: its position, by rejection, and velocity, then, after one
+    QR call for the complement bases of all velocities, its covector.  The
+    starts of a flight group draw their positions in lockstep rounds: one
+    draw per waiting start, one membership test per round."""
     margin = START_MARGIN_FACTOR * domain.eps_surface
     if isinstance(domain.ambient, Box):
         highs = np.asarray(domain.ambient.sides)
     else:
         highs = np.full(domain.d, domain.length_scale)
+    rngs = [np.random.default_rng([seed, i]) for i in range(count)]
+    q = np.empty((count, domain.d))
+    for group in flight_groups(domain, count):
+        waiting = np.array(group)
+        rejected = 0
+        while waiting.size:
+            drawn = np.array([rngs[i].random(domain.d) for i in waiting]) * highs
+            ok = domain.contains(drawn, slack=-margin)
+            rejected = 0 if ok.any() else rejected + waiting.size
+            if rejected >= START_DRAWS:
+                raise ConfigError("could not sample a starting point outside the scatterers")
+            q[waiting[ok]] = drawn[ok]
+            waiting = waiting[~ok]
     starts = []
-    for i in range(count):
-        rng = np.random.default_rng([seed, i])
-        state = rng.bit_generator.state
-        # one membership test per block of draws; the position is the first
-        # accepted draw, as one draw at a time gives it
-        for drawn in range(0, START_DRAWS, START_BLOCK):
-            block = rng.uniform(0.0, 1.0, (min(START_BLOCK, START_DRAWS - drawn), domain.d))
-            ok = np.flatnonzero(domain.contains(block * highs, slack=-margin))
-            if ok.size:
-                break
-        else:
-            raise ConfigError("could not sample a starting point outside the scatterers")
-        # draw exactly the accepted prefix again, so that the velocity and
-        # covector draws continue the stream of one draw at a time
-        rng.bit_generator.state = state
-        q = rng.uniform(0.0, 1.0, (drawn + ok[0] + 1, domain.d))[-1] * highs
+    for point, rng in zip(q, rngs):
         v = rng.standard_normal(domain.d)
-        v /= np.linalg.norm(v)
-        starts.append((PhasePoint(q, v), rng))
-    bases = _complement_basis(np.array([x.v for x, _ in starts]))
-    return [(x, _covector_in_span(basis, rng, c0)) for (x, rng), basis in zip(starts, bases)]
+        starts.append(PhasePoint(point, v / np.linalg.norm(v)))
+    bases = _complement_basis(np.array([x.v for x in starts]))
+    return [(x, _covector_in_span(basis, rng, c0)) for x, rng, basis in zip(starts, rngs, bases)]
 
 
 def _sanitize(obj):

@@ -18,7 +18,7 @@ from billiards import ConfigError
 from billiards.catalog import CATALOG
 from billiards.cli import main
 from billiards.config import domain_from_spec, load_config, parse_config
-from billiards import runner
+from billiards import dynamics, runner
 from billiards.runner import run_experiment
 
 CYLINDER_SPEC = next(e["domain"] for e in CATALOG if e["name"] == "cylinder_3d")
@@ -471,12 +471,12 @@ def test_explicit_initial_runs(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Rejection-sampled starts, drawn in blocks
+# Rejection-sampled starts, drawn in lockstep rounds
 # ---------------------------------------------------------------------------
 
 def _one_draw_at_a_time(domain, count, seed, c0):
     """The sampler's starts with one position draw and one membership test
-    at a time."""
+    at a time, and the number of position draws of each start."""
     from billiards.diagnostics import sample_covector_uniform, sample_covector_with_Q_bound
 
     highs = np.asarray(domain.ambient.sides) if isinstance(domain.ambient, billiards.Box) \
@@ -485,7 +485,9 @@ def _one_draw_at_a_time(domain, count, seed, c0):
     out = []
     for i in range(count):
         rng = np.random.default_rng([seed, i])
+        draws = 0
         while True:
+            draws += 1
             q = rng.uniform(0.0, 1.0, domain.d) * highs
             if domain.contains(q, slack=-margin):
                 break
@@ -493,35 +495,81 @@ def _one_draw_at_a_time(domain, count, seed, c0):
         v /= np.linalg.norm(v)
         n0 = sample_covector_uniform(v, rng) if c0 is None else \
             sample_covector_with_Q_bound(v, c0, rng)
-        out.append((q, v, n0.z, n0.w))
+        out.append(((q, v, n0.z, n0.w), draws))
     return out
 
 
-@pytest.mark.parametrize("name", ["sinai_2d", "hardball_n3_d2", "pair_reduced_2d"])
-def test_block_sampling_matches_one_draw_at_a_time(name):
-    domain = domain_from_spec(next(e["domain"] for e in CATALOG if e["name"] == name))
+def _catalog_domain(name):
+    return domain_from_spec(next(e["domain"] for e in CATALOG if e["name"] == name))
+
+
+# the closed box of tools/same_outputs.py and the 8-d Sinai of the benchmark
+_SAMPLER_DOMAINS = {
+    **{e["name"]: e["domain"] for e in CATALOG},
+    "box_closed_disk": {
+        "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
+        "scatterers": [
+            {"kind": "halfspace", "plane_point": [0.0, 0.0], "plane_normal": [1.0, 0.0]},
+            {"kind": "halfspace", "plane_point": [1.0, 0.0], "plane_normal": [-1.0, 0.0]},
+            {"kind": "halfspace", "plane_point": [0.0, 0.0], "plane_normal": [0.0, 1.0]},
+            {"kind": "halfspace", "plane_point": [0.0, 1.0], "plane_normal": [0.0, -1.0]},
+            {"kind": "sphere", "center": [0.5, 0.5], "radius": 0.2}]},
+    "sinai_d8": {"kind": "sinai", "d": 8, "r": 0.45, "L": 1.0, "centers": [[0.5] * 8]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLER_DOMAINS))
+def test_sampler_matches_one_draw_at_a_time(name):
+    domain = domain_from_spec(_SAMPLER_DOMAINS[name])
+    count = 80 if name == "hardball_n3_d2" else 12
+    if name == "hardball_n3_d2":
+        assert len(dynamics.flight_groups(domain, count)) == 2
     for seed in range(8):
-        c0 = 0.1 if seed % 2 else None
-        got = runner.sample_initial_conditions(domain, 4, seed, c0)
-        want = _one_draw_at_a_time(domain, 4, seed, c0)
-        assert [tuple(a.tobytes() for a in (x.q, x.v, n.z, n.w)) for x, n in got] == \
-            [tuple(a.tobytes() for a in w) for w in want]
+        for c0 in (None, 0.1):
+            got = runner.sample_initial_conditions(domain, count, seed, c0)
+            want = _one_draw_at_a_time(domain, count, seed, c0)
+            assert [tuple(a.tobytes() for a in (x.q, x.v, n.z, n.w)) for x, n in got] == \
+                [tuple(a.tobytes() for a in w) for w, _ in want]
 
 
-def test_block_sampling_across_blocks(monkeypatch):
-    # the first 150 draws are rejected: the start is the 151st draw, in the
-    # third block, and the velocity continues the stream after it
-    domain = domain_from_spec(next(e["domain"] for e in CATALOG if e["name"] == "sinai_2d"))
+def _spy_contains(monkeypatch, domain, accept):
+    """Record the number of points of each ``contains`` call of the sampler,
+    whose answers ``accept(answers, drawn so far)`` may change."""
     original = type(domain).contains
     seen = []
+    drawn = 0
 
-    def late(self, q, slack=None):
-        ok = original(self, q, slack)
-        start = sum(seen)
-        seen.append(len(ok))
-        return ok & (np.arange(start, start + len(ok)) >= 150)
+    def spy(self, q, slack=None):
+        nonlocal drawn
+        ok = accept(original(self, q, slack), drawn)
+        seen.append(len(q))
+        drawn += len(q)
+        return ok
 
-    monkeypatch.setattr(type(domain), "contains", late)
+    monkeypatch.setattr(type(domain), "contains", spy)
+    return seen
+
+
+def test_sampler_tests_each_round_in_one_call(monkeypatch):
+    # a round holds one draw of each waiting start of its group: the call
+    # sizes follow from the draws each start needs one draw at a time
+    domain = _catalog_domain("hardball_n3_d2")
+    draws = [d for _, d in _one_draw_at_a_time(domain, 80, 5, None)]
+    want = []
+    for group in dynamics.flight_groups(domain, 80):
+        group = draws[group.start:group.stop]
+        want += [sum(d >= k for d in group) for k in range(1, max(group) + 1)]
+    seen = _spy_contains(monkeypatch, domain, lambda ok, _: ok)
+    runner.sample_initial_conditions(domain, 80, 5)
+    assert seen == want and max(seen) == 40 and len(seen) > 2
+
+
+def test_sampler_start_at_the_151st_draw(monkeypatch):
+    # the first 150 draws are rejected: the start is the 151st draw, and the
+    # velocity continues the stream after it
+    domain = _catalog_domain("sinai_2d")
+    original = type(domain).contains
+    _spy_contains(monkeypatch, domain, lambda ok, start: ok & (start >= 150))
     (x, _), = runner.sample_initial_conditions(domain, 1, 3)
     rng = np.random.default_rng([3, 0])
     draws = rng.uniform(0.0, 1.0, (400, 2))
@@ -531,19 +579,36 @@ def test_block_sampling_across_blocks(monkeypatch):
     q = rng.uniform(0.0, 1.0, (first + 1, 2))[-1]
     v = rng.standard_normal(2)
     assert x.q.tobytes() == q.tobytes() and x.v.tobytes() == (v / np.linalg.norm(v)).tobytes()
-    assert seen[:3] == [runner.START_BLOCK] * 3
+
+
+def _reject_all(ok, _):
+    return np.zeros_like(ok)
 
 
 def test_sampler_gives_up_after_exactly_its_draw_cap(monkeypatch):
-    domain = domain_from_spec(next(e["domain"] for e in CATALOG if e["name"] == "sinai_2d"))
-    drawn = []
-
-    def reject(self, q, slack=None):
-        drawn.append(q.shape[0])
-        return np.zeros(q.shape[:-1], dtype=bool)
-
-    monkeypatch.setattr(type(domain), "contains", reject)
+    domain = _catalog_domain("sinai_2d")
+    seen = _spy_contains(monkeypatch, domain, _reject_all)
     with pytest.raises(ConfigError, match="could not sample a starting point"):
         runner.sample_initial_conditions(domain, 1, 0)
-    assert sum(drawn) == runner.START_DRAWS == 100_000
-    assert max(drawn) == runner.START_BLOCK
+    assert sum(seen) == runner.START_DRAWS == 100_000
+    assert set(seen) == {1}
+
+
+def test_sampler_group_gives_up_after_its_draw_cap_in_a_row(monkeypatch):
+    domain = _catalog_domain("sinai_2d")
+    seen = _spy_contains(monkeypatch, domain, _reject_all)
+    with pytest.raises(ConfigError, match="could not sample a starting point"):
+        runner.sample_initial_conditions(domain, 4, 0)
+    assert sum(seen) == runner.START_DRAWS and set(seen) == {4}
+
+
+def test_sampler_round_that_accepts_restarts_the_draw_cap(monkeypatch):
+    # only start 0's first draw is accepted: start 1's draw in that round is
+    # not counted, and start 1 then draws START_DRAWS times alone
+    domain = _catalog_domain("sinai_2d")
+    seen = _spy_contains(monkeypatch, domain,
+                         lambda ok, start: np.arange(start, start + len(ok)) == 0)
+    with pytest.raises(ConfigError, match="could not sample a starting point"):
+        runner.sample_initial_conditions(domain, 2, 0)
+    assert seen[0] == 2 and set(seen[1:]) == {1}
+    assert sum(seen) == 2 + runner.START_DRAWS

@@ -5,16 +5,16 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2, and twelve configs that no workload covers, at
-the same seeds (:data:`EXTRA`), among them the grazing and event-cap
-endings, a run without ``c0`` and a range error.  Each config runs in a fresh
-``python -m billiards`` process per tree, with that tree's ``src`` on the
-path and one thread: ``run`` or ``verify`` as its workload says, and
-``verify --corrupt-curvature`` on the four acceptance configs, the closed
-box, the cylinder in a box and the 100 hard-disk starts
-(:data:`EXTRA_CORRUPT`).  Every output file, the stdout and the exit code of
-each command are compared; the script prints ``identical`` or the first
-file that differs, and exits 0 or 1.
+changed), for seeds 1 and 2, and fourteen configs that no workload covers,
+at the same seeds (:data:`EXTRA`), among them the grazing and event-cap
+endings, a run without ``c0``, a range error and a sampler that gives up.
+Each config runs in a fresh ``python -m billiards`` process per tree, with
+that tree's ``src`` on the path and one thread: ``run`` or ``verify`` as its
+workload says, and ``verify --corrupt-curvature`` on the four acceptance
+configs, the closed box, the cylinder in a box and the 100 hard-disk starts
+(:data:`EXTRA_CORRUPT`).  Every output file, the stdout, the stderr and the
+exit code of each command are compared; the script prints ``identical`` or
+the first file that differs, and exits 0 or 1.
 """
 
 from __future__ import annotations
@@ -62,7 +62,10 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # At T = 187 on 2-d Sinai a later trajectory leaves the double range (index 7
 # on seed 1, 18 on seed 2): run and verify exit 3, and run leaves the CSVs of
 # the trajectories before it.  100 starts on 3 hard disks fly as 50 + 50, and
-# their adjoint check makes several tangent passes per group.
+# their adjoint check makes several tangent passes per group.  About 1.2% of
+# the position draws on 8 hard disks are accepted, so their groups of 10 run
+# hundreds of sampler rounds.  No draw is accepted between two walls 5e-9
+# apart: run exits 3 before any output.
 _OVERFLOW = {"horizon": 187.0}
 EXTRA = {
     "box_two_walls_disk": ("run", {
@@ -87,6 +90,15 @@ EXTRA = {
     "sinai_2d_overflow_verify": ("verify", "sinai_2d", _OVERFLOW),
     "hardball_n3_d2_100": ("verify", "hardball_n3_d2",
                            {"initial": {"sampler": {"count": 100, "c0": 0.1}}}),
+    "hardball_n8_low_acceptance": ("verify", {
+        "kind": "hardball_gas", "N": 8, "d": 2, "r": 0.1, "L": 1.0},
+        {"initial": {"sampler": {"count": 40, "c0": 0.1}}, "horizon": 2.0}),
+    "box_slab_no_room": ("run", {
+        "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
+        "scatterers": [
+            {"kind": "halfspace", "plane_point": [0.0, 0.5], "plane_normal": [0.0, 1.0]},
+            {"kind": "halfspace", "plane_point": [0.0, 0.500000005],
+             "plane_normal": [0.0, -1.0]}]}, {}),
 }
 # the extra configs that also run with ``verify --corrupt-curvature``
 EXTRA_CORRUPT = ("box_closed_disk", "box_walls_cylinder_3d", "hardball_n3_d2_100")
@@ -134,6 +146,7 @@ def run_all(tree: Path, cmds: list[tuple[str, list[str]]], root: Path) -> None:
         done = subprocess.run([sys.executable, "-m", "billiards", *args, "--out", str(out)],
                               env=env, capture_output=True, text=True, cwd=root)
         (out / "stdout.txt").write_text(done.stdout, encoding="utf-8")
+        (out / "stderr.txt").write_text(done.stderr, encoding="utf-8")
         (out / "exit_code.txt").write_text(f"{done.returncode}\n", encoding="utf-8")
 
 
