@@ -62,11 +62,6 @@ from .transport import (
     TangentVector,
     TransportSeries,
     adjoint_residual,
-    collision_covector,
-    collision_q_drop,
-    collision_tangent,
-    free_flight_covector,
-    free_flight_tangent,
     pairing,
     transport_covector,
     transport_tangent,
@@ -86,10 +81,8 @@ __all__ = [
     "TERMINATION_DEGENERATE", "TERMINATION_ESCAPE", "TERMINATION_EVENT_CAP",
     "TERMINATION_GRAZING", "TERMINATION_HORIZON",
     "adjoint_residual", "build_hardball_gas", "build_sinai",
-    "collision_covector", "collision_q_drop", "collision_tangent",
-    "curvature_at", "expansion_factor", "flight_groups", "flow", "free_flight_covector",
-    "free_flight_tangent", "hardball_pairs", "lyapunov_Q", "next_collision",
-    "pairing", "q_decrement_breakdown",
+    "curvature_at", "expansion_factor", "flight_groups", "flow", "hardball_pairs",
+    "lyapunov_Q", "next_collision", "pairing", "q_decrement_breakdown",
     "reduce_pair_to_sinai", "reflect",
     "sample_covector_uniform", "sample_covector_with_Q_bound",
     "series_records", "transport_covector",

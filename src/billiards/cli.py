@@ -89,7 +89,7 @@ def cmd_verify(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.json:
-        print(json.dumps(CATALOG, indent=2, sort_keys=True))
+        sys.stdout.write(summary_text(CATALOG))
         return 0
     for entry in CATALOG:
         print(f"{entry['name']}: {entry['description']}")

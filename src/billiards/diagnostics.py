@@ -56,9 +56,8 @@ def lyapunov_Q(n: Covector) -> float:
 
 
 def expansion_factor(series: TransportSeries, t: float) -> float:
-    """Hypersurface volume expansion ``|n_t| / |n_0|`` at time ``t``."""
-    if not 0.0 <= t <= series.t_end + 1e-12:
-        raise SeriesRangeError(f"time {t} outside transported range [0, {series.t_end}]")
+    """Hypersurface volume expansion ``|n_t| / |n_0|`` at time ``t``; a time
+    outside the series' range raises its ``SeriesRangeError``."""
     return series.covector_at(t).norm() / series.n0_norm
 
 

@@ -125,9 +125,9 @@ def _sanitize(obj):
     return obj
 
 
-def summary_text(summary: dict) -> str:
-    """A summary as written to ``summary.json`` and the verify report:
-    indented JSON with sorted keys and one trailing newline.
+def summary_text(summary: dict | list) -> str:
+    """``summary.json``, the verify report or ``catalog --json``: indented
+    JSON with sorted keys and one trailing newline.
 
     The bytes of ``json.dumps(summary, indent=2, sort_keys=True,
     allow_nan=False)``, which with an indent runs the pure-Python encoder:

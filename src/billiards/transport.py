@@ -45,7 +45,8 @@ free segments (``series.segments`` is the trajectory's own list): ``t0`` and
 each segment's start, and per collision ``q_drop`` and ``reprojection``
 ``(E,)``; for tangent vectors ``dq0`` and ``dv`` ``(S, [m,] d)``.
 ``covector_at`` and ``tangent_at`` evaluate the free-flight formula from
-one row.
+one row.  The passes are the only entry to the maps above: at an event,
+``side="pre"`` and ``"post"`` read the two sides of one collision map.
 
 The collision maps trust the flow's grazing cutoff: ``flow`` ends a
 trajectory at a grazing impact instead of recording it, so every event it
@@ -66,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CollisionEvent, Trajectory
+from .dynamics import Trajectory
 from .errors import SeriesRangeError
 from .geometry import Vec, curvature_at, reflect, row_dot
 
@@ -136,24 +137,6 @@ def _check_starts(a: np.ndarray, b: np.ndarray, v: np.ndarray, what: str,
                          f"(residual {res[f, j] / scale[f, j]:.3e} relative)")
 
 
-# ---------------------------------------------------------------------------
-# Elementary maps
-# ---------------------------------------------------------------------------
-
-def free_flight_covector(n: Covector, dt: float) -> Covector:
-    """Covector after a collision-free flight of duration ``dt``."""
-    if dt < 0.0:
-        raise ValueError("flight duration must be nonnegative")
-    return Covector(n.z.copy(), n.w - dt * n.z)
-
-
-def free_flight_tangent(dy: TangentVector, dt: float) -> TangentVector:
-    """Tangent vector after a collision-free flight of duration ``dt``."""
-    if dt < 0.0:
-        raise ValueError("flight duration must be nonnegative")
-    return TangentVector(dy.dq + dt * dy.dv, dy.dv.copy())
-
-
 # The collision kernel maps one event per row: stacks ``x`` ``(F, m, d)``
 # with that row's unit velocity ``v`` and normal ``nu`` ``(F, d)``, scalars
 # ``(F,)`` and curvature ``K`` ``(F, d, d)``.
@@ -187,47 +170,6 @@ def _tangent_jump(dq: np.ndarray, dv: np.ndarray, nu: np.ndarray, cos_phi: np.nd
     unit incoming velocity."""
     _, kick = _projected_curvature(dq, v_in, row_dot(v_in, nu), nu, K)
     return reflect(dq, nu), reflect(dv + (2.0 * cos_phi)[:, None, None] * kick, nu)
-
-
-def _event_row(event: CollisionEvent, velocity: str) -> tuple[np.ndarray, ...]:
-    """One event as a kernel row: ``nu``, ``cos_phi`` and the unit velocity."""
-    v = getattr(event, velocity)
-    return event.nu[None], np.array([event.cos_phi]), (v / np.linalg.norm(v))[None]
-
-
-def _event_covector_jump(n_minus: Covector, event: CollisionEvent,
-                         K: np.ndarray) -> tuple[Vec, Vec, float]:
-    nu, cos_phi, v_out = _event_row(event, "v_out")
-    z, w, drop = _covector_jump(n_minus.z[None, None], n_minus.w[None, None], nu, cos_phi,
-                                K[None], v_out)
-    return z[0, 0], w[0, 0], float(drop[0])
-
-
-def collision_covector(n_minus: Covector, event: CollisionEvent, K: np.ndarray) -> Covector:
-    """Covector across a collision: ``(R z- - 2 cos_phi V1* K V1 R w-, R w-)``.
-
-    The w-component is reflected isometrically, so its norm is continuous
-    across the event; the Lyapunov value drops by
-    ``2 cos_phi <K V1 R w-, V1 R w->``, nonnegative for semi-dispersing walls.
-    """
-    z, w, _ = _event_covector_jump(n_minus, event, K)
-    return Covector(z, w)
-
-
-def collision_q_drop(n_minus: Covector, event: CollisionEvent, K: np.ndarray) -> float:
-    """Closed-form drop of the Lyapunov value at a collision (nonnegative)."""
-    return _event_covector_jump(n_minus, event, K)[2]
-
-
-def collision_tangent(dy_minus: TangentVector, event: CollisionEvent,
-                      K: np.ndarray) -> TangentVector:
-    """Tangent vector (or stack) across a collision:
-    ``(R dq-, R dv- + 2 cos_phi R V* K V dq-)`` with the incoming projection V."""
-    nu, cos_phi, v_in = _event_row(event, "v_in")
-    shape = np.shape(dy_minus.dq)
-    dq, dv = _tangent_jump(np.atleast_2d(dy_minus.dq)[None], np.atleast_2d(dy_minus.dv)[None],
-                           nu, cos_phi, K[None], v_in)
-    return TangentVector(dq[0].reshape(shape), dv[0].reshape(shape))
 
 
 # ---------------------------------------------------------------------------

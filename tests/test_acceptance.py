@@ -28,12 +28,9 @@ from billiards import (
     adjoint_residual,
     build_hardball_gas,
     build_sinai,
-    collision_q_drop,
-    curvature_at,
     flight_groups,
     flow,
     lyapunov_Q,
-    next_collision,
     transport_covector,
     transport_tangent,
     transversal_basis,
@@ -297,18 +294,17 @@ def test_criterion_07_collision_decrement(ensemble_a, domains):
                   [Halfspace(np.array([0.0, 0.0]), np.array([0.0, 1.0]))])
     sq2 = math.sqrt(2.0)
     traj = flow(wall, PhasePoint(np.array([0.2, 0.5]), np.array([sq2 / 2, -sq2 / 2])), 0.9)
-    ev = traj.events[0]
-    K = curvature_at(wall, 0, ev.nu)
     u = np.array([sq2 / 2, sq2 / 2])
-    flat_drop = collision_q_drop(Covector(0.4 * u, -0.3 * u), ev, K)
+    t_ev = traj.events[0].t
+    flat_drop = transport_covector(traj, Covector(0.4 * u, (-0.3 + 0.4 * t_ev) * u)).q_drop[0]
 
-    # cylinder hit with w along the axis: the semi-definite kernel gives 0
+    # cylinder hit with w along the axis: the semi-definite kernel gives 0;
+    # the start backs off the flight, so that w is exactly (0, 0, 1) at the hit
     cyl = domains["cylinder_3d"]
-    ev2 = next_collision(cyl, PhasePoint(np.array([0.1, 0.5, 0.3]),
-                                         np.array([1.0, 0.0, 0.0])), 1.0)
-    K2 = curvature_at(cyl, ev2.scatterer_index, ev2.nu)
-    n_axis = Covector(np.array([0.0, 0.7, 0.0]), np.array([0.0, 0.0, 1.0]))
-    axis_drop = collision_q_drop(n_axis, ev2, K2)
+    traj = flow(cyl, PhasePoint(np.array([0.1, 0.5, 0.3]), np.array([1.0, 0.0, 0.0])), 0.3)
+    z, w_axis = np.array([0.0, 0.7, 0.0]), np.array([0.0, 0.0, 1.0])
+    t_ev = traj.events[0].t
+    axis_drop = transport_covector(traj, Covector(z, w_axis + t_ev * z)).q_drop[0]
 
     ok = worst < TOL_Q_JUMP and flat_drop == 0.0 and axis_drop == 0.0
     report(7, "collision Q-decrement closed form", ok,

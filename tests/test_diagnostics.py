@@ -96,6 +96,8 @@ def test_expansion_factor_range_error():
         expansion_factor(series, 5.0)
     with pytest.raises(SeriesRangeError):
         expansion_factor(series, -1.0)
+    # the series' own rounding slack at the ends
+    assert expansion_factor(series, -1e-13) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import csv
 import importlib.util
 import json
@@ -313,8 +314,9 @@ def test_catalog_text_and_json(capsys):
     text = capsys.readouterr().out
     assert "sinai_2d" in text and "hardball_n3_d2" in text
     assert main(["catalog", "--json"]) == 0
-    entries = json.loads(capsys.readouterr().out)
-    assert len(entries) >= 5
+    out = capsys.readouterr().out
+    assert out == json.dumps(CATALOG, indent=2, sort_keys=True) + "\n"
+    assert len(json.loads(out)) >= 5
 
 
 def test_grid_override_changes_sampling(tmp_path):
@@ -421,6 +423,24 @@ def test_benchmark_sample_counter_reads_series_segments():
     assert series.segments is traj.segments
     assert spans._samples((series,), {"interior": 3}, None) == 5 * len(series.segments)
     assert len(series.segments) == len(series.z) == traj.event_count + 1
+
+
+def test_exports_resolve_and_no_module_import_is_unused():
+    # no linter runs on the package: every exported name must exist, once,
+    # and every module-level import must be read somewhere in its module
+    assert len(set(billiards.__all__)) == len(billiards.__all__)
+    for name in billiards.__all__:
+        assert hasattr(billiards, name), name
+    for path in sorted(Path(billiards.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(a.asname or a.name).split(".")[0]
+                    for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {c.value for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in n.targets)
+                 for c in n.value.elts}
+        assert imported <= used, f"{path.name}: unused {sorted(imported - used)}"
 
 
 def test_loose_grazing_cutoff_reports_singular_terminations(tmp_path):

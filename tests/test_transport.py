@@ -15,15 +15,8 @@ from billiards import (
     TangentVector,
     Torus,
     adjoint_residual,
-    collision_covector,
-    collision_q_drop,
-    collision_tangent,
-    curvature_at,
     flow,
-    free_flight_covector,
-    free_flight_tangent,
     lyapunov_Q,
-    next_collision,
     pairing,
     SeriesRangeError,
     sample_covector_uniform,
@@ -42,10 +35,9 @@ def wall_domain() -> Domain:
                   [Halfspace(np.array([0.0, 0.0]), np.array([0.0, 1.0]))])
 
 
-def head_on_event(sinai2d):
-    ev = next_collision(sinai2d, PhasePoint(np.array([0.1, 0.5]), np.array([1.0, 0.0])), 1.0)
-    K = curvature_at(sinai2d, ev.scatterer_index, ev.nu)
-    return ev, K
+def head_on_trajectory(sinai2d):
+    """One head-on hit on the disk, at t = 0.15, flown to T = 0.3."""
+    return flow(sinai2d, PhasePoint(np.array([0.1, 0.5]), np.array([1.0, 0.0])), 0.3)
 
 
 def frame(v: np.ndarray) -> list[np.ndarray]:
@@ -56,105 +48,40 @@ def frame(v: np.ndarray) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# free flight
-# ---------------------------------------------------------------------------
-
-def test_free_flight_covector_shear():
-    n = Covector(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
-    out = free_flight_covector(n, 2.0)
-    np.testing.assert_allclose(out.z, [1.0, 0.0], atol=0)
-    np.testing.assert_allclose(out.w, [-3.0, 0.0], atol=0)
-    assert lyapunov_Q(n) == -1.0 and lyapunov_Q(out) == -3.0
-
-
-def test_free_flight_covector_frozen_when_z_zero():
-    n = Covector(np.zeros(2), np.array([0.7, 0.0]))
-    out = free_flight_covector(n, 5.0)
-    np.testing.assert_allclose(out.w, n.w, atol=0)
-
-
-def test_free_flight_identity_at_zero_dt():
-    n = Covector(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    out = free_flight_covector(n, 0.0)
-    np.testing.assert_allclose(out.z, n.z, atol=0)
-    np.testing.assert_allclose(out.w, n.w, atol=0)
-    dy = free_flight_tangent(TangentVector(np.array([1.0, 0.0]), np.array([0.0, 2.0])), 0.0)
-    np.testing.assert_allclose(dy.dq, [1.0, 0.0], atol=0)
-
-
-def test_free_flight_tangent_shear():
-    dy = free_flight_tangent(TangentVector(np.zeros(2), np.array([1.0, 0.0])), 3.0)
-    np.testing.assert_allclose(dy.dq, [3.0, 0.0], atol=0)
-    np.testing.assert_allclose(dy.dv, [1.0, 0.0], atol=0)
-    fixed = free_flight_tangent(TangentVector(np.array([1.0, 0.0]), np.zeros(2)), 7.0)
-    np.testing.assert_allclose(fixed.dq, [1.0, 0.0], atol=0)
-
-
-# ---------------------------------------------------------------------------
 # collision maps, closed-form cases
 # ---------------------------------------------------------------------------
-
-def test_flat_wall_collision_reflects_components():
-    dom = wall_domain()
-    traj = flow(dom, PhasePoint(np.array([0.2, 0.5]), np.array([SQ2 / 2, -SQ2 / 2])), 0.9)
-    ev = traj.events[0]
-    K = curvature_at(dom, 0, ev.nu)
-    u = np.array([SQ2 / 2, SQ2 / 2])      # v_in-perp direction
-    n_minus = Covector(0.3 * u, -0.4 * u)
-    n_plus = collision_covector(n_minus, ev, K)
-    R = np.eye(2) - 2.0 * np.outer(ev.nu, ev.nu)
-    np.testing.assert_allclose(n_plus.z, R @ n_minus.z, atol=1e-15)
-    np.testing.assert_allclose(n_plus.w, R @ n_minus.w, atol=1e-15)
-    assert lyapunov_Q(n_plus) == pytest.approx(lyapunov_Q(n_minus), abs=1e-15)
-    assert collision_q_drop(n_minus, ev, K) == 0.0
-    dy = collision_tangent(TangentVector(0.5 * u, -0.2 * u), ev, K)
-    np.testing.assert_allclose(dy.dq, R @ (0.5 * u), atol=1e-15)
-    np.testing.assert_allclose(dy.dv, R @ (-0.2 * u), atol=1e-15)
-
 
 def test_head_on_circle_covector_focusing(sinai2d):
     # tangent line is spanned by (0,1); V1 is the identity there and the
     # curvature contributes 2 * (1/r) * cos_phi = 8 per unit of w
-    ev, K = head_on_event(sinai2d)
+    traj = head_on_trajectory(sinai2d)
+    t = traj.events[0].t
     e = np.array([0.0, 1.0])
     a, b = 0.7, -0.3
-    n_plus = collision_covector(Covector(a * e, b * e), ev, K)
+    n_plus = transport_covector(traj, Covector(a * e, (b + t * a) * e)).covector_at(t, "post")
     np.testing.assert_allclose(n_plus.z, (a - 8.0 * b) * e, atol=1e-12)
     np.testing.assert_allclose(n_plus.w, b * e, atol=1e-12)
 
 
 def test_head_on_circle_tangent_focusing(sinai2d):
-    ev, K = head_on_event(sinai2d)
+    traj = head_on_trajectory(sinai2d)
     e = np.array([0.0, 1.0])
-    dy = collision_tangent(TangentVector(e.copy(), np.zeros(2)), ev, K)
+    dy = transport_tangent(traj, TangentVector(e.copy(), np.zeros(2))).tangent_at(
+        traj.events[0].t, "post")
     np.testing.assert_allclose(dy.dq, e, atol=1e-12)
     np.testing.assert_allclose(dy.dv, 8.0 * e, atol=1e-12)
 
 
 def test_velocity_only_variation_reflects(sinai2d):
-    ev, K = head_on_event(sinai2d)
-    e = np.array([0.0, 1.0])
-    dy = collision_tangent(TangentVector(np.zeros(2), 2.0 * e), ev, K)
+    traj = head_on_trajectory(sinai2d)
+    t = traj.events[0].t
+    dv = 2.0 * np.array([0.0, 1.0])
+    # dq is exactly 0 before the hit: the flight back-off cancels bit for bit
+    series = transport_tangent(traj, TangentVector(-t * dv, dv))
+    assert np.all(series.tangent_at(t, "pre").dq == 0.0)
+    dy = series.tangent_at(t, "post")
     np.testing.assert_allclose(dy.dq, np.zeros(2), atol=0)
-    np.testing.assert_allclose(dy.dv, 2.0 * e, atol=1e-12)
-
-
-def test_collision_q_drop_nonpositive_random(sinai2d, cylinder3d, hardball32):
-    rng = np.random.default_rng(7)
-    for dom in (sinai2d, cylinder3d, hardball32):
-        for _ in range(20):
-            traj = flow(dom, random_phase_point(dom, rng), 5.0)
-            if not traj.events:
-                continue
-            ev = traj.events[0]
-            K = curvature_at(dom, ev.scatterer_index, ev.nu)
-            n = sample_covector_uniform(ev.v_in, rng)
-            n_plus = collision_covector(n, ev, K)
-            drop = collision_q_drop(n, ev, K)
-            assert drop >= -1e-15
-            assert lyapunov_Q(n_plus) - lyapunov_Q(n) == pytest.approx(-drop, abs=1e-12)
-            # norm of w is preserved exactly up to rounding
-            assert np.linalg.norm(n_plus.w) == pytest.approx(np.linalg.norm(n.w), rel=1e-14)
+    np.testing.assert_allclose(dy.dv, dv, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -267,26 +194,62 @@ def test_collision_covector_matches_fd_adjoint(sinai2d):
 # ---------------------------------------------------------------------------
 
 def test_transport_no_events_is_plain_shear():
-    dom = Domain(2, Torus(1.0), [])
-    v = np.array([0.0, 1.0])
-    traj = flow(dom, PhasePoint(np.array([0.5, 0.5]), v), 4.0)
-    n0 = Covector(np.array([1.0, 0.0]), np.array([-0.25, 0.0]))
-    series = transport_covector(traj, n0)
-    n_T = series.covector_at(4.0)
+    # without scatterers both passes are the free-flight shears
+    # (z, w) -> (z, w - t z) and (dq, dv) -> (dq + t dv, dv), exactly
+    e1, e2 = np.eye(2)
+    traj = flow(Domain(2, Torus(1.0), []), PhasePoint(np.array([0.5, 0.5]), e2), 7.0)
+    plain, shear, frozen = transport_covector([traj] * 3, [
+        Covector(e1.copy(), -0.25 * e1), Covector(e1.copy(), -e1),
+        Covector(np.zeros(2), 0.7 * e1)])
+    n_T = plain.covector_at(4.0)
     np.testing.assert_allclose(n_T.z, [1.0, 0.0], atol=0)
     np.testing.assert_allclose(n_T.w, [-4.25, 0.0], atol=0)
+    out = shear.covector_at(2.0)
+    np.testing.assert_allclose(out.z, [1.0, 0.0], atol=0)
+    np.testing.assert_allclose(out.w, [-3.0, 0.0], atol=0)
+    assert lyapunov_Q(shear.n0) == -1.0 and lyapunov_Q(out) == -3.0
+    np.testing.assert_allclose(frozen.covector_at(5.0).w, [0.7, 0.0], atol=0)
+    moving, fixed = transport_tangent([traj] * 2, [TangentVector(np.zeros(2), e1.copy()),
+                                                   TangentVector(e1.copy(), np.zeros(2))])
+    dy = moving.tangent_at(3.0)
+    np.testing.assert_allclose(dy.dq, [3.0, 0.0], atol=0)
+    np.testing.assert_allclose(dy.dv, [1.0, 0.0], atol=0)
+    np.testing.assert_allclose(fixed.tangent_at(7.0).dq, [1.0, 0.0], atol=0)
+    # at t = 0 both are the identity; in 3-d, where z and w (dq and dv) can
+    # span a plane orthogonal to v
+    traj = flow(Domain(3, Torus(1.0), []), PhasePoint(np.full(3, 0.5), np.eye(3)[2]), 1.0)
+    n = Covector(np.array([1.0, 2.0, 0.0]), np.array([3.0, 4.0, 0.0]))
+    out = transport_covector(traj, n).covector_at(0.0)
+    np.testing.assert_allclose(out.z, n.z, atol=0)
+    np.testing.assert_allclose(out.w, n.w, atol=0)
+    dy = transport_tangent(traj, TangentVector(np.array([1.0, 0.0, 0.0]),
+                                               np.array([0.0, 2.0, 0.0]))).tangent_at(0.0)
+    np.testing.assert_allclose(dy.dq, [1.0, 0.0, 0.0], atol=0)
 
 
 def test_flat_wall_series_preserves_z_norm():
     dom = wall_domain()
     traj = flow(dom, PhasePoint(np.array([0.2, 0.5]), np.array([SQ2 / 2, -SQ2 / 2])), 0.9)
-    u = np.array([SQ2 / 2, SQ2 / 2])
-    series = transport_covector(traj, Covector(0.5 * u, -0.1 * u))
-    assert series.q_drop.shape == (1,)
     t = traj.events[0].t
+    u = np.array([SQ2 / 2, SQ2 / 2])      # v_in-perp direction
+    # the second start reaches (0.3 u, -0.4 u) at the hit
+    series, reflected = transport_covector([traj] * 2, [Covector(0.5 * u, -0.1 * u),
+                                                        Covector(0.3 * u, (-0.4 + 0.3 * t) * u)])
+    assert series.q_drop.shape == (1,)
     n_pre, n_post = series.covector_at(t, "pre"), series.covector_at(t, "post")
     assert np.linalg.norm(n_post.z) == pytest.approx(np.linalg.norm(n_pre.z), rel=1e-14)
     assert series.q_drop[0] == 0.0
+    # K = 0: the collision maps are the reflection R
+    R = np.eye(2) - 2.0 * np.outer(traj.events[0].nu, traj.events[0].nu)
+    n_minus, n_plus = reflected.covector_at(t, "pre"), reflected.covector_at(t, "post")
+    np.testing.assert_allclose(n_plus.z, R @ n_minus.z, atol=1e-15)
+    np.testing.assert_allclose(n_plus.w, R @ n_minus.w, atol=1e-15)
+    assert lyapunov_Q(n_plus) == pytest.approx(lyapunov_Q(n_minus), abs=1e-15)
+    assert reflected.q_drop[0] == 0.0
+    tangent = transport_tangent(traj, TangentVector((0.5 + 0.2 * t) * u, -0.2 * u))
+    dy_minus, dy = tangent.tangent_at(t, "pre"), tangent.tangent_at(t, "post")
+    np.testing.assert_allclose(dy.dq, R @ dy_minus.dq, atol=1e-15)
+    np.testing.assert_allclose(dy.dv, R @ dy_minus.dv, atol=1e-15)
 
 
 def _sample_series(dom, rng, T=8.0, c0=None):
@@ -357,6 +320,23 @@ def test_per_event_q_jump_matches_closed_form(sinai2d, cylinder3d, hardball32):
             scale = max(abs(actual), abs(closed),
                         np.linalg.norm(n_pre.z) * np.linalg.norm(n_pre.w), 1e-300)
             assert abs(actual - closed) <= 1e-10 * scale
+    # random uniform covectors right before a first hit: the drop is
+    # nonnegative and |w| is continuous up to rounding
+    rng = np.random.default_rng(7)
+    for dom in (sinai2d, cylinder3d, hardball32):
+        for _ in range(20):
+            traj = flow(dom, random_phase_point(dom, rng), 5.0)
+            if not traj.events:
+                continue
+            ev = traj.events[0]
+            n = sample_covector_uniform(ev.v_in, rng)
+            series = transport_covector(traj, Covector(n.z, n.w + ev.t * n.z))
+            n_minus, n_plus = series.covector_at(ev.t, "pre"), series.covector_at(ev.t, "post")
+            drop = series.q_drop[0]
+            assert drop >= -1e-15
+            assert lyapunov_Q(n_plus) - lyapunov_Q(n_minus) == pytest.approx(-drop, abs=1e-12)
+            assert np.linalg.norm(n_plus.w) == pytest.approx(np.linalg.norm(n_minus.w),
+                                                             rel=1e-14)
 
 
 def test_adjoint_residual_zero_without_events():
