@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _Records
 from .errors import ConfigError, InfeasibleCovectorError, SeriesRangeError
 from .geometry import row_dot
 from .tolerances import DEFAULT_INTERIOR_SAMPLES, DEFAULT_TOL_CHECK
@@ -93,8 +94,8 @@ class SeriesGroup:
         self.sample_grids = self.series[0].sample_grids if len(self.series) == 1 else {}
 
     @property
-    def segments(self) -> list:
-        return [seg for s in self.series for seg in s.segments]
+    def segments(self) -> Sequence:
+        return _Records([s.trajectory for s in self.series], 1)
 
 
 @dataclass(eq=False)

@@ -19,36 +19,26 @@ window that holds one.  :func:`_tile` tiles each chunk by the running sum
 ``t_lo += min(window, horizon - t_lo)`` of one window at a time, and pads a
 chunk shorter than the others with windows of length 0, which hold no root.
 An ensemble flies in balanced groups (:func:`flight_groups`), one
-:func:`flow` call each, sized by two budgets: ``ROUND_ROWS`` image rows
-bound the kernel arrays of a round, and ``GROUP_FLIGHTS`` flights bound the
-trajectories and series a group holds until its caller has used them.  The
-flight cap of 64 binds on 2-d Sinai, the 3-d cylinder, 3 hard disks and
-Sinai with d >= 3 (45 starts fly as one group, 80 as 40 + 40); the row
-budget allows 21 flights of 6 hard disks (375 rows each) and one of 20 hard
-disks (4750 rows).  The adjoint check's tangent stacks, which grow with the
-event count, have a budget of their own (``transport.TANGENT_VALUES``).
+:func:`flow` call each, of at most ``ROUND_ROWS`` image rows a round.
 
-The kernel returns the rows of those first hits as arrays, and the searches
-of a round that found a root land in one array pass (:func:`_landings`):
-the Newton polish of each root, with each row's own exits, the impact point,
-the normal, ``cos phi``, the reflection and the speed of the reflected
-velocity, from which the pass builds each search's :class:`CollisionEvent`.
-Each search then ends in one per-flight tail, when its chunk holds a root
-or when it reaches its horizon without one: :func:`next_collision`, given
-the finished search's row, makes the corner gap, simultaneous root, escape
-and grazing checks and returns the row's event, or returns ``None`` (raises
-the escape) for a search without a root; :func:`_land` books the outcome
-into the flight's own :class:`Trajectory`, which the flight fills from its
-start to its end.  The state check of new searches (unit speed, position
-outside every scatterer) runs once per round, as one array pass over the
-flights that start one.  The batched products issue the same BLAS call per
-(window, scatterer) block as an unstacked scan of one window of one flight,
-every dot product of the landing pass is a ``row_dot`` with the bits of the
-1-d one, and picking the first window, the best root and the second root
-is pure selection, so every root and event keeps its bits; ties go to the
-lower scatterer index, then the earlier image.  :func:`flow` of one start
-and :func:`next_collision` without a finished search fly one start through
-the same loop, but :func:`flow` checks (normalises) each start once more.
+The searches of a round that found a root land in one array pass
+(:func:`_landings`): the Newton polish of each root, with each row's own
+exits, the impact point, the normal, ``cos phi`` and the reflection.  Each
+finished search then passes :func:`next_collision`, which makes the corner
+gap, simultaneous root, escape and grazing checks on its row and returns
+the capped ``cos phi``, or ``None`` (raises the escape) at its horizon.  The
+round books its events into arrays, and only a flight that ends builds its
+end state and exception.  A trajectory keeps its collisions as
+:class:`EventColumns`, views into one array per column of its group.  The
+state check of new searches is one array pass per round.  The batched
+products issue the same BLAS call per (window, scatterer) block as an
+unstacked scan of one window of one flight, every dot product of the
+landing pass is a ``row_dot`` with the bits of the 1-d one, and picking the
+first window, the best root and the second root is pure selection, so every
+root and event keeps its bits; ties go to the lower scatterer index, then
+the earlier image.  :func:`flow` of one start and :func:`next_collision`
+without a finished search fly one start through the same loop, but
+:func:`flow` checks (normalises) each start once more.
 
 Sphere stacks on a torus with d >= 3 (``ScattererStack.reach_sq`` set, at
 least 27 images) get a broad phase in front of that scan: a window skips the
@@ -71,11 +61,12 @@ trajectory terminates there instead of choosing a continuation.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -97,17 +88,14 @@ TERMINATION_ESCAPE = "escape_error"
 
 # The collision search hands each flight's next chunk of up to
 # WINDOW_CHUNK_MAX consecutive windows, as many as keep a chunk near
-# CHUNK_ROWS image rows (:func:`_chunk`), to the kernel.  Small scans are
-# dominated by the fixed cost of a call, not by array work.  A flight group
-# (:func:`flight_groups`) has two budgets: ROUND_ROWS image rows bound the
-# kernel arrays of a round, and GROUP_FLIGHTS flights bound the trajectories
-# and series the group holds until its caller has used them.  What grows
-# with a series' event count beyond that, the adjoint check's tangent
-# stacks, is bounded where it is held (transport.TANGENT_VALUES).
+# CHUNK_ROWS image rows (:func:`_chunk`), to the kernel: small scans are
+# dominated by the fixed cost of a call.  A flight group holds at most
+# ROUND_ROWS image rows in the kernel arrays of a round; its trajectories
+# (about 100 B per event at d = 2) are small beside them, and the adjoint
+# check's tangent stacks have their own budget (transport.TANGENT_VALUES).
 CHUNK_ROWS = 64
 WINDOW_CHUNK_MAX = 16
 ROUND_ROWS = 8192
-GROUP_FLIGHTS = 64
 
 
 @dataclass(eq=False)
@@ -153,31 +141,82 @@ class FlightSegment:
         return self.t1 - self.t0
 
 
+# A trajectory's collisions as read-only columns, row k for event k: the fields
+# of CollisionEvent and v_next, the unit velocity after it (the next segment's v).
+EventColumns = namedtuple("EventColumns", "t q scatterer_index nu cos_phi v_in v_out v_next")
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Flow output: ordered collision events plus the free segments between them.
 
-    ``segments`` always has one more entry than ``events``; the final segment
-    ends at ``t_end`` (the horizon, or the time of the terminating
-    singularity/escape/cap).
-    """
+    ``columns`` are rows ``rows`` of ``group``, its flight group's columns;
+    ``events`` and ``segments`` are built from them on access.  Segment ``k``
+    runs from event ``k - 1`` (the start for ``k = 0``) to event ``k``, the
+    last to ``t_end`` (the horizon, or the singularity/escape/cap time)."""
 
     domain: Domain
     start: PhasePoint
     horizon: float
-    events: list[CollisionEvent]
-    segments: list[FlightSegment]
     termination: str
     t_end: float
     end: PhasePoint
-    max_speed_drift: float = 0.0
+    max_speed_drift: float
+    group: EventColumns
+    rows: slice
+
+    @property
+    def columns(self) -> EventColumns:
+        return EventColumns(*(c[self.rows] for c in self.group))
 
     @property
     def event_count(self) -> int:
-        return len(self.events)
+        return self.rows.stop - self.rows.start
+
+    @property
+    def events(self) -> Sequence[CollisionEvent]:
+        return _Records([self], 0)
+
+    @property
+    def segments(self) -> Sequence[FlightSegment]:
+        return _Records([self], 1)
 
     def min_cos_phi(self) -> float:
-        return min((e.cos_phi for e in self.events), default=1.0)
+        return float(self.group.cos_phi[self.rows].min(initial=1.0))
+
+
+class _Records(Sequence):
+    """The events (``segment = 0``) or segments (1) of trajectories, one
+    after another: a read-only sequence whose records are built on access
+    (``len`` builds none), equal to another whose records equal its own."""
+
+    def __init__(self, trajectories: list[Trajectory], segment: int):
+        self._trajectories, self._segment = trajectories, segment
+        self._ends = list(itertools.accumulate(
+            (t.event_count + segment for t in trajectories), initial=0))
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        k = range(len(self))[k]
+        f = bisect.bisect_right(self._ends, k) - 1
+        traj, k = self._trajectories[f], k - self._ends[f]
+        c, i = traj.group, traj.rows.start + k
+        if not self._segment:
+            return CollisionEvent(float(c.t[i]), c.q[i], int(c.scatterer_index[i]), c.nu[i],
+                                  float(c.cos_phi[i]), c.v_in[i], c.v_out[i])
+        t1 = float(c.t[i]) if i < traj.rows.stop else traj.t_end
+        if not k:
+            return FlightSegment(0.0, t1, traj.start.q, traj.start.v)
+        return FlightSegment(float(c.t[i - 1]), t1, c.q[i - 1], c.v_next[i - 1])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and len(self) == len(other) and all(
+            type(a) is type(b) and all(map(np.array_equal, vars(a).values(), vars(b).values()))
+            for a, b in zip(self, other))
 
 
 def _chunk(domain: Domain) -> tuple[int, int]:
@@ -331,6 +370,7 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
         # exact distance from the box to the nearest image of the center
         gap = np.maximum(np.abs(mid - shift) - (half * np.abs(v)[flight])[:, None, :], 0.0)
         wins = np.flatnonzero(~(row_dot(gap, gap) > st.reach_sq).all(axis=-1) & (hi > 0.0))
+        del mid, gap            # not needed by the batches: a large round holds less
         images = st.deltas.shape[0] * st.deltas.shape[1]
         size = max(ROUND_ROWS, images) // images
         hit = np.zeros(F, dtype=bool)
@@ -363,34 +403,20 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
             xiv[k], radius_sq[k])
 
 
-class _Landing(NamedTuple):
-    """One search's row of a round's landing pass (:func:`_landings`);
-    times are from the search's checked state."""
-
-    t_root: float          # the kernel's root
-    gap: float             # from it to the window's second root (inf if none)
-    event: CollisionEvent  # at the polished time, cos_phi not yet capped
-    v_next: Vec            # the unit form of the reflected velocity
-    drift: float           # its speed drift
-
-
 def _landings(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.ndarray,
               root: np.ndarray, t_second: np.ndarray, index: np.ndarray, xi0: np.ndarray,
-              xiv: np.ndarray, radius_sq: np.ndarray) -> list[_Landing]:
+              xiv: np.ndarray, radius_sq: np.ndarray) -> tuple[np.ndarray, ...]:
     """The impacts of the searches of a round that found a root, in one
     array pass: from the checked states ``(q, v)``, ``(H, d)``, the start
     ``t_lo`` of each one's first window with a root and that window's hit
     (:func:`_window_candidates`).
 
-    Returns each search's :class:`_Landing`: the root and its gap to the
-    window's second root, the :class:`CollisionEvent` (the polished impact
-    time, the wrapped impact point, the scatterer index, the inward normal,
-    ``-<v, nu>``, the row of ``v`` as ``v_in`` and the reflected velocity),
-    the unit form of the reflected velocity and its speed drift, each with
-    the bits of the same steps on that row alone.  ``v`` must be an array
-    that nothing writes to later (the events hold its rows).  Rows that will
-    end their flight (a corner gap, a grazing impact) are computed too,
-    without warnings; :func:`next_collision` decides.
+    Returns ``(t_root, gap, t, cos_phi, q, nu, v_out, v_next, drift)``, one
+    row per search, times from its checked state: the root, its gap to the
+    window's second root (inf if none), the polished impact time,
+    ``-<v, nu>`` (not capped), the wrapped impact point, the inward normal,
+    the reflected velocity, its unit form and speed drift, each with the
+    bits of that row alone, also for rows that will end their flight.
     """
     flat = domain._flat[index]
     t = root
@@ -417,77 +443,8 @@ def _landings(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.ndarray,
         v_out = reflect(v[:, None], nu)[:, 0]
         speed = np.sqrt(row_dot(v_out, v_out))
         gap = t_second - root
-    events = map(CollisionEvent, t_best.tolist(), domain.wrap(q + t_best[:, None] * v),
-                 index.tolist(), nu, cos_phi.tolist(), v, v_out)
-    return list(map(_Landing._make, zip(
-        (t_lo + root).tolist(), gap.tolist(), events, v_out / speed[:, None],
-        np.abs(speed - 1.0).tolist())))
-
-
-class _Flight:
-    """One trajectory of the lockstep loop: its search state and its output.
-
-    ``q``, ``v`` and ``t`` are the state after the last event (the start,
-    before any); a search starts from their checked form.  ``traj`` is the
-    flight's :class:`Trajectory`, filled in as it flies; ``error`` is the
-    exception that ended it early (a singularity, an escape, or an invalid
-    state, which ends it without a termination).  A plain class: a
-    dataclass would cost about 1 ms of import time.
-    """
-
-    __slots__ = ("q", "v", "t", "error", "traj")
-
-    def __init__(self, traj: Trajectory):
-        self.q, self.v, self.t = traj.start.q, traj.start.v, 0.0
-        self.error: BilliardError | None = None
-        self.traj = traj
-
-    def finish(self, termination: str, t_end: float, end: PhasePoint) -> None:
-        self.traj.segments.append(FlightSegment(self.t, t_end, self.q, self.v))
-        self.traj.termination, self.traj.t_end, self.traj.end = termination, t_end, end
-
-    def stop(self, domain: Domain, e: BilliardError) -> None:
-        """End the flight at the singularity or escape ``e``, at ``e.time``
-        after its last event."""
-        self.error = e
-        t_end = self.t + (e.time if e.time is not None else 0.0)
-        q = self.q + (t_end - self.t) * self.v
-        if isinstance(e, EscapeError):
-            self.finish(TERMINATION_ESCAPE, t_end, PhasePoint(q, self.v))
-            return
-        status = TERMINATION_GRAZING if isinstance(e, GrazingSingularityError) \
-            else TERMINATION_DEGENERATE
-        self.finish(status, t_end, PhasePoint(domain.wrap(q), self.v))
-
-
-def _land(domain: Domain, fl: _Flight, found: tuple, T: float, max_events: int,
-          eps_graze: float) -> bool:
-    """Book the collision of a flight whose search ended with ``found``
-    (see :func:`next_collision`), or end the flight at its singularity,
-    escape or horizon.  Returns whether it searches on."""
-    try:
-        ev = next_collision(domain, None, T - fl.t, eps_graze, found=found)
-    except (DegenerateCollisionError, EscapeError, GrazingSingularityError) as e:
-        fl.stop(domain, e)
-        return False
-    if ev is None:  # no collision before the horizon
-        fl.finish(TERMINATION_HORIZON, T,
-                  PhasePoint(domain.wrap(fl.q + (T - fl.t) * fl.v), fl.v))
-        return False
-    traj = fl.traj
-    ev.t = fl.t + ev.t
-    traj.segments.append(FlightSegment(fl.t, ev.t, fl.q, fl.v))
-    traj.events.append(ev)
-    landing = found[1]
-    traj.max_speed_drift = max(traj.max_speed_drift, landing.drift)
-    fl.q, fl.v, fl.t = ev.q, landing.v_next, ev.t
-    if len(traj.events) >= max_events:
-        fl.finish(TERMINATION_EVENT_CAP, fl.t, PhasePoint(fl.q, fl.v))
-        return False
-    if fl.t >= T:  # the collision landed exactly on the horizon
-        fl.finish(TERMINATION_HORIZON, T, PhasePoint(fl.q, fl.v))
-        return False
-    return True
+    return (t_lo + root, gap, t_best, cos_phi, domain.wrap(q + t_best[:, None] * v), nu, v_out,
+            v_out / speed[:, None], np.abs(speed - 1.0))
 
 
 def _tile(t_lo: np.ndarray, horizon: np.ndarray, window: float,
@@ -508,34 +465,37 @@ def _tile(t_lo: np.ndarray, horizon: np.ndarray, window: float,
 
 
 def _fly(domain: Domain, q: np.ndarray, v: np.ndarray, T: float, max_events: int,
-         eps_graze: float) -> list[_Flight]:
-    """Fly the starts ``(q[f], v[f])`` in lockstep for time ``T``: one kernel
-    call per round for every flight still searching."""
-    F = q.shape[0]
-    flights = [_Flight(Trajectory(domain, PhasePoint(q[f], v[f]), T, [], [], None, None, None))
-               for f in range(F)]
-    eps_time = EPS_TIME_FACTOR * domain.length_scale
-    window = 0.5 * domain.length_scale
-    chunk, _ = _chunk(domain)
-    box = isinstance(domain.ambient, Box)
+         eps_graze: float) -> tuple[list[Trajectory], dict[int, BilliardError]]:
+    """Fly the starts ``(q[f], v[f])`` in lockstep for time ``T``, one kernel
+    call per round.  Returns the trajectories and, by flight, the exception
+    that ended a flight early (a singularity, an escape, or an invalid
+    state, which leaves it without a termination)."""
+    F, d = q.shape
+    eps_time, window = EPS_TIME_FACTOR * domain.length_scale, 0.5 * domain.length_scale
+    chunk, box = _chunk(domain)[0], isinstance(domain.ambient, Box)
+    # each flight's state after its last event (the start, before any), the
+    # time of that event, its event count, largest speed drift and ending
+    fq, fv, ft = q.copy(), v.copy(), np.zeros(F)
+    count, drift = np.zeros(F, dtype=np.intp), np.zeros(F)
+    ends, errors = {}, {}
+    # the events booked in each round: the flight, then the EventColumns
+    none, flights = np.zeros((0, d)), np.zeros(0, dtype=np.intp)
+    booked = [(flights, none[:, 0], none, flights, none, none[:, 0], none, none, none)]
     # the search of each flight: its checked state, next window start,
     # horizon and box escape time
     qs, vs = np.empty_like(q), np.empty_like(v)
     t_lo, horizon, escape = np.zeros(F), np.zeros(F), np.full(F, np.inf)
     searching = np.zeros(F, dtype=bool)
-    new = list(range(F))
+    new = np.arange(F)
     while True:
-        if new:
+        if new.size:
             # the state check of the new searches, one array pass for all
-            ok, q_ok, v_ok, errors = _check_states(
-                domain, np.array([flights[g].q for g in new]),
-                np.array([flights[g].v for g in new]))
-            for j, e in errors.items():
-                flights[new[j]].error = e
-            g = np.asarray(new)[ok]
+            ok, q_ok, v_ok, bad = _check_states(domain, fq[new], fv[new])
+            errors.update((int(new[j]), e) for j, e in bad.items())
+            g = new[ok]
             qs[g], vs[g] = q_ok, v_ok
             t_lo[g] = 0.0
-            horizon[g] = [T - flights[f].t for f in g.tolist()]
+            horizon[g] = T - ft[g]
             if box:
                 escape[g] = [domain.ambient.exit_time(qs[f], vs[f], slack=domain.eps_surface)
                              for f in g.tolist()]
@@ -543,31 +503,74 @@ def _fly(domain: Domain, q: np.ndarray, v: np.ndarray, T: float, max_events: int
             searching[g] = True
         act = np.flatnonzero(searching)
         if not act.size:
-            return flights
+            break
         lo, hi, t_lo[act] = _tile(t_lo[act], horizon[act], window, chunk)
         hit, w, *hits = _window_candidates(domain, qs[act], vs[act], lo, hi)
-        rows = {}
+        rows = []
         if hit.size:
-            g = act[hit]
-            rows = dict(zip(hit.tolist(), _landings(domain, qs[g], vs[g], lo[hit, w], *hits)))
+            land = _landings(domain, qs[act[hit]], vs[act[hit]], lo[hit, w], *hits)
+            rows = list(zip(*(x.tolist() for x in land[:4])))
         # each search that found a root or reached its horizon ends here
-        new = []
-        for a in sorted(rows.keys() | set(np.flatnonzero(t_lo[act] >= horizon[act]).tolist())):
-            f = int(act[a])
-            searching[f] = False
-            if _land(domain, flights[f], (float(escape[f]), rows.get(a)), T, max_events,
-                     eps_graze):
-                new.append(f)
+        row = np.full(act.size, -1)
+        row[hit] = np.arange(hit.size)
+        done = np.flatnonzero((row >= 0) | (t_lo[act] >= horizon[act]))
+        searching[act[done]] = False
+        events, capped = [], []
+        for f, r in zip(act[done].tolist(), row[done].tolist()):
+            t = float(ft[f])
+            try:
+                cos_phi = next_collision(domain, None, T - t, eps_graze,
+                                         found=(float(escape[f]), rows[r] if r >= 0 else None))
+            except (DegenerateCollisionError, EscapeError, GrazingSingularityError) as e:
+                errors[f] = e
+                t_end = t + (e.time if e.time is not None else 0.0)
+                x, status = fq[f] + (t_end - t) * fv[f], TERMINATION_ESCAPE
+                if not isinstance(e, EscapeError):
+                    x, status = domain.wrap(x), TERMINATION_GRAZING \
+                        if isinstance(e, GrazingSingularityError) else TERMINATION_DEGENERATE
+                ends[f] = (status, t_end, PhasePoint(x, fv[f]))
+                continue
+            if cos_phi is None:  # no collision before the horizon
+                ends[f] = (TERMINATION_HORIZON, T,
+                           PhasePoint(domain.wrap(fq[f] + (T - t) * fv[f]), fv[f]))
+            else:
+                events.append((f, r))
+                capped.append(cos_phi)
+        new = flights
+        if events:
+            g, r = np.array(events).T
+            t_hit, _, q_hit, nu, v_out, v_next, dr = (x[r] for x in land[2:])
+            t_hit = ft[g] + t_hit
+            booked.append((g, t_hit, q_hit, hits[2][r], nu, np.array(capped), vs[g], v_out,
+                           v_next))
+            fq[g], fv[g], ft[g] = q_hit, v_next, t_hit
+            drift[g] = np.fmax(drift[g], dr)
+            count[g] += 1
+            cap, on_t = count[g] >= max_events, t_hit >= T
+            for f in g[cap | on_t].tolist():
+                end = PhasePoint(fq[f], fv[f])
+                # the cap first; else the collision landed exactly on the horizon
+                ends[f] = (TERMINATION_EVENT_CAP, float(ft[f]), end) if count[f] >= max_events \
+                    else (TERMINATION_HORIZON, T, end)
+            new = g[~(cap | on_t)]
+    # one array per column, its rows sorted by flight (each flight's events
+    # were booked in order)
+    order = np.argsort(np.concatenate([b[0] for b in booked]), kind="stable")
+    group = EventColumns(*(np.concatenate(c)[order] for c in list(zip(*booked))[1:]))
+    for c in group:
+        c.flags.writeable = False
+    at = np.concatenate(([0], np.cumsum(count))).tolist()
+    return [Trajectory(domain, PhasePoint(q[f], v[f]), T, *ends.get(f, (None, None, None)),
+                       float(drift[f]), group, slice(at[f], at[f + 1])) for f in range(F)], errors
 
 
 def flight_groups(domain: Domain, count: int) -> list[range]:
     """How ``count`` starts fly in lockstep: balanced groups of consecutive
-    starts, in order, of at most ``GROUP_FLIGHTS`` flights and at most
-    ``ROUND_ROWS`` over the image rows of one chunk (:func:`_chunk`), so that
-    a round holds at most ``ROUND_ROWS`` image rows (one flight at least).
-    Each group is one :func:`flow` call, and its trajectories are alive only
-    until its caller has used them; the sampler's rounds use the groups too."""
-    size = max(1, min(GROUP_FLIGHTS, ROUND_ROWS // _chunk(domain)[1]))
+    starts, in order, of at most ``ROUND_ROWS`` image rows a round (one
+    flight at least; :func:`_chunk`).  Each group is one :func:`flow` call,
+    and its trajectories are alive only until its caller has used them; the
+    sampler's rounds use the groups too."""
+    size = max(1, ROUND_ROWS // _chunk(domain)[1])
     n = -(-count // size)
     sizes = [count // n + (k < count % n) for k in range(n)]
     return [range(end - k, end) for k, end in zip(sizes, itertools.accumulate(sizes))]
@@ -608,17 +611,16 @@ def flow(domain: Domain, x0: PhasePoint | Sequence[PhasePoint], T: float,
                                     np.array([x.v for x in starts]))
     if errors:
         raise errors[min(errors)]
-    flights = _fly(domain, q, v, T, max_events, eps_graze)
-    for fl in flights:
-        if isinstance(fl.error, InvalidStateError):
-            raise fl.error
-    trajectories = [fl.traj for fl in flights]
+    trajectories, errors = _fly(domain, q, v, T, max_events, eps_graze)
+    for f in sorted(errors):
+        if isinstance(errors[f], InvalidStateError):
+            raise errors[f]
     return trajectories[0] if one else trajectories
 
 
 def next_collision(domain: Domain, x: PhasePoint | None, t_max: float,
                    eps_graze: float = EPS_GRAZE,
-                   found: tuple | None = None) -> CollisionEvent | None:
+                   found: tuple | None = None) -> CollisionEvent | float | None:
     """Earliest collision along the free flight from ``x``, or ``None``.
 
     Searches times in ``(eps_time, t_max]``, for a positive and finite
@@ -629,44 +631,38 @@ def next_collision(domain: Domain, x: PhasePoint | None, t_max: float,
     first.  Event times in the returned record are relative to ``x``.
 
     Without ``found``, ``x`` flies alone in the lockstep loop for one event.
-    The loop itself passes each finished search as ``found``, and then ``x``
-    is ignored: ``(escape_t, row)``, the box escape time (inf off a box) and
-    that search's :class:`_Landing` from the round's landing pass
-    (:func:`_landings`), whose event is already built.  Then only the checks
-    are made, in order: the corner gap, the simultaneous root, the escape
-    and the grazing impact, and the row's event is returned with ``cos_phi``
-    capped at 1; every event of the flow comes from here.  A search that
-    reached ``t_max`` without a root passes ``row = None``: no event, or the
-    escape.
+    The loop passes each finished search as ``found = (escape_t, row)``, and
+    ``x`` is ignored: the box escape time (inf off a box) and the search's
+    row ``(t_root, gap, t, cos_phi)`` of the landing pass, or ``None`` for a
+    search that reached ``t_max`` without a root (no event, or the escape).
+    The checks are made in order: the corner gap, the simultaneous root, the
+    escape and the grazing impact; the row's ``cos_phi`` capped at 1 is
+    returned, and the loop books the event.
     """
     if found is None:
         if not 0.0 < t_max < math.inf:
             raise ValueError("t_max must be positive and finite")
         _check_eps_graze(eps_graze)
-        (fl,) = _fly(domain, x.q[None], x.v[None], t_max, 1, eps_graze)
-        if fl.error is not None:
-            raise fl.error
-        return fl.traj.events[0] if fl.traj.events else None
+        (traj,), errors = _fly(domain, x.q[None], x.v[None], t_max, 1, eps_graze)
+        if errors:
+            raise errors[0]
+        return traj.events[0] if traj.event_count else None
     escape_t, row = found
     if row is None:
         if escape_t <= t_max:
             raise EscapeError("particle left the box ambient", time=escape_t)
         return None
+    t_root, gap, t, cos_phi = row
     eps_time = EPS_TIME_FACTOR * domain.length_scale
-    if row.t_root <= eps_time:
+    if t_root <= eps_time:
         # a root this close to the previous event is a corner-like
         # multiple collision; skipping it would tunnel through the wall
         raise DegenerateCollisionError(
-            "collision within the minimum time gap of the previous event",
-            time=row.t_root)
-    ev = row.event
-    if row.gap < eps_time:
-        raise DegenerateCollisionError(
-            "simultaneous collision with two boundary pieces", time=ev.t)
-    if ev.t > escape_t + eps_time:
+            "collision within the minimum time gap of the previous event", time=t_root)
+    if gap < eps_time:
+        raise DegenerateCollisionError("simultaneous collision with two boundary pieces", time=t)
+    if t > escape_t + eps_time:
         raise EscapeError("particle left the box ambient", time=escape_t)
-    if ev.cos_phi < eps_graze:
-        raise GrazingSingularityError(
-            f"grazing impact: cos(phi) = {ev.cos_phi:.3e}", time=ev.t)
-    ev.cos_phi = min(ev.cos_phi, 1.0)
-    return ev
+    if cos_phi < eps_graze:
+        raise GrazingSingularityError(f"grazing impact: cos(phi) = {cos_phi:.3e}", time=t)
+    return min(cos_phi, 1.0)

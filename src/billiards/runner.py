@@ -1,12 +1,12 @@
 """Experiment execution: trajectories -> transport -> checks -> CSV/JSON.
 
-The ensemble runs in lockstep groups (``dynamics.flight_groups``): per
-group one ``dynamics.flow`` call, one covector transport and, when the run
-wants it, one adjoint check.  The checks then run once per check group, the
-flight group's series up to ``CHECK_SAMPLES`` grid samples, and each
-trajectory writes its CSV, from the grid its checks read, as soon as its
-entry exists, in index order.  Each trajectory and series is the one its
-start alone gives, so outputs depend only on the config and its seed.
+The ensemble runs in lockstep groups of at most ``dynamics.ROUND_ROWS``
+image rows a round (``dynamics.flight_groups``): per group one ``flow`` call,
+one covector transport and, when the run wants it, one adjoint check.  The
+checks then run once per check group, the group's series up to
+``CHECK_SAMPLES`` grid samples, and each trajectory writes its CSV as soon
+as its entry exists, in index order.  Each trajectory and series is the one
+its start alone gives, so outputs depend only on the config and its seed.
 """
 
 from __future__ import annotations

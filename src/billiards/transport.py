@@ -40,7 +40,7 @@ other operations act elementwise, so each series keeps the bits of the
 trajectory transported alone, one event at a time.
 
 A transported series is a set of read-only columns over the trajectory's
-free segments (``series.segments`` is the trajectory's own list): ``t0`` and
+free segments (``series.segments`` is the trajectory's own): ``t0`` and
 ``t1`` ``(S,)``; for a covector ``z`` and ``w0`` ``(S, d)``, its value at
 each segment's start, and per collision ``q_drop`` and ``reprojection``
 ``(E,)``; for tangent vectors ``dq0`` and ``dv`` ``(S, [m,] d)``.
@@ -187,11 +187,10 @@ class _Series:
     """
 
     def __init__(self, trajectory: Trajectory, *columns: np.ndarray):
-        self.trajectory = trajectory
-        self.segments = trajectory.segments
+        self.trajectory, self.segments = trajectory, trajectory.segments
         self.t_end = trajectory.t_end
-        self.t0 = np.array([s.t0 for s in self.segments])
-        self.t1 = np.array([s.t1 for s in self.segments])
+        self.t0 = np.concatenate(([0.0], trajectory.columns.t))
+        self.t1 = np.append(trajectory.columns.t, self.t_end)
         for a in (self.t0, self.t1, *columns):
             a.flags.writeable = False
 
@@ -271,10 +270,11 @@ def _event_columns(trajectories: list[Trajectory], velocity: str) -> tuple[np.nd
 
     Returns ``order`` ``(F,)``, the trajectory of each row, by falling event
     count (stable), so that the trajectories with more than ``k`` events are
-    the first ``rows[k]`` rows; ``rows`` ``(E,)``; ``nu`` and the unit
-    ``velocity`` (``"v_in"`` or ``"v_out"``) ``(F, E, d)``; and ``cos_phi``,
-    the scatterer ``index`` and the duration ``dt`` of the segment that ends
-    at the event, ``(F, E)``.  Padding rows hold zeros and are never read.
+    the first ``rows[k]`` rows; ``rows`` ``(E,)``; ``start`` ``(F + 1,)``,
+    each row's first segment with the rows' series laid out one after
+    another; ``nu`` and the unit ``velocity`` (``"v_in"`` or ``"v_out"``)
+    ``(F, E, d)``; and ``cos_phi``, the scatterer ``index`` and the duration
+    ``dt`` of the segment that ends at the event, ``(F, E)``, padded with 0.
     """
     domain = trajectories[0].domain
     if any(t.domain is not domain for t in trajectories):
@@ -286,19 +286,18 @@ def _event_columns(trajectories: list[Trajectory], velocity: str) -> tuple[np.nd
     cos_phi, dt = np.zeros((2, F, E))
     index = np.zeros((F, E), dtype=np.intp)
     for row, f in enumerate(order.tolist()):
-        events = trajectories[f].events
-        if not events:
+        ev = trajectories[f].columns
+        c = len(ev.t)
+        if not c:
             break
-        c = len(events)
-        vel = np.array([getattr(e, velocity) for e in events])
+        vel = getattr(ev, velocity)
         # the bits of event.v / np.linalg.norm(event.v), one event at a time
         v[row, :c] = vel / np.sqrt(row_dot(vel, vel))[:, None]
-        nu[row, :c] = [e.nu for e in events]
-        cos_phi[row, :c] = [e.cos_phi for e in events]
-        index[row, :c] = [e.scatterer_index for e in events]
-        dt[row, :c] = [s.duration for s in trajectories[f].segments[:c]]
+        nu[row, :c], cos_phi[row, :c], index[row, :c] = ev.nu, ev.cos_phi, ev.scatterer_index
+        # each segment's duration t1 - t0, the first from t0 = 0
+        dt[row, :c] = np.diff(ev.t, prepend=0.0)
     rows = (counts[order][:, None] > np.arange(E)).sum(axis=0)
-    return order, rows, nu, v, cos_phi, index, dt
+    return order, rows, np.cumsum(np.append(0, counts[order] + 1)), nu, v, cos_phi, index, dt
 
 
 def _reproject(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,12 +331,13 @@ def transport_covector(trajectory: Trajectory | Sequence[Trajectory],
     w = np.array([n.w for n in n0s], dtype=float)[:, None]
     _check_starts(z, w, np.array([t.start.v for t in trajectories]), "covector", nonzero=True)
     domain = trajectories[0].domain
-    order, rows, nu, v, cos_phi, index, dt = _event_columns(trajectories, "v_out")
+    order, rows, start, nu, v, cos_phi, index, dt = _event_columns(trajectories, "v_out")
     F, E, d = nu.shape
     z, w = z[order], w[order]
-    zs, ws = np.empty((2, F, E + 1, d))
-    zs[:, 0], ws[:, 0] = z[:, 0], w[:, 0]
-    drops, corrs = np.zeros((2, F, E))
+    zs, ws = np.empty((2, start[-1], d))
+    zs[start[:-1]], ws[start[:-1]] = z[:, 0], w[:, 0]
+    drops, corrs = np.empty((2, start[-1] - F))
+    first = start[:-1] - np.arange(F)       # each row's first event
     # a covector (or its quadratic Q drop, first) may leave the double range
     # on a long horizon: the series then holds inf or nan, which the
     # diagnostics report as a range error
@@ -346,20 +346,19 @@ def transport_covector(trajectory: Trajectory | Sequence[Trajectory],
             z, w = z[:n], w[:n]
             v_out = v[:n, k]
             K = curvature_scale * curvature_at(domain, index[:n, k], nu[:n, k])
-            z, w, drops[:n, k] = _covector_jump(z, w - dt[:n, k, None, None] * z, nu[:n, k],
-                                                cos_phi[:n, k], K, v_out)
+            z, w, drops[first[:n] + k] = _covector_jump(z, w - dt[:n, k, None, None] * z,
+                                                        nu[:n, k], cos_phi[:n, k], K, v_out)
             z, cz = _reproject(z, v_out)
             w, cw = _reproject(w, v_out)
             scale = np.maximum(np.maximum(np.sqrt(row_dot(z, z)), np.sqrt(row_dot(w, w))),
                                1e-300)[:, 0]
             corr = (cz + cw) / scale
-            corrs[:n, k] = np.where(np.isfinite(corr), corr, np.inf)
-            zs[:n, k + 1], ws[:n, k + 1] = z[:, 0], w[:, 0]
+            corrs[first[:n] + k] = np.where(np.isfinite(corr), corr, np.inf)
+            zs[start[:n] + k + 1], ws[start[:n] + k + 1] = z[:, 0], w[:, 0]
     series: list = [None] * F
-    for row, f in enumerate(order.tolist()):
-        c = trajectories[f].event_count
-        series[f] = TransportSeries(trajectories[f], n0s[f], zs[row, :c + 1], ws[row, :c + 1],
-                                    drops[row, :c], corrs[row, :c])
+    for row, (f, a, b) in enumerate(zip(order.tolist(), start[:-1].tolist(), start[1:].tolist())):
+        series[f] = TransportSeries(trajectories[f], n0s[f], zs[a:b], ws[a:b],
+                                    drops[a - row:b - row - 1], corrs[a - row:b - row - 1])
     return series[0] if one else series
 
 
@@ -381,11 +380,10 @@ def transport_tangent(trajectory: Trajectory | Sequence[Trajectory],
     dv = np.array([np.atleast_2d(dy.dv) for dy in dy0s], dtype=float)
     _check_starts(dq, dv, np.array([t.start.v for t in trajectories]), "tangent vector")
     domain = trajectories[0].domain
-    order, rows, nu, v, cos_phi, index, dt = _event_columns(trajectories, "v_in")
-    F, E, _ = nu.shape
+    order, rows, start, nu, v, cos_phi, index, dt = _event_columns(trajectories, "v_in")
     dq, dv = dq[order], dv[order]
-    dqs, dvs = np.empty((2, F, E + 1, *dq.shape[1:]))
-    dqs[:, 0], dvs[:, 0] = dq, dv
+    dqs, dvs = np.empty((2, start[-1], *dq.shape[1:]))
+    dqs[start[:-1]], dvs[start[:-1]] = dq, dv
     # like the covector, a tangent vector may leave the double range; its
     # pairings are then not finite (see adjoint_residual)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -394,12 +392,12 @@ def transport_tangent(trajectory: Trajectory | Sequence[Trajectory],
             K = curvature_at(domain, index[:n, k], nu[:n, k])
             dq, dv = _tangent_jump(dq + dt[:n, k, None, None] * dv, dv, nu[:n, k],
                                    cos_phi[:n, k], K, v[:n, k])
-            dqs[:n, k + 1], dvs[:n, k + 1] = dq, dv
-    series: list = [None] * F
-    for row, f in enumerate(order.tolist()):
-        shape = (trajectories[f].event_count + 1, *np.shape(dy0s[f].dq))
-        series[f] = TangentSeries(trajectories[f], dqs[row, :shape[0]].reshape(shape),
-                                  dvs[row, :shape[0]].reshape(shape))
+            dqs[start[:n] + k + 1], dvs[start[:n] + k + 1] = dq, dv
+    series: list = [None] * len(trajectories)
+    for f, a, b in zip(order.tolist(), start[:-1].tolist(), start[1:].tolist()):
+        shape = (b - a, *np.shape(dy0s[f].dq))
+        series[f] = TangentSeries(trajectories[f], dqs[a:b].reshape(shape),
+                                  dvs[a:b].reshape(shape))
     return series[0] if one else series
 
 
@@ -435,11 +433,11 @@ def adjoint_residual(series: TransportSeries | Sequence[TransportSeries]) -> flo
     sequence of them, answered with the list of their residuals.  The
     trajectories' ``transversal_basis`` stacks, ``(2(d-1), d)`` each, come
     from one QR call for the whole group.  They move and pair in passes over
-    consecutive series holding up to ``TANGENT_VALUES`` tangent values (or
-    one series): one tangent pass, which evaluates the curvature itself, then
-    the pass's endpoints at once, as ``(S, 2, ...)`` arrays over its
-    segments.  A series' tangents and pairings do not depend on the other
-    series of its pass.  For each basis vector the pairing of the
+    the series sorted by segment count, each holding up to ``TANGENT_VALUES``
+    tangent values (or one series): one tangent pass, which evaluates the
+    curvature itself, then the pass's endpoints at once, as ``(S, 2, ...)``
+    arrays over its segments.  A series' tangents and pairings do not depend
+    on the other series of its pass.  For each basis vector the pairing of the
     forward-transported tangent vector with the transported covector must
     equal its initial value at every segment endpoint.  The residual at time
     ``t`` is normalized by the larger of the initial and current magnitude
@@ -457,16 +455,21 @@ def adjoint_residual(series: TransportSeries | Sequence[TransportSeries]) -> flo
     zero = np.zeros_like(basis)
     dy0 = TangentVector(np.concatenate([basis, zero], axis=1),
                         np.concatenate([zero, basis], axis=1))
-    starts = [TangentVector(dq, dv) for dq, dv in zip(dy0.dq, dy0.dv)]
-    sizes = [len(s.t0) * dy0.dq[0].size for s in group]
-    worst: list = []
-    while len(worst) < len(group):
-        a = len(worst)
-        part = slice(a, a + _leading(sizes[a:], TANGENT_VALUES))
-        tangents = transport_tangent([s.trajectory for s in group[part]], starts[part])
-        worst += _worst_pairing_error(group[part], TangentVector(dy0.dq[part], dy0.dv[part]),
-                                      tangents)
-    return worst[0] if one else worst
+    # passes over the series sorted by segment count, so that a pass pads
+    # its event columns little; the residuals go back in the group's order
+    order = np.argsort([len(s.t0) for s in group], kind="stable")
+    sizes = [len(group[f].t0) * dy0.dq[0].size for f in order.tolist()]
+    worst = np.empty(len(group))
+    a = 0
+    while a < len(group):
+        part = order[a:a + _leading(sizes[a:], TANGENT_VALUES)]
+        a += len(part)
+        sub = [group[f] for f in part.tolist()]
+        tangents = transport_tangent([s.trajectory for s in sub],
+                                     [TangentVector(dy0.dq[f], dy0.dv[f]) for f in part])
+        worst[part] = _worst_pairing_error(sub, TangentVector(dy0.dq[part], dy0.dv[part]),
+                                           tangents)
+    return float(worst[0]) if one else worst.tolist()
 
 
 def _leading(sizes: list[int], budget: int) -> int:

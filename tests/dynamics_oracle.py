@@ -43,11 +43,30 @@ from billiards import (
     TERMINATION_EVENT_CAP,
     TERMINATION_GRAZING,
     TERMINATION_HORIZON,
-    Trajectory,
 )
 from billiards.dynamics import FlightSegment
 from billiards.tolerances import EPS_GRAZE, EPS_TIME_FACTOR, MAX_EVENTS_DEFAULT
 from geometry_oracle import contains as oracle_contains, image_deltas
+
+
+@dataclass(eq=False)
+class Trajectory:
+    """The oracle's trajectory: its events and segments as lists of records,
+    with the fields of ``billiards.Trajectory``."""
+
+    domain: Domain
+    start: PhasePoint
+    horizon: float
+    events: list[CollisionEvent]
+    segments: list[FlightSegment]
+    termination: str
+    t_end: float
+    end: PhasePoint
+    max_speed_drift: float
+
+    @property
+    def event_count(self) -> int:
+        return len(self.events)
 
 
 @dataclass(eq=False)

@@ -2,8 +2,9 @@
 
 ``verify_monotonicity`` and ``verify_growth`` check a group of series in one
 array pass over their concatenated grids, and ``adjoint_residual`` moves and
-pairs a group's tangent stacks in passes of at most ``TANGENT_VALUES``.  Each series must get the
-report, residual and bases it gets alone, bit for bit, and the loop oracles'
+pairs a group's tangent stacks in passes of at most ``TANGENT_VALUES``, over
+the series sorted by segment count.  Each series must get the report,
+residual and bases it gets alone, bit for bit, and the loop oracles'
 values: in groups that mix event counts (one series without events),
 ``Q(n0) >= 0`` (strict checks skipped), zero-length segments, nan margins,
 and series that cannot be verified.
@@ -31,6 +32,7 @@ from billiards import (
     Torus,
     TransportSeries,
     adjoint_residual,
+    build_hardball_gas,
     flow,
     lyapunov_Q,
     sample_covector_uniform,
@@ -271,7 +273,8 @@ def test_residuals_of_tangent_passes_equal_each_residual_alone(family, curvature
 
 @pytest.mark.parametrize("budget", [None, 700])
 def test_no_tangent_pass_holds_more_than_the_budget(hardball32, budget, monkeypatch):
-    # consecutive series, as many as fit the budget; a series above it alone
+    # the series in order of their segment counts, as many as fit the
+    # budget; a series above it alone
     if budget is not None:
         monkeypatch.setattr(transport, "TANGENT_VALUES", budget)
     budget = transport.TANGENT_VALUES
@@ -282,12 +285,29 @@ def test_no_tangent_pass_holds_more_than_the_budget(hardball32, budget, monkeypa
     calls = _tangent_passes(monkeypatch)
     adjoint_residual(group)
     held = [c for call in calls for c in call]
-    assert held == [len(s.t0) * 10 * 6 for s in group]
+    assert held == sorted(len(s.t0) * 10 * 6 for s in group)
     assert len(calls) >= 2
     assert all(sum(call) <= budget or len(call) == 1 for call in calls)
     assert all(sum(call) + after[0] > budget for call, after in zip(calls, calls[1:]))
     if budget == 700:
         assert any(sum(call) > budget for call in calls)
+
+
+def test_tangent_passes_pad_their_stacks_little(monkeypatch):
+    # a pass pads its event columns to its longest series: with the series
+    # sorted by segment count, the passes over the 45 starts of the
+    # hard-disk verify family (T = 20, seed 1, 9 tangent passes) pad to at
+    # most 1.1 times the tangent values the series hold
+    domain = build_hardball_gas(3, 2, 0.1, 1.0)
+    initial = runner.sample_initial_conditions(domain, 45, 1, 0.1)
+    group = transport_covector(flow(domain, [x for x, _ in initial], 20.0),
+                               [n for _, n in initial])
+    alone = [adjoint_residual(s).hex() for s in group]
+    calls = _tangent_passes(monkeypatch)
+    assert [r.hex() for r in adjoint_residual(group)] == alone
+    assert len(calls) >= 2
+    allocated = sum(len(call) * max(call) for call in calls)
+    assert allocated <= 1.1 * sum(map(sum, calls))
 
 
 @pytest.mark.parametrize("d,reach", [(d, 1) for d in range(1, 9)] + [(d, 2) for d in range(1, 6)])

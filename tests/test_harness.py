@@ -19,6 +19,7 @@ from billiards import ConfigError
 from billiards.catalog import CATALOG
 from billiards.cli import main
 from billiards.config import domain_from_spec, load_config, parse_config
+from billiards.diagnostics import SeriesGroup
 from billiards import dynamics, runner
 from billiards.runner import run_experiment
 
@@ -420,9 +421,13 @@ def test_benchmark_sample_counter_reads_series_segments():
     assert traj.event_count >= 2
     z = np.array([-0.6, 0.8])
     series = billiards.transport_covector(traj, billiards.Covector(z, -0.5 * z))
-    assert series.segments is traj.segments
+    assert series.segments == traj.segments
     assert spans._samples((series,), {"interior": 3}, None) == 5 * len(series.segments)
     assert len(series.segments) == len(series.z) == traj.event_count + 1
+    # a check group's segments are its series' segments, one after another
+    group = SeriesGroup([series, series])
+    assert spans._samples((group,), {"interior": 3}, None) == 10 * len(series.segments)
+    assert group.segments == [*series.segments, *series.segments]
 
 
 def test_exports_resolve_and_no_module_import_is_unused():
@@ -541,7 +546,8 @@ _SAMPLER_DOMAINS = {
 @pytest.mark.parametrize("name", sorted(_SAMPLER_DOMAINS))
 def test_sampler_matches_one_draw_at_a_time(name):
     domain = domain_from_spec(_SAMPLER_DOMAINS[name])
-    count = 80 if name == "hardball_n3_d2" else 12
+    # 160 starts on 3 hard disks fly as 80 + 80 (the row budget allows 109)
+    count = 160 if name == "hardball_n3_d2" else 12
     if name == "hardball_n3_d2":
         assert len(dynamics.flight_groups(domain, count)) == 2
     for seed in range(8):
@@ -574,14 +580,14 @@ def test_sampler_tests_each_round_in_one_call(monkeypatch):
     # a round holds one draw of each waiting start of its group: the call
     # sizes follow from the draws each start needs one draw at a time
     domain = _catalog_domain("hardball_n3_d2")
-    draws = [d for _, d in _one_draw_at_a_time(domain, 80, 5, None)]
+    draws = [d for _, d in _one_draw_at_a_time(domain, 160, 5, None)]
     want = []
-    for group in dynamics.flight_groups(domain, 80):
+    for group in dynamics.flight_groups(domain, 160):
         group = draws[group.start:group.stop]
         want += [sum(d >= k for d in group) for k in range(1, max(group) + 1)]
     seen = _spy_contains(monkeypatch, domain, lambda ok, _: ok)
-    runner.sample_initial_conditions(domain, 80, 5)
-    assert seen == want and max(seen) == 40 and len(seen) > 2
+    runner.sample_initial_conditions(domain, 160, 5)
+    assert seen == want and max(seen) == 80 and len(seen) > 2
 
 
 def test_sampler_start_at_the_151st_draw(monkeypatch):

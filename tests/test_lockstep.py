@@ -14,9 +14,11 @@ wraps, and that the flow still goes through them, are checked here too.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -65,16 +67,44 @@ def _hex(x: float) -> str:
     return float(x).hex()
 
 
+def _event_bits(e) -> tuple:
+    return (_hex(e.t), e.scatterer_index, _hex(e.cos_phi),
+            *(getattr(e, k).tobytes() for k in ("q", "nu", "v_in", "v_out")))
+
+
+def _segment_bits(s) -> tuple:
+    return _hex(s.t0), _hex(s.t1), s.q0.tobytes(), s.v.tobytes()
+
+
 def _bits(traj) -> tuple:
     """Every field of a trajectory, as comparable bits."""
-    events = tuple((_hex(e.t), e.scatterer_index, _hex(e.cos_phi),
-                    *(getattr(e, k).tobytes() for k in ("q", "nu", "v_in", "v_out")))
-                   for e in traj.events)
-    segments = tuple((_hex(s.t0), _hex(s.t1), s.q0.tobytes(), s.v.tobytes())
-                     for s in traj.segments)
     return (traj.termination, _hex(traj.t_end), _hex(traj.max_speed_drift),
             traj.start.q.tobytes(), traj.start.v.tobytes(),
-            traj.end.q.tobytes(), traj.end.v.tobytes(), events, segments)
+            traj.end.q.tobytes(), traj.end.v.tobytes(),
+            tuple(map(_event_bits, traj.events)), tuple(map(_segment_bits, traj.segments)))
+
+
+def assert_views_match_oracle(traj, slow) -> None:
+    """A trajectory's event columns and its ``events``/``segments`` views,
+    read by negative index and by slice, against the oracle's lists of
+    records, bit for bit."""
+    ev, seg = slow.events, slow.segments
+    want = ([e.t for e in ev], [e.q for e in ev], [e.scatterer_index for e in ev],
+            [e.nu for e in ev], [e.cos_phi for e in ev], [e.v_in for e in ev],
+            [e.v_out for e in ev], [s.v for s in seg[1:]])
+    for got, w in zip(traj.columns, want, strict=True):
+        assert not got.flags.writeable and len(got) == len(ev)
+        assert got.tobytes() == np.array(w, dtype=got.dtype).tobytes()
+    n = traj.event_count
+    assert len(traj.events) == n == len(ev) and len(traj.segments) == n + 1 == len(seg)
+    assert [_segment_bits(s) for s in traj.segments[::-1]] == [_segment_bits(s) for s in seg[::-1]]
+    assert [_event_bits(e) for e in traj.events[1:]] == [_event_bits(e) for e in ev[1:]]
+    assert _segment_bits(traj.segments[-1]) == _segment_bits(seg[-1])
+    if n:
+        assert _event_bits(traj.events[-1]) == _event_bits(ev[-1])
+    with pytest.raises(IndexError):
+        traj.segments[n + 1]
+    assert traj.segments == traj.segments and (traj.events == []) == (n == 0)
 
 
 def assert_lockstep_matches_oracle(domain, starts, T, max_events=MAX_EVENTS_DEFAULT,
@@ -90,6 +120,7 @@ def assert_lockstep_matches_oracle(domain, starts, T, max_events=MAX_EVENTS_DEFA
     for traj, x in zip(fast, starts):
         slow = oracle.flow(domain, x, T, max_events=max_events, eps_graze=eps_graze)
         assert _bits(traj) == _bits(slow)
+        assert_views_match_oracle(traj, slow)
     return fast
 
 
@@ -195,24 +226,26 @@ def test_groups_are_balanced_and_flown_in_order(monkeypatch):
     assert [_bits(t) for t in trajs] == [_bits(oracle.flow(domain, x, 3.0)) for x in starts]
 
 
-@pytest.mark.parametrize("name,count", [("sinai2d", 80), ("hardball62", 80), ("sinai3d", 45),
-                                        ("hardball20", 3)])
+@pytest.mark.parametrize("name,count", [("sinai2d", 80), ("sinai2d", 200), ("hardball62", 80),
+                                        ("sinai3d", 45), ("hardball20", 3)])
 def test_groups_respect_the_flight_and_round_budgets(name, count):
-    # at most GROUP_FLIGHTS flights and ROUND_ROWS image rows per round (one
-    # flight at least), in as few balanced groups of consecutive starts as
-    # that allows: with ROUND_ROWS = 8192 and GROUP_FLIGHTS = 64, 2-d Sinai
-    # flies 40 + 40, 6 hard disks 4 x 20, Sinai 3-d 45 in one group and 20
-    # hard disks (4750 rows a flight) one flight per group
+    # at most ROUND_ROWS image rows per round (one flight at least), in as
+    # few balanced groups of consecutive starts as that allows: with
+    # ROUND_ROWS = 8192, 2-d Sinai (63 rows a flight) flies 80 in one group
+    # and 200 as 100 + 100, 6 hard disks 4 x 20, Sinai 3-d 45 in one group
+    # and 20 hard disks (4750 rows a flight) one flight per group
     domain = build_hardball_gas(20, 2, 0.1, 1.0) if name == "hardball20" else DOMAINS[name]
     rows = dynamics._chunk(domain)[1]
-    size = max(1, min(dynamics.GROUP_FLIGHTS, dynamics.ROUND_ROWS // rows))
+    size = max(1, dynamics.ROUND_ROWS // rows)
     groups = flight_groups(domain, count)
     sizes = [len(g) for g in groups]
     assert [f for g in groups for f in g] == list(range(count))
     assert len(groups) == -(-count // size)
     assert max(sizes) - min(sizes) <= 1 and max(sizes) <= size
-    assert max(sizes) <= dynamics.GROUP_FLIGHTS
     assert max(sizes) * rows <= max(dynamics.ROUND_ROWS, rows)
+    want = {("sinai2d", 80): [80], ("sinai2d", 200): [100, 100], ("hardball62", 80): [20] * 4,
+            ("sinai3d", 45): [45], ("hardball20", 3): [1, 1, 1]}
+    assert sizes == want[name, count]
 
 
 def test_one_hardball_group_of_20_flies_each_start_as_alone():
@@ -541,3 +574,50 @@ def test_the_flow_goes_through_the_traced_names(monkeypatch, tmp_path, domain):
     assert seen["flow"] == len(flight_groups(cfg.domain, 5))
     assert seen["events"] == sum(t["event_count"] for t in summary["trajectories"]) > 0
     assert seen["kernel"] > 0
+
+
+def test_a_run_books_one_event_per_non_none_return(monkeypatch, tmp_path):
+    # the tracer counts the events of a run, with its CSVs, as the non-None
+    # returns of dynamics.next_collision: 140 starts on 2-d Sinai fly as
+    # 70 + 70, with grazing, event-cap and horizon endings
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "domain": {"kind": "sinai", "d": 2, "r": 0.25, "L": 1.0, "centers": [[0.5, 0.5]]},
+        "initial": {"sampler": {"count": 140, "seed": 1, "c0": 0.1}}, "horizon": 20.0,
+        "tolerances": {"eps_graze": 0.3}, "max_events": 12}), encoding="utf-8")
+    cfg = load_config(path)
+    assert [len(g) for g in flight_groups(cfg.domain, 140)] == [70, 70]
+    returns = []
+    original = dynamics.next_collision
+
+    def spy(*args, **kwargs):
+        returns.append(original(*args, **kwargs))
+        return returns[-1]
+
+    monkeypatch.setattr(dynamics, "next_collision", spy)
+    summary, _ = run_experiment(cfg, "run", tmp_path / "out")
+    entries = summary["trajectories"]
+    assert {e["termination"] for e in entries} == {
+        TERMINATION_GRAZING, TERMINATION_EVENT_CAP, TERMINATION_HORIZON}
+    assert sum(r is not None for r in returns) == sum(e["event_count"] for e in entries) > 0
+
+
+def test_trajectories_hold_their_events_as_columns():
+    # the trajectories of 40 starts on 2-d Sinai, T = 100, seed 1 (2615
+    # events) hold at most 200 B per event: about 104 B of columns at d = 2
+    # and a few objects per trajectory, but none per event
+    domain = build_sinai(2, 0.25, 1.0, [[0.5, 0.5]])
+    starts = [x for x, _ in runner.sample_initial_conditions(domain, 40, 1, 0.1)]
+    flow(domain, starts, 1.0)             # caches of the domain, built once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trajs = flow(domain, starts, 100.0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    events = sum(t.event_count for t in trajs)
+    assert events == 2615
+    assert held <= 200 * events

@@ -51,7 +51,7 @@ def test_columns_match_object_oracle(family, request):
         for scale in (1.0, 2.0):
             series = transport_covector(traj, n0, curvature_scale=scale)
             slow = oracle.transport_covector(traj, n0, curvature_scale=scale)
-            assert series.segments is traj.segments
+            assert series.segments == traj.segments
             assert _hex(series.t0) == _hex([s.t0 for s in slow.segments])
             assert _hex(series.t1) == _hex([s.t1 for s in slow.segments])
             assert _hex(series.z) == _hex([s.z for s in slow.segments])

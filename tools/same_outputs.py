@@ -5,9 +5,10 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2, and fourteen configs that no workload covers,
+changed), for seeds 1 and 2, and sixteen configs that no workload covers,
 at the same seeds (:data:`EXTRA`), among them the grazing and event-cap
-endings, a run without ``c0``, a range error and a sampler that gives up.
+endings, a run without ``c0``, a range error, a sampler that gives up and
+ensembles of several groups as large as the row budget allows.
 Each config runs in a fresh ``python -m billiards`` process per tree, with
 that tree's ``src`` on the path and one thread: ``run`` or ``verify`` as its
 workload says, and ``verify --corrupt-curvature`` on the four acceptance
@@ -61,8 +62,10 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # c0: their CSVs have an empty bound_theorem column and rows with Q > 0.
 # At T = 187 on 2-d Sinai a later trajectory leaves the double range (index 7
 # on seed 1, 18 on seed 2): run and verify exit 3, and run leaves the CSVs of
-# the trajectories before it.  100 starts on 3 hard disks fly as 50 + 50, and
-# their adjoint check makes several tangent passes per group.  About 1.2% of
+# the trajectories before it.  100 starts on 3 hard disks fly as one group,
+# and their adjoint check makes several tangent passes.  300 starts on 2-d
+# Sinai fly as 3 x 100 and 600 on 3-d Sinai as 300 + 300, the largest groups
+# the row budget gives them (130 and 512 flights).  About 1.2% of
 # the position draws on 8 hard disks are accepted, so their groups of 10 run
 # hundreds of sampler rounds.  No draw is accepted between two walls 5e-9
 # apart: run exits 3 before any output.
@@ -90,6 +93,8 @@ EXTRA = {
     "sinai_2d_overflow_verify": ("verify", "sinai_2d", _OVERFLOW),
     "hardball_n3_d2_100": ("verify", "hardball_n3_d2",
                            {"initial": {"sampler": {"count": 100, "c0": 0.1}}}),
+    "sinai_2d_300": ("run", "sinai_2d", {"initial": {"sampler": {"count": 300, "c0": 0.1}}}),
+    "sinai_3d_600": ("verify", "sinai_3d", {"initial": {"sampler": {"count": 600, "c0": 0.1}}}),
     "hardball_n8_low_acceptance": ("verify", {
         "kind": "hardball_gas", "N": 8, "d": 2, "r": 0.1, "L": 1.0},
         {"initial": {"sampler": {"count": 40, "c0": 0.1}}, "horizon": 2.0}),
