@@ -188,9 +188,9 @@ class _Series:
 
     def __init__(self, trajectory: Trajectory, *columns: np.ndarray):
         self.trajectory, self.segments = trajectory, trajectory.segments
-        self.t_end = trajectory.t_end
-        self.t0 = np.concatenate(([0.0], trajectory.columns.t))
-        self.t1 = np.append(trajectory.columns.t, self.t_end)
+        self.t_end, t = trajectory.t_end, trajectory.group.t[trajectory.rows]
+        self.t0 = np.concatenate(([0.0], t))
+        self.t1 = np.concatenate((t, [self.t_end]))
         for a in (self.t0, self.t1, *columns):
             a.flags.writeable = False
 
@@ -295,7 +295,7 @@ def _event_columns(trajectories: list[Trajectory], velocity: str) -> tuple[np.nd
         v[row, :c] = vel / np.sqrt(row_dot(vel, vel))[:, None]
         nu[row, :c], cos_phi[row, :c], index[row, :c] = ev.nu, ev.cos_phi, ev.scatterer_index
         # each segment's duration t1 - t0, the first from t0 = 0
-        dt[row, :c] = np.diff(ev.t, prepend=0.0)
+        dt[row, :c] = ev.t - np.concatenate(([0.0], ev.t[:-1]))
     rows = (counts[order][:, None] > np.arange(E)).sum(axis=0)
     return order, rows, np.cumsum(np.append(0, counts[order] + 1)), nu, v, cos_phi, index, dt
 
