@@ -18,8 +18,14 @@ included, and returns, for each flight whose chunk holds a root, the first
 window that holds one.  :func:`_tile` tiles each chunk by the running sum
 ``t_lo += min(window, horizon - t_lo)`` of one window at a time, and pads a
 chunk shorter than the others with windows of length 0, which hold no root.
-An ensemble flies in balanced groups (:func:`flight_groups`), one
-:func:`flow` call each, of at most ``ROUND_ROWS`` image rows a round.
+The call scans a plain stack's windows in consecutive slices of at most
+``max(ROUND_ROWS, one window's images)`` image rows (``geometry.ROUND_ROWS``,
+the budget ``Domain.contains`` slices its points by), so a round holds that
+much whatever its flight count.  An ensemble flies in balanced groups
+(:func:`flight_groups`), one :func:`flow` call each, of ``ROUND_ROWS`` over a
+flight's chunk rows, counted at most ``CHUNK_ROWS``: 130 flights on 2-d
+Sinai, 512 on Sinai with d >= 3 and 128 on hard balls, whose one window may
+alone exceed ``CHUNK_ROWS``.
 
 The searches of a round that found a root land in one array pass
 (:func:`_landings`): the Newton polish of each root, with each row's own
@@ -77,6 +83,7 @@ from .errors import (
     GrazingSingularityError,
     InvalidStateError,
 )
+from . import geometry
 from .geometry import Box, Domain, Vec, reflect, row_dot
 from .tolerances import EPS_GRAZE, EPS_TIME_FACTOR, MAX_EVENTS_DEFAULT
 
@@ -89,13 +96,13 @@ TERMINATION_ESCAPE = "escape_error"
 # The collision search hands each flight's next chunk of up to
 # WINDOW_CHUNK_MAX consecutive windows, as many as keep a chunk near
 # CHUNK_ROWS image rows (:func:`_chunk`), to the kernel: small scans are
-# dominated by the fixed cost of a call.  A flight group holds at most
-# ROUND_ROWS image rows in the kernel arrays of a round; its trajectories
-# (about 100 B per event at d = 2) are small beside them, and the adjoint
-# check's tangent stacks have their own budget (transport.TANGENT_VALUES).
+# dominated by the fixed cost of a call.  The kernel's arrays are sliced by
+# geometry.ROUND_ROWS, and a flight group holds ROUND_ROWS over a flight's
+# chunk rows, at most CHUNK_ROWS of them; its trajectories (about 100 B per
+# event at d = 2) are small beside the arrays, and the adjoint check's
+# tangent stacks have their own budget (transport.TANGENT_VALUES).
 CHUNK_ROWS = 64
 WINDOW_CHUNK_MAX = 16
-ROUND_ROWS = 8192
 
 
 @dataclass(eq=False)
@@ -309,12 +316,14 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
     radius from the stack's ``radii_sq`` (0 for a wall).  A flight without
     a hit searched its whole chunk.
 
-    Each stack is evaluated in one array pass over all its flights, windows,
-    scatterers and images; a broad-phase stack scans its windows in reach
-    in batches of at most ``max(ROUND_ROWS, one window's images)`` image
-    rows.  The velocity terms of a stack (the velocity transverse to each
-    axis and its squared norm, or the normal speeds of the planes) depend
-    on the flight alone, and a flight reaches only the scatterers with
+    Each stack is evaluated in array passes over its flights, windows,
+    scatterers and images of at most ``max(ROUND_ROWS, one window's
+    images)`` image rows: a sphere or cylinder stack scans consecutive
+    slices of its windows, and a broad-phase stack its windows in reach in
+    batches; a halfspace stack takes one pass.  The velocity terms of a
+    stack (the velocity transverse to each axis and its squared norm, or the
+    normal speeds of the planes) depend on the flight alone and are built
+    for the flights of a slice, and a flight reaches only the scatterers with
     ``a >= 1e-30`` (a velocity along a cylinder's axis never reaches its
     boundary) or the planes it approaches.  Ties go to the lower scatterer
     index, then the earlier image.
@@ -341,9 +350,9 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
             found.append((w, roots, st.indices[row], xi0, xiv, radius_sq))
 
     for st in domain.stacks:
-        rows = np.repeat(v[:, None, :], st.points.shape[0], axis=1)
+        S = st.points.shape[0]
         if st.kind == "halfspace":
-            hv = row_dot(rows, st.normals)                               # (F, S)
+            hv = row_dot(np.repeat(v[:, None, :], S, axis=1), st.normals)  # (F, S)
             h0 = row_dot(q_win[:, None, :] - st.points, st.normals)      # (F W, S)
             pos = np.flatnonzero((hv < 0.0)[flight])
             r, row = np.divmod(pos, h0.shape[1])
@@ -354,36 +363,45 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
             add(st, r, row, roots[keep], h0.reshape(-1)[pos, None] * n,
                 hv[flight[r], row, None] * n)
             continue
-        vv = st.transverse(rows)
-        a = row_dot(vv, vv)[..., None]
-        live = a >= 1e-30
-        shift = None
-        if periodic:
-            mid = center[:, None, :] - st.points
-            shift = L * np.rint(mid / L)
-        if st.reach_sq is None:
-            add(st, *_image_roots(st, q_win, shift, vv[flight], a[flight], live[flight], hi))
-            continue
-        # broad phase: the window's flight box is mid +- (hi/2)|v| per
-        # coordinate, and |mid - shift| <= L/2, so the nearest lattice
-        # coordinate to each interval is the one of shift and gap is the
-        # exact distance from the box to the nearest image of the center
-        gap = np.maximum(np.abs(mid - shift) - (half * np.abs(v)[flight])[:, None, :], 0.0)
-        wins = np.flatnonzero(~(row_dot(gap, gap) > st.reach_sq).all(axis=-1) & (hi > 0.0))
-        del mid, gap            # not needed by the batches: a large round holds less
-        images = st.deltas.shape[0] * st.deltas.shape[1]
-        size = max(ROUND_ROWS, images) // images
-        hit = np.zeros(F, dtype=bool)
-        while wins.size:
-            batch, wins = wins[:size], wins[size:]
-            f = flight[batch]
-            r, *rest = _image_roots(st, q_win[batch], shift[batch], vv[f], a[f], live[f],
-                                    hi[batch])
-            add(st, batch[r], *rest)
-            if r.size and wins.size:
-                # a flight's windows after one with a root come too late
-                hit[f[r]] = True
-                wins = wins[~hit[flight[wins]]]
+        images = S * st.deltas.shape[1]
+        size = max(geometry.ROUND_ROWS, images) // images
+        # the plain scan runs over consecutive slices of `size` windows, each
+        # with the (window, scatterer) arrays of its own flights; a
+        # broad-phase stack tests all windows of the round at once
+        step = size if st.reach_sq is None else F * W
+        for s in range(0, F * W, step):
+            win, f0 = slice(s, s + step), flight[s]
+            owner = flight[win] - f0
+            vv = st.transverse(np.repeat(v[f0:f0 + owner[-1] + 1, None, :], S, axis=1))
+            a = row_dot(vv, vv)[..., None]
+            live = a >= 1e-30
+            shift = None
+            if periodic:
+                mid = center[win, None, :] - st.points
+                shift = L * np.rint(mid / L)
+            if st.reach_sq is None:
+                r, *rest = _image_roots(st, q_win[win], shift, vv[owner], a[owner], live[owner],
+                                        hi[win])
+                add(st, s + r, *rest)
+                continue
+            # broad phase: the window's flight box is mid +- (hi/2)|v| per
+            # coordinate, and |mid - shift| <= L/2, so the nearest lattice
+            # coordinate to each interval is the one of shift and gap is the
+            # exact distance from the box to the nearest image of the center
+            gap = np.maximum(np.abs(mid - shift) - (half * np.abs(v)[flight])[:, None, :], 0.0)
+            wins = np.flatnonzero(~(row_dot(gap, gap) > st.reach_sq).all(axis=-1) & (hi > 0.0))
+            del mid, gap            # not needed by the batches: a large round holds less
+            hit = np.zeros(F, dtype=bool)
+            while wins.size:
+                batch, wins = wins[:size], wins[size:]
+                f = flight[batch]
+                r, *rest = _image_roots(st, q_win[batch], shift[batch], vv[f], a[f], live[f],
+                                        hi[batch])
+                add(st, batch[r], *rest)
+                if r.size and wins.size:
+                    # a flight's windows after one with a root come too late
+                    hit[f[r]] = True
+                    wins = wins[~hit[flight[wins]]]
     if not found:
         none = np.zeros(0, dtype=np.intp)
         return (none, none, np.zeros(0), np.zeros(0), none, np.zeros((0, d)), np.zeros((0, d)),
@@ -566,11 +584,13 @@ def _fly(domain: Domain, q: np.ndarray, v: np.ndarray, T: float, max_events: int
 
 def flight_groups(domain: Domain, count: int) -> list[range]:
     """How ``count`` starts fly in lockstep: balanced groups of consecutive
-    starts, in order, of at most ``ROUND_ROWS`` image rows a round (one
-    flight at least; :func:`_chunk`).  Each group is one :func:`flow` call,
-    and its trajectories are alive only until its caller has used them; the
+    starts, in order, of at most ``ROUND_ROWS`` over a flight's chunk rows
+    (:func:`_chunk`), counted at most ``CHUNK_ROWS``: the kernel slices a
+    round by ``ROUND_ROWS``, so a window that alone holds more rows does not
+    shrink the group.  Each group is one :func:`flow` call, and its
+    trajectories are alive only until its caller has used them; the
     sampler's rounds use the groups too."""
-    size = max(1, ROUND_ROWS // _chunk(domain)[1])
+    size = max(1, geometry.ROUND_ROWS // min(_chunk(domain)[1], CHUNK_ROWS))
     n = -(-count // size)
     sizes = [count // n + (k < count % n) for k in range(n)]
     return [range(end - k, end) for k, end in zip(sizes, itertools.accumulate(sizes))]

@@ -34,6 +34,12 @@ from .tolerances import BROAD_PHASE_MARGIN_FACTOR, EPS_SURFACE_FACTOR
 
 Vec = np.ndarray
 
+# One budget of rows bounds the arrays of a pass: the collision search scans
+# a round's windows (dynamics) and contains tests its points in consecutive
+# slices of at most ROUND_ROWS rows, or of one window or point when that
+# alone holds more, and dynamics sizes its flight groups by it too.
+ROUND_ROWS = 8192
+
 # Lattice enumerations are (3 or 5)^d arrays; beyond this dimension a custom
 # cylinder must supply its transverse image offsets explicitly.
 _MAX_ENUM_DIM = 12
@@ -544,19 +550,27 @@ class Domain:
         """True when ``q`` lies in the billiard region (outside every solid part).
 
         ``q`` is one point ``(d,)``, answered with a bool, or a stack of
-        points ``(..., d)``, answered with a boolean array: one array pass
-        per stack of scatterers for all points, with the bits of one point
-        at a time.
+        points ``(..., d)``, answered with a boolean array: array passes per
+        stack of scatterers over consecutive slices of the points, each of
+        at most ``ROUND_ROWS`` rows (``S m`` per point of a cylinder stack,
+        its transverse images; ``S`` of a sphere stack, whose minimal image
+        needs no enumeration, and of a halfspace stack) or one point, with
+        the bits of one point at a time.
         """
         slack = self.eps_surface if slack is None else slack
         q = np.asarray(q, dtype=float)
-        inside = np.ones(q.shape[:-1], dtype=bool)
+        points = q.reshape(-1, q.shape[-1])
+        inside = np.ones(len(points), dtype=bool)
         if isinstance(self.ambient, Box):
-            inside &= self.ambient.contains(q, slack)
+            inside &= self.ambient.contains(points, slack)
         for st in self.stacks:
-            # min() is nan if any distance is, and nan >= x is False
-            inside &= self._signed_distances(st, q).min(axis=-1) >= -slack
-        return bool(inside) if q.ndim == 1 else inside
+            rows = st.indices.size * (st.basis_deltas.shape[-1] if st.kind == "cylinder" else 1)
+            size = max(ROUND_ROWS, rows) // rows
+            for s in range(0, len(points), size):
+                # min() is nan if any distance is, and nan >= x is False
+                inside[s:s + size] &= self._signed_distances(
+                    st, points[s:s + size]).min(axis=-1) >= -slack
+        return bool(inside[0]) if q.ndim == 1 else inside.reshape(q.shape[:-1])
 
     def _signed_distances(self, st: ScattererStack, q: np.ndarray) -> np.ndarray:
         """Distance from each point of ``q``, ``(..., d)``, to each scatterer

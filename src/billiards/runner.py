@@ -1,8 +1,9 @@
 """Experiment execution: trajectories -> transport -> checks -> CSV/JSON.
 
-The ensemble runs in lockstep groups of at most ``dynamics.ROUND_ROWS``
-image rows a round (``dynamics.flight_groups``): per group one ``flow`` call,
-one covector transport and, when the run wants it, one adjoint check.  The
+The ensemble runs in lockstep groups (``dynamics.flight_groups``: 130
+trajectories on 2-d Sinai, 512 on Sinai with d >= 3, 128 on hard balls, from
+the row budget ``geometry.ROUND_ROWS``): per group one ``flow`` call, one
+covector transport and, when the run wants it, one adjoint check.  The
 checks then run once per check group, the group's series up to
 ``CHECK_SAMPLES`` grid samples, and each trajectory writes its CSV as soon
 as its entry exists, in index order.  Each trajectory and series is the one

@@ -24,8 +24,8 @@ for the covector; ``K`` is the plain ``d x d`` matrix that
 adjoint, so the pairing with a forward-transported tangent vector is an
 exact invariant; ``adjoint_residual`` measures how well the implementation
 preserves it on a covector series that is already transported, so each
-trajectory's covector moves once, and evaluates it at both endpoints of
-every segment in one array expression.
+trajectory's covector moves once, and evaluates it at the start of every
+segment in one array pass, then at the end in another.
 
 Each pass moves a group of trajectories in lockstep: step ``k`` maps event
 ``k`` of every trajectory that has more than ``k`` events, as one kernel
@@ -435,11 +435,12 @@ def adjoint_residual(series: TransportSeries | Sequence[TransportSeries]) -> flo
     from one QR call for the whole group.  They move and pair in passes over
     the series sorted by segment count, each holding up to ``TANGENT_VALUES``
     tangent values (or one series): one tangent pass, which evaluates the
-    curvature itself, then the pass's endpoints at once, as ``(S, 2, ...)``
-    arrays over its segments.  A series' tangents and pairings do not depend
-    on the other series of its pass.  For each basis vector the pairing of the
-    forward-transported tangent vector with the transported covector must
-    equal its initial value at every segment endpoint.  The residual at time
+    curvature itself, then the pass's segment starts and its segment ends,
+    as ``(S, ...)`` arrays over its segments.  A series' tangents and
+    pairings do not depend on the other series of its pass.  For each basis
+    vector the pairing of the forward-transported tangent vector with the
+    transported covector must equal its initial value at every segment
+    endpoint.  The residual at time
     ``t`` is normalized by the larger of the initial and current magnitude
     products: the pairing is evaluated by cancellation of terms of that size,
     which is the scale fixed precision can certify.  A pairing that is not
@@ -489,24 +490,26 @@ def _worst_pairing_error(group: list[TransportSeries], dy0: TangentVector,
         + (dy0.dv @ np.array([n.w for n in n0])[:, :, None])[..., 0]      # (F, m)
     base = dy0.norm() * np.array([s.n0_norm for s in group])[:, None]
     t0, t1 = (np.concatenate([getattr(s, name) for s in group]) for name in ("t0", "t1"))
-    # time since the segment start at its two endpoints, (S, 2)
-    dt = np.stack([t0 - t0, t1 - t0], axis=1)
-    z = np.concatenate([s.z for s in group])[:, None, :]                    # (S, 1, d)
+    z = np.concatenate([s.z for s in group])                                # (S, d)
     w0 = np.concatenate([s.w0 for s in group])
-    dv = np.concatenate([tan.dv for tan in tangents])[:, None]              # (S, 1, m, d)
+    dv = np.concatenate([tan.dv for tan in tangents])                       # (S, m, d)
     dq0 = np.concatenate([tan.dq0 for tan in tangents])
+    base, p0 = (np.repeat(x, counts, axis=0) for x in (base, p0))          # (S, m)
     # the endpoint values and the per-vector products of TangentVector.norm,
-    # Covector.norm and pairing; a value past the double range makes the
-    # residual infinite
+    # Covector.norm and pairing, one endpoint at a time; a value past the
+    # double range makes the residual infinite
     with np.errstate(over="ignore", invalid="ignore"):
-        w = w0[:, None, :] - dt[..., None] * z                              # (S, 2, d)
-        dq = dq0[:, None] + dt[..., None, None] * dv                        # (S, 2, m, d)
-        n_norm = np.sqrt(row_dot(z, z) + row_dot(w, w))
-        dy_norm = np.sqrt(np.einsum("...i,...i", dq, dq) + np.einsum("...i,...i", dv, dv))
-        scale = np.maximum(np.maximum(np.repeat(base, counts, axis=0)[:, None],
-                                      dy_norm * n_norm[..., None]), 1e-300)
-        paired = (dq @ z[..., None])[..., 0] + (dv @ w[..., None])[..., 0]
-        err = np.abs(paired - np.repeat(p0, counts, axis=0)[:, None]) / scale
-        worst = np.maximum.reduceat(err.reshape(len(err), -1).max(axis=1),
-                                    np.cumsum([0] + counts[:-1]))
+        z_sq, dv_sq = row_dot(z, z), np.einsum("...i,...i", dv, dv)
+        err, dq = None, np.empty_like(dv)                                  # (S, m, d)
+        for dt in (t0 - t0, t1 - t0):        # time since the segment start
+            w = w0 - dt[:, None] * z                                        # (S, d)
+            np.multiply(dt[:, None, None], dv, out=dq)
+            dq += dq0
+            n_norm = np.sqrt(z_sq + row_dot(w, w))
+            dy_norm = np.sqrt(np.einsum("...i,...i", dq, dq) + dv_sq)
+            scale = np.maximum(np.maximum(base, dy_norm * n_norm[:, None]), 1e-300)
+            paired = (dq @ z[..., None])[..., 0] + (dv @ w[..., None])[..., 0]
+            e = (np.abs(paired - p0) / scale).max(axis=1)
+            err = e if err is None else np.maximum(err, e)
+        worst = np.maximum.reduceat(err, np.cumsum([0] + counts[:-1]))
     return [math.inf if math.isnan(x) else x for x in worst.tolist()]

@@ -546,7 +546,7 @@ _SAMPLER_DOMAINS = {
 @pytest.mark.parametrize("name", sorted(_SAMPLER_DOMAINS))
 def test_sampler_matches_one_draw_at_a_time(name):
     domain = domain_from_spec(_SAMPLER_DOMAINS[name])
-    # 160 starts on 3 hard disks fly as 80 + 80 (the row budget allows 109)
+    # 160 starts on 3 hard disks fly as 80 + 80 (the row budget allows 128)
     count = 160 if name == "hardball_n3_d2" else 12
     if name == "hardball_n3_d2":
         assert len(dynamics.flight_groups(domain, count)) == 2

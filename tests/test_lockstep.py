@@ -46,6 +46,7 @@ from billiards import (
     dynamics,
     flight_groups,
     flow,
+    geometry,
     runner,
 )
 from billiards.cli import main
@@ -111,8 +112,8 @@ def assert_lockstep_matches_oracle(domain, starts, T, max_events=MAX_EVENTS_DEFA
                                    eps_graze=1e-10, round_rows=None) -> list:
     """The lockstep flow of all starts against the oracle, one start at a
     time; ``round_rows`` replaces ``ROUND_ROWS``.  Returns the trajectories."""
-    rows = dynamics.ROUND_ROWS if round_rows is None else round_rows
-    with mock.patch.object(dynamics, "ROUND_ROWS", rows):
+    rows = geometry.ROUND_ROWS if round_rows is None else round_rows
+    with mock.patch.object(geometry, "ROUND_ROWS", rows):
         fast = [traj for g in flight_groups(domain, len(starts))
                 for traj in flow(domain, starts[g.start:g.stop], T, max_events=max_events,
                                  eps_graze=eps_graze)]
@@ -209,7 +210,7 @@ def test_groups_are_balanced_and_flown_in_order(monkeypatch):
     domain = DOMAINS["sinai2d"]
     rng = np.random.default_rng(457)
     starts = [random_phase_point(domain, rng) for _ in range(7)]
-    monkeypatch.setattr(dynamics, "ROUND_ROWS", 3 * dynamics._chunk(domain)[1])
+    monkeypatch.setattr(geometry, "ROUND_ROWS", 3 * dynamics._chunk(domain)[1])
     groups = flight_groups(domain, len(starts))
     assert groups == [range(0, 3), range(3, 5), range(5, 7)]
     assert flight_groups(domain, 0) == []
@@ -227,24 +228,27 @@ def test_groups_are_balanced_and_flown_in_order(monkeypatch):
 
 
 @pytest.mark.parametrize("name,count", [("sinai2d", 80), ("sinai2d", 200), ("hardball62", 80),
-                                        ("sinai3d", 45), ("hardball20", 3)])
+                                        ("hardball62", 300), ("sinai3d", 45),
+                                        ("hardball20", 3)])
 def test_groups_respect_the_flight_and_round_budgets(name, count):
-    # at most ROUND_ROWS image rows per round (one flight at least), in as
-    # few balanced groups of consecutive starts as that allows: with
-    # ROUND_ROWS = 8192, 2-d Sinai (63 rows a flight) flies 80 in one group
-    # and 200 as 100 + 100, 6 hard disks 4 x 20, Sinai 3-d 45 in one group
-    # and 20 hard disks (4750 rows a flight) one flight per group
+    # ROUND_ROWS over a flight's chunk rows, counted at most CHUNK_ROWS (one
+    # flight at least), in as few balanced groups of consecutive starts as
+    # that allows: with ROUND_ROWS = 8192, 2-d Sinai (63 rows a flight)
+    # flies 80 in one group and 200 as 100 + 100, Sinai 3-d 45 in one group,
+    # and hard disks 128 a group, however many rows their one window holds
+    # (375 on 6 disks, 4750 on 20): the kernel slices those rounds
     domain = build_hardball_gas(20, 2, 0.1, 1.0) if name == "hardball20" else DOMAINS[name]
-    rows = dynamics._chunk(domain)[1]
-    size = max(1, dynamics.ROUND_ROWS // rows)
+    rows = min(dynamics._chunk(domain)[1], dynamics.CHUNK_ROWS)
+    size = max(1, geometry.ROUND_ROWS // rows)
     groups = flight_groups(domain, count)
     sizes = [len(g) for g in groups]
     assert [f for g in groups for f in g] == list(range(count))
     assert len(groups) == -(-count // size)
     assert max(sizes) - min(sizes) <= 1 and max(sizes) <= size
-    assert max(sizes) * rows <= max(dynamics.ROUND_ROWS, rows)
-    want = {("sinai2d", 80): [80], ("sinai2d", 200): [100, 100], ("hardball62", 80): [20] * 4,
-            ("sinai3d", 45): [45], ("hardball20", 3): [1, 1, 1]}
+    assert max(sizes) * rows <= max(geometry.ROUND_ROWS, rows)
+    want = {("sinai2d", 80): [80], ("sinai2d", 200): [100, 100], ("hardball62", 80): [80],
+            ("hardball62", 300): [100, 100, 100], ("sinai3d", 45): [45],
+            ("hardball20", 3): [3]}
     assert sizes == want[name, count]
 
 
@@ -469,6 +473,91 @@ def test_state_check_of_a_stack_matches_one_state_at_a_time():
 
 
 # ---------------------------------------------------------------------------
+# The row budget slices the kernel scan and the membership test
+# ---------------------------------------------------------------------------
+
+# name -> (domain, start count, horizon): with 40 starts on 6 hard disks or
+# 20 on 12 in one group, a round of one window each holds more than 8192
+# image rows (375 and 1650 a window)
+_SLICED = {"hardball62": (DOMAINS["hardball62"], 40, 1.5),
+           "hardball122": (build_hardball_gas(12, 2, 0.05, 1.0), 20, 0.5),
+           "cylinder3d": (DOMAINS["cylinder3d"], 40, 3.0),
+           "sinai2d": (DOMAINS["sinai2d"], 40, 3.0)}
+
+
+@pytest.mark.parametrize("name", sorted(_SLICED))
+def test_kernel_scans_each_round_in_slices_of_the_row_budget(monkeypatch, name):
+    # with ROUND_ROWS at three windows' images, at 8192 and at 10**9, no
+    # _image_roots call holds more than max(ROUND_ROWS, one window's images)
+    # image rows, and every trajectory has the oracle's bits whatever the
+    # budget (and so the group size and the slices)
+    domain, count, T = _SLICED[name]
+    rng = np.random.default_rng(479)
+    starts = [random_phase_point(domain, rng) for _ in range(count)]
+    (images,) = {st.indices.size * st.deltas.shape[1] for st in domain.stacks}
+    calls = []
+    original = dynamics._image_roots
+
+    def spy(st, qw, *rest):
+        calls.append(qw.shape[0] * st.indices.size * st.deltas.shape[1])
+        return original(st, qw, *rest)
+
+    monkeypatch.setattr(dynamics, "_image_roots", spy)
+    bits = []
+    for budget in (3 * images, 8192, 10**9):
+        calls.clear()
+        trajs = assert_lockstep_matches_oracle(domain, starts, T, round_rows=budget)
+        assert calls and max(calls) <= max(budget, images)
+        bits.append([_bits(t) for t in trajs])
+    assert bits[0] == bits[1] == bits[2]
+    assert sum(t.event_count for t in trajs) >= count
+
+
+_MEMBERSHIP = {**DOMAINS, "hardball122": _SLICED["hardball122"][0]}
+
+
+@pytest.mark.parametrize("name", sorted(_MEMBERSHIP))
+def test_contains_tests_its_points_in_slices_of_the_row_budget(monkeypatch, name):
+    # each _signed_distances call of contains holds at most max(ROUND_ROWS,
+    # one point's rows) rows: S m a point for a cylinder stack (its
+    # transverse images), S for a sphere stack (its minimal image, no
+    # enumeration) and for a halfspace stack.  On 8-d Sinai a call covers
+    # every point.  The answers, on random points and on the landed points
+    # of flights, are those of one unsliced call
+    domain = _MEMBERSHIP[name]
+    rng = np.random.default_rng(487)
+    if isinstance(domain.ambient, Box):
+        lo, hi = -0.05, np.asarray(domain.ambient.sides) + 0.05
+    else:
+        lo, hi = 0.0, np.full(domain.d, domain.ambient.side)
+    trajs = flow(domain, [random_phase_point(domain, rng) for _ in range(20)], 8.0)
+    landed = np.concatenate([t.columns.q for t in trajs])
+    points = np.concatenate([rng.uniform(lo, hi, (1200, domain.d)), landed])
+    assert len(landed) >= 2
+    with mock.patch.object(geometry, "ROUND_ROWS", 10**9):
+        want = {slack: domain.contains(points, slack) for slack in (None, 0.0)}
+    calls = []
+    original = type(domain)._signed_distances
+
+    def spy(self, st, q):
+        rows = st.indices.size * (st.basis_deltas.shape[-1] if st.kind == "cylinder" else 1)
+        calls.append((len(q), rows))
+        return original(self, st, q)
+
+    monkeypatch.setattr(type(domain), "_signed_distances", spy)
+    for budget in (1, 100, 8192):
+        monkeypatch.setattr(geometry, "ROUND_ROWS", budget)
+        for slack, answers in want.items():
+            calls.clear()
+            assert domain.contains(points, slack).tolist() == answers.tolist()
+            assert sum(n for n, _ in calls) == len(points) * len(domain.stacks)
+            assert all(n * rows <= max(budget, rows) for n, rows in calls)
+    assert {True, False} <= set(want[None].tolist())
+    if name == "sinai8d":
+        assert min(n for n, _ in calls) >= 1000
+
+
+# ---------------------------------------------------------------------------
 # The runner: groups, streamed CSVs
 # ---------------------------------------------------------------------------
 
@@ -495,7 +584,7 @@ def test_groups_of_one_flight_write_the_same_outputs(monkeypatch, tmp_path, doma
     cfg = load_config(_write(tmp_path, domain, 5, 4.0))
     run_experiment(cfg, "run", tmp_path / "grouped")
     verify = run_experiment(cfg, "verify")
-    monkeypatch.setattr(dynamics, "ROUND_ROWS", 1)
+    monkeypatch.setattr(geometry, "ROUND_ROWS", 1)
     run_experiment(cfg, "run", tmp_path / "alone")
     assert _outputs(tmp_path / "grouped") == _outputs(tmp_path / "alone")
     assert run_experiment(cfg, "verify") == verify

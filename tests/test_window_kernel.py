@@ -49,7 +49,7 @@ from billiards import (
     hardball_pairs,
     next_collision,
 )
-from billiards.dynamics import ROUND_ROWS
+from billiards.geometry import ROUND_ROWS
 from conftest import random_phase_point
 from geometry_oracle import BoundaryMismatchError
 

@@ -5,10 +5,11 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2, and sixteen configs that no workload covers,
+changed), for seeds 1 and 2, and eighteen configs that no workload covers,
 at the same seeds (:data:`EXTRA`), among them the grazing and event-cap
 endings, a run without ``c0``, a range error, a sampler that gives up and
-ensembles of several groups as large as the row budget allows.
+ensembles of several groups as large as the row budget allows, and hard-disk
+ensembles whose rounds the kernel and the membership test slice.
 Each config runs in a fresh ``python -m billiards`` process per tree, with
 that tree's ``src`` on the path and one thread: ``run`` or ``verify`` as its
 workload says, and ``verify --corrupt-curvature`` on the four acceptance
@@ -58,7 +59,7 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # the only config that flies a cylinder off a torus: its walls run along the
 # axis, so trajectories escape through the open faces z = 0 and z = 3.
 # Four hard balls in 3-d are the only config with 125-image pair cylinders
-# (and 10-flight groups).  The uniform covectors on 2-d Sinai come without
+# (750 image rows a window).  The uniform covectors on 2-d Sinai come without
 # c0: their CSVs have an empty bound_theorem column and rows with Q > 0.
 # At T = 187 on 2-d Sinai a later trajectory leaves the double range (index 7
 # on seed 1, 18 on seed 2): run and verify exit 3, and run leaves the CSVs of
@@ -66,9 +67,13 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # and their adjoint check makes several tangent passes.  300 starts on 2-d
 # Sinai fly as 3 x 100 and 600 on 3-d Sinai as 300 + 300, the largest groups
 # the row budget gives them (130 and 512 flights).  About 1.2% of
-# the position draws on 8 hard disks are accepted, so their groups of 10 run
-# hundreds of sampler rounds.  No draw is accepted between two walls 5e-9
-# apart: run exits 3 before any output.
+# the position draws on 8 hard disks are accepted, so their one group of 40
+# runs hundreds of sampler rounds.  120 starts on 12 hard disks (r = 0.05,
+# 1650 image rows a window) fly as one group whose rounds the kernel and the
+# membership test scan in several slices; on 20 hard disks (4750 rows a
+# window) a kernel slice is one window and a membership slice one point.
+# No draw is accepted between two walls 5e-9 apart: run exits 3 before any
+# output.
 _OVERFLOW = {"horizon": 187.0}
 EXTRA = {
     "box_two_walls_disk": ("run", {
@@ -95,6 +100,11 @@ EXTRA = {
                            {"initial": {"sampler": {"count": 100, "c0": 0.1}}}),
     "sinai_2d_300": ("run", "sinai_2d", {"initial": {"sampler": {"count": 300, "c0": 0.1}}}),
     "sinai_3d_600": ("verify", "sinai_3d", {"initial": {"sampler": {"count": 600, "c0": 0.1}}}),
+    "hardball_n12_run": ("run", {"kind": "hardball_gas", "N": 12, "d": 2, "r": 0.05, "L": 1.0},
+                         {"initial": {"sampler": {"count": 120, "c0": 0.1}}, "horizon": 1.0}),
+    "hardball_n20_verify": ("verify", {
+        "kind": "hardball_gas", "N": 20, "d": 2, "r": 0.05, "L": 1.0},
+        {"initial": {"sampler": {"count": 8, "c0": 0.1}}, "horizon": 0.3}),
     "hardball_n8_low_acceptance": ("verify", {
         "kind": "hardball_gas", "N": 8, "d": 2, "r": 0.1, "L": 1.0},
         {"initial": {"sampler": {"count": 40, "c0": 0.1}}, "horizon": 2.0}),
