@@ -100,7 +100,7 @@ TERMINATION_ESCAPE = "escape_error"
 # geometry.ROUND_ROWS, and a flight group holds ROUND_ROWS over a flight's
 # chunk rows, at most CHUNK_ROWS of them; its trajectories (about 100 B per
 # event at d = 2) are small beside the arrays, and the adjoint check's
-# tangent stacks have their own budget (transport.TANGENT_VALUES).
+# history-free tangent blocks have their own budget (transport.TANGENT_VALUES).
 CHUNK_ROWS = 64
 WINDOW_CHUNK_MAX = 16
 

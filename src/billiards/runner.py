@@ -42,7 +42,6 @@ from .transport import (
     Covector,
     TransportSeries,
     _complement_basis,
-    _leading,
     adjoint_residual,
     transport_covector,
 )
@@ -209,6 +208,11 @@ def run_trajectory(cfg: ExperimentConfig, index: int, series: TransportSeries,
     if csv_path is not None:
         _write_csv(csv_path, series_records(series, interior=cfg.grid_interior, c0=cfg.c0))
     return entry
+
+
+def _leading(sizes: list[int], budget: int) -> int:
+    """How many leading items fit ``budget`` together; at least one."""
+    return max(1, int(np.searchsorted(np.cumsum(sizes), budget, side="right")))
 
 
 def _check_and_write(cfg: ExperimentConfig, indices: range, series: list[TransportSeries],

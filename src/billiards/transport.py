@@ -24,8 +24,8 @@ for the covector; ``K`` is the plain ``d x d`` matrix that
 adjoint, so the pairing with a forward-transported tangent vector is an
 exact invariant; ``adjoint_residual`` measures how well the implementation
 preserves it on a covector series that is already transported, so each
-trajectory's covector moves once, and evaluates it at the start of every
-segment in one array pass, then at the end in another.
+trajectory's covector moves once, and evaluates it at both ends of every
+segment while the tangent vectors move, keeping none of their history.
 
 Each pass moves a group of trajectories in lockstep: step ``k`` maps event
 ``k`` of every trajectory that has more than ``k`` events, as one kernel
@@ -72,10 +72,10 @@ from .errors import SeriesRangeError
 from .geometry import Vec, curvature_at, reflect, row_dot
 
 ORTHOGONALITY_TOL = 1e-10
-# an adjoint check pass transports and pairs the tangent values (segments x
-# basis vectors x d, (E + 1) x 2(d - 1) x d per series) of at most
-# TANGENT_VALUES, or of one series, so that a group's tangent history is not
-# all held at once
+# an adjoint check pass moves the tangent stacks (basis vectors x d,
+# 2(d - 1) x d values per series, whatever its event count) of at most
+# TANGENT_VALUES values, or of one series, so that a pass holds about that
+# much whatever the group size and d
 TANGENT_VALUES = 8192
 
 
@@ -432,15 +432,16 @@ def adjoint_residual(series: TransportSeries | Sequence[TransportSeries]) -> flo
     ``series`` is a covector already transported along its trajectory, or a
     sequence of them, answered with the list of their residuals.  The
     trajectories' ``transversal_basis`` stacks, ``(2(d-1), d)`` each, come
-    from one QR call for the whole group.  They move and pair in passes over
-    the series sorted by segment count, each holding up to ``TANGENT_VALUES``
-    tangent values (or one series): one tangent pass, which evaluates the
-    curvature itself, then the pass's segment starts and its segment ends,
-    as ``(S, ...)`` arrays over its segments.  A series' tangents and
-    pairings do not depend on the other series of its pass.  For each basis
-    vector the pairing of the forward-transported tangent vector with the
-    transported covector must equal its initial value at every segment
-    endpoint.  The residual at time
+    from one QR call for the whole group.  For each basis vector the pairing
+    of the forward-transported tangent vector with the transported covector
+    must equal its initial value at every segment endpoint.  The stacks move
+    in lockstep passes over blocks of the series, taken by falling event
+    count, whose ``dq`` and ``dv`` stacks hold at most ``TANGENT_VALUES``
+    values each (or one series'): step ``k`` pairs both ends of segment
+    ``k`` of every series that has it, then maps event ``k`` with the
+    tangent side of the collision kernel, so no tangent history is kept.  A
+    series' tangents and pairings do not depend on the other series of its
+    block.  The residual at time
     ``t`` is normalized by the larger of the initial and current magnitude
     products: the pairing is evaluated by cancellation of terms of that size,
     which is the scale fixed precision can certify.  A pairing that is not
@@ -452,64 +453,57 @@ def adjoint_residual(series: TransportSeries | Sequence[TransportSeries]) -> flo
     group = [series] if one else list(series)
     if not group:
         return []
-    basis = _complement_basis(np.array([s.trajectory.start.v for s in group]))
+    v0 = np.array([s.trajectory.start.v for s in group])
+    basis = _complement_basis(v0)
     zero = np.zeros_like(basis)
-    dy0 = TangentVector(np.concatenate([basis, zero], axis=1),
-                        np.concatenate([zero, basis], axis=1))
-    # passes over the series sorted by segment count, so that a pass pads
-    # its event columns little; the residuals go back in the group's order
-    order = np.argsort([len(s.t0) for s in group], kind="stable")
-    sizes = [len(group[f].t0) * dy0.dq[0].size for f in order.tolist()]
+    # not C-ordered: the basis is a transposed view; the initial pairings and
+    # norms are formed on this layout, the moves on C-ordered copies, whose
+    # BLAS products round as the tangent pass's do
+    dq0, dv0 = np.concatenate([basis, zero], axis=1), np.concatenate([zero, basis], axis=1)
+    _check_starts(dq0, dv0, v0, "tangent vector")
+    order = np.argsort([-s.trajectory.event_count for s in group], kind="stable")
+    size = max(1, TANGENT_VALUES // dq0[0].size)
     worst = np.empty(len(group))
-    a = 0
-    while a < len(group):
-        part = order[a:a + _leading(sizes[a:], TANGENT_VALUES)]
-        a += len(part)
-        sub = [group[f] for f in part.tolist()]
-        tangents = transport_tangent([s.trajectory for s in sub],
-                                     [TangentVector(dy0.dq[f], dy0.dv[f]) for f in part])
-        worst[part] = _worst_pairing_error(sub, TangentVector(dy0.dq[part], dy0.dv[part]),
-                                           tangents)
-    return float(worst[0]) if one else worst.tolist()
+    for a in range(0, len(group), size):
+        part = order[a:a + size]
+        worst[part] = _block_residuals([group[f] for f in part.tolist()], dq0[part], dv0[part])
+    worst = [math.inf if math.isnan(x) else x for x in worst.tolist()]
+    return worst[0] if one else worst
 
 
-def _leading(sizes: list[int], budget: int) -> int:
-    """How many leading items fit ``budget`` together; at least one."""
-    return max(1, int(np.searchsorted(np.cumsum(sizes), budget, side="right")))
-
-
-def _worst_pairing_error(group: list[TransportSeries], dy0: TangentVector,
-                         tangents: list[TangentSeries]) -> list[float]:
-    """:func:`adjoint_residual` of each covector series of a group, given
-    their basis stacks ``dy0`` ``(F, m, d)`` and those stacks' transported
-    series ``tangents``; one array pass over the group's segment rows, with
-    the per-vector products of one series alone."""
-    counts = [len(s.t0) for s in group]
-    n0 = [s.n0 for s in group]
-    p0 = (dy0.dq @ np.array([n.z for n in n0])[:, :, None])[..., 0] \
-        + (dy0.dv @ np.array([n.w for n in n0])[:, :, None])[..., 0]      # (F, m)
-    base = dy0.norm() * np.array([s.n0_norm for s in group])[:, None]
-    t0, t1 = (np.concatenate([getattr(s, name) for s in group]) for name in ("t0", "t1"))
-    z = np.concatenate([s.z for s in group])                                # (S, d)
-    w0 = np.concatenate([s.w0 for s in group])
-    dv = np.concatenate([tan.dv for tan in tangents])                       # (S, m, d)
-    dq0 = np.concatenate([tan.dq0 for tan in tangents])
-    base, p0 = (np.repeat(x, counts, axis=0) for x in (base, p0))          # (S, m)
+def _block_residuals(block: list[TransportSeries], dq: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """The residuals ``(F,)`` of a block of series in falling event count,
+    nan for a pairing that is not finite, with their basis stacks ``dq`` and
+    ``dv`` ``(F, m, d)``: one lockstep tangent pass."""
+    _, rows, start, nu, v, cos_phi, index, _ = _event_columns(
+        [s.trajectory for s in block], "v_in")
+    n0 = [s.n0 for s in block]
+    p0 = (dq @ np.array([n.z for n in n0])[:, :, None])[..., 0] \
+        + (dv @ np.array([n.w for n in n0])[:, :, None])[..., 0]      # (F, m)
+    base = TangentVector(dq, dv).norm() * np.array([s.n0_norm for s in block])[:, None]
+    dq, dv = np.ascontiguousarray(dq), np.ascontiguousarray(dv)
+    z_all, w0_all = (np.concatenate([getattr(s, name) for s in block]) for name in ("z", "w0"))
+    dt_all = np.concatenate([s.t1 - s.t0 for s in block])
+    domain = block[0].trajectory.domain
+    err = np.full(len(block), -np.inf)
     # the endpoint values and the per-vector products of TangentVector.norm,
     # Covector.norm and pairing, one endpoint at a time; a value past the
     # double range makes the residual infinite
     with np.errstate(over="ignore", invalid="ignore"):
-        z_sq, dv_sq = row_dot(z, z), np.einsum("...i,...i", dv, dv)
-        err, dq = None, np.empty_like(dv)                                  # (S, m, d)
-        for dt in (t0 - t0, t1 - t0):        # time since the segment start
-            w = w0 - dt[:, None] * z                                        # (S, d)
-            np.multiply(dt[:, None, None], dv, out=dq)
-            dq += dq0
-            n_norm = np.sqrt(z_sq + row_dot(w, w))
-            dy_norm = np.sqrt(np.einsum("...i,...i", dq, dq) + dv_sq)
-            scale = np.maximum(np.maximum(base, dy_norm * n_norm[:, None]), 1e-300)
-            paired = (dq @ z[..., None])[..., 0] + (dv @ w[..., None])[..., 0]
-            e = (np.abs(paired - p0) / scale).max(axis=1)
-            err = e if err is None else np.maximum(err, e)
-        worst = np.maximum.reduceat(err, np.cumsum([0] + counts[:-1]))
-    return [math.inf if math.isnan(x) else x for x in worst.tolist()]
+        for k, n in enumerate([len(block), *rows.tolist()]):
+            i = start[:n] + k                  # segment k of the first n rows
+            z, w0, dt = z_all[i], w0_all[i], dt_all[i]
+            z_sq, dv_sq = row_dot(z, z), np.einsum("...i,...i", dv, dv)
+            for tau in (dt - dt, dt):          # time since the segment start
+                w = w0 - tau[:, None] * z
+                end = tau[:, None, None] * dv + dq
+                n_norm = np.sqrt(z_sq + row_dot(w, w))
+                dy_norm = np.sqrt(np.einsum("...i,...i", end, end) + dv_sq)
+                scale = np.maximum(np.maximum(base[:n], dy_norm * n_norm[:, None]), 1e-300)
+                paired = (end @ z[..., None])[..., 0] + (dv @ w[..., None])[..., 0]
+                err[:n] = np.maximum(err[:n], (np.abs(paired - p0[:n]) / scale).max(axis=1))
+            if k < len(rows):                  # from the end of segment k
+                m = rows[k]
+                K = curvature_at(domain, index[:m, k], nu[:m, k])
+                dq, dv = _tangent_jump(end[:m], dv[:m], nu[:m, k], cos_phi[:m, k], K, v[:m, k])
+    return err

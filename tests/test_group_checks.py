@@ -1,9 +1,10 @@
 """The group passes of the checks, the complement bases and the adjoint check.
 
 ``verify_monotonicity`` and ``verify_growth`` check a group of series in one
-array pass over their concatenated grids, and ``adjoint_residual`` moves and
-pairs a group's tangent stacks in passes of at most ``TANGENT_VALUES``, over
-the series sorted by segment count.  Each series must get the report,
+array pass over their concatenated grids, and ``adjoint_residual`` moves a
+group's tangent stacks in lockstep blocks of at most ``TANGENT_VALUES``
+values, over the series by falling event count, and pairs them as they
+move, keeping no tangent history.  Each series must get the report,
 residual and bases it gets alone, bit for bit, and the loop oracles'
 values: in groups that mix event counts (one series without events),
 ``Q(n0) >= 0`` (strict checks skipped), zero-length segments, nan margins,
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +35,6 @@ from billiards import (
     Torus,
     TransportSeries,
     adjoint_residual,
-    build_hardball_gas,
     flow,
     lyapunov_Q,
     sample_covector_uniform,
@@ -240,41 +242,48 @@ def _adjoint_group(domain, seed, horizons, curvature_scale=1.0):
     return group
 
 
-def _tangent_passes(monkeypatch) -> list[list[int]]:
-    """The tangent values each series holds, per ``transport_tangent`` call
-    from now on."""
-    calls = []
-    original = transport.transport_tangent
+def _adjoint_passes(monkeypatch) -> tuple[list[list], list[int], list]:
+    """From now on: the trajectories of each block of ``adjoint_residual``
+    (one ``_event_columns`` call), the rows of each tangent move, and the
+    ``transport_tangent`` calls."""
+    blocks, moves, tangent_calls = [], [], []
+    columns, jump = transport._event_columns, transport._tangent_jump
 
-    def spy(trajectories, dy0):
-        calls.append([(t.event_count + 1) * np.size(dy.dq) for t, dy in zip(trajectories, dy0)])
-        return original(trajectories, dy0)
+    def columns_spy(trajectories, velocity):
+        blocks.append(list(trajectories))
+        return columns(trajectories, velocity)
 
-    monkeypatch.setattr(transport, "transport_tangent", spy)
-    return calls
+    def jump_spy(dq, dv, *args):
+        moves.append(len(dq))
+        return jump(dq, dv, *args)
+
+    monkeypatch.setattr(transport, "_event_columns", columns_spy)
+    monkeypatch.setattr(transport, "_tangent_jump", jump_spy)
+    monkeypatch.setattr(transport, "transport_tangent",
+                        lambda *args: tangent_calls.append(args))
+    return blocks, moves, tangent_calls
 
 
 @pytest.mark.parametrize("curvature_scale", [1.0, 2.0])
 @pytest.mark.parametrize("family", ["sinai2d", "sinai3d", "cylinder3d", "hardball32"])
 def test_residuals_of_tangent_passes_equal_each_residual_alone(family, curvature_scale,
                                                                request, monkeypatch):
-    # a group split into at least three tangent passes, one holding several
-    # series: each residual has the bits of its series checked alone
+    # a group split into at least three blocks, one holding several series:
+    # each residual has the bits of its series checked alone
     domain = request.getfixturevalue(family)
     group = _adjoint_group(domain, 641, (1e-3, 6.0, 2.0, 6.0, 4.0, 6.0, 3.0, 5.0),
                            curvature_scale)
     alone = [adjoint_residual(s).hex() for s in group]
-    held = sum(len(s.t0) for s in group) * 2 * (domain.d - 1) * domain.d
-    monkeypatch.setattr(transport, "TANGENT_VALUES", held // 4)
-    calls = _tangent_passes(monkeypatch)
+    monkeypatch.setattr(transport, "TANGENT_VALUES", 3 * 2 * (domain.d - 1) * domain.d)
+    blocks, _, _ = _adjoint_passes(monkeypatch)
     assert [r.hex() for r in adjoint_residual(group)] == alone
-    assert len(calls) >= 3 and max(len(c) for c in calls) >= 2
+    assert len(blocks) >= 3 and max(map(len, blocks)) >= 2
 
 
-@pytest.mark.parametrize("budget", [None, 700])
+@pytest.mark.parametrize("budget", [None, 700, 50])
 def test_no_tangent_pass_holds_more_than_the_budget(hardball32, budget, monkeypatch):
-    # the series in order of their segment counts, as many as fit the
-    # budget; a series above it alone
+    # the series by falling event count, as many to a block as fit the
+    # budget with their (10, 6) tangent stacks; one alone if none fits
     if budget is not None:
         monkeypatch.setattr(transport, "TANGENT_VALUES", budget)
     budget = transport.TANGENT_VALUES
@@ -282,32 +291,35 @@ def test_no_tangent_pass_holds_more_than_the_budget(hardball32, budget, monkeypa
     starts = [random_phase_point(hardball32, rng) for _ in range(40)]
     group = transport_covector(flow(hardball32, starts, 6.0),
                                [sample_covector_with_Q_bound(x.v, 0.1, rng) for x in starts])
-    calls = _tangent_passes(monkeypatch)
+    blocks, moves, tangent_calls = _adjoint_passes(monkeypatch)
     adjoint_residual(group)
-    held = [c for call in calls for c in call]
-    assert held == sorted(len(s.t0) * 10 * 6 for s in group)
-    assert len(calls) >= 2
-    assert all(sum(call) <= budget or len(call) == 1 for call in calls)
-    assert all(sum(call) + after[0] > budget for call, after in zip(calls, calls[1:]))
-    if budget == 700:
-        assert any(sum(call) > budget for call in calls)
+    held = 10 * 6
+    by_count = sorted((s.trajectory for s in group), key=lambda t: -t.event_count)
+    assert [id(t) for block in blocks for t in block] == [id(t) for t in by_count]
+    assert len({t.event_count for t in by_count}) >= 3
+    size = max(1, budget // held)
+    assert all(len(block) == size for block in blocks[:-1]) and len(blocks[-1]) <= size
+    assert moves and all(rows * held <= budget or rows == 1 for rows in moves)
+    assert len(blocks) == {8192: 1, 700: 4, 50: 40}[budget]
+    assert tangent_calls == []
 
 
-def test_tangent_passes_pad_their_stacks_little(monkeypatch):
-    # a pass pads its event columns to its longest series: with the series
-    # sorted by segment count, the passes over the 45 starts of the
-    # hard-disk verify family (T = 20, seed 1, 9 tangent passes) pad to at
-    # most 1.1 times the tangent values the series hold
-    domain = build_hardball_gas(3, 2, 0.1, 1.0)
-    initial = runner.sample_initial_conditions(domain, 45, 1, 0.1)
-    group = transport_covector(flow(domain, [x for x, _ in initial], 20.0),
-                               [n for _, n in initial])
-    alone = [adjoint_residual(s).hex() for s in group]
-    calls = _tangent_passes(monkeypatch)
-    assert [r.hex() for r in adjoint_residual(group)] == alone
-    assert len(calls) >= 2
-    allocated = sum(len(call) * max(call) for call in calls)
-    assert allocated <= 1.1 * sum(map(sum, calls))
+def test_adjoint_check_keeps_no_tangent_history(hardball32, monkeypatch):
+    # one hard-disk trajectory of 209 events: the check allocates less than
+    # the (E + 1, 10, 6) history of one tangent stack
+    x0, n0 = runner.sample_initial_conditions(hardball32, 2, 1, 0.1)[1]
+    series = transport_covector(flow(hardball32, x0, 155.0), n0)
+    events = series.trajectory.event_count
+    assert events >= 200
+    _, _, tangent_calls = _adjoint_passes(monkeypatch)
+    tracemalloc.start()
+    try:
+        residual = adjoint_residual(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (events + 1) * 10 * 6 * 8
+    assert tangent_calls == [] and math.isfinite(residual)
 
 
 @pytest.mark.parametrize("d,reach", [(d, 1) for d in range(1, 9)] + [(d, 2) for d in range(1, 6)])

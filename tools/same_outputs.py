@@ -5,7 +5,7 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2, and eighteen configs that no workload covers,
+changed), for seeds 1 and 2, and nineteen configs that no workload covers,
 at the same seeds (:data:`EXTRA`), among them the grazing and event-cap
 endings, a run without ``c0``, a range error, a sampler that gives up and
 ensembles of several groups as large as the row budget allows, and hard-disk
@@ -13,10 +13,10 @@ ensembles whose rounds the kernel and the membership test slice.
 Each config runs in a fresh ``python -m billiards`` process per tree, with
 that tree's ``src`` on the path and one thread: ``run`` or ``verify`` as its
 workload says, and ``verify --corrupt-curvature`` on the four acceptance
-configs, the closed box, the cylinder in a box and the 100 hard-disk starts
-(:data:`EXTRA_CORRUPT`).  Every output file, the stdout, the stderr and the
-exit code of each command are compared; the script prints ``identical`` or
-the first file that differs, and exits 0 or 1.
+configs, the closed box, the cylinder in a box, the 100 hard-disk starts and
+the 80 starts on 6 hard disks (:data:`EXTRA_CORRUPT`).  Every output file,
+the stdout, the stderr and the exit code of each command are compared; the
+script prints ``identical`` or the first file that differs, and exits 0 or 1.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # 1650 image rows a window) fly as one group whose rounds the kernel and the
 # membership test scan in several slices; on 20 hard disks (4750 rows a
 # window) a kernel slice is one window and a membership slice one point.
+# The adjoint check of 80 starts on 6 hard disks (r = 0.1, T = 6) moves its
+# tangent stacks in 3 lockstep blocks of at most 31 series.
 # No draw is accepted between two walls 5e-9 apart: run exits 3 before any
 # output.
 _OVERFLOW = {"horizon": 187.0}
@@ -108,6 +110,8 @@ EXTRA = {
     "hardball_n8_low_acceptance": ("verify", {
         "kind": "hardball_gas", "N": 8, "d": 2, "r": 0.1, "L": 1.0},
         {"initial": {"sampler": {"count": 40, "c0": 0.1}}, "horizon": 2.0}),
+    "hardball_n6_verify": ("verify", {"kind": "hardball_gas", "N": 6, "d": 2, "r": 0.1, "L": 1.0},
+                           {"initial": {"sampler": {"count": 80, "c0": 0.1}}, "horizon": 6.0}),
     "box_slab_no_room": ("run", {
         "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
         "scatterers": [
@@ -116,7 +120,8 @@ EXTRA = {
              "plane_normal": [0.0, -1.0]}]}, {}),
 }
 # the extra configs that also run with ``verify --corrupt-curvature``
-EXTRA_CORRUPT = ("box_closed_disk", "box_walls_cylinder_3d", "hardball_n3_d2_100")
+EXTRA_CORRUPT = ("box_closed_disk", "box_walls_cylinder_3d", "hardball_n3_d2_100",
+                 "hardball_n6_verify")
 
 
 def commands(configs: Path) -> list[tuple[str, list[str]]]:
