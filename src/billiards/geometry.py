@@ -196,13 +196,17 @@ class Cylinder:
     from the axis subspace to the boundary.  ``image_deltas`` optionally
     pins the transverse lattice offsets used for periodic image searches;
     when omitted they are enumerated from the cubic lattice at domain
-    construction.
+    construction.  ``pair`` optionally declares the cylinder the contact
+    set of balls ``(i, j)`` of dimension ``d - k`` (see
+    :func:`_ball_pair`), which a torus then measures by their minimal-image
+    displacement.
     """
 
     axis_point: Vec
     axis_directions: np.ndarray
     radius: float
     image_deltas: np.ndarray | None = None
+    pair: tuple[int, int] | None = None
     projector: np.ndarray = field(init=False, repr=False)
 
     kind = "cylinder"
@@ -222,6 +226,8 @@ class Cylinder:
             raise DomainConstructionError("cylinder radius must be positive")
         self.axis_directions = a
         self.projector = np.eye(d) - a.T @ a
+        if self.pair is not None:
+            self.pair = _ball_pair(self.pair, self.axis_point, a)
 
     @property
     def dim(self) -> int:
@@ -251,6 +257,28 @@ class Halfspace:
         return self.plane_point.shape[0]
 
 
+def _ball_pair(pair, point: Vec, axes: np.ndarray) -> tuple[int, int]:
+    """Balls ``(i, j)``, of dimension ``b = d - k``, whose contact set
+    ``q_i = q_j`` is the axis subspace through ``point`` along ``axes``,
+    ``(k, d)``: checked as equal ball-``i`` and ball-``j`` blocks of the
+    point and of every axis row (the axes then span the complement of the
+    directions ``(e_(i,c) - e_(j,c)) / sqrt 2``)."""
+    k, d = axes.shape
+    b = d - k
+    ij = np.asarray(pair)
+    if ij.shape != (2,) or ij.dtype.kind not in "iu":
+        raise DomainConstructionError(f"cylinder pair must be two ball indices, got {pair!r}")
+    i, j = int(ij[0]), int(ij[1])
+    if d % b or i == j or not (0 <= i < d // b and 0 <= j < d // b):
+        raise DomainConstructionError(
+            f"cylinder pair {(i, j)} names no two of the balls of dimension {b} in {d}")
+    rows = np.vstack([point, axes])
+    # not (x <= atol) also rejects nan
+    if not np.abs(rows[:, i * b:(i + 1) * b] - rows[:, j * b:(j + 1) * b]).max() <= 1e-8:
+        raise DomainConstructionError(f"cylinder axes do not fit the ball pair {(i, j)}")
+    return i, j
+
+
 Scatterer = Sphere | Cylinder | Halfspace
 
 
@@ -271,12 +299,16 @@ class ScattererStack:
     sphere centers, cylinder axis points or halfspace plane points,
     ``(S, d)``.  Spheres and cylinders carry ``radii``, ``radii_sq`` (each
     ``radius ** 2``, an ``(S, 1)`` column) and the image offsets ``deltas``,
-    ``(S, m, d)``; cylinders also the axis rows ``axes``, ``(S, k, d)``, an
-    orthonormal basis of the directions transverse to them, ``basis``,
-    ``(S, d - k, d)``, and the coordinates of the image offsets in that
-    basis, ``basis_deltas``, ``(S, d - k, m)`` (images last, so that the
-    distance to every image is one pass along rows of ``m``); halfspaces
-    the plane ``normals``, ``(S, d)``.  Sphere stacks of a torus
+    ``(S, m, d)``; cylinders also the axis rows ``axes``, ``(S, k, d)``.
+    A stack of ball-pair cylinders (:func:`build_hardball_gas`) carries
+    their balls, ``pairs``, ``(S, 2)``: :meth:`Domain.contains` measures
+    each by one minimal-image displacement of its two balls.  Every other
+    cylinder stack carries an orthonormal basis of the directions
+    transverse to its axes, ``basis``, ``(S, d - k, d)``, and the
+    coordinates of the image offsets in that basis, ``basis_deltas``,
+    ``(S, d - k, m)`` (images last, so that the distance to every image is
+    one pass along rows of ``m``); halfspaces the plane ``normals``,
+    ``(S, d)``.  Sphere stacks of a torus
     with d >= 3 carry ``reach_sq``, ``(S,)``: the squared distance within
     which a flight can hit a lattice image of the center (the radius plus
     ``BROAD_PHASE_MARGIN_FACTOR`` times the side); ``None`` on every other
@@ -292,6 +324,7 @@ class ScattererStack:
     axes: np.ndarray | None = None
     basis: np.ndarray | None = None
     basis_deltas: np.ndarray | None = None
+    pairs: np.ndarray | None = None
     normals: np.ndarray | None = None
     reach_sq: np.ndarray | None = None
 
@@ -336,16 +369,18 @@ def _image_offsets(ambient: Ambient, s: Scatterer) -> np.ndarray | None:
 
 
 def _stack_scatterers(scatterers: list[Scatterer], ambient: Ambient) -> list[ScattererStack]:
-    """Group scatterers of the same kind, axis count and image count into
-    stacks, in order of their first scatterer."""
+    """Group scatterers of the same kind, axis count and image count, and
+    ball-pair cylinders apart from the others, into stacks, in order of
+    their first scatterer."""
     image_deltas = [_image_offsets(ambient, s) for s in scatterers]
     groups: dict[tuple, list[int]] = {}
     for i, (s, deltas) in enumerate(zip(scatterers, image_deltas)):
         k = s.axis_directions.shape[0] if isinstance(s, Cylinder) else 0
         m = 0 if deltas is None else deltas.shape[0]
-        groups.setdefault((s.kind, k, m), []).append(i)
+        paired = isinstance(s, Cylinder) and s.pair is not None
+        groups.setdefault((s.kind, k, m, paired), []).append(i)
     stacks = []
-    for (kind, _, _), idx in groups.items():
+    for (kind, _, _, paired), idx in groups.items():
         members = [scatterers[i] for i in idx]
         if kind == "halfspace":
             stacks.append(ScattererStack(
@@ -355,11 +390,16 @@ def _stack_scatterers(scatterers: list[Scatterer], ambient: Ambient) -> list[Sca
         points = [s.center if kind == "sphere" else s.axis_point for s in members]
         radii = np.array([s.radius for s in members], dtype=float)
         deltas = np.array([image_deltas[i] for i in idx])
-        reach_sq = axes = basis = basis_deltas = None
+        reach_sq = axes = basis = basis_deltas = pairs = None
         if kind == "sphere" and deltas.shape[1] >= _BROAD_PHASE_MIN_IMAGES:
             reach_sq = (radii + BROAD_PHASE_MARGIN_FACTOR * ambient.length_scale) ** 2
         if kind == "cylinder":
             axes = np.array([s.axis_directions for s in members])
+        if paired:
+            if not ambient.periodic:
+                raise DomainConstructionError("ball-pair cylinders require a torus ambient")
+            pairs = np.array([s.pair for s in members])
+        elif kind == "cylinder":
             # the columns of a complete QR of the axes past the first k span
             # the transverse directions (a first SVD call would add about
             # 0.5 MiB to the resident set; the covector sampler calls QR)
@@ -371,7 +411,7 @@ def _stack_scatterers(scatterers: list[Scatterer], ambient: Ambient) -> list[Sca
             radii=radii,
             radii_sq=np.array([[s.radius ** 2] for s in members], dtype=float),
             deltas=deltas, axes=axes, basis=basis, basis_deltas=basis_deltas,
-            reach_sq=reach_sq))
+            pairs=pairs, reach_sq=reach_sq))
     return stacks
 
 
@@ -552,10 +592,11 @@ class Domain:
         ``q`` is one point ``(d,)``, answered with a bool, or a stack of
         points ``(..., d)``, answered with a boolean array: array passes per
         stack of scatterers over consecutive slices of the points, each of
-        at most ``ROUND_ROWS`` rows (``S m`` per point of a cylinder stack,
-        its transverse images; ``S`` of a sphere stack, whose minimal image
-        needs no enumeration, and of a halfspace stack) or one point, with
-        the bits of one point at a time.
+        at most ``ROUND_ROWS`` rows (``S m`` per point of a cylinder stack
+        with a transverse basis, its transverse images; ``S`` of a sphere
+        stack or a ball-pair stack, whose minimal images need no
+        enumeration, and of a halfspace stack) or one point, with the bits
+        of one point at a time.
         """
         slack = self.eps_surface if slack is None else slack
         q = np.asarray(q, dtype=float)
@@ -563,18 +604,31 @@ class Domain:
         inside = np.ones(len(points), dtype=bool)
         if isinstance(self.ambient, Box):
             inside &= self.ambient.contains(points, slack)
-        for st in self.stacks:
-            rows = st.indices.size * (st.basis_deltas.shape[-1] if st.kind == "cylinder" else 1)
-            size = max(ROUND_ROWS, rows) // rows
-            for s in range(0, len(points), size):
-                # min() is nan if any distance is, and nan >= x is False
-                inside[s:s + size] &= self._signed_distances(
-                    st, points[s:s + size]).min(axis=-1) >= -slack
+        # a non-finite coordinate makes a distance nan (inf - inf is one),
+        # min() is nan if any distance is, and nan >= x is False
+        with np.errstate(invalid="ignore"):
+            for st in self.stacks:
+                rows = st.indices.size * (1 if st.basis_deltas is None
+                                          else st.basis_deltas.shape[-1])
+                size = max(ROUND_ROWS, rows) // rows
+                for s in range(0, len(points), size):
+                    inside[s:s + size] &= self._signed_distances(
+                        st, points[s:s + size]).min(axis=-1) >= -slack
         return bool(inside[0]) if q.ndim == 1 else inside.reshape(q.shape[:-1])
 
     def _signed_distances(self, st: ScattererStack, q: np.ndarray) -> np.ndarray:
         """Distance from each point of ``q``, ``(..., d)``, to each scatterer
         of a stack, ``(..., S)``; positive in the billiard region."""
+        if st.pairs is not None:
+            # the transverse coordinates of the pair (i, j) are the ball
+            # displacement q_i - q_j over sqrt 2, and its nearest image is
+            # the minimal image of that displacement: one number a pair
+            # (each coordinate reduces its own row, and the squares add in
+            # coordinate order: the bits of one point at a time)
+            b = self.d - st.axes.shape[1]
+            ci, cj = st.pairs.T[:, None, :] * b + np.arange(b)[:, None]  # (b, S) columns
+            dx = self.min_image(q[..., ci] - q[..., cj])
+            return np.sqrt(0.5 * np.add.reduce(dx * dx, axis=-2)) - st.radii
         rel = q[..., None, :] - st.points
         if st.kind == "halfspace":
             return row_dot(rel, st.normals)
@@ -683,7 +737,8 @@ def _hardball_cylinder(N: int, d: int, i: int, j: int, r: float, L: float) -> Cy
     deltas = np.zeros((ms.shape[0], dim))
     deltas[:, i * d:(i + 1) * d] = 0.5 * L * ms
     deltas[:, j * d:(j + 1) * d] = -0.5 * L * ms
-    return Cylinder(np.zeros(dim), np.array(axes), np.sqrt(2.0) * r, image_deltas=deltas)
+    return Cylinder(np.zeros(dim), np.array(axes), np.sqrt(2.0) * r, image_deltas=deltas,
+                    pair=(i, j))
 
 
 def build_hardball_gas(N: int, d: int, r: float, L: float) -> Domain:

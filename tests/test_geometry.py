@@ -254,6 +254,29 @@ def test_cylinder_image_offsets_must_match_dimension():
         Domain(3, Torus(1.0), [cyl])
 
 
+def test_ball_pair_must_fit_the_cylinder():
+    # a declared pair is checked against the axes and the axis point, and
+    # only a torus measures ball pairs
+    cyl = geometry._hardball_cylinder(3, 2, 0, 2, 0.1, 1.0)
+    assert cyl.pair == (0, 2)
+    for pair in [(0, 1), (1, 2), (0, 0), (0, 3), (2, -1), (0.0, 2.0), (0, 1, 2)]:
+        with pytest.raises(DomainConstructionError, match="pair"):
+            Cylinder(cyl.axis_point, cyl.axis_directions, cyl.radius, pair=pair)
+    with pytest.raises(DomainConstructionError, match="pair"):
+        Cylinder(np.array([0.0, 0.0, 0.0, 0.0, 0.1, 0.0]), cyl.axis_directions, cyl.radius,
+                 pair=(0, 2))
+    # a shift along the axes keeps the contact set
+    Cylinder(np.array([0.0, 0.0, 0.1, 0.0, 0.0, 0.0]), cyl.axis_directions, cyl.radius,
+             pair=(0, 2))
+    with pytest.raises(DomainConstructionError, match="pair"):    # balls of dimension 2 in d = 3
+        Cylinder(np.zeros(3), np.array([[0.0, 0.0, 1.0]]), 0.2, pair=(0, 1))
+    assert Cylinder(cyl.axis_point, cyl.axis_directions, cyl.radius, pair=(2, 0)).pair == (2, 0)
+    with pytest.raises(DomainConstructionError, match="torus"):
+        Domain(6, Box((1.0,) * 6), [cyl])
+    plain = Cylinder(cyl.axis_point, cyl.axis_directions, cyl.radius)
+    Domain(6, Box((1.0,) * 6), [plain])
+
+
 def test_build_sinai_wraparound_rejected():
     with pytest.raises(DomainConstructionError):
         build_sinai(2, 0.6, 1.0, [[0.5, 0.5]])
@@ -506,10 +529,12 @@ TRANSVERSE_DOMAINS = {
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["uniform", "radius", "slack"]),
        sign=st.sampled_from([-1.0, 1.0]))
 def test_contains_in_transverse_coordinates_matches_full_reduction(name, seed, kind, sign):
-    # Domain.contains measures a cylinder in its transverse basis; the
-    # oracle reduces the full-coordinate offset over every image.  Their
-    # decisions agree on uniform points and on points at distance
-    # r (1 +- 1e-12) from an axis, or at the slack +- 1e-12
+    # Domain.contains measures a hard-ball pair cylinder by the minimal
+    # image of its ball displacement, and any other cylinder in its
+    # transverse basis; the oracle reduces the full-coordinate offset over
+    # every declared image.  Their decisions agree on uniform points and on
+    # points at distance r (1 +- 1e-12) from an axis, or at the slack
+    # +- 1e-12
     domain = TRANSVERSE_DOMAINS[name]
     rng = np.random.default_rng(seed)
     L, eps = domain.length_scale, domain.eps_surface
@@ -536,8 +561,14 @@ def test_contains_in_transverse_coordinates_matches_full_reduction(name, seed, k
 
 @pytest.mark.parametrize("name", sorted(TRANSVERSE_DOMAINS))
 def test_transverse_basis_is_orthonormal_and_orthogonal_to_axes(name):
+    # hard-ball pair stacks carry their balls instead of a basis
     domain = TRANSVERSE_DOMAINS[name]
     for st_ in domain.stacks:
+        if name.startswith("hardball"):
+            assert st_.pairs.tolist() == [list(domain.scatterers[i].pair) for i in st_.indices]
+            assert st_.basis is None and st_.basis_deltas is None
+            continue
+        assert st_.pairs is None
         k = st_.axes.shape[1]
         assert st_.basis.shape == (st_.indices.size, domain.d - k, domain.d)
         eye = np.eye(domain.d - k)

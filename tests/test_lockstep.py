@@ -513,24 +513,31 @@ def test_kernel_scans_each_round_in_slices_of_the_row_budget(monkeypatch, name):
     assert sum(t.event_count for t in trajs) >= count
 
 
-_MEMBERSHIP = {**DOMAINS, "hardball122": _SLICED["hardball122"][0]}
+_MEMBERSHIP = {**DOMAINS, "hardball122": _SLICED["hardball122"][0],
+               "hardball43": build_hardball_gas(4, 3, 0.1, 1.0),
+               "hardball202": build_hardball_gas(20, 2, 0.05, 1.0)}
+# the flights' horizon, 8 but where 20 flights land thousands of points
+_MEMBERSHIP_T = {"hardball202": 1.0}
 
 
 @pytest.mark.parametrize("name", sorted(_MEMBERSHIP))
 def test_contains_tests_its_points_in_slices_of_the_row_budget(monkeypatch, name):
     # each _signed_distances call of contains holds at most max(ROUND_ROWS,
-    # one point's rows) rows: S m a point for a cylinder stack (its
-    # transverse images), S for a sphere stack (its minimal image, no
-    # enumeration) and for a halfspace stack.  On 8-d Sinai a call covers
-    # every point.  The answers, on random points and on the landed points
-    # of flights, are those of one unsliced call
+    # one point's rows) rows: S m a point for a cylinder stack with a
+    # transverse basis (its transverse images), S for a ball-pair stack and
+    # a sphere stack (their minimal images, no enumeration) and for a
+    # halfspace stack.  On 8-d Sinai a call covers every point.  The
+    # answers, on random points and on the landed points of flights, are
+    # those of one unsliced call, and on the hard-ball gases those of the
+    # oracle, which reduces every declared image in full coordinates
     domain = _MEMBERSHIP[name]
     rng = np.random.default_rng(487)
     if isinstance(domain.ambient, Box):
         lo, hi = -0.05, np.asarray(domain.ambient.sides) + 0.05
     else:
         lo, hi = 0.0, np.full(domain.d, domain.ambient.side)
-    trajs = flow(domain, [random_phase_point(domain, rng) for _ in range(20)], 8.0)
+    trajs = flow(domain, [random_phase_point(domain, rng) for _ in range(20)],
+                 _MEMBERSHIP_T.get(name, 8.0))
     landed = np.concatenate([t.columns.q for t in trajs])
     points = np.concatenate([rng.uniform(lo, hi, (1200, domain.d)), landed])
     assert len(landed) >= 2
@@ -540,7 +547,7 @@ def test_contains_tests_its_points_in_slices_of_the_row_budget(monkeypatch, name
     original = type(domain)._signed_distances
 
     def spy(self, st, q):
-        rows = st.indices.size * (st.basis_deltas.shape[-1] if st.kind == "cylinder" else 1)
+        rows = st.indices.size * (1 if st.basis_deltas is None else st.basis_deltas.shape[-1])
         calls.append((len(q), rows))
         return original(self, st, q)
 
@@ -555,6 +562,23 @@ def test_contains_tests_its_points_in_slices_of_the_row_budget(monkeypatch, name
     assert {True, False} <= set(want[None].tolist())
     if name == "sinai8d":
         assert min(n for n, _ in calls) >= 1000
+    if name.startswith("hardball"):
+        # at the default slack only: landed points sit on a boundary, where
+        # rounding can tip a decision at slack 0
+        assert want[None].tolist() == [geometry_oracle.contains(domain, p) for p in points]
+        assert all(st.pairs is not None for st in domain.stacks)
+
+
+@pytest.mark.parametrize("name", ["hardball32", "hardball43"])
+def test_contains_answers_false_for_a_non_finite_point_on_a_pair_stack(name):
+    domain = _MEMBERSHIP[name]
+    rng = np.random.default_rng(491)
+    points = np.array([random_phase_point(domain, rng).q for _ in range(4)])
+    assert domain.contains(points).all()
+    for j, bad in enumerate((np.nan, np.inf, -np.inf)):
+        points[j, 1 + j] = bad
+    assert domain.contains(points).tolist() == [False, False, False, True]
+    assert [domain.contains(p) for p in points] == [False, False, False, True]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ changed), for seeds 1 and 2, and nineteen configs that no workload covers,
 at the same seeds (:data:`EXTRA`), among them the grazing and event-cap
 endings, a run without ``c0``, a range error, a sampler that gives up and
 ensembles of several groups as large as the row budget allows, and hard-disk
-ensembles whose rounds the kernel and the membership test slice.
+ensembles whose rounds the kernel slices.
 Each config runs in a fresh ``python -m billiards`` process per tree, with
 that tree's ``src`` on the path and one thread: ``run`` or ``verify`` as its
 workload says, and ``verify --corrupt-curvature`` on the four acceptance
@@ -69,9 +69,11 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # the row budget gives them (130 and 512 flights).  About 1.2% of
 # the position draws on 8 hard disks are accepted, so their one group of 40
 # runs hundreds of sampler rounds.  120 starts on 12 hard disks (r = 0.05,
-# 1650 image rows a window) fly as one group whose rounds the kernel and the
-# membership test scan in several slices; on 20 hard disks (4750 rows a
-# window) a kernel slice is one window and a membership slice one point.
+# 1650 image rows a window) fly as one group whose rounds the kernel scans
+# in several slices; on 20 hard disks (4750 rows a window) a kernel slice is
+# one window.  The membership test takes one pair distance a ball pair (66 a
+# point on 12 hard disks, 190 on 20), so it tests each of these rounds in
+# one slice; the tier-1 tests slice it.
 # The adjoint check of 80 starts on 6 hard disks (r = 0.1, T = 6) moves its
 # tangent stacks in 3 lockstep blocks of at most 31 series.
 # No draw is accepted between two walls 5e-9 apart: run exits 3 before any
