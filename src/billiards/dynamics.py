@@ -99,8 +99,8 @@ TERMINATION_ESCAPE = "escape_error"
 # dominated by the fixed cost of a call.  The kernel's arrays are sliced by
 # geometry.ROUND_ROWS, and a flight group holds ROUND_ROWS over a flight's
 # chunk rows, at most CHUNK_ROWS of them; its trajectories (about 100 B per
-# event at d = 2) are small beside the arrays, and the adjoint check's
-# history-free tangent blocks have their own budget (transport.TANGENT_VALUES).
+# event at d = 2) are small beside the arrays; a checking covector pass moves
+# the tangent stacks in blocks of their own budget (transport.TANGENT_VALUES).
 CHUNK_ROWS = 64
 WINDOW_CHUNK_MAX = 16
 
@@ -238,21 +238,23 @@ def _chunk(domain: Domain) -> tuple[int, int]:
 
 
 def _check_states(domain: Domain, q: np.ndarray, v: np.ndarray):
-    """The state check of each row of ``(q, v)``, ``(P, d)``: unit speed
-    within 1e-6, and a position outside every scatterer.
+    """The state check of each row of ``(q, v)``, ``(P, d)``: a finite
+    position, unit speed within 1e-6, and a position outside every scatterer.
 
     Returns ``(ok, q_ok, v_ok, errors)``: the rows that pass, their wrapped
     positions and their velocities divided by their speed, and the
     :class:`InvalidStateError` of each failing row by row number.  Each row
     has the bits of a check of that state alone.
     """
+    finite = np.isfinite(q).all(axis=1)
     speed = np.sqrt(row_dot(v, v))
-    unit = np.abs(speed - 1.0) <= 1e-6          # False for a non-finite speed
-    q = domain.wrap(q)
-    inside = domain.contains(q)
+    unit = finite & (np.abs(speed - 1.0) <= 1e-6)   # False for a non-finite speed
     errors = {int(j): InvalidStateError(
-        f"velocity must be a unit vector (speed {float(speed[j])})")
-        for j in np.flatnonzero(~unit)}
+        f"velocity must be a unit vector (speed {float(speed[j])})" if finite[j]
+        else f"position must be finite (got {q[j].tolist()})") for j in np.flatnonzero(~unit)}
+    # a row with a non-finite position is neither wrapped nor tested
+    q = domain.wrap(np.where(finite[:, None], q, 0.0))
+    inside = domain.contains(q)
     for j in np.flatnonzero(unit & ~inside):
         errors[int(j)] = InvalidStateError("phase point lies inside a scatterer")
     ok = np.flatnonzero(unit & inside)

@@ -2,8 +2,8 @@
 
 The ensemble runs in lockstep groups (``dynamics.flight_groups``: 130
 trajectories on 2-d Sinai, 512 on Sinai with d >= 3, 128 on hard balls, from
-the row budget ``geometry.ROUND_ROWS``): per group one ``flow`` call, one
-covector transport and, when the run wants it, one adjoint check.  The
+the row budget ``geometry.ROUND_ROWS``): per group one ``flow`` call and one
+covector transport, which does the adjoint check when the run wants it.  The
 checks then run once per check group, the group's series up to
 ``CHECK_SAMPLES`` grid samples, and each trajectory writes its CSV as soon
 as its entry exists, in index order.  Each trajectory and series is the one
@@ -279,18 +279,15 @@ def run_experiment(cfg: ExperimentConfig, mode: str = "run",
         with writing_output(out):
             out.mkdir(parents=True, exist_ok=True)
     starts = [x0 for x0, _ in initial]
+    # the fault hook corrupts only the covector the adjoint check sees
+    adjoint = (2.0 if corrupt_curvature else 1.0) if want_adjoint else None
     entries = []
     for group in flight_groups(cfg.domain, len(starts)):
         trajectories = flow(cfg.domain, starts[group.start:group.stop], cfg.horizon,
                             max_events=cfg.max_events, eps_graze=cfg.eps_graze)
         n0 = [n for _, n in initial[group.start:group.stop]]
-        series = transport_covector(trajectories, n0)
-        residuals = [None] * len(group)
-        if want_adjoint:
-            # the fault hook corrupts only the covector the adjoint check sees
-            residuals = adjoint_residual(
-                transport_covector(trajectories, n0, curvature_scale=2.0)
-                if corrupt_curvature else series)
+        series = transport_covector(trajectories, n0, adjoint=adjoint)
+        residuals = adjoint_residual(series) if want_adjoint else [None] * len(group)
         del trajectories
         entries += _check_and_write(cfg, group, series, residuals, out if emit_csv else None)
 

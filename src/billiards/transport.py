@@ -23,45 +23,37 @@ for the covector; ``K`` is the plain ``d x d`` matrix that
 ``nu``, the same normal that ``R`` and ``V`` use.  The two maps are mutually
 adjoint, so the pairing with a forward-transported tangent vector is an
 exact invariant; ``adjoint_residual`` measures how well the implementation
-preserves it on a covector series that is already transported, so each
-trajectory's covector moves once, and evaluates it at both ends of every
-segment while the tangent vectors move, keeping none of their history.
+preserves it.
 
-Each pass moves a group of trajectories in lockstep: step ``k`` maps event
-``k`` of every trajectory that has more than ``k`` events, as one kernel
-call over a leading row axis with one ``curvature_at`` call, and one
-trajectory is a group of one.  The state is a C-ordered stack ``(F, m, d)``
-per row (``m = 1`` for a covector component) and every product issues, per
-row, the BLAS call of the 1-d form of one event: a dot for ``<x, nu>`` of a
-vector (``(F, 1, d) @ (F, d, 1)``, as :func:`~billiards.geometry.row_dot`),
-a ``gemv`` for ``<x, nu>`` of a stack and for ``K u`` of a vector
-(``u @ K.transpose(0, 2, 1)``), a ``gemm`` for ``K u`` of a stack.  The
-other operations act elementwise, so each series keeps the bits of the
-trajectory transported alone, one event at a time.
+A pass walks a group of trajectories' events once, in lockstep (one
+trajectory is a group of one): step ``k`` pairs both ends of segment ``k``
+when the pass checks adjointness, then maps event ``k`` of every trajectory
+that has it, with one ``curvature_at`` call that the covector, the check's
+tangent stacks and the fault hook's covector share.  The state is a
+C-ordered stack ``(F, m, d)`` per row (``m = 1`` for a covector component)
+and every product issues, per row, the BLAS call of the 1-d form of one
+event: a dot for ``<x, nu>`` of a vector (as ``geometry.row_dot``), a
+``gemv`` for ``<x, nu>`` of a stack and for ``K u`` of a vector, a ``gemm``
+for ``K u`` of a stack.  The other operations act elementwise, so each series
+keeps the bits of the trajectory transported alone, one event at a time.
 
 A transported series is a set of read-only columns over the trajectory's
 free segments (``series.segments`` is the trajectory's own): ``t0`` and
 ``t1`` ``(S,)``; for a covector ``z`` and ``w0`` ``(S, d)``, its value at
 each segment's start, and per collision ``q_drop`` and ``reprojection``
-``(E,)``; for tangent vectors ``dq0`` and ``dv`` ``(S, [m,] d)``.
+``(E,)``; for tangent vectors (or stacks) ``dq0`` and ``dv`` ``(S, [m,] d)``.
 ``covector_at`` and ``tangent_at`` evaluate the free-flight formula from
-one row.  The passes are the only entry to the maps above: at an event,
-``side="pre"`` and ``"post"`` read the two sides of one collision map.
-
-The collision maps trust the flow's grazing cutoff: ``flow`` ends a
-trajectory at a grazing impact instead of recording it, so every event it
-records has ``cos_phi`` at or above that positive cutoff and the maps check
-no angle themselves.  The only fault hook is ``transport_covector``'s
-``curvature_scale``, which rescales ``K`` on the covector side (the
-``--corrupt-curvature`` negative control).
-
-Tangent vectors may carry a stack of rows: ``dq`` and ``dv`` of shape
-``(m, d)`` move ``m`` variations through one transport pass.
+one row; at an event, ``side="pre"`` and ``"post"`` read the two sides of
+one collision map.  The maps check no angle: ``flow`` ends a trajectory at
+a grazing impact, so every recorded event has ``cos_phi`` at or above its
+positive cutoff.  The only fault hook is ``transport_covector``'s
+``adjoint`` other than 1: the check then pairs a second covector, moved
+with that multiple of ``K``, which no series holds (``--corrupt-curvature``).
 """
 
 from __future__ import annotations
 
-import math
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -72,10 +64,9 @@ from .errors import SeriesRangeError
 from .geometry import Vec, curvature_at, reflect, row_dot
 
 ORTHOGONALITY_TOL = 1e-10
-# an adjoint check pass moves the tangent stacks (basis vectors x d,
-# 2(d - 1) x d values per series, whatever its event count) of at most
-# TANGENT_VALUES values, or of one series, so that a pass holds about that
-# much whatever the group size and d
+# a pass that checks adjointness moves its group in blocks whose tangent
+# stacks (2(d - 1) x d values per series, whatever its event count) hold at
+# most TANGENT_VALUES values, or one series', whatever the group size and d
 TANGENT_VALUES = 8192
 
 
@@ -154,16 +145,6 @@ def _projected_curvature(x: np.ndarray, v: np.ndarray, vn: np.ndarray, nu: np.nd
     return u, ku - ((ku @ v[:, :, None]) / vn[:, None, None]) * nu[:, None]
 
 
-def _covector_jump(z: np.ndarray, w: np.ndarray, nu: np.ndarray, cos_phi: np.ndarray,
-                   K: np.ndarray, v_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(z+, w+)`` ``(F, 1, d)`` across the collisions and the closed-form
-    drops of ``Q`` there ``(F,)``; ``v_out`` is the unit outgoing velocity."""
-    w_plus = reflect(w, nu)
-    u, kick = _projected_curvature(w_plus, v_out, cos_phi, nu, K)   # V1 R w-, V1* K V1 R w-
-    z_plus = reflect(z, nu) - (2.0 * cos_phi)[:, None, None] * kick
-    return z_plus, w_plus, 2.0 * cos_phi * row_dot(u @ K, u)[:, 0]
-
-
 def _tangent_jump(dq: np.ndarray, dv: np.ndarray, nu: np.ndarray, cos_phi: np.ndarray,
                   K: np.ndarray, v_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(R dq-, R dv- + 2 cos_phi R V* K V dq-)`` per row; ``v_in`` is the
@@ -211,13 +192,14 @@ class TransportSeries(_Series):
     segment: ``z`` is frozen on a segment and ``w = w0 - (t - t0) z``.
     ``q_drop`` and ``reprojection`` ``(E,)`` hold, per collision, the
     closed-form drop of ``Q`` and the relative size of the re-projection
-    onto the outgoing velocity's orthogonal complement.
+    onto the outgoing velocity's orthogonal complement.  ``residual`` is the
+    adjoint residual recorded by a checking pass, else ``None``.
     """
 
     def __init__(self, trajectory: Trajectory, n0: Covector, z: np.ndarray, w0: np.ndarray,
-                 q_drop: np.ndarray, reprojection: np.ndarray):
+                 q_drop: np.ndarray, reprojection: np.ndarray, residual: float | None = None):
         super().__init__(trajectory, z, w0, q_drop, reprojection)
-        self.n0 = n0
+        self.n0, self.residual = n0, residual
         self.n0_norm = n0.norm()
         self.z, self.w0 = z, w0
         self.q_drop, self.reprojection = q_drop, reprojection
@@ -264,101 +246,143 @@ def _group(first, second) -> tuple[bool, list, list]:
     return False, first, second
 
 
-def _event_columns(trajectories: list[Trajectory], velocity: str) -> tuple[np.ndarray, ...]:
-    """The events of a group as padded ``(F, E, ...)`` columns, for the
-    lockstep steps of a transport pass.
+# a group's event columns and one lockstep step over some of their rows
+_Columns = namedtuple("_Columns", "domain order segs start nu v_in v_out cos_phi index dt")
+_Step = namedtuple("_Step", "k n m dt nu v_in v_out cos_phi K")
 
-    Returns ``order`` ``(F,)``, the trajectory of each row, by falling event
-    count (stable), so that the trajectories with more than ``k`` events are
-    the first ``rows[k]`` rows; ``rows`` ``(E,)``; ``start`` ``(F + 1,)``,
-    each row's first segment with the rows' series laid out one after
-    another; ``nu`` and the unit ``velocity`` (``"v_in"`` or ``"v_out"``)
-    ``(F, E, d)``; and ``cos_phi``, the scatterer ``index`` and the duration
-    ``dt`` of the segment that ends at the event, ``(F, E)``, padded with 0.
-    """
+
+def _event_columns(trajectories: list[Trajectory], tangents: bool = True) -> _Columns:
+    """The events of a group as columns padded with 0, built once a pass:
+    ``order`` ``(F,)``, the trajectory of each row, by falling event count
+    (stable), so that the first ``segs[k]`` rows have segment ``k``
+    (``segs`` ``(E + 2,)`` ends in 0); ``start`` ``(F + 1,)``, each row's
+    first segment, the rows' series laid out one after another.  Per event:
+    ``nu``, the unit ``v_out`` and ``v_in`` (``None`` without ``tangents``)
+    ``(F, E + 1, d)``, ``cos_phi`` and the scatterer ``index``; per segment
+    its duration ``dt``, the last one's up to ``t_end``, ``(F, E + 1)``."""
     domain = trajectories[0].domain
     if any(t.domain is not domain for t in trajectories):
         raise ValueError("the trajectories of a group must share one domain")
     counts = np.array([t.event_count for t in trajectories])
     order = np.argsort(-counts, kind="stable")
-    F, E, d = len(trajectories), int(counts.max()), domain.d
-    nu, v = np.zeros((2, F, E, d))
-    cos_phi, dt = np.zeros((2, F, E))
-    index = np.zeros((F, E), dtype=np.intp)
-    for row, f in enumerate(order.tolist()):
-        ev = trajectories[f].columns
-        c = len(ev.t)
-        if not c:
-            break
-        vel = getattr(ev, velocity)
+    rows = [trajectories[f] for f in order.tolist()]
+    c, F, E = counts[order], len(rows), int(counts.max())
+    # the row and column of each event, the rows' events one after another
+    at = (np.repeat(np.arange(F), c), np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c))
+
+    def padded(name: str, unit: bool = False) -> np.ndarray:
+        x = np.concatenate([getattr(r.group, name)[r.rows] for r in rows])
+        out = np.zeros((F, E + 1, *x.shape[1:]), dtype=x.dtype)
         # the bits of event.v / np.linalg.norm(event.v), one event at a time
-        v[row, :c] = vel / np.sqrt(row_dot(vel, vel))[:, None]
-        nu[row, :c], cos_phi[row, :c], index[row, :c] = ev.nu, ev.cos_phi, ev.scatterer_index
-        # each segment's duration t1 - t0, the first from t0 = 0
-        dt[row, :c] = ev.t - np.concatenate(([0.0], ev.t[:-1]))
-    rows = (counts[order][:, None] > np.arange(E)).sum(axis=0)
-    return order, rows, np.cumsum(np.append(0, counts[order] + 1)), nu, v, cos_phi, index, dt
+        out[at] = x / np.sqrt(row_dot(x, x))[:, None] if unit else x
+        return out
+
+    nu, cos_phi, index = padded("nu"), padded("cos_phi"), padded("scatterer_index")
+    v_out, v_in = padded("v_out", True), padded("v_in", True) if tangents else None
+    t = padded("t")
+    t[np.arange(F), c] = [r.t_end for r in rows]
+    # each segment's t1 - t0, from t0 = 0 to t_end
+    dt = np.where(np.arange(E + 1) <= c[:, None], np.diff(t, axis=1, prepend=0.0), 0.0)
+    segs = (c[:, None] >= np.arange(E + 2)).sum(axis=0)
+    return _Columns(domain, order, segs, np.cumsum(np.append(0, c + 1)), nu,
+                    v_in, v_out, cos_phi, index, dt)
 
 
-def _reproject(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` ``(F, 1, d)`` minus its component along ``v`` ``(F, d)``, and the
-    norm of that component ``(F,)``."""
-    corr = (x @ v[:, :, None]) * v[:, None]
-    return x - corr, np.sqrt(row_dot(corr, corr))[:, 0]
+def _steps(cols: _Columns, a: int, b: int):
+    """The lockstep steps of rows ``a:b`` of a group's columns, one per
+    segment of row ``a``: step ``k`` holds the ``n`` rows from ``a`` that
+    have segment ``k``, its durations ``dt`` ``(n,)``, and the first ``m``,
+    which end it at event ``k``, that event's columns and curvature ``K``
+    ``(m, d, d)``, one ``curvature_at`` call (none at the last, ``m = 0``)."""
+    held = np.clip(cols.segs - a, 0, b - a).tolist()
+    for k in range(held.index(0)):
+        n, m = held[k], held[k + 1]
+        e = (slice(a, a + m), k)
+        yield _Step(k, n, m, cols.dt[a:a + n, k], cols.nu[e],
+                    None if cols.v_in is None else cols.v_in[e], cols.v_out[e], cols.cos_phi[e],
+                    curvature_at(cols.domain, cols.index[e], cols.nu[e]) if m else None)
+
+
+def _covector_step(z: np.ndarray, w: np.ndarray, s: _Step, K: np.ndarray) -> tuple:
+    """The covector ``(z, w)`` ``(m, 1, d)`` from the start of segment ``s.k``
+    to the start of the next: its flight, the collision map at event ``k`` with
+    curvature ``K`` and the re-projection onto ``v_out^perp``.  Returns ``(z, w)``
+    with the closed-form drops of ``Q`` and the relative corrections, ``(m,)``."""
+    v, c = s.v_out, 2.0 * s.cos_phi
+    w = reflect(w - s.dt[:s.m, None, None] * z, s.nu)
+    u, kick = _projected_curvature(w, v, s.cos_phi, s.nu, K)     # V1 R w-, V1* K V1 R w-
+    z = reflect(z, s.nu) - c[:, None, None] * kick
+    cz, cw = ((x @ v[:, :, None]) * v[:, None] for x in (z, w))
+    z, w = z - cz, w - cw
+    scale = np.maximum(np.maximum(np.sqrt(row_dot(z, z)), np.sqrt(row_dot(w, w))), 1e-300)
+    corr = ((np.sqrt(row_dot(cz, cz)) + np.sqrt(row_dot(cw, cw))) / scale)[:, 0]
+    return z, w, c * row_dot(u @ K, u)[:, 0], np.where(np.isfinite(corr), corr, np.inf)
 
 
 def transport_covector(trajectory: Trajectory | Sequence[Trajectory],
                        n0: Covector | Sequence[Covector],
-                       curvature_scale: float = 1.0) -> TransportSeries | list[TransportSeries]:
+                       adjoint: float | None = None) -> TransportSeries | list[TransportSeries]:
     """Transport ``n0`` along the whole trajectory.
 
     ``trajectory`` and ``n0`` are one trajectory and its start covector, or
     two sequences of them, which move as one group: the list of their
     series, in order (``[]`` for none).  Each series is the one its
-    trajectory alone gives.  Step ``k`` maps event ``k`` of every
-    trajectory that has one, in one kernel call.
-
-    After each collision the components are re-projected onto the outgoing
-    velocity's orthogonal complement to kill rounding drift; the relative
-    correction magnitude is recorded per event.  ``curvature_scale``
-    rescales ``K`` (fault-injection hook for the adjointness negative
-    control); it must be 1 for physical transport.
+    trajectory alone gives.  After each collision the components are
+    re-projected onto the outgoing velocity's orthogonal complement to kill
+    rounding drift; the relative correction magnitude is recorded per event.
+    With ``adjoint = s`` each series also records its adjoint residual,
+    paired with the covector moved with ``s K``: 1 is the physical check;
+    another value is the negative control's fault hook, whose covector only
+    the check sees.  The group then moves in blocks by falling event count,
+    of at most ``TANGENT_VALUES`` tangent values (or one series) each.
     """
     one, trajectories, n0s = _group(trajectory, n0)
     if not trajectories:
         return []
     z = np.array([n.z for n in n0s], dtype=float)[:, None]
     w = np.array([n.w for n in n0s], dtype=float)[:, None]
-    _check_starts(z, w, np.array([t.start.v for t in trajectories]), "covector", nonzero=True)
-    domain = trajectories[0].domain
-    order, rows, start, nu, v, cos_phi, index, dt = _event_columns(trajectories, "v_out")
-    F, E, d = nu.shape
+    v0 = np.array([t.start.v for t in trajectories])
+    _check_starts(z, w, v0, "covector", nonzero=True)
+    cols = _event_columns(trajectories, tangents=adjoint is not None)
+    order, start = cols.order, cols.start
+    F, d = z.shape[0], z.shape[-1]
     z, w = z[order], w[order]
     zs, ws = np.empty((2, start[-1], d))
     zs[start[:-1]], ws[start[:-1]] = z[:, 0], w[:, 0]
     drops, corrs = np.empty((2, start[-1] - F))
     first = start[:-1] - np.arange(F)       # each row's first event
+    size = F if adjoint is None else max(1, TANGENT_VALUES // (2 * (d - 1) * d))
+    worst = np.full(F, -np.inf)
     # a covector (or its quadratic Q drop, first) may leave the double range
     # on a long horizon: the series then holds inf or nan, which the
-    # diagnostics report as a range error
+    # diagnostics report as a range error; a tangent's pairings turn nan
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, n in enumerate(rows.tolist()):
-            z, w = z[:n], w[:n]
-            v_out = v[:n, k]
-            K = curvature_scale * curvature_at(domain, index[:n, k], nu[:n, k])
-            z, w, drops[first[:n] + k] = _covector_jump(z, w - dt[:n, k, None, None] * z,
-                                                        nu[:n, k], cos_phi[:n, k], K, v_out)
-            z, cz = _reproject(z, v_out)
-            w, cw = _reproject(w, v_out)
-            scale = np.maximum(np.maximum(np.sqrt(row_dot(z, z)), np.sqrt(row_dot(w, w))),
-                               1e-300)[:, 0]
-            corr = (cz + cw) / scale
-            corrs[first[:n] + k] = np.where(np.isfinite(corr), corr, np.inf)
-            zs[start[:n] + k + 1], ws[start[:n] + k + 1] = z[:, 0], w[:, 0]
+        for a in range(0, F, size):
+            b = min(a + size, F)
+            zb, wb = z[a:b], w[a:b]
+            if adjoint is not None:
+                dq, dv, p0, base = _adjoint_start(v0[order[a:b]], [n0s[f] for f in order[a:b]])
+                zc, wc, err = zb, wb, worst[a:b]
+            for s in _steps(cols, a, b):
+                if adjoint is not None:
+                    end = _pair_segment(err[:s.n], p0[:s.n], base[:s.n], dq, dv,
+                                        zc[:, 0], wc[:, 0], s.dt)
+                if not s.m:
+                    break
+                e = slice(a, a + s.m)
+                zb, wb, drops[first[e] + s.k], corrs[first[e] + s.k] = \
+                    _covector_step(zb[:s.m], wb[:s.m], s, s.K)
+                zs[start[e] + s.k + 1], ws[start[e] + s.k + 1] = zb[:, 0], wb[:, 0]
+                if adjoint is not None:
+                    dq, dv = _tangent_jump(end[:s.m], dv[:s.m], s.nu, s.cos_phi, s.K, s.v_in)
+                    zc, wc = (zb, wb) if adjoint == 1.0 else \
+                        _covector_step(zc[:s.m], wc[:s.m], s, adjoint * s.K)[:2]
+    residuals = [None] * F if adjoint is None else np.where(np.isnan(worst), np.inf, worst).tolist()
     series: list = [None] * F
     for row, (f, a, b) in enumerate(zip(order.tolist(), start[:-1].tolist(), start[1:].tolist())):
         series[f] = TransportSeries(trajectories[f], n0s[f], zs[a:b], ws[a:b],
-                                    drops[a - row:b - row - 1], corrs[a - row:b - row - 1])
+                                    drops[a - row:b - row - 1], corrs[a - row:b - row - 1],
+                                    residuals[row])
     return series[0] if one else series
 
 
@@ -379,20 +403,19 @@ def transport_tangent(trajectory: Trajectory | Sequence[Trajectory],
     dq = np.array([np.atleast_2d(dy.dq) for dy in dy0s], dtype=float)
     dv = np.array([np.atleast_2d(dy.dv) for dy in dy0s], dtype=float)
     _check_starts(dq, dv, np.array([t.start.v for t in trajectories]), "tangent vector")
-    domain = trajectories[0].domain
-    order, rows, start, nu, v, cos_phi, index, dt = _event_columns(trajectories, "v_in")
+    cols = _event_columns(trajectories)
+    order, start = cols.order, cols.start
     dq, dv = dq[order], dv[order]
     dqs, dvs = np.empty((2, start[-1], *dq.shape[1:]))
     dqs[start[:-1]], dvs[start[:-1]] = dq, dv
     # like the covector, a tangent vector may leave the double range; its
     # pairings are then not finite (see adjoint_residual)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, n in enumerate(rows.tolist()):
-            dq, dv = dq[:n], dv[:n]
-            K = curvature_at(domain, index[:n, k], nu[:n, k])
-            dq, dv = _tangent_jump(dq + dt[:n, k, None, None] * dv, dv, nu[:n, k],
-                                   cos_phi[:n, k], K, v[:n, k])
-            dqs[start[:n] + k + 1], dvs[start[:n] + k + 1] = dq, dv
+        for s in _steps(cols, 0, len(trajectories)):
+            if s.m:
+                dq, dv = _tangent_jump(dq[:s.m] + s.dt[:s.m, None, None] * dv[:s.m], dv[:s.m],
+                                       s.nu, s.cos_phi, s.K, s.v_in)
+                dqs[start[:s.m] + s.k + 1], dvs[start[:s.m] + s.k + 1] = dq, dv
     series: list = [None] * len(trajectories)
     for f, a, b in zip(order.tolist(), start[:-1].tolist(), start[1:].tolist()):
         shape = (b - a, *np.shape(dy0s[f].dq))
@@ -426,84 +449,59 @@ def transversal_basis(v: Vec) -> list[TangentVector]:
            [TangentVector(zero.copy(), e.copy()) for e in basis]
 
 
+def _adjoint_start(v: np.ndarray, n0: list[Covector]) -> tuple[np.ndarray, ...]:
+    """A block's ``transversal_basis`` stacks ``dq`` and ``dv`` ``(F, 2(d-1), d)``
+    at the start velocities ``v`` ``(F, d)``, in C order, with their pairings
+    ``p0`` with ``n0`` and magnitude products ``base`` ``(F, 2(d-1))``."""
+    basis = _complement_basis(v)
+    zero = np.zeros_like(basis)
+    # not C-ordered (the basis is a transposed view): p0 and base are formed on
+    # this layout, the moves on C-ordered copies, which round as the tangent pass
+    dq, dv = np.concatenate([basis, zero], axis=1), np.concatenate([zero, basis], axis=1)
+    _check_starts(dq, dv, v, "tangent vector")
+    p0 = (dq @ np.array([n.z for n in n0])[:, :, None])[..., 0] \
+        + (dv @ np.array([n.w for n in n0])[:, :, None])[..., 0]
+    base = TangentVector(dq, dv).norm() * np.array([n.norm() for n in n0])[:, None]
+    return np.ascontiguousarray(dq), np.ascontiguousarray(dv), p0, base
+
+
+def _pair_segment(err: np.ndarray, p0: np.ndarray, base: np.ndarray, dq: np.ndarray,
+                  dv: np.ndarray, z: np.ndarray, w0: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Fold the errors of the per-vector pairings (and norms) of the stacks
+    ``dq`` and ``dv`` ``(n, m, d)`` with ``(z, w0)`` ``(n, d)``, both at the
+    start of segments of duration ``dt`` ``(n,)``, at both ends into ``err``
+    ``(n,)``, nan for a pairing that is not finite; returns ``dq`` at the end."""
+    z_sq, dv_sq = row_dot(z, z), np.einsum("...i,...i", dv, dv)
+    for tau in (dt - dt, dt):          # time since the segment start
+        w = w0 - tau[:, None] * z
+        end = tau[:, None, None] * dv + dq
+        n_norm = np.sqrt(z_sq + row_dot(w, w))
+        dy_norm = np.sqrt(np.einsum("...i,...i", end, end) + dv_sq)
+        scale = np.maximum(np.maximum(base, dy_norm * n_norm[:, None]), 1e-300)
+        paired = (end @ z[..., None])[..., 0] + (dv @ w[..., None])[..., 0]
+        np.maximum(err, (np.abs(paired - p0) / scale).max(axis=1), out=err)
+    return end
+
+
 def adjoint_residual(series: TransportSeries | Sequence[TransportSeries]) -> float | list[float]:
     """Worst relative violation of the transport-invariance of the pairing.
 
-    ``series`` is a covector already transported along its trajectory, or a
-    sequence of them, answered with the list of their residuals.  The
-    trajectories' ``transversal_basis`` stacks, ``(2(d-1), d)`` each, come
-    from one QR call for the whole group.  For each basis vector the pairing
-    of the forward-transported tangent vector with the transported covector
-    must equal its initial value at every segment endpoint.  The stacks move
-    in lockstep passes over blocks of the series, taken by falling event
-    count, whose ``dq`` and ``dv`` stacks hold at most ``TANGENT_VALUES``
-    values each (or one series'): step ``k`` pairs both ends of segment
-    ``k`` of every series that has it, then maps event ``k`` with the
-    tangent side of the collision kernel, so no tangent history is kept.  A
-    series' tangents and pairings do not depend on the other series of its
-    block.  The residual at time
-    ``t`` is normalized by the larger of the initial and current magnitude
-    products: the pairing is evaluated by cancellation of terms of that size,
-    which is the scale fixed precision can certify.  A pairing that is not
-    finite makes the residual infinite.  A series transported with a rescaled
-    curvature breaks adjointness and must produce a large residual (negative
-    control).
+    ``series`` is a transported covector, or a sequence of them, answered
+    with the list of their residuals: those ``transport_covector(...,
+    adjoint=s)`` recorded, else those of one such pass with ``s = 1`` over
+    their trajectories and starts.  For each ``transversal_basis`` vector
+    the pairing of the forward-transported tangent vector with the covector
+    must equal its initial value at every segment endpoint; the pass pairs
+    both ends of segment ``k`` before it maps event ``k``, so no tangent
+    history is kept.  The residual at time ``t`` is normalized by the larger
+    of the initial and current magnitude products, the scale at which fixed
+    precision certifies the cancellation.  A pairing that is not finite
+    makes the residual infinite; a rescaled curvature must make it large.
     """
     one = isinstance(series, TransportSeries)
     group = [series] if one else list(series)
-    if not group:
-        return []
-    v0 = np.array([s.trajectory.start.v for s in group])
-    basis = _complement_basis(v0)
-    zero = np.zeros_like(basis)
-    # not C-ordered: the basis is a transposed view; the initial pairings and
-    # norms are formed on this layout, the moves on C-ordered copies, whose
-    # BLAS products round as the tangent pass's do
-    dq0, dv0 = np.concatenate([basis, zero], axis=1), np.concatenate([zero, basis], axis=1)
-    _check_starts(dq0, dv0, v0, "tangent vector")
-    order = np.argsort([-s.trajectory.event_count for s in group], kind="stable")
-    size = max(1, TANGENT_VALUES // dq0[0].size)
-    worst = np.empty(len(group))
-    for a in range(0, len(group), size):
-        part = order[a:a + size]
-        worst[part] = _block_residuals([group[f] for f in part.tolist()], dq0[part], dv0[part])
-    worst = [math.inf if math.isnan(x) else x for x in worst.tolist()]
+    todo = [s for s in group if s.residual is None]
+    fresh = iter(transport_covector([s.trajectory for s in todo], [s.n0 for s in todo],
+                                    adjoint=1.0))
+    worst = [next(fresh).residual if s.residual is None else s.residual for s in group]
     return worst[0] if one else worst
-
-
-def _block_residuals(block: list[TransportSeries], dq: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """The residuals ``(F,)`` of a block of series in falling event count,
-    nan for a pairing that is not finite, with their basis stacks ``dq`` and
-    ``dv`` ``(F, m, d)``: one lockstep tangent pass."""
-    _, rows, start, nu, v, cos_phi, index, _ = _event_columns(
-        [s.trajectory for s in block], "v_in")
-    n0 = [s.n0 for s in block]
-    p0 = (dq @ np.array([n.z for n in n0])[:, :, None])[..., 0] \
-        + (dv @ np.array([n.w for n in n0])[:, :, None])[..., 0]      # (F, m)
-    base = TangentVector(dq, dv).norm() * np.array([s.n0_norm for s in block])[:, None]
-    dq, dv = np.ascontiguousarray(dq), np.ascontiguousarray(dv)
-    z_all, w0_all = (np.concatenate([getattr(s, name) for s in block]) for name in ("z", "w0"))
-    dt_all = np.concatenate([s.t1 - s.t0 for s in block])
-    domain = block[0].trajectory.domain
-    err = np.full(len(block), -np.inf)
-    # the endpoint values and the per-vector products of TangentVector.norm,
-    # Covector.norm and pairing, one endpoint at a time; a value past the
-    # double range makes the residual infinite
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, n in enumerate([len(block), *rows.tolist()]):
-            i = start[:n] + k                  # segment k of the first n rows
-            z, w0, dt = z_all[i], w0_all[i], dt_all[i]
-            z_sq, dv_sq = row_dot(z, z), np.einsum("...i,...i", dv, dv)
-            for tau in (dt - dt, dt):          # time since the segment start
-                w = w0 - tau[:, None] * z
-                end = tau[:, None, None] * dv + dq
-                n_norm = np.sqrt(z_sq + row_dot(w, w))
-                dy_norm = np.sqrt(np.einsum("...i,...i", end, end) + dv_sq)
-                scale = np.maximum(np.maximum(base[:n], dy_norm * n_norm[:, None]), 1e-300)
-                paired = (end @ z[..., None])[..., 0] + (dv @ w[..., None])[..., 0]
-                err[:n] = np.maximum(err[:n], (np.abs(paired - p0[:n]) / scale).max(axis=1))
-            if k < len(rows):                  # from the end of segment k
-                m = rows[k]
-                K = curvature_at(domain, index[:m, k], nu[:m, k])
-                dq, dv = _tangent_jump(end[:m], dv[:m], nu[:m, k], cos_phi[:m, k], K, v[:m, k])
-    return err

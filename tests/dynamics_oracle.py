@@ -194,7 +194,10 @@ def chunk_scan(domain: Domain, q, v, starts, widths) -> tuple[int, tuple[Candida
 
 
 def validate_phase_point(domain: Domain, x: PhasePoint) -> PhasePoint:
-    """The state check of one start: unit speed, outside every scatterer."""
+    """The state check of one start: a finite position, unit speed, outside
+    every scatterer."""
+    if not np.isfinite(x.q).all():
+        raise InvalidStateError(f"position must be finite (got {x.q.tolist()})")
     speed = math.sqrt(x.v @ x.v)
     if not math.isfinite(speed) or abs(speed - 1.0) > 1e-6:
         raise InvalidStateError(f"velocity must be a unit vector (speed {speed})")

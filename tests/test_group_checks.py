@@ -1,14 +1,16 @@
 """The group passes of the checks, the complement bases and the adjoint check.
 
 ``verify_monotonicity`` and ``verify_growth`` check a group of series in one
-array pass over their concatenated grids, and ``adjoint_residual`` moves a
-group's tangent stacks in lockstep blocks of at most ``TANGENT_VALUES``
-values, over the series by falling event count, and pairs them as they
-move, keeping no tangent history.  Each series must get the report,
-residual and bases it gets alone, bit for bit, and the loop oracles'
-values: in groups that mix event counts (one series without events),
-``Q(n0) >= 0`` (strict checks skipped), zero-length segments, nan margins,
-and series that cannot be verified.
+array pass over their concatenated grids.  ``transport_covector(...,
+adjoint=s)`` walks a group's events once, over one set of event columns, in
+blocks by falling event count whose tangent stacks hold at most
+``TANGENT_VALUES`` values: each step pairs both ends of a segment, then
+moves the covector, the tangent stacks and, for ``s != 1``, the fault
+hook's covector with one ``curvature_at`` call, keeping no tangent history.
+Each series must get the report, residual and bases it gets alone, bit for
+bit, and the loop oracles' values: in groups that mix event counts (one
+series without events), ``Q(n0) >= 0`` (strict checks skipped),
+zero-length segments, nan margins, and series that cannot be verified.
 """
 
 from __future__ import annotations
@@ -230,38 +232,44 @@ def test_group_residual_equals_each_residual_alone(family, request):
     assert adjoint_residual([]) == []
 
 
-def _adjoint_group(domain, seed, horizons, curvature_scale=1.0):
-    """One series per horizon, transported with ``curvature_scale``."""
+def _adjoint_group(domain, seed, horizons):
+    """One trajectory and start covector per horizon."""
     rng = np.random.default_rng(seed)
-    group = []
+    trajectories, n0 = [], []
     for T in horizons:
         x0 = random_phase_point(domain, rng)
-        group.append(transport_covector(flow(domain, x0, T),
-                                        sample_covector_with_Q_bound(x0.v, 0.1, rng),
-                                        curvature_scale=curvature_scale))
-    return group
+        trajectories.append(flow(domain, x0, T))
+        n0.append(sample_covector_with_Q_bound(x0.v, 0.1, rng))
+    return trajectories, n0
 
 
-def _adjoint_passes(monkeypatch) -> tuple[list[list], list[int], list]:
-    """From now on: the trajectories of each block of ``adjoint_residual``
-    (one ``_event_columns`` call), the rows of each tangent move, and the
-    ``transport_tangent`` calls."""
-    blocks, moves, tangent_calls = [], [], []
-    columns, jump = transport._event_columns, transport._tangent_jump
+def _adjoint_passes(monkeypatch) -> tuple[list, list[list], list[int], list]:
+    """From now on: the trajectories of each ``_event_columns`` call, those of
+    each block (one ``_steps`` walk over rows ``a:b`` of a group's columns),
+    the rows of each tangent move, and the ``transport_tangent`` calls."""
+    groups, blocks, moves, tangent_calls = [], [], [], []
+    columns, steps, jump = transport._event_columns, transport._steps, transport._tangent_jump
 
-    def columns_spy(trajectories, velocity):
-        blocks.append(list(trajectories))
-        return columns(trajectories, velocity)
+    def columns_spy(trajectories, *args, **kwargs):
+        cols = columns(trajectories, *args, **kwargs)
+        groups.append((cols, list(trajectories)))
+        return cols
+
+    def steps_spy(cols, a, b):
+        trajectories = next(t for c, t in groups if c is cols)
+        blocks.append([trajectories[f] for f in cols.order[a:b].tolist()])
+        return steps(cols, a, b)
 
     def jump_spy(dq, dv, *args):
         moves.append(len(dq))
         return jump(dq, dv, *args)
 
     monkeypatch.setattr(transport, "_event_columns", columns_spy)
+    monkeypatch.setattr(transport, "_steps", steps_spy)
     monkeypatch.setattr(transport, "_tangent_jump", jump_spy)
     monkeypatch.setattr(transport, "transport_tangent",
                         lambda *args: tangent_calls.append(args))
-    return blocks, moves, tangent_calls
+    return groups, blocks, moves, tangent_calls
 
 
 @pytest.mark.parametrize("curvature_scale", [1.0, 2.0])
@@ -269,15 +277,22 @@ def _adjoint_passes(monkeypatch) -> tuple[list[list], list[int], list]:
 def test_residuals_of_tangent_passes_equal_each_residual_alone(family, curvature_scale,
                                                                request, monkeypatch):
     # a group split into at least three blocks, one holding several series:
-    # each residual has the bits of its series checked alone
+    # each residual has the bits of its series checked alone and of the
+    # loop oracle's, on the covector moved with curvature_scale * K
     domain = request.getfixturevalue(family)
-    group = _adjoint_group(domain, 641, (1e-3, 6.0, 2.0, 6.0, 4.0, 6.0, 3.0, 5.0),
-                           curvature_scale)
-    alone = [adjoint_residual(s).hex() for s in group]
+    trajectories, n0 = _adjoint_group(domain, 641, (1e-3, 6.0, 2.0, 6.0, 4.0, 6.0, 3.0, 5.0))
+    alone = [transport_covector(t, n, adjoint=curvature_scale).residual.hex()
+             for t, n in zip(trajectories, n0)]
+    slow = [transport_oracle.adjoint_residual(
+        transport_oracle.transport_covector(t, n, curvature_scale=curvature_scale)).hex()
+        for t, n in zip(trajectories, n0)]
+    assert alone == slow
     monkeypatch.setattr(transport, "TANGENT_VALUES", 3 * 2 * (domain.d - 1) * domain.d)
-    blocks, _, _ = _adjoint_passes(monkeypatch)
+    groups, blocks, _, _ = _adjoint_passes(monkeypatch)
+    group = transport_covector(trajectories, n0, adjoint=curvature_scale)
+    assert [s.residual.hex() for s in group] == alone
     assert [r.hex() for r in adjoint_residual(group)] == alone
-    assert len(blocks) >= 3 and max(map(len, blocks)) >= 2
+    assert len(groups) == 1 and len(blocks) >= 3 and max(map(len, blocks)) >= 2
 
 
 @pytest.mark.parametrize("budget", [None, 700, 50])
@@ -291,10 +306,11 @@ def test_no_tangent_pass_holds_more_than_the_budget(hardball32, budget, monkeypa
     starts = [random_phase_point(hardball32, rng) for _ in range(40)]
     group = transport_covector(flow(hardball32, starts, 6.0),
                                [sample_covector_with_Q_bound(x.v, 0.1, rng) for x in starts])
-    blocks, moves, tangent_calls = _adjoint_passes(monkeypatch)
+    groups, blocks, moves, tangent_calls = _adjoint_passes(monkeypatch)
     adjoint_residual(group)
     held = 10 * 6
     by_count = sorted((s.trajectory for s in group), key=lambda t: -t.event_count)
+    assert len(groups) == 1
     assert [id(t) for block in blocks for t in block] == [id(t) for t in by_count]
     assert len({t.event_count for t in by_count}) >= 3
     size = max(1, budget // held)
@@ -311,7 +327,7 @@ def test_adjoint_check_keeps_no_tangent_history(hardball32, monkeypatch):
     series = transport_covector(flow(hardball32, x0, 155.0), n0)
     events = series.trajectory.event_count
     assert events >= 200
-    _, _, tangent_calls = _adjoint_passes(monkeypatch)
+    _, _, _, tangent_calls = _adjoint_passes(monkeypatch)
     tracemalloc.start()
     try:
         residual = adjoint_residual(series)
@@ -320,6 +336,118 @@ def test_adjoint_check_keeps_no_tangent_history(hardball32, monkeypatch):
         tracemalloc.stop()
     assert peak < (events + 1) * 10 * 6 * 8
     assert tangent_calls == [] and math.isfinite(residual)
+
+
+def test_run_pass_moves_only_the_covector(hardball32, monkeypatch):
+    # without the check one walk of the group's columns, which hold no
+    # incoming velocities, and no tangent stack moves
+    trajectories, n0 = _adjoint_group(hardball32, 659, (6.0, 1e-3, 4.0, 6.0))
+    groups, blocks, moves, _ = _adjoint_passes(monkeypatch)
+    group = transport_covector(trajectories, n0)
+    assert len(groups) == 1 and groups[0][0].v_in is None
+    assert len(blocks) == 1 and moves == []
+    assert [s.residual for s in group] == [None] * 4
+
+
+def test_fault_hook_leaves_the_series_physical(hardball32, monkeypatch):
+    # the covector moved with 2K is seen by the check only: every column
+    # of every series has the bytes of the pass without the check
+    trajectories, n0 = _adjoint_group(hardball32, 661, (6.0, 2.0, 6.0, 4.0, 1e-3, 5.0, 6.0))
+    plain = transport_covector(trajectories, n0)
+    monkeypatch.setattr(transport, "TANGENT_VALUES", 2 * 2 * 3 * 4)
+    for scale in (1.0, 2.0):
+        checked = transport_covector(trajectories, n0, adjoint=scale)
+        for a, b in zip(plain, checked):
+            for name in ("z", "w0", "q_drop", "reprojection", "t0", "t1"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        residuals = [s.residual for s in checked]
+        assert (max(residuals) < 1e-9) == (scale == 1.0)
+
+
+def test_checking_pass_holds_its_series_and_one_block(hardball32, monkeypatch):
+    # a multi-block hard-disk group: the pass's peak is the columns and the
+    # series it returns plus a fixed multiple of one block's tangent stacks;
+    # the whole group in one block exceeds that bound
+    rng = np.random.default_rng(673)
+    starts = [random_phase_point(hardball32, rng) for _ in range(120)]
+    trajectories = flow(hardball32, starts, 2.0)
+    n0 = [sample_covector_with_Q_bound(x.v, 0.1, rng) for x in starts]
+    columns = sum(a.nbytes for a in transport._event_columns(trajectories)
+                  if isinstance(a, np.ndarray))
+
+    def peak_over_held(budget):
+        monkeypatch.setattr(transport, "TANGENT_VALUES", budget)
+        tracemalloc.start()
+        try:
+            group = transport_covector(trajectories, n0, adjoint=1.0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(group) == 120
+        return peak - held
+
+    rows = 10
+    block = 2 * rows * 10 * 6 * 8           # dq and dv of one block
+    bound = columns + 16 * block
+    assert peak_over_held(rows * 10 * 6) <= bound
+    assert peak_over_held(8192) > bound
+
+
+# the configs of the perfbench workload verify_acceptance at seed 1, and
+# 6 hard disks x 80, whose check moves three blocks (31 series each at d = 12)
+_VERIFIED = {name: (next(e["domain"] for e in CATALOG if e["name"] == name), 45, 20.0)
+             for name in ("sinai_2d", "sinai_3d", "cylinder_3d", "hardball_n3_d2")}
+_VERIFIED["hardball_n6_d2"] = ({"kind": "hardball_gas", "N": 6, "d": 2, "r": 0.1, "L": 1.0},
+                               80, 6.0)
+_CHECK_FIELDS = ("adjoint_residual", "worst_adjoint_residual", "check_failures", "exit_code")
+
+
+def _without_check(summary: dict) -> dict:
+    """``summary`` without the fields the adjoint check writes."""
+    out = {k: v for k, v in summary.items() if k not in _CHECK_FIELDS}
+    out["ensemble"] = {k: v for k, v in summary["ensemble"].items() if k not in _CHECK_FIELDS}
+    out["trajectories"] = [{k: v for k, v in e.items() if k not in _CHECK_FIELDS}
+                           for e in summary["trajectories"]]
+    return out
+
+
+def _verify(tmp_path, capsys, name, *flags) -> dict:
+    """The summary that ``verify`` prints on the config ``name`` of
+    ``_VERIFIED``, seed 1, c0 = 0.1; its exit code must be the summary's."""
+    domain, count, horizon = _VERIFIED[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"domain": domain, "horizon": horizon, "initial": {
+        "sampler": {"count": count, "seed": 1, "c0": 0.1}}}), encoding="utf-8")
+    code = main(["verify", str(path), *flags])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == summary["exit_code"]
+    return summary
+
+
+@pytest.mark.parametrize("name", list(_VERIFIED))
+def test_corrupt_curvature_changes_only_what_the_check_sees(name, tmp_path, capsys):
+    # verify --corrupt-curvature writes the summary of verify but for the
+    # residuals and what they decide
+    plain = _verify(tmp_path, capsys, name)
+    corrupt = _verify(tmp_path, capsys, name, "--corrupt-curvature")
+    assert plain["exit_code"] == 0 and plain["ensemble"]["worst_adjoint_residual"] < 1e-9
+    assert corrupt["exit_code"] == 1 and corrupt["ensemble"]["check_failures"] > 0
+    assert _without_check(corrupt) == _without_check(plain)
+
+
+def test_verify_makes_one_curvature_call_per_event_index(tmp_path, capsys, monkeypatch):
+    # one curvature_at call per event index of each block, shared by the
+    # covector, the check and the fault hook: 81 on the four acceptance
+    # families, with or without --corrupt-curvature
+    calls = []
+    curvature = transport.curvature_at
+    monkeypatch.setattr(transport, "curvature_at",
+                        lambda *args: calls.append(1) or curvature(*args))
+    for flags in ([], ["--corrupt-curvature"]):
+        del calls[:]
+        for name in list(_VERIFIED)[:4]:
+            _verify(tmp_path, capsys, name, *flags)
+        assert len(calls) == 81
 
 
 @pytest.mark.parametrize("d,reach", [(d, 1) for d in range(1, 9)] + [(d, 2) for d in range(1, 6)])

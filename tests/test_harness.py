@@ -371,10 +371,10 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["ensemble"]["worst_adjoint_residual"] < 1e-8
 
 
-def test_verify_evaluates_curvature_twice_per_collision(tmp_path, monkeypatch, capsys):
-    # once in the covector pass the checks and the adjoint check share, once
-    # in the tangent pass of the adjoint check; each call of a lockstep step
-    # evaluates one row per trajectory that has an event there
+def test_verify_evaluates_curvature_once_per_collision(tmp_path, monkeypatch, capsys):
+    # once in the one pass that moves the covector and the adjoint check's
+    # tangents; each call of a lockstep step evaluates one row per
+    # trajectory that has an event there
     calls = []
     curvature_at = billiards.transport.curvature_at
 
@@ -390,8 +390,8 @@ def test_verify_evaluates_curvature_twice_per_collision(tmp_path, monkeypatch, c
     report = json.loads(capsys.readouterr().out)
     events = sum(t["event_count"] for t in report["trajectories"])
     assert events > 0
-    assert sum(np.size(index) for _, index, _ in calls) == 2 * events
-    assert len(calls) < 2 * events
+    assert sum(np.size(index) for _, index, _ in calls) == events
+    assert len(calls) < events
 
 
 def _benchmark_spans():

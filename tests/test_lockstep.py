@@ -279,6 +279,36 @@ def test_invalid_start_raises_before_its_group_flies(monkeypatch):
         flow(domain, good, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("family", ["hardball32", "sinai2d"])
+def test_non_finite_start_is_an_invalid_state(family, bad):
+    # a start with a non-finite coordinate is reported before it is wrapped,
+    # with no RuntimeWarning under the error filter tier-1 sets: alone, and
+    # as one row of a group whose other rows fly as they do alone
+    domain = DOMAINS[family]
+    rng = np.random.default_rng(479)
+    starts = [random_phase_point(domain, rng) for _ in range(4)]
+    q = starts[2].q.copy()
+    q[-1] = bad
+    starts[2] = PhasePoint(q, starts[2].v)
+    message = f"position must be finite (got {q.tolist()})"
+    with pytest.raises(InvalidStateError) as alone:
+        flow(domain, starts[2], 2.0)
+    assert str(alone.value) == message
+    with pytest.raises(InvalidStateError) as group:
+        flow(domain, starts, 2.0)
+    assert str(group.value) == message
+    # the group flies the states flow checked, and the row it refused
+    q, v = np.array([x.q for x in starts]), np.array([x.v for x in starts])
+    ok, q[[0, 1, 3]], v[[0, 1, 3]], errors = dynamics._check_states(domain, q, v)
+    assert ok.tolist() == [0, 1, 3] and list(errors) == [2] and str(errors[2]) == message
+    trajs, errors = dynamics._fly(domain, q, v, 2.0, MAX_EVENTS_DEFAULT, dynamics.EPS_GRAZE)
+    assert list(errors) == [2] and str(errors[2]) == message
+    assert trajs[2].termination is None and trajs[2].event_count == 0
+    for j in (0, 1, 3):
+        assert _bits(trajs[j]) == _bits(flow(domain, starts[j], 2.0))
+
+
 @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
 def test_horizon_must_be_positive_and_finite(monkeypatch, T):
     domain = DOMAINS["sinai2d"]
@@ -459,9 +489,10 @@ def test_state_check_of_a_stack_matches_one_state_at_a_time():
     starts[1] = PhasePoint(starts[1].q, 1.5 * starts[1].v)                 # too fast
     starts[3] = PhasePoint(starts[3].q, np.full(domain.d, np.nan))          # no speed
     starts[4] = PhasePoint(np.array([0.5, 0.5, 0.55, 0.5, 0.1, 0.1]), starts[4].v)  # overlap
+    starts.append(PhasePoint(np.array([0.1, np.nan, 0.5, 0.5, 0.9, 0.9]), starts[1].v))
     ok, q, v, errors = dynamics._check_states(domain, np.array([x.q for x in starts]),
                                               np.array([x.v for x in starts]))
-    assert ok.tolist() == [0, 2, 5] and sorted(errors) == [1, 3, 4]
+    assert ok.tolist() == [0, 2, 5] and sorted(errors) == [1, 3, 4, 6]
     for j, x in enumerate(starts):
         try:
             y = oracle.validate_phase_point(domain, x)

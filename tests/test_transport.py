@@ -359,7 +359,7 @@ def test_adjoint_residual_small_on_multibounce(sinai2d, hardball32):
 def test_adjoint_residual_detects_corrupted_curvature(sinai2d):
     rng = np.random.default_rng(67)
     traj, n0, series = _sample_series(sinai2d, rng, T=5.0)
-    assert adjoint_residual(transport_covector(traj, n0, curvature_scale=2.0)) > 1e-6
+    assert adjoint_residual(transport_covector(traj, n0, adjoint=2.0)) > 1e-6
 
 
 def test_kernel_tangency_preserved(sinai2d):

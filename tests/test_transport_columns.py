@@ -48,9 +48,10 @@ def test_columns_match_object_oracle(family, request):
         traj = flow(dom, x0, horizon)
         assert traj.event_count >= 1
         times = [0.0, *(ev.t for ev in traj.events), traj.t_end]
-        for scale in (1.0, 2.0):
-            series = transport_covector(traj, n0, curvature_scale=scale)
-            slow = oracle.transport_covector(traj, n0, curvature_scale=scale)
+        slow = oracle.transport_covector(traj, n0)
+        for scale in (None, 1.0, 2.0):
+            # the series stay physical; the check pairs the covector moved with scale * K
+            series = transport_covector(traj, n0, adjoint=scale)
             assert series.segments == traj.segments
             assert _hex(series.t0) == _hex([s.t0 for s in slow.segments])
             assert _hex(series.t1) == _hex([s.t1 for s in slow.segments])
@@ -67,7 +68,8 @@ def test_columns_match_object_oracle(family, request):
                 for side, n in (("pre", jump.n_pre), ("post", jump.n_post)):
                     a = series.covector_at(jump.t, side)
                     assert _hex(a.z) == _hex(n.z) and _hex(a.w) == _hex(n.w)
-            assert adjoint_residual(series).hex() == oracle.adjoint_residual(slow).hex()
+            checked = oracle.transport_covector(traj, n0, curvature_scale=scale or 1.0)
+            assert adjoint_residual(series).hex() == oracle.adjoint_residual(checked).hex()
 
         dy0 = _basis_stack(traj.start.v)
         tan = transport_tangent(traj, dy0)
