@@ -2,10 +2,11 @@
 
 :func:`csv_rows` gives the bytes that ``'%.17g' % x`` and ``'%d' % v`` give,
 field by field, with one array pass over the rows of a file (or over each
-:data:`_PASS_VALUES` values of a longer one) instead of one Python call per
-value.  Every field fills a slot of five eight-byte words, computed a word
-at a time over all fields (words-major); a byte that is not printed is 0,
-and the nonzero bytes, read row by row, are the file body.
+slice of a longer one that the byte budget fits, :data:`_VALUE_BYTES` a
+value) instead of one Python call per value.  Every field fills a slot of
+five eight-byte words, computed a word at a time over all fields
+(words-major); a byte that is not printed is 0, and the nonzero bytes, read
+row by row, are the file body.
 
 A finite float ``x`` with ``FAST_MIN <= |x| <= FAST_MAX`` is scaled to
 ``y = |x| * 10**(16 - K)`` in ``[1e16, 1e17)`` in double-double arithmetic
@@ -31,6 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import budget
+
 # |x| range of the array path: every term of the double-double product
 # stays a normal double, so the product is exact
 FAST_MIN = 1e-220
@@ -53,9 +56,10 @@ _SPLIT = 134217729.0               # 2**27 + 1, Dekker's splitting constant
 # compaction copies whole.
 _WORDS = 5
 _QUADS = 10**4 + 10                # digit table rows: four digits, then one
-# values per array pass: a pass holds about 300 bytes a value, and passes
-# of this size keep that in cache and off the process's peak memory
-_PASS_VALUES = 4096
+# bytes a value allocates in an array pass: about forty eight-byte words
+# (its value, mantissa and exponent, five digit groups and their lookups,
+# nine form words, the five words of its slot and their copy, and the masks)
+_VALUE_BYTES = 320
 
 
 class _Tables(NamedTuple):
@@ -198,12 +202,18 @@ def csv_rows(columns: list[np.ndarray]) -> bytes:
     """The rows of ``columns`` (1-d float or integer arrays of one length),
     fields separated by commas and rows ended by CRLF: a float as
     ``'%.17g' % x`` (empty if non-finite), an integer as ``'%d' % v``."""
+    return b"".join(csv_passes(columns))
+
+
+def csv_passes(columns: list[np.ndarray]):
+    """The bytes of :func:`csv_rows` one array pass at a time: each pass
+    formats the rows that the byte budget fits, the last with the CRLF that
+    ends its last row."""
     m, C = len(columns[0]), len(columns)
-    if not m:
-        return b""
-    step = max(1, _PASS_VALUES // C)
-    return b"".join(_rows([col[a:a + step] for col in columns], a == 0)
-                    for a in range(0, m, step)) + b"\r\n"
+    step = budget.fit(_VALUE_BYTES * C)
+    for a in range(0, m, step):
+        rows = _rows([col[a:a + step] for col in columns], a == 0)
+        yield rows + b"\r\n" if a + step >= m else rows
 
 
 def _rows(columns: list[np.ndarray], first: bool) -> bytes:

@@ -18,14 +18,15 @@ included, and returns, for each flight whose chunk holds a root, the first
 window that holds one.  :func:`_tile` tiles each chunk by the running sum
 ``t_lo += min(window, horizon - t_lo)`` of one window at a time, and pads a
 chunk shorter than the others with windows of length 0, which hold no root.
-The call scans a plain stack's windows in consecutive slices of at most
-``max(ROUND_ROWS, one window's images)`` image rows (``geometry.ROUND_ROWS``,
-the budget ``Domain.contains`` slices its points by), so a round holds that
-much whatever its flight count.  An ensemble flies in balanced groups
-(:func:`flight_groups`), one :func:`flow` call each, of ``ROUND_ROWS`` over a
-flight's chunk rows, counted at most ``CHUNK_ROWS``: 130 flights on 2-d
-Sinai, 512 on Sinai with d >= 3 and 128 on hard balls, whose one window may
-alone exceed ``CHUNK_ROWS``.
+The call scans a plain stack's windows in consecutive slices of as many
+windows as the byte budget fits (:func:`budget.fit`, at ``8 (d + 6)`` bytes
+an image row: 21 windows of 375 images on 6 hard disks), or one window, so a
+round holds about ``budget.PASS_BYTES`` whatever its flight count.  An
+ensemble flies in balanced groups (:func:`flight_groups`), one :func:`flow`
+call each, of as many flights as the budget fits at a flight's window
+arrays and chunk rows, counted at most ``CHUNK_ROWS`` (:func:`_flight_bytes`):
+260 flights on 2-d Sinai, 263 on 8-d Sinai, 124 on 6 hard disks (d = 12)
+and 74 on 12 (d = 24), whose one window may alone exceed ``CHUNK_ROWS``.
 
 The searches of a round that found a root land in one array pass
 (:func:`_landings`): the Newton polish of each root, with each row's own
@@ -53,12 +54,12 @@ farther than ``reach`` (the radius plus a margin of ``1e-6 L``, argued in
 ``tolerances.py``) from every lattice image of every center of the stack.
 The skipped scan would find no root, and a window that is not skipped runs
 the scan unchanged on the same lattice shift, so outputs keep their bits.
-The broad phase tests all windows of a round at once and scans those in
-reach, in flight order, in batches of at most ``max(ROUND_ROWS, one
-window's images)`` rows: on 8-d Sinai one window of 6561 images per batch,
-where about 93% of the windows are skipped.  A flight's windows after one
-that holds a root leave the later batches.  2-d stacks (9 images) and
-cylinders keep the plain scan.
+The broad phase tests a round's windows in slices the budget fits (five
+``(S, d)`` arrays a window) and scans those in reach, in flight order, in
+batches the budget fits, as a plain slice: on 8-d Sinai one window of 6561
+images per batch, where about 93% of the windows are skipped.  A flight's
+windows after one that holds a root leave the later batches.  2-d stacks (9
+images) and cylinders keep the plain scan.
 
 Grazing impacts (cos phi below the cutoff) and near-simultaneous roots on
 two distinct boundary pieces are singularities of the dynamics: the
@@ -83,7 +84,7 @@ from .errors import (
     GrazingSingularityError,
     InvalidStateError,
 )
-from . import geometry
+from . import budget
 from .geometry import Box, Domain, Vec, reflect, row_dot
 from .tolerances import EPS_GRAZE, EPS_TIME_FACTOR, MAX_EVENTS_DEFAULT
 
@@ -96,13 +97,17 @@ TERMINATION_ESCAPE = "escape_error"
 # The collision search hands each flight's next chunk of up to
 # WINDOW_CHUNK_MAX consecutive windows, as many as keep a chunk near
 # CHUNK_ROWS image rows (:func:`_chunk`), to the kernel: small scans are
-# dominated by the fixed cost of a call.  The kernel's arrays are sliced by
-# geometry.ROUND_ROWS, and a flight group holds ROUND_ROWS over a flight's
-# chunk rows, at most CHUNK_ROWS of them; its trajectories (about 100 B per
-# event at d = 2) are small beside the arrays; a checking covector pass moves
-# the tangent stacks in blocks of their own budget (transport.TANGENT_VALUES).
+# dominated by the fixed cost of a call.  The kernel's arrays, and the flight
+# groups, are sized by the byte budget (budget.PASS_BYTES).
 CHUNK_ROWS = 64
 WINDOW_CHUNK_MAX = 16
+
+
+def _row_bytes(d: int) -> int:
+    """Bytes one image row of a kernel scan allocates: its ``d``-wide offset
+    ``xi0`` and six scalar temporaries (``b``, ``c``, the discriminant and
+    its terms, the masks)."""
+    return 8 * (d + 6)
 
 
 @dataclass(eq=False)
@@ -237,6 +242,16 @@ def _chunk(domain: Domain) -> tuple[int, int]:
     return windows, windows * images
 
 
+def _flight_bytes(domain: Domain) -> int:
+    """Bytes one flight adds to a round: the start point and midpoint
+    (``d``-wide) and five scalars of each window of its chunk, and its
+    chunk's image rows (:func:`_chunk`) at :func:`_row_bytes` each, counted
+    at most ``CHUNK_ROWS``: the kernel slices a round by the budget, so a
+    window that alone holds more rows does not shrink the group."""
+    windows, rows = _chunk(domain)
+    return 8 * windows * (2 * domain.d + 5) + min(rows, CHUNK_ROWS) * _row_bytes(domain.d)
+
+
 def _check_states(domain: Domain, q: np.ndarray, v: np.ndarray):
     """The state check of each row of ``(q, v)``, ``(P, d)``: a finite
     position, unit speed within 1e-6, and a position outside every scatterer.
@@ -319,16 +334,16 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
     a hit searched its whole chunk.
 
     Each stack is evaluated in array passes over its flights, windows,
-    scatterers and images of at most ``max(ROUND_ROWS, one window's
-    images)`` image rows: a sphere or cylinder stack scans consecutive
-    slices of its windows, and a broad-phase stack its windows in reach in
-    batches; a halfspace stack takes one pass.  The velocity terms of a
-    stack (the velocity transverse to each axis and its squared norm, or the
-    normal speeds of the planes) depend on the flight alone and are built
-    for the flights of a slice, and a flight reaches only the scatterers with
-    ``a >= 1e-30`` (a velocity along a cylinder's axis never reaches its
-    boundary) or the planes it approaches.  Ties go to the lower scatterer
-    index, then the earlier image.
+    scatterers and images, each of as many windows as the byte budget fits
+    (:func:`_row_bytes` an image row) or one: a sphere or cylinder stack
+    scans consecutive slices of its windows, and a broad-phase stack its
+    windows in reach in batches; a halfspace stack takes one pass.  The
+    velocity terms of a stack (the velocity transverse to each axis and its
+    squared norm, or the normal speeds of the planes) depend on the flight
+    alone and are built for the flights of a slice, and a flight reaches
+    only the scatterers with ``a >= 1e-30`` (a velocity along a cylinder's
+    axis never reaches its boundary) or the planes it approaches.  Ties go
+    to the lower scatterer index, then the earlier image.
     """
     F, W = hi.shape
     d = domain.d
@@ -341,6 +356,13 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
     if periodic:
         L = domain.ambient.side
         center = q_win + half * v[flight]
+
+    def velocity_terms(st, f0, n):
+        # flights f0..f0+n's velocity transverse to each axis, (n, S, d), its
+        # squared norm and the scatterers it can reach, (n, S, 1)
+        vv = st.transverse(np.repeat(v[f0:f0 + n, None, :], st.points.shape[0], axis=1))
+        a = row_dot(vv, vv)[..., None]
+        return vv, a, a >= 1e-30
 
     # the roots of every pass: window, root, scatterer index, and the
     # root's xi0, xiv and squared radius (0 for a wall)
@@ -365,45 +387,53 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
             add(st, r, row, roots[keep], h0.reshape(-1)[pos, None] * n,
                 hv[flight[r], row, None] * n)
             continue
-        images = S * st.deltas.shape[1]
-        size = max(geometry.ROUND_ROWS, images) // images
         # the plain scan runs over consecutive slices of `size` windows, each
         # with the (window, scatterer) arrays of its own flights; a
-        # broad-phase stack tests all windows of the round at once
-        step = size if st.reach_sq is None else F * W
-        for s in range(0, F * W, step):
-            win, f0 = slice(s, s + step), flight[s]
-            owner = flight[win] - f0
-            vv = st.transverse(np.repeat(v[f0:f0 + owner[-1] + 1, None, :], S, axis=1))
-            a = row_dot(vv, vv)[..., None]
-            live = a >= 1e-30
-            shift = None
-            if periodic:
-                mid = center[win, None, :] - st.points
-                shift = L * np.rint(mid / L)
-            if st.reach_sq is None:
+        # broad-phase stack scans its windows in reach in batches of `size`
+        size = budget.fit(S * st.deltas.shape[1] * _row_bytes(d))
+        # the lattice shift of each window and scatterer, (R, S, d), brings
+        # the scatterer nearest the window's midpoint
+        if st.reach_sq is None:
+            for s in range(0, F * W, size):
+                win, f0 = slice(s, s + size), flight[s]
+                owner = flight[win] - f0
+                vv, a, live = velocity_terms(st, f0, owner[-1] + 1)
+                shift = L * np.rint((center[win, None, :] - st.points) / L) if periodic else None
                 r, *rest = _image_roots(st, q_win[win], shift, vv[owner], a[owner], live[owner],
                                         hi[win])
                 add(st, s + r, *rest)
-                continue
-            # broad phase: the window's flight box is mid +- (hi/2)|v| per
-            # coordinate, and |mid - shift| <= L/2, so the nearest lattice
-            # coordinate to each interval is the one of shift and gap is the
-            # exact distance from the box to the nearest image of the center
-            gap = np.maximum(np.abs(mid - shift) - (half * np.abs(v)[flight])[:, None, :], 0.0)
-            wins = np.flatnonzero(~(row_dot(gap, gap) > st.reach_sq).all(axis=-1) & (hi > 0.0))
-            del mid, gap            # not needed by the batches: a large round holds less
-            hit = np.zeros(F, dtype=bool)
-            while wins.size:
-                batch, wins = wins[:size], wins[size:]
-                f = flight[batch]
-                r, *rest = _image_roots(st, q_win[batch], shift[batch], vv[f], a[f], live[f],
-                                        hi[batch])
-                add(st, batch[r], *rest)
-                if r.size and wins.size:
-                    # a flight's windows after one with a root come too late
-                    hit[f[r]] = True
-                    wins = wins[~hit[flight[wins]]]
+            continue
+        # broad phase, over slices of the round's windows (mid, shift, gap and
+        # two temporaries, S d values each): the window's flight box is mid
+        # +- (hi/2)|v| per coordinate, and |mid - shift| <= L/2, so the
+        # nearest lattice coordinate to each interval is the one of shift and
+        # gap is the exact distance from the box to the nearest image of the
+        # center; the windows in reach keep their shifts
+        step = budget.fit(8 * 5 * S * d)
+        wins, shifts = [], []
+        for s in range(0, F * W, step):
+            win = slice(s, s + step)
+            mid = center[win, None, :] - st.points
+            shift = L * np.rint(mid / L)
+            box = half[win] * np.abs(v)[flight[win]]
+            gap = np.maximum(np.abs(mid - shift) - box[:, None, :], 0.0)
+            keep = np.flatnonzero(~(row_dot(gap, gap) > st.reach_sq).all(axis=-1)
+                                  & (hi[win] > 0.0))
+            wins.append(s + keep)
+            shifts.append(shift[keep])
+        wins, shift = np.concatenate(wins), np.concatenate(shifts)
+        vv, a, live = velocity_terms(st, 0, F)
+        hit = np.zeros(F, dtype=bool)
+        while wins.size:
+            batch, wins, at, shift = wins[:size], wins[size:], shift[:size], shift[size:]
+            f = flight[batch]
+            r, *rest = _image_roots(st, q_win[batch], at, vv[f], a[f], live[f], hi[batch])
+            add(st, batch[r], *rest)
+            if r.size and wins.size:
+                # a flight's windows after one with a root come too late
+                hit[f[r]] = True
+                keep = ~hit[flight[wins]]
+                wins, shift = wins[keep], shift[keep]
     if not found:
         none = np.zeros(0, dtype=np.intp)
         return (none, none, np.zeros(0), np.zeros(0), none, np.zeros((0, d)), np.zeros((0, d)),
@@ -586,13 +616,11 @@ def _fly(domain: Domain, q: np.ndarray, v: np.ndarray, T: float, max_events: int
 
 def flight_groups(domain: Domain, count: int) -> list[range]:
     """How ``count`` starts fly in lockstep: balanced groups of consecutive
-    starts, in order, of at most ``ROUND_ROWS`` over a flight's chunk rows
-    (:func:`_chunk`), counted at most ``CHUNK_ROWS``: the kernel slices a
-    round by ``ROUND_ROWS``, so a window that alone holds more rows does not
-    shrink the group.  Each group is one :func:`flow` call, and its
-    trajectories are alive only until its caller has used them; the
+    starts, in order, of as many flights as the byte budget fits at
+    :func:`_flight_bytes` each.  Each group is one :func:`flow` call, and
+    its trajectories are alive only until its caller has used them; the
     sampler's rounds use the groups too."""
-    size = max(1, geometry.ROUND_ROWS // min(_chunk(domain)[1], CHUNK_ROWS))
+    size = budget.fit(_flight_bytes(domain))
     n = -(-count // size)
     sizes = [count // n + (k < count % n) for k in range(n)]
     return [range(end - k, end) for k, end in zip(sizes, itertools.accumulate(sizes))]

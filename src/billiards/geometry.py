@@ -29,16 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import budget
 from .errors import DomainConstructionError
 from .tolerances import BROAD_PHASE_MARGIN_FACTOR, EPS_SURFACE_FACTOR
 
 Vec = np.ndarray
-
-# One budget of rows bounds the arrays of a pass: the collision search scans
-# a round's windows (dynamics) and contains tests its points in consecutive
-# slices of at most ROUND_ROWS rows, or of one window or point when that
-# alone holds more, and dynamics sizes its flight groups by it too.
-ROUND_ROWS = 8192
 
 # Lattice enumerations are (3 or 5)^d arrays; beyond this dimension a custom
 # cylinder must supply its transverse image offsets explicitly.
@@ -592,11 +587,8 @@ class Domain:
         ``q`` is one point ``(d,)``, answered with a bool, or a stack of
         points ``(..., d)``, answered with a boolean array: array passes per
         stack of scatterers over consecutive slices of the points, each of
-        at most ``ROUND_ROWS`` rows (``S m`` per point of a cylinder stack
-        with a transverse basis, its transverse images; ``S`` of a sphere
-        stack or a ball-pair stack, whose minimal images need no
-        enumeration, and of a halfspace stack) or one point, with the bits
-        of one point at a time.
+        as many points as the byte budget fits (:meth:`_point_bytes`) or
+        one, with the bits of one point at a time.
         """
         slack = self.eps_surface if slack is None else slack
         q = np.asarray(q, dtype=float)
@@ -608,13 +600,27 @@ class Domain:
         # min() is nan if any distance is, and nan >= x is False
         with np.errstate(invalid="ignore"):
             for st in self.stacks:
-                rows = st.indices.size * (1 if st.basis_deltas is None
-                                          else st.basis_deltas.shape[-1])
-                size = max(ROUND_ROWS, rows) // rows
+                size = budget.fit(self._point_bytes(st))
                 for s in range(0, len(points), size):
                     inside[s:s + size] &= self._signed_distances(
                         st, points[s:s + size]).min(axis=-1) >= -slack
         return bool(inside[0]) if q.ndim == 1 else inside.reshape(q.shape[:-1])
+
+    def _point_bytes(self, st: ScattererStack) -> int:
+        """Bytes one point allocates in :meth:`_signed_distances` of a
+        stack of ``S`` scatterers: four ``(S, d)`` displacements (the
+        displacement, its minimal image and their temporaries), or six
+        ``(S, b)`` ball displacements of a ball-pair stack (``b`` the ball
+        dimension); a cylinder stack with a transverse basis adds its
+        transverse coordinates ``(S, b, d)`` and two image offsets
+        ``(S, b, m)``."""
+        S, d = st.indices.size, self.d
+        if st.pairs is not None:
+            return 8 * 6 * S * (d - st.axes.shape[1])
+        if st.basis_deltas is None:
+            return 8 * 4 * S * d
+        b, m = st.basis_deltas.shape[1:]
+        return 8 * S * (4 * d + b * (d + 2 * m))
 
     def _signed_distances(self, st: ScattererStack, q: np.ndarray) -> np.ndarray:
         """Distance from each point of ``q``, ``(..., d)``, to each scatterer

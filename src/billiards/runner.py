@@ -1,13 +1,13 @@
 """Experiment execution: trajectories -> transport -> checks -> CSV/JSON.
 
-The ensemble runs in lockstep groups (``dynamics.flight_groups``: 130
-trajectories on 2-d Sinai, 512 on Sinai with d >= 3, 128 on hard balls, from
-the row budget ``geometry.ROUND_ROWS``): per group one ``flow`` call and one
-covector transport, which does the adjoint check when the run wants it.  The
-checks then run once per check group, the group's series up to
-``CHECK_SAMPLES`` grid samples, and each trajectory writes its CSV as soon
-as its entry exists, in index order.  Each trajectory and series is the one
-its start alone gives, so outputs depend only on the config and its seed.
+The ensemble runs in lockstep groups (``dynamics.flight_groups``, sized by
+the byte budget ``budget.PASS_BYTES``: 260 trajectories on 2-d Sinai, 124 on
+6 hard disks): per group one ``flow`` call and one covector transport, which
+does the adjoint check when the run wants it.  The checks then run once per
+check group, the group's series whose sample grids the budget fits, and
+each trajectory writes its CSV as soon as its entry exists, in index order.
+Each trajectory and series is the one its start alone gives, so outputs
+depend only on the config and its seed.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import budget
 from .config import ExperimentConfig
 from .diagnostics import (
     SeriesGroup,
@@ -59,9 +60,6 @@ _CSV_HEADER = (",".join(CSV_COLUMNS) + "\r\n").encode()
 # that accepts a start ends the row)
 START_MARGIN_FACTOR = 10.0
 START_DRAWS = 100_000
-# a check pass covers the grids of at most CHECK_SAMPLES samples (or one
-# series), so that a flight group's grids are not all held at once
-CHECK_SAMPLES = 4096
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -210,22 +208,27 @@ def run_trajectory(cfg: ExperimentConfig, index: int, series: TransportSeries,
     return entry
 
 
-def _leading(sizes: list[int], budget: int) -> int:
-    """How many leading items fit ``budget`` together; at least one."""
-    return max(1, int(np.searchsorted(np.cumsum(sizes), budget, side="right")))
+def _check_bytes(series: TransportSeries, interior: int) -> int:
+    """Bytes one series allocates in a check pass: per sample of its grid
+    (``interior + 2`` a segment) the ``d``-wide ``w`` and its temporary and
+    a dozen scalars (the grid's ``t``, ``Q``, ``|w|`` and ``|n|`` and the
+    checks' temporaries), and per segment its ``z``, ``w0``, ``t0``, ``t1``
+    and ``q_drop`` in the group's columns."""
+    d = series.z.shape[1]
+    return 8 * len(series.t0) * ((interior + 2) * (2 * d + 12) + 2 * d + 3)
 
 
 def _check_and_write(cfg: ExperimentConfig, indices: range, series: list[TransportSeries],
                      residuals: list, out: Path | None) -> list[dict]:
     """The summary entries of a flight group's series, in order, and (with
     ``out``) their CSVs.  The checks run once per check group: the leading
-    series that fit ``CHECK_SAMPLES`` grid samples (at least one), taken
-    off the list, so that each group, with its series and grids, is dropped
-    once its entries exist."""
+    series that the byte budget fits (:func:`_check_bytes`, at least one),
+    taken off the list, so that each group, with its series and grids, is
+    dropped once its entries exist."""
     entries = []
     index = iter(zip(indices, residuals))
     while series:
-        n = _leading([len(s.t0) * (cfg.grid_interior + 2) for s in series], CHECK_SAMPLES)
+        n = budget.fit([_check_bytes(s, cfg.grid_interior) for s in series])
         checked = SeriesGroup(series[:n])
         del series[:n]
         reports = []
@@ -240,18 +243,24 @@ def _check_and_write(cfg: ExperimentConfig, indices: range, series: list[Transpo
             entries.append(run_trajectory(
                 cfg, i, s, [r[k] for r in reports],
                 None if out is None else out / f"trajectory_{i:04d}.csv", residual))
+        # the last series holds a view of the group's grids
+        del s
     return entries
 
 
 def _write_csv(path: Path, records: np.recarray) -> None:
-    """RFC-4180 CSV (comma, CRLF) of the sampled records; empty non-finite fields."""
+    """RFC-4180 CSV (comma, CRLF) of the sampled records; empty non-finite
+    fields.  Each formatting pass goes to the file as it is made, the first
+    with the header (one write for a file of one pass), so no file is held
+    whole."""
     # imported here: a run that writes no CSV (verify) neither compiles nor
     # loads the formatter
-    from .csvformat import csv_rows
+    from .csvformat import csv_passes
 
-    body = csv_rows([records[name] for name in _CSV_FIELDS])
+    passes = csv_passes([records[name] for name in _CSV_FIELDS])
     with writing_output(path.parent), open(path, "wb") as fh:
-        fh.write(_CSV_HEADER + body)
+        fh.write(_CSV_HEADER + next(passes, b""))
+        fh.writelines(passes)
 
 
 def run_experiment(cfg: ExperimentConfig, mode: str = "run",

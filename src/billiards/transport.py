@@ -59,15 +59,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import budget
 from .dynamics import Trajectory
 from .errors import SeriesRangeError
 from .geometry import Vec, curvature_at, reflect, row_dot
 
 ORTHOGONALITY_TOL = 1e-10
-# a pass that checks adjointness moves its group in blocks whose tangent
-# stacks (2(d - 1) x d values per series, whatever its event count) hold at
-# most TANGENT_VALUES values, or one series', whatever the group size and d
-TANGENT_VALUES = 8192
 
 
 @dataclass(eq=False)
@@ -247,45 +244,55 @@ def _group(first, second) -> tuple[bool, list, list]:
 
 
 # a group's event columns and one lockstep step over some of their rows
-_Columns = namedtuple("_Columns", "domain order segs start nu v_in v_out cos_phi index dt")
+_Columns = namedtuple("_Columns", "domain order segs start ev seg nu v_in v_out cos_phi index dt")
 _Step = namedtuple("_Step", "k n m dt nu v_in v_out cos_phi K")
 
 
 def _event_columns(trajectories: list[Trajectory], tangents: bool = True) -> _Columns:
-    """The events of a group as columns padded with 0, built once a pass:
-    ``order`` ``(F,)``, the trajectory of each row, by falling event count
-    (stable), so that the first ``segs[k]`` rows have segment ``k``
-    (``segs`` ``(E + 2,)`` ends in 0); ``start`` ``(F + 1,)``, each row's
-    first segment, the rows' series laid out one after another.  Per event:
-    ``nu``, the unit ``v_out`` and ``v_in`` (``None`` without ``tangents``)
-    ``(F, E + 1, d)``, ``cos_phi`` and the scatterer ``index``; per segment
-    its duration ``dt``, the last one's up to ``t_end``, ``(F, E + 1)``."""
+    """The events of a group as columns, built once a pass: ``order``
+    ``(F,)``, the trajectory of each row, by falling event count (stable),
+    so that the first ``segs[k]`` rows have segment ``k`` (``segs``
+    ``(E + 2,)`` ends in 0); ``start`` ``(F + 1,)``, each row's first
+    segment, the rows' series laid out one after another.  The columns hold
+    the rows' events step by step, without padding: event ``k`` of row
+    ``r`` at ``ev[k] + r``, segment ``k`` at ``seg[k] + r``.  Per event:
+    ``nu``, the unit ``v_out`` and ``v_in`` (``None`` without ``tangents``),
+    ``cos_phi`` and the scatterer ``index``; per segment its duration
+    ``dt``, the last one's up to ``t_end``."""
     domain = trajectories[0].domain
     if any(t.domain is not domain for t in trajectories):
         raise ValueError("the trajectories of a group must share one domain")
     counts = np.array([t.event_count for t in trajectories])
     order = np.argsort(-counts, kind="stable")
     rows = [trajectories[f] for f in order.tolist()]
-    c, F, E = counts[order], len(rows), int(counts.max())
-    # the row and column of each event, the rows' events one after another
-    at = (np.repeat(np.arange(F), c), np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c))
+    c, F = counts[order], len(rows)
+    # the rows with at least k events, k = 0 .. E + 1
+    segs = np.searchsorted(-c, -np.arange(c[0] + 2), side="right")
+    ev, seg = (np.concatenate(([0], np.cumsum(x))) for x in (segs[1:-1], segs[:-1]))
+    start = np.cumsum(np.append(0, c + 1))
+    # each event's and each segment's place, from the rows one after another
+    at = np.repeat(np.arange(F), c)
+    at += ev[np.arange(c.sum()) - np.repeat(start[:-1] - np.arange(F), c)]
+    at_seg = np.repeat(np.arange(F), c + 1)
+    at_seg += seg[np.arange(start[-1]) - np.repeat(start[:-1], c + 1)]
 
-    def padded(name: str, unit: bool = False) -> np.ndarray:
-        x = np.concatenate([getattr(r.group, name)[r.rows] for r in rows])
-        out = np.zeros((F, E + 1, *x.shape[1:]), dtype=x.dtype)
-        # the bits of event.v / np.linalg.norm(event.v), one event at a time
-        out[at] = x / np.sqrt(row_dot(x, x))[:, None] if unit else x
+    def stepwise(x: np.ndarray, where: np.ndarray = at) -> np.ndarray:
+        out = np.empty_like(x)
+        out[where] = x
         return out
 
-    nu, cos_phi, index = padded("nu"), padded("cos_phi"), padded("scatterer_index")
-    v_out, v_in = padded("v_out", True), padded("v_in", True) if tangents else None
-    t = padded("t")
-    t[np.arange(F), c] = [r.t_end for r in rows]
+    def column(name: str, unit: bool = False) -> np.ndarray:
+        x = np.concatenate([getattr(r.group, name)[r.rows] for r in rows])
+        # the bits of event.v / np.linalg.norm(event.v), one event at a time
+        return stepwise(x / np.sqrt(row_dot(x, x))[:, None] if unit else x)
+
     # each segment's t1 - t0, from t0 = 0 to t_end
-    dt = np.where(np.arange(E + 1) <= c[:, None], np.diff(t, axis=1, prepend=0.0), 0.0)
-    segs = (c[:, None] >= np.arange(E + 2)).sum(axis=0)
-    return _Columns(domain, order, segs, np.cumsum(np.append(0, c + 1)), nu,
-                    v_in, v_out, cos_phi, index, dt)
+    t1 = np.concatenate([np.append(r.group.t[r.rows], r.t_end) for r in rows])
+    t0 = np.append(0.0, t1[:-1])
+    t0[start[:-1]] = 0.0
+    return _Columns(domain, order, segs, start, ev.tolist(), seg.tolist(), column("nu"),
+                    column("v_in", True) if tangents else None, column("v_out", True),
+                    column("cos_phi"), column("scatterer_index"), stepwise(t1 - t0, at_seg))
 
 
 def _steps(cols: _Columns, a: int, b: int):
@@ -293,12 +300,13 @@ def _steps(cols: _Columns, a: int, b: int):
     segment of row ``a``: step ``k`` holds the ``n`` rows from ``a`` that
     have segment ``k``, its durations ``dt`` ``(n,)``, and the first ``m``,
     which end it at event ``k``, that event's columns and curvature ``K``
-    ``(m, d, d)``, one ``curvature_at`` call (none at the last, ``m = 0``)."""
+    ``(m, d, d)``, one ``curvature_at`` call (none at the last, ``m = 0``):
+    views of the columns."""
     held = np.clip(cols.segs - a, 0, b - a).tolist()
     for k in range(held.index(0)):
         n, m = held[k], held[k + 1]
-        e = (slice(a, a + m), k)
-        yield _Step(k, n, m, cols.dt[a:a + n, k], cols.nu[e],
+        e = slice(cols.ev[k] + a, cols.ev[k] + a + m)
+        yield _Step(k, n, m, cols.dt[cols.seg[k] + a:cols.seg[k] + a + n], cols.nu[e],
                     None if cols.v_in is None else cols.v_in[e], cols.v_out[e], cols.cos_phi[e],
                     curvature_at(cols.domain, cols.index[e], cols.nu[e]) if m else None)
 
@@ -334,7 +342,7 @@ def transport_covector(trajectory: Trajectory | Sequence[Trajectory],
     paired with the covector moved with ``s K``: 1 is the physical check;
     another value is the negative control's fault hook, whose covector only
     the check sees.  The group then moves in blocks by falling event count,
-    of at most ``TANGENT_VALUES`` tangent values (or one series) each.
+    of as many series as the byte budget fits (:func:`_adjoint_bytes`).
     """
     one, trajectories, n0s = _group(trajectory, n0)
     if not trajectories:
@@ -351,7 +359,7 @@ def transport_covector(trajectory: Trajectory | Sequence[Trajectory],
     zs[start[:-1]], ws[start[:-1]] = z[:, 0], w[:, 0]
     drops, corrs = np.empty((2, start[-1] - F))
     first = start[:-1] - np.arange(F)       # each row's first event
-    size = F if adjoint is None else max(1, TANGENT_VALUES // (2 * (d - 1) * d))
+    size = F if adjoint is None else budget.fit(_adjoint_bytes(d))
     worst = np.full(F, -np.inf)
     # a covector (or its quadratic Q drop, first) may leave the double range
     # on a long horizon: the series then holds inf or nan, which the
@@ -447,6 +455,14 @@ def transversal_basis(v: Vec) -> list[TangentVector]:
     basis = _complement_basis(v)
     return [TangentVector(e.copy(), zero.copy()) for e in basis] + \
            [TangentVector(zero.copy(), e.copy()) for e in basis]
+
+
+def _adjoint_bytes(d: int) -> int:
+    """Bytes one series allocates in a block of a checking pass, whatever
+    its event count: ten arrays of ``2(d - 1) x d`` values, its tangent
+    stacks ``dq`` and ``dv`` and the eight temporaries of their size that a
+    step's pairing and tangent jump build."""
+    return 8 * 10 * 2 * (d - 1) * d
 
 
 def _adjoint_start(v: np.ndarray, n0: list[Covector]) -> tuple[np.ndarray, ...]:

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from billiards import csvformat
+from billiards import budget, csvformat
 from billiards.csvformat import FAST_MAX, FAST_MIN, INT_EXACT, _mantissas, csv_rows
 
 def fields(column: np.ndarray) -> list[bytes]:
@@ -141,13 +141,15 @@ def test_rows_separators_and_empty_fields():
 
 
 def test_array_passes_join_into_one_body():
-    # more rows than one array pass takes; the first row of a later pass
-    # follows the CRLF of the row before it
+    # more rows than one array pass takes (the rows of three columns that
+    # the byte budget fits); the first row of a later pass follows the CRLF
+    # of the row before it
     rng = np.random.default_rng(1733)
-    m = 3 * (csvformat._PASS_VALUES // 3) + 5
+    step = budget.PASS_BYTES // (3 * csvformat._VALUE_BYTES)
+    m = 3 * step + 5
     t = rng.uniform(-1.0, 1.0, m)
     t[rng.integers(0, m, 50)] = np.nan
-    t[csvformat._PASS_VALUES // 3] = np.nan
+    t[step] = np.nan
     k = rng.integers(0, 5, m)
     columns = [t, k, rng.normal(size=m) * 1e-5]
     want = b"".join(b",".join(f) + b"\r\n" for f in zip(*map(expected, columns)))

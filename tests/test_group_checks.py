@@ -3,8 +3,9 @@
 ``verify_monotonicity`` and ``verify_growth`` check a group of series in one
 array pass over their concatenated grids.  ``transport_covector(...,
 adjoint=s)`` walks a group's events once, over one set of event columns, in
-blocks by falling event count whose tangent stacks hold at most
-``TANGENT_VALUES`` values: each step pairs both ends of a segment, then
+blocks by falling event count of as many series as the byte budget
+``budget.PASS_BYTES`` fits (``transport._adjoint_bytes`` a series): each
+step pairs both ends of a segment, then
 moves the covector, the tangent stacks and, for ``s != 1``, the fault
 hook's covector with one ``curvature_at`` call, keeping no tangent history.
 Each series must get the report, residual and bases it gets alone, bit for
@@ -46,7 +47,7 @@ from billiards import (
     verify_growth,
     verify_monotonicity,
 )
-from billiards import geometry, runner, transport
+from billiards import budget, geometry, runner, transport
 from billiards.catalog import CATALOG
 from billiards.cli import main
 from billiards.diagnostics import CHECK_RATIO_NONINCREASING, SeriesGroup, _first_min
@@ -287,7 +288,7 @@ def test_residuals_of_tangent_passes_equal_each_residual_alone(family, curvature
         transport_oracle.transport_covector(t, n, curvature_scale=curvature_scale)).hex()
         for t, n in zip(trajectories, n0)]
     assert alone == slow
-    monkeypatch.setattr(transport, "TANGENT_VALUES", 3 * 2 * (domain.d - 1) * domain.d)
+    monkeypatch.setattr(budget, "PASS_BYTES", 3 * transport._adjoint_bytes(domain.d))
     groups, blocks, _, _ = _adjoint_passes(monkeypatch)
     group = transport_covector(trajectories, n0, adjoint=curvature_scale)
     assert [s.residual.hex() for s in group] == alone
@@ -295,28 +296,31 @@ def test_residuals_of_tangent_passes_equal_each_residual_alone(family, curvature
     assert len(groups) == 1 and len(blocks) >= 3 and max(map(len, blocks)) >= 2
 
 
-@pytest.mark.parametrize("budget", [None, 700, 50])
-def test_no_tangent_pass_holds_more_than_the_budget(hardball32, budget, monkeypatch):
+@pytest.mark.parametrize("values", [None, 700, 50])
+def test_no_tangent_pass_holds_more_than_the_budget(hardball32, values, monkeypatch):
     # the series by falling event count, as many to a block as fit the
-    # budget with their (10, 6) tangent stacks; one alone if none fits
-    if budget is not None:
-        monkeypatch.setattr(transport, "TANGENT_VALUES", budget)
-    budget = transport.TANGENT_VALUES
+    # budget with their (10, 6) tangent stacks and temporaries (4800 B, 80 B
+    # a tangent value); one alone if none fits.  The budget is the default
+    # or that of 700 or 50 tangent values
+    if values is not None:
+        monkeypatch.setattr(budget, "PASS_BYTES", values * 8 * 10)
+    pass_bytes = budget.PASS_BYTES
     rng = np.random.default_rng(653)
     starts = [random_phase_point(hardball32, rng) for _ in range(40)]
     group = transport_covector(flow(hardball32, starts, 6.0),
                                [sample_covector_with_Q_bound(x.v, 0.1, rng) for x in starts])
     groups, blocks, moves, tangent_calls = _adjoint_passes(monkeypatch)
     adjoint_residual(group)
-    held = 10 * 6
+    held = transport._adjoint_bytes(6)
+    assert held == 8 * 10 * 10 * 6
     by_count = sorted((s.trajectory for s in group), key=lambda t: -t.event_count)
     assert len(groups) == 1
     assert [id(t) for block in blocks for t in block] == [id(t) for t in by_count]
     assert len({t.event_count for t in by_count}) >= 3
-    size = max(1, budget // held)
+    size = max(1, pass_bytes // held)
     assert all(len(block) == size for block in blocks[:-1]) and len(blocks[-1]) <= size
-    assert moves and all(rows * held <= budget or rows == 1 for rows in moves)
-    assert len(blocks) == {8192: 1, 700: 4, 50: 40}[budget]
+    assert moves and all(rows * held <= pass_bytes or rows == 1 for rows in moves)
+    assert len(blocks) == {budget.PASS_BYTES: 1, 56_000: 4, 4_000: 40}[pass_bytes]
     assert tangent_calls == []
 
 
@@ -354,7 +358,7 @@ def test_fault_hook_leaves_the_series_physical(hardball32, monkeypatch):
     # of every series has the bytes of the pass without the check
     trajectories, n0 = _adjoint_group(hardball32, 661, (6.0, 2.0, 6.0, 4.0, 1e-3, 5.0, 6.0))
     plain = transport_covector(trajectories, n0)
-    monkeypatch.setattr(transport, "TANGENT_VALUES", 2 * 2 * 3 * 4)
+    monkeypatch.setattr(budget, "PASS_BYTES", transport._adjoint_bytes(6) - 1)
     for scale in (1.0, 2.0):
         checked = transport_covector(trajectories, n0, adjoint=scale)
         for a, b in zip(plain, checked):
@@ -375,8 +379,8 @@ def test_checking_pass_holds_its_series_and_one_block(hardball32, monkeypatch):
     columns = sum(a.nbytes for a in transport._event_columns(trajectories)
                   if isinstance(a, np.ndarray))
 
-    def peak_over_held(budget):
-        monkeypatch.setattr(transport, "TANGENT_VALUES", budget)
+    def peak_over_held(pass_bytes):
+        monkeypatch.setattr(budget, "PASS_BYTES", pass_bytes)
         tracemalloc.start()
         try:
             group = transport_covector(trajectories, n0, adjoint=1.0)
@@ -389,12 +393,12 @@ def test_checking_pass_holds_its_series_and_one_block(hardball32, monkeypatch):
     rows = 10
     block = 2 * rows * 10 * 6 * 8           # dq and dv of one block
     bound = columns + 16 * block
-    assert peak_over_held(rows * 10 * 6) <= bound
-    assert peak_over_held(8192) > bound
+    assert peak_over_held(rows * transport._adjoint_bytes(6)) <= bound
+    assert peak_over_held(120 * transport._adjoint_bytes(6)) > bound
 
 
 # the configs of the perfbench workload verify_acceptance at seed 1, and
-# 6 hard disks x 80, whose check moves three blocks (31 series each at d = 12)
+# 6 hard disks x 80, whose check moves two blocks (55 and 25 series at d = 12)
 _VERIFIED = {name: (next(e["domain"] for e in CATALOG if e["name"] == name), 45, 20.0)
              for name in ("sinai_2d", "sinai_3d", "cylinder_3d", "hardball_n3_d2")}
 _VERIFIED["hardball_n6_d2"] = ({"kind": "hardball_gas", "N": 6, "d": 2, "r": 0.1, "L": 1.0},
@@ -491,9 +495,11 @@ def test_range_error_raises_at_its_trajectory_after_earlier_csvs(tmp_path, capsy
 def test_outputs_do_not_depend_on_the_check_group_size(mode, tmp_path, monkeypatch):
     cfg = _config(tmp_path, 12, 30.0)
     outputs = []
-    for budget in (1, 2000, runner.CHECK_SAMPLES):
-        monkeypatch.setattr(runner, "CHECK_SAMPLES", budget)
-        out = tmp_path / f"out{budget}"
+    # one series a check group (and a few rows a CSV pass), about 2000
+    # samples a group, and the default budget
+    for pass_bytes in (20_000, 272_000, budget.PASS_BYTES):
+        monkeypatch.setattr(budget, "PASS_BYTES", pass_bytes)
+        out = tmp_path / f"out{pass_bytes}"
         main([mode, cfg, "--out", str(out)])
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert outputs[0] == outputs[1] == outputs[2]

@@ -546,8 +546,8 @@ _SAMPLER_DOMAINS = {
 @pytest.mark.parametrize("name", sorted(_SAMPLER_DOMAINS))
 def test_sampler_matches_one_draw_at_a_time(name):
     domain = domain_from_spec(_SAMPLER_DOMAINS[name])
-    # 160 starts on 3 hard disks fly as 80 + 80 (the row budget allows 128)
-    count = 160 if name == "hardball_n3_d2" else 12
+    # 200 starts on 3 hard disks fly as 100 + 100 (the byte budget allows 187)
+    count = 200 if name == "hardball_n3_d2" else 12
     if name == "hardball_n3_d2":
         assert len(dynamics.flight_groups(domain, count)) == 2
     for seed in range(8):
@@ -580,14 +580,14 @@ def test_sampler_tests_each_round_in_one_call(monkeypatch):
     # a round holds one draw of each waiting start of its group: the call
     # sizes follow from the draws each start needs one draw at a time
     domain = _catalog_domain("hardball_n3_d2")
-    draws = [d for _, d in _one_draw_at_a_time(domain, 160, 5, None)]
+    draws = [d for _, d in _one_draw_at_a_time(domain, 200, 5, None)]
     want = []
-    for group in dynamics.flight_groups(domain, 160):
+    for group in dynamics.flight_groups(domain, 200):
         group = draws[group.start:group.stop]
         want += [sum(d >= k for d in group) for k in range(1, max(group) + 1)]
     seen = _spy_contains(monkeypatch, domain, lambda ok, _: ok)
-    runner.sample_initial_conditions(domain, 160, 5)
-    assert seen == want and max(seen) == 80 and len(seen) > 2
+    runner.sample_initial_conditions(domain, 200, 5)
+    assert seen == want and max(seen) == 100 and len(seen) > 2
 
 
 def test_sampler_start_at_the_151st_draw(monkeypatch):

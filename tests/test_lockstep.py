@@ -4,8 +4,9 @@
 ``dynamics_oracle.flow`` runs the old event loop on one start at a time,
 with the per-scatterer window scan.  Every trajectory must agree in
 every field: events, segments, termination, ``t_end``, the end state and
-``max_speed_drift``, also when ``ROUND_ROWS`` splits the starts into several
-groups or the broad-phase scan into several batches.  The chunk tiling
+``max_speed_drift``, also when the byte budget ``budget.PASS_BYTES`` splits
+the starts into several groups or the broad-phase scan into several
+batches.  The chunk tiling
 (``_tile`` against the running sum of one window at a time), the tail of a
 search without a root, the batched state check (``Domain.contains`` on a
 stack of points), the streamed CSVs and the names the benchmark's tracer
@@ -42,11 +43,11 @@ from billiards import (
     Box,
     Cylinder,
     build_hardball_gas,
+    budget,
     build_sinai,
     dynamics,
     flight_groups,
     flow,
-    geometry,
     runner,
 )
 from billiards.cli import main
@@ -109,11 +110,11 @@ def assert_views_match_oracle(traj, slow) -> None:
 
 
 def assert_lockstep_matches_oracle(domain, starts, T, max_events=MAX_EVENTS_DEFAULT,
-                                   eps_graze=1e-10, round_rows=None) -> list:
+                                   eps_graze=1e-10, pass_bytes=None) -> list:
     """The lockstep flow of all starts against the oracle, one start at a
-    time; ``round_rows`` replaces ``ROUND_ROWS``.  Returns the trajectories."""
-    rows = geometry.ROUND_ROWS if round_rows is None else round_rows
-    with mock.patch.object(geometry, "ROUND_ROWS", rows):
+    time; ``pass_bytes`` replaces ``budget.PASS_BYTES``.  Returns the
+    trajectories."""
+    with mock.patch.object(budget, "PASS_BYTES", pass_bytes or budget.PASS_BYTES):
         fast = [traj for g in flight_groups(domain, len(starts))
                 for traj in flow(domain, starts[g.start:g.stop], T, max_events=max_events,
                                  eps_graze=eps_graze)]
@@ -129,15 +130,18 @@ def assert_lockstep_matches_oracle(domain, starts, T, max_events=MAX_EVENTS_DEFA
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5),
        horizon=st.floats(0.05, 1.0), max_events=st.sampled_from([2, MAX_EVENTS_DEFAULT]),
-       round_rows=st.sampled_from([None, 1, 200]))
-def test_lockstep_flow_matches_oracle(name, seed, count, horizon, max_events, round_rows):
+       budget_rows=st.sampled_from([None, 1, 200]))
+def test_lockstep_flow_matches_oracle(name, seed, count, horizon, max_events, budget_rows):
     # the oracle scans every image of every window, so horizons stay short
-    # on the large lattices
+    # on the large lattices; the budget is the default or that of 1 or 200
+    # kernel image rows
     domain = LOCKSTEP_DOMAINS[name]
     rng = np.random.default_rng(seed)
     starts = [random_phase_point(domain, rng) for _ in range(count)]
     T = horizon * (2.0 if domain.d >= 6 else 6.0)
-    assert_lockstep_matches_oracle(domain, starts, T, max_events, round_rows=round_rows)
+    assert_lockstep_matches_oracle(
+        domain, starts, T, max_events,
+        pass_bytes=budget_rows and budget_rows * dynamics._row_bytes(domain.d))
 
 
 @pytest.mark.parametrize("name", sorted(CHUNK_DOMAINS))
@@ -188,11 +192,11 @@ def _mixed_group():
     return domain, starts, 1.5
 
 
-@pytest.mark.parametrize("round_rows", [None, 1])
-def test_one_group_ends_in_every_way(round_rows):
+@pytest.mark.parametrize("pass_bytes", [None, 1])
+def test_one_group_ends_in_every_way(pass_bytes):
     domain, starts, T = _mixed_group()
     trajs = assert_lockstep_matches_oracle(domain, list(starts.values()), T, max_events=3,
-                                           round_rows=round_rows)
+                                           pass_bytes=pass_bytes)
     got = dict(zip(starts, trajs))
     for status in (TERMINATION_GRAZING, TERMINATION_DEGENERATE, TERMINATION_ESCAPE,
                    TERMINATION_EVENT_CAP, TERMINATION_HORIZON):
@@ -210,7 +214,7 @@ def test_groups_are_balanced_and_flown_in_order(monkeypatch):
     domain = DOMAINS["sinai2d"]
     rng = np.random.default_rng(457)
     starts = [random_phase_point(domain, rng) for _ in range(7)]
-    monkeypatch.setattr(geometry, "ROUND_ROWS", 3 * dynamics._chunk(domain)[1])
+    monkeypatch.setattr(budget, "PASS_BYTES", 3 * dynamics._flight_bytes(domain))
     groups = flight_groups(domain, len(starts))
     assert groups == [range(0, 3), range(3, 5), range(5, 7)]
     assert flight_groups(domain, 0) == []
@@ -231,22 +235,27 @@ def test_groups_are_balanced_and_flown_in_order(monkeypatch):
                                         ("hardball62", 300), ("sinai3d", 45),
                                         ("hardball20", 3)])
 def test_groups_respect_the_flight_and_round_budgets(name, count):
-    # ROUND_ROWS over a flight's chunk rows, counted at most CHUNK_ROWS (one
-    # flight at least), in as few balanced groups of consecutive starts as
-    # that allows: with ROUND_ROWS = 8192, 2-d Sinai (63 rows a flight)
-    # flies 80 in one group and 200 as 100 + 100, Sinai 3-d 45 in one group,
-    # and hard disks 128 a group, however many rows their one window holds
-    # (375 on 6 disks, 4750 on 20): the kernel slices those rounds
+    # as many flights as the byte budget fits at _flight_bytes each (one
+    # flight at least): its windows' arrays and its chunk rows, counted at
+    # most CHUNK_ROWS, in as few balanced groups of consecutive starts as
+    # that allows: at the default budget 2-d Sinai (7 windows and 63 rows a
+    # flight) flies 260 a group, so 80 and 200 in one group, Sinai 3-d 45 in
+    # one group, and 6 hard disks (d = 12) 124 a group, however many rows
+    # their one window holds (375 on 6 disks, 4750 on 20): the kernel slices
+    # those rounds
     domain = build_hardball_gas(20, 2, 0.1, 1.0) if name == "hardball20" else DOMAINS[name]
     rows = min(dynamics._chunk(domain)[1], dynamics.CHUNK_ROWS)
-    size = max(1, geometry.ROUND_ROWS // rows)
+    flight = dynamics._flight_bytes(domain)
+    assert flight == 8 * dynamics._chunk(domain)[0] * (2 * domain.d + 5) \
+        + rows * 8 * (domain.d + 6)
+    size = max(1, budget.PASS_BYTES // flight)
     groups = flight_groups(domain, count)
     sizes = [len(g) for g in groups]
     assert [f for g in groups for f in g] == list(range(count))
     assert len(groups) == -(-count // size)
     assert max(sizes) - min(sizes) <= 1 and max(sizes) <= size
-    assert max(sizes) * rows <= max(geometry.ROUND_ROWS, rows)
-    want = {("sinai2d", 80): [80], ("sinai2d", 200): [100, 100], ("hardball62", 80): [80],
+    assert max(sizes) * flight <= max(budget.PASS_BYTES, flight)
+    want = {("sinai2d", 80): [80], ("sinai2d", 200): [200], ("hardball62", 80): [80],
             ("hardball62", 300): [100, 100, 100], ("sinai3d", 45): [45],
             ("hardball20", 3): [3]}
     assert sizes == want[name, count]
@@ -504,12 +513,12 @@ def test_state_check_of_a_stack_matches_one_state_at_a_time():
 
 
 # ---------------------------------------------------------------------------
-# The row budget slices the kernel scan and the membership test
+# The byte budget slices the kernel scan and the membership test
 # ---------------------------------------------------------------------------
 
 # name -> (domain, start count, horizon): with 40 starts on 6 hard disks or
-# 20 on 12 in one group, a round of one window each holds more than 8192
-# image rows (375 and 1650 a window)
+# 20 on 12 in one group, a round of one window each holds more than the
+# default budget (375 image rows of 144 B and 1650 of 240 B a window)
 _SLICED = {"hardball62": (DOMAINS["hardball62"], 40, 1.5),
            "hardball122": (build_hardball_gas(12, 2, 0.05, 1.0), 20, 0.5),
            "cylinder3d": (DOMAINS["cylinder3d"], 40, 3.0),
@@ -518,10 +527,11 @@ _SLICED = {"hardball62": (DOMAINS["hardball62"], 40, 1.5),
 
 @pytest.mark.parametrize("name", sorted(_SLICED))
 def test_kernel_scans_each_round_in_slices_of_the_row_budget(monkeypatch, name):
-    # with ROUND_ROWS at three windows' images, at 8192 and at 10**9, no
-    # _image_roots call holds more than max(ROUND_ROWS, one window's images)
-    # image rows, and every trajectory has the oracle's bits whatever the
-    # budget (and so the group size and the slices)
+    # with the budget at three windows' image rows, at 8192 rows and at
+    # 10**9 bytes, no _image_roots call holds more than the budget or one
+    # window's rows, at _row_bytes(d) a row, and every trajectory has the
+    # oracle's bits whatever the budget (and so the group size and the
+    # slices)
     domain, count, T = _SLICED[name]
     rng = np.random.default_rng(479)
     starts = [random_phase_point(domain, rng) for _ in range(count)]
@@ -535,10 +545,11 @@ def test_kernel_scans_each_round_in_slices_of_the_row_budget(monkeypatch, name):
 
     monkeypatch.setattr(dynamics, "_image_roots", spy)
     bits = []
-    for budget in (3 * images, 8192, 10**9):
+    row = dynamics._row_bytes(domain.d)
+    for pass_bytes in (3 * images * row, 8192 * row, 10**9):
         calls.clear()
-        trajs = assert_lockstep_matches_oracle(domain, starts, T, round_rows=budget)
-        assert calls and max(calls) <= max(budget, images)
+        trajs = assert_lockstep_matches_oracle(domain, starts, T, pass_bytes=pass_bytes)
+        assert calls and max(calls) * row <= max(pass_bytes, images * row)
         bits.append([_bits(t) for t in trajs])
     assert bits[0] == bits[1] == bits[2]
     assert sum(t.event_count for t in trajs) >= count
@@ -553,11 +564,12 @@ _MEMBERSHIP_T = {"hardball202": 1.0}
 
 @pytest.mark.parametrize("name", sorted(_MEMBERSHIP))
 def test_contains_tests_its_points_in_slices_of_the_row_budget(monkeypatch, name):
-    # each _signed_distances call of contains holds at most max(ROUND_ROWS,
-    # one point's rows) rows: S m a point for a cylinder stack with a
-    # transverse basis (its transverse images), S for a ball-pair stack and
-    # a sphere stack (their minimal images, no enumeration) and for a
-    # halfspace stack.  On 8-d Sinai a call covers every point.  The
+    # each _signed_distances call of contains holds at most the budget or
+    # one point's bytes (Domain._point_bytes: S (S m for a cylinder stack
+    # with a transverse basis, its transverse images) arrays a point, S
+    # for a ball-pair stack and a sphere stack, whose minimal images need no
+    # enumeration, and for a halfspace stack).  On 8-d Sinai a call covers
+    # every point.  The
     # answers, on random points and on the landed points of flights, are
     # those of one unsliced call, and on the hard-ball gases those of the
     # oracle, which reduces every declared image in full coordinates
@@ -572,24 +584,23 @@ def test_contains_tests_its_points_in_slices_of_the_row_budget(monkeypatch, name
     landed = np.concatenate([t.columns.q for t in trajs])
     points = np.concatenate([rng.uniform(lo, hi, (1200, domain.d)), landed])
     assert len(landed) >= 2
-    with mock.patch.object(geometry, "ROUND_ROWS", 10**9):
+    with mock.patch.object(budget, "PASS_BYTES", 10**12):
         want = {slack: domain.contains(points, slack) for slack in (None, 0.0)}
     calls = []
     original = type(domain)._signed_distances
 
     def spy(self, st, q):
-        rows = st.indices.size * (1 if st.basis_deltas is None else st.basis_deltas.shape[-1])
-        calls.append((len(q), rows))
+        calls.append((len(q), self._point_bytes(st)))
         return original(self, st, q)
 
     monkeypatch.setattr(type(domain), "_signed_distances", spy)
-    for budget in (1, 100, 8192):
-        monkeypatch.setattr(geometry, "ROUND_ROWS", budget)
+    for pass_bytes in (1, 100 * 8 * 4 * domain.d, budget.PASS_BYTES):
+        monkeypatch.setattr(budget, "PASS_BYTES", pass_bytes)
         for slack, answers in want.items():
             calls.clear()
             assert domain.contains(points, slack).tolist() == answers.tolist()
             assert sum(n for n, _ in calls) == len(points) * len(domain.stacks)
-            assert all(n * rows <= max(budget, rows) for n, rows in calls)
+            assert all(n * point <= max(pass_bytes, point) for n, point in calls)
     assert {True, False} <= set(want[None].tolist())
     if name == "sinai8d":
         assert min(n for n, _ in calls) >= 1000
@@ -634,12 +645,13 @@ def _outputs(out: Path) -> dict:
     {"kind": "hardball_gas", "N": 3, "d": 2, "r": 0.1, "L": 1.0},
 ])
 def test_groups_of_one_flight_write_the_same_outputs(monkeypatch, tmp_path, domain):
-    # ROUND_ROWS = 1: every trajectory flies alone, and a broad-phase stack
-    # scans one window per batch
+    # PASS_BYTES = 1: every trajectory flies alone, a broad-phase stack scans
+    # one window per batch, and every adjoint block, check group and CSV
+    # pass takes one series or row
     cfg = load_config(_write(tmp_path, domain, 5, 4.0))
     run_experiment(cfg, "run", tmp_path / "grouped")
     verify = run_experiment(cfg, "verify")
-    monkeypatch.setattr(geometry, "ROUND_ROWS", 1)
+    monkeypatch.setattr(budget, "PASS_BYTES", 1)
     run_experiment(cfg, "run", tmp_path / "alone")
     assert _outputs(tmp_path / "grouped") == _outputs(tmp_path / "alone")
     assert run_experiment(cfg, "verify") == verify
@@ -722,15 +734,15 @@ def test_the_flow_goes_through_the_traced_names(monkeypatch, tmp_path, domain):
 
 def test_a_run_books_one_event_per_non_none_return(monkeypatch, tmp_path):
     # the tracer counts the events of a run, with its CSVs, as the non-None
-    # returns of dynamics.next_collision: 140 starts on 2-d Sinai fly as
-    # 70 + 70, with grazing, event-cap and horizon endings
+    # returns of dynamics.next_collision: 280 starts on 2-d Sinai fly as
+    # 140 + 140, with grazing, event-cap and horizon endings
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "domain": {"kind": "sinai", "d": 2, "r": 0.25, "L": 1.0, "centers": [[0.5, 0.5]]},
-        "initial": {"sampler": {"count": 140, "seed": 1, "c0": 0.1}}, "horizon": 20.0,
+        "initial": {"sampler": {"count": 280, "seed": 1, "c0": 0.1}}, "horizon": 20.0,
         "tolerances": {"eps_graze": 0.3}, "max_events": 12}), encoding="utf-8")
     cfg = load_config(path)
-    assert [len(g) for g in flight_groups(cfg.domain, 140)] == [70, 70]
+    assert [len(g) for g in flight_groups(cfg.domain, 280)] == [140, 140]
     returns = []
     original = dynamics.next_collision
 

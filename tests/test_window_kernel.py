@@ -49,7 +49,7 @@ from billiards import (
     hardball_pairs,
     next_collision,
 )
-from billiards.geometry import ROUND_ROWS
+from billiards import budget
 from conftest import random_phase_point
 from geometry_oracle import BoundaryMismatchError
 
@@ -700,14 +700,14 @@ def test_chunks_match_oracle_along_flights(name):
 def test_row_cap_batches_the_scan_of_a_round(monkeypatch, name):
     # flights along a lattice axis passing the sphere between its radius and
     # its reach: every window is in reach and none holds a root.  A round of
-    # more such windows than max(ROUND_ROWS, m) // m windows of m images
-    # scans them in batches of at most that many, and searches every chunk
-    # to its end
+    # more such windows than the byte budget fits, at m images of
+    # _row_bytes(d) a window, scans them in batches of at most that many,
+    # and searches every chunk to its end
     domain = CHUNK_DOMAINS[name]
     s = domain.scatterers[0]
     d, window, chunk = domain.d, 0.5 * domain.length_scale, dynamics._chunk(domain)[0]
     rows = _broad_rows(domain)
-    cap = max(ROUND_ROWS, rows) // rows
+    cap = budget.fit(rows * dynamics._row_bytes(d))
     flights = cap // chunk + 2
     q = np.repeat(s.center[None], flights, axis=0)
     q[:, 1] += s.radius + np.linspace(0.2e-6, 0.8e-6, flights) * domain.length_scale

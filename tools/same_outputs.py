@@ -5,16 +5,18 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2, and nineteen configs that no workload covers,
+changed), for seeds 1 and 2, and twenty-one configs that no workload covers,
 at the same seeds (:data:`EXTRA`), among them the grazing and event-cap
-endings, a run without ``c0``, a range error, a sampler that gives up and
-ensembles of several groups as large as the row budget allows, and hard-disk
-ensembles whose rounds the kernel slices.
+endings, a run without ``c0``, a range error, a sampler that gives up,
+ensembles of several groups as large as the byte budget allows, hard-disk
+ensembles whose rounds the kernel slices, and the passes of 12 and 6 hard
+disks split at the budget: kernel slices, flight groups, check groups and
+CSV passes at d = 24, adjoint blocks at d = 12.
 Each config runs in a fresh ``python -m billiards`` process per tree, with
 that tree's ``src`` on the path and one thread: ``run`` or ``verify`` as its
 workload says, and ``verify --corrupt-curvature`` on the four acceptance
 configs, the closed box, the cylinder in a box, the 100 hard-disk starts and
-the 80 starts on 6 hard disks (:data:`EXTRA_CORRUPT`).  Every output file,
+the 80 and 200 starts on 6 hard disks (:data:`EXTRA_CORRUPT`).  Every output file,
 the stdout, the stderr and the exit code of each command are compared; the
 script prints ``identical`` or the first file that differs, and exits 0 or 1.
 """
@@ -65,8 +67,8 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # on seed 1, 18 on seed 2): run and verify exit 3, and run leaves the CSVs of
 # the trajectories before it.  100 starts on 3 hard disks fly as one group,
 # and their adjoint check makes several tangent passes.  300 starts on 2-d
-# Sinai fly as 3 x 100 and 600 on 3-d Sinai as 300 + 300, the largest groups
-# the row budget gives them (130 and 512 flights).  About 1.2% of
+# Sinai fly as 2 x 150 and 600 on 3-d Sinai as 2 x 300, the byte budget
+# giving them groups of at most 260 and 460 flights.  About 1.2% of
 # the position draws on 8 hard disks are accepted, so their one group of 40
 # runs hundreds of sampler rounds.  120 starts on 12 hard disks (r = 0.05,
 # 1650 image rows a window) fly as one group whose rounds the kernel scans
@@ -74,8 +76,12 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # one window.  The membership test takes one pair distance a ball pair (66 a
 # point on 12 hard disks, 190 on 20), so it tests each of these rounds in
 # one slice; the tier-1 tests slice it.
-# The adjoint check of 80 starts on 6 hard disks (r = 0.1, T = 6) moves its
-# tangent stacks in 3 lockstep blocks of at most 31 series.
+# At the default budget, 150 starts on 12 hard disks (d = 24, T = 8) fly as
+# 3 x 50 (74 a group), their kernel slices hold 2 windows of 1650 image
+# rows, their check groups about 2300 samples, and their CSVs (about 500
+# rows) take two passes of 368 rows.  The adjoint check of 80 starts on 6
+# hard disks (r = 0.1, T = 6) moves its tangent stacks in blocks of 55 and
+# 25 series; 200 starts (T = 3) fly as 2 x 100, each in blocks of 55 and 45.
 # No draw is accepted between two walls 5e-9 apart: run exits 3 before any
 # output.
 _OVERFLOW = {"horizon": 187.0}
@@ -114,6 +120,13 @@ EXTRA = {
         {"initial": {"sampler": {"count": 40, "c0": 0.1}}, "horizon": 2.0}),
     "hardball_n6_verify": ("verify", {"kind": "hardball_gas", "N": 6, "d": 2, "r": 0.1, "L": 1.0},
                            {"initial": {"sampler": {"count": 80, "c0": 0.1}}, "horizon": 6.0}),
+    "hardball_n12_run_150": ("run", {"kind": "hardball_gas", "N": 12, "d": 2, "r": 0.05,
+                                     "L": 1.0},
+                             {"initial": {"sampler": {"count": 150, "c0": 0.1}},
+                              "horizon": 8.0}),
+    "hardball_n6_verify_200": ("verify", {
+        "kind": "hardball_gas", "N": 6, "d": 2, "r": 0.1, "L": 1.0},
+        {"initial": {"sampler": {"count": 200, "c0": 0.1}}, "horizon": 3.0}),
     "box_slab_no_room": ("run", {
         "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
         "scatterers": [
@@ -123,7 +136,7 @@ EXTRA = {
 }
 # the extra configs that also run with ``verify --corrupt-curvature``
 EXTRA_CORRUPT = ("box_closed_disk", "box_walls_cylinder_3d", "hardball_n3_d2_100",
-                 "hardball_n6_verify")
+                 "hardball_n6_verify", "hardball_n6_verify_200")
 
 
 def commands(configs: Path) -> list[tuple[str, list[str]]]:
