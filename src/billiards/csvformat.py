@@ -1,12 +1,11 @@
 """Exact array formatting of CSV rows: C's ``%.17g`` for floats, ``%d`` for integers.
 
-:func:`csv_rows` gives the bytes that ``'%.17g' % x`` and ``'%d' % v`` give,
-field by field, with one array pass over the rows of a file (or over each
-slice of a longer one that the byte budget fits, :data:`_VALUE_BYTES` a
-value) instead of one Python call per value.  Every field fills a slot of
-five eight-byte words, computed a word at a time over all fields
-(words-major); a byte that is not printed is 0, and the nonzero bytes, read
-row by row, are the file body.
+:func:`csv_passes` gives the bytes that ``'%.17g' % x`` and ``'%d' % v``
+give, field by field, with one array pass over each slice of a file's rows
+that the byte budget fits (:data:`_VALUE_BYTES` a value) instead of one
+Python call per value.  Every field fills a slot of five eight-byte words,
+computed a word at a time over all fields (words-major); a byte that is not
+printed is 0, and the nonzero bytes, read row by row, are the file body.
 
 A finite float ``x`` with ``FAST_MIN <= |x| <= FAST_MAX`` is scaled to
 ``y = |x| * 10**(16 - K)`` in ``[1e16, 1e17)`` in double-double arithmetic
@@ -198,17 +197,12 @@ def _separators(C: int) -> np.ndarray:
     return offsets
 
 
-def csv_rows(columns: list[np.ndarray]) -> bytes:
+def csv_passes(columns: list[np.ndarray]):
     """The rows of ``columns`` (1-d float or integer arrays of one length),
     fields separated by commas and rows ended by CRLF: a float as
-    ``'%.17g' % x`` (empty if non-finite), an integer as ``'%d' % v``."""
-    return b"".join(csv_passes(columns))
-
-
-def csv_passes(columns: list[np.ndarray]):
-    """The bytes of :func:`csv_rows` one array pass at a time: each pass
-    formats the rows that the byte budget fits, the last with the CRLF that
-    ends its last row."""
+    ``'%.17g' % x`` (empty if non-finite), an integer as ``'%d' % v``.  The
+    bytes come one array pass at a time: each pass formats the rows that the
+    byte budget fits, the last with the CRLF that ends its last row."""
     m, C = len(columns[0]), len(columns)
     step = budget.fit(_VALUE_BYTES * C)
     for a in range(0, m, step):
@@ -217,7 +211,7 @@ def csv_passes(columns: list[np.ndarray]):
 
 
 def _rows(columns: list[np.ndarray], first: bool) -> bytes:
-    """One array pass of :func:`csv_rows`: the rows of ``columns``, each
+    """One array pass of :func:`csv_passes`: the rows of ``columns``, each
     after a CRLF but the first row of the file (``first``), and no CRLF
     after the last."""
     tab = _tables()

@@ -22,6 +22,7 @@ The array forms reproduce the per-sample loops they replaced bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -305,6 +306,11 @@ def _pairwise_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(a, b), RATIO_SENTINEL_FLOOR)
 
 
+def _squares(a: np.ndarray) -> np.ndarray:
+    """``x ** 2`` of each value, libm ``pow``: not always ``x * x`` or ``np.power``."""
+    return np.fromiter(map(math.pow, a.tolist(), itertools.repeat(2.0)), float, a.size)
+
+
 def verify_monotonicity(series, tol: float = DEFAULT_TOL_CHECK,
                         interior: int = DEFAULT_INTERIOR_SAMPLES):
     """Check the monotonicity laws of the transported covector.
@@ -359,16 +365,15 @@ def verify_monotonicity(series, tol: float = DEFAULT_TOL_CHECK,
         worst_c = _worsts(_across(-np.abs(actual - closed) / sc, last), t1, rows)
 
         if any(x < 0.0 for x in q0):
-            # (d) strict decrease on segments: exact decrement dt * |z|^2; the
-            # squares stay Python ``** 2`` (libm pow), which is not always x * x
+            # (d) strict decrease on segments: exact decrement dt * |z|^2
             dt = t1 - t0
-            z2 = np.array([x ** 2 for x in s.nz.tolist()])
+            z2 = _squares(s.nz)
             drop = s.Q[:, 0] - s.Q[:, -1]
             sc = np.maximum(s.nz * np.max(s.nw, axis=1), RATIO_SENTINEL_FLOOR)
             worst_d = _worsts(np.where(dt > 0.0, (drop - dt * z2) / sc, np.inf), t1, rows)
 
             # (e) |w| strictly increasing at the guaranteed minimum rate
-            w2 = np.array([x ** 2 for x in nw.tolist()])
+            w2 = _squares(nw)
             rate = np.repeat([2.0 * abs(x) for x in q0], np.diff(runs, append=t.size))
             m_e = (w2[1:] - w2[:-1] - rate[1:] * (t[1:] - t[:-1])) \
                 / _pairwise_max(w2[1:], w2[:-1])

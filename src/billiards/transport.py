@@ -22,8 +22,8 @@ for the covector; ``K`` is the plain ``d x d`` matrix that
 :func:`~billiards.geometry.curvature_at` builds from the event's normal
 ``nu``, the same normal that ``R`` and ``V`` use.  The two maps are mutually
 adjoint, so the pairing with a forward-transported tangent vector is an
-exact invariant; ``adjoint_residual`` measures how well the implementation
-preserves it.
+exact invariant; a checking pass (``adjoint=s``) records per series how well
+it is preserved, the one residual that ``adjoint_residual`` reads.
 
 A pass walks a group of trajectories' events once, in lockstep (one
 trajectory is a group of one): step ``k`` pairs both ends of segment ``k``
@@ -190,7 +190,8 @@ class TransportSeries(_Series):
     ``q_drop`` and ``reprojection`` ``(E,)`` hold, per collision, the
     closed-form drop of ``Q`` and the relative size of the re-projection
     onto the outgoing velocity's orthogonal complement.  ``residual`` is the
-    adjoint residual recorded by a checking pass, else ``None``.
+    adjoint residual a checking pass recorded, else ``None``: the one that
+    :func:`adjoint_residual` reads.
     """
 
     def __init__(self, trajectory: Trajectory, n0: Covector, z: np.ndarray, w0: np.ndarray,
@@ -339,10 +340,11 @@ def transport_covector(trajectory: Trajectory | Sequence[Trajectory],
     re-projected onto the outgoing velocity's orthogonal complement to kill
     rounding drift; the relative correction magnitude is recorded per event.
     With ``adjoint = s`` each series also records its adjoint residual,
-    paired with the covector moved with ``s K``: 1 is the physical check;
-    another value is the negative control's fault hook, whose covector only
-    the check sees.  The group then moves in blocks by falling event count,
-    of as many series as the byte budget fits (:func:`_adjoint_bytes`).
+    ``series.residual``, paired with the covector moved with ``s K``: 1 is
+    the physical check; another value is the negative control's fault hook,
+    whose covector only the check sees.  The group then moves in blocks by
+    falling event count, of as many series as the byte budget fits
+    (:func:`_adjoint_bytes`).
     """
     one, trajectories, n0s = _group(trajectory, n0)
     if not trajectories:
@@ -500,24 +502,21 @@ def _pair_segment(err: np.ndarray, p0: np.ndarray, base: np.ndarray, dq: np.ndar
 
 
 def adjoint_residual(series: TransportSeries | Sequence[TransportSeries]) -> float | list[float]:
-    """Worst relative violation of the transport-invariance of the pairing.
+    """The adjoint residuals that ``transport_covector(..., adjoint=s)``
+    recorded, of one series or of a sequence's (a list).  Nothing is moved
+    again: a series transported without the check raises ``ValueError``.
 
-    ``series`` is a transported covector, or a sequence of them, answered
-    with the list of their residuals: those ``transport_covector(...,
-    adjoint=s)`` recorded, else those of one such pass with ``s = 1`` over
-    their trajectories and starts.  For each ``transversal_basis`` vector
-    the pairing of the forward-transported tangent vector with the covector
-    must equal its initial value at every segment endpoint; the pass pairs
-    both ends of segment ``k`` before it maps event ``k``, so no tangent
-    history is kept.  The residual at time ``t`` is normalized by the larger
-    of the initial and current magnitude products, the scale at which fixed
-    precision certifies the cancellation.  A pairing that is not finite
-    makes the residual infinite; a rescaled curvature must make it large.
+    A residual is the worst violation, over the ``transversal_basis``
+    vectors and every segment endpoint, of the pairing of the
+    forward-transported tangent vector with the covector against its initial
+    value, relative to the larger of the initial and current magnitude
+    products, the scale at which fixed precision certifies the cancellation.
+    A pairing that is not finite makes it infinite; a rescaled curvature
+    must make it large.
     """
     one = isinstance(series, TransportSeries)
-    group = [series] if one else list(series)
-    todo = [s for s in group if s.residual is None]
-    fresh = iter(transport_covector([s.trajectory for s in todo], [s.n0 for s in todo],
-                                    adjoint=1.0))
-    worst = [next(fresh).residual if s.residual is None else s.residual for s in group]
+    worst = [s.residual for s in ([series] if one else series)]
+    if None in worst:
+        raise ValueError("a series transported without the adjoint check has no residual: "
+                         "transport it with adjoint=1.0")
     return worst[0] if one else worst

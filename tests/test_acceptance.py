@@ -138,7 +138,7 @@ def test_criterion_01_adjoint_exactness():
         traj = flow(dom, x0, 20.0)
         if traj.termination != TERMINATION_HORIZON or traj.min_cos_phi() < 0.01:
             continue
-        worst = max(worst, adjoint_residual(transport_covector(traj, n0)))
+        worst = max(worst, adjoint_residual(transport_covector(traj, n0, adjoint=1.0)))
         accepted += 1
     elapsed = time.time() - t_start
     ok = worst < TOL_ADJOINT and elapsed < 60.0

@@ -12,11 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from billiards import budget, csvformat
-from billiards.csvformat import FAST_MAX, FAST_MIN, INT_EXACT, _mantissas, csv_rows
+from billiards.csvformat import FAST_MAX, FAST_MIN, INT_EXACT, _mantissas, csv_passes
+
+
+def joined(columns: list[np.ndarray]) -> bytes:
+    """The CSV body of ``columns``: its array passes joined."""
+    return b"".join(csv_passes(columns))
+
 
 def fields(column: np.ndarray) -> list[bytes]:
     """The fields of a one-column CSV body."""
-    body = csv_rows([column])
+    body = joined([column])
     assert body.endswith(b"\r\n")
     return body.split(b"\r\n")[:-1]
 
@@ -134,10 +140,10 @@ def test_rows_separators_and_empty_fields():
     k = np.array([0, 1, -2, 10**18])
     q = np.array([1e174, np.nan, 1e-150, 1e300])
     blank = np.full(4, np.nan)
-    assert csv_rows([t, k, q, blank]) == (
+    assert joined([t, k, q, blank]) == (
         b",0,1.0000000000000001e+174,\r\n0.5,1,,\r\n-0,-2,1e-150,\r\n"
         b",1000000000000000000,1.0000000000000001e+300,\r\n")
-    assert csv_rows([np.zeros(0)]) == b""
+    assert joined([np.zeros(0)]) == b""
 
 
 def test_array_passes_join_into_one_body():
@@ -153,7 +159,7 @@ def test_array_passes_join_into_one_body():
     k = rng.integers(0, 5, m)
     columns = [t, k, rng.normal(size=m) * 1e-5]
     want = b"".join(b",".join(f) + b"\r\n" for f in zip(*map(expected, columns)))
-    assert csv_rows(columns) == want
+    assert joined(columns) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -169,4 +175,4 @@ def test_any_rows(rows):
     columns = [np.array(c) for c in zip(*rows)]
     assert columns[1].dtype == np.int64
     want = b"".join(b",".join(f) + b"\r\n" for f in zip(*map(expected, columns)))
-    assert csv_rows(columns) == want
+    assert joined(columns) == want

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diagnostics_oracle as oracle
 from billiards import (
@@ -28,7 +31,7 @@ from billiards import (
     verify_monotonicity,
 )
 from billiards.cli import main
-from billiards.diagnostics import RECORD_DTYPE
+from billiards.diagnostics import RECORD_DTYPE, _squares
 from billiards.runner import CSV_COLUMNS, _write_csv
 from conftest import random_phase_point
 
@@ -247,3 +250,31 @@ def test_checks_and_records_share_one_sample_per_interior(sinai2d, tmp_path):
     assert series.sample_grids[8] is grid and sorted(series.sample_grids) == [3, 8]
     with pytest.raises(ValueError):
         grid.Q[0, 0] = 0.0
+
+
+_ROOT_MAX = math.sqrt(sys.float_info.max)
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, sys.float_info.min,
+          math.nextafter(sys.float_info.min, 0.0), _ROOT_MAX, -_ROOT_MAX,
+          math.nextafter(_ROOT_MAX, 0.0), math.nextafter(_ROOT_MAX, math.inf)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_EDGES) | st.floats()
+                | st.floats(min_value=1.3e154, max_value=1.4e154)
+                | st.floats(min_value=-1e-300, max_value=1e-300), max_size=40))
+def test_squares_are_python_pow(values):
+    # the squares of checks (d) and (e) are the ``x ** 2`` of each Python
+    # float, bit for bit; a square past the double range raises alike
+    fits = []
+    for x in values:
+        try:
+            x ** 2
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _squares(np.array([x]))
+        else:
+            fits.append(x)
+    a = np.array(fits, dtype=float)
+    got, want = _squares(a), np.array([x ** 2 for x in a.tolist()], dtype=float)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

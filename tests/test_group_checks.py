@@ -222,15 +222,34 @@ def test_stacked_bases_equal_one_vector_at_a_time(d):
 @pytest.mark.parametrize("family", ["sinai2d", "hardball32"])
 def test_group_residual_equals_each_residual_alone(family, request):
     dom = request.getfixturevalue(family)
-    rng = np.random.default_rng(631)
-    group = []
-    for T in (1e-3, 10.0, 4.0, 10.0):
-        x0 = random_phase_point(dom, rng)
-        group.append(transport_covector(flow(dom, x0, T),
-                                        sample_covector_with_Q_bound(x0.v, 0.1, rng)))
-    residuals = adjoint_residual(group)
-    assert [r.hex() for r in residuals] == [adjoint_residual(s).hex() for s in group]
+    trajectories, n0 = _adjoint_group(dom, 631, (1e-3, 10.0, 4.0, 10.0))
+    residuals = adjoint_residual(transport_covector(trajectories, n0, adjoint=1.0))
+    alone = [transport_covector(t, n, adjoint=1.0) for t, n in zip(trajectories, n0)]
+    assert [r.hex() for r in residuals] == [adjoint_residual(s).hex() for s in alone]
     assert adjoint_residual([]) == []
+
+
+@pytest.mark.parametrize("family", ["sinai2d", "hardball32"])
+def test_residual_is_only_read_off_the_checking_pass(family, request, monkeypatch):
+    # the checking pass is the one source of a residual: a series transported
+    # without the check, or rebuilt with replaced columns, has none, and
+    # adjoint_residual raises for it without moving a covector
+    dom = request.getfixturevalue(family)
+    trajectories, n0 = _adjoint_group(dom, 677, (1e-3, 6.0, 4.0))
+    plain = transport_covector(trajectories, n0)
+    checked = transport_covector(trajectories, n0, adjoint=1.0)
+    rebuilt = [_with(s, z=2.0 * s.z, w0=2.0 * s.w0) for s in checked]
+    calls = []
+    monkeypatch.setattr(transport, "transport_covector", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(transport, "curvature_at", lambda *args: calls.append(args))
+    for group in (plain, rebuilt):
+        for series in (group[1], group, [checked[0], group[2]]):
+            with pytest.raises(ValueError, match="adjoint=1.0"):
+                adjoint_residual(series)
+    assert [r.hex() for r in adjoint_residual(checked)] == [s.residual.hex() for s in checked]
+    assert adjoint_residual(checked[1]).hex() == checked[1].residual.hex()
+    assert adjoint_residual([]) == []
+    assert calls == []
 
 
 def _adjoint_group(domain, seed, horizons):
@@ -307,9 +326,10 @@ def test_no_tangent_pass_holds_more_than_the_budget(hardball32, values, monkeypa
     pass_bytes = budget.PASS_BYTES
     rng = np.random.default_rng(653)
     starts = [random_phase_point(hardball32, rng) for _ in range(40)]
-    group = transport_covector(flow(hardball32, starts, 6.0),
-                               [sample_covector_with_Q_bound(x.v, 0.1, rng) for x in starts])
+    trajectories = flow(hardball32, starts, 6.0)
+    n0 = [sample_covector_with_Q_bound(x.v, 0.1, rng) for x in starts]
     groups, blocks, moves, tangent_calls = _adjoint_passes(monkeypatch)
+    group = transport_covector(trajectories, n0, adjoint=1.0)
     adjoint_residual(group)
     held = transport._adjoint_bytes(6)
     assert held == 8 * 10 * 10 * 6
@@ -325,16 +345,17 @@ def test_no_tangent_pass_holds_more_than_the_budget(hardball32, values, monkeypa
 
 
 def test_adjoint_check_keeps_no_tangent_history(hardball32, monkeypatch):
-    # one hard-disk trajectory of 209 events: the check allocates less than
-    # the (E + 1, 10, 6) history of one tangent stack
+    # one hard-disk trajectory of 209 events: the checking pass, its series
+    # included, allocates less than the (E + 1, 10, 6) history of one
+    # tangent stack
     x0, n0 = runner.sample_initial_conditions(hardball32, 2, 1, 0.1)[1]
-    series = transport_covector(flow(hardball32, x0, 155.0), n0)
-    events = series.trajectory.event_count
+    trajectory = flow(hardball32, x0, 155.0)
+    events = trajectory.event_count
     assert events >= 200
     _, _, _, tangent_calls = _adjoint_passes(monkeypatch)
     tracemalloc.start()
     try:
-        residual = adjoint_residual(series)
+        residual = adjoint_residual(transport_covector(trajectory, n0, adjoint=1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

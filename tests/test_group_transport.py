@@ -115,12 +115,12 @@ def test_group_passes_match_per_event_oracle(family, request):
 def test_group_of_one_matches_its_row_in_a_group(sinai2d, hardball32):
     for dom in (sinai2d, hardball32):
         trajectories, n0 = _group(dom, HORIZONS["sinai2d"], 509)
-        group = transport_covector(trajectories, n0)
+        group = transport_covector(trajectories, n0, adjoint=1.0)
         residuals = adjoint_residual(group)
         dy0 = [_basis_stack(t.start.v) for t in trajectories]
         tangents = transport_tangent(trajectories, dy0)
         for j, traj in enumerate(trajectories):
-            alone = transport_covector(traj, n0[j])
+            alone = transport_covector(traj, n0[j], adjoint=1.0)
             for name in ("z", "w0", "q_drop", "reprojection", "t0", "t1"):
                 assert _same(getattr(alone, name), getattr(group[j], name))
             assert adjoint_residual(alone).hex() == residuals[j].hex()

@@ -207,5 +207,5 @@ def test_csv_pass_holds_about_one_budget(d, T, tmp_path, monkeypatch):
         _, peak, _ = _peak(runner._write_csv, path, records)
         assert (peak <= 2 * B) == (pass_bytes == B)
         files[pass_bytes] = path.read_bytes()
-    assert files[B] == files[10**12] == runner._CSV_HEADER + csvformat.csv_rows(
-        [records[name] for name in runner._CSV_FIELDS])
+    body = b"".join(csvformat.csv_passes([records[name] for name in runner._CSV_FIELDS]))
+    assert files[B] == files[10**12] == runner._CSV_HEADER + body

@@ -5,13 +5,14 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2, and twenty-one configs that no workload covers,
+changed), for seeds 1 and 2, and twenty-three configs that no workload covers,
 at the same seeds (:data:`EXTRA`), among them the grazing and event-cap
 endings, a run without ``c0``, a range error, a sampler that gives up,
 ensembles of several groups as large as the byte budget allows, hard-disk
 ensembles whose rounds the kernel slices, and the passes of 12 and 6 hard
 disks split at the budget: kernel slices, flight groups, check groups and
-CSV passes at d = 24, adjoint blocks at d = 12.
+CSV passes at d = 24, adjoint blocks at d = 12, and two runs that write the
+adjoint residuals into ``summary.json`` beside their CSVs.
 Each config runs in a fresh ``python -m billiards`` process per tree, with
 that tree's ``src`` on the path and one thread: ``run`` or ``verify`` as its
 workload says, and ``verify --corrupt-curvature`` on the four acceptance
@@ -83,8 +84,10 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # hard disks (r = 0.1, T = 6) moves its tangent stacks in blocks of 55 and
 # 25 series; 200 starts (T = 3) fly as 2 x 100, each in blocks of 55 and 45.
 # No draw is accepted between two walls 5e-9 apart: run exits 3 before any
-# output.
+# output.  The two runs with the adjoint check (2-d Sinai, 3 hard disks) are
+# the only ones whose summary.json holds adjoint residuals beside CSVs.
 _OVERFLOW = {"horizon": 187.0}
+_ALL_CHECKS = {"checks": ["monotonicity", "growth", "adjoint"]}
 EXTRA = {
     "box_two_walls_disk": ("run", {
         "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
@@ -127,6 +130,8 @@ EXTRA = {
     "hardball_n6_verify_200": ("verify", {
         "kind": "hardball_gas", "N": 6, "d": 2, "r": 0.1, "L": 1.0},
         {"initial": {"sampler": {"count": 200, "c0": 0.1}}, "horizon": 3.0}),
+    "sinai_2d_run_adjoint": ("run", "sinai_2d", _ALL_CHECKS),
+    "hardball_n3_d2_run_adjoint": ("run", "hardball_n3_d2", _ALL_CHECKS),
     "box_slab_no_room": ("run", {
         "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
         "scatterers": [
