@@ -49,17 +49,20 @@ without a finished search fly one start through the same loop, but
 
 Sphere stacks on a torus with d >= 3 (``ScattererStack.reach_sq`` set, at
 least 27 images) get a broad phase in front of that scan: a window skips the
-stack when the box around its flight segment, ``mid +- (hi/2)|v|``, stays
-farther than ``reach`` (the radius plus a margin of ``1e-6 L``, argued in
-``tolerances.py``) from every lattice image of every center of the stack.
-The skipped scan would find no root, and a window that is not skipped runs
-the scan unchanged on the same lattice shift, so outputs keep their bits.
-The broad phase tests a round's windows in slices the budget fits (five
-``(S, d)`` arrays a window) and scans those in reach, in flight order, in
-batches the budget fits, as a plain slice: on 8-d Sinai one window of 6561
-images per batch, where about 93% of the windows are skipped.  A flight's
-windows after one that holds a root leave the later batches.  2-d stacks (9
-images) and cylinders keep the plain scan.
+stack when its flight segment stays farther than ``reach`` (the radius plus
+a margin of ``1e-6 L``, argued in ``tolerances.py``) from every lattice
+image of every center of the stack.  It tests the box around the segment,
+``mid +- (hi/2)|v|``, and the windows whose boxes are in reach by the exact
+distance from the segment (:func:`_segment_gap_sq`).  The skipped scan would
+find no root, and a window that is not skipped runs the scan unchanged on
+the same lattice shift, so outputs keep their bits.  The broad phase tests
+a round's windows in slices the budget fits (five ``(S, d)`` and four
+``(S, d + 1, d)`` arrays a window) and scans those in reach, in flight
+order, in batches the budget fits, as a plain slice: on 8-d Sinai one
+window of 6561 images per batch, where about 98% of the windows are skipped
+(92% by their boxes).  A flight's windows after one that holds a root leave
+the later batches.  2-d stacks (9 images) and cylinders keep the plain
+scan.
 
 Grazing impacts (cos phi below the cutoff) and near-simultaneous roots on
 two distinct boundary pieces are singularities of the dynamics: the
@@ -316,6 +319,33 @@ def _image_roots(st, qw: np.ndarray, shift: np.ndarray | None, vv: np.ndarray,
     return r, row, roots[keep], flat[pos[keep]], vv[r, row]
 
 
+def _segment_gap_sq(m: np.ndarray, v: np.ndarray, half: np.ndarray, L: float) -> np.ndarray:
+    """Squared distance from each flight segment ``m + tau v``, ``|tau| <=
+    half``, to the lattice ``L Z^d``: ``m``, ``(n, S, d)``, within ``L/2`` of
+    0 per coordinate, ``v``, ``(n, d)``, and ``half <= L/4``, ``(n,)``.  A
+    coordinate of the segment crosses at most one cell wall, the one on the
+    side of its ``m``, so the segment visits at most ``d + 1`` cells, cut at
+    the crossings that lie inside ``(-half, half)``; in each cell the
+    nearest lattice point is fixed (``L rint`` at the piece's midpoint) and
+    the distance is the clamped closest approach to it.  Returns ``(n, S)``.
+    The arrays run over segments last, so every numpy call loops over them."""
+    n, S, d = m.shape
+    m = np.moveaxis(m, -1, 0).reshape(d, n * S)
+    v, half = np.repeat(v.T, S, axis=1), np.repeat(half, S)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero velocity component gives +-inf or nan: no crossing
+        cut = np.fmin(np.fmax((np.copysign(0.5 * L, m) - m) / v, -half), half)
+    cut = np.concatenate((-half[None], np.sort(cut, axis=0), half[None]))
+    lo, up = cut[:-1], cut[1:]                                  # (d + 1, n S)
+    u = np.multiply((0.5 * (lo + up))[:, None, :], v)           # (d + 1, d, n S)
+    u += m
+    np.rint(np.divide(u, L, out=u), out=u)
+    np.subtract(m, np.multiply(u, L, out=u), out=u)             # m minus the cell's point
+    uv, vv = np.einsum("kin,in->kn", u, v), np.einsum("in,in->n", v, v)
+    tau = np.clip(uv / -vv, lo, up)
+    return (np.einsum("kin,kin->kn", u, u) + tau * (2.0 * uv + tau * vv)).min(axis=0).reshape(n, S)
+
+
 def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.ndarray,
                        hi: np.ndarray) -> tuple[np.ndarray, ...]:
     """Search a chunk of consecutive windows of each flight ``q[f] + t v[f]``,
@@ -404,12 +434,15 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
                 add(st, s + r, *rest)
             continue
         # broad phase, over slices of the round's windows (mid, shift, gap and
-        # two temporaries, S d values each): the window's flight box is mid
-        # +- (hi/2)|v| per coordinate, and |mid - shift| <= L/2, so the
-        # nearest lattice coordinate to each interval is the one of shift and
-        # gap is the exact distance from the box to the nearest image of the
-        # center; the windows in reach keep their shifts
-        step = budget.fit(8 * 5 * S * d)
+        # two temporaries, S d values each, and the segment test's offsets and
+        # its temporaries, numpy's broadcast buffers among them, S (d + 1) d
+        # each): the window's flight box is mid +- (hi/2)|v| per coordinate,
+        # and |mid - shift| <= L/2, so the nearest lattice coordinate to each
+        # interval is the one of shift and gap is the exact distance from the
+        # box to the nearest image of the center; the windows whose boxes are
+        # in reach are tested by the distance from their flight segments, and
+        # those in reach keep their shifts
+        step = budget.fit(8 * S * d * (5 + 4 * (d + 1)))
         wins, shifts = [], []
         for s in range(0, F * W, step):
             win = slice(s, s + step)
@@ -419,6 +452,8 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
             gap = np.maximum(np.abs(mid - shift) - box[:, None, :], 0.0)
             keep = np.flatnonzero(~(row_dot(gap, gap) > st.reach_sq).all(axis=-1)
                                   & (hi[win] > 0.0))
+            keep = keep[~(_segment_gap_sq(mid[keep] - shift[keep], v[flight[s + keep]],
+                                          half[s + keep, 0], L) > st.reach_sq).all(axis=-1)]
             wins.append(s + keep)
             shifts.append(shift[keep])
         wins, shift = np.concatenate(wins), np.concatenate(shifts)

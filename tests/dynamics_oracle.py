@@ -9,9 +9,11 @@ over a chunk, as one call of the kernel searches; ``next_collision`` is the
 event search built on that scan, and ``flow`` the per-trajectory event loop
 built on that search, one start at a time: the oracles of the lockstep
 loop, ``billiards.dynamics.flow``.  ``validate_phase_point`` is the
-state check of one start.  ``box_lattice_distance`` is the oracle of the
+state check of one start.  ``box_lattice_distance`` and
+``segment_lattice_distance`` are the oracles of the two stages of the
 sphere broad phase: the distance from a window's flight box to the nearest
-lattice image of a sphere center, coordinate by coordinate.
+lattice image of a sphere center, coordinate by coordinate, and from its
+flight segment, image by image.
 
 The oracle runs none of the code it checks: its candidate record, the
 Newton polish of a root, the reflection and the state check (through
@@ -21,6 +23,7 @@ forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -169,6 +172,21 @@ def box_lattice_distance(domain: Domain, index: int, q_win, v, hi: float) -> flo
             continue
         total += min(lo - (k - 1.0) * L, k * L - up) ** 2
     return float(np.sqrt(total))
+
+
+def segment_lattice_distance(domain: Domain, index: int, q_win, v, hi: float) -> float:
+    """Distance from the flight segment from ``q_win`` over times [0, hi]
+    to the nearest torus image of sphere ``index``'s center: the clamped
+    closest approach to each of the 3^d images around the one nearest the
+    segment's midpoint, the least of them."""
+    L = domain.ambient.side
+    q_win, v = np.asarray(q_win, dtype=float), np.asarray(v, dtype=float)
+    rel = q_win - domain.scatterers[index].center
+    base = L * np.round((rel + 0.5 * hi * v) / L)
+    images = base + L * np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=len(v))))
+    starts = rel - images
+    t = np.clip(-(starts @ v) / float(v @ v), 0.0, hi)
+    return float(np.linalg.norm(starts + t[:, None] * v, axis=1).min())
 
 
 def window_scan(domain: Domain, q_win, v, hi: float) -> tuple[Candidate, float] | None:

@@ -91,17 +91,33 @@ def test_kernel_round_holds_about_one_budget(d, flights, monkeypatch):
 def test_broad_phase_round_at_d12_holds_about_one_budget(monkeypatch):
     # 12-d Sinai (531441 images a window, r = 0.05): a flight group as the
     # budget gives it (10 flights of 16 windows) tests its windows' reach in
-    # slices of 136 windows; no window of these flights comes within reach,
-    # so no image is scanned, and the round holds at most 2.5 budgets
+    # slices of 11 windows.  Each flight runs along a diagonal of the
+    # lattice 0.1 from it, and each of its windows spans the times 0.25
+    # before and after a nearest approach to a lattice point, so every box
+    # holds that point and every window takes the segment test.  No segment
+    # comes within reach, so no image is scanned, and the round holds at
+    # most 2.5 budgets
     domain = build_sinai(12, 0.05, 1.0, [[0.5] * 12])
     monkeypatch.setattr(budget, "PASS_BYTES", B)
     (group, *_) = dynamics.flight_groups(domain, 100)
     assert len(group) == 10
-    args = _round(domain, len(group), 883)
+    q, v, t_lo, hi = _round(domain, len(group), 883)
+    rng = np.random.default_rng(884)
+    for f in range(len(group)):
+        v[f] = rng.choice([-1.0, 1.0], 12) / np.sqrt(12.0)
+        e = rng.choice([-1.0, 1.0], 12)
+        e -= (e @ v[f]) * v[f]
+        q[f] = domain.scatterers[0].center + 0.1 * e / np.linalg.norm(e)
+    t_lo[:] = np.arange(t_lo.shape[1]) * np.sqrt(12.0) - 0.25
+    refined = []
+    original = dynamics._segment_gap_sq
+    monkeypatch.setattr(dynamics, "_segment_gap_sq",
+                        lambda m, *a: refined.append(m.shape[0]) or original(m, *a))
     scans = []
     monkeypatch.setattr(dynamics, "_image_roots", lambda *a: scans.append(a))
-    (f, *_), peak, _ = _peak(dynamics._window_candidates, domain, *args)
+    (f, *_), peak, _ = _peak(dynamics._window_candidates, domain, q, v, t_lo, hi)
     assert scans == [] and f.size == 0
+    assert sum(refined) == t_lo.size
     assert peak <= 2.5 * B
 
 

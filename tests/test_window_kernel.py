@@ -16,6 +16,7 @@ unset, which scans every window.
 from __future__ import annotations
 
 import copy
+import json
 import math
 import warnings
 from collections import Counter
@@ -50,6 +51,8 @@ from billiards import (
     next_collision,
 )
 from billiards import budget
+from billiards.config import load_config
+from billiards.runner import run_experiment
 from conftest import random_phase_point
 from geometry_oracle import BoundaryMismatchError
 
@@ -432,6 +435,8 @@ BROAD_DOMAINS = {
     "sinai4d_side2.5": build_sinai(4, 0.9, 2.5, [[1.0] * 4]),
     # two spheres in one stack: a window skips only when both are out of reach
     **{f"pair{d}d": build_sinai(d, 0.2, 1.0, [[0.25] * d, [0.75] * d]) for d in (3, 5, 8)},
+    # r = 1e-3 L: the margin is a thousandth of the radius
+    **{f"tiny{d}d": build_sinai(d, 1e-3, 1.0, [[0.5] * d]) for d in (3, 8)},
 }
 
 
@@ -464,7 +469,7 @@ def _skips(domain: Domain, q, v, t_lo: float, hi: float) -> bool:
 
 def assert_broad_phase_exact(domain: Domain, q_win, v, hi: float) -> bool:
     """The broad-phase kernel against the unfiltered scan, bit for bit, and
-    its decision against the box distance oracle; True when skipped."""
+    its decision against the segment distance oracle; True when skipped."""
     (w, fast), (w_u, slow) = (kernel(domain, q_win, v, [0.0], [hi]),
                               kernel(_unfiltered(domain), q_win, v, [0.0], [hi]))
     assert w == w_u
@@ -472,16 +477,21 @@ def assert_broad_phase_exact(domain: Domain, q_win, v, hi: float) -> bool:
     skipped = _skips(domain, q_win, v, 0.0, hi)
     (stack,) = domain.stacks
     reach = np.sqrt(stack.reach_sq)
-    dist = np.array([oracle.box_lattice_distance(domain, i, q_win, v, hi)
-                     for i in stack.indices])
+    box, dist = (np.array([fn(domain, i, q_win, v, hi) for i in stack.indices])
+                 for fn in (oracle.box_lattice_distance, oracle.segment_lattice_distance))
+    # the box holds the segment
+    assert (box <= dist + 1e-12 * domain.length_scale).all()
     if skipped:
         assert slow is None
-        assert (dist > stack.radii).all()
-    # the box gap is the exact distance, so the decision follows the oracle
-    # wherever rounding cannot tip it
-    if (dist > reach * (1.0 + 1e-9)).all():
+        assert (dist > stack.radii).all() or hi == 0.0
+    # no window the box test skips is kept
+    if (box > reach * (1.0 + 1e-9)).all():
         assert skipped
-    if (dist < reach * (1.0 - 1e-9)).any():
+    # the segment distance is exact, so the decision follows the oracle
+    # wherever rounding cannot tip it; a window of length 0 holds no root
+    if (dist > reach * (1.0 + 1e-9)).all() or hi == 0.0:
+        assert skipped
+    if (dist < reach * (1.0 - 1e-9)).any() and hi > 0.0:
         assert not skipped
     return skipped
 
@@ -492,22 +502,34 @@ def _unit_normal_to(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return e / np.linalg.norm(e)
 
 
-def _broad_state(domain: Domain, rng: np.random.Generator, kind: str, sign: float):
-    """A window state: random, or aimed at a lattice image of a center so
-    that the entering root sits at hi -+ 1e-12 (``root_at_hi``), the closest
-    approach is r (1 +- 1e-12) (``grazing``) or reach (1 +- 1e-9)
-    (``at_reach``); ``face`` puts mid on a cell face (or one ulp off it),
-    where rint flips."""
+BROAD_KINDS = ["random", "root_at_hi", "grazing", "at_reach", "face", "walls", "padding"]
+
+
+def _broad_state(domain: Domain, rng: np.random.Generator, kind: str, sign: float,
+                 zeros: int = 0):
+    """A window state whose velocity has ``zeros`` zero components (at most
+    d - 1): random, or aimed at a lattice image of a center so that the
+    entering root sits at hi -+ 1e-12 (``root_at_hi``), the closest approach
+    is r (1 +- 1e-12) (``grazing``) or reach (1 +- 1e-9) (``at_reach``);
+    ``face`` puts mid on a cell face (or one ulp off it), where rint flips,
+    in a coordinate of zero velocity if there is one (a wall crossing of
+    0 / 0); ``walls`` crosses the cell walls of up to d coordinates inside
+    the window, with the other coordinates of mid at the image (``sign``
+    -1) or anywhere in the cell; ``padding`` is a window of length 0 from
+    a point within r of an image."""
     d, L = domain.d, domain.ambient.side
     window = 0.5 * L
-    if kind == "random":
-        return _window_state(domain, rng, rng.uniform(0.0, 3.0) * L, rng.uniform(1e-3, 1.0))
+    zero = rng.choice(d, min(zeros, d - 1), replace=False)
     v = rng.standard_normal(d)
+    v[zero] = 0.0
     v /= np.linalg.norm(v)
+    if kind == "random":
+        q, _, hi = _window_state(domain, rng, rng.uniform(0.0, 3.0) * L, rng.uniform(1e-3, 1.0))
+        return q, v, hi
     if kind == "face":
         q = rng.uniform(0.0, L, d)
         hi = rng.uniform(1e-3, 1.0) * window
-        c = int(rng.integers(d))
+        c = int(zero[0]) if zero.size else int(rng.integers(d))
         k = int(rng.integers(-2, 2))
         target = (k + 0.5) * L
         if sign < 0.0:
@@ -523,6 +545,15 @@ def _broad_state(domain: Domain, rng: np.random.Generator, kind: str, sign: floa
     sphere = domain.scatterers[int(rng.integers(len(domain.scatterers)))]
     r = sphere.radius
     image = sphere.center + L * rng.integers(-1, 2, d)
+    if kind == "walls":
+        hi = window
+        m = np.zeros(d) if sign < 0.0 else rng.uniform(-0.5, 0.5, d) * L
+        cross = rng.choice(d, int(rng.integers(1, d + 1)), replace=False)
+        tau = rng.uniform(-0.5, 0.5, cross.size) * hi
+        m[cross] = np.copysign(0.5 * L, tau * v[cross]) - tau * v[cross]
+        return image + m - (0.5 * hi) * v, v, hi
+    if kind == "padding":
+        return image + rng.uniform(-1.0, 1.0, d) * (r / np.sqrt(d)), v, 0.0
     e = _unit_normal_to(v, rng)
     if kind == "root_at_hi":
         D = rng.uniform(0.0, 0.999) * r
@@ -540,13 +571,37 @@ def _broad_state(domain: Domain, rng: np.random.Generator, kind: str, sign: floa
 @pytest.mark.parametrize("name", sorted(BROAD_DOMAINS))
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["random", "root_at_hi", "grazing", "at_reach", "face"]),
-       sign=st.sampled_from([-1.0, 1.0]))
-def test_broad_phase_matches_unfiltered_scan(name, seed, kind, sign):
+       kind=st.sampled_from(BROAD_KINDS), sign=st.sampled_from([-1.0, 1.0]),
+       zeros=st.integers(0, 2))
+def test_broad_phase_matches_unfiltered_scan(name, seed, kind, sign, zeros):
     domain = BROAD_DOMAINS[name]
-    q_win, v, hi = _broad_state(domain, np.random.default_rng(seed), kind, sign)
+    q_win, v, hi = _broad_state(domain, np.random.default_rng(seed), kind, sign, zeros)
     assert_broad_phase_exact(domain, q_win, v, hi)
     assert_same_window(domain, q_win, v, hi)
+
+
+@pytest.mark.parametrize("name", sorted(BROAD_DOMAINS))
+def test_segment_gap_matches_oracle(name):
+    # the broad phase's distance from a window's flight segment to each
+    # center's lattice against the oracle's closest approach to every one of
+    # the 3^d images, to 1e-9 L, on windows of every kind, also with zero
+    # velocity components and wall crossings in several coordinates
+    domain = BROAD_DOMAINS[name]
+    rng = np.random.default_rng(443)
+    (stack,) = domain.stacks
+    L = domain.ambient.side
+    crossings = 0
+    for kind in BROAD_KINDS:
+        for j in range(6):
+            q_win, v, hi = _broad_state(domain, rng, kind, (-1.0, 1.0)[j % 2], j % 3)
+            mid = q_win + (0.5 * hi) * v - stack.points
+            m = mid - L * np.rint(mid / L)
+            crossings += int((np.abs(m) + (0.5 * hi) * np.abs(v) > 0.5 * L).sum())
+            got = np.sqrt(dynamics._segment_gap_sq(m[None], v[None], np.array([0.5 * hi]), L))[0]
+            want = [oracle.segment_lattice_distance(domain, i, q_win, v, hi)
+                    for i in stack.indices]
+            assert np.abs(got - want).max() <= 1e-9 * L, (kind, j)
+    assert crossings >= 2 * domain.d
 
 
 @pytest.mark.parametrize("name", sorted(BROAD_DOMAINS))
@@ -592,6 +647,29 @@ def test_flow_with_broad_phase_matches_unfiltered_flow(d, T):
     assert events >= 4
 
 
+def test_sinai_d8_run_scans_few_windows(tmp_path, monkeypatch):
+    # the 8-d Sinai run of the benchmark (18 starts, T = 100, seed 1) scans
+    # the 6561 images of 69 windows, where the box test alone scans 278: the
+    # segment test keeps 69 of the 318 windows whose flight boxes come within
+    # reach, and the scan finds a root in none of those it drops
+    path = tmp_path / "sinai8d.json"
+    path.write_text(json.dumps({
+        "domain": {"kind": "sinai", "d": 8, "r": 0.45, "L": 1.0, "centers": [[0.5] * 8]},
+        "initial": {"sampler": {"count": 18, "seed": 1, "c0": 0.1}}, "horizon": 100.0}))
+    scanned = []
+    original = dynamics._image_roots
+
+    def counted(st, qw, *rest):
+        if st.reach_sq is not None:
+            scanned.append(qw.shape[0])
+        return original(st, qw, *rest)
+
+    monkeypatch.setattr(dynamics, "_image_roots", counted)
+    summary, code = run_experiment(load_config(path), mode="run", out_dir=tmp_path / "out")
+    assert code == 0 and sum(t["event_count"] for t in summary["trajectories"]) == 35
+    assert sum(scanned) <= 80
+
+
 def test_broad_phase_only_on_sphere_lattices_of_three_or_more_dimensions():
     for name, domain in {**DOMAINS, **BROAD_DOMAINS}.items():
         for s in domain.stacks:
@@ -633,12 +711,14 @@ def test_window_chunk_per_domain():
     assert dynamics._chunk(CHUNK_DOMAINS["sinai8d"]) == (16, 16)
 
 
-def _aimed(domain: Domain, x: PhasePoint) -> PhasePoint:
-    """The phase point with its velocity aimed at the first scatterer."""
+def _aimed(domain: Domain, x: PhasePoint, cells: int = 0) -> PhasePoint:
+    """The phase point with its velocity aimed at the first scatterer, or at
+    its image ``cells`` lattice cells farther along the first axis."""
     s = domain.scatterers[0]
     ref = s.plane_point if isinstance(s, Halfspace) else \
         s.center if isinstance(s, Sphere) else s.axis_point
     aim = domain.min_image(ref - x.q)
+    aim[0] += math.copysign(cells * domain.length_scale, aim[0])
     return PhasePoint(x.q, aim / np.linalg.norm(aim))
 
 
@@ -664,7 +744,8 @@ def test_chunks_match_oracle_along_flights(name):
     # every chunk of a flight up to its first root, as next_collision
     # searches them: chunks with and without a root, chunks that end in a
     # partial window, and for broad-phase stacks chunks that skip some of
-    # their windows
+    # their windows (every fourth flight is aimed at an image a cell
+    # farther, so that its root lies past its first window)
     domain = CHUNK_DOMAINS[name]
     rng = np.random.default_rng(433)
     window = 0.5 * domain.length_scale
@@ -674,7 +755,7 @@ def test_chunks_match_oracle_along_flights(name):
     for j in range(flights):
         x = random_phase_point(domain, rng)
         if j % 2:
-            x = _aimed(domain, x)
+            x = _aimed(domain, x, cells=int(j % 4 == 3))
         # every third flight ends within its first window
         horizon = rng.uniform(0.02, 1.0 if j % 3 == 2 else 3.0 * chunk) * window
         t_lo = 0.0

@@ -5,7 +5,7 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2, and twenty-three configs that no workload covers,
+changed), for seeds 1 and 2, and twenty-seven configs that no workload covers,
 at the same seeds (:data:`EXTRA`), among them the grazing and event-cap
 endings, a run without ``c0``, a range error, a sampler that gives up,
 ensembles of several groups as large as the byte budget allows, hard-disk
@@ -48,6 +48,10 @@ _DISK = {"kind": "sphere", "center": [0.5, 0.5], "radius": 0.2}
 _WALLS_3D = [{**w, "plane_point": [*w["plane_point"], 0.0],
               "plane_normal": [*w["plane_normal"], 0.0]} for w in _WALLS]
 
+
+def _sinai(d: int, r: float, L: float, centers: list) -> dict:
+    return {"kind": "sinai", "d": d, "r": r, "L": L, "centers": centers}
+
 # a grazing cutoff of 0.3 and a cap of 12 events: on 2-d Sinai, seed 1,
 # 9 trajectories end at the cap, 6 grazing and 5 at the horizon
 _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
@@ -86,6 +90,9 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # No draw is accepted between two walls 5e-9 apart: run exits 3 before any
 # output.  The two runs with the adjoint check (2-d Sinai, 3 hard disks) are
 # the only ones whose summary.json holds adjoint residuals beside CSVs.
+# Four Sinai runs go through the broad phase's two stages where the box
+# lets many windows through: 6 starts at d = 10 (T = 100), two spheres a
+# stack at d = 5, a side of 2.5 and a radius of 0.05 at d = 4.
 _OVERFLOW = {"horizon": 187.0}
 _ALL_CHECKS = {"checks": ["monotonicity", "growth", "adjoint"]}
 EXTRA = {
@@ -132,6 +139,11 @@ EXTRA = {
         {"initial": {"sampler": {"count": 200, "c0": 0.1}}, "horizon": 3.0}),
     "sinai_2d_run_adjoint": ("run", "sinai_2d", _ALL_CHECKS),
     "hardball_n3_d2_run_adjoint": ("run", "hardball_n3_d2", _ALL_CHECKS),
+    "sinai_10d": ("run", _sinai(10, 0.45, 1.0, [[0.5] * 10]),
+                  {"initial": {"sampler": {"count": 6, "c0": 0.1}}, "horizon": 100.0}),
+    "sinai_5d_pair": ("run", _sinai(5, 0.2, 1.0, [[0.25] * 5, [0.75] * 5]), {}),
+    "sinai_4d_side2.5": ("run", _sinai(4, 0.9, 2.5, [[1.0] * 4]), {}),
+    "sinai_4d_thin": ("run", _sinai(4, 0.05, 1.0, [[0.5] * 4]), {}),
     "box_slab_no_room": ("run", {
         "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
         "scatterers": [
