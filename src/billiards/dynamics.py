@@ -61,8 +61,19 @@ a round's windows in slices the budget fits (five ``(S, d)`` and four
 order, in batches the budget fits, as a plain slice: on 8-d Sinai one
 window of 6561 images per batch, where about 98% of the windows are skipped
 (92% by their boxes).  A flight's windows after one that holds a root leave
-the later batches.  2-d stacks (9 images) and cylinders keep the plain
-scan.
+the later batches.
+
+The ball-pair stacks of a hard-ball gas (``ScattererStack.pairs`` and
+``reach_sq`` set) get a broad phase by (window, pair) block: a pair's
+images are the lattice ``L Z^b`` of its balls' displacement ``q_i - q_j``,
+so a block is skipped when the box around the relative segment, ``(q_i -
+q_j) + tau (v_i - v_j)`` over the window, stays out of reach of that
+lattice (:func:`_pairs_in_reach`).  The blocks in reach are gathered,
+window by window, and scanned in batches the budget fits, each block as a
+stack of its one cylinder (arrays ``(K, 1, ...)``) by the same
+:func:`_image_roots` on the same shift, so they keep their bits: on 6 hard
+disks (seed 1) 22.7% of the blocks are scanned.  2-d sphere stacks (9
+images) and the other cylinders keep the plain scan.
 
 Grazing impacts (cos phi below the cutoff) and near-simultaneous roots on
 two distinct boundary pieces are singularities of the dynamics: the
@@ -76,7 +87,7 @@ import itertools
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -237,9 +248,10 @@ class _Records(Sequence):
 def _chunk(domain: Domain) -> tuple[int, int]:
     """How many flight windows one chunk of the search covers, and its image
     rows: ``CHUNK_ROWS`` over the images a window scans (S m per stack, S per
-    broad-phase stack, whose windows are mostly skipped), between 1 and
-    ``WINDOW_CHUNK_MAX`` windows."""
-    images = max(1, sum(st.indices.size if st.deltas is None or st.reach_sq is not None
+    broad-phase sphere stack, whose windows are mostly skipped), between 1
+    and ``WINDOW_CHUNK_MAX`` windows."""
+    images = max(1, sum(st.indices.size if st.deltas is None or st.kind == "sphere"
+                        and st.reach_sq is not None
                         else st.indices.size * st.deltas.shape[1] for st in domain.stacks))
     windows = min(WINDOW_CHUNK_MAX, max(1, CHUNK_ROWS // images))
     return windows, windows * images
@@ -346,6 +358,31 @@ def _segment_gap_sq(m: np.ndarray, v: np.ndarray, half: np.ndarray, L: float) ->
     return (np.einsum("kin,kin->kn", u, u) + tau * (2.0 * uv + tau * vv)).min(axis=0).reshape(n, S)
 
 
+def _pairs_in_reach(st, mid: np.ndarray, v: np.ndarray, half: np.ndarray,
+                    L: float) -> np.ndarray:
+    """Whether each (window, pair) block of a ball-pair stack can hold a
+    root, ``(n, S)``: from the windows' flight midpoints and velocities
+    ``mid`` and ``v``, ``(n, d)``, and their half lengths ``half <= L/4``,
+    ``(n, 1)``.  The pair (i, j)'s transverse coordinates are the balls'
+    displacement ``y = q_i - q_j`` over sqrt 2, and its image offsets the
+    lattice ``L Z^b`` of y, so a block can hold a root only if the relative
+    segment ``y + tau u``, ``|tau| <= half`` (y at the midpoint, ``u = v_i -
+    v_j``), comes within ``reach_sq`` (in displacement units) of that
+    lattice.  The box test of the sphere stacks is exact for it: ``|u_c| <=
+    sqrt 2``, so each coordinate's interval ``m_c +- half |u_c|`` around the
+    minimal image ``m`` of y is shorter than L and the lattice coordinate
+    nearest to it is 0."""
+    i, j = st.pairs.T
+    b = mid.shape[1] - st.axes.shape[1]
+    cb, vb = (x.reshape(x.shape[0], -1, b) for x in (mid, v))
+    m = cb[:, i] - cb[:, j]
+    m -= L * np.rint(m / L)
+    box = np.abs(vb[:, i] - vb[:, j])
+    box *= half[:, :, None]
+    gap = np.maximum(np.abs(m) - box, 0.0)
+    return ~(row_dot(gap, gap) > st.reach_sq)
+
+
 def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.ndarray,
                        hi: np.ndarray) -> tuple[np.ndarray, ...]:
     """Search a chunk of consecutive windows of each flight ``q[f] + t v[f]``,
@@ -366,14 +403,16 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
     Each stack is evaluated in array passes over its flights, windows,
     scatterers and images, each of as many windows as the byte budget fits
     (:func:`_row_bytes` an image row) or one: a sphere or cylinder stack
-    scans consecutive slices of its windows, and a broad-phase stack its
-    windows in reach in batches; a halfspace stack takes one pass.  The
-    velocity terms of a stack (the velocity transverse to each axis and its
-    squared norm, or the normal speeds of the planes) depend on the flight
-    alone and are built for the flights of a slice, and a flight reaches
-    only the scatterers with ``a >= 1e-30`` (a velocity along a cylinder's
-    axis never reaches its boundary) or the planes it approaches.  Ties go
-    to the lower scatterer index, then the earlier image.
+    scans consecutive slices of its windows, a broad-phase sphere stack its
+    windows in reach in batches, and a ball-pair stack its (window, pair)
+    blocks in reach in batches of blocks; a halfspace stack takes one pass.
+    The velocity terms of a stack (the velocity transverse to each axis and
+    its squared norm, or the normal speeds of the planes) depend on the
+    flight alone and are built for the flights of a slice (for the blocks
+    of a batch on a ball-pair stack), and a flight reaches only the
+    scatterers with ``a >= 1e-30`` (a velocity along a cylinder's axis never
+    reaches its boundary) or the planes it approaches.  Ties go to the lower
+    scatterer index, then the earlier image.
     """
     F, W = hi.shape
     d = domain.d
@@ -387,10 +426,10 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
         L = domain.ambient.side
         center = q_win + half * v[flight]
 
-    def velocity_terms(st, f0, n):
-        # flights f0..f0+n's velocity transverse to each axis, (n, S, d), its
-        # squared norm and the scatterers it can reach, (n, S, 1)
-        vv = st.transverse(np.repeat(v[f0:f0 + n, None, :], st.points.shape[0], axis=1))
+    def velocity_terms(st, vel):
+        # the flight velocities vel, (n, S, d), transverse to each axis, their
+        # squared norms and the scatterers they can reach, (n, S, 1)
+        vv = st.transverse(vel)
         a = row_dot(vv, vv)[..., None]
         return vv, a, a >= 1e-30
 
@@ -417,6 +456,34 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
             add(st, r, row, roots[keep], h0.reshape(-1)[pos, None] * n,
                 hv[flight[r], row, None] * n)
             continue
+        if st.pairs is not None and st.reach_sq is not None:
+            # broad phase of a ball-pair stack, over slices of the round's
+            # windows (:func:`_pairs_in_reach`, six (S, b) arrays a window)
+            step = budget.fit(8 * S * (d - st.axes.shape[1]) * 6)
+            blocks = []
+            for s in range(0, F * W, step):
+                win = slice(s, s + step)
+                w, p = np.nonzero(_pairs_in_reach(st, center[win], v[flight[win]], half[win], L)
+                                  & (hi[win, None] > 0.0))
+                blocks.append((s + w, p))
+            wins, rows = (np.concatenate(x) for x in zip(*blocks))
+            # the blocks in reach, window by window, in batches of blocks,
+            # each block scanned by the same scan as a stack of its one pair
+            # cylinder: its m image rows, and its gathered axes and image
+            # offsets and eight d-wide rows (its point, shift, velocity and
+            # their transverse parts and temporaries)
+            size = budget.fit(st.deltas.shape[1] * _row_bytes(d)
+                              + 8 * d * (st.deltas.shape[1] + st.axes.shape[1] + 8))
+            for s in range(0, wins.size, size):
+                w, p = wins[s:s + size], rows[s:s + size]
+                one = replace(st, indices=st.indices[p], points=st.points[p, None],
+                              axes=st.axes[p, None], deltas=st.deltas[p, None],
+                              radii_sq=st.radii_sq[p, None])
+                vv, a, live = velocity_terms(one, v[flight[w], None, :])
+                shift = L * np.rint((center[w, None, :] - one.points) / L)
+                r, _, *rest = _image_roots(one, q_win[w], shift, vv, a, live, hi[w])
+                add(st, w[r], p[r], *rest)
+            continue
         # the plain scan runs over consecutive slices of `size` windows, each
         # with the (window, scatterer) arrays of its own flights; a
         # broad-phase stack scans its windows in reach in batches of `size`
@@ -427,7 +494,8 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
             for s in range(0, F * W, size):
                 win, f0 = slice(s, s + size), flight[s]
                 owner = flight[win] - f0
-                vv, a, live = velocity_terms(st, f0, owner[-1] + 1)
+                vv, a, live = velocity_terms(st, np.repeat(v[f0:f0 + owner[-1] + 1, None, :], S,
+                                                           axis=1))
                 shift = L * np.rint((center[win, None, :] - st.points) / L) if periodic else None
                 r, *rest = _image_roots(st, q_win[win], shift, vv[owner], a[owner], live[owner],
                                         hi[win])
@@ -457,7 +525,7 @@ def _window_candidates(domain: Domain, q: np.ndarray, v: np.ndarray, t_lo: np.nd
             wins.append(s + keep)
             shifts.append(shift[keep])
         wins, shift = np.concatenate(wins), np.concatenate(shifts)
-        vv, a, live = velocity_terms(st, 0, F)
+        vv, a, live = velocity_terms(st, np.repeat(v[:, None, :], S, axis=1))
         hit = np.zeros(F, dtype=bool)
         while wins.size:
             batch, wins, at, shift = wins[:size], wins[size:], shift[:size], shift[size:]

@@ -306,8 +306,11 @@ class ScattererStack:
     ``(S, d)``.  Sphere stacks of a torus
     with d >= 3 carry ``reach_sq``, ``(S,)``: the squared distance within
     which a flight can hit a lattice image of the center (the radius plus
-    ``BROAD_PHASE_MARGIN_FACTOR`` times the side); ``None`` on every other
-    stack, which the window search then scans without a broad phase.
+    ``BROAD_PHASE_MARGIN_FACTOR`` times the side); ball-pair stacks carry it
+    in units of the balls' displacement ``q_i - q_j``, twice the square of
+    that reach of the cylinder, within which the displacement can come to
+    the lattice ``L Z^b``; ``None`` on every other stack, which the window
+    search then scans without a broad phase.
     """
 
     kind: str
@@ -331,7 +334,7 @@ class ScattererStack:
         if self.axes is None:
             return x
         ax = self.axes @ x[..., None]
-        return x - (self.axes.transpose(0, 2, 1) @ ax)[..., 0]
+        return x - (self.axes.swapaxes(-1, -2) @ ax)[..., 0]
 
 
 def _image_offsets(ambient: Ambient, s: Scatterer) -> np.ndarray | None:
@@ -394,6 +397,9 @@ def _stack_scatterers(scatterers: list[Scatterer], ambient: Ambient) -> list[Sca
             if not ambient.periodic:
                 raise DomainConstructionError("ball-pair cylinders require a torus ambient")
             pairs = np.array([s.pair for s in members])
+            # in units of the balls' displacement q_i - q_j, sqrt 2 times the
+            # pair's transverse coordinates
+            reach_sq = 2.0 * (radii + BROAD_PHASE_MARGIN_FACTOR * ambient.length_scale) ** 2
         elif kind == "cylinder":
             # the columns of a complete QR of the axes past the first k span
             # the transverse directions (a first SVD call would add about

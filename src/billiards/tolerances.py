@@ -45,6 +45,25 @@ EPS_TIME_FACTOR = 1e-12
 # one.  This margin gives reach^2 - r^2 >= 1e-12 L^2, two orders of
 # magnitude above those errors for d <= 12, and costs no measurable skip
 # rate.
+# The broad phase of the ball-pair cylinders (radius R = sqrt(2) r for balls
+# of radius r) uses the same margin in units of the balls' displacement
+# y = q_i - q_j, sqrt 2 times the cylinder's transverse coordinates: a
+# (window, pair) block skips when the relative segment y + tau (v_i - v_j)
+# stays farther than sqrt 2 (R + BROAD_PHASE_MARGIN_FACTOR * L) from the
+# lattice L Z^b of y (b the ball dimension), by the box test alone.  Each
+# velocity component is at most 1 in size, so |v_i,c - v_j,c| <= sqrt 2,
+# and a window moves each coordinate of y by at most sqrt(2) L/4 < L/2
+# from its minimal image, so the nearest lattice coordinate to each side of
+# the box is that of the minimal image and the box distance is exact, as
+# for the spheres; the images the scan takes around its shift lie in that
+# lattice.  The scan's offsets are transverse projections x - A^T (A x) of
+# d-wide rows about as large as the unwrapped window start q, so b and c
+# carry absolute errors of a few d * ulp * L * |q|, and the box test's y,
+# one subtraction of two such coordinates, a few ulp * |q|.  In displacement
+# units reach^2 - (2r)^2 = 2 ((R + m L)^2 - R^2) = 4 R m L + 2 m^2 L^2 (m
+# the factor): at least 2e-12 L^2, and about 3e-7 L^2 for r = 0.05 L, where the
+# errors are about 1e-13 L^2 at d = 50 for windows within a few sides of
+# the torus.
 BROAD_PHASE_MARGIN_FACTOR = 1e-6
 
 # Event cap for a single trajectory.

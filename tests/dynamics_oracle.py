@@ -13,7 +13,9 @@ state check of one start.  ``box_lattice_distance`` and
 ``segment_lattice_distance`` are the oracles of the two stages of the
 sphere broad phase: the distance from a window's flight box to the nearest
 lattice image of a sphere center, coordinate by coordinate, and from its
-flight segment, image by image.
+flight segment, image by image.  ``pair_lattice_distance`` is the oracle of
+the ball-pair broad phase: the distance from the relative segment of a
+pair's two balls to the lattice of their displacement, image by image.
 
 The oracle runs none of the code it checks: its candidate record, the
 Newton polish of a root, the reflection and the state check (through
@@ -174,19 +176,39 @@ def box_lattice_distance(domain: Domain, index: int, q_win, v, hi: float) -> flo
     return float(np.sqrt(total))
 
 
-def segment_lattice_distance(domain: Domain, index: int, q_win, v, hi: float) -> float:
-    """Distance from the flight segment from ``q_win`` over times [0, hi]
-    to the nearest torus image of sphere ``index``'s center: the clamped
-    closest approach to each of the 3^d images around the one nearest the
-    segment's midpoint, the least of them."""
-    L = domain.ambient.side
-    q_win, v = np.asarray(q_win, dtype=float), np.asarray(v, dtype=float)
-    rel = q_win - domain.scatterers[index].center
+def _lattice_distance(rel: np.ndarray, v: np.ndarray, hi: float, L: float) -> float:
+    """Distance from the segment ``rel + t v``, t in [0, hi], to the lattice
+    ``L Z^n``: the clamped closest approach to each of the 3^n lattice
+    points around the one nearest the segment's midpoint, the least of
+    them (the start's distance to each when ``v`` is 0)."""
     base = L * np.round((rel + 0.5 * hi * v) / L)
     images = base + L * np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=len(v))))
     starts = rel - images
-    t = np.clip(-(starts @ v) / float(v @ v), 0.0, hi)
+    vv = float(v @ v)
+    t = np.clip(-(starts @ v) / vv, 0.0, hi) if vv > 0.0 else np.zeros(len(images))
     return float(np.linalg.norm(starts + t[:, None] * v, axis=1).min())
+
+
+def segment_lattice_distance(domain: Domain, index: int, q_win, v, hi: float) -> float:
+    """Distance from the flight segment from ``q_win`` over times [0, hi]
+    to the nearest torus image of sphere ``index``'s center."""
+    q_win, v = np.asarray(q_win, dtype=float), np.asarray(v, dtype=float)
+    return _lattice_distance(q_win - domain.scatterers[index].center, v, hi,
+                             domain.ambient.side)
+
+
+def pair_lattice_distance(domain: Domain, index: int, q_win, v, hi: float) -> float:
+    """Distance from the relative segment of the balls ``(i, j)`` of the
+    ball-pair cylinder ``index`` over times [0, hi] from ``q_win``, their
+    displacement ``(q_i - q_j) + t (v_i - v_j)``, to the lattice ``L Z^b``
+    (``b`` the ball dimension): the balls touch where it is ``2r``."""
+    s = domain.scatterers[index]
+    i, j = s.pair
+    b = domain.d - s.axis_directions.shape[0]
+    q_win, v = np.asarray(q_win, dtype=float), np.asarray(v, dtype=float)
+    ball_i, ball_j = slice(i * b, (i + 1) * b), slice(j * b, (j + 1) * b)
+    return _lattice_distance(q_win[ball_i] - q_win[ball_j], v[ball_i] - v[ball_j], hi,
+                             domain.ambient.side)
 
 
 def window_scan(domain: Domain, q_win, v, hi: float) -> tuple[Candidate, float] | None:

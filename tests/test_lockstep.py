@@ -531,7 +531,9 @@ def test_kernel_scans_each_round_in_slices_of_the_row_budget(monkeypatch, name):
     # 10**9 bytes, no _image_roots call holds more than the budget or one
     # window's rows, at _row_bytes(d) a row, and every trajectory has the
     # oracle's bits whatever the budget (and so the group size and the
-    # slices)
+    # slices).  A call scans R windows of S m image rows, or on a ball-pair
+    # stack K gathered (window, pair) blocks of m rows each, its stack's
+    # arrays then (K, 1, ...)
     domain, count, T = _SLICED[name]
     rng = np.random.default_rng(479)
     starts = [random_phase_point(domain, rng) for _ in range(count)]
@@ -540,7 +542,8 @@ def test_kernel_scans_each_round_in_slices_of_the_row_budget(monkeypatch, name):
     original = dynamics._image_roots
 
     def spy(st, qw, *rest):
-        calls.append(qw.shape[0] * st.indices.size * st.deltas.shape[1])
+        calls.append(qw.shape[0] * st.deltas.shape[-2]
+                     * (1 if st.deltas.ndim == 4 else st.indices.size))
         return original(st, qw, *rest)
 
     monkeypatch.setattr(dynamics, "_image_roots", spy)

@@ -3,7 +3,8 @@
 Each test measures one pass's transient tracemalloc peak (above what was
 held when it was called, and above what it returns when it returns
 something) at d = 2 (2-d Sinai) and at d = 12 (6 hard disks; the broad
-phase on 12-d Sinai), on an input that spans several passes, and bounds it
+phase on 12-d Sinai; the pair broad phase on 12 hard disks, d = 24), on an
+input that spans several passes, and bounds it
 by a stated multiple of the budget.  Most tests set the budget to 64 KiB
 and check, as a control, that the same input in one pass exceeds the
 bound.  The covector pass is not sliced; it is bounded at the default
@@ -82,6 +83,34 @@ def test_kernel_round_holds_about_one_budget(d, flights, monkeypatch):
     monkeypatch.setattr(budget, "PASS_BYTES", B)
     hits, peak, _ = _peak(dynamics._window_candidates, domain, *args)
     assert peak <= 2.5 * B
+    monkeypatch.setattr(budget, "PASS_BYTES", 10**12)
+    whole, peak, _ = _peak(dynamics._window_candidates, domain, *args)
+    assert peak > 2.5 * B
+    assert all(np.array_equal(a, b) for a, b in zip(hits, whole))
+
+
+def test_pair_block_round_at_d24_holds_about_one_budget(monkeypatch):
+    # 12 hard disks (d = 24, 66 ball pairs, r = 0.05): 24 flights of one
+    # window test their 1584 (window, pair) blocks' reach in slices of the
+    # budget, and the 103 blocks in reach are scanned in gathered batches
+    # of three (25 image rows of 240 B, and the block's gathered axes and
+    # image offsets, about 15 KB a block).  The round holds at most 2.5
+    # budgets, the roots it finds among them; in one pass it holds about
+    # 25, and one window of the plain scan alone (1650 image rows) about 6
+    domain = build_hardball_gas(12, 2, 0.05, 1.0)
+    args = _round(domain, 24, 889)
+    batches = []
+    original = dynamics._image_roots
+
+    def counted(st, qw, *rest):
+        batches.append(qw.shape[0])
+        return original(st, qw, *rest)
+
+    monkeypatch.setattr(dynamics, "_image_roots", counted)
+    monkeypatch.setattr(budget, "PASS_BYTES", B)
+    hits, peak, _ = _peak(dynamics._window_candidates, domain, *args)
+    assert peak <= 2.5 * B
+    assert len(batches) >= 10 and max(batches) == 3 and sum(batches) < args[3].size * 66 / 4
     monkeypatch.setattr(budget, "PASS_BYTES", 10**12)
     whole, peak, _ = _peak(dynamics._window_candidates, domain, *args)
     assert peak > 2.5 * B

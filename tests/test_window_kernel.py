@@ -8,9 +8,10 @@ scatterer index, ``xi0``, ``xiv`` and squared radius.  ``Domain.contains``
 is checked the same way against the per-scatterer
 ``geometry_oracle.contains``.
 
-The broad phase of the sphere stacks (``ScattererStack.reach_sq``) is
-checked against the same kernel on a copy of the domain with ``reach_sq``
-unset, which scans every window.
+The broad phase of the sphere stacks and of the ball-pair stacks
+(``ScattererStack.reach_sq``) is checked against the same kernel on a copy
+of the domain with ``reach_sq`` unset, which scans every window, and its
+decisions against the distance oracles of ``dynamics_oracle``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import warnings
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -175,9 +177,10 @@ def assert_same_result(fast, slow) -> bool:
 
 
 def _broad_rows(domain: Domain) -> int | None:
-    """Image rows per window of the domain's broad-phase stack, if any."""
+    """Image rows per window of the domain's broad-phase sphere stack, if
+    any."""
     rows = [s.deltas.shape[0] * s.deltas.shape[1] for s in domain.stacks
-            if s.reach_sq is not None]
+            if s.kind == "sphere" and s.reach_sq is not None]
     assert len(rows) <= 1      # every sphere of a torus has the same 3^d images
     return rows[0] if rows else None
 
@@ -457,8 +460,8 @@ def _skips(domain: Domain, q, v, t_lo: float, hi: float) -> bool:
     from ``q + t_lo v``: on a copy where that stack's image offsets have one
     coordinate too many, a scan that is not skipped fails."""
     probe = copy.copy(domain)
-    probe.stacks = [s if s.reach_sq is None else
-                    replace(s, deltas=np.zeros(s.deltas.shape[:2] + (domain.d + 1,)))
+    probe.stacks = [replace(s, deltas=np.zeros(s.deltas.shape[:2] + (domain.d + 1,)))
+                    if s.kind == "sphere" and s.reach_sq is not None else s
                     for s in domain.stacks]
     try:
         kernel(probe, q, v, [t_lo], [hi])
@@ -627,23 +630,28 @@ def test_broad_phase_along_flights(name):
         assert skipped > 0.8 * (skipped + scanned)
 
 
+def assert_same_flows(fast, slow) -> int:
+    """Two lists of trajectories bit for bit; returns their event count."""
+    assert len(fast) == len(slow)
+    for f, s in zip(fast, slow):
+        assert (f.termination, _hex(f.t_end)) == (s.termination, _hex(s.t_end))
+        assert len(f.events) == len(s.events)
+        for a, b in zip(f.events, s.events):
+            assert (_hex(a.t), a.scatterer_index) == (_hex(b.t), b.scatterer_index)
+            for name in ("q", "nu", "v_in", "v_out"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert f.end.q.tobytes() == s.end.q.tobytes()
+    return sum(len(f.events) for f in fast)
+
+
 @pytest.mark.parametrize("d, T", [(3, 20.0), (4, 20.0), (8, 40.0)])
 def test_flow_with_broad_phase_matches_unfiltered_flow(d, T):
     domain = BROAD_DOMAINS[f"sinai{d}d"]
     plain = _unfiltered(domain)
     rng = np.random.default_rng(431 + d)
-    events = 0
-    for _ in range(4):
-        x0 = random_phase_point(domain, rng)
-        fast, slow = flow(domain, x0, T), flow(plain, x0, T)
-        assert (fast.termination, _hex(fast.t_end)) == (slow.termination, _hex(slow.t_end))
-        assert len(fast.events) == len(slow.events)
-        for a, b in zip(fast.events, slow.events):
-            assert (_hex(a.t), a.scatterer_index) == (_hex(b.t), b.scatterer_index)
-            for name in ("q", "nu", "v_in", "v_out"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        assert fast.end.q.tobytes() == slow.end.q.tobytes()
-        events += len(fast.events)
+    starts = [random_phase_point(domain, rng) for _ in range(4)]
+    events = assert_same_flows([flow(domain, x0, T) for x0 in starts],
+                               [flow(plain, x0, T) for x0 in starts])
     assert events >= 4
 
 
@@ -670,23 +678,241 @@ def test_sinai_d8_run_scans_few_windows(tmp_path, monkeypatch):
     assert sum(scanned) <= 80
 
 
-def test_broad_phase_only_on_sphere_lattices_of_three_or_more_dimensions():
-    for name, domain in {**DOMAINS, **BROAD_DOMAINS}.items():
+# ---------------------------------------------------------------------------
+# Broad phase of the ball-pair stacks
+# ---------------------------------------------------------------------------
+
+PAIR_DOMAINS = {
+    "hardball22": build_hardball_gas(2, 2, 0.1, 1.0),
+    "hardball32": DOMAINS["hardball32"],
+    "hardball62": DOMAINS["hardball62"],
+    "hardball43": build_hardball_gas(4, 3, 0.1, 1.0),
+}
+PAIR_KINDS = ["random", "contact", "at_reach", "walls", "padding"]
+
+
+def _pair_scans(domain: Domain, q_win, v, hi: float):
+    """The kernel on the one window (0, hi] from ``q_win``, and the
+    scatterer indices of the (window, pair) blocks it scans."""
+    scanned = []
+    original = dynamics._image_roots
+
+    def spy(st, qw, *rest):
+        if st.pairs is not None:
+            assert st.deltas.ndim == 4 and qw.shape[0] == st.indices.size
+            scanned.extend(st.indices.tolist())
+        return original(st, qw, *rest)
+
+    with mock.patch.object(dynamics, "_image_roots", spy):
+        result = kernel(domain, q_win, v, [0.0], [hi])
+    assert len(scanned) == len(set(scanned))
+    return result, set(scanned)
+
+
+def assert_pair_broad_phase_exact(domain: Domain, q_win, v, hi: float) -> set:
+    """The pair broad phase against the unfiltered scan, bit for bit, and
+    its decisions against the relative segment oracle: no block within
+    reach is skipped, and a skipped block's own scan has no root.  Returns
+    the scanned pairs' scatterer indices."""
+    (w, fast), scanned = _pair_scans(domain, q_win, v, hi)
+    w_u, slow = kernel(_unfiltered(domain), q_win, v, [0.0], [hi])
+    assert w == w_u
+    assert_same_result(fast, slow)
+    (stack,) = domain.stacks
+    for k, reach_sq in zip(stack.indices.tolist(), stack.reach_sq):
+        dist = oracle.pair_lattice_distance(domain, k, q_win, v, hi)
+        if k not in scanned:
+            assert not oracle.scatterer_candidates(domain, k, q_win, v, hi)
+        if dist < np.sqrt(reach_sq) * (1.0 - 1e-9) and hi > 0.0:
+            assert k in scanned
+    if hi == 0.0:
+        assert not scanned
+    return scanned
+
+
+def _pair_state(domain: Domain, rng: np.random.Generator, kind: str, sign: float,
+                zeros: int = 0):
+    """A window state of a random ball pair (i, j) with ``zeros`` relative
+    velocity components exactly 0 (``v_i,c = v_j,c``, up to all b): random,
+    or with the relative segment y + t u (y = q_i - q_j, u = v_i - v_j)
+    passing a lattice point of y at 2r +- 1e-9 L (``contact``) or at reach
+    (1 +- 1e-9) (``at_reach``); ``walls`` crosses the cell walls of y in up
+    to b coordinates inside the window, with y's other coordinates at the
+    lattice point (``sign`` -1) or anywhere in the cell; ``padding`` is a
+    window of length 0 from y within 2r of a lattice point."""
+    d, L = domain.d, domain.ambient.side
+    window = 0.5 * L
+    (stack,) = domain.stacks
+    b = d - stack.axes.shape[1]
+    k = int(rng.integers(stack.indices.size))
+    i, j = stack.pairs[k]
+    ball_i, ball_j = slice(i * b, (i + 1) * b), slice(j * b, (j + 1) * b)
+    q = rng.uniform(0.0, L, d)
+    v = rng.standard_normal(d)
+    zero = rng.choice(b, min(zeros, b), replace=False)
+    v[j * b + zero] = v[i * b + zero]
+    v /= np.linalg.norm(v)
+    u = v[ball_i] - v[ball_j]
+    hi = rng.uniform(1e-3, 1.0) * window
+    if kind == "random" or (kind in ("contact", "at_reach") and not u.any()):
+        return q + rng.uniform(0.0, 3.0) * L * v, v, hi
+    r = domain.scatterers[k].radius / np.sqrt(2.0)
+    image = L * rng.integers(-1, 2, b)
+    if kind == "walls":
+        hi = window
+        m = np.zeros(b) if sign < 0.0 else rng.uniform(-0.5, 0.5, b) * L
+        cross = rng.choice(b, int(rng.integers(1, b + 1)), replace=False)
+        tau = rng.uniform(-0.5, 0.5, cross.size) * hi
+        m[cross] = np.copysign(0.5 * L, tau * u[cross]) - tau * u[cross]
+        y = image + m - (0.5 * hi) * u
+    elif kind == "padding":
+        hi = 0.0
+        y = image + rng.uniform(-1.0, 1.0, b) * (2.0 * r / np.sqrt(b))
+    else:
+        e = rng.standard_normal(b)
+        e -= (e @ u) / (u @ u) * u
+        e /= np.linalg.norm(e)
+        reach = 2.0 * r + np.sqrt(2.0) * 1e-6 * L
+        D = 2.0 * r + sign * 1e-9 * L if kind == "contact" else reach * (1.0 + sign * 1e-9)
+        y = image + D * e - rng.uniform(0.0, 1.0) * hi * u
+    # the pair's balls about their mean, the others where they were
+    mean = 0.5 * (q[ball_i] + q[ball_j])
+    q[ball_i], q[ball_j] = mean + 0.5 * y, mean - 0.5 * y
+    return q, v, hi
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_DOMAINS))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(PAIR_KINDS),
+       sign=st.sampled_from([-1.0, 1.0]), zeros=st.integers(0, 3))
+def test_pair_broad_phase_skips_only_blocks_out_of_reach(name, seed, kind, sign, zeros):
+    domain = PAIR_DOMAINS[name]
+    q_win, v, hi = _pair_state(domain, np.random.default_rng(seed), kind, sign, zeros)
+    assert_pair_broad_phase_exact(domain, q_win, v, hi)
+    assert_same_window(domain, q_win, v, hi)
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_DOMAINS))
+def test_pair_broad_phase_states_reach_their_cases(name):
+    # the states of the hypothesis test do what they say: contact states
+    # pass 2r within 2e-9 L (those just inside it hold a root), at_reach
+    # states pass reach within 2e-9 of it, walls states cross a cell wall
+    # of a displacement in the window; both decisions occur
+    domain = PAIR_DOMAINS[name]
+    (stack,) = domain.stacks
+    L, b = domain.ambient.side, domain.d - stack.axes.shape[1]
+    i, j = (stack.pairs[:, k:k + 1] * b + np.arange(b) for k in (0, 1))   # (S, b)
+    contact, reach = np.sqrt(2.0) * stack.radii, np.sqrt(stack.reach_sq)
+    rng = np.random.default_rng(457)
+    seen = Counter()
+    for kind in PAIR_KINDS:
+        for n in range(12):
+            sign = (-1.0, 1.0)[n % 2]
+            q_win, v, hi = _pair_state(domain, rng, kind, sign, n % (b + 2))
+            scanned = assert_pair_broad_phase_exact(domain, q_win, v, hi)
+            seen["scanned"] += len(scanned)
+            seen["skipped"] += stack.indices.size - len(scanned)
+            dist = np.array([oracle.pair_lattice_distance(domain, k, q_win, v, hi)
+                             for k in stack.indices.tolist()])
+            if kind == "contact" and (np.abs(dist - contact) <= 2e-9 * L).any():
+                seen["contact"] += 1
+                hit = kernel(domain, q_win, v, [0.0], [hi])[1] is not None
+                seen["root"] += sign < 0.0 and hit
+            if kind == "at_reach":
+                seen["at_reach"] += (np.abs(dist / reach - 1.0) <= 2e-9).any()
+            if kind == "walls":
+                y, u = q_win[i] - q_win[j] + 0.5 * hi * (v[i] - v[j]), v[i] - v[j]
+                m = y - L * np.rint(y / L)
+                seen["walls"] += (np.abs(m) + 0.5 * hi * np.abs(u) > 0.5 * L).any()
+    assert seen["scanned"] and seen["skipped"]
+    # on 2 disks half the states draw b zero components: u = 0, no contact
+    assert seen["contact"] >= 4 and seen["root"] >= 2 and seen["at_reach"] >= 4
+    assert seen["walls"] >= 4
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_DOMAINS))
+def test_pair_broad_phase_along_flights(name):
+    # every window of a few flights, one at a time: both decisions occur
+    # and no result moves
+    domain = PAIR_DOMAINS[name]
+    rng = np.random.default_rng(461)
+    window = 0.5 * domain.length_scale
+    seen = Counter()
+    for _ in range(6):
+        x = random_phase_point(domain, rng)
+        for k in range(12):
+            scanned = assert_pair_broad_phase_exact(domain, x.q + (k * window) * x.v, x.v,
+                                                    window)
+            seen["scanned"] += len(scanned)
+            seen["skipped"] += len(domain.scatterers) - len(scanned)
+    assert seen["scanned"] and seen["skipped"]
+
+
+@pytest.mark.parametrize("name, T", [("hardball22", 10.0), ("hardball32", 5.0),
+                                     ("hardball62", 2.0), ("hardball43", 3.0)])
+def test_flow_with_pair_broad_phase_matches_unfiltered_flow(name, T):
+    # a flight group in lockstep, with and without the pair broad phase
+    domain = PAIR_DOMAINS[name]
+    rng = np.random.default_rng(467)
+    starts = [random_phase_point(domain, rng) for _ in range(16)]
+    events = assert_same_flows(flow(domain, starts, T), flow(_unfiltered(domain), starts, T))
+    assert events >= 16
+
+
+def test_hardball6_run_scans_few_pair_blocks(tmp_path, monkeypatch):
+    # the 6-disk run of the benchmark (80 starts, T = 6, seed 1) searches
+    # 40 rounds of one window a flight, 36360 (window, pair) blocks in all;
+    # the pair broad phase scans the 8266 (22.7%) whose relative segments
+    # come within reach, and the run has 2119 events
+    path = tmp_path / "hardball6.json"
+    path.write_text(json.dumps({
+        "domain": {"kind": "hardball_gas", "N": 6, "d": 2, "r": 0.1, "L": 1.0},
+        "initial": {"sampler": {"count": 80, "seed": 1, "c0": 0.1}}, "horizon": 6.0}))
+    blocks, scanned = [], []
+    search, scan = dynamics._window_candidates, dynamics._image_roots
+
+    def counted_search(domain, q, v, t_lo, hi):
+        blocks.append(hi.size * len(domain.scatterers))
+        return search(domain, q, v, t_lo, hi)
+
+    def counted_scan(st, qw, *rest):
+        assert st.pairs is not None and st.deltas.ndim == 4
+        scanned.append(qw.shape[0])
+        return scan(st, qw, *rest)
+
+    monkeypatch.setattr(dynamics, "_window_candidates", counted_search)
+    monkeypatch.setattr(dynamics, "_image_roots", counted_scan)
+    summary, code = run_experiment(load_config(path), mode="run", out_dir=tmp_path / "out")
+    assert code == 0 and sum(t["event_count"] for t in summary["trajectories"]) == 2119
+    assert len(blocks) == 40 and sum(blocks) == 36360
+    assert sum(scanned) <= 0.25 * sum(blocks)
+
+
+def test_broad_phase_on_sphere_lattices_and_ball_pairs():
+    # sphere stacks of a torus with d >= 3 get the reach, and ball-pair
+    # stacks get it in units of the balls' displacement, sqrt 2 times the
+    # cylinder's transverse units
+    for name, domain in {**DOMAINS, **BROAD_DOMAINS, **PAIR_DOMAINS}.items():
         for s in domain.stacks:
             if s.kind == "sphere" and s.deltas.shape[1] >= 27:
                 reach = s.radii + 1e-6 * domain.length_scale
                 assert s.reach_sq.tobytes() == (reach ** 2).tobytes(), name
+            elif s.pairs is not None:
+                reach = s.radii + 1e-6 * domain.length_scale
+                assert s.reach_sq.tobytes() == (2.0 * reach ** 2).tobytes(), name
             else:
                 assert s.reach_sq is None, name
-    # no 2-d lattice, no sphere in a box, no cylinder stack gets it
+    # no 2-d lattice, no sphere in a box, no cylinder stack without balls
+    # gets it
     box3d = Domain(3, Box((1.0, 1.0, 1.0)), [Sphere(np.array([0.5, 0.5, 0.5]), 0.2)])
     for domain in (DOMAINS["sinai2d"], DOMAINS["box_walls_sphere"], box3d,
-                   DOMAINS["cylinder3d"], DOMAINS["hardball32"], DOMAINS["hardball62"],
-                   DOMAINS["crossed_cylinders"]):
+                   DOMAINS["cylinder3d"], DOMAINS["crossed_cylinders"]):
         assert all(s.reach_sq is None for s in domain.stacks)
     sphere, cylinder = DOMAINS["torus_sphere_cylinder"].stacks
     assert sphere.reach_sq is not None and cylinder.reach_sq is None
     assert all(s.reach_sq is not None for s in DOMAINS["sinai8d"].stacks)
+    for name in ("hardball32", "hardball62"):
+        assert all(s.reach_sq is not None for s in DOMAINS[name].stacks)
 
 
 # ---------------------------------------------------------------------------

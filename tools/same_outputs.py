@@ -5,7 +5,7 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2, and twenty-seven configs that no workload covers,
+changed), for seeds 1 and 2, and twenty-nine configs that no workload covers,
 at the same seeds (:data:`EXTRA`), among them the grazing and event-cap
 endings, a run without ``c0``, a range error, a sampler that gives up,
 ensembles of several groups as large as the byte budget allows, hard-disk
@@ -92,7 +92,11 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # the only ones whose summary.json holds adjoint residuals beside CSVs.
 # Four Sinai runs go through the broad phase's two stages where the box
 # lets many windows through: 6 starts at d = 10 (T = 100), two spheres a
-# stack at d = 5, a side of 2.5 and a radius of 0.05 at d = 4.
+# stack at d = 5, a side of 2.5 and a radius of 0.05 at d = 4.  Two
+# hard-ball configs go through the pair broad phase at its extremes: a
+# dense gas of 3 disks of radius 0.2, where about 80% of the (window, pair)
+# blocks are in reach and scanned, and 5 balls in d = 3 (10 pairs of 125
+# images), where about 12% are.
 _OVERFLOW = {"horizon": 187.0}
 _ALL_CHECKS = {"checks": ["monotonicity", "growth", "adjoint"]}
 EXTRA = {
@@ -144,6 +148,9 @@ EXTRA = {
     "sinai_5d_pair": ("run", _sinai(5, 0.2, 1.0, [[0.25] * 5, [0.75] * 5]), {}),
     "sinai_4d_side2.5": ("run", _sinai(4, 0.9, 2.5, [[1.0] * 4]), {}),
     "sinai_4d_thin": ("run", _sinai(4, 0.05, 1.0, [[0.5] * 4]), {}),
+    "hardball_n3_dense": ("verify", {"kind": "hardball_gas", "N": 3, "d": 2, "r": 0.2, "L": 1.0},
+                          {}),
+    "hardball_n5_d3": ("run", {"kind": "hardball_gas", "N": 5, "d": 3, "r": 0.1, "L": 1.0}, {}),
     "box_slab_no_room": ("run", {
         "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
         "scatterers": [

@@ -3,10 +3,12 @@
     python3 tools/sweep.py [TREE] [--smoke] [--out FILE]
 
 For Sinai billiards in d = 2..12 (one sphere of radius 0.45 on the unit
-torus, 6 starts, T = 100) and hard-disk gases of N = 2..20 disks (r = 0.05,
-unit torus, d = 2N, 12 starts, T = 2), each point runs in a fresh
-``python`` process with ``TREE/src`` on the path (``TREE`` defaults to the
-checkout holding this script) and one thread.  It builds the domain,
+torus, 6 starts, T = 100), hard-disk gases of N = 2..20 disks (r = 0.05,
+unit torus, d = 2N, 12 starts, T = 2) and hard-ball gases of N = 2..6 balls
+in 3 dimensions (family ``hardball3d``, r = 0.1, d = 3N, 12 starts, T = 10,
+where T = 2 gives 3 to 29 events), each point runs in a fresh ``python``
+process with ``TREE/src`` on the path (``TREE`` defaults to the checkout
+holding this script) and one thread.  It builds the domain,
 samples the starts (seed 1, c0 = 0.1) and flies them in the runner's flight
 groups, and reports the build, sampling and flight times in seconds, the
 event count, the microseconds of flight per event (``null`` without an
@@ -39,7 +41,8 @@ from billiards.runner import sample_initial_conditions
 family, size, count, T = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
 t0 = time.perf_counter()
 domain = build_sinai(size, 0.45, 1.0, [[0.5] * size]) if family == "sinai" \\
-    else build_hardball_gas(size, 2, 0.05, 1.0)
+    else build_hardball_gas(size, 2, 0.05, 1.0) if family == "hardball" \\
+    else build_hardball_gas(size, 3, 0.1, 1.0)
 t1 = time.perf_counter()
 starts = [x for x, _ in sample_initial_conditions(domain, count, 1, 0.1)]
 t2 = time.perf_counter()
@@ -58,7 +61,8 @@ def points(smoke: bool) -> list[tuple[str, int, int, float]]:
         return [("sinai", 2, 2, 1.0), ("sinai", 3, 2, 1.0),
                 ("hardball", 2, 2, 1.0), ("hardball", 3, 2, 1.0)]
     return [("sinai", d, 6, 100.0) for d in range(2, 13)] + \
-        [("hardball", n, 12, 2.0) for n in range(2, 21)]
+        [("hardball", n, 12, 2.0) for n in range(2, 21)] + \
+        [("hardball3d", n, 12, 10.0) for n in range(2, 7)]
 
 
 def run_point(tree: Path, family: str, size: int, count: int, T: float) -> dict:
@@ -68,7 +72,8 @@ def run_point(tree: Path, family: str, size: int, count: int, T: float) -> dict:
     if proc.returncode:
         raise RuntimeError(f"{family} {size}: {proc.stderr.strip()}")
     key = "d" if family == "sinai" else "N"
-    return {"family": family, key: size, "dim": size if family == "sinai" else 2 * size,
+    dim = {"sinai": size, "hardball": 2 * size, "hardball3d": 3 * size}[family]
+    return {"family": family, key: size, "dim": dim,
             "starts": count, "T": T, **json.loads(proc.stdout.strip().splitlines()[-1])}
 
 
