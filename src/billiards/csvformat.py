@@ -1,11 +1,14 @@
 """Exact array formatting of CSV rows: C's ``%.17g`` for floats, ``%d`` for integers.
 
-:func:`csv_passes` gives the bytes that ``'%.17g' % x`` and ``'%d' % v``
-give, field by field, with one array pass over each slice of a file's rows
-that the byte budget fits (:data:`_VALUE_BYTES` a value) instead of one
-Python call per value.  Every field fills a slot of five eight-byte words,
-computed a word at a time over all fields (words-major); a byte that is not
-printed is 0, and the nonzero bytes, read row by row, are the file body.
+:func:`csv_rows` gives the bytes that ``'%.17g' % x`` and ``'%d' % v``
+give, field by field, with one array pass over the rows it is given (as
+many as the byte budget fits at :data:`_VALUE_BYTES` a value, see
+:func:`pass_rows`) instead of one Python call per value.  Every row begins
+with its CRLF, so the passes of consecutive files run on across the files'
+boundaries, and a pass's bytes are cut at the rows where a file starts.
+Every field fills a slot of five eight-byte words, computed a word at a
+time over all fields (words-major); a byte that is not printed is 0, and
+the nonzero bytes, read row by row, are the rows.
 
 A finite float ``x`` with ``FAST_MIN <= |x| <= FAST_MAX`` is scaled to
 ``y = |x| * 10**(16 - K)`` in ``[1e16, 1e17)`` in double-double arithmetic
@@ -26,6 +29,7 @@ a larger one is formatted by ``'%d' % v``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cache
 from typing import NamedTuple
 
@@ -197,23 +201,19 @@ def _separators(C: int) -> np.ndarray:
     return offsets
 
 
-def csv_passes(columns: list[np.ndarray]):
-    """The rows of ``columns`` (1-d float or integer arrays of one length),
-    fields separated by commas and rows ended by CRLF: a float as
-    ``'%.17g' % x`` (empty if non-finite), an integer as ``'%d' % v``.  The
-    bytes come one array pass at a time: each pass formats the rows that the
-    byte budget fits, the last with the CRLF that ends its last row."""
-    m, C = len(columns[0]), len(columns)
-    step = budget.fit(_VALUE_BYTES * C)
-    for a in range(0, m, step):
-        rows = _rows([col[a:a + step] for col in columns], a == 0)
-        yield rows + b"\r\n" if a + step >= m else rows
+def pass_rows(C: int) -> int:
+    """Rows of ``C`` columns that one array pass takes: as many as the byte
+    budget fits at :data:`_VALUE_BYTES` a value."""
+    return budget.fit(_VALUE_BYTES * C)
 
 
-def _rows(columns: list[np.ndarray], first: bool) -> bytes:
-    """One array pass of :func:`csv_passes`: the rows of ``columns``, each
-    after a CRLF but the first row of the file (``first``), and no CRLF
-    after the last."""
+def csv_rows(columns: list[np.ndarray], cuts: Sequence[int] = ()) -> list[bytes]:
+    """The rows of ``columns`` (1-d float or integer arrays of one length)
+    in one array pass, fields separated by commas and each row after a
+    CRLF: a float as ``'%.17g' % x`` (empty if non-finite), an integer as
+    ``'%d' % v``.  The bytes are cut before each row of ``cuts``
+    (ascending, between the first row and the last), one piece more than
+    cuts."""
     tab = _tables()
     m, C = len(columns[0]), len(columns)
     values = np.array(columns, dtype=float)
@@ -252,8 +252,6 @@ def _rows(columns: list[np.ndarray], first: bool) -> bytes:
     del before, after, point, digits
     # CRLF before the first column, a comma before the others
     row = 6 * K + 3 * (np.signbit(values) & shown) + _separators(C)
-    if first:
-        row[0, 0] -= 2
     tab.head.take(row, out=words[0])
     tab.tail.take(K + _K_MAX, out=words[4])
     slots = words.transpose(2, 1, 0).copy()
@@ -266,4 +264,10 @@ def _rows(columns: list[np.ndarray], first: bool) -> bytes:
         text[i, j, 8:] = 0
         text[i, j, 8:8 + len(field)] = np.frombuffer(field, dtype=np.uint8)
     flat = text.ravel()
-    return flat[flat != 0].tobytes()
+    printed = flat != 0
+    data = flat[printed].tobytes()
+    # the printed bytes of each run of rows between two cuts
+    at, width = [0], 8 * _WORDS * C
+    for a, b in zip([0, *cuts], [*cuts, m]):
+        at.append(at[-1] + int(np.count_nonzero(printed[a * width:b * width])))
+    return [data[a:b] for a, b in zip(at, at[1:])]

@@ -15,8 +15,10 @@ once per interior count, in one pass over its columns (``t0``, ``t1``,
 records share.  The checks are array expressions over consecutive samples
 of the flattened grid, over segment rows, or over the per-collision columns
 (``q_drop``), with the pairs across two series of a group masked, and one
-first-worst reduction per series; ``series_records`` returns the samples of
-one series as a record array of columns.  One series is a group of one.
+first-worst reduction per series.  The record columns (the CSV rows of
+``run``) are built from a group's grid a slice of rows at a time;
+``series_records`` returns those of one series as a record array.  One
+series is a group of one.
 The array forms reproduce the per-sample loops they replaced bit for bit.
 """
 
@@ -178,38 +180,57 @@ def _sample(group: SeriesGroup, interior: int) -> tuple[_SampledSeries, np.ndarr
     return s, ok
 
 
+def _record_slices(series: Sequence[TransportSeries], s: _SampledSeries,
+                   c0: float | None, step: int):
+    """The records of consecutive ``series`` from their grid ``s``, in
+    slices of ``step`` rows: per slice its first row and a dict of its
+    columns, every field of :data:`RECORD_DTYPE` but ``ratio_wQ``.  A row
+    is a sample, series after series and in time order within each; the
+    segment of a row and its series' constants are looked up per slice,
+    so no slice holds more than its own rows."""
+    S, m = s.t.shape
+    counts = [len(x.t0) for x in series]
+    seg = np.arange(S) - np.repeat(np.cumsum([0] + counts[:-1]), counts)
+    n0, w0, q0 = (np.repeat(v, counts) for v in zip(*(
+        (x.n0_norm, float(np.linalg.norm(x.n0.w)), abs(lyapunov_Q(x.n0))) for x in series)))
+    # event flags of a segment's first sample (2 after a collision) and last
+    # (1 before one)
+    post = 2 * (seg > 0)
+    pre = (np.append(seg[1:], 0) > 0).astype(np.int64)
+    t, Q, nw, nn = (a.ravel() for a in (s.t, s.Q, s.nw, s.nn))
+    for a in range(0, S * m, step):
+        g, i = np.divmod(np.arange(a, min(a + step, S * m)), m)
+        tt = t[a:a + step]
+        w0g = w0[g]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound5 = np.where(w0g > 0.0, w0g + q0[g] * tt / w0g, math.inf)
+        yield a, {
+            "t": tt, "segment_index": seg[g],
+            "event_flag": post[g] * (i == 0) + pre[g] * (i == m - 1),
+            "Q": Q[a:a + step], "norm_w": nw[a:a + step], "norm_z": s.nz[g],
+            "norm_n": nn[a:a + step], "lam": nn[a:a + step] / n0[g], "bound_prop5": bound5,
+            "bound_theorem": 1.0 + c0 * tt if c0 is not None else np.full(len(tt), math.nan)}
+
+
 def series_records(series: TransportSeries, interior: int = DEFAULT_INTERIOR_SAMPLES,
                    c0: float | None = None) -> np.recarray:
     """Sampled diagnostics along a series, event rows in pre/post pairs.
 
     One row per sample in time order, with the fields of
     :data:`RECORD_DTYPE`; ``records.t`` is a column, ``records[i].t`` a value.
+    The columns are those that ``run`` writes to the CSVs.
     """
     if interior not in series.sample_grids:
         if not _sample(SeriesGroup([series]), interior)[1][0]:
             raise _range_error()
     s = series.sample_grids[interior]
-    w0 = float(np.linalg.norm(series.n0.w))
-    q0 = lyapunov_Q(series.n0)
-    S, m = s.t.shape
-    rec = np.recarray(S * m, dtype=RECORD_DTYPE)
-    t = s.t.ravel()
-    rec.t = t
-    rec.segment_index = np.repeat(np.arange(S), m)
-    flag = np.zeros((S, m), dtype=np.int64)
-    flag[1:, 0] = 2
-    flag[:-1, -1] = 1
-    rec.event_flag = flag.ravel()
-    rec.Q = s.Q.ravel()
-    rec.norm_w = s.nw.ravel()
-    rec.norm_z = np.repeat(s.nz, m)
-    rec.norm_n = s.nn.ravel()
-    rec.lam = rec.norm_n / series.n0_norm
+    _, columns = next(_record_slices([series], s, c0, s.t.size))
+    rec = np.recarray(s.t.size, dtype=RECORD_DTYPE)
+    for name, column in columns.items():
+        rec[name] = column
     absq = np.abs(rec.Q)
     big = absq > RATIO_SENTINEL_FLOOR
-    rec.ratio_wQ = np.divide(rec.norm_w, absq, out=np.full(S * m, math.inf), where=big)
-    rec.bound_prop5 = w0 + abs(q0) * t / w0 if w0 > 0.0 else math.inf
-    rec.bound_theorem = 1.0 + c0 * t if c0 is not None else math.nan
+    rec.ratio_wQ = np.divide(rec.norm_w, absq, out=np.full(s.t.size, math.inf), where=big)
     return rec
 
 

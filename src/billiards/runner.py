@@ -4,17 +4,23 @@ The ensemble runs in lockstep groups (``dynamics.flight_groups``, sized by
 the byte budget ``budget.PASS_BYTES``: 260 trajectories on 2-d Sinai, 124 on
 6 hard disks): per group one ``flow`` call and one covector transport, which
 does the adjoint check when the run wants it.  The checks then run once per
-check group, the group's series whose sample grids the budget fits, and
-each trajectory writes its CSV as soon as its entry exists, in index order.
-Each trajectory and series is the one its start alone gives, so outputs
-depend only on the config and its seed.
+check group, balanced groups of the group's series whose sample grids the
+budget fits (``budget.groups``).  The CSV rows of a check group are built
+from its sample grid and formatted in passes that run across the group's
+files; each trajectory writes its CSV, in index order, as soon as its entry
+exists, taking its file's bytes from those passes.  Each trajectory and
+series is the one its start alone gives, so outputs depend only on the
+config and its seed.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +31,9 @@ from .diagnostics import (
     SeriesGroup,
     VerificationReport,
     _covector_in_span,
+    _range_error,
+    _record_slices,
+    _sample,
     lyapunov_Q,
     series_records,
     verify_growth,
@@ -53,7 +62,13 @@ CSV_COLUMNS = ("t", "segment_index", "event_flag", "Q", "norm_w", "norm_z",
 # record fields written to the CSV columns above, in order
 _CSV_FIELDS = ("t", "segment_index", "event_flag", "Q", "norm_w", "norm_z",
                "norm_n", "lam", "bound_prop5", "bound_theorem")
-_CSV_HEADER = (",".join(CSV_COLUMNS) + "\r\n").encode()
+# the header line; its CRLF comes with the first row, as each row's does
+_CSV_HEADER = ",".join(CSV_COLUMNS).encode()
+
+# run builds no record array per trajectory (its CSVs come from
+# _csv_files); series_records stays bound here because the benchmark's span
+# tracer looks up runner.series_records
+_TRACED_ONLY = (series_records,)
 
 # sampled starting points keep this many eps_surface from every scatterer;
 # a flight group gives up after START_DRAWS rejected draws in a row (a round
@@ -181,14 +196,14 @@ def _json(o, newline: str, put) -> None:
 
 
 def run_trajectory(cfg: ExperimentConfig, index: int, series: TransportSeries,
-                   reports: list[VerificationReport], csv_path: Path | None,
+                   reports: list[VerificationReport], csv: tuple | None,
                    residual: float | None = None) -> dict:
-    """The summary entry and (with ``csv_path``) the CSV of one transported
-    trajectory, given its check ``reports`` from its group's pass; the
-    records are written and dropped here.  Raises the first report's error,
-    as checking the trajectory alone does.  The entry of the summary's
-    ``trajectories`` list has ``adjoint_residual`` only when ``residual`` is
-    given."""
+    """The summary entry and (with ``csv``, a path and the pieces of its
+    rows, see :func:`_write_csv`) the CSV of one transported trajectory,
+    given its check ``reports`` from its group's pass.  Raises the first
+    report's error, as checking the trajectory alone does.  The entry of the
+    summary's ``trajectories`` list has ``adjoint_residual`` only when
+    ``residual`` is given."""
     traj = series.trajectory
     checks = []
     for report in reports:
@@ -203,8 +218,8 @@ def run_trajectory(cfg: ExperimentConfig, index: int, series: TransportSeries,
              "checks": [c.as_dict() for c in checks]}
     if residual is not None:
         entry["adjoint_residual"] = residual
-    if csv_path is not None:
-        _write_csv(csv_path, series_records(series, interior=cfg.grid_interior, c0=cfg.c0))
+    if csv is not None:
+        _write_csv(*csv)
     return entry
 
 
@@ -221,14 +236,14 @@ def _check_bytes(series: TransportSeries, interior: int) -> int:
 def _check_and_write(cfg: ExperimentConfig, indices: range, series: list[TransportSeries],
                      residuals: list, out: Path | None) -> list[dict]:
     """The summary entries of a flight group's series, in order, and (with
-    ``out``) their CSVs.  The checks run once per check group: the leading
-    series that the byte budget fits (:func:`_check_bytes`, at least one),
-    taken off the list, so that each group, with its series and grids, is
-    dropped once its entries exist."""
+    ``out``) their CSVs.  The checks run once per check group
+    (``budget.groups`` of :func:`_check_bytes`), taken off the list, so that
+    each group, with its series and grids, is dropped once its entries
+    exist."""
     entries = []
     index = iter(zip(indices, residuals))
-    while series:
-        n = budget.fit([_check_bytes(s, cfg.grid_interior) for s in series])
+    sizes = [_check_bytes(s, cfg.grid_interior) for s in series]
+    for n in [len(g) for g in budget.groups(sizes)]:
         checked = SeriesGroup(series[:n])
         del series[:n]
         reports = []
@@ -238,29 +253,67 @@ def _check_and_write(cfg: ExperimentConfig, indices: range, series: list[Transpo
         if "growth" in cfg.checks:
             reports.append(verify_growth(checked, cfg.c0, cfg.tol_check,
                                          interior=cfg.grid_interior))
+        files = None if out is None else _csv_files(checked, cfg.grid_interior, cfg.c0)
         for k, s in enumerate(checked.series):
             i, residual = next(index)
-            entries.append(run_trajectory(
-                cfg, i, s, [r[k] for r in reports],
-                None if out is None else out / f"trajectory_{i:04d}.csv", residual))
+            csv = None if out is None else (out / f"trajectory_{i:04d}.csv", next(files))
+            entries.append(run_trajectory(cfg, i, s, [r[k] for r in reports], csv, residual))
         # the last series holds a view of the group's grids
-        del s
+        del s, files
     return entries
 
 
-def _write_csv(path: Path, records: np.recarray) -> None:
-    """RFC-4180 CSV (comma, CRLF) of the sampled records; empty non-finite
-    fields.  Each formatting pass goes to the file as it is made, the first
-    with the header (one write for a file of one pass), so no file is held
-    whole."""
+def _csv_files(group: SeriesGroup, interior: int, c0: float | None):
+    """Per series of a check group, in order, the pieces of its CSV rows
+    (:func:`_write_csv`), made as they are read.  The rows of the whole
+    group are built from its sample grid and formatted in passes of as many
+    rows as the byte budget fits, running on across the files, and each
+    pass's bytes are cut where a file starts; a pass is made when the file
+    it starts in reads it.  A series whose magnitudes leave the double range
+    raises its error when its file is first read."""
     # imported here: a run that writes no CSV (verify) neither compiles nor
     # loads the formatter
-    from .csvformat import csv_passes
+    from .csvformat import csv_rows, pass_rows
 
-    passes = csv_passes([records[name] for name in _CSV_FIELDS])
+    s, ok = _sample(group, interior)
+    m = s.t.shape[1]
+    # ends[k]: the row after the last of series k
+    ends = [m * int(e) for e in group.offsets[1:]]
+
+    def pieces():
+        for a, columns in _record_slices(group.series, s, c0, pass_rows(len(_CSV_FIELDS))):
+            k = bisect.bisect_right(ends, a)
+            e = bisect.bisect_left(ends, a + len(columns["t"]), k)
+            cuts = [x - a for x in ends[k:e]]
+            yield from zip(itertools.count(k),
+                           csv_rows([columns[name] for name in _CSV_FIELDS], cuts))
+
+    # groupby reads a pass when a file's pieces run into the next file's,
+    # and keeps that piece for the next file
+    files = itertools.groupby(pieces(), key=itemgetter(0))
+
+    def file(k: int):
+        if not ok[k]:
+            raise _range_error()
+        for _, piece in next(files)[1]:
+            yield piece
+
+    for k in range(len(group.series)):
+        yield file(k)
+
+
+def _write_csv(path: Path, pieces) -> None:
+    """RFC-4180 CSV (comma, CRLF) of one trajectory: the header, its rows
+    from ``pieces`` (bytes, each row after a CRLF) and the CRLF that ends
+    the last row.  The first piece is read before the file is opened, so a
+    series whose rows fail leaves no file, and each piece goes to the file
+    as it is read, so no file is held whole."""
+    pieces = iter(pieces)
+    first = next(pieces, b"")
     with writing_output(path.parent), open(path, "wb") as fh:
-        fh.write(_CSV_HEADER + next(passes, b""))
-        fh.writelines(passes)
+        fh.write(_CSV_HEADER + first)
+        fh.writelines(pieces)
+        fh.write(b"\r\n")
 
 
 def run_experiment(cfg: ExperimentConfig, mode: str = "run",

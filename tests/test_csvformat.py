@@ -12,12 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from billiards import budget, csvformat
-from billiards.csvformat import FAST_MAX, FAST_MIN, INT_EXACT, _mantissas, csv_passes
+from billiards.csvformat import FAST_MAX, FAST_MIN, INT_EXACT, _mantissas, csv_rows, pass_rows
 
 
 def joined(columns: list[np.ndarray]) -> bytes:
-    """The CSV body of ``columns``: its array passes joined."""
-    return b"".join(csv_passes(columns))
+    """The CSV body of ``columns``: its rows in the array passes that the
+    byte budget fits, joined, with the CRLF before the first row moved to
+    the end."""
+    step = pass_rows(len(columns))
+    rows = b"".join(b"".join(csv_rows([c[a:a + step] for c in columns]))
+                    for a in range(0, len(columns[0]), step))
+    return rows[2:] + rows[:2]
 
 
 def fields(column: np.ndarray) -> list[bytes]:
@@ -176,3 +181,20 @@ def test_any_rows(rows):
     assert columns[1].dtype == np.int64
     want = b"".join(b",".join(f) + b"\r\n" for f in zip(*map(expected, columns)))
     assert joined(columns) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.integers(-2**63, 2**63 - 1)), min_size=1,
+                max_size=30), st.data())
+def test_a_pass_is_cut_before_the_rows_given(rows, data):
+    # the pieces join into the uncut pass, and each holds its rows, each
+    # after a CRLF
+    columns = [np.array(c) for c in zip(*rows)]
+    m = len(rows)
+    cuts = sorted(data.draw(st.sets(st.integers(1, m - 1), max_size=m - 1)) if m > 1 else [])
+    pieces = csv_rows(columns, cuts)
+    (whole,) = csv_rows(columns)
+    assert b"".join(pieces) == whole
+    assert len(pieces) == len(cuts) + 1
+    for piece, a, b in zip(pieces, [0, *cuts], [*cuts, m]):
+        assert piece.count(b"\r\n") == b - a and piece.startswith(b"\r\n")

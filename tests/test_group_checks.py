@@ -49,6 +49,7 @@ from billiards import (
 )
 from billiards import budget, geometry, runner, transport
 from billiards.catalog import CATALOG
+from billiards.csvformat import pass_rows
 from billiards.cli import main
 from billiards.diagnostics import CHECK_RATIO_NONINCREASING, SeriesGroup, _first_min
 from billiards.transport import _complement_basis
@@ -203,6 +204,84 @@ def test_series_out_of_range_gets_its_error_in_the_group(sinai2d, column):
     with pytest.raises(SeriesRangeError, match="double-precision"):
         series_records(group[1])
     assert group[1].sample_grids == {}
+
+
+def _csv_group(sinai2d):
+    """The mixed 2-d group, a covector with w0 = 0 (bound_prop5 inf), and
+    twelve short flights (0 to 3 events, 10 to 40 rows at 8 interior
+    samples), so that many files are shorter than a pass."""
+    group = _mixed_2d(sinai2d)
+    rng = np.random.default_rng(631)
+    x0 = random_phase_point(sinai2d, rng)
+    group.insert(3, transport_covector(flow(sinai2d, x0, 3.0),
+                                       Covector(np.array([-x0.v[1], x0.v[0]]), np.zeros(2))))
+    for _ in range(12):
+        x0 = random_phase_point(sinai2d, rng)
+        group.append(transport_covector(flow(sinai2d, x0, 0.6),
+                                        sample_covector_with_Q_bound(x0.v, 0.1, rng)))
+    return group
+
+
+def _write_group(out, group, interior, c0):
+    """The runner's CSVs of a check group, written file by file into ``out``
+    until one raises; the error, or None."""
+    out.mkdir()
+    try:
+        for k, pieces in enumerate(runner._csv_files(SeriesGroup(group), interior, c0)):
+            runner._write_csv(out / f"{k}.csv", pieces)
+    except SeriesRangeError as e:
+        return e
+    return None
+
+
+@pytest.mark.parametrize("pass_bytes,interior,c0,passes", [
+    (20_000, 8, 0.05, 102),       # passes of 6 rows: files straddle passes
+    (None, 8, 0.1, 2),            # passes of 368 rows: many files in one pass
+    (None, 0, 0.1, 1),            # 2 samples a segment; one pass cut at each file
+    (40_000, 0, 0.1, 11),
+    (None, 3, None, 1),           # bound_theorem empty
+])
+def test_group_csvs_match_loop_oracle_file_by_file(sinai2d, tmp_path, monkeypatch,
+                                                   pass_bytes, interior, c0, passes):
+    if pass_bytes is not None:
+        monkeypatch.setattr(budget, "PASS_BYTES", pass_bytes)
+    group = _csv_group(sinai2d)
+    rows = [len(s.segments) * (interior + 2) for s in group]
+    step = pass_rows(10)
+    assert step == (6 if pass_bytes == 20_000 else 12 if pass_bytes else 368)
+    ends = np.cumsum(rows)
+    assert -(-ends[-1] // step) == passes and (passes == 1 or any(ends[:-1] % step))
+    assert _write_group(tmp_path / "out", group, interior, c0) is None
+    for k, series in enumerate(group):
+        oracle.write_csv(tmp_path / "oracle.csv", oracle.series_records(series, interior, c0))
+        assert (tmp_path / "out" / f"{k}.csv").read_bytes() == \
+            (tmp_path / "oracle.csv").read_bytes(), k
+    data = (tmp_path / "out" / "3.csv").read_bytes().split(b"\r\n")
+    assert all(row.split(b",")[8] == b"" for row in data[1:-1])
+
+
+@pytest.mark.parametrize("pass_bytes", [20_000, None])
+def test_group_csvs_stop_before_a_series_out_of_range(sinai2d, tmp_path, monkeypatch,
+                                                      pass_bytes):
+    # series 4 of the group overflows: files 0-3 are written, and are the
+    # oracle's, and none from 4 on, though a pass holds rows of files 3
+    # and 4 (and, at 368 rows a pass, of 5 and later)
+    if pass_bytes is not None:
+        monkeypatch.setattr(budget, "PASS_BYTES", pass_bytes)
+    group = _csv_group(sinai2d)
+    bad = group[4]
+    w0 = bad.w0.copy()
+    w0[len(w0) // 2] *= 1e160
+    group[4] = _with(bad, w0=w0)
+    ends = np.cumsum([len(s.segments) * 10 for s in group])
+    assert ends[3] % pass_rows(10) != 0
+    error = _write_group(tmp_path / "out", group, 8, 0.1)
+    assert "double-precision" in str(error)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [f"{k}.csv" for k in range(4)]
+    for k in range(4):
+        oracle.write_csv(tmp_path / "oracle.csv", oracle.series_records(group[k], 8, 0.1))
+        assert (tmp_path / "out" / f"{k}.csv").read_bytes() == \
+            (tmp_path / "oracle.csv").read_bytes()
 
 
 @pytest.mark.parametrize("d", range(2, 13))

@@ -664,10 +664,10 @@ def test_csvs_are_streamed_and_a_failed_run_leaves_no_summary(monkeypatch, tmp_p
     cfg = _write(tmp_path, {"kind": "sinai", "d": 2, "r": 0.25, "L": 1.0,
                             "centers": [[0.5, 0.5]]}, 3, 3.0)
     assert main(["run", str(cfg), "--out", str(tmp_path / "ok")]) == 0
-    # the third trajectory's records fail: the CSVs written before remain,
+    # the third trajectory's CSV fails: the CSVs written before remain,
     # and the summary, written last, is missing
     calls = []
-    original = runner.series_records
+    original = runner._write_csv
 
     def failing(*args, **kwargs):
         calls.append(1)
@@ -675,7 +675,7 @@ def test_csvs_are_streamed_and_a_failed_run_leaves_no_summary(monkeypatch, tmp_p
             raise ConfigError("records failed")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "series_records", failing)
+    monkeypatch.setattr(runner, "_write_csv", failing)
     assert main(["run", str(cfg), "--out", str(tmp_path / "failed")]) == 3
     failed = _outputs(tmp_path / "failed")
     assert sorted(failed) == ["trajectory_0000.csv", "trajectory_0001.csv"]

@@ -15,12 +15,14 @@ exceed.
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import diagnostics_oracle as oracle
 from billiards import (
     budget,
     build_hardball_gas,
@@ -29,12 +31,13 @@ from billiards import (
     flow,
     runner,
     sample_covector_with_Q_bound,
-    series_records,
     transport,
     transport_covector,
+    verify_monotonicity,
 )
 from billiards import csvformat
 from billiards.config import load_config
+from billiards.diagnostics import SeriesGroup
 from conftest import random_phase_point
 
 B = 64 * 1024
@@ -60,6 +63,16 @@ def _peak(fn, *args, **kwargs) -> tuple:
 def _starts(domain, count: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     return [random_phase_point(domain, rng) for _ in range(count)]
+
+
+def _filled(sizes: list) -> int:
+    """How many groups filling each in turn to the budget makes."""
+    filled, total = 0, budget.PASS_BYTES
+    for size in sizes:
+        if total + size > budget.PASS_BYTES:
+            filled, total = filled + 1, 0
+        total += size
+    return filled
 
 
 def _round(domain, flights: int, seed: int) -> tuple:
@@ -223,6 +236,9 @@ def test_check_group_holds_about_one_budget(d, count, T, tmp_path, monkeypatch):
     trajectories = flow(cfg.domain, [x for x, _ in initial], T)
     n0 = [n for _, n in initial]
     entries = {}
+    groups = []
+    monkeypatch.setattr(runner, "SeriesGroup",
+                        lambda s: groups.append([len(x.t0) for x in s]) or SeriesGroup(s))
     for pass_bytes in (B, 10**12):
         monkeypatch.setattr(budget, "PASS_BYTES", pass_bytes)
         series = transport_covector(trajectories, n0)
@@ -230,27 +246,66 @@ def test_check_group_holds_about_one_budget(d, count, T, tmp_path, monkeypatch):
             runner._check_and_write, cfg, range(count), series, [None] * count, None)
         assert (peak - held <= 2 * B) == (pass_bytes == B)
     assert runner._sanitize(entries[B]) == runner._sanitize(entries[10**12])
+    # the check groups at 64 KiB are balanced: as many as filling each in
+    # turn makes, each within the budget or of one series, and their bytes
+    # within two series of one another
+    *small, whole = groups
+    assert len(whole) == count
+    sizes = [runner._check_bytes(s, 8) for s in transport_covector(trajectories, n0)]
+    ends = list(itertools.accumulate(map(len, small), initial=0))
+    held = [sum(sizes[a:b]) for a, b in zip(ends, ends[1:])]
+    assert ends[-1] == count and all(h <= B or len(g) == 1 for h, g in zip(held, small))
+    monkeypatch.setattr(budget, "PASS_BYTES", B)
+    assert len(small) == _filled(sizes)
+    assert max(held) - min(held) <= 2 * max(sizes)
+
+
+def test_groups_fill_no_more_passes_than_filling_in_turn_and_balance_them():
+    # 80 items of a 13.5th of the budget: filled in turn, groups of
+    # 13 x 6 and 2; balanced, seven groups of 11 or 12
+    item = budget.PASS_BYTES * 2 // 27
+    assert [len(g) for g in budget.groups([item] * 80)] == [11, 12, 11, 12, 11, 12, 11]
+    assert budget.groups([]) == [] and budget.groups([10**9]) == [range(1)]
+    rng = np.random.default_rng(947)
+    for _ in range(3000):
+        scale = rng.choice([0.01, 0.1, 0.4, 1.5]) * budget.PASS_BYTES
+        sizes = (1 + scale * rng.random(rng.integers(0, 40)) ** 2).astype(int).tolist()
+        groups = budget.groups(sizes)
+        assert [i for g in groups for i in g] == list(range(len(sizes)))
+        assert len(groups) == _filled(sizes)
+        assert all(len(g) == 1 or sum(sizes[i] for i in g) <= budget.PASS_BYTES
+                   for g in groups)
 
 
 @pytest.mark.parametrize("d,T", [(2, 100.0), (12, 30.0)])
 def test_csv_pass_holds_about_one_budget(d, T, tmp_path, monkeypatch):
-    # one trajectory's CSV (500 to 1300 rows) in passes of 20 rows: the
-    # writer holds at most two budgets, neither the file's body nor a copy
-    # of it; its rows in one pass hold more
+    # a check group's three CSVs (500 to 1300 rows each) in passes of 20
+    # rows that run across the files: the group writer holds at most two
+    # budgets above the group's grid, neither a file's body nor a copy of
+    # it; its rows in one pass hold more.  Each file is the loop oracle's
     domain = DOMAINS[d]
     rng = np.random.default_rng(937)
-    x0 = _starts(domain, 1, 941)[0]
-    series = transport_covector(flow(domain, x0, T),
-                                sample_covector_with_Q_bound(x0.v, 0.1, rng))
-    records = series_records(series, c0=0.1)
-    assert len(records) >= 500
+    starts = _starts(domain, 3, 941)
+    series = transport_covector(flow(domain, starts, T),
+                                [sample_covector_with_Q_bound(x.v, 0.1, rng) for x in starts])
+    group = SeriesGroup(series)
+    verify_monotonicity(group)                # samples the group's grid once
+    assert min(len(s.segments) for s in series) * 10 >= 500
     csvformat._tables()                       # built once, on first use
+
+    def write(out):
+        for k, pieces in enumerate(runner._csv_files(group, 8, 0.1)):
+            runner._write_csv(out / f"{k}.csv", pieces)
+
     files = {}
     for pass_bytes in (B, 10**12):
         monkeypatch.setattr(budget, "PASS_BYTES", pass_bytes)
-        path = tmp_path / f"{pass_bytes}.csv"
-        _, peak, _ = _peak(runner._write_csv, path, records)
+        out = tmp_path / f"{pass_bytes}"
+        out.mkdir()
+        _, peak, _ = _peak(write, out)
         assert (peak <= 2 * B) == (pass_bytes == B)
-        files[pass_bytes] = path.read_bytes()
-    body = b"".join(csvformat.csv_passes([records[name] for name in runner._CSV_FIELDS]))
-    assert files[B] == files[10**12] == runner._CSV_HEADER + body
+        files[pass_bytes] = [(out / f"{k}.csv").read_bytes() for k in range(3)]
+    assert files[B] == files[10**12]
+    for k, s in enumerate(series):
+        oracle.write_csv(tmp_path / "oracle.csv", oracle.series_records(s, 8, 0.1))
+        assert files[B][k] == (tmp_path / "oracle.csv").read_bytes()

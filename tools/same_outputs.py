@@ -5,14 +5,15 @@
 ``OTHER_TREE`` is a checkout of this repository; it is compared with the
 checkout holding this script.  The configs are the four benchmark workloads
 at full size (``perfbench/workloads.py`` of this checkout, imported and not
-changed), for seeds 1 and 2, and twenty-nine configs that no workload covers,
+changed), for seeds 1 and 2, and thirty-one configs that no workload covers,
 at the same seeds (:data:`EXTRA`), among them the grazing and event-cap
 endings, a run without ``c0``, a range error, a sampler that gives up,
 ensembles of several groups as large as the byte budget allows, hard-disk
 ensembles whose rounds the kernel slices, and the passes of 12 and 6 hard
 disks split at the budget: kernel slices, flight groups, check groups and
-CSV passes at d = 24, adjoint blocks at d = 12, and two runs that write the
-adjoint residuals into ``summary.json`` beside their CSVs.
+CSV passes at d = 24, adjoint blocks at d = 12, two runs that write the
+adjoint residuals into ``summary.json`` beside their CSVs, and two runs
+whose CSVs are the only reader of the sample grid.
 Each config runs in a fresh ``python -m billiards`` process per tree, with
 that tree's ``src`` on the path and one thread: ``run`` or ``verify`` as its
 workload says, and ``verify --corrupt-curvature`` on the four acceptance
@@ -97,6 +98,10 @@ _GRAZE_CAP = {"tolerances": {"eps_graze": 0.3}, "max_events": 12}
 # dense gas of 3 disks of radius 0.2, where about 80% of the (window, pair)
 # blocks are in reach and scanned, and 5 balls in d = 3 (10 pairs of 125
 # images), where about 12% are.
+# Two runs sample the grid for their CSVs alone: 300 starts on 3-d Sinai
+# at T = 1 with only the adjoint check (10 to 30 rows a file, about 13 on
+# average, so a CSV pass of 368 rows spans some 28 files), and 2-d Sinai
+# with no check and no interior sample (2 rows a segment).
 _OVERFLOW = {"horizon": 187.0}
 _ALL_CHECKS = {"checks": ["monotonicity", "growth", "adjoint"]}
 EXTRA = {
@@ -151,6 +156,10 @@ EXTRA = {
     "hardball_n3_dense": ("verify", {"kind": "hardball_gas", "N": 3, "d": 2, "r": 0.2, "L": 1.0},
                           {}),
     "hardball_n5_d3": ("run", {"kind": "hardball_gas", "N": 5, "d": 3, "r": 0.1, "L": 1.0}, {}),
+    "sinai_3d_300_csv_only": ("run", "sinai_3d", {
+        "initial": {"sampler": {"count": 300, "c0": 0.1}}, "horizon": 1.0,
+        "checks": ["adjoint"]}),
+    "sinai_2d_no_checks_no_interior": ("run", "sinai_2d", {"checks": [], "grid_interior": 0}),
     "box_slab_no_room": ("run", {
         "kind": "custom", "d": 2, "ambient": {"type": "box", "sides": [1.0, 1.0]},
         "scatterers": [
